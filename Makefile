@@ -1,5 +1,5 @@
 # Tier-1 gate: everything a PR must keep green.
-.PHONY: check vet fmt build test race fuzz chaos bench bench-all benchrot cover serve
+.PHONY: check vet fmt build test race fuzz chaos bench bench-all benchrot cover loc serve
 
 check: ## vet + gofmt + build + race-enabled tests + fuzz smoke + chaos smoke (the tier-1 gate)
 	go vet ./...
@@ -44,7 +44,7 @@ race:
 
 # Trajectory benchmarks: the fixed-size numbers tracked across PRs.
 # Flags are pinned so results stay comparable between runs.
-BENCH_TRACKED = BenchmarkShardedQuery|BenchmarkBuildAdvisor150|BenchmarkAnnotateOnce|BenchmarkServiceQuery|BenchmarkColdBuild|BenchmarkWarmStart|BenchmarkIncrementalRebuild|BenchmarkPrunedTopK
+BENCH_TRACKED = BenchmarkServedRetrieval|BenchmarkBuildAdvisor150|BenchmarkAnnotateOnce|BenchmarkServiceQuery|BenchmarkColdBuild|BenchmarkWarmStart|BenchmarkIncrementalRebuild
 bench: ## cross-PR trajectory benchmarks (build pipeline, annotate-once, serving, lifecycle)
 	go test -run '^$$' -bench '$(BENCH_TRACKED)' -benchmem -count 1 . ./internal/lifecycle
 
@@ -62,6 +62,28 @@ COVER_BASELINE = 88.5
 cover: ## per-package coverage table + total; fails below COVER_BASELINE
 	go test -count=1 -coverprofile=coverage.out ./internal/... ./cmd/...
 	go run ./tools/coverreport -profile coverage.out -baseline $(COVER_BASELINE) | tee coverage.txt
+
+# Size gate. `make loc` writes loc.txt: non-test Go lines per package of the
+# root module (bench/ is its own module), physical and code (neither blank
+# nor comment-only), then the totals. It fails when the code-line total
+# exceeds LOC_BASELINE; lower the baseline when a change deletes code.
+LOC_BASELINE = 14119
+loc: ## per-package non-test Go line counts; fails above LOC_BASELINE code lines
+	@find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print \
+	| xargs awk 'FNR == 1 { pkg = FILENAME; sub(/\/[^\/]*$$/, "", pkg); sub(/^\.\/?/, "", pkg); if (pkg == "") pkg = "." } \
+		{ phys[pkg]++; t = $$0; gsub(/^[ \t]+|[ \t]+$$/, "", t) } \
+		blk { if (t ~ /\*\//) blk = 0; next } \
+		t == "" || t ~ /^\/\// { next } \
+		t ~ /^\/\*/ { blk = (t !~ /\*\//); next } \
+		{ code[pkg]++ } \
+		END { for (p in phys) print p, phys[p], code[p] + 0 }' \
+	| awk '{ P[$$1] += $$2; C[$$1] += $$3 } END { for (p in P) printf "%-28s %9d %9d\n", p, P[p], C[p] }' \
+	| sort | awk -v base=$(LOC_BASELINE) 'BEGIN { printf "%-28s %9s %9s\n", "package", "physical", "code" } \
+		{ print; p += $$2; c += $$3 } \
+		END { printf "%-28s %9d %9d\n", "TOTAL", p, c; \
+			if (c > base) { printf "loc gate: %d code lines > %d baseline\n", c, base; exit 1 } \
+			printf "loc gate: %d code lines <= %d baseline\n", c, base }' > loc.txt; \
+	status=$$?; cat loc.txt; exit $$status
 
 serve: ## run the advising service with all three built-in guides
 	go run ./cmd/egeria -corpus cuda -corpora opencl,xeon serve -addr :8080

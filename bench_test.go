@@ -1,13 +1,15 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // (run with `go test -bench=. -benchmem`), plus the performance ablations of
-// DESIGN.md: per-NLP-layer cost, serial vs parallel Stage I and Stage II,
-// and document-size scaling.
+// DESIGN.md: per-NLP-layer cost, serial vs parallel Stage I, Stage-II
+// retrieval across query shapes, partitions and backends, and
+// document-size scaling.
 package repro_test
 
 import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -19,7 +21,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/depparse"
-	"repro/internal/doc"
 	"repro/internal/experiments"
 	"repro/internal/nlp"
 	"repro/internal/nvvp"
@@ -222,48 +223,6 @@ func benchStageI(b *testing.B, workers int) {
 func BenchmarkStageI_Serial(b *testing.B)   { benchStageI(b, 1) }
 func BenchmarkStageI_Parallel(b *testing.B) { benchStageI(b, 0) } // GOMAXPROCS
 
-func BenchmarkStageII_QuerySerial(b *testing.B) {
-	g, _ := setup(b)
-	ix := vsm.Build(g.Texts())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.QuerySerial("minimize divergent warps caused by control flow")
-	}
-}
-
-func BenchmarkStageII_QueryParallel(b *testing.B) {
-	g, _ := setup(b)
-	ix := vsm.Build(g.Texts())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.QueryAll("minimize divergent warps caused by control flow")
-	}
-}
-
-// --- retrieval-weighting ablation -------------------------------------------
-
-func BenchmarkRanker_TFIDF(b *testing.B) {
-	g, _ := setup(b)
-	ix := vsm.Build(g.Texts())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.Query("minimize data transfers with low bandwidth", vsm.DefaultThreshold)
-	}
-}
-
-func BenchmarkRanker_BM25(b *testing.B) {
-	g, _ := setup(b)
-	ix := vsm.BuildBM25(g.Texts())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.TopK("minimize data transfers with low bandwidth", 25)
-	}
-}
-
 // --- serving layer -----------------------------------------------------------
 
 func newBenchService(b *testing.B) *service.Service {
@@ -422,28 +381,6 @@ func BenchmarkFederatedAsk(b *testing.B) {
 	})
 }
 
-// --- Stage-II index layout: inverted postings vs dense scan ------------------
-
-func BenchmarkVSMInvertedIndex(b *testing.B) {
-	g, _ := setup(b)
-	ix := vsm.Build(g.Texts())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.Query("minimize divergent warps caused by control flow", vsm.DefaultThreshold)
-	}
-}
-
-func BenchmarkVSMDenseScan(b *testing.B) {
-	g, _ := setup(b)
-	ix := vsm.Build(g.Texts())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.QueryDense("minimize divergent warps caused by control flow", vsm.DefaultThreshold)
-	}
-}
-
 // --- maintenance workflows ---------------------------------------------------
 
 func BenchmarkDiffRules(b *testing.B) {
@@ -502,77 +439,90 @@ func BenchmarkAnnotateOnce(b *testing.B) {
 				rec.ClassifyAnnotated(ann)
 				terms[j] = ann.Terms()
 			}
-			vsm.BuildFromTerms(terms)
+			vsm.BuildFromTerms(terms, nil, 1)
 		}
 	})
 }
 
-// --- sharded retrieval scaling ----------------------------------------------
+// --- Stage-II retrieval (trajectory benchmark) -----------------------------
 
-// BenchmarkShardedQuery measures Stage-II fan-out/merge cost across shard
-// counts and corpus sizes (tracked across PRs). The corpora come from the
-// same seeded generator corpusgen exposes, so the numbers are reproducible
-// from the (register, size, frac, seed) tuple. shards=1 uses the monolithic
-// Index — the baseline the sharded layouts are judged against; scores are
-// bit-identical at every shard count, so this benchmark isolates pure
-// orchestration overhead (goroutine fan-out, k-way merge) against whatever
-// parallel speedup the host's cores provide.
-func BenchmarkShardedQuery(b *testing.B) {
-	const query = "minimize divergent warps caused by control flow"
-	for _, nDocs := range []int{1000, 10000} {
-		g := corpus.GenerateSized(corpus.CUDA, nDocs, 0.2, 19)
-		texts := g.Texts()
-		termLists := make([][]string, len(texts))
-		ids := make([]doc.SentenceID, len(texts))
-		for i, s := range texts {
-			termLists[i] = textproc.NormalizeTerms(s)
-			ids[i] = doc.SentenceID(fmt.Sprintf("bench-%d-%d", nDocs, i))
-		}
-		for _, nShards := range []int{1, 4, 8} {
-			b.Run(fmt.Sprintf("docs=%d/shards=%d", nDocs, nShards), func(b *testing.B) {
-				var ix interface{ QueryAll(string) []float64 }
-				if nShards == 1 {
-					ix = vsm.BuildFromTerms(termLists)
-				} else {
-					ix = vsm.BuildShardedFromTerms(termLists, ids, nShards)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ix.QueryAll(query)
-				}
-			})
-		}
-	}
+// retrievalShape is one query shape of BenchmarkServedRetrieval: a guide and
+// the pre-normalized queries asked of it.
+type retrievalShape struct {
+	name    string
+	guide   *corpus.Guide
+	queries [][]string
 }
 
-// --- pruned top-k retrieval --------------------------------------------------
+// windows draws n queries of 3-8 consecutive words from the guide's
+// sentences, seeded, pre-normalized as the serving layer does before its
+// cache.
+func windows(g *corpus.Guide, n int, seed int64) [][]string {
+	rng := rand.New(rand.NewSource(seed))
+	texts := g.Texts()
+	out := make([][]string, n)
+	for i := range out {
+		words := strings.Fields(texts[rng.Intn(len(texts))])
+		k := min(3+rng.Intn(6), len(words))
+		start := rng.Intn(len(words) - k + 1)
+		out[i] = nlp.QueryTerms(strings.Join(words[start:start+k], " "))
+	}
+	return out
+}
 
-// BenchmarkPrunedTopK contrasts MaxScore-pruned top-k selection against the
-// exhaustive score-everything baseline it is bit-identical to (tracked across
-// PRs). Same index, same query, same k — the only difference is the
-// WithPruning toggle, so the ratio is the pure win from impact-ordered
-// candidate elimination. k spans the paper's serving shape (10), the
-// degenerate best-answer case (1), and a k wide enough that pruning has
-// little room to skip (100).
-func BenchmarkPrunedTopK(b *testing.B) {
-	const query = "minimize divergent warps caused by control flow"
-	for _, nDocs := range []int{1000, 10000} {
-		g := corpus.GenerateSized(corpus.CUDA, nDocs, 0.2, 19)
-		texts := g.Texts()
-		termLists := make([][]string, len(texts))
-		for i, s := range texts {
-			termLists[i] = textproc.NormalizeTerms(s)
+// issueQueries are the issue queries of every synthesized NVVP report: the
+// long queries the report endpoint asks.
+func issueQueries(b *testing.B) [][]string {
+	var out [][]string
+	for _, program := range nvvp.Programs() {
+		text, err := nvvp.Synthesize(program)
+		if err != nil {
+			b.Fatal(err)
 		}
-		ix := vsm.BuildFromTerms(termLists)
-		for _, k := range []int{1, 10, 100} {
-			for _, mode := range []string{"pruned", "exhaustive"} {
-				b.Run(fmt.Sprintf("docs=%d/k=%d/%s", nDocs, k, mode), func(b *testing.B) {
-					ctx := vsm.WithPruning(context.Background(), mode == "pruned")
+		r, err := nvvp.Parse(text)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, issue := range r.Issues() {
+			out = append(out, nlp.QueryTerms(issue.Query()))
+		}
+	}
+	return out
+}
+
+// servedSink keeps BenchmarkServedRetrieval's answers live.
+var servedSink []core.Answer
+
+// BenchmarkServedRetrieval times Stage-II retrieval the way every endpoint
+// asks for it (tracked across PRs): Advisor.QueryTermsBackendCtx at the
+// served threshold, returning every match, over pre-normalized terms. Three
+// query shapes — short windows on the paper-size CUDA guide (hot), short
+// windows on a 10,000-sentence guide (cold), and NVVP issue queries on the
+// paper-size guide (report) — run against 1 and 2 index partitions under
+// both backends. Answers are identical across partition counts; the
+// partition axis isolates fan-out cost against the host's cores.
+func BenchmarkServedRetrieval(b *testing.B) {
+	paper := corpus.Generate(corpus.CUDA, experiments.Seed)
+	big := corpus.GenerateSized(corpus.CUDA, 10000, 0.15, 1)
+	shapes := []retrievalShape{
+		{"hot", paper, windows(paper, 1000, 1)},
+		{"cold", big, windows(big, 1000, 2)},
+		{"report", paper, issueQueries(b)},
+	}
+	ctx := context.Background()
+	for _, sh := range shapes {
+		for _, parts := range []int{1, 2} {
+			adv := core.New(core.WithShards(parts)).BuildFromSentences(sh.guide.Doc, sh.guide.Sentences)
+			for _, backend := range vsm.Backends() {
+				b.Run(fmt.Sprintf("shape=%s/parts=%d/%s", sh.name, parts, backend), func(b *testing.B) {
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						ix.TopKCtx(ctx, query, k, vsm.DefaultThreshold)
+						answers, err := adv.QueryTermsBackendCtx(ctx, backend, sh.queries[i%len(sh.queries)])
+						if err != nil {
+							b.Fatal(err)
+						}
+						servedSink = answers
 					}
 				})
 			}

@@ -76,7 +76,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "corpus generation seed")
 		threshold = flag.Float64("threshold", 0.15, "similarity threshold for recommendations")
 		shards    = flag.Int("shards", defaultShards(), "Stage-II index shard count (1 = monolithic; retrieval scores are identical at any count)")
-		prune     = flag.Bool("prune", true, "MaxScore pruning in Stage-II retrieval (results are bit-identical on or off; per-request override via ?prune=)")
 		xeonTuned = flag.Bool("xeon-tuned", false, "use the Xeon-tuned keyword sets (§4.3)")
 		cfgPath   = flag.String("config", "", "JSON keyword configuration merged over the defaults")
 		addr      = flag.String("addr", ":8080", "listen address for serve")
@@ -187,7 +186,6 @@ func main() {
 			maxBatch:        *maxBatch,
 			timeout:         *timeout,
 			traceSample:     *traceSample,
-			noPrune:         !*prune,
 			faultSpec:       *faultSpec,
 			faultSeed:       *faultSeed,
 			brkThreshold:    *brkThresh,
@@ -478,7 +476,6 @@ type serveConfig struct {
 	maxBatch        int
 	timeout         time.Duration
 	traceSample     float64       // fraction of requests with recorded span trees
-	noPrune         bool          // disable MaxScore pruning by default (-prune=false)
 	metrics         *obs.Registry // nil: the process-wide default registry
 
 	// fault injection (dev/chaos only): faultSpec is the -fault grammar
@@ -658,7 +655,6 @@ func buildServeHandler(fw *core.Framework, cfg serveConfig, logger *slog.Logger)
 		MaxInFlight:      cfg.maxInflight,
 		MaxBatch:         cfg.maxBatch,
 		Timeout:          cfg.timeout,
-		NoPrune:          cfg.noPrune,
 		Logger:           logger,
 		Tracer:           tracer,
 		Metrics:          cfg.metrics,

@@ -210,74 +210,6 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestServePruneToggle pins the pruning escape hatch end to end: the
-// default (pruned) path, ?prune=on, and ?prune=off must return identical
-// bytes after trace-ID scrubbing; an invalid ?prune= value is a 400; and
-// the vsm_prune_* counters are visible on /metricz. The config uses the
-// process-default metrics registry — the one the vsm pruning counters
-// report into — unlike the reconciliation tests, which isolate theirs.
-func TestServePruneToggle(t *testing.T) {
-	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	handler, _, _, err := buildServeHandler(core.New(), serveConfig{
-		primaryName: "cuda",
-		seed:        3,
-		cacheSize:   64,
-		maxInflight: 16,
-		timeout:     10 * time.Second,
-		traceSample: 1,
-		sources:     []lifecycle.Source{testSource(t, "cuda", 120, 3)},
-	}, logger)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(handler)
-	defer ts.Close()
-
-	queries := []string{
-		"how to reduce global memory latency",
-		"avoid divergent warps",
-		"improve occupancy with more blocks",
-	}
-	for _, q := range queries {
-		base := ts.URL + "/v1/cuda/query?q=" + strings.ReplaceAll(q, " ", "+")
-		code, def := httpGet(t, base)
-		if code != 200 {
-			t.Fatalf("query %q: %d %s", q, code, def)
-		}
-		for _, variant := range []string{"&prune=on", "&prune=off", "&prune=false", "&prune=1"} {
-			vcode, vbody := httpGet(t, base+variant)
-			if vcode != 200 {
-				t.Fatalf("query %q%s: %d %s", q, variant, vcode, vbody)
-			}
-			if scrubTrace(vbody) != scrubTrace(def) {
-				t.Fatalf("query %q%s: bytes differ from default path:\n%s\nvs\n%s",
-					q, variant, vbody, def)
-			}
-		}
-	}
-
-	if code, body := httpGet(t, ts.URL+"/v1/cuda/query?q=warps&prune=bogus"); code != 400 {
-		t.Fatalf("prune=bogus: %d %s, want 400", code, body)
-	}
-
-	code, mbody := httpGet(t, ts.URL+"/metricz")
-	if code != 200 {
-		t.Fatalf("metricz %d", code)
-	}
-	var snap obs.Snapshot
-	if err := json.Unmarshal(mbody, &snap); err != nil {
-		t.Fatal(err)
-	}
-	if got := snap.Counters["vsm_prune_queries_total"]; got < 1 {
-		t.Errorf("vsm_prune_queries_total = %d, want >= 1 (pruned path never engaged)", got)
-	}
-	for _, name := range []string{"vsm_prune_postings_skipped_total", "vsm_prune_fallbacks_total"} {
-		if _, ok := snap.Counters[name]; !ok {
-			t.Errorf("metricz missing %s", name)
-		}
-	}
-}
-
 func httpGet(t *testing.T, url string) (int, []byte) {
 	t.Helper()
 	resp, err := http.Get(url)

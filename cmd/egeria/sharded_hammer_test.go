@@ -53,10 +53,10 @@ func shardedSource(t testing.TB, name string, size int, seed int64, shards int) 
 //     queries return complete, byte-identical answers;
 //   - all shards failing is a clean 5xx, not an empty 200.
 //
-// A third of the hammer requests carry ?prune=off, so pruned and
-// exhaustive per-shard selection race side by side under -race and under
-// shard faults; after recovery both spellings must be byte-identical to
-// the fault-free control.
+// A third of the hammer requests carry ?backend=bm25, so both weightings
+// of the shared partitioned engine race side by side under -race and under
+// shard faults; after recovery both backends must be byte-identical to the
+// fault-free control.
 func TestServeShardedHammer(t *testing.T) {
 	const nShards = 4
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -80,14 +80,15 @@ func TestServeShardedHammer(t *testing.T) {
 	}
 	cts := httptest.NewServer(control)
 	defer cts.Close()
-	want := make(map[string]string, len(queries))
+	want := make(map[string]string, 2*len(queries))
 	for _, q := range queries {
-		p := "/v1/cuda/query?q=" + url.QueryEscape(q)
-		code, body := httpGet(t, cts.URL+p)
-		if code != 200 {
-			t.Fatalf("control %s: %d %s", p, code, body)
+		for _, p := range backendPaths(q) {
+			code, body := httpGet(t, cts.URL+p)
+			if code != 200 {
+				t.Fatalf("control %s: %d %s", p, code, body)
+			}
+			want[p] = scrubTrace(body)
 		}
-		want[p] = scrubTrace(body)
 	}
 
 	inj := fault.New(7)
@@ -160,8 +161,8 @@ func TestServeShardedHammer(t *testing.T) {
 				q := fmt.Sprintf("%s hammer-%d-%d", queries[i%len(queries)], g, i)
 				u := ts.URL + "/v1/cuda/query?q=" + url.QueryEscape(q)
 				if i%3 == 2 {
-					// exhaustive scoring races the pruned default
-					u += "&prune=off"
+					// BM25 races the default weighting on the same partitions
+					u += "&backend=bm25"
 				}
 				resp, err := http.Get(u)
 				if err != nil {
@@ -224,31 +225,29 @@ func TestServeShardedHammer(t *testing.T) {
 	// during the storm and no torn state survived the reload races
 	inj.Reset()
 	for _, q := range queries {
-		p := "/v1/cuda/query?q=" + url.QueryEscape(q)
-		code, body := httpGet(t, ts.URL+p)
-		if code != 200 {
-			t.Fatalf("post-storm %s: %d %s", p, code, body)
-		}
-		var qr service.QueryResponse
-		if err := json.Unmarshal(body, &qr); err != nil {
-			t.Fatalf("post-storm %s: torn body %s", p, body)
-		}
-		if qr.ShardsFailed != 0 {
-			t.Fatalf("post-storm %s: shards_failed=%d with faults off", p, qr.ShardsFailed)
-		}
-		if got := scrubTrace(body); got != want[p] {
-			t.Errorf("post-storm %s diverged from fault-free control:\n got %s\nwant %s", p, got, want[p])
-		}
-		// the exhaustive spelling must produce the same bytes as the pruned
-		// default — the serving-layer face of the parity guarantee
-		code, body = httpGet(t, ts.URL+p+"&prune=off")
-		if code != 200 {
-			t.Fatalf("post-storm %s&prune=off: %d %s", p, code, body)
-		}
-		if got := scrubTrace(body); got != want[p] {
-			t.Errorf("post-storm %s&prune=off diverged from control:\n got %s\nwant %s", p, got, want[p])
+		for _, p := range backendPaths(q) {
+			code, body := httpGet(t, ts.URL+p)
+			if code != 200 {
+				t.Fatalf("post-storm %s: %d %s", p, code, body)
+			}
+			var qr service.QueryResponse
+			if err := json.Unmarshal(body, &qr); err != nil {
+				t.Fatalf("post-storm %s: torn body %s", p, body)
+			}
+			if qr.ShardsFailed != 0 {
+				t.Fatalf("post-storm %s: shards_failed=%d with faults off", p, qr.ShardsFailed)
+			}
+			if got := scrubTrace(body); got != want[p] {
+				t.Errorf("post-storm %s diverged from fault-free control:\n got %s\nwant %s", p, got, want[p])
+			}
 		}
 	}
+}
+
+// backendPaths is the query path of q under the default backend and BM25.
+func backendPaths(q string) []string {
+	p := "/v1/cuda/query?q=" + url.QueryEscape(q)
+	return []string{p, p + "&backend=bm25"}
 }
 
 // TestServeShardedPartialNotCached pins the cache interaction in

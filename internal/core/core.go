@@ -23,6 +23,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -80,8 +81,8 @@ func WithParallelism(n int) Option {
 
 // WithShards partitions each advisor's Stage-II index across n shards keyed
 // by stable sentence identity (<=1 keeps the monolithic index, the
-// default). Sharded retrieval is Float64bits-identical to monolithic — see
-// vsm.ShardedIndex — so this is purely a serving topology choice.
+// default). Retrieval is Float64bits-identical at any partition count — see
+// vsm.Index — so this is purely a serving topology choice.
 func WithShards(n int) Option {
 	return func(f *Framework) { f.shards = n }
 }
@@ -138,8 +139,8 @@ type Advisor struct {
 	ids       []doc.SentenceID  // per-sentence stable identities (aligned with sentences)
 	anns      []*nlp.Annotation // per-sentence annotations, retained for incremental rebuilds
 	advising  []AdvisingSentence
-	isAdv     []bool        // per sentence index
-	index     vsm.Retriever // monolithic vsm.Index or vsm.ShardedIndex
+	isAdv     []bool     // per sentence index
+	index     *vsm.Index // one partition per shard
 	threshold float64
 	stats     BuildStats
 }
@@ -261,11 +262,7 @@ func (f *Framework) BuildFromSentencesCtx(ctx context.Context, doc *htmldoc.Docu
 	for i, an := range anns {
 		terms[i] = an.Terms()
 	}
-	if f.shards > 1 {
-		a.index = vsm.BuildShardedFromTerms(terms, a.ids, f.shards)
-	} else {
-		a.index = vsm.BuildFromTerms(terms)
-	}
+	a.index = vsm.BuildFromTerms(terms, a.ids, f.shards)
 	indexSpan.Finish()
 	a.stats.Indexing = time.Since(start)
 	buildIndex.ObserveDuration(a.stats.Indexing)
@@ -360,7 +357,7 @@ func (a *Advisor) ShardCount() int {
 	if a.index == nil {
 		return 1
 	}
-	return a.index.ShardCount()
+	return a.index.Partitions()
 }
 
 // IsAdvising reports Stage I's decision for sentence i.
@@ -429,28 +426,54 @@ func (a *Advisor) QueryTermsWithThreshold(terms []string, threshold float64) []A
 }
 
 // QueryTermsCtx is QueryTerms under a trace: when ctx carries a sampled
-// span, Stage-II scoring is recorded beneath it (see vsm.QueryAllTermsCtx).
+// span, Stage-II scoring is recorded beneath it (see vsm.Index.Query).
 func (a *Advisor) QueryTermsCtx(ctx context.Context, terms []string) []Answer {
 	return a.QueryTermsWithThresholdCtx(ctx, terms, a.threshold)
 }
 
 // QueryTermsWithThresholdCtx is the context-carrying form of
-// QueryTermsWithThreshold, the path the serving layer uses so a sampled
-// request's trace shows where its scoring time went. Retrieval goes through
-// vsm's match form (MatchesTermsCtx) rather than the full score slice, so a
-// context with pruning enabled — the default — lets the index skip
-// documents that provably cannot clear the threshold; answers are
-// Float64bits-identical either way.
+// QueryTermsWithThreshold: the paper's TF-IDF/cosine model at an explicit
+// threshold.
 func (a *Advisor) QueryTermsWithThresholdCtx(ctx context.Context, terms []string, threshold float64) []Answer {
-	matches := a.index.MatchesTermsCtx(ctx, terms, threshold)
+	// the default backend is always known and no fault draw is armed, so
+	// neither an error nor a failed partition can come back
+	out, _, _ := a.Retrieve(ctx, terms, vsm.QueryOpts{Threshold: threshold})
+	return out
+}
+
+// Retrieve is the one Stage-II query path every Query method and the
+// serving layer take: it scores pre-normalized query terms under o and
+// keeps the advising sentences among the matches, best first (score
+// descending, ties by document order). The outcome counts the index
+// partitions that failed o.Fault's draw; their sentences are missing from
+// the answers. An unknown o.Backend returns vsm.ErrUnknownBackend.
+func (a *Advisor) Retrieve(ctx context.Context, terms []string, o vsm.QueryOpts) ([]Answer, vsm.Outcome, error) {
+	matches, outcome, err := a.index.Query(ctx, terms, o)
+	if err != nil {
+		return nil, outcome, err
+	}
 	var out []Answer
 	for _, m := range matches {
-		if adv, ok := a.advisingAt(m.Index); ok {
+		if a.isAdv[m.Index] {
+			adv, _ := a.advisingAt(m.Index)
 			out = append(out, Answer{Sentence: adv, Score: m.Score})
 		}
 	}
-	sortAnswers(out)
-	return out
+	return out, outcome, nil
+}
+
+// QueryOpts returns the options that answer with the named backend at its
+// threshold. The empty string and "vsm" run the paper's TF-IDF/cosine model
+// at the advisor's threshold. "bm25" scores with Okapi BM25 over the same
+// postings and keeps every advising sentence with positive score: BM25
+// scores are unbounded, so the paper's 0.15 cosine threshold has no meaning
+// there and rank order does the filtering (the smallest positive float
+// admits exactly the scores above zero).
+func (a *Advisor) QueryOpts(backend string) vsm.QueryOpts {
+	if backend == vsm.BackendBM25 {
+		return vsm.QueryOpts{Backend: backend, Threshold: math.SmallestNonzeroFloat64}
+	}
+	return vsm.QueryOpts{Backend: backend, Threshold: a.threshold}
 }
 
 // advisingAt returns the advising sentence at a global sentence index, if
@@ -475,67 +498,29 @@ func (a *Advisor) QueryBackend(q, backend string) ([]Answer, error) {
 }
 
 // QueryTermsBackendCtx answers a pre-normalized query term list with the
-// named scoring backend. The empty string and "vsm" run the paper's
-// TF-IDF/cosine model with the advisor's threshold — bit-identical to
-// QueryTermsCtx, since both delegate to the same index scan. "bm25" scores
-// with Okapi BM25 over the same postings and keeps every advising sentence
-// with positive score: BM25 scores are unbounded, so the paper's 0.15
-// cosine threshold has no meaning there and rank order does the filtering.
-// Scores are comparable only within one backend. An unknown backend name
-// returns vsm.ErrUnknownBackend.
+// named scoring backend at its threshold (see QueryOpts). Scores are
+// comparable only within one backend. An unknown backend name returns
+// vsm.ErrUnknownBackend.
 func (a *Advisor) QueryTermsBackendCtx(ctx context.Context, backend string, terms []string) ([]Answer, error) {
-	scorer, err := a.index.Scorer(backend)
-	if err != nil {
-		return nil, err
-	}
-	if scorer.Backend() == vsm.BackendVSM {
-		return a.QueryTermsWithThresholdCtx(ctx, terms, a.threshold), nil
-	}
-	scores := scorer.ScoreTermsCtx(ctx, terms)
-	var out []Answer
-	for _, adv := range a.advising {
-		if s := scores[adv.Index]; s > 0 {
-			out = append(out, Answer{Sentence: adv, Score: s})
-		}
-	}
-	sortAnswers(out)
-	return out, nil
+	out, _, err := a.Retrieve(ctx, terms, a.QueryOpts(backend))
+	return out, err
 }
 
 // FullDocQuery retrieves over the whole document without the Stage-I filter
 // — the paper's "full-doc" baseline (§4.2). Exposed here because it shares
-// the advisor's TF-IDF index.
+// the advisor's TF-IDF index. A threshold at or below zero returns every
+// sentence.
 func (a *Advisor) FullDocQuery(q string, threshold float64) []Answer {
-	scores := a.index.QueryAll(q)
+	// default backend, no fault draw: no error and no failed partition
+	matches, _, _ := a.index.Query(context.Background(), nlp.QueryTerms(q), vsm.QueryOpts{Threshold: threshold})
 	var out []Answer
-	for i, s := range scores {
-		if s < threshold {
-			continue
-		}
-		section := ""
-		if a.doc != nil {
-			si := a.sentences[i].Section
-			if si >= 0 && si < len(a.doc.Sections) {
-				section = a.doc.Sections[si].Path()
-			}
-		}
+	for _, m := range matches {
 		out = append(out, Answer{
-			Sentence: AdvisingSentence{Index: i, Text: a.sentences[i].Text, Section: section},
-			Score:    s,
+			Sentence: AdvisingSentence{Index: m.Index, Text: a.sentences[m.Index].Text, Section: a.SectionOf(m.Index)},
+			Score:    m.Score,
 		})
 	}
-	sortAnswers(out)
 	return out
-}
-
-// sortAnswers orders answers best-first, ties broken by document order.
-func sortAnswers(out []Answer) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Sentence.Index < out[j].Sentence.Index
-	})
 }
 
 // ReportAnswer pairs one profiler issue with its recommendations.

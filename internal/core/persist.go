@@ -117,31 +117,28 @@ func LoadAdvisor(r io.Reader) (*Advisor, error) {
 		}
 		a.isAdv[adv.Index] = true
 	}
-	if len(snap.Terms) > 0 {
-		if len(snap.Terms) != len(snap.Sentences) {
+	terms := snap.Terms
+	if len(terms) > 0 {
+		if len(terms) != len(snap.Sentences) {
 			return nil, fmt.Errorf("core: snapshot has %d term lists for %d sentences",
-				len(snap.Terms), len(snap.Sentences))
+				len(terms), len(snap.Sentences))
 		}
 		// term-only annotations make the loaded advisor a valid incremental
 		// base: a warm-started source can still take the differential path
 		a.anns = make([]*nlp.Annotation, len(a.sentences))
 		for i, s := range a.sentences {
-			a.anns[i] = nlp.FromSavedTerms(s.Text, snap.Terms[i])
+			a.anns[i] = nlp.FromSavedTerms(s.Text, terms[i])
 		}
-		if snap.Shards > 1 {
-			a.index = vsm.BuildShardedFromTerms(snap.Terms, a.ids, snap.Shards)
-		} else {
-			a.index = vsm.BuildFromTerms(snap.Terms)
+	} else {
+		// no stored terms: the annotations are gone and rebuilding them here
+		// would re-run the NLP pass Save exists to skip — leave anns nil
+		// (HasIdentity false) so updates from this advisor take the full
+		// path, and re-normalize the text for the index
+		terms = make([][]string, len(snap.Sentences))
+		for i, s := range snap.Sentences {
+			terms[i] = textproc.NormalizeTerms(s.Text)
 		}
-		return a, nil
 	}
-	// no stored terms: the annotations are gone and rebuilding them here
-	// would re-run the NLP pass Save exists to skip — leave anns nil
-	// (HasIdentity false) so updates from this advisor take the full path
-	texts := make([]string, len(snap.Sentences))
-	for i, s := range snap.Sentences {
-		texts[i] = s.Text
-	}
-	a.index = vsm.Build(texts)
+	a.index = vsm.BuildFromTerms(terms, a.ids, snap.Shards)
 	return a, nil
 }

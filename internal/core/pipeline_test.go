@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/corpus"
@@ -48,11 +49,16 @@ func TestBuildPipelineEquivalence(t *testing.T) {
 			"avoid shared memory bank conflicts",
 			"overlap transfers with execution",
 		} {
-			want := ref.QueryAll(q)
-			got := adv.index.QueryAll(q)
+			// a threshold below zero scores every document
+			all := vsm.QueryOpts{Threshold: -1}
+			want, _, _ := ref.Query(context.Background(), nlp.QueryTerms(q), all)
+			got, _, _ := adv.index.Query(context.Background(), nlp.QueryTerms(q), all)
+			if len(got) != len(want) {
+				t.Fatalf("%v query %q: %d vs %d scored documents", reg, q, len(got), len(want))
+			}
 			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("%v query %q doc %d: %v vs %v (must be bit-identical)",
+				if got[i] != want[i] {
+					t.Fatalf("%v query %q rank %d: %+v vs %+v (must be bit-identical)",
 						reg, q, i, got[i], want[i])
 				}
 			}

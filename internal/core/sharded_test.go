@@ -2,13 +2,19 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
+	"errors"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
 	"repro/internal/corpus"
 	"repro/internal/htmldoc"
+	"repro/internal/nlp"
 	"repro/internal/textproc"
+	"repro/internal/vsm"
 )
 
 // sameAnswers demands bit-identical retrieval: same sentences in the same
@@ -160,5 +166,58 @@ func TestShardedUpdatePreservesLayout(t *testing.T) {
 			sameAnswers(t, q, next.Query(q), cold.Query(q))
 		}
 		adv = next
+	}
+}
+
+// TestRetrieveOutcome pins the one query path's explicit options: a fault
+// draw failing one partition drops exactly that partition's sentences and
+// counts it, failing every partition leaves no answers, an unknown backend
+// is vsm.ErrUnknownBackend, and the convenience methods agree with it.
+func TestRetrieveOutcome(t *testing.T) {
+	const nShards = 4
+	g := corpus.GenerateSized(corpus.CUDA, 200, 0.25, 31)
+	adv := New(WithShards(nShards)).BuildFromSentences(g.Doc, g.Sentences)
+	terms := nlp.QueryTerms("reduce instruction and memory latency")
+	full, out, err := adv.Retrieve(context.Background(), terms, adv.QueryOpts(""))
+	if err != nil || out.Partitions != nShards || out.Failed != 0 || len(full) == 0 {
+		t.Fatalf("healthy: %d answers, outcome %+v, err %v", len(full), out, err)
+	}
+	sameAnswers(t, "QueryTermsCtx", adv.QueryTermsCtx(context.Background(), terms), full)
+
+	boom := errors.New("boom")
+	first := true
+	o := adv.QueryOpts("")
+	o.Serial = true // the first draw is partition 0's
+	o.Fault = func() error {
+		if first {
+			first = false
+			return boom
+		}
+		return nil
+	}
+	partial, out, err := adv.Retrieve(context.Background(), terms, o)
+	if err != nil || out.Failed != 1 || !errors.Is(out.Err, boom) {
+		t.Fatalf("one partition failing: outcome %+v, err %v", out, err)
+	}
+	// sentences are placed by FNV-1a over their identity
+	var kept []Answer
+	for _, a := range full {
+		h := fnv.New32a()
+		h.Write([]byte(adv.ids[a.Sentence.Index]))
+		if h.Sum32()%nShards != 0 {
+			kept = append(kept, a)
+		}
+	}
+	sameAnswers(t, "partial", partial, kept)
+
+	o.Fault = func() error { return boom }
+	if none, out, _ := adv.Retrieve(context.Background(), terms, o); len(none) != 0 || out.Failed != nShards {
+		t.Fatalf("every partition failing: %d answers, outcome %+v", len(none), out)
+	}
+	if _, _, err := adv.Retrieve(context.Background(), terms, adv.QueryOpts("tfidf2")); !errors.Is(err, vsm.ErrUnknownBackend) {
+		t.Fatalf("unknown backend: %v", err)
+	}
+	if got := fmt.Sprint(adv.Backends()); got != "[vsm bm25]" {
+		t.Fatalf("Backends = %s", got)
 	}
 }

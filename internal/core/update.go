@@ -159,7 +159,7 @@ func (f *Framework) UpdateFromSentencesCtx(ctx context.Context, prev *Advisor, d
 	for k, j := range diffs.Added {
 		added[k] = vsm.AddedDoc{Pos: j, Terms: anns[j].Terms(), ID: newIDs[j]}
 	}
-	index, err := prev.index.RebuildRetriever(diffs.Kept, added)
+	index, err := prev.index.Rebuild(diffs.Kept, added)
 	indexSpan.Finish()
 	if err != nil {
 		return nil, fmt.Errorf("core: incremental index rebuild: %w", err)

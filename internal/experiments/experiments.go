@@ -9,7 +9,9 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/baselines"
@@ -502,7 +504,7 @@ func RetrievalAblation(g *corpus.Guide, adv *core.Advisor) []RetrievalRow {
 		advTexts[i] = r.Text
 		advIdx[i] = r.Index
 	}
-	bm := vsm.BuildBM25(advTexts)
+	bm := vsm.Build(advTexts)
 
 	var out []RetrievalRow
 	for _, q := range corpus.CUDAQueries() {
@@ -511,8 +513,15 @@ func RetrievalAblation(g *corpus.Guide, adv *core.Advisor) []RetrievalRow {
 		for _, a := range adv.Query(q.Text) {
 			tfidfIdx = append(tfidfIdx, a.Sentence.Index)
 		}
+		// every positive BM25 score, best first, cut to the TF-IDF budget
+		matches, _, err := bm.Query(context.Background(), nlp.QueryTerms(q.Text),
+			vsm.QueryOpts{Backend: vsm.BackendBM25, Threshold: math.SmallestNonzeroFloat64})
+		if err != nil {
+			// the backend name is a package constant; an error here is a bug
+			panic(err)
+		}
 		var bmIdx []int
-		for _, m := range bm.TopK(q.Text, len(tfidfIdx)) {
+		for _, m := range matches[:min(len(matches), len(tfidfIdx))] {
 			bmIdx = append(bmIdx, advIdx[m.Index])
 		}
 		out = append(out, RetrievalRow{

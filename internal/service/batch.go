@@ -11,14 +11,13 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/vsm"
 )
 
 // POST /v1/batch answers many queries in one request. Items are answered by
 // a bounded worker pool (Options.BatchWorkers); each worker holds one
 // admission slot at a time, so a batch cannot starve interactive queries —
 // it competes for the same MaxInFlight budget, N items strong instead of
-// N requests strong. Workers score serially (vsm.WithSerialScoring): the
+// N requests strong. Workers score serially (vsm.QueryOpts.Serial): the
 // pool is already parallel across queries, and P workers scoring serially
 // beat P×GOMAXPROCS goroutines contending for the same cores.
 
@@ -74,10 +73,7 @@ func (s *Service) Batch(ctx context.Context, items []BatchItem) []BatchItemResul
 	if workers < 1 {
 		workers = 1
 	}
-	wctx := ctx
-	if workers > 1 {
-		wctx = vsm.WithSerialScoring(ctx)
-	}
+	serial := workers > 1
 	// fair-share the remaining request budget across scheduling waves: item
 	// 64 of a big batch gets the same slice as item 1 instead of inheriting
 	// whatever the early items left over (see batchShare)
@@ -93,7 +89,7 @@ func (s *Service) Batch(ctx context.Context, items []BatchItem) []BatchItemResul
 				if i >= len(items) {
 					return
 				}
-				results[i] = s.batchItem(wctx, parent, i, items[i], share)
+				results[i] = s.batchItem(ctx, parent, i, items[i], share, serial)
 			}
 		}()
 	}
@@ -104,7 +100,7 @@ func (s *Service) Batch(ctx context.Context, items []BatchItem) []BatchItemResul
 // batchItem answers one batch item under its own trace ID, span, and time
 // share, so each item is individually attributable in traces and responses
 // and cannot consume the budget of the items behind it.
-func (s *Service) batchItem(ctx context.Context, parent *obs.Span, i int, item BatchItem, share time.Duration) BatchItemResult {
+func (s *Service) batchItem(ctx context.Context, parent *obs.Span, i int, item BatchItem, share time.Duration, serial bool) BatchItemResult {
 	res := BatchItemResult{Advisor: item.Advisor, Query: item.Query, Backend: item.Backend}
 	span := parent.StartChild("batch.item")
 	defer span.Finish()
@@ -124,7 +120,7 @@ func (s *Service) batchItem(ctx context.Context, parent *obs.Span, i int, item B
 		span.SetAttr("outcome", "error")
 		return res
 	}
-	answers, hit, err := s.CachedQueryBackend(ctx, item.Advisor, item.Backend, item.Query)
+	answers, hit, _, err := s.cachedQuery(ctx, item.Advisor, item.Backend, item.Query, serial)
 	if err != nil {
 		res.Error = err.Error()
 		span.SetAttr("outcome", "error")

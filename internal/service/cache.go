@@ -41,9 +41,10 @@ type cacheEntry struct {
 }
 
 type flight struct {
-	done chan struct{}
-	val  []core.Answer
-	err  error
+	done  chan struct{}
+	val   []core.Answer
+	err   error
+	stale bool // set under the shard lock by Invalidate: do not cache val
 }
 
 // NewCache creates a cache holding at most capacity entries spread over
@@ -103,13 +104,11 @@ func QueryKeyBackend(advisor, backend string, terms []string) string {
 	return advisor + "\x00\x01" + backend + "\x00" + strings.Join(terms, " ")
 }
 
-// QueryKeyFull extends QueryKeyBackend with the pruning decision. Pruned
-// retrieval — the default — keys exactly like QueryKeyBackend, so default
-// traffic keeps its cache entries across the flag; exhaustive (?prune=off)
-// queries get a disjoint key space under the same advisor prefix ("\x00\x02"
-// after the advisor name, which no default or backend key can produce), so
-// an answer computed by one path is never served to a request that asked
-// for the other, and Invalidate still drops both in one pass.
+// QueryKeyFull extends QueryKeyBackend with a pruning flag that only callers
+// outside this package still pass: prune=true keys exactly like
+// QueryKeyBackend, the only key space the service produces; prune=false
+// maps to a disjoint space under the same advisor prefix ("\x00\x02" after
+// the advisor name, which no default or backend key can produce).
 func QueryKeyFull(advisor, backend string, prune bool, terms []string) string {
 	key := QueryKeyBackend(advisor, backend, terms)
 	if prune {
@@ -157,8 +156,10 @@ func (c *Cache) GetOrCompute(key string, compute func() ([]core.Answer, error)) 
 	close(fl.done)
 
 	sh.mu.Lock()
-	delete(sh.flights, key)
-	if fl.err == nil {
+	if sh.flights[key] == fl {
+		delete(sh.flights, key)
+	}
+	if fl.err == nil && !fl.stale {
 		sh.insertLocked(key, fl.val, c.stats)
 	}
 	sh.mu.Unlock()
@@ -194,7 +195,11 @@ func (c *Cache) Len() int {
 
 // Invalidate drops every entry belonging to the named advisor — called when
 // the registry hot-swaps that advisor, since cached answers reference the
-// old rule set.
+// old rule set. Computations in flight for the advisor may be scoring with
+// the old advisor, so they are marked not cacheable and detached: their
+// waiters still get the result, but a lookup arriving after Invalidate
+// starts a fresh computation instead of joining one. It returns the number
+// of entries dropped.
 func (c *Cache) Invalidate(advisor string) int {
 	prefix := advisor + "\x00"
 	dropped := 0
@@ -205,6 +210,12 @@ func (c *Cache) Invalidate(advisor string) int {
 				sh.ll.Remove(el)
 				delete(sh.entries, key)
 				dropped++
+			}
+		}
+		for key, fl := range sh.flights {
+			if strings.HasPrefix(key, prefix) {
+				fl.stale = true
+				delete(sh.flights, key)
 			}
 		}
 		sh.mu.Unlock()

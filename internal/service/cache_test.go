@@ -34,6 +34,30 @@ func TestQueryKeyNormalization(t *testing.T) {
 	}
 }
 
+// TestQueryKeyFull pins the key spaces: the pruning flag's true value keys
+// exactly like QueryKeyBackend (the one space the service produces), false
+// maps to a disjoint space under the same advisor prefix, and Invalidate
+// drops both.
+func TestQueryKeyFull(t *testing.T) {
+	terms := []string{"memori", "latenc"}
+	for _, backend := range []string{"", "vsm", "bm25"} {
+		on, off := QueryKeyFull("cuda", backend, true, terms), QueryKeyFull("cuda", backend, false, terms)
+		if on != QueryKeyBackend("cuda", backend, terms) {
+			t.Errorf("%q: prune=true key %q differs from the backend key", backend, on)
+		}
+		if on == off {
+			t.Errorf("%q: prune=false shares the default key space", backend)
+		}
+	}
+	c := NewCache(8, 1, newStats(obs.NewRegistry()))
+	for _, prune := range []bool{true, false} {
+		c.GetOrCompute(QueryKeyFull("cuda", "bm25", prune, terms), func() ([]core.Answer, error) { return answersOf("x"), nil })
+	}
+	if n := c.Invalidate("cuda"); n != 2 {
+		t.Fatalf("Invalidate dropped %d entries, want both key spaces", n)
+	}
+}
+
 func TestCacheHitMissEvict(t *testing.T) {
 	stats := newStats(obs.NewRegistry())
 	c := NewCache(4, 2, stats)
@@ -178,6 +202,39 @@ func TestCacheInvalidate(t *testing.T) {
 		func() ([]core.Answer, error) { return nil, nil })
 	if !hit {
 		t.Error("opencl entry lost by cuda invalidation")
+	}
+}
+
+// TestCacheInvalidateInFlight: a computation in flight when its advisor is
+// invalidated still answers its own callers, but its value is not cached
+// and a lookup arriving after Invalidate computes afresh instead of joining
+// it.
+func TestCacheInvalidateInFlight(t *testing.T) {
+	c := NewCache(8, 1, newStats(obs.NewRegistry()))
+	key := QueryKeyTerms("cuda", []string{"memori"})
+	started, release := make(chan struct{}), make(chan struct{})
+	done := make(chan []core.Answer)
+	go func() {
+		v, _, _ := c.GetOrCompute(key, func() ([]core.Answer, error) {
+			close(started)
+			<-release
+			return answersOf("old"), nil
+		})
+		done <- v
+	}()
+	<-started
+	c.Invalidate("cuda")
+	fresh, hit, err := c.GetOrCompute(key, func() ([]core.Answer, error) { return answersOf("new"), nil })
+	if err != nil || hit || fresh[0].Sentence.Text != "new" {
+		t.Fatalf("lookup after Invalidate: %v hit=%v err=%v, want a fresh computation", fresh, hit, err)
+	}
+	close(release)
+	if v := <-done; v[0].Sentence.Text != "old" {
+		t.Fatalf("in-flight caller got %v, want its own result", v)
+	}
+	v, hit, _ := c.GetOrCompute(key, func() ([]core.Answer, error) { return answersOf("recomputed"), nil })
+	if !hit || v[0].Sentence.Text != "new" {
+		t.Fatalf("cached value %v hit=%v, want the post-invalidation result", v, hit)
 	}
 }
 

@@ -45,12 +45,6 @@ type Options struct {
 	// histograms live in, served on /metricz (default obs.Default()).
 	Metrics *obs.Registry
 
-	// NoPrune disables MaxScore pruning in Stage-II retrieval for every
-	// query that does not carry its own ?prune= override. Pruned and
-	// exhaustive retrieval return identical bytes (the parity suites prove
-	// it), so this is an operational escape hatch, not a semantic switch.
-	NoPrune bool
-
 	// Fault is the fault-injection layer (see internal/fault). nil — the
 	// production default — compiles every fault point to a single nil
 	// check, the same pattern as unsampled obs spans.
@@ -285,11 +279,11 @@ func (s *Service) CachedQueryBackend(ctx context.Context, advisor, backend, q st
 	return answers, hit, err
 }
 
-// partialAnswers carries a degraded sharded result out of the cache compute
-// func as an error: GetOrCompute never caches errors, so a partial result —
-// correct for the shards that ran, silently missing the rest — can never be
-// served from the cache as if it were complete. CachedQueryFull unwraps it
-// back into a success with a non-zero shard-failure count.
+// partialAnswers carries a degraded result out of the cache compute func as
+// an error: GetOrCompute never caches errors, so a partial result — correct
+// for the shards that ran, silently missing the rest — can never be served
+// from the cache as if it were complete. cachedQuery unwraps it back into a
+// success with a non-zero shard-failure count.
 type partialAnswers struct {
 	answers []core.Answer
 	failed  int
@@ -300,13 +294,26 @@ func (p *partialAnswers) Error() string {
 	return fmt.Sprintf("service: partial results, %d shards failed: %v", p.failed, p.err)
 }
 
-// CachedQueryFull is CachedQueryBackend plus the degraded-shard count: when
-// the advisor's index is sharded and some (but not all) shards failed their
-// fault-injection draw, the answers cover the surviving shards and
-// shardsFailed reports how many are missing. Such partial results are never
-// cached. All shards failing is a real error (and counts toward the
-// advisor's circuit breaker).
+// CachedQueryFull is CachedQueryBackend plus the degraded-shard count: every
+// index shard draws the vsm.score fault point, and when some (but not all)
+// fail, the answers cover the surviving shards and shardsFailed reports how
+// many are missing. Such partial results are never cached. All shards
+// failing — the only shard, for a monolithic index — is a real error (and
+// counts toward the advisor's circuit breaker).
 func (s *Service) CachedQueryFull(ctx context.Context, advisor, backend, q string) (answers []core.Answer, hit bool, shardsFailed int, err error) {
+	return s.cachedQuery(ctx, advisor, backend, q, false)
+}
+
+// cachedQuery is CachedQueryFull with the scoring mode explicit: serial
+// keeps a miss's shard fan-out on one goroutine, for callers that are
+// already parallel across queries (the batch executor).
+//
+// The advisor that answers a miss is read inside the cache's compute func,
+// after the flight is registered, never before: a Reload that swaps the
+// advisor while the miss is in flight then finds the flight and marks it
+// not cacheable (Cache.Invalidate), so a stale answer cannot outlive the
+// swap in the cache.
+func (s *Service) cachedQuery(ctx context.Context, advisor, backend, q string, serial bool) (answers []core.Answer, hit bool, shardsFailed int, err error) {
 	// one span lookup covers the whole query path: with tracing off (or
 	// this request unsampled) parent is nil and every child span below is
 	// a no-op nil pointer — the hot path pays a single ctx.Value call
@@ -314,8 +321,7 @@ func (s *Service) CachedQueryFull(ctx context.Context, advisor, backend, q strin
 	if !vsm.ValidBackend(backend) {
 		return nil, false, 0, fmt.Errorf("%w: %q", vsm.ErrUnknownBackend, backend)
 	}
-	adv, ok := s.reg.Get(advisor)
-	if !ok {
+	if _, ok := s.reg.Get(advisor); !ok {
 		return nil, false, 0, fmt.Errorf("%w: %q", ErrUnknownAdvisor, advisor)
 	}
 	// every outcome past this point feeds the advisor's circuit breaker:
@@ -352,15 +358,7 @@ func (s *Service) CachedQueryFull(ctx context.Context, advisor, backend, q strin
 	terms := nlp.QueryTerms(q)
 	annSpan.SetAttrInt("terms", len(terms))
 	annSpan.Finish()
-	// the pruning decision: the request's explicit ?prune= override wins,
-	// otherwise the server-wide default. It joins the cache key — pruned and
-	// exhaustive answers are bit-identical, but an operator comparing the two
-	// paths must never be handed a cached answer computed by the other one.
-	prune := !s.opts.NoPrune
-	if on, set := vsm.Pruning(ctx); set {
-		prune = on
-	}
-	key := QueryKeyFull(advisor, backend, prune, terms)
+	key := QueryKeyBackend(advisor, backend, terms)
 	// run the lookup in a goroutine so an expired deadline returns promptly;
 	// the computation itself finishes and still populates the cache
 	type result struct {
@@ -368,11 +366,14 @@ func (s *Service) CachedQueryFull(ctx context.Context, advisor, backend, q strin
 		hit     bool
 		err     error
 	}
-	serial := vsm.SerialScoring(ctx)
 	cacheSpan := parent.StartChild("cache")
 	ch := make(chan result, 1)
 	go func() {
 		a, h, e := s.cache.GetOrCompute(key, func() ([]core.Answer, error) {
+			adv, ok := s.reg.Get(advisor)
+			if !ok {
+				return nil, fmt.Errorf("%w: %q", ErrUnknownAdvisor, advisor)
+			}
 			// a miss runs Stage-II retrieval; the score span hangs off the
 			// cache span so a trace shows hit (no child) vs miss (scored)
 			scoreSpan := cacheSpan.StartChild("score")
@@ -381,46 +382,23 @@ func (s *Service) CachedQueryFull(ctx context.Context, advisor, backend, q strin
 				scoreSpan.SetAttr("backend", backend)
 			}
 			// detach from the request ctx so the computation outlives an
-			// expired deadline and still populates the cache, but carry the
-			// caller's serial-scoring hint through — a batch worker pool is
-			// already parallel across queries
-			bctx := obs.ContextWithSpan(context.Background(), scoreSpan)
-			if serial {
-				bctx = vsm.WithSerialScoring(bctx)
-			}
-			// pruning defaults on, so only an exhaustive run marks the ctx
-			if !prune {
-				bctx = vsm.WithPruning(bctx, false)
-			}
-			if adv.ShardCount() > 1 {
-				// sharded retrieval: the vsm.score fault point is drawn once
-				// per shard inside the fan-out, so one failing shard degrades
-				// the query to partial results instead of failing it
-				sctx, outcome := vsm.WithShardOutcome(bctx)
-				sctx = vsm.WithShardFault(sctx, func() error { return s.flt.Err(fault.VSMScore) })
-				out, qerr := adv.QueryTermsBackendCtx(sctx, backend, terms)
-				if qerr != nil {
-					return nil, qerr
-				}
-				if failed := outcome.Failed(); failed > 0 {
-					if failed >= outcome.Total() {
-						return nil, fmt.Errorf("service: all %d index shards failed: %w", failed, outcome.Err())
-					}
-					scoreSpan.SetAttrInt("shards_failed", failed)
-					return nil, &partialAnswers{answers: out, failed: failed, err: outcome.Err()}
-				}
-				scoreSpan.SetAttrInt("answers", len(out))
-				return out, nil
-			}
-			// injected scoring faults surface here, inside the compute
-			// func: GetOrCompute never caches errors, so a fault storm
-			// cannot poison the cache with wrong answers
-			if ferr := s.flt.Err(fault.VSMScore); ferr != nil {
-				return nil, ferr
-			}
-			out, qerr := adv.QueryTermsBackendCtx(bctx, backend, terms)
-			if qerr != nil {
+			// expired deadline and still populates the cache. The vsm.score
+			// fault point is drawn once per index shard, so one failing
+			// shard degrades the query to partial results instead of
+			// failing it; injected faults surface inside the compute func,
+			// which GetOrCompute never caches.
+			o := adv.QueryOpts(backend)
+			o.Serial = serial
+			o.Fault = func() error { return s.flt.Err(fault.VSMScore) }
+			out, outcome, qerr := adv.Retrieve(obs.ContextWithSpan(context.Background(), scoreSpan), terms, o)
+			switch {
+			case qerr != nil:
 				return nil, qerr
+			case outcome.Failed == outcome.Partitions:
+				return nil, fmt.Errorf("service: all %d index shards failed: %w", outcome.Failed, outcome.Err)
+			case outcome.Failed > 0:
+				scoreSpan.SetAttrInt("shards_failed", outcome.Failed)
+				return nil, &partialAnswers{answers: out, failed: outcome.Failed, err: outcome.Err}
 			}
 			scoreSpan.SetAttrInt("answers", len(out))
 			return out, nil
@@ -433,8 +411,8 @@ func (s *Service) CachedQueryFull(ctx context.Context, advisor, backend, q strin
 			cacheSpan.SetAttr("hit", strconv.FormatBool(res.hit))
 			cacheSpan.Finish()
 		}
-		// a partial sharded result rides out of the compute func as an
-		// error (so it is never cached); deliver it as a degraded success
+		// a partial result rides out of the compute func as an error (so it
+		// is never cached); deliver it as a degraded success
 		var partial *partialAnswers
 		if errors.As(res.err, &partial) {
 			return partial.answers, false, partial.failed, nil
@@ -510,22 +488,8 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// absent/empty backend takes the default path and leaves the response
 	// byte-identical to a backend-unaware build (Backend marshals omitempty)
 	backend := strings.TrimSpace(r.URL.Query().Get("backend"))
-	ctx := r.Context()
-	// ?prune= is the per-request escape hatch around the server's pruning
-	// default; absent means "use the default", and the answers are identical
-	// bytes either way (only latency and vsm_prune_* metrics differ)
-	switch strings.ToLower(strings.TrimSpace(r.URL.Query().Get("prune"))) {
-	case "":
-	case "on", "true", "1":
-		ctx = vsm.WithPruning(ctx, true)
-	case "off", "false", "0":
-		ctx = vsm.WithPruning(ctx, false)
-	default:
-		writeError(w, http.StatusBadRequest, "invalid prune parameter %q (want on or off)", r.URL.Query().Get("prune"))
-		return
-	}
 	start := time.Now()
-	answers, hit, shardsFailed, err := s.CachedQueryFull(ctx, name, backend, q)
+	answers, hit, shardsFailed, err := s.CachedQueryFull(r.Context(), name, backend, q)
 	s.stats.recordQuery(time.Since(start))
 	if err != nil {
 		writeQueryError(w, err)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -16,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/fault"
 	"repro/internal/nvvp"
 	"repro/internal/obs"
 )
@@ -91,6 +93,12 @@ func TestEndpoints(t *testing.T) {
 		if len(infos) != 1 || infos[0].Name != "cuda" || infos[0].Rules == 0 ||
 			infos[0].Sentences != 150 || infos[0].BuiltAt.IsZero() {
 			t.Errorf("advisors %+v", infos)
+		}
+	})
+	t.Run("backends", func(t *testing.T) {
+		code, body := get(t, ts.URL+"/v1/backends")
+		if code != 200 || strings.TrimSpace(string(body)) != `{"default":"vsm","backends":["vsm","bm25"]}` {
+			t.Errorf("backends %d %s", code, body)
 		}
 	})
 	t.Run("rules", func(t *testing.T) {
@@ -186,6 +194,48 @@ func TestEndpoints(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("bad report %d, want 400", resp.StatusCode)
+		}
+	})
+	t.Run("report metrics json", func(t *testing.T) {
+		// a JSON metrics snapshot with divergent branches and poor
+		// coalescing: the report endpoint's other input format
+		snap := `{"program":"knnjoin","kernel":"k","warp_execution_efficiency":0.4,"occupancy":0.9,` +
+			`"global_load_efficiency":0.3,"branch_divergence":0.5,"dram_utilization":0.2,` +
+			`"issue_slot_utilization":0.5,"low_throughput_inst_fraction":0.1,"transfer_compute_ratio":0.1}`
+		resp, err := http.Post(ts.URL+"/v1/cuda/report", "application/json", strings.NewReader(snap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var rr ReportResponse
+		if resp.StatusCode != 200 || json.Unmarshal(body, &rr) != nil || len(rr.Issues) == 0 {
+			t.Fatalf("metrics report %d %s", resp.StatusCode, body)
+		}
+		resp, err = http.Post(ts.URL+"/v1/cuda/report", "application/json", strings.NewReader(`{"occupancy":7}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("out-of-range metrics %d, want 400", resp.StatusCode)
+		}
+	})
+	t.Run("query unknown backend", func(t *testing.T) {
+		if code, body := get(t, ts.URL+"/v1/cuda/query?q=memory&backend=tfidf2"); code != http.StatusBadRequest {
+			t.Errorf("unknown backend %d %s, want 400", code, body)
+		}
+	})
+	t.Run("admin reload without lifecycle", func(t *testing.T) {
+		resp, err := http.Post(ts.URL+"/v1/admin/reload", "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotImplemented {
+			t.Errorf("reload without lifecycle %d, want 501", resp.StatusCode)
 		}
 	})
 	t.Run("statsz", func(t *testing.T) {
@@ -362,6 +412,127 @@ func TestReloadInvalidatesCache(t *testing.T) {
 	if got, _ := svc.Registry().Get("cuda"); got != next {
 		t.Error("registry did not swap")
 	}
+}
+
+// TestReloadDuringMissNeverCachesStaleAnswers pins the reload race: a cache
+// miss still scoring with the old advisor when Reload swaps the advisor and
+// invalidates the cache must not leave the old answers cached. The
+// vsm.score fault point's latency hook parks the miss mid-retrieval while
+// the reload runs, so the interleaving is deterministic.
+func TestReloadDuringMissNeverCachesStaleAnswers(t *testing.T) {
+	const q = "reduce global memory latency"
+	old := e2eAdvisor(t)
+	g := corpus.GenerateSized(corpus.CUDA, 150, 0.3, 8)
+	next := core.New().BuildFromSentences(g.Doc, g.Sentences)
+	want := next.Query(q)
+	if sameAnswerBits(old.Query(q), want) {
+		t.Fatal("precondition: old and new advisors answer alike")
+	}
+
+	inj := fault.New(1)
+	inj.Set(fault.VSMScore, fault.Rule{Latency: time.Nanosecond})
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	inj.SetSleep(func(time.Duration) {
+		once.Do(func() {
+			close(parked)
+			<-release
+		})
+	})
+	reg := NewRegistry()
+	reg.Add("cuda", old)
+	svc := New(reg, Options{Fault: inj, Timeout: time.Minute, Metrics: obs.NewRegistry()})
+
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := svc.CachedQuery(context.Background(), "cuda", q)
+		done <- err
+	}()
+	<-parked // the miss is scoring
+	svc.Reload("cuda", next)
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	got, hit, err := svc.CachedQuery(context.Background(), "cuda", q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit || !sameAnswerBits(got, want) {
+		t.Fatalf("after reload: hit=%v, answers %v, want the new advisor's %v", hit, got, want)
+	}
+}
+
+// TestShardedDegradedAnswers: against a partitioned advisor every shard
+// draws the vsm.score fault point. Some shards failing degrade a query to a
+// success that counts them and carries the surviving shards' answers, and
+// is never cached; all failing is an injected-fault error; once the faults
+// stop, the complete answers come back and are cached.
+func TestShardedDegradedAnswers(t *testing.T) {
+	const nShards = 4
+	g := corpus.GenerateSized(corpus.CUDA, 150, 0.3, 7)
+	adv := core.New(core.WithShards(nShards)).BuildFromSentences(g.Doc, g.Sentences)
+	inj := fault.New(1)
+	reg := NewRegistry()
+	reg.Add("cuda", adv)
+	svc := New(reg, Options{Fault: inj, Metrics: obs.NewRegistry(), BreakerThreshold: 1 << 20})
+	ctx := context.Background()
+
+	inj.Set(fault.VSMScore, fault.Rule{ErrProb: 0.5})
+	partials := 0
+	for i := 0; i < 20; i++ {
+		q := fmt.Sprintf("reduce global memory latency %d", i)
+		answers, hit, failed, err := svc.CachedQueryFull(ctx, "cuda", "", q)
+		if err != nil || failed == 0 {
+			continue
+		}
+		partials++
+		if hit || failed >= nShards {
+			t.Fatalf("%q: hit=%v shards_failed=%d", q, hit, failed)
+		}
+		full := map[int]uint64{}
+		for _, a := range adv.Query(q) {
+			full[a.Sentence.Index] = math.Float64bits(a.Score)
+		}
+		for _, a := range answers {
+			if bits, ok := full[a.Sentence.Index]; !ok || bits != math.Float64bits(a.Score) {
+				t.Fatalf("%q: degraded answer %d not in the complete answer set", q, a.Sentence.Index)
+			}
+		}
+	}
+	if partials == 0 {
+		t.Fatal("no degraded answers under a 50% per-shard fault rate")
+	}
+
+	inj.Set(fault.VSMScore, fault.Rule{ErrProb: 1})
+	const q = "reduce global memory latency"
+	if _, _, _, err := svc.CachedQueryFull(ctx, "cuda", "bm25", q); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("every shard failing: err %v, want an injected fault", err)
+	}
+
+	inj.Reset()
+	for _, wantHit := range []bool{false, true} {
+		answers, hit, failed, err := svc.CachedQueryFull(ctx, "cuda", "", q)
+		if err != nil || failed != 0 || hit != wantHit || !sameAnswerBits(answers, adv.Query(q)) {
+			t.Fatalf("recovered: hit=%v (want %v) shards_failed=%d err=%v", hit, wantHit, failed, err)
+		}
+	}
+}
+
+// sameAnswerBits reports whether two answer lists name the same sentences
+// with Float64bits-equal scores, in order.
+func sameAnswerBits(a, b []core.Answer) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Sentence.Index != b[i].Sentence.Index || a[i].Sentence.Text != b[i].Sentence.Text ||
+			math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestDrainFlipsReadyz(t *testing.T) {

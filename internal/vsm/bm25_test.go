@@ -3,11 +3,16 @@ package vsm
 import (
 	"math"
 	"testing"
+
+	"repro/internal/textproc"
 )
 
+// bm25 is the BM25 serving cut: every positive score, best first.
+var bm25 = QueryOpts{Backend: BackendBM25, Threshold: positive}
+
 func TestBM25RelevanceOrdering(t *testing.T) {
-	ix := BuildBM25(corpus)
-	top := ix.TopK("how to avoid shared memory bank conflicts", 3)
+	ix := Build(corpus)
+	top := prefix(query(t, ix, "how to avoid shared memory bank conflicts", bm25), 3)
 	if len(top) == 0 {
 		t.Fatal("no matches")
 	}
@@ -22,21 +27,21 @@ func TestBM25RelevanceOrdering(t *testing.T) {
 }
 
 func TestBM25NoOverlap(t *testing.T) {
-	ix := BuildBM25(corpus)
-	for _, s := range ix.Scores("zyzzyva quux") {
+	ix := Build(corpus)
+	for _, s := range engineScores(t, ix, textproc.NormalizeTerms("zyzzyva quux"), BackendBM25) {
 		if s != 0 {
 			t.Errorf("score %f for vocab-free query", s)
 		}
 	}
-	if got := ix.TopK("", 5); len(got) != 0 {
+	if got := query(t, ix, "", bm25); len(got) != 0 {
 		t.Errorf("empty query matched: %v", got)
 	}
 }
 
 func TestBM25ScoresNonNegative(t *testing.T) {
-	ix := BuildBM25(corpus)
+	ix := Build(corpus)
 	for _, q := range []string{"memory", "divergent warps control flow", "register compiler"} {
-		for i, s := range ix.Scores(q) {
+		for i, s := range engineScores(t, ix, textproc.NormalizeTerms(q), BackendBM25) {
 			if s < 0 || math.IsNaN(s) {
 				t.Errorf("q=%q sentence %d score %f", q, i, s)
 			}
@@ -50,24 +55,25 @@ func TestBM25LengthNormalization(t *testing.T) {
 		"coalesce the accesses",
 		"coalesce the accesses while considering many other unrelated aspects of the launch configuration and the driver behavior",
 	}
-	ix := BuildBM25(docs)
-	s := ix.Scores("coalesce accesses")
+	ix := Build(docs)
+	s := engineScores(t, ix, textproc.NormalizeTerms("coalesce accesses"), BackendBM25)
 	if s[0] <= s[1] {
 		t.Errorf("length normalization inverted: %f vs %f", s[0], s[1])
 	}
 }
 
 func TestBM25EmptyIndex(t *testing.T) {
-	ix := BuildBM25(nil)
-	if got := ix.Scores("anything"); len(got) != 0 {
+	ix := Build(nil)
+	if got := engineScores(t, ix, textproc.NormalizeTerms("anything"), BackendBM25); len(got) != 0 {
 		t.Errorf("empty index scored: %v", got)
 	}
 }
 
 func BenchmarkBM25Query(b *testing.B) {
-	ix := BuildBM25(corpus)
+	ix := Build(corpus)
+	terms := textproc.NormalizeTerms("how to avoid shared memory bank conflicts")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ix.Scores("how to avoid shared memory bank conflicts")
+		run(b, ix, terms, bm25)
 	}
 }

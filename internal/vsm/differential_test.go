@@ -1,8 +1,8 @@
 package vsm
 
 import (
-	"context"
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -11,7 +11,7 @@ import (
 
 // Differential tests between the two scoring backends: properties that must
 // hold regardless of backend (zero-overlap queries score zero everywhere),
-// bit-exactness of the Scorer indirection against the direct VSM path, and
+// bit-exactness of the backend selector against the dense oracle, and
 // agreement of the shared-postings BM25 with a from-scratch reference
 // implementation.
 
@@ -29,11 +29,7 @@ func TestBackendsAgreeOnZeroOverlap(t *testing.T) {
 	ix := Build(diffSentences)
 	terms := textproc.NormalizeTerms("quantum chromodynamics lattice pasta")
 	for _, backend := range Backends() {
-		scorer, err := ix.Scorer(backend)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for d, s := range scorer.ScoreTermsCtx(context.Background(), terms) {
+		for d, s := range engineScores(t, ix, terms, backend) {
 			if s != 0 {
 				t.Errorf("%s: zero-overlap query scored doc %d at %v, want 0", backend, d, s)
 			}
@@ -41,10 +37,10 @@ func TestBackendsAgreeOnZeroOverlap(t *testing.T) {
 	}
 }
 
-// TestScorerVSMBitIdentical pins the refactoring invariant of the Scorer
-// interface: scoring through ix.Scorer("vsm") (and its "" default spelling)
-// is bit-for-bit the same as the direct Index path, and every Query match
-// score equals the corresponding dense score exactly.
+// TestScorerVSMBitIdentical pins the backend selector: scoring with
+// Backend "vsm" and its "" default spelling is bit-for-bit the dense
+// oracle, and every thresholded match score equals the corresponding dense
+// score exactly.
 func TestScorerVSMBitIdentical(t *testing.T) {
 	ix := Build(diffSentences)
 	queries := []string{
@@ -55,21 +51,17 @@ func TestScorerVSMBitIdentical(t *testing.T) {
 	}
 	for _, q := range queries {
 		terms := textproc.NormalizeTerms(q)
-		direct := ix.QueryAllTerms(terms)
+		direct := denseScores(ix, terms, BackendVSM)
 		for _, spelling := range []string{"", BackendVSM} {
-			scorer, err := ix.Scorer(spelling)
-			if err != nil {
-				t.Fatal(err)
-			}
-			viaScorer := scorer.ScoreTermsCtx(context.Background(), terms)
+			viaBackend := engineScores(t, ix, terms, spelling)
 			for d := range direct {
-				if math.Float64bits(direct[d]) != math.Float64bits(viaScorer[d]) {
-					t.Fatalf("q=%q spelling=%q doc %d: direct %x via-scorer %x",
-						q, spelling, d, math.Float64bits(direct[d]), math.Float64bits(viaScorer[d]))
+				if math.Float64bits(direct[d]) != math.Float64bits(viaBackend[d]) {
+					t.Fatalf("q=%q spelling=%q doc %d: direct %x via-backend %x",
+						q, spelling, d, math.Float64bits(direct[d]), math.Float64bits(viaBackend[d]))
 				}
 			}
 		}
-		for _, m := range ix.Query(q, DefaultThreshold) {
+		for _, m := range run(t, ix, terms, QueryOpts{Threshold: DefaultThreshold}) {
 			if math.Float64bits(m.Score) != math.Float64bits(direct[m.Index]) {
 				t.Fatalf("q=%q: Query score %v != dense score %v at doc %d", q, m.Score, direct[m.Index], m.Index)
 			}
@@ -77,17 +69,21 @@ func TestScorerVSMBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSerialScoringBitIdentical: the batch executor's serial-scoring hint
+// TestSerialScoringBitIdentical: the batch executor's serial-scoring option
 // must not change a single bit of any score.
 func TestSerialScoringBitIdentical(t *testing.T) {
-	ix := Build(diffSentences)
-	terms := textproc.NormalizeTerms("shared memory global bandwidth warp")
-	par := ix.QueryAllTermsCtx(context.Background(), terms)
-	ser := ix.QueryAllTermsCtx(WithSerialScoring(context.Background()), terms)
-	for d := range par {
-		if math.Float64bits(par[d]) != math.Float64bits(ser[d]) {
-			t.Fatalf("doc %d: parallel %x serial %x", d, math.Float64bits(par[d]), math.Float64bits(ser[d]))
-		}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	terms := make([][]string, len(diffSentences))
+	for i, s := range diffSentences {
+		terms[i] = textproc.NormalizeTerms(s)
+	}
+	ix := BuildFromTerms(terms, nil, 3)
+	q := textproc.NormalizeTerms("shared memory global bandwidth warp")
+	for _, backend := range Backends() {
+		o := QueryOpts{Backend: backend, Threshold: -1}
+		par := run(t, ix, q, o)
+		o.Serial = true
+		sameMatches(t, backend+" serial vs parallel", run(t, ix, q, o), par)
 	}
 }
 
@@ -146,14 +142,13 @@ func naiveBM25(sentences []string, query string, k1, b float64) []float64 {
 
 func TestBM25MatchesNaiveReference(t *testing.T) {
 	ix := Build(diffSentences)
-	bm := ix.BM25()
 	for _, q := range []string{
 		"shared memory bank conflicts",
 		"global memory coalescing bandwidth",
 		"warp divergence",
 		"memory memory memory", // duplicate query terms count once
 	} {
-		got := bm.Scores(q)
+		got := engineScores(t, ix, textproc.NormalizeTerms(q), BackendBM25)
 		want := naiveBM25(diffSentences, q, bm25K1, bm25B)
 		for d := range want {
 			if math.Abs(got[d]-want[d]) > 1e-12 {
@@ -173,10 +168,10 @@ func TestUniversalTermBackendSplit(t *testing.T) {
 		"memory prefetch distance",
 	}
 	ix := Build(docs)
-	if scores := ix.QueryAllTerms([]string{"memori"}); anyPositive(scores) {
+	if scores := engineScores(t, ix, []string{"memori"}, BackendVSM); anyPositive(scores) {
 		t.Errorf("VSM scored a df==N term: %v", scores)
 	}
-	bm := ix.BM25().ScoreTerms([]string{"memori"})
+	bm := engineScores(t, ix, []string{"memori"}, BackendBM25)
 	if !anyPositive(bm) {
 		t.Errorf("BM25 ignored a df==N term: %v", bm)
 	}
@@ -196,34 +191,37 @@ func anyPositive(s []float64) bool {
 	return false
 }
 
-// TestTopKEdgeCases drives both backends' TopK through the boundary cases a
-// caller can hit: non-positive k, k past the match count, and score ties.
+// TestTopKEdgeCases drives both backends through the cuts a caller makes
+// on the match list — non-positive k (keep everything), k = 1, k past the
+// match count — and score ties: each prefix must be the oracle's, sorted
+// best first with ties by ascending index.
 func TestTopKEdgeCases(t *testing.T) {
 	ix := Build(diffSentences)
-	bm := ix.BM25()
-	const q = "shared memory"
+	terms := textproc.NormalizeTerms("shared memory")
 	cases := []struct {
 		name string
 		k    int
 		want func(n int) bool // accepts the returned length
 	}{
-		{"k negative", -3, func(n int) bool { return n == 0 }},
-		{"k zero", 0, func(n int) bool { return n == 0 }},
+		{"k negative", -3, func(n int) bool { return n == len(diffSentences) }},
+		{"k zero", 0, func(n int) bool { return n == len(diffSentences) }},
 		{"k one", 1, func(n int) bool { return n == 1 }},
 		{"k huge", 1000, func(n int) bool { return n >= 1 && n <= len(diffSentences) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := ix.TopK(q, tc.k, 0); !tc.want(len(got)) {
-				t.Errorf("vsm TopK(k=%d) returned %d matches", tc.k, len(got))
-			}
-			if got := bm.TopK(q, tc.k); !tc.want(len(got)) {
-				t.Errorf("bm25 TopK(k=%d) returned %d matches", tc.k, len(got))
+			for _, backend := range Backends() {
+				got := prefix(run(t, ix, terms, QueryOpts{Backend: backend}), tc.k)
+				if !tc.want(len(got)) {
+					t.Errorf("%s top %d returned %d matches", backend, tc.k, len(got))
+				}
+				sameMatches(t, backend, got, prefix(denseMatches(ix, terms, backend, 0), tc.k))
 			}
 		})
 	}
 	// ties break by ascending index, and results are sorted best-first
-	for _, matches := range [][]Match{ix.TopK(q, 100, 0), bm.TopK(q, 100)} {
+	for _, backend := range Backends() {
+		matches := run(t, ix, terms, QueryOpts{Backend: backend})
 		for i := 1; i < len(matches); i++ {
 			prev, cur := matches[i-1], matches[i]
 			if cur.Score > prev.Score {
@@ -236,7 +234,7 @@ func TestTopKEdgeCases(t *testing.T) {
 	}
 	// identical duplicate docs are an exact tie; order must be by index
 	dup := Build([]string{"tune the block size", "tune the block size", "unrelated text"})
-	m := dup.TopK("block size", 2, 0)
+	m := prefix(query(t, dup, "block size", QueryOpts{}), 2)
 	if len(m) != 2 || m[0].Index != 0 || m[1].Index != 1 {
 		t.Errorf("duplicate-doc tie order: %v", m)
 	}

@@ -1,8 +1,10 @@
 package vsm_test
 
 import (
+	"context"
 	"fmt"
 
+	"repro/internal/textproc"
 	"repro/internal/vsm"
 )
 
@@ -13,9 +15,9 @@ func Example() {
 		"Avoid bank conflicts in shared memory.",
 		"The warp size is thirty-two threads.",
 	})
-	for _, m := range ix.TopK("bank conflicts", 1, vsm.DefaultThreshold) {
-		fmt.Println(m.Index)
-	}
+	terms := textproc.NormalizeTerms("bank conflicts")
+	matches, _, _ := ix.Query(context.Background(), terms, vsm.QueryOpts{Threshold: vsm.DefaultThreshold})
+	fmt.Println(matches[0].Index)
 	// Output:
 	// 1
 }

@@ -1,18 +1,19 @@
 package vsm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/textproc"
 )
 
-// FuzzTopKParity fuzzes the MaxScore-pruned TopK against the
-// sort-of-QueryAll reference: score every document exhaustively, filter at
-// the threshold, sort under the total match order, truncate to k. Pruned
-// retrieval — monolithic and sharded, VSM and BM25 — must reproduce that
-// list Float64bits-exactly for arbitrary corpora, queries, k, thresholds
-// (including NaN, infinities, and <= 0 fallback cases), and shard counts.
+// FuzzTopKParity fuzzes the retrieval engine against the dense oracle: the
+// engine's matches at any threshold (including NaN, infinities, and <= 0,
+// which admit zero-score documents), truncated to their best k, must
+// reproduce the oracle's sort-then-truncate list Float64bits-exactly, for
+// both backends, for arbitrary corpora, queries and partition counts 0-8
+// (0 builds one partition). k <= 0 keeps every match, the served shape.
 // Seeds live in testdata/fuzz/FuzzTopKParity (guide sentences × guide
 // queries; regenerate with `go run ./tools/fuzzseed`).
 func FuzzTopKParity(f *testing.F) {
@@ -34,51 +35,23 @@ func FuzzTopKParity(f *testing.F) {
 		if k > 2*n+4 {
 			k = k % (2*n + 5)
 		}
-		sh := nShards % 9
-		if sh < 0 {
-			sh = -sh
+		parts := nShards % 9
+		if parts < 0 {
+			parts = -parts
 		}
-
-		ix := Build(sentences)
 		termLists := make([][]string, n)
 		for i, s := range sentences {
 			termLists[i] = textproc.NormalizeTerms(s)
 		}
-		sharded := BuildShardedFromTerms(termLists, nil, sh)
-
-		// the sort-of-QueryAll reference for the cosine backend, mirroring
-		// Query's empty-vector contract (no query terms in vocab: no matches)
-		var want []Match
-		if len(ix.QueryVector(query)) > 0 && k > 0 {
-			for i, s := range ix.QueryAll(query) {
-				if s >= threshold {
-					want = append(want, Match{Index: i, Score: s})
-				}
-			}
-			sortMatches(want)
-			if len(want) > k {
-				want = want[:k]
-			}
+		// the oracle scores from a one-partition build's weights, so weights
+		// that drifted with the partition count would show too
+		ix := BuildFromTerms(termLists, nil, parts)
+		ref := BuildFromTerms(termLists, nil, 1)
+		terms := textproc.NormalizeTerms(query)
+		for _, backend := range Backends() {
+			got := prefix(run(t, ix, terms, QueryOpts{Backend: backend, Threshold: threshold}), k)
+			want := prefix(denseMatches(ref, terms, backend, threshold), k)
+			sameMatches(t, fmt.Sprintf("%s parts=%d", backend, parts), got, want)
 		}
-		sameMatches(t, "mono pruned", ix.TopKCtx(pruneOn(), query, k, threshold), want)
-		sameMatches(t, "mono exhaustive", ix.TopKCtx(pruneOff(), query, k, threshold), want)
-		sameMatches(t, "sharded pruned", sharded.TopKCtx(pruneOn(), query, k, threshold), want)
-		sameMatches(t, "sharded exhaustive", sharded.TopKCtx(pruneOff(), query, k, threshold), want)
-
-		// the BM25 reference: positive scores only, no threshold parameter
-		var wantB []Match
-		if k > 0 {
-			for i, s := range ix.BM25().ScoreTerms(textproc.NormalizeTerms(query)) {
-				if s > 0 {
-					wantB = append(wantB, Match{Index: i, Score: s})
-				}
-			}
-			sortMatches(wantB)
-			if len(wantB) > k {
-				wantB = wantB[:k]
-			}
-		}
-		sameMatches(t, "bm25 mono pruned", ix.BM25().TopKCtx(pruneOn(), query, k), wantB)
-		sameMatches(t, "bm25 sharded pruned", sharded.BM25().TopKCtx(pruneOn(), query, k), wantB)
 	})
 }

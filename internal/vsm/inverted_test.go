@@ -1,10 +1,14 @@
 package vsm
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/textproc"
 )
 
 // randomCorpus builds n pseudo-sentences over a small shared vocabulary so
@@ -29,20 +33,8 @@ func randomCorpus(rng *rand.Rand, n int) []string {
 	return out
 }
 
-func matchesEqual(a, b []Match) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Index != b[i].Index || a[i].Score != b[i].Score {
-			return false
-		}
-	}
-	return true
-}
-
-// TestInvertedMatchesDenseScan checks that the inverted-index fast path of
-// Query returns exactly the dense scan's Match set — same documents, same
+// TestInvertedMatchesDenseScan checks that the postings accumulator
+// returns exactly the dense oracle's match set — same documents, same
 // order, bit-identical scores — on random corpora and queries.
 func TestInvertedMatchesDenseScan(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
@@ -50,10 +42,10 @@ func TestInvertedMatchesDenseScan(t *testing.T) {
 		docs := randomCorpus(rng, 50+rng.Intn(200))
 		ix := Build(docs)
 		for trial := 0; trial < 25; trial++ {
-			q := randomCorpus(rng, 1)[0]
+			q := textproc.NormalizeTerms(randomCorpus(rng, 1)[0])
 			for _, threshold := range []float64{DefaultThreshold, 0.01, 0.5} {
-				fast := ix.Query(q, threshold)
-				dense := ix.QueryDense(q, threshold)
+				fast := run(t, ix, q, QueryOpts{Threshold: threshold})
+				dense := denseMatches(ix, q, BackendVSM, threshold)
 				if !matchesEqual(fast, dense) {
 					t.Fatalf("seed %d trial %d threshold %v: inverted %v != dense %v (query %q)",
 						seed, trial, threshold, fast, dense, q)
@@ -64,7 +56,8 @@ func TestInvertedMatchesDenseScan(t *testing.T) {
 }
 
 // TestInvertedThresholdZeroFallsBackToDense: a non-positive threshold admits
-// zero-score documents, which only the dense scan can enumerate.
+// zero-score documents, which no posting list reaches — every document must
+// come back, even for a query with no term in the vocabulary.
 func TestInvertedThresholdZeroFallsBackToDense(t *testing.T) {
 	docs := []string{
 		"avoid shared memory bank conflicts",
@@ -72,64 +65,83 @@ func TestInvertedThresholdZeroFallsBackToDense(t *testing.T) {
 		"completely unrelated botany sentence about flowers",
 	}
 	ix := Build(docs)
-	got := ix.Query("shared memory", 0)
-	if len(got) != len(docs) {
-		t.Fatalf("threshold 0 should score all %d documents, got %d: %v", len(docs), len(got), got)
+	for _, q := range []string{"shared memory", "", "zyzzyva"} {
+		if got := query(t, ix, q, QueryOpts{}); len(got) != len(docs) {
+			t.Fatalf("%q: threshold 0 should score all %d documents, got %d: %v", q, len(docs), len(got), got)
+		}
 	}
 }
 
-// TestInvertedTopK: TopK rides the same fast path and must agree with a
-// truncated dense scan.
+// TestInvertedTopK: the best five matches agree with a truncated dense scan.
 func TestInvertedTopK(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	docs := randomCorpus(rng, 120)
 	ix := Build(docs)
 	for trial := 0; trial < 10; trial++ {
-		q := randomCorpus(rng, 1)[0]
-		fast := ix.TopK(q, 5, DefaultThreshold)
-		dense := ix.QueryDense(q, DefaultThreshold)
-		if len(dense) > 5 {
-			dense = dense[:5]
-		}
+		q := textproc.NormalizeTerms(randomCorpus(rng, 1)[0])
+		fast := prefix(run(t, ix, q, QueryOpts{Threshold: DefaultThreshold}), 5)
+		dense := prefix(denseMatches(ix, q, BackendVSM, DefaultThreshold), 5)
 		if !matchesEqual(fast, dense) {
-			t.Fatalf("trial %d: TopK %v != dense[:5] %v (query %q)", trial, fast, dense, q)
+			t.Fatalf("trial %d: top 5 %v != dense[:5] %v (query %q)", trial, fast, dense, q)
 		}
 	}
 }
 
-// TestPostingsCoverVectors: every nonzero vector component appears in its
-// term's posting list with the same weight, and posting lists are in
-// ascending document order.
+// TestPostingsCoverVectors: every partition's postings are exactly its
+// documents' term vectors — each (document, term) pair once, in strictly
+// ascending document order per term, with the TF-IDF weight recomputed
+// here from the document's counts and the global IDF table.
 func TestPostingsCoverVectors(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	ix := Build(randomCorpus(rng, 80))
-	var nPostings int
-	for term, plist := range ix.postings {
-		last := int32(-1)
-		for _, p := range plist {
-			if p.doc <= last {
-				t.Fatalf("term %d postings not strictly ascending", term)
-			}
-			last = p.doc
-			nPostings++
-			found := false
-			for _, e := range ix.vecs[p.doc] {
-				if e.term == term {
-					found = e.weight == p.weight
-					break
+	docs := randomCorpus(rng, 80)
+	terms := make([][]string, len(docs))
+	for i, d := range docs {
+		terms[i] = textproc.NormalizeTerms(d)
+	}
+	for _, nParts := range []int{1, 3} {
+		ix := BuildFromTerms(terms, nil, nParts)
+		var nPostings, nEntries int
+		for _, p := range ix.parts {
+			for id := 0; id+1 < len(p.start); id++ {
+				last := int32(-1)
+				for i := p.start[id]; i < p.start[id+1]; i++ {
+					if p.post[i] <= last {
+						t.Fatalf("term %d postings not strictly ascending", id)
+					}
+					last = p.post[i]
+					nPostings++
 				}
 			}
-			if !found {
-				t.Fatalf("posting (term %d, doc %d, w %v) missing from vector", term, p.doc, p.weight)
+			for local, g := range p.docs {
+				tc := ix.counted[g]
+				var norm float64
+				for i, term := range tc.terms {
+					w := tc.counts[i] * ix.idf[ix.vocab[term]]
+					norm += w * w
+				}
+				for i, term := range tc.terms {
+					id := ix.vocab[term]
+					want := tc.counts[i] * ix.idf[id]
+					if norm > 0 {
+						want /= math.Sqrt(norm)
+					}
+					found := false
+					for j := p.start[id]; j < p.start[id+1]; j++ {
+						if p.post[j] == int32(local) {
+							found = p.w[wVSM][j] == want
+							break
+						}
+					}
+					if !found {
+						t.Fatalf("doc %d term %q (weight %v) missing from postings", g, term, want)
+					}
+					nEntries++
+				}
 			}
 		}
-	}
-	var nEntries int
-	for _, vec := range ix.vecs {
-		nEntries += len(vec)
-	}
-	if nPostings != nEntries {
-		t.Fatalf("postings %d != vector entries %d", nPostings, nEntries)
+		if nPostings != nEntries {
+			t.Fatalf("postings %d != vector entries %d", nPostings, nEntries)
+		}
 	}
 }
 
@@ -139,8 +151,9 @@ func ExampleIndex_Query_invertedEquivalence() {
 		"use shared memory to reduce global memory traffic",
 		"unrelated sentence about gardening",
 	})
-	fast := ix.Query("reduce memory transfers", DefaultThreshold)
-	dense := ix.QueryDense("reduce memory transfers", DefaultThreshold)
-	fmt.Println(len(fast) == len(dense))
+	q := textproc.NormalizeTerms("reduce memory transfers")
+	fast, _, _ := ix.Query(context.Background(), q, QueryOpts{Threshold: DefaultThreshold})
+	dense := denseMatches(ix, q, BackendVSM, DefaultThreshold)
+	fmt.Println(matchesEqual(fast, dense))
 	// Output: true
 }

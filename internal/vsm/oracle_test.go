@@ -1,0 +1,177 @@
+package vsm
+
+import (
+	"context"
+	"math"
+	"sort"
+	"testing"
+
+	"repro/internal/textproc"
+)
+
+// The reference oracle the suites compare the engine against: a dense
+// scorer that rebuilds every document's weight vector from the index's
+// postings and scores each document with one sparse dot product, in
+// ascending term-id order. It shares the per-document weights and the query
+// vector with the engine and nothing else — no accumulator, no touched
+// list, no partition fan-out, no threshold shortcut — so agreement pins the
+// accumulation, filtering, ordering and partition merge.
+
+// positive is the threshold that admits exactly the positive scores (the
+// BM25 serving cut).
+const positive = math.SmallestNonzeroFloat64
+
+// run scores pre-normalized terms with the engine, failing the test on an
+// error.
+func run(t testing.TB, ix *Index, terms []string, o QueryOpts) []Match {
+	t.Helper()
+	m, _, err := ix.Query(context.Background(), terms, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// query is run over raw query text.
+func query(t testing.TB, ix *Index, q string, o QueryOpts) []Match {
+	t.Helper()
+	return run(t, ix, textproc.NormalizeTerms(q), o)
+}
+
+// engineScores runs the engine at a threshold that admits every document
+// and scatters the matches into one score per document.
+func engineScores(t testing.TB, ix *Index, terms []string, backend string) []float64 {
+	t.Helper()
+	out := make([]float64, ix.n)
+	for _, m := range run(t, ix, terms, QueryOpts{Backend: backend, Threshold: math.Inf(-1)}) {
+		out[m.Index] = m.Score
+	}
+	return out
+}
+
+// docVectors gathers every document's weight vector under weighting wt from
+// the partitions' postings, entries in ascending term id, indexed by global
+// document ordinal.
+func docVectors(ix *Index, wt int) [][]term {
+	vecs := make([][]term, ix.n)
+	for _, p := range ix.parts {
+		for id := 0; id+1 < len(p.start); id++ {
+			for i := p.start[id]; i < p.start[id+1]; i++ {
+				g := p.docs[p.post[i]]
+				vecs[g] = append(vecs[g], term{id: id, w: p.w[wt][i]})
+			}
+		}
+	}
+	return vecs
+}
+
+// dot is the sparse dot product of two vectors sorted by term id.
+func dot(a, b []term) float64 {
+	var s float64
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i].id == b[j].id:
+			s += a[i].w * b[j].w
+			i++
+			j++
+		case a[i].id < b[j].id:
+			i++
+		default:
+			j++
+		}
+	}
+	return s
+}
+
+// denseScores is the oracle: every document's score under the backend.
+func denseScores(ix *Index, terms []string, backend string) []float64 {
+	wt, err := weightingOf(backend)
+	if err != nil {
+		panic(err)
+	}
+	qv := ix.queryVector(terms, wt)
+	out := make([]float64, ix.n)
+	for d, v := range docVectors(ix, wt) {
+		out[d] = dot(v, qv)
+	}
+	return out
+}
+
+// denseMatches is the oracle's match list: every document at or above the
+// threshold, sorted by the total match order with the standard library's
+// sort rather than the engine's.
+func denseMatches(ix *Index, terms []string, backend string, threshold float64) []Match {
+	var out []Match
+	for d, s := range denseScores(ix, terms, backend) {
+		if s >= threshold {
+			out = append(out, Match{Index: d, Score: s})
+		}
+	}
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].Score != out[b].Score {
+			return out[a].Score > out[b].Score
+		}
+		return out[a].Index < out[b].Index
+	})
+	return out
+}
+
+// prefix truncates a match list to its k best; k <= 0 keeps every match.
+func prefix(m []Match, k int) []Match {
+	if k > 0 && len(m) > k {
+		return m[:k]
+	}
+	return m
+}
+
+// idfOf returns the TF-IDF IDF of a term (0 if unknown).
+func idfOf(ix *Index, t string) float64 {
+	if id, ok := ix.vocab[t]; ok {
+		return ix.idf[id]
+	}
+	return 0
+}
+
+// cosine is the cosine similarity of two raw texts under the index's TF-IDF
+// weights.
+func cosine(ix *Index, a, b string) float64 {
+	return dot(ix.queryVector(textproc.NormalizeTerms(a), wVSM), ix.queryVector(textproc.NormalizeTerms(b), wVSM))
+}
+
+func sameMatches(t *testing.T, label string, got, want []Match) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d matches vs %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Index != want[i].Index || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+			t.Fatalf("%s: match %d: (%d, %x) vs (%d, %x)",
+				label, i, got[i].Index, got[i].Score, want[i].Index, want[i].Score)
+		}
+	}
+}
+
+func sameScores(t *testing.T, label string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: score lengths %d vs %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: doc %d: %x vs %x", label, i, got[i], want[i])
+		}
+	}
+}
+
+func matchesEqual(a, b []Match) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Index != b[i].Index || math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) {
+			return false
+		}
+	}
+	return true
+}

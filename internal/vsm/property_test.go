@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/textproc"
 )
 
 // Metamorphic properties of Stage-II retrieval, each checked over 100
@@ -47,14 +49,14 @@ func TestPropertyPermutationInvariance(t *testing.T) {
 		}
 		query := randPropTerms(rng, 1, 6, propVocab)
 
-		scores := BuildFromTerms(docs).QueryAllTerms(query)
+		scores := engineScores(t, BuildFromTerms(docs, nil, 1), query, BackendVSM)
 
 		perm := rng.Perm(nDocs)
 		permuted := make([][]string, nDocs)
 		for newPos, oldPos := range perm {
 			permuted[newPos] = docs[oldPos]
 		}
-		permScores := BuildFromTerms(permuted).QueryAllTerms(query)
+		permScores := engineScores(t, BuildFromTerms(permuted, nil, 1), query, BackendVSM)
 
 		for newPos, oldPos := range perm {
 			if math.Float64bits(permScores[newPos]) != math.Float64bits(scores[oldPos]) {
@@ -88,7 +90,7 @@ func TestPropertyDuplicateNonMatchingDoc(t *testing.T) {
 		}
 		query := randPropTerms(rng, 1, 6, qPool)
 
-		scores := BuildFromTerms(docs).QueryAllTerms(query)
+		scores := engineScores(t, BuildFromTerms(docs, nil, 1), query, BackendVSM)
 		top, second := -1, -1
 		for i, s := range scores {
 			switch {
@@ -103,7 +105,7 @@ func TestPropertyDuplicateNonMatchingDoc(t *testing.T) {
 		}
 
 		dup := append(append([][]string{}, docs...), docs[0])
-		dupScores := BuildFromTerms(dup).QueryAllTerms(query)
+		dupScores := engineScores(t, BuildFromTerms(dup, nil, 1), query, BackendVSM)
 		if got := dupScores[nDocs]; got != 0 {
 			t.Fatalf("round %d: duplicated non-matching doc scored %v, want exactly 0", round, got)
 		}
@@ -135,10 +137,10 @@ func TestPropertyDuplicateNonMatchingDoc(t *testing.T) {
 	}
 }
 
-// TestPropertyThresholdMonotone: Query(q, θ) returns exactly the documents
+// TestPropertyThresholdMonotone: Query at θ returns exactly the documents
 // with score ≥ θ, sorted by descending score; raising θ can only shrink the
-// answer set (monotone filtering); and the inverted-index path agrees with
-// the dense scan bit-for-bit. Checked at the paper's 0.15 threshold and at
+// answer set (monotone filtering); and the postings accumulator agrees with
+// the dense oracle bit-for-bit. Checked at the paper's 0.15 threshold and at
 // random positive thresholds.
 func TestPropertyThresholdMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -148,9 +150,9 @@ func TestPropertyThresholdMonotone(t *testing.T) {
 		for i := range sentences {
 			sentences[i] = strings.Join(randPropTerms(rng, 1, 12, propVocab), " ")
 		}
-		q := strings.Join(randPropTerms(rng, 1, 6, propVocab), " ")
+		q := textproc.NormalizeTerms(strings.Join(randPropTerms(rng, 1, 6, propVocab), " "))
 		ix := Build(sentences)
-		scores := ix.QueryAll(q)
+		scores := denseScores(ix, q, BackendVSM)
 
 		thresholds := []float64{DefaultThreshold, 0.01 + 0.5*rng.Float64()}
 		var prevSet map[int]bool
@@ -159,12 +161,12 @@ func TestPropertyThresholdMonotone(t *testing.T) {
 			thresholds[0], thresholds[1] = thresholds[1], thresholds[0]
 		}
 		for _, th := range thresholds {
-			got := ix.Query(q, th)
+			got := run(t, ix, q, QueryOpts{Threshold: th})
 			gotSet := map[int]bool{}
 			for i, m := range got {
 				gotSet[m.Index] = true
 				if math.Float64bits(m.Score) != math.Float64bits(scores[m.Index]) {
-					t.Fatalf("round %d θ=%v: match %d score %v != QueryAll score %v",
+					t.Fatalf("round %d θ=%v: match %d score %v != dense score %v",
 						round, th, m.Index, m.Score, scores[m.Index])
 				}
 				if m.Score < th {
@@ -179,7 +181,7 @@ func TestPropertyThresholdMonotone(t *testing.T) {
 					t.Fatalf("round %d θ=%v: doc %d (score %v) missing from results", round, th, i, s)
 				}
 			}
-			if !matchesEqual(got, ix.QueryDense(q, th)) {
+			if !matchesEqual(got, denseMatches(ix, q, BackendVSM, th)) {
 				t.Fatalf("round %d θ=%v: inverted-index and dense results differ", round, th)
 			}
 			// monotone: the higher-threshold set is a subset of the lower one

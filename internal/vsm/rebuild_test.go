@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/doc"
+	"repro/internal/textproc"
 )
 
 // randomTermLists generates documents over a small shared vocabulary so that
@@ -62,10 +64,12 @@ func randomEdit(rng *rand.Rand, termLists [][]string) ([][]string, []doc.Kept, [
 	return next, kept, added
 }
 
+// sameIndex compares two indexes exhaustively: global statistics bitwise,
+// identities, and every partition's document map, postings and weights.
 func sameIndex(t *testing.T, got, want *Index) {
 	t.Helper()
-	if got.n != want.n {
-		t.Fatalf("n: %d vs %d", got.n, want.n)
+	if got.n != want.n || len(got.parts) != len(want.parts) {
+		t.Fatalf("shape: n %d vs %d, partitions %d vs %d", got.n, want.n, len(got.parts), len(want.parts))
 	}
 	if len(got.vocab) != len(want.vocab) {
 		t.Fatalf("vocab size: %d vs %d", len(got.vocab), len(want.vocab))
@@ -80,30 +84,21 @@ func sameIndex(t *testing.T, got, want *Index) {
 			t.Fatalf("idf[%d]: %x vs %x", id, got.idf[id], want.idf[id])
 		}
 	}
-	for i := range want.vecs {
-		if len(got.vecs[i]) != len(want.vecs[i]) {
-			t.Fatalf("vecs[%d] len: %d vs %d", i, len(got.vecs[i]), len(want.vecs[i]))
-		}
-		for j := range want.vecs[i] {
-			g, w := got.vecs[i][j], want.vecs[i][j]
-			if g.term != w.term || math.Float64bits(g.weight) != math.Float64bits(w.weight) {
-				t.Fatalf("vecs[%d][%d]: %+v vs %+v", i, j, g, w)
-			}
+	for i := range want.ids {
+		if got.ids[i] != want.ids[i] {
+			t.Fatalf("ids[%d]: %q vs %q", i, got.ids[i], want.ids[i])
 		}
 	}
-	for i := range want.docLens {
-		if got.docLens[i] != want.docLens[i] {
-			t.Fatalf("docLens[%d]: %d vs %d", i, got.docLens[i], want.docLens[i])
+	for pi, wp := range want.parts {
+		gp := got.parts[pi]
+		if !slices.Equal(gp.docs, wp.docs) || !slices.Equal(gp.start, wp.start) || !slices.Equal(gp.post, wp.post) {
+			t.Fatalf("partition %d: document map or postings differ", pi)
 		}
-	}
-	for id := range want.postings {
-		if len(got.postings[id]) != len(want.postings[id]) {
-			t.Fatalf("postings[%d] len: %d vs %d", id, len(got.postings[id]), len(want.postings[id]))
-		}
-		for j := range want.postings[id] {
-			g, w := got.postings[id][j], want.postings[id][j]
-			if g != w {
-				t.Fatalf("postings[%d][%d]: %+v vs %+v", id, j, g, w)
+		for wt := range wp.w {
+			for i := range wp.w[wt] {
+				if math.Float64bits(gp.w[wt][i]) != math.Float64bits(wp.w[wt][i]) {
+					t.Fatalf("partition %d weighting %d posting %d: %x vs %x", pi, wt, i, gp.w[wt][i], wp.w[wt][i])
+				}
 			}
 		}
 	}
@@ -112,7 +107,7 @@ func sameIndex(t *testing.T, got, want *Index) {
 // TestRebuildBitIdentical is the incremental≡full oracle at the index layer:
 // for random corpora and random edits, Rebuild over (kept, added) must equal
 // a from-scratch BuildFromTerms of the successor's full term lists — every
-// IDF, vector weight, posting, and query score Float64bits-identical.
+// IDF, posting weight, and query score Float64bits-identical.
 func TestRebuildBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	queries := []string{
@@ -120,28 +115,22 @@ func TestRebuildBitIdentical(t *testing.T) {
 	}
 	for round := 0; round < 60; round++ {
 		termLists := randomTermLists(rng, 3+rng.Intn(40))
-		ix := BuildFromTerms(termLists)
+		ix := BuildFromTerms(termLists, nil, 1)
 		next, kept, added := randomEdit(rng, termLists)
 
 		got, err := ix.Rebuild(kept, added)
 		if err != nil {
 			t.Fatalf("round %d: Rebuild: %v", round, err)
 		}
-		want := BuildFromTerms(next)
+		// added documents carry no identity here, as in the cold build
+		want := BuildFromTerms(next, nil, 1)
 		sameIndex(t, got, want)
 
 		for _, q := range queries {
-			gs, ws := got.QueryAll(q), want.QueryAll(q)
-			for i := range ws {
-				if math.Float64bits(gs[i]) != math.Float64bits(ws[i]) {
-					t.Fatalf("round %d: query %q doc %d: %x vs %x", round, q, i, gs[i], ws[i])
-				}
-			}
-			gb, wb := got.BM25().Scores(q), want.BM25().Scores(q)
-			for i := range wb {
-				if math.Float64bits(gb[i]) != math.Float64bits(wb[i]) {
-					t.Fatalf("round %d: bm25 %q doc %d: %x vs %x", round, q, i, gb[i], wb[i])
-				}
+			terms := textproc.NormalizeTerms(q)
+			for _, backend := range Backends() {
+				sameScores(t, fmt.Sprintf("round %d: %s %q", round, backend, q),
+					engineScores(t, got, terms, backend), engineScores(t, want, terms, backend))
 			}
 		}
 	}
@@ -153,20 +142,20 @@ func TestRebuildBitIdentical(t *testing.T) {
 func TestRebuildChained(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	termLists := randomTermLists(rng, 20)
-	ix := BuildFromTerms(termLists)
+	ix := BuildFromTerms(termLists, nil, 1)
 	for step := 0; step < 10; step++ {
 		next, kept, added := randomEdit(rng, termLists)
 		got, err := ix.Rebuild(kept, added)
 		if err != nil {
 			t.Fatalf("step %d: Rebuild: %v", step, err)
 		}
-		sameIndex(t, got, BuildFromTerms(next))
+		sameIndex(t, got, BuildFromTerms(next, nil, 1))
 		ix, termLists = got, next
 	}
 }
 
 func TestRebuildValidation(t *testing.T) {
-	ix := BuildFromTerms([][]string{{"a"}, {"b"}})
+	ix := BuildFromTerms([][]string{{"a"}, {"b"}}, nil, 1)
 	cases := []struct {
 		name  string
 		kept  []doc.Kept

@@ -9,9 +9,9 @@ import (
 	"repro/internal/doc"
 )
 
-// The sharded differential suite: metamorphic properties pinning
-// ShardedIndex to the monolithic Index bit-for-bit. Every comparison is on
-// math.Float64bits — "close" is not equivalence.
+// The sharded differential suite: metamorphic properties pinning a
+// partitioned Index to the one-partition layout bit-for-bit. Every
+// comparison is on math.Float64bits — "close" is not equivalence.
 
 // idsFor stamps deterministic unique identities for a term-list corpus.
 func idsFor(n int, gen *int) []doc.SentenceID {
@@ -33,46 +33,35 @@ var diffQueries = []string{
 	"nosuchterm",
 }
 
-func sameScores(t *testing.T, label string, got, want []float64) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: score lengths %d vs %d", label, len(got), len(want))
-	}
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s: doc %d: %x vs %x", label, i, got[i], want[i])
-		}
-	}
-}
-
 // TestShardedBitIdenticalAcrossShardCounts is the heart of the suite: 100
-// random corpora, each indexed monolithically and at every shard count in
-// 1..8, must produce Float64bits-identical score slices for both backends.
+// random corpora, each indexed in one partition and at every partition
+// count in 1..8, must produce Float64bits-identical scores for both
+// backends.
 func TestShardedBitIdenticalAcrossShardCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	gen := 0
 	for round := 0; round < 100; round++ {
 		termLists := randomTermLists(rng, 3+rng.Intn(40))
 		ids := idsFor(len(termLists), &gen)
-		mono := BuildFromTerms(termLists)
-		q := diffQueries[round%len(diffQueries)]
-		wantVSM := mono.QueryAll(q)
-		wantBM25 := mono.BM25().Scores(q)
+		mono := BuildFromTerms(termLists, nil, 1)
+		q := splitTerms(diffQueries[round%len(diffQueries)])
+		wantVSM := engineScores(t, mono, q, BackendVSM)
+		wantBM25 := engineScores(t, mono, q, BackendBM25)
 		for nShards := 1; nShards <= 8; nShards++ {
-			sh := BuildShardedFromTerms(termLists, ids, nShards)
-			if sh.Len() != mono.Len() {
-				t.Fatalf("round %d shards %d: Len %d vs %d", round, nShards, sh.Len(), mono.Len())
+			sh := BuildFromTerms(termLists, ids, nShards)
+			if sh.n != mono.n || sh.Partitions() != nShards {
+				t.Fatalf("round %d shards %d: Len %d vs %d, %d partitions", round, nShards, sh.n, mono.n, sh.Partitions())
 			}
 			label := fmt.Sprintf("round %d shards %d query %q", round, nShards, q)
-			sameScores(t, label+" vsm", sh.QueryAll(q), wantVSM)
-			sameScores(t, label+" bm25", sh.BM25().Scores(q), wantBM25)
+			sameScores(t, label+" vsm", engineScores(t, sh, q, BackendVSM), wantVSM)
+			sameScores(t, label+" bm25", engineScores(t, sh, q, BackendBM25), wantBM25)
 		}
 	}
 }
 
 // TestShardedPermutationInvariance: permuting the document order (identities
-// riding along) permutes the score slice and nothing else — scores stay
-// bit-identical per document, at several shard counts.
+// riding along) permutes the scores and nothing else — scores stay
+// bit-identical per document, at several partition counts.
 func TestShardedPermutationInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	gen := 0
@@ -87,21 +76,17 @@ func TestShardedPermutationInvariance(t *testing.T) {
 			permIDs[newPos] = ids[oldPos]
 		}
 		for _, nShards := range []int{1, 2, 3, 5, 8} {
-			orig := BuildShardedFromTerms(termLists, ids, nShards)
-			shuf := BuildShardedFromTerms(permLists, permIDs, nShards)
+			orig := BuildFromTerms(termLists, ids, nShards)
+			shuf := BuildFromTerms(permLists, permIDs, nShards)
 			for _, q := range diffQueries {
-				os, ss := orig.QueryAll(q), shuf.QueryAll(q)
-				for newPos, oldPos := range perm {
-					if math.Float64bits(ss[newPos]) != math.Float64bits(os[oldPos]) {
-						t.Fatalf("round %d shards %d %q: permuted doc %d (was %d): %x vs %x",
-							round, nShards, q, newPos, oldPos, ss[newPos], os[oldPos])
-					}
-				}
-				ob, sb := orig.BM25().Scores(q), shuf.BM25().Scores(q)
-				for newPos, oldPos := range perm {
-					if math.Float64bits(sb[newPos]) != math.Float64bits(ob[oldPos]) {
-						t.Fatalf("round %d shards %d bm25 %q: permuted doc %d (was %d): %x vs %x",
-							round, nShards, q, newPos, oldPos, sb[newPos], ob[oldPos])
+				for _, backend := range Backends() {
+					os := engineScores(t, orig, splitTerms(q), backend)
+					ss := engineScores(t, shuf, splitTerms(q), backend)
+					for newPos, oldPos := range perm {
+						if math.Float64bits(ss[newPos]) != math.Float64bits(os[oldPos]) {
+							t.Fatalf("round %d shards %d %s %q: permuted doc %d (was %d): %x vs %x",
+								round, nShards, backend, q, newPos, oldPos, ss[newPos], os[oldPos])
+						}
 					}
 				}
 			}
@@ -109,12 +94,11 @@ func TestShardedPermutationInvariance(t *testing.T) {
 	}
 }
 
-// TestShardedQueryAndTopKMatchMonolithic pins the match-list paths: Query
-// (threshold filter, full sort) and TopK (per-shard bounded selection +
-// k-way merge) must reproduce the monolithic lists exactly — same indices,
-// same score bits, same order. Duplicated documents force score ties, so
-// this also pins tie stability: ties resolve by ascending global index in
-// both layouts.
+// TestShardedQueryAndTopKMatchMonolithic pins the match lists: the full
+// list at a threshold and its best-k prefixes must reproduce the
+// one-partition lists exactly — same indices, same score bits, same order.
+// Duplicated documents force score ties, so this also pins tie stability:
+// ties resolve by ascending global index in both layouts.
 func TestShardedQueryAndTopKMatchMonolithic(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	gen := 0
@@ -126,18 +110,19 @@ func TestShardedQueryAndTopKMatchMonolithic(t *testing.T) {
 			termLists = append(termLists, termLists[rng.Intn(len(termLists))])
 		}
 		ids := idsFor(len(termLists), &gen)
-		mono := BuildFromTerms(termLists)
+		mono := BuildFromTerms(termLists, nil, 1)
 		for _, nShards := range []int{1, 2, 4, 7, 8} {
-			sh := BuildShardedFromTerms(termLists, ids, nShards)
+			sh := BuildFromTerms(termLists, ids, nShards)
 			for _, q := range diffQueries {
-				for _, threshold := range []float64{DefaultThreshold, 0.01, 0} {
-					want := mono.Query(q, threshold)
-					got := sh.Query(q, threshold)
-					sameMatches(t, fmt.Sprintf("round %d shards %d Query(%q,%v)", round, nShards, q, threshold), got, want)
-					for _, k := range []int{0, 1, 3, 10, 1000} {
-						wantK := mono.TopK(q, k, threshold)
-						gotK := sh.TopK(q, k, threshold)
-						sameMatches(t, fmt.Sprintf("round %d shards %d TopK(%q,%d,%v)", round, nShards, q, k, threshold), gotK, wantK)
+				for _, backend := range Backends() {
+					for _, threshold := range []float64{DefaultThreshold, 0.01, 0} {
+						o := QueryOpts{Backend: backend, Threshold: threshold}
+						want := run(t, mono, splitTerms(q), o)
+						got := run(t, sh, splitTerms(q), o)
+						label := fmt.Sprintf("round %d shards %d %s(%q,%v)", round, nShards, backend, q, threshold)
+						for _, k := range []int{0, 1, 3, 10, 1000} {
+							sameMatches(t, fmt.Sprintf("%s top %d", label, k), prefix(got, k), prefix(want, k))
+						}
 					}
 				}
 			}
@@ -145,22 +130,9 @@ func TestShardedQueryAndTopKMatchMonolithic(t *testing.T) {
 	}
 }
 
-func sameMatches(t *testing.T, label string, got, want []Match) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d matches vs %d", label, len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Index != want[i].Index || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
-			t.Fatalf("%s: match %d: (%d, %x) vs (%d, %x)",
-				label, i, got[i].Index, got[i].Score, want[i].Index, want[i].Score)
-		}
-	}
-}
-
 // shardedEdit extends randomEdit with identity bookkeeping: kept sentences
-// carry their IDs forward (so they stay in their shard), added sentences
-// get fresh ones.
+// carry their IDs forward (so they stay in their partition), added
+// sentences get fresh ones.
 func shardedEdit(rng *rand.Rand, termLists [][]string, ids []doc.SentenceID, gen *int) ([][]string, []doc.SentenceID, []doc.Kept, []AddedDoc) {
 	next, kept, added := randomEdit(rng, termLists)
 	nextIDs := make([]doc.SentenceID, len(next))
@@ -176,78 +148,44 @@ func shardedEdit(rng *rand.Rand, termLists [][]string, ids []doc.SentenceID, gen
 	return next, nextIDs, kept, added
 }
 
-// sameShardedIndex compares two sharded indexes exhaustively: global
-// statistics bitwise, per-shard layouts via sameIndex, and the
-// local-to-global document maps.
-func sameShardedIndex(t *testing.T, got, want *ShardedIndex) {
-	t.Helper()
-	if got.n != want.n || len(got.shards) != len(want.shards) {
-		t.Fatalf("shape: n %d vs %d, shards %d vs %d", got.n, want.n, len(got.shards), len(want.shards))
-	}
-	for term, id := range want.vocab {
-		if got.vocab[term] != id {
-			t.Fatalf("vocab[%q]: %d vs %d", term, got.vocab[term], id)
-		}
-	}
-	for id := range want.idf {
-		if math.Float64bits(got.idf[id]) != math.Float64bits(want.idf[id]) {
-			t.Fatalf("idf[%d]: %x vs %x", id, got.idf[id], want.idf[id])
-		}
-	}
-	for sh := range want.shards {
-		if len(got.docs[sh]) != len(want.docs[sh]) {
-			t.Fatalf("shard %d: %d docs vs %d", sh, len(got.docs[sh]), len(want.docs[sh]))
-		}
-		for i := range want.docs[sh] {
-			if got.docs[sh][i] != want.docs[sh][i] {
-				t.Fatalf("shard %d doc map[%d]: %d vs %d", sh, i, got.docs[sh][i], want.docs[sh][i])
-			}
-		}
-		sameIndex(t, got.shards[sh], want.shards[sh])
-	}
-	for i := range want.ids {
-		if got.ids[i] != want.ids[i] {
-			t.Fatalf("ids[%d]: %q vs %q", i, got.ids[i], want.ids[i])
-		}
-	}
-}
-
-// TestShardedRebuildEqualsColdBuild: a sharded Rebuild over a random edit
-// script is bit-identical to a cold sharded build of the successor corpus —
-// including the shard assignment of every kept sentence — and both stay
-// bit-identical to the monolithic index. The chain runs 6 steps, covering
-// the acceptance criterion of >= 3 chained incremental rebuilds.
+// TestShardedRebuildEqualsColdBuild: a partitioned Rebuild over a random
+// edit script is bit-identical to a cold partitioned build of the successor
+// corpus — including the placement of every kept sentence — and both stay
+// bit-identical to the one-partition index. The chain runs 6 steps,
+// covering the acceptance criterion of >= 3 chained incremental rebuilds.
 func TestShardedRebuildEqualsColdBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	gen := 0
 	for _, nShards := range []int{2, 4, 8} {
 		termLists := randomTermLists(rng, 20)
 		ids := idsFor(len(termLists), &gen)
-		sh := BuildShardedFromTerms(termLists, ids, nShards)
+		sh := BuildFromTerms(termLists, ids, nShards)
 		for step := 0; step < 6; step++ {
 			next, nextIDs, kept, added := shardedEdit(rng, termLists, ids, &gen)
 			got, err := sh.Rebuild(kept, added)
 			if err != nil {
 				t.Fatalf("shards %d step %d: Rebuild: %v", nShards, step, err)
 			}
-			cold := BuildShardedFromTerms(next, nextIDs, nShards)
-			sameShardedIndex(t, got, cold)
-			mono := BuildFromTerms(next)
+			cold := BuildFromTerms(next, nextIDs, nShards)
+			sameIndex(t, got, cold)
+			mono := BuildFromTerms(next, nil, 1)
 			for _, q := range diffQueries {
-				sameScores(t, fmt.Sprintf("shards %d step %d vsm %q", nShards, step, q), got.QueryAll(q), mono.QueryAll(q))
-				sameScores(t, fmt.Sprintf("shards %d step %d bm25 %q", nShards, step, q), got.BM25().Scores(q), mono.BM25().Scores(q))
+				for _, backend := range Backends() {
+					sameScores(t, fmt.Sprintf("shards %d step %d %s %q", nShards, step, backend, q),
+						engineScores(t, got, splitTerms(q), backend), engineScores(t, mono, splitTerms(q), backend))
+				}
 			}
 			sh, termLists, ids = got, next, nextIDs
 		}
 	}
 }
 
-// TestShardedRebuildValidation: the sharded Rebuild enforces the same tiling
-// contract as the monolithic one.
+// TestShardedRebuildValidation: a partitioned Rebuild enforces the same
+// tiling contract as the one-partition one.
 func TestShardedRebuildValidation(t *testing.T) {
 	gen := 0
 	lists := [][]string{{"a"}, {"b"}}
-	sh := BuildShardedFromTerms(lists, idsFor(2, &gen), 2)
+	sh := BuildFromTerms(lists, idsFor(2, &gen), 2)
 	if _, err := sh.Rebuild([]doc.Kept{{Old: 0, New: 0}}, []AddedDoc{{Pos: 2, Terms: []string{"c"}, ID: "x"}}); err == nil {
 		t.Error("gap: want error, got nil")
 	}
@@ -261,23 +199,25 @@ func TestShardedRebuildValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("empty successor: %v", err)
 	}
-	if next.Len() != 0 || next.ShardCount() != 2 {
-		t.Fatalf("empty successor: Len %d ShardCount %d, want 0 and 2", next.Len(), next.ShardCount())
+	if next.n != 0 || next.Partitions() != 2 {
+		t.Fatalf("empty successor: Len %d Partitions %d, want 0 and 2", next.n, next.Partitions())
 	}
 }
 
-// TestShardedSerialScoringBitIdentical: WithSerialScoring keeps the fan-out
-// on one goroutine and must not change a single bit.
+// TestShardedSerialScoringBitIdentical: serial scoring keeps the fan-out on
+// one goroutine and must not change a single bit.
 func TestShardedSerialScoringBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	gen := 0
 	termLists := randomTermLists(rng, 50)
-	sh := BuildShardedFromTerms(termLists, idsFor(len(termLists), &gen), 4)
+	sh := BuildFromTerms(termLists, idsFor(len(termLists), &gen), 4)
 	for _, q := range diffQueries {
-		terms := splitTerms(q)
-		par := sh.QueryAllTerms(terms)
-		ser := sh.QueryAllTermsCtx(WithSerialScoring(t.Context()), terms)
-		sameScores(t, "serial vs parallel "+q, ser, par)
+		for _, backend := range Backends() {
+			o := QueryOpts{Backend: backend, Threshold: -1}
+			par := run(t, sh, splitTerms(q), o)
+			o.Serial = true
+			sameMatches(t, "serial vs parallel "+backend+" "+q, run(t, sh, splitTerms(q), o), par)
+		}
 	}
 }
 

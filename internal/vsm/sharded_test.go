@@ -14,71 +14,78 @@ import (
 	"repro/internal/obs"
 )
 
-// Both index layouts satisfy the Retriever contract the advisor builds on.
-var (
-	_ Retriever = (*Index)(nil)
-	_ Retriever = (*ShardedIndex)(nil)
-)
-
 func TestShardOf(t *testing.T) {
-	// identity-keyed assignment is a pure function of (id, nShards)
+	// identity-keyed placement is a pure function of (id, nParts)
 	for _, id := range []doc.SentenceID{"a", "b", "sent-000001", "x/y#3"} {
 		for _, n := range []int{1, 2, 3, 8} {
-			got := shardOf(id, 99, n)
+			got := partitionOf(id, 99, n)
 			if got < 0 || got >= n {
-				t.Fatalf("shardOf(%q, 99, %d) = %d out of range", id, n, got)
+				t.Fatalf("partitionOf(%q, 99, %d) = %d out of range", id, n, got)
 			}
-			if again := shardOf(id, 0, n); again != got {
-				t.Fatalf("shardOf(%q) depends on ordinal: %d vs %d", id, got, again)
+			if again := partitionOf(id, 0, n); again != got {
+				t.Fatalf("partitionOf(%q) depends on ordinal: %d vs %d", id, got, again)
 			}
 		}
 	}
 	// a missing identity falls back to round-robin on the ordinal
 	for ord := 0; ord < 10; ord++ {
-		if got := shardOf("", ord, 4); got != ord%4 {
-			t.Fatalf("shardOf(\"\", %d, 4) = %d, want %d", ord, got, ord%4)
+		if got := partitionOf("", ord, 4); got != ord%4 {
+			t.Fatalf("partitionOf(\"\", %d, 4) = %d, want %d", ord, got, ord%4)
 		}
 	}
-	// single shard short-circuits
-	if got := shardOf("anything", 7, 1); got != 0 {
-		t.Fatalf("shardOf with 1 shard = %d, want 0", got)
+	// a single partition short-circuits
+	if got := partitionOf("anything", 7, 1); got != 0 {
+		t.Fatalf("partitionOf with 1 partition = %d, want 0", got)
 	}
+}
+
+func partitionSizes(ix *Index) []int {
+	sizes := make([]int, len(ix.parts))
+	for i, p := range ix.parts {
+		sizes[i] = len(p.docs)
+	}
+	return sizes
 }
 
 func TestShardSizesSumToLen(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	gen := 0
 	termLists := randomTermLists(rng, 37)
-	sh := BuildShardedFromTerms(termLists, idsFor(len(termLists), &gen), 5)
-	sizes := sh.ShardSizes()
+	sh := BuildFromTerms(termLists, idsFor(len(termLists), &gen), 5)
+	sizes := partitionSizes(sh)
 	if len(sizes) != 5 {
-		t.Fatalf("ShardSizes len = %d, want 5", len(sizes))
+		t.Fatalf("partition sizes len = %d, want 5", len(sizes))
 	}
 	sum := 0
 	for _, s := range sizes {
 		sum += s
 	}
-	if sum != sh.Len() || sh.Len() != 37 {
-		t.Fatalf("sizes sum %d, Len %d, want 37", sum, sh.Len())
+	if sum != sh.n || sh.n != 37 {
+		t.Fatalf("sizes sum %d, Len %d, want 37", sum, sh.n)
 	}
-	if sh.ShardCount() != 5 {
-		t.Fatalf("ShardCount = %d, want 5", sh.ShardCount())
+	if sh.Partitions() != 5 {
+		t.Fatalf("Partitions = %d, want 5", sh.Partitions())
 	}
 }
 
 func TestBuildShardedNilIDsFallsBack(t *testing.T) {
 	// nil or misaligned ids must not panic: every doc lands via round-robin
 	lists := [][]string{{"a"}, {"b"}, {"c"}, {"d"}}
-	sh := BuildShardedFromTerms(lists, nil, 2)
-	if sh.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", sh.Len())
-	}
-	sizes := sh.ShardSizes()
-	if sizes[0] != 2 || sizes[1] != 2 {
-		t.Fatalf("round-robin sizes = %v, want [2 2]", sizes)
+	for _, ids := range [][]doc.SentenceID{nil, {"only-one"}} {
+		sh := BuildFromTerms(lists, ids, 2)
+		if sh.n != 4 {
+			t.Fatalf("Len = %d, want 4", sh.n)
+		}
+		if sizes := partitionSizes(sh); sizes[0] != 2 || sizes[1] != 2 {
+			t.Fatalf("round-robin sizes = %v, want [2 2]", sizes)
+		}
 	}
 }
 
+// TestMergeMatchesEdges pins the merge of per-partition match lists: the
+// concatenation sorted once reproduces the global total order (score
+// descending, ties by index), and a caller's top-k cut of it keeps the
+// best.
 func TestMergeMatchesEdges(t *testing.T) {
 	m := func(idx int, score float64) Match { return Match{Index: idx, Score: score} }
 	cases := []struct {
@@ -99,7 +106,12 @@ func TestMergeMatchesEdges(t *testing.T) {
 		{"k larger than total", [][]Match{{m(1, 0.8)}}, 10, []Match{m(1, 0.8)}},
 	}
 	for _, tc := range cases {
-		got := mergeMatches(tc.lists, tc.k)
+		var got []Match
+		for _, l := range tc.lists {
+			got = append(got, l...)
+		}
+		sortMatches(got)
+		got = prefix(got, tc.k)
 		if len(got) != len(tc.want) {
 			t.Fatalf("%s: %d matches, want %d", tc.name, len(got), len(tc.want))
 		}
@@ -111,27 +123,20 @@ func TestMergeMatchesEdges(t *testing.T) {
 	}
 }
 
+// TestTopMatchesVecEqualsSortTruncate: cutting the engine's list to its
+// best k equals sorting the oracle's scores and truncating.
 func TestTopMatchesVecEqualsSortTruncate(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	for round := 0; round < 30; round++ {
-		ix := BuildFromTerms(randomTermLists(rng, 5+rng.Intn(30)))
-		q := diffQueries[round%len(diffQueries)]
-		qv := ix.QueryVector(q)
+		ix := BuildFromTerms(randomTermLists(rng, 5+rng.Intn(30)), nil, 1+round%3)
+		q := splitTerms(diffQueries[round%len(diffQueries)])
 		for _, threshold := range []float64{0, 0.01, DefaultThreshold} {
-			full := ix.matchesVec(qv, threshold)
-			for _, k := range []int{1, 2, 5, 100} {
-				want := full
-				if k < len(want) {
-					want = want[:k]
-				}
-				got := ix.topMatchesVec(qv, threshold, k)
-				if len(got) != len(want) {
-					t.Fatalf("round %d k=%d th=%v: %d matches, want %d", round, k, threshold, len(got), len(want))
-				}
-				for i := range want {
-					if got[i].Index != want[i].Index || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
-						t.Fatalf("round %d k=%d th=%v match %d: %+v vs %+v", round, k, threshold, i, got[i], want[i])
-					}
+			for _, backend := range Backends() {
+				full := run(t, ix, q, QueryOpts{Backend: backend, Threshold: threshold})
+				dense := denseMatches(ix, q, backend, threshold)
+				for _, k := range []int{1, 2, 5, 100} {
+					sameMatches(t, fmt.Sprintf("round %d %s k=%d th=%v", round, backend, k, threshold),
+						prefix(full, k), prefix(dense, k))
 				}
 			}
 		}
@@ -141,15 +146,14 @@ func TestTopMatchesVecEqualsSortTruncate(t *testing.T) {
 func TestShardedQueryEmptyAndUnknownTerms(t *testing.T) {
 	gen := 0
 	lists := [][]string{{"alpha", "beta"}, {"gamma"}}
-	sh := BuildShardedFromTerms(lists, idsFor(2, &gen), 2)
-	if got := sh.Query("", DefaultThreshold); got != nil {
+	sh := BuildFromTerms(lists, idsFor(2, &gen), 2)
+	if got := run(t, sh, nil, QueryOpts{Threshold: DefaultThreshold}); got != nil {
 		t.Fatalf("empty query: %v, want nil", got)
 	}
-	if got := sh.TopK("zzz", 5, DefaultThreshold); got != nil {
-		t.Fatalf("out-of-vocab TopK: %v, want nil", got)
+	if got := run(t, sh, []string{"zzz"}, QueryOpts{Threshold: DefaultThreshold}); got != nil {
+		t.Fatalf("out-of-vocab query: %v, want nil", got)
 	}
-	scores := sh.QueryAll("zzz")
-	for i, s := range scores {
+	for i, s := range engineScores(t, sh, []string{"zzz"}, BackendVSM) {
 		if s != 0 {
 			t.Fatalf("out-of-vocab score[%d] = %v, want 0", i, s)
 		}
@@ -158,32 +162,40 @@ func TestShardedQueryEmptyAndUnknownTerms(t *testing.T) {
 
 func TestShardedScorerBackends(t *testing.T) {
 	gen := 0
-	sh := BuildShardedFromTerms([][]string{{"a"}, {"b"}}, idsFor(2, &gen), 2)
-	vs, err := sh.Scorer(BackendVSM)
-	if err != nil || vs.Backend() != BackendVSM {
-		t.Fatalf("vsm scorer: %v backend %q", err, vs.Backend())
+	sh := BuildFromTerms([][]string{{"a"}, {"b"}}, idsFor(2, &gen), 2)
+	for _, backend := range []string{"", BackendVSM, BackendBM25} {
+		if _, _, err := sh.Query(t.Context(), []string{"a"}, QueryOpts{Backend: backend}); err != nil {
+			t.Fatalf("backend %q: %v", backend, err)
+		}
 	}
-	bm, err := sh.Scorer(BackendBM25)
-	if err != nil || bm.Backend() != BackendBM25 {
-		t.Fatalf("bm25 scorer: %v backend %q", err, bm.Backend())
-	}
-	if _, err := sh.Scorer("tfidf2"); !errors.Is(err, ErrUnknownBackend) {
+	if _, _, err := sh.Query(t.Context(), []string{"a"}, QueryOpts{Backend: "tfidf2"}); !errors.Is(err, ErrUnknownBackend) {
 		t.Fatalf("unknown backend error = %v, want ErrUnknownBackend", err)
 	}
 }
 
+// TestShardOutcomeNilSafe: without a fault draw the outcome is inert —
+// every partition ran, none failed, no error.
 func TestShardOutcomeNilSafe(t *testing.T) {
-	var o *ShardOutcome
-	if o.Total() != 0 || o.Failed() != 0 || o.Err() != nil {
-		t.Fatal("nil ShardOutcome accessors must be zero-valued")
+	gen := 0
+	sh := BuildFromTerms([][]string{{"a"}, {"b"}, {"c"}}, idsFor(3, &gen), 3)
+	_, o, err := sh.Query(t.Context(), []string{"a"}, QueryOpts{})
+	if err != nil || o.Partitions != 3 || o.Failed != 0 || o.Err != nil {
+		t.Fatalf("outcome %+v err %v, want 3 partitions, none failed", o, err)
 	}
-	// a context without an outcome or fault yields nil hooks
-	ctx := t.Context()
-	if shardOutcomeFrom(ctx) != nil {
-		t.Fatal("shardOutcomeFrom on bare context should be nil")
-	}
-	if shardFaultFrom(ctx) != nil {
-		t.Fatal("shardFaultFrom on bare context should be nil")
+}
+
+// failFirst returns a fault draw that fails only its first call.
+func failFirst(err error) func() error {
+	var mu sync.Mutex
+	calls := 0
+	return func() error {
+		mu.Lock()
+		defer mu.Unlock()
+		calls++
+		if calls == 1 {
+			return err
+		}
+		return nil
 	}
 }
 
@@ -191,71 +203,49 @@ func TestShardFaultPartialAndTotal(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	gen := 0
 	termLists := randomTermLists(rng, 24)
-	sh := BuildShardedFromTerms(termLists, idsFor(len(termLists), &gen), 4)
+	sh := BuildFromTerms(termLists, idsFor(len(termLists), &gen), 4)
 	terms := []string{"term03", "term17", "common"}
-	healthy := sh.QueryAllTerms(terms)
+	healthy := engineScores(t, sh, terms, BackendVSM)
 
-	// fail exactly the first shard execution; serial scoring makes that
-	// deterministically shard 0
+	// fail exactly the first partition execution; serial scoring makes that
+	// deterministically partition 0
 	boom := errors.New("boom")
-	var mu sync.Mutex
-	calls := 0
-	ctx := WithSerialScoring(t.Context())
-	ctx, outcome := WithShardOutcome(ctx)
-	ctx = WithShardFault(ctx, func() error {
-		mu.Lock()
-		defer mu.Unlock()
-		calls++
-		if calls == 1 {
-			return boom
+	all := QueryOpts{Threshold: -1, Serial: true, Fault: failFirst(boom)}
+	partial, outcome, err := sh.Query(t.Context(), terms, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outcome.Partitions != 4 || outcome.Failed != 1 {
+		t.Fatalf("outcome partitions %d failed %d, want 4 and 1", outcome.Partitions, outcome.Failed)
+	}
+	if !errors.Is(outcome.Err, boom) {
+		t.Fatalf("outcome err = %v, want boom", outcome.Err)
+	}
+	// the failed partition's docs are missing; every other doc is
+	// bit-identical
+	failed := map[int]bool{}
+	for _, g := range sh.parts[0].docs {
+		failed[int(g)] = true
+	}
+	if len(partial) != sh.n-len(failed) {
+		t.Fatalf("%d partial matches, want %d", len(partial), sh.n-len(failed))
+	}
+	for _, m := range partial {
+		if failed[m.Index] {
+			t.Fatalf("failed-partition doc %d matched", m.Index)
 		}
-		return nil
-	})
-	partial := sh.QueryAllTermsCtx(ctx, terms)
-	if outcome.Total() != 4 || outcome.Failed() != 1 {
-		t.Fatalf("outcome total %d failed %d, want 4 and 1", outcome.Total(), outcome.Failed())
-	}
-	if !errors.Is(outcome.Err(), boom) {
-		t.Fatalf("outcome err = %v, want boom", outcome.Err())
-	}
-	// failed shard's docs score zero; every other doc is bit-identical
-	zeroed := map[int32]bool{}
-	for _, g := range sh.docs[0] {
-		zeroed[g] = true
-	}
-	for i := range healthy {
-		if zeroed[int32(i)] {
-			if partial[i] != 0 {
-				t.Fatalf("failed-shard doc %d scored %v, want 0", i, partial[i])
-			}
-		} else if math.Float64bits(partial[i]) != math.Float64bits(healthy[i]) {
-			t.Fatalf("healthy doc %d: %x vs %x", i, partial[i], healthy[i])
+		if math.Float64bits(m.Score) != math.Float64bits(healthy[m.Index]) {
+			t.Fatalf("healthy doc %d: %x vs %x", m.Index, m.Score, healthy[m.Index])
 		}
 	}
 
-	// all shards failing is still a scored-zero slice, never a panic
-	actx, all := WithShardOutcome(WithSerialScoring(t.Context()))
-	actx = WithShardFault(actx, func() error { return boom })
-	dead := sh.QueryAllTermsCtx(actx, terms)
-	if all.Failed() != all.Total() || all.Total() != 4 {
-		t.Fatalf("all-fail outcome: failed %d total %d", all.Failed(), all.Total())
-	}
-	for i, s := range dead {
-		if s != 0 {
-			t.Fatalf("all-fail score[%d] = %v, want 0", i, s)
-		}
-	}
-
-	// faults also gate the BM25 fan-out
-	bctx, bo := WithShardOutcome(WithSerialScoring(t.Context()))
-	bctx = WithShardFault(bctx, func() error { return boom })
-	bdead := sh.BM25().ScoreTermsCtx(bctx, terms)
-	if bo.Failed() != 4 {
-		t.Fatalf("bm25 all-fail: failed %d, want 4", bo.Failed())
-	}
-	for i, s := range bdead {
-		if s != 0 {
-			t.Fatalf("bm25 all-fail score[%d] = %v, want 0", i, s)
+	// all partitions failing is an empty answer and a full count, never a
+	// panic — for both backends
+	for _, backend := range Backends() {
+		o := QueryOpts{Backend: backend, Threshold: -1, Serial: true, Fault: func() error { return boom }}
+		dead, outcome, err := sh.Query(t.Context(), terms, o)
+		if err != nil || len(dead) != 0 || outcome.Failed != 4 || outcome.Partitions != 4 {
+			t.Fatalf("%s all-fail: %d matches, outcome %+v, err %v", backend, len(dead), outcome, err)
 		}
 	}
 }
@@ -264,15 +254,14 @@ func TestShardedRebuildRetrieverKeepsLayout(t *testing.T) {
 	gen := 0
 	lists := [][]string{{"a"}, {"b"}, {"c"}}
 	ids := idsFor(3, &gen)
-	var r Retriever = BuildShardedFromTerms(lists, ids, 3)
-	next, err := r.RebuildRetriever(
+	next, err := BuildFromTerms(lists, ids, 3).Rebuild(
 		[]doc.Kept{{Old: 0, New: 0}, {Old: 2, New: 1}},
 		[]AddedDoc{{Pos: 2, Terms: []string{"d"}, ID: doc.SentenceID(fmt.Sprintf("sent-%06d", gen))}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if next.ShardCount() != 3 || next.Len() != 3 {
-		t.Fatalf("ShardCount %d Len %d, want 3 and 3", next.ShardCount(), next.Len())
+	if next.Partitions() != 3 || next.n != 3 {
+		t.Fatalf("Partitions %d Len %d, want 3 and 3", next.Partitions(), next.n)
 	}
 }
 
@@ -280,125 +269,151 @@ func TestShardedAccessorsAndTracedPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	gen := 0
 	termLists := randomTermLists(rng, 20)
-	sh := BuildShardedFromTerms(termLists, idsFor(len(termLists), &gen), 3)
-	mono := BuildFromTerms(termLists)
+	sh := BuildFromTerms(termLists, idsFor(len(termLists), &gen), 3)
+	mono := BuildFromTerms(termLists, nil, 1)
 
-	if sh.VocabSize() != mono.VocabSize() {
-		t.Fatalf("VocabSize %d vs %d", sh.VocabSize(), mono.VocabSize())
+	if len(sh.vocab) != len(mono.vocab) {
+		t.Fatalf("VocabSize %d vs %d", len(sh.vocab), len(mono.vocab))
 	}
-	if got, want := sh.IDF("common"), mono.IDF("common"); math.Float64bits(got) != math.Float64bits(want) {
+	if got, want := idfOf(sh, "common"), idfOf(mono, "common"); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("IDF(common) %x vs %x", got, want)
 	}
-	if sh.IDF("nosuchterm") != 0 {
+	if idfOf(sh, "nosuchterm") != 0 {
 		t.Fatal("IDF of unknown term must be 0")
 	}
-	if !ValidBackend(BackendBM25) || ValidBackend("nope") {
+	if !ValidBackend(BackendBM25) || !ValidBackend("") || ValidBackend("nope") {
 		t.Fatal("ValidBackend broken")
 	}
-	if mono.BM25().Backend() != BackendBM25 {
-		t.Fatal("monolithic BM25 backend name")
-	}
 
-	// the monolithic index is a Retriever too: single shard, Rebuild adapter
-	var r Retriever = mono
-	if r.ShardCount() != 1 {
-		t.Fatalf("monolithic ShardCount = %d", r.ShardCount())
-	}
-	if _, err := r.RebuildRetriever(nil, []AddedDoc{{Pos: 0, Terms: []string{"x"}}}); err != nil {
-		t.Fatal(err)
-	}
-
-	// WithShardFault with a nil draw is a no-op context
-	ctx := t.Context()
-	if WithShardFault(ctx, nil) != ctx {
-		t.Fatal("nil draw must return the context unchanged")
-	}
-
-	// traced scoring: both backends, sharded and monolithic, under a real
-	// recorded span — covers the StartChild branches
+	// traced scoring: both backends, partitioned and not, under a real
+	// recorded span — the scores match the untraced pass, and the trace
+	// holds a vsm.score span naming its backend over one vsm.shard span per
+	// partition
 	tracer := obs.NewTracer(1.0, obs.NewTraceStore(obs.DefaultTraceCapacity))
 	terms := []string{"term03", "term17", "common"}
-	sctx, root := tracer.Start(t.Context(), "test.query")
-	for _, ix := range []Retriever{sh, mono} {
+	sctx, root := tracer.Start(context.Background(), "test.query")
+	for _, ix := range []*Index{sh, mono} {
 		for _, backend := range Backends() {
-			sc, err := ix.Scorer(backend)
+			o := QueryOpts{Backend: backend, Threshold: -1}
+			got, _, err := ix.Query(sctx, terms, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := sc.ScoreTermsCtx(sctx, terms)
-			want := mustScorer(t, mono, backend).ScoreTermsCtx(context.Background(), terms)
-			sameScores(t, "traced "+backend, got, want)
+			sameMatches(t, "traced "+backend, got, run(t, mono, terms, o))
 		}
 	}
 	root.Finish()
-}
-
-func mustScorer(t *testing.T, ix Retriever, backend string) Scorer {
-	t.Helper()
-	sc, err := ix.Scorer(backend)
-	if err != nil {
-		t.Fatal(err)
+	tr, ok := tracer.Store().Get(obs.TraceID(sctx))
+	if !ok {
+		t.Fatal("trace not recorded")
 	}
-	return sc
+	var shards []int
+	var backends []string
+	for _, sp := range tr.Root.Children {
+		if sp.Name != "vsm.score" {
+			t.Fatalf("root child %q, want vsm.score", sp.Name)
+		}
+		for _, a := range sp.Attrs {
+			if a.Key == "backend" {
+				backends = append(backends, a.Value)
+			}
+		}
+		shards = append(shards, len(sp.Children))
+	}
+	if fmt.Sprint(backends) != "[vsm bm25 vsm bm25]" || fmt.Sprint(shards) != "[3 3 1 1]" {
+		t.Fatalf("traced spans: backends %v, shard spans %v", backends, shards)
+	}
 }
 
-// TestShardedParallelFanOut forces the multi-worker pool (GOMAXPROCS is 1
-// on the CI container, which would otherwise keep the fan-out serial) and
-// checks the parallel scatter is bit-identical to the serial one.
+// TestShardedParallelFanOut forces the multi-worker pool (GOMAXPROCS may be
+// 1, which would otherwise keep the fan-out serial) and checks the parallel
+// pass is bit-identical to the serial one.
 func TestShardedParallelFanOut(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 
 	rng := rand.New(rand.NewSource(79))
 	gen := 0
 	termLists := randomTermLists(rng, 60)
-	sh := BuildShardedFromTerms(termLists, idsFor(len(termLists), &gen), 4)
+	sh := BuildFromTerms(termLists, idsFor(len(termLists), &gen), 4)
 	terms := []string{"term03", "term17", "common", "term29"}
-	ser := sh.QueryAllTermsCtx(WithSerialScoring(t.Context()), terms)
-	par := sh.QueryAllTerms(terms)
-	sameScores(t, "parallel fan-out", par, ser)
-	bser := sh.BM25().ScoreTermsCtx(WithSerialScoring(t.Context()), terms)
-	bpar := sh.BM25().ScoreTerms(terms)
-	sameScores(t, "parallel bm25 fan-out", bpar, bser)
+	for _, backend := range Backends() {
+		o := QueryOpts{Backend: backend, Threshold: -1}
+		par := run(t, sh, terms, o)
+		o.Serial = true
+		sameMatches(t, "parallel fan-out "+backend, par, run(t, sh, terms, o))
+	}
 
-	// partial failure under the parallel pool: exactly one shard's draw
-	// fails; the failed-shard docs are zero and the rest bit-identical
-	boom := errors.New("boom")
-	var mu sync.Mutex
-	calls := 0
-	ctx, outcome := WithShardOutcome(t.Context())
-	ctx = WithShardFault(ctx, func() error {
-		mu.Lock()
-		defer mu.Unlock()
-		calls++
-		if calls == 1 {
-			return boom
-		}
-		return nil
-	})
-	partial := sh.QueryAllTermsCtx(ctx, terms)
-	if outcome.Failed() != 1 || outcome.Total() != 4 {
-		t.Fatalf("outcome failed %d total %d, want 1 and 4", outcome.Failed(), outcome.Total())
+	// partial failure under the parallel pool: exactly one partition's draw
+	// fails; its docs are missing and the rest bit-identical
+	ser := engineScores(t, sh, terms, BackendVSM)
+	partial, outcome, err := sh.Query(t.Context(), terms, QueryOpts{Threshold: -1, Fault: failFirst(errors.New("boom"))})
+	if err != nil {
+		t.Fatal(err)
 	}
-	mismatched := map[int]bool{}
-	for i := range ser {
-		if math.Float64bits(partial[i]) != math.Float64bits(ser[i]) {
-			if partial[i] != 0 {
-				t.Fatalf("doc %d diverged to nonzero %v", i, partial[i])
-			}
-			mismatched[i] = true
+	if outcome.Failed != 1 || outcome.Partitions != 4 {
+		t.Fatalf("outcome failed %d partitions %d, want 1 and 4", outcome.Failed, outcome.Partitions)
+	}
+	missing := map[int]bool{}
+	for i := 0; i < sh.n; i++ {
+		missing[i] = true
+	}
+	for _, m := range partial {
+		delete(missing, m.Index)
+		if math.Float64bits(m.Score) != math.Float64bits(ser[m.Index]) {
+			t.Fatalf("doc %d diverged: %v vs %v", m.Index, m.Score, ser[m.Index])
 		}
 	}
-	// every mismatch must belong to a single shard's document set
-	for shd := range sh.docs {
-		inShard := 0
-		for _, g := range sh.docs[shd] {
-			if mismatched[int(g)] {
-				inShard++
+	// every missing doc must belong to a single partition's document set
+	for p := range sh.parts {
+		inPart := 0
+		for _, g := range sh.parts[p].docs {
+			if missing[int(g)] {
+				inPart++
 			}
 		}
-		if inShard > 0 && inShard != len(mismatched) {
-			t.Fatalf("zeroed docs span shards: %d of %d in shard %d", inShard, len(mismatched), shd)
+		if inPart > 0 && (inPart != len(missing) || inPart != len(sh.parts[p].docs)) {
+			t.Fatalf("missing docs span partitions: %d of %d in partition %d", inPart, len(missing), p)
 		}
 	}
+}
+
+// TestConcurrentQueriesShareScratch: queries racing on the same partitions
+// each draw their own pooled accumulator, and an accumulator comes back to
+// the pool clean, so every query returns what it returns alone.
+func TestConcurrentQueriesShareScratch(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	rng := rand.New(rand.NewSource(83))
+	gen := 0
+	termLists := randomTermLists(rng, 80)
+	ix := BuildFromTerms(termLists, idsFor(len(termLists), &gen), 2)
+	type tc struct {
+		terms []string
+		o     QueryOpts
+		want  []Match
+	}
+	var cases []tc
+	for _, q := range diffQueries {
+		for _, backend := range Backends() {
+			for _, threshold := range []float64{-1, DefaultThreshold} {
+				o := QueryOpts{Backend: backend, Threshold: threshold}
+				cases = append(cases, tc{splitTerms(q), o, run(t, ix, splitTerms(q), o)})
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				c := cases[(g+i)%len(cases)]
+				got, _, err := ix.Query(context.Background(), c.terms, c.o)
+				if err != nil || !matchesEqual(got, c.want) {
+					t.Errorf("goroutine %d query %v %+v: %v (err %v), want %v", g, c.terms, c.o, got, err, c.want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

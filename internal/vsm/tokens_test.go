@@ -20,6 +20,17 @@ var tokenTestSentences = []string{
 	"cudaMemcpyAsync overlaps; cudaMemcpy does not.",
 }
 
+// fromTokens builds an index from pre-tokenized sentences the way the
+// annotate-once pipeline does: each token list normalized (stopword and
+// punctuation removal, Porter stemming) without re-tokenizing.
+func fromTokens(tokenLists [][]string) *Index {
+	terms := make([][]string, len(tokenLists))
+	for i, toks := range tokenLists {
+		terms[i] = textproc.NormalizeWords(toks)
+	}
+	return BuildFromTerms(terms, nil, 1)
+}
+
 // TestBuildFromTokensBitExact asserts that an index built from pre-tokenized
 // sentences is bit-exact with one built from the raw texts: identical
 // vocabulary size, identical IDFs, and float64-identical scores for every
@@ -31,9 +42,7 @@ func TestBuildFromTokensBitExact(t *testing.T) {
 	for i, s := range tokenTestSentences {
 		tokens[i] = textproc.Words(s)
 	}
-	fromText := Build(tokenTestSentences)
-	fromTokens := BuildFromTokens(tokens)
-	assertIndexesBitExact(t, fromText, fromTokens)
+	assertIndexesBitExact(t, Build(tokenTestSentences), fromTokens(tokens))
 }
 
 // TestBuildFromTermsBitExact covers the third construction path — fully
@@ -43,9 +52,7 @@ func TestBuildFromTermsBitExact(t *testing.T) {
 	for i, s := range tokenTestSentences {
 		terms[i] = textproc.NormalizeTerms(s)
 	}
-	fromText := Build(tokenTestSentences)
-	fromTerms := BuildFromTerms(terms)
-	assertIndexesBitExact(t, fromText, fromTerms)
+	assertIndexesBitExact(t, Build(tokenTestSentences), BuildFromTerms(terms, nil, 1))
 }
 
 // TestBuildFromTokensBitExactRandom repeats the equivalence over larger
@@ -57,20 +64,20 @@ func TestBuildFromTokensBitExactRandom(t *testing.T) {
 	for i, s := range sentences {
 		tokens[i] = textproc.Words(s)
 	}
-	assertIndexesBitExact(t, Build(sentences), BuildFromTokens(tokens))
+	assertIndexesBitExact(t, Build(sentences), fromTokens(tokens))
 }
 
 func assertIndexesBitExact(t *testing.T, a, b *Index) {
 	t.Helper()
-	if a.Len() != b.Len() {
-		t.Fatalf("Len: %d vs %d", a.Len(), b.Len())
+	if a.n != b.n {
+		t.Fatalf("Len: %d vs %d", a.n, b.n)
 	}
-	if a.VocabSize() != b.VocabSize() {
-		t.Fatalf("VocabSize: %d vs %d", a.VocabSize(), b.VocabSize())
+	if len(a.vocab) != len(b.vocab) {
+		t.Fatalf("VocabSize: %d vs %d", len(a.vocab), len(b.vocab))
 	}
 	for term := range a.vocab {
-		if a.IDF(term) != b.IDF(term) {
-			t.Fatalf("IDF(%q): %v vs %v", term, a.IDF(term), b.IDF(term))
+		if idfOf(a, term) != idfOf(b, term) {
+			t.Fatalf("IDF(%q): %v vs %v", term, idfOf(a, term), idfOf(b, term))
 		}
 	}
 	queries := []string{
@@ -81,18 +88,14 @@ func assertIndexesBitExact(t *testing.T, a, b *Index) {
 		"clWaitForEvents synchronization",
 	}
 	for _, q := range queries {
-		sa := a.QueryAll(q)
-		sb := b.QueryAll(q)
-		for i := range sa {
-			if sa[i] != sb[i] {
-				t.Fatalf("QueryAll(%q)[%d]: %v vs %v (must be bit-identical)", q, i, sa[i], sb[i])
-			}
-		}
-		// the terms-fed query path must match the string path bit-exactly too
-		st := a.QueryAllTerms(textproc.NormalizeTerms(q))
-		for i := range sa {
-			if sa[i] != st[i] {
-				t.Fatalf("QueryAllTerms(%q)[%d]: %v vs %v", q, i, st[i], sa[i])
+		terms := textproc.NormalizeTerms(q)
+		for _, backend := range Backends() {
+			sa := engineScores(t, a, terms, backend)
+			sb := engineScores(t, b, terms, backend)
+			for i := range sa {
+				if sa[i] != sb[i] {
+					t.Fatalf("%s %q doc %d: %v vs %v (must be bit-identical)", backend, q, i, sa[i], sb[i])
+				}
 			}
 		}
 	}

@@ -6,114 +6,144 @@
 //	sim(s,q) = (v_s . v_q) / (|v_s| |v_q|)
 //
 // It replaces the Gensim TF-IDF/VSM pipeline of the original implementation.
-// An Index is immutable after Build and safe for concurrent queries; QueryAll
-// fans the similarity computation across GOMAXPROCS goroutines for large
-// sentence sets.
+// Okapi BM25 over the same postings is the retrieval ablation, selectable
+// per query.
+//
+// An Index holds N >= 1 partitions built under global statistics
+// (DESIGN.md §13): a document's weights depend only on the corpus-wide
+// vocabulary, IDF table and BM25 length average and on the document
+// itself, so scores are Float64bits-identical at any partition count. The
+// serving layer calls partitions shards. An Index is immutable after build
+// and safe for concurrent queries.
 package vsm
 
 import (
-	"context"
+	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
-	"runtime"
 	"sort"
+	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/doc"
-	"repro/internal/obs"
 	"repro/internal/textproc"
 )
-
-// Stage-II observability: query volume and scoring latency, reported into
-// the default metrics registry (surfaced on /metricz as vsm_*).
-var (
-	queriesScored = obs.Default().Counter("vsm_queries_scored_total")
-	scoreHist     = obs.Default().Histogram("vsm_score_micros")
-)
-
-// entry is one sparse vector component.
-type entry struct {
-	term   int
-	weight float64
-}
-
-// posting is one inverted-index entry: a document containing a term, with
-// the term's raw frequency and its normalized TF-IDF weight in that
-// document. The weight drives the cosine backend; the raw frequency is what
-// the BM25 backend scores from — both backends walk the same lists.
-type posting struct {
-	doc    int32
-	tf     float32 // raw term frequency (BM25 backend)
-	weight float64 // normalized TF-IDF weight (cosine backend)
-}
-
-// Index is a TF-IDF weighted vector space over a fixed sentence set.
-type Index struct {
-	vocab    map[string]int
-	idf      []float64
-	vecs     [][]entry     // L2-normalized sparse vectors, sorted by term id
-	postings [][]posting   // per term id, ascending doc order
-	docLens  []int32       // normalized term count per sentence (BM25 length norm)
-	counted  []*termCounts // per-document term statistics, reused by Rebuild
-	n        int           // number of sentences
-
-	bm25Once sync.Once // lazily-built BM25 view over the same postings
-	bm25     *BM25
-
-	pruneOnce sync.Once // lazily-built impact-ordered pruning view (cosine)
-	prune     *pruneState
-}
-
-// Match is one retrieval result.
-type Match struct {
-	Index int     // sentence index within the index
-	Score float64 // cosine similarity to the query
-}
 
 // DefaultThreshold is the similarity threshold the paper uses to recommend a
 // sentence (§3.2: 0.15).
 const DefaultThreshold = 0.15
 
-// Build constructs an index over raw sentences, normalizing each with
-// textproc.NormalizeTerms (tokenize, lowercase, stop/punct removal, Porter
-// stemming).
+// Backend names a query's weighting.
+const (
+	// BackendVSM is the paper's Stage-II model: TF-IDF weights with cosine
+	// similarity (Eqs. 1-2) and the 0.15 recommendation threshold. It is the
+	// default backend everywhere a backend is selectable.
+	BackendVSM = "vsm"
+	// BackendBM25 is Okapi BM25 over the same postings — the lexical
+	// retrieval ablation. Its scores are unbounded and comparable only with
+	// other BM25 scores.
+	BackendBM25 = "bm25"
+)
+
+// ErrUnknownBackend reports a backend name the index does not know.
+var ErrUnknownBackend = errors.New("vsm: unknown scoring backend")
+
+// Backends lists the scoring backends every Index offers, default first.
+func Backends() []string { return []string{BackendVSM, BackendBM25} }
+
+// ValidBackend reports whether name selects a known backend; the empty
+// string selects the default (VSM) and is valid.
+func ValidBackend(name string) bool {
+	return name == "" || name == BackendVSM || name == BackendBM25
+}
+
+// Weightings: the index of a backend's weight in every posting, in
+// Backends() order.
+const (
+	wVSM  = 0
+	wBM25 = 1
+)
+
+// weightingOf resolves a backend name to its weighting.
+func weightingOf(backend string) (int, error) {
+	switch backend {
+	case "", BackendVSM:
+		return wVSM, nil
+	case BackendBM25:
+		return wBM25, nil
+	}
+	return 0, fmt.Errorf("%w: %q (have %s)", ErrUnknownBackend, backend, strings.Join(Backends(), ", "))
+}
+
+// BM25 parameters (standard Robertson/Spärck-Jones defaults).
+const (
+	bm25K1 = 1.2
+	bm25B  = 0.75
+)
+
+// Match is one retrieval result.
+type Match struct {
+	Index int     // document ordinal (sentence index) within the index
+	Score float64 // similarity under the query's backend
+}
+
+// Index is a TF-IDF (and BM25) weighted vector space over a fixed sentence
+// set, partitioned by stable sentence identity.
+type Index struct {
+	vocab   map[string]int
+	idf     []float64        // TF-IDF IDF log(n/df), per term id
+	parts   []*partition     // at least one
+	ids     []doc.SentenceID // global ordinal -> identity, the placement key
+	counted []*termCounts    // global order, reused by Rebuild
+	n       int              // number of sentences
+}
+
+// partition is one slice of the documents with its own postings, stored
+// compactly: term t's postings are post[start[t]:start[t+1]] in ascending
+// local position, and w[wVSM]/w[wBM25] hold each posting's weight under the
+// two backends — the L2-normalized TF-IDF weight (0 for a term in every
+// document, which cosine queries never walk) and the precomputed Okapi
+// contribution idf·tf·(k1+1)/(tf+norm).
+type partition struct {
+	docs    []int32 // local position -> global ordinal, ascending
+	start   []int   // per term id, plus a final end offset
+	post    []int32 // posting documents, as local positions
+	w       [2][]float64
+	scratch sync.Pool // *accumulator over len(docs) documents
+}
+
+// Build constructs a one-partition index over raw sentences, normalizing
+// each with textproc.NormalizeTerms (tokenize, lowercase, stop/punct
+// removal, Porter stemming).
 func Build(sentences []string) *Index {
 	terms := make([][]string, len(sentences))
 	for i, s := range sentences {
 		terms[i] = textproc.NormalizeTerms(s)
 	}
-	return BuildFromTerms(terms)
+	return BuildFromTerms(terms, nil, 1)
 }
 
-// BuildFromTokens constructs an index over pre-tokenized sentences,
-// normalizing each token list (stopword/punctuation removal, Porter
-// stemming) without re-tokenizing. Because tokenization is deterministic,
-// BuildFromTokens(Words(s)...) is bit-exact with Build(s...): identical
-// vocabulary ids, IDF values and document vectors. This is the path the
-// annotate-once pipeline uses — Stage I already tokenized every sentence,
-// so Stage II must not pay for it again.
-func BuildFromTokens(tokenLists [][]string) *Index {
-	terms := make([][]string, len(tokenLists))
-	for i, toks := range tokenLists {
-		terms[i] = textproc.NormalizeWords(toks)
-	}
-	return BuildFromTerms(terms)
-}
-
-// BuildFromTerms constructs an index over pre-normalized term lists.
+// BuildFromTerms constructs an index over pre-normalized term lists in
+// nParts partitions (fewer than one builds one). Documents are placed by
+// their aligned stable identities, so an incremental Rebuild keeps every
+// surviving sentence in its partition; a nil or misaligned ids slice places
+// them round robin by ordinal, which balances but is not stable across
+// edits.
 //
 // Term ids are assigned in sorted term order, not first-appearance order.
-// Because every weight accumulation (vector norms, dot products) runs in
-// ascending term-id order, this makes scores a function of the document
-// *set* alone: permuting the document order yields bit-identical cosine
-// scores — the metamorphic property the Stage-II test suite checks.
-func BuildFromTerms(termLists [][]string) *Index {
+// Because every weight accumulation runs in ascending term-id order, scores
+// are a function of the document set alone: permuting the documents yields
+// bit-identical scores.
+func BuildFromTerms(termLists [][]string, ids []doc.SentenceID, nParts int) *Index {
 	counted := make([]*termCounts, len(termLists))
 	for i, terms := range termLists {
 		counted[i] = countTerms(terms)
 	}
-	return buildFromCounted(counted)
+	if len(ids) != len(termLists) {
+		ids = make([]doc.SentenceID, len(termLists))
+	}
+	return build(counted, ids, nParts)
 }
 
 // termCounts is one document's corpus-independent term statistics: its
@@ -147,669 +177,179 @@ func countTerms(terms []string) *termCounts {
 	return tc
 }
 
-// buildFromCounted assembles an index from per-document counted vectors —
-// the shared back half of BuildFromTerms and Rebuild. Everything global is
-// computed here (document frequencies, IDF, weights, postings); everything
-// per-document arrives precomputed in counted.
-func buildFromCounted(counted []*termCounts) *Index {
-	vocab, idf := globalStats(counted, len(counted))
-	return buildWithStats(counted, vocab, idf)
+// partitionOf places a sentence: FNV-1a over its stable identity, or round
+// robin on the ordinal when it has none.
+func partitionOf(id doc.SentenceID, ordinal, nParts int) int {
+	if nParts <= 1 {
+		return 0
+	}
+	if id == "" {
+		return ordinal % nParts
+	}
+	h := fnv.New32a()
+	h.Write([]byte(id))
+	return int(h.Sum32() % uint32(nParts))
 }
 
-// globalStats computes the corpus-wide retrieval statistics for a document
-// set: term ids assigned in sorted term order and the IDF table
-// log(n/df). n is the logical corpus size — for a sharded layout it is the
-// global document count, not the size of any one partition, which is what
-// keeps per-shard weights bit-identical to the monolithic index.
-func globalStats(counted []*termCounts, n int) (map[string]int, []float64) {
-	// document frequencies: counted terms are unique per document already
-	dfByTerm := map[string]int{}
+// build assembles an index from counted documents: the global statistics
+// first — vocabulary, document frequencies, both IDF tables and the BM25
+// length average, summed in global document order — then every partition's
+// postings under them. Each weight is a function of the global statistics
+// and its own document only, computed by the same float operations in the
+// same order whatever partition the document lands in.
+func build(counted []*termCounts, ids []doc.SentenceID, nParts int) *Index {
+	nParts = max(nParts, 1)
+	n := len(counted)
+	df := map[string]int{} // counted terms are unique per document already
+	var total float64
 	for _, tc := range counted {
 		for _, t := range tc.terms {
-			dfByTerm[t]++
+			df[t]++
 		}
+		total += float64(tc.total)
 	}
-	terms := make([]string, 0, len(dfByTerm))
-	for t := range dfByTerm {
+	terms := make([]string, 0, len(df))
+	for t := range df {
 		terms = append(terms, t)
 	}
 	sort.Strings(terms)
-	vocab := make(map[string]int, len(terms))
-	idf := make([]float64, len(terms))
-	for id, t := range terms {
-		vocab[t] = id
-		idf[id] = math.Log(float64(n) / float64(dfByTerm[t]))
-	}
-	return vocab, idf
-}
-
-// buildWithStats assembles an index over counted documents under an
-// externally supplied vocabulary and IDF table. buildFromCounted passes the
-// stats of the documents themselves (the monolithic layout); a ShardedIndex
-// passes the global stats of the whole corpus so each shard's weights come
-// out of the same floating-point operations in the same order as the
-// monolithic build.
-func buildWithStats(counted []*termCounts, vocab map[string]int, idf []float64) *Index {
 	ix := &Index{
-		vocab:   vocab,
-		idf:     idf,
+		vocab:   make(map[string]int, len(terms)),
+		idf:     make([]float64, len(terms)),
+		ids:     ids,
 		counted: counted,
-		n:       len(counted),
+		n:       n,
 	}
-	ix.vecs = make([][]entry, ix.n)
-	ix.docLens = make([]int32, ix.n)
-	full := make([][]docEntry, ix.n)
-	for i, tc := range counted {
-		ix.docLens[i] = tc.total
-		full[i] = ix.vectorizeCounted(tc)
-		vec := make([]entry, 0, len(full[i]))
-		for _, e := range full[i] {
-			if e.weight != 0 {
-				vec = append(vec, entry{term: e.term, weight: e.weight})
-			}
-		}
-		ix.vecs[i] = vec
+	bidf := make([]float64, len(terms))
+	for id, t := range terms {
+		ix.vocab[t] = id
+		f := float64(df[t])
+		ix.idf[id] = math.Log(float64(n) / f)
+		bidf[id] = math.Log((float64(n)-f+0.5)/(f+0.5) + 1)
 	}
-	ix.buildPostings(full)
+	var avg float64
+	if n > 0 {
+		avg = total / float64(n)
+	}
+	ix.parts = make([]*partition, nParts)
+	for p := range ix.parts {
+		ix.parts[p] = &partition{}
+	}
+	for g := range counted {
+		p := ix.parts[partitionOf(ids[g], g, nParts)]
+		p.docs = append(p.docs, int32(g))
+	}
+	for _, p := range ix.parts {
+		p.fill(ix, bidf, avg)
+	}
 	return ix
 }
 
-// docEntry is one document-vector component before the zero-weight filter:
-// every in-vocabulary term of the document with its raw frequency and its
-// normalized TF-IDF weight (0 for terms appearing in every document).
-type docEntry struct {
-	term   int
-	tf     float32
-	weight float64
-}
-
-// vectorizeCounted converts a counted document into the full entry list,
-// keeping zero-weight (zero-IDF) terms so the postings retain their raw
-// frequencies for the BM25 backend. The counted terms are sorted and vocab
-// ids are assigned in sorted-term order, so the entries arrive in ascending
-// term-id order without re-sorting, and the norm accumulates over the same
-// weights in the same order as it always has — weights stay bit-identical.
-func (ix *Index) vectorizeCounted(tc *termCounts) []docEntry {
-	vec := make([]docEntry, 0, len(tc.terms))
-	for i, t := range tc.terms {
-		id := ix.vocab[t] // during a build every document term is in vocab
-		f := tc.counts[i]
-		vec = append(vec, docEntry{term: id, tf: float32(f), weight: f * ix.idf[id]})
-	}
-	var norm float64
-	for i := range vec {
-		norm += vec[i].weight * vec[i].weight
-	}
-	if norm > 0 {
-		norm = math.Sqrt(norm)
-		for i := range vec {
-			vec[i].weight /= norm
+// fill builds one partition's postings: a counting pass sizes every term's
+// list, then each document (in ascending local position, so every list is
+// in document order) writes its postings. The TF-IDF weights are
+// L2-normalized per document, the norm accumulated in ascending term-id
+// order; counted terms are sorted and ids follow sorted term order, so the
+// entries arrive in that order without re-sorting.
+func (p *partition) fill(ix *Index, bidf []float64, avg float64) {
+	p.start = make([]int, len(ix.idf)+1)
+	for _, g := range p.docs {
+		for _, t := range ix.counted[g].terms {
+			p.start[ix.vocab[t]+1]++
 		}
 	}
-	return vec
+	for t := 1; t < len(p.start); t++ {
+		p.start[t] += p.start[t-1]
+	}
+	size := p.start[len(p.start)-1]
+	p.post = make([]int32, size)
+	p.w = [2][]float64{make([]float64, size), make([]float64, size)}
+	next := append([]int(nil), p.start[:len(ix.idf)]...)
+	var weights []float64
+	for local, g := range p.docs {
+		tc := ix.counted[g]
+		weights = weights[:0]
+		var norm float64
+		for i, t := range tc.terms {
+			w := tc.counts[i] * ix.idf[ix.vocab[t]]
+			weights = append(weights, w)
+			norm += w * w
+		}
+		if norm > 0 {
+			norm = math.Sqrt(norm)
+			for i := range weights {
+				weights[i] /= norm
+			}
+		}
+		lenNorm := bm25K1
+		if avg > 0 {
+			lenNorm = bm25K1 * (1 - bm25B + bm25B*float64(tc.total)/avg)
+		}
+		for i, t := range tc.terms {
+			id := ix.vocab[t]
+			tf := tc.counts[i]
+			at := next[id]
+			next[id]++
+			p.post[at] = int32(local)
+			p.w[wVSM][at] = weights[i]
+			p.w[wBM25][at] = bidf[id] * tf * (bm25K1 + 1) / (tf + lenNorm)
+		}
+	}
 }
 
 // AddedDoc is one new sentence handed to Rebuild: its position in the
-// successor document, its normalized term list, and (for sharded layouts)
-// its stable identity. The monolithic Index ignores ID; a ShardedIndex
-// hashes it to keep shard assignment stable across edits.
+// successor document, its normalized term list, and its stable identity
+// (the placement key).
 type AddedDoc struct {
 	Pos   int
 	Terms []string
 	ID    doc.SentenceID
 }
 
-// Rebuild constructs the successor index after a document edit: kept pairs
-// map this index's sentences (Old position) to their new positions, reusing
-// their per-document term statistics verbatim; added carries the term lists
-// of new sentences at their new positions. Together they must tile the
-// successor document exactly — every position in [0, kept+added) assigned
-// once.
+// Rebuild constructs the successor index after a document edit, with the
+// same partition count: kept pairs map this index's sentences (Old
+// position) to their new positions, reusing their term statistics and
+// identities verbatim, so every kept sentence stays in its partition; added
+// carries the term lists and identities of new sentences at their new
+// positions. Together they must tile the successor document exactly — every
+// position in [0, kept+added) assigned once.
 //
-// Global statistics — document frequencies, IDF, and therefore every TF-IDF
-// weight and posting — are recomputed from the merged set: IDF is
-// corpus-wide, so one edit can shift every weight in the index. What Rebuild
-// skips is the work that does not depend on the rest of the corpus: term
-// counting here, and tokenization, stemming, and annotation upstream. The
-// result is Float64bits-identical to a from-scratch BuildFromTerms over the
-// successor's full term lists (see TestRebuildBitIdentical).
+// Global statistics — document frequencies, IDF, and therefore every weight
+// — are recomputed from the merged set: IDF is corpus-wide, so one edit can
+// shift every weight in the index. What Rebuild skips is the work that does
+// not depend on the rest of the corpus: term counting here, and
+// tokenization, stemming, and annotation upstream. The result is
+// Float64bits-identical to a cold BuildFromTerms of the successor (see
+// TestRebuildBitIdentical).
 func (ix *Index) Rebuild(kept []doc.Kept, added []AddedDoc) (*Index, error) {
-	counted, _, err := tileCounted(ix.counted, nil, kept, added)
-	if err != nil {
-		return nil, err
-	}
-	return buildFromCounted(counted), nil
-}
-
-// tileCounted validates and materializes the successor document of an edit:
-// kept pairs reuse the previous counted statistics (and identity, when
-// prevIDs is non-nil), added positions are counted fresh. The pairs must
-// tile [0, kept+added) exactly — every position assigned once. Shared by
-// Index.Rebuild and ShardedIndex.Rebuild so both enforce the same tiling
-// contract with the same errors.
-func tileCounted(prevCounted []*termCounts, prevIDs []doc.SentenceID, kept []doc.Kept, added []AddedDoc) ([]*termCounts, []doc.SentenceID, error) {
 	n := len(kept) + len(added)
 	counted := make([]*termCounts, n)
 	ids := make([]doc.SentenceID, n)
-	place := func(pos int, tc *termCounts) error {
+	place := func(pos int, tc *termCounts, id doc.SentenceID) error {
 		if pos < 0 || pos >= n {
 			return fmt.Errorf("vsm: rebuild position %d outside [0,%d)", pos, n)
 		}
 		if counted[pos] != nil {
 			return fmt.Errorf("vsm: rebuild position %d assigned twice", pos)
 		}
-		counted[pos] = tc
+		counted[pos], ids[pos] = tc, id
 		return nil
 	}
 	for _, k := range kept {
-		if k.Old < 0 || k.Old >= len(prevCounted) {
-			return nil, nil, fmt.Errorf("vsm: rebuild kept old position %d outside [0,%d)", k.Old, len(prevCounted))
+		if k.Old < 0 || k.Old >= ix.n {
+			return nil, fmt.Errorf("vsm: rebuild kept old position %d outside [0,%d)", k.Old, ix.n)
 		}
-		if err := place(k.New, prevCounted[k.Old]); err != nil {
-			return nil, nil, err
-		}
-		if prevIDs != nil {
-			ids[k.New] = prevIDs[k.Old]
+		if err := place(k.New, ix.counted[k.Old], ix.ids[k.Old]); err != nil {
+			return nil, err
 		}
 	}
 	for _, a := range added {
-		if err := place(a.Pos, countTerms(a.Terms)); err != nil {
-			return nil, nil, err
-		}
-		ids[a.Pos] = a.ID
-	}
-	return counted, ids, nil
-}
-
-// buildPostings derives the shared inverted index from the full document
-// vectors. Each term's posting list is in ascending document order because
-// documents are visited in order. Lists include zero-weight postings for
-// zero-IDF terms (terms in every document): cosine queries never walk them
-// (query vectors drop zero-weight terms), but the BM25 backend needs their
-// raw frequencies.
-func (ix *Index) buildPostings(docs [][]docEntry) {
-	counts := make([]int, len(ix.idf))
-	for _, vec := range docs {
-		for _, e := range vec {
-			counts[e.term]++
+		if err := place(a.Pos, countTerms(a.Terms), a.ID); err != nil {
+			return nil, err
 		}
 	}
-	ix.postings = make([][]posting, len(ix.idf))
-	for t, c := range counts {
-		if c > 0 {
-			ix.postings[t] = make([]posting, 0, c)
-		}
-	}
-	for d, vec := range docs {
-		for _, e := range vec {
-			ix.postings[e.term] = append(ix.postings[e.term], posting{doc: int32(d), tf: e.tf, weight: e.weight})
-		}
-	}
+	return build(counted, ids, len(ix.parts)), nil
 }
 
-// vectorize converts a term list into a normalized sparse TF-IDF vector.
-// Terms outside the vocabulary are ignored.
-func (ix *Index) vectorize(terms []string) []entry {
-	return vectorizeWith(ix.vocab, ix.idf, terms)
-}
-
-// vectorizeWith is vectorize under explicit vocabulary and IDF tables — the
-// shared query-side vectorizer of the monolithic Index and the ShardedIndex
-// (which vectorizes once with the global tables and reuses the vector across
-// every shard).
-func vectorizeWith(vocab map[string]int, idf []float64, terms []string) []entry {
-	tf := map[int]float64{}
-	for _, t := range terms {
-		if id, ok := vocab[t]; ok {
-			tf[id]++
-		}
-	}
-	vec := make([]entry, 0, len(tf))
-	for id, f := range tf {
-		w := f * idf[id]
-		if w == 0 {
-			continue
-		}
-		vec = append(vec, entry{term: id, weight: w})
-	}
-	// sort before accumulating the norm: map iteration order is random, and
-	// summing in term order keeps vectorization bit-deterministic across
-	// calls (identical queries must produce identical vectors and scores)
-	sort.Slice(vec, func(a, b int) bool { return vec[a].term < vec[b].term })
-	var norm float64
-	for i := range vec {
-		norm += vec[i].weight * vec[i].weight
-	}
-	if norm > 0 {
-		norm = math.Sqrt(norm)
-		for i := range vec {
-			vec[i].weight /= norm
-		}
-	}
-	return vec
-}
-
-// Len returns the number of sentences in the index.
-func (ix *Index) Len() int { return ix.n }
-
-// VocabSize returns the number of distinct terms.
-func (ix *Index) VocabSize() int { return len(ix.vocab) }
-
-// IDF returns the inverse document frequency of a term (0 if unknown).
-func (ix *Index) IDF(term string) float64 {
-	if id, ok := ix.vocab[term]; ok {
-		return ix.idf[id]
-	}
-	return 0
-}
-
-// dot computes the dot product of two sorted sparse vectors.
-func dot(a, b []entry) float64 {
-	var s float64
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].term == b[j].term:
-			s += a[i].weight * b[j].weight
-			i++
-			j++
-		case a[i].term < b[j].term:
-			i++
-		default:
-			j++
-		}
-	}
-	return s
-}
-
-// QueryVector builds the normalized query vector for raw query text.
-func (ix *Index) QueryVector(query string) []entry {
-	return ix.vectorize(textproc.NormalizeTerms(query))
-}
-
-// Similarity returns the cosine similarity between sentence i and the query.
-func (ix *Index) Similarity(i int, query string) float64 {
-	if i < 0 || i >= ix.n {
-		return 0
-	}
-	return dot(ix.vecs[i], ix.QueryVector(query))
-}
-
-// Query returns every sentence whose similarity to the query is at least
-// threshold, sorted by descending score (ties by ascending index).
-//
-// For positive thresholds it walks the inverted index, scoring only the
-// documents that share at least one term with the query; a document sharing
-// no term has similarity exactly 0 and cannot clear the threshold. Scores are
-// bit-identical to the dense scan: both accumulate the products of shared
-// terms in ascending term order. A threshold <= 0 admits zero-score
-// documents, so that case falls back to the dense scan.
-func (ix *Index) Query(query string, threshold float64) []Match {
-	return ix.QueryCtx(context.Background(), query, threshold)
-}
-
-// QueryCtx is Query honoring the pruning decision on ctx (default on):
-// positive thresholds take the MaxScore candidate-elimination path over the
-// impact-ordered postings, falling back to the exhaustive walk whenever the
-// bound math cannot guarantee exactness. Pruned and exhaustive results are
-// Float64bits-identical (see TestPruneDifferential).
-func (ix *Index) QueryCtx(ctx context.Context, query string, threshold float64) []Match {
-	qv := ix.QueryVector(query)
-	if len(qv) == 0 {
-		return nil
-	}
-	return ix.selectMatches(PruningOn(ctx), qv, threshold, 0)
-}
-
-// matchesVec is the vector-level core of Query: inverted walk for positive
-// thresholds, dense scan otherwise, sorted best-first. Shared with the
-// per-shard match path of ShardedIndex.
-func (ix *Index) matchesVec(qv []entry, threshold float64) []Match {
-	if threshold <= 0 {
-		return ix.denseScan(qv, threshold)
-	}
-	scores, touched := ix.accumulate(qv)
-	var out []Match
-	for _, d := range touched {
-		if s := scores[d]; s >= threshold {
-			out = append(out, Match{Index: int(d), Score: s})
-		}
-	}
-	sortMatches(out)
-	return out
-}
-
-// accumulate walks the inverted index for a query vector and returns the
-// per-document score accumulator plus the touched documents in first-touch
-// order. Scores are bit-identical to the dense scan: both sum the products
-// of shared terms in ascending term order.
-func (ix *Index) accumulate(qv []entry) ([]float64, []int32) {
-	scores := make([]float64, ix.n)
-	seen := make([]bool, ix.n)
-	touched := make([]int32, 0, 64)
-	for _, q := range qv {
-		for _, p := range ix.postings[q.term] {
-			if !seen[p.doc] {
-				seen[p.doc] = true
-				touched = append(touched, p.doc)
-			}
-			scores[p.doc] += q.weight * p.weight
-		}
-	}
-	return scores, touched
-}
-
-// topMatchesVec is matchesVec with bounded selection: it keeps only the k
-// best matches (score desc, index asc) in a size-k heap instead of sorting
-// every match, so a shard's contribution to a TopK merge costs
-// O(matches·log k) rather than O(matches·log matches). The result is
-// exactly the first k entries matchesVec would produce — the ordering is a
-// total order, so bounded selection and sort-then-truncate agree.
-func (ix *Index) topMatchesVec(qv []entry, threshold float64, k int) []Match {
-	if k <= 0 {
-		return nil
-	}
-	var scores []float64
-	var touched []int32
-	if threshold <= 0 {
-		// zero-score documents are admissible: every document is a candidate
-		scores = make([]float64, ix.n)
-		for i, v := range ix.vecs {
-			scores[i] = dot(v, qv)
-		}
-		touched = make([]int32, ix.n)
-		for i := range touched {
-			touched[i] = int32(i)
-		}
-	} else {
-		scores, touched = ix.accumulate(qv)
-	}
-	// min-heap keyed "worst first": the root is the weakest of the k kept
-	// matches and is evicted whenever a better candidate arrives
-	worse := func(a, b Match) bool {
-		if a.Score != b.Score {
-			return a.Score < b.Score
-		}
-		return a.Index > b.Index
-	}
-	heap := make([]Match, 0, k)
-	siftDown := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			w := i
-			if l < len(heap) && worse(heap[l], heap[w]) {
-				w = l
-			}
-			if r < len(heap) && worse(heap[r], heap[w]) {
-				w = r
-			}
-			if w == i {
-				return
-			}
-			heap[i], heap[w] = heap[w], heap[i]
-			i = w
-		}
-	}
-	for _, d := range touched {
-		s := scores[d]
-		if s < threshold {
-			continue
-		}
-		m := Match{Index: int(d), Score: s}
-		if len(heap) < k {
-			heap = append(heap, m)
-			for i := len(heap) - 1; i > 0; {
-				p := (i - 1) / 2
-				if !worse(heap[i], heap[p]) {
-					break
-				}
-				heap[i], heap[p] = heap[p], heap[i]
-				i = p
-			}
-			continue
-		}
-		if worse(m, heap[0]) {
-			continue
-		}
-		heap[0] = m
-		siftDown(0)
-	}
-	sortMatches(heap)
-	return heap
-}
-
-// QueryDense is Query without the inverted-index fast path: it scores every
-// document with a sparse dot product (ablation baseline and equivalence
-// reference).
-func (ix *Index) QueryDense(query string, threshold float64) []Match {
-	qv := ix.QueryVector(query)
-	if len(qv) == 0 {
-		return nil
-	}
-	return ix.denseScan(qv, threshold)
-}
-
-func (ix *Index) denseScan(qv []entry, threshold float64) []Match {
-	var out []Match
-	for i, v := range ix.vecs {
-		if s := dot(v, qv); s >= threshold {
-			out = append(out, Match{Index: i, Score: s})
-		}
-	}
-	sortMatches(out)
-	return out
-}
-
-// QueryAll computes the similarity of every sentence to the query in
-// parallel and returns the full score slice (one per sentence).
-func (ix *Index) QueryAll(query string) []float64 {
-	return ix.queryAllVec(ix.QueryVector(query))
-}
-
-// QueryAllTerms is QueryAll over a pre-normalized query term list — the
-// annotation-fed path that lets a serving layer normalize a query once and
-// reuse the terms for cache keying and retrieval.
-func (ix *Index) QueryAllTerms(terms []string) []float64 {
-	return ix.queryAllVec(ix.vectorize(terms))
-}
-
-// QueryAllTermsCtx is QueryAllTerms under a trace: when the context carries
-// a sampled span, the scoring pass is recorded as a "vsm.score" child span
-// with the query and index sizes as attributes. A context marked with
-// WithSerialScoring keeps the whole pass on the calling goroutine (scores
-// are bit-identical either way; see TestSerialScoringBitIdentical).
-func (ix *Index) QueryAllTermsCtx(ctx context.Context, terms []string) []float64 {
-	serial := SerialScoring(ctx)
-	if parent := obs.SpanFrom(ctx); parent != nil {
-		span := parent.StartChild("vsm.score")
-		span.SetAttrInt("query_terms", len(terms))
-		span.SetAttrInt("docs", ix.n)
-		if serial {
-			span.SetAttr("mode", "serial")
-		}
-		defer span.Finish()
-	}
-	if serial {
-		return ix.serialScanVec(ix.vectorize(terms))
-	}
-	return ix.QueryAllTerms(terms)
-}
-
-// serialScanVec scores every document on the calling goroutine — the
-// batch-executor path, where parallelism lives across queries rather than
-// inside one.
-func (ix *Index) serialScanVec(qv []entry) []float64 {
-	start := time.Now()
-	defer func() {
-		scoreHist.ObserveDuration(time.Since(start))
-		queriesScored.Inc()
-	}()
-	scores := make([]float64, ix.n)
-	if len(qv) == 0 {
-		return scores
-	}
-	for i, v := range ix.vecs {
-		scores[i] = dot(v, qv)
-	}
-	return scores
-}
-
-func (ix *Index) queryAllVec(qv []entry) []float64 {
-	start := time.Now()
-	defer func() {
-		scoreHist.ObserveDuration(time.Since(start))
-		queriesScored.Inc()
-	}()
-	scores := make([]float64, ix.n)
-	if len(qv) == 0 {
-		return scores
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > ix.n {
-		workers = ix.n
-	}
-	if workers <= 1 {
-		for i, v := range ix.vecs {
-			scores[i] = dot(v, qv)
-		}
-		return scores
-	}
-	var wg sync.WaitGroup
-	chunk := (ix.n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > ix.n {
-			hi = ix.n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				scores[i] = dot(ix.vecs[i], qv)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return scores
-}
-
-// QuerySerial is QueryAll restricted to one goroutine (ablation baseline).
-func (ix *Index) QuerySerial(query string) []float64 {
-	qv := ix.QueryVector(query)
-	scores := make([]float64, ix.n)
-	if len(qv) == 0 {
-		return scores
-	}
-	for i, v := range ix.vecs {
-		scores[i] = dot(v, qv)
-	}
-	return scores
-}
-
-// TopK returns the k best matches at or above threshold (nothing for
-// k <= 0). Ties at the threshold boundary are kept — the cut happens on
-// count, not on score — and ties within the list resolve by ascending
-// sentence index, so the kept prefix is deterministic.
-func (ix *Index) TopK(query string, k int, threshold float64) []Match {
-	return ix.TopKCtx(context.Background(), query, k, threshold)
-}
-
-// TopKCtx is TopK honoring the pruning decision on ctx (default on). The
-// pruned path bounds selection to a size-k heap fed by MaxScore candidate
-// elimination; the result is exactly Query truncated to k — the match
-// ordering is a total order, so bounded selection and sort-then-truncate
-// agree, and pruning is Float64bits-identical to exhaustive scoring.
-func (ix *Index) TopKCtx(ctx context.Context, query string, k int, threshold float64) []Match {
-	if k <= 0 {
-		return nil
-	}
-	qv := ix.QueryVector(query)
-	if len(qv) == 0 {
-		return nil
-	}
-	return ix.selectMatches(PruningOn(ctx), qv, threshold, k)
-}
-
-// MatchesTermsCtx returns every sentence scoring at or above threshold
-// against pre-normalized query terms, best first — the serving-path form of
-// Query. It honors tracing, pruning, and (via the exhaustive fallback's
-// scan) the same score semantics as filtering QueryAllTerms: a threshold at
-// or below zero admits zero-score sentences, so every sentence is returned.
-func (ix *Index) MatchesTermsCtx(ctx context.Context, terms []string, threshold float64) []Match {
-	prune := PruningOn(ctx)
-	if parent := obs.SpanFrom(ctx); parent != nil {
-		span := parent.StartChild("vsm.score")
-		span.SetAttrInt("query_terms", len(terms))
-		span.SetAttrInt("docs", ix.n)
-		span.SetAttr("vsm.prune", pruneAttrVal(prune))
-		defer span.Finish()
-	}
-	start := time.Now()
-	defer func() {
-		scoreHist.ObserveDuration(time.Since(start))
-		queriesScored.Inc()
-	}()
-	return ix.selectMatches(prune, ix.vectorize(terms), threshold, 0)
-}
-
-// pruneAttrVal renders a pruning decision as the vsm.prune span attribute.
-func pruneAttrVal(on bool) string {
-	if on {
-		return "on"
-	}
-	return "off"
-}
-
-func sortMatches(m []Match) {
-	sort.Slice(m, func(a, b int) bool {
-		if m[a].Score != m[b].Score {
-			return m[a].Score > m[b].Score
-		}
-		return m[a].Index < m[b].Index
-	})
-}
-
-// Cosine computes the cosine similarity of two raw texts under this index's
-// TF-IDF weights (utility for tests and diagnostics).
-func (ix *Index) Cosine(a, b string) float64 {
-	return dot(ix.vectorize(textproc.NormalizeTerms(a)), ix.vectorize(textproc.NormalizeTerms(b)))
-}
-
-// Retriever is the retrieval surface core.Advisor programs against: either a
-// monolithic Index (ShardCount 1) or a ShardedIndex. Both produce
-// Float64bits-identical scores for the same corpus — the sharded layout is a
-// performance topology, not a semantic one.
-type Retriever interface {
-	// Len returns the number of sentences indexed.
-	Len() int
-	// ShardCount reports the partition count (1 for a monolithic Index).
-	ShardCount() int
-	// QueryAll scores every sentence against raw query text.
-	QueryAll(query string) []float64
-	// QueryAllTermsCtx scores every sentence against pre-normalized terms,
-	// honoring tracing and serial-scoring hints on the context.
-	QueryAllTermsCtx(ctx context.Context, terms []string) []float64
-	// MatchesTermsCtx returns every sentence scoring at or above threshold
-	// against pre-normalized terms, best first (score desc, index asc),
-	// honoring tracing and the pruning decision on the context. Results are
-	// Float64bits-identical to filtering QueryAllTermsCtx's scores.
-	MatchesTermsCtx(ctx context.Context, terms []string, threshold float64) []Match
-	// Scorer returns the named scoring backend over this retriever.
-	Scorer(backend string) (Scorer, error)
-	// RebuildRetriever builds the successor retriever after a document edit,
-	// preserving the layout (shard count, and for sharded layouts each kept
-	// sentence's shard assignment via its stable identity).
-	RebuildRetriever(kept []doc.Kept, added []AddedDoc) (Retriever, error)
-}
-
-// ShardCount reports 1: a monolithic Index is a single partition.
-func (ix *Index) ShardCount() int { return 1 }
-
-// RebuildRetriever is Rebuild under the Retriever interface.
-func (ix *Index) RebuildRetriever(kept []doc.Kept, added []AddedDoc) (Retriever, error) {
-	return ix.Rebuild(kept, added)
-}
+// Partitions returns the partition count (1 for the monolithic layout).
+func (ix *Index) Partitions() int { return len(ix.parts) }

@@ -2,8 +2,11 @@ package vsm
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/textproc"
 )
 
 var corpus = []string{
@@ -19,7 +22,7 @@ var corpus = []string{
 
 func TestQueryRelevanceOrdering(t *testing.T) {
 	ix := Build(corpus)
-	matches := ix.Query("how to avoid shared memory bank conflicts", 0.01)
+	matches := query(t, ix, "how to avoid shared memory bank conflicts", QueryOpts{Threshold: 0.01})
 	if len(matches) == 0 {
 		t.Fatal("no matches")
 	}
@@ -35,8 +38,8 @@ func TestQueryRelevanceOrdering(t *testing.T) {
 
 func TestQueryThreshold(t *testing.T) {
 	ix := Build(corpus)
-	all := ix.Query("memory", 0)
-	strict := ix.Query("memory", 0.5)
+	all := query(t, ix, "memory", QueryOpts{})
+	strict := query(t, ix, "memory", QueryOpts{Threshold: 0.5})
 	if len(strict) > len(all) {
 		t.Error("higher threshold returned more matches")
 	}
@@ -49,24 +52,22 @@ func TestQueryThreshold(t *testing.T) {
 
 func TestQueryNoVocabularyOverlap(t *testing.T) {
 	ix := Build(corpus)
-	if got := ix.Query("zyzzyva quux", 0.01); len(got) != 0 {
+	if got := query(t, ix, "zyzzyva quux", QueryOpts{Threshold: 0.01}); len(got) != 0 {
 		t.Errorf("expected no matches, got %v", got)
 	}
-	if got := ix.Query("", 0.01); len(got) != 0 {
+	if got := query(t, ix, "", QueryOpts{Threshold: 0.01}); len(got) != 0 {
 		t.Errorf("empty query matched: %v", got)
 	}
 }
 
+// TestSimilarityBounds: every sentence's cosine against its own text is 1.
 func TestSimilarityBounds(t *testing.T) {
 	ix := Build(corpus)
 	for i := range corpus {
-		s := ix.Similarity(i, corpus[i])
+		s := engineScores(t, ix, textproc.NormalizeTerms(corpus[i]), BackendVSM)[i]
 		if s < 0.999 || s > 1.001 {
 			t.Errorf("self-similarity of %d = %f, want 1", i, s)
 		}
-	}
-	if ix.Similarity(-1, "memory") != 0 || ix.Similarity(99, "memory") != 0 {
-		t.Error("out-of-range similarity should be 0")
 	}
 }
 
@@ -74,57 +75,69 @@ func TestIDFBehaviour(t *testing.T) {
 	ix := Build(corpus)
 	// "memory" appears in several sentences, "warp" in fewer:
 	// rarer terms must have higher IDF.
-	if ix.IDF("memori") <= 0 {
-		t.Errorf("idf(memori) = %f, want > 0", ix.IDF("memori"))
+	if idfOf(ix, "memori") <= 0 {
+		t.Errorf("idf(memori) = %f, want > 0", idfOf(ix, "memori"))
 	}
-	if ix.IDF("warp") <= ix.IDF("memori") {
-		t.Errorf("idf(warp)=%f should exceed idf(memori)=%f", ix.IDF("warp"), ix.IDF("memori"))
+	if idfOf(ix, "warp") <= idfOf(ix, "memori") {
+		t.Errorf("idf(warp)=%f should exceed idf(memori)=%f", idfOf(ix, "warp"), idfOf(ix, "memori"))
 	}
-	if ix.IDF("nonexistentterm") != 0 {
+	if idfOf(ix, "nonexistentterm") != 0 {
 		t.Error("unknown term should have idf 0")
 	}
 }
 
+// TestQueryAllMatchesSerial: scoring the partitions in parallel and one
+// after another gives the same scores.
 func TestQueryAllMatchesSerial(t *testing.T) {
-	ix := Build(corpus)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	terms := make([][]string, len(corpus))
+	for i, s := range corpus {
+		terms[i] = textproc.NormalizeTerms(s)
+	}
+	ix := BuildFromTerms(terms, nil, 3)
 	for _, q := range []string{"memory bandwidth", "divergent warps", "loop unrolling"} {
-		par := ix.QueryAll(q)
-		ser := ix.QuerySerial(q)
+		all := QueryOpts{Threshold: -1}
+		par := query(t, ix, q, all)
+		all.Serial = true
+		ser := query(t, ix, q, all)
 		if len(par) != len(ser) {
 			t.Fatalf("length mismatch %d vs %d", len(par), len(ser))
 		}
 		for i := range par {
-			if math.Abs(par[i]-ser[i]) > 1e-12 {
-				t.Errorf("q=%q i=%d: parallel %f != serial %f", q, i, par[i], ser[i])
+			if par[i].Index != ser[i].Index || math.Abs(par[i].Score-ser[i].Score) > 1e-12 {
+				t.Errorf("q=%q rank %d: parallel %+v != serial %+v", q, i, par[i], ser[i])
 			}
 		}
 	}
 }
 
+// TestTopK: the first k matches are the k best the oracle finds.
 func TestTopK(t *testing.T) {
 	ix := Build(corpus)
-	m := ix.TopK("memory", 2, 0)
+	terms := textproc.NormalizeTerms("memory")
+	m := prefix(run(t, ix, terms, QueryOpts{}), 2)
 	if len(m) > 2 {
 		t.Errorf("TopK returned %d matches", len(m))
 	}
+	sameMatches(t, "top 2", m, prefix(denseMatches(ix, terms, BackendVSM, 0), 2))
 }
 
 func TestLenAndVocab(t *testing.T) {
 	ix := Build(corpus)
-	if ix.Len() != len(corpus) {
-		t.Errorf("Len = %d", ix.Len())
+	if ix.n != len(corpus) {
+		t.Errorf("Len = %d", ix.n)
 	}
-	if ix.VocabSize() == 0 {
+	if len(ix.vocab) == 0 {
 		t.Error("empty vocabulary")
 	}
 }
 
 func TestEmptyIndex(t *testing.T) {
 	ix := Build(nil)
-	if ix.Len() != 0 {
+	if ix.n != 0 {
 		t.Error("empty index has nonzero len")
 	}
-	if got := ix.Query("anything", 0); len(got) != 0 {
+	if got := query(t, ix, "anything", QueryOpts{}); len(got) != 0 {
 		t.Errorf("empty index matched: %v", got)
 	}
 }
@@ -138,8 +151,8 @@ func TestCosineProperties(t *testing.T) {
 	f := func(i, j uint8) bool {
 		a := texts[int(i)%len(texts)]
 		b := texts[int(j)%len(texts)]
-		sab := ix.Cosine(a, b)
-		sba := ix.Cosine(b, a)
+		sab := cosine(ix, a, b)
+		sba := cosine(ix, b, a)
 		if math.Abs(sab-sba) > 1e-12 {
 			return false
 		}
@@ -150,12 +163,15 @@ func TestCosineProperties(t *testing.T) {
 	}
 }
 
-// Property: every score Query returns is reproduced by Similarity.
+// Property: every score the engine returns is reproduced by the dense
+// oracle.
 func TestQueryScoresConsistent(t *testing.T) {
 	ix := Build(corpus)
 	for _, q := range []string{"shared memory", "register usage compiler"} {
-		for _, m := range ix.Query(q, 0.01) {
-			if math.Abs(ix.Similarity(m.Index, q)-m.Score) > 1e-12 {
+		terms := textproc.NormalizeTerms(q)
+		dense := denseScores(ix, terms, BackendVSM)
+		for _, m := range run(t, ix, terms, QueryOpts{Threshold: 0.01}) {
+			if math.Abs(dense[m.Index]-m.Score) > 1e-12 {
 				t.Errorf("inconsistent score for %d", m.Index)
 			}
 		}
@@ -171,8 +187,9 @@ func BenchmarkBuild(b *testing.B) {
 
 func BenchmarkQuery(b *testing.B) {
 	ix := Build(corpus)
+	terms := textproc.NormalizeTerms("how to avoid shared memory bank conflicts")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ix.Query("how to avoid shared memory bank conflicts", DefaultThreshold)
+		run(b, ix, terms, QueryOpts{Threshold: DefaultThreshold})
 	}
 }
