@@ -439,7 +439,7 @@ func BenchmarkAnnotateOnce(b *testing.B) {
 				rec.ClassifyAnnotated(ann)
 				terms[j] = ann.Terms()
 			}
-			vsm.BuildFromTerms(terms, nil, 1)
+			vsm.BuildFromTerms(terms, nil, nil, 1)
 		}
 	})
 }
@@ -493,6 +493,10 @@ func issueQueries(b *testing.B) [][]string {
 // servedSink keeps BenchmarkServedRetrieval's answers live.
 var servedSink []core.Answer
 
+// postingsScored is the engine's postings-walked counter, read around each
+// BenchmarkServedRetrieval run.
+var postingsScored = obs.Default().Counter("vsm_postings_scored_total")
+
 // BenchmarkServedRetrieval times Stage-II retrieval the way every endpoint
 // asks for it (tracked across PRs): Advisor.QueryTermsBackendCtx at the
 // served threshold, returning every match, over pre-normalized terms. Three
@@ -500,7 +504,8 @@ var servedSink []core.Answer
 // windows on a 10,000-sentence guide (cold), and NVVP issue queries on the
 // paper-size guide (report) — run against 1 and 2 index partitions under
 // both backends. Answers are identical across partition counts; the
-// partition axis isolates fan-out cost against the host's cores.
+// partition axis isolates fan-out cost against the host's cores. postings/op
+// is the number of postings the engine walked per query.
 func BenchmarkServedRetrieval(b *testing.B) {
 	paper := corpus.Generate(corpus.CUDA, experiments.Seed)
 	big := corpus.GenerateSized(corpus.CUDA, 10000, 0.15, 1)
@@ -516,6 +521,7 @@ func BenchmarkServedRetrieval(b *testing.B) {
 			for _, backend := range vsm.Backends() {
 				b.Run(fmt.Sprintf("shape=%s/parts=%d/%s", sh.name, parts, backend), func(b *testing.B) {
 					b.ReportAllocs()
+					walked := postingsScored.Value()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						answers, err := adv.QueryTermsBackendCtx(ctx, backend, sh.queries[i%len(sh.queries)])
@@ -524,6 +530,7 @@ func BenchmarkServedRetrieval(b *testing.B) {
 						}
 						servedSink = answers
 					}
+					b.ReportMetric(float64(postingsScored.Value()-walked)/float64(b.N), "postings/op")
 				})
 			}
 		}

@@ -47,7 +47,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -63,6 +62,7 @@ import (
 	"repro/internal/selectors"
 	"repro/internal/service"
 	"repro/internal/store"
+	"repro/internal/vsm"
 	"repro/internal/webui"
 )
 
@@ -75,7 +75,7 @@ func main() {
 		corpusReg = flag.String("corpus", "", "built-in synthetic guide: cuda, opencl, xeon")
 		seed      = flag.Int64("seed", 1, "corpus generation seed")
 		threshold = flag.Float64("threshold", 0.15, "similarity threshold for recommendations")
-		shards    = flag.Int("shards", defaultShards(), "Stage-II index shard count (1 = monolithic; retrieval scores are identical at any count)")
+		shards    = flag.Int("shards", 1, fmt.Sprintf("Stage-II index shard count, at most %d (1 = monolithic; retrieval scores are identical at any count)", vsm.MaxPartitions))
 		xeonTuned = flag.Bool("xeon-tuned", false, "use the Xeon-tuned keyword sets (§4.3)")
 		cfgPath   = flag.String("config", "", "JSON keyword configuration merged over the defaults")
 		addr      = flag.String("addr", ":8080", "listen address for serve")
@@ -126,7 +126,15 @@ func main() {
 		}
 		cfg = cfg.Merge(extra)
 	}
-	fw := core.New(core.WithConfig(cfg), core.WithThreshold(*threshold), core.WithShards(*shards))
+	// newFramework builds the advisor generator from the framework-level
+	// flags, refusing a shard count no snapshot load would accept
+	newFramework := func() *core.Framework {
+		if *shards > vsm.MaxPartitions {
+			log.Fatalf("-shards %d is above the maximum of %d", *shards, vsm.MaxPartitions)
+		}
+		return core.New(core.WithConfig(cfg), core.WithThreshold(*threshold), core.WithShards(*shards))
+	}
+	fw := newFramework()
 	// rules/query/report/repl/save build the advisor in-process; serve warm
 	// starts from the snapshot store (cold-building only what is missing),
 	// and load reads a snapshot file instead of building anything
@@ -164,7 +172,7 @@ func main() {
 			}
 			// the re-parse may have changed framework-level flags
 			// (-threshold, -shards), so rebuild the framework from them
-			fw = core.New(core.WithConfig(cfg), core.WithThreshold(*threshold), core.WithShards(*shards))
+			fw = newFramework()
 		}
 		if *docPath == "" && *corpusReg == "" {
 			log.Fatal("serve needs one of -doc or -corpus")
@@ -368,21 +376,6 @@ func configFingerprint(cfg selectors.Config, threshold float64, shards int) stri
 		Shards    int
 	}{cfg, threshold, shards})
 	return store.HashBytes(blob)
-}
-
-// defaultShards derives the default -shards value from the machine: one
-// shard per available CPU, capped at 8 (shards beyond the core count only
-// add merge overhead), and never below 1. On a single-CPU machine this is
-// 1 — the monolithic layout.
-func defaultShards() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // parseDocFile loads and parses an on-disk document, choosing the parser by

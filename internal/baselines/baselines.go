@@ -1,18 +1,36 @@
 // Package baselines implements the comparison methods of the paper's
 // evaluation: the one-stage "keywords" method (stemmed keyword search over
 // the raw document), the "full-doc" method (VSM/TF-IDF retrieval without
-// advising-sentence recognition — served by core.Advisor.FullDocQuery), the
-// "KeywordAll" recognition baseline of Table 8 (selector 1 run with the
-// union of every keyword set), and single-selector recognition.
+// advising-sentence recognition), the "KeywordAll" recognition baseline of
+// Table 8 (selector 1 run with the union of every keyword set), and
+// single-selector recognition.
 package baselines
 
 import (
+	"context"
 	"strings"
 
 	"repro/internal/nlp"
 	"repro/internal/selectors"
 	"repro/internal/textproc"
+	"repro/internal/vsm"
 )
+
+// FullDocQuery implements the paper's full-doc method (§4.2): TF-IDF/cosine
+// retrieval over every sentence of the document, with no advising-sentence
+// recognition. full indexes the whole document (vsm.Build over its
+// sentence texts); the result is the indices of the sentences scoring at or
+// above threshold, best first. A threshold at or below zero returns every
+// sentence.
+func FullDocQuery(full *vsm.Index, q string, threshold float64) []int {
+	// default backend, no fault draw: no error and no failed partition
+	matches, _, _ := full.Query(context.Background(), nlp.QueryTerms(q), vsm.QueryOpts{Threshold: threshold})
+	out := make([]int, len(matches))
+	for i, m := range matches {
+		out[i] = m.Index
+	}
+	return out
+}
 
 // KeywordSearch implements the paper's keywords method: it returns the
 // indices of the sentences containing any of the given keywords, with both

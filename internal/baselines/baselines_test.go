@@ -3,7 +3,10 @@ package baselines
 import (
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/htmldoc"
 	"repro/internal/selectors"
+	"repro/internal/vsm"
 )
 
 var sentences = []string{
@@ -123,5 +126,34 @@ func TestQueryKeywordsCoverAllIssues(t *testing.T) {
 		if cands := QueryKeywords(issue); len(cands) == 0 {
 			t.Errorf("no candidates for %q", issue)
 		}
+	}
+}
+
+// TestFullDocQueryBypassesStageI: the full-doc method retrieves over the
+// whole document, so it surfaces sentences Stage I rejected — here the
+// explanatory "warp size" sentence, which Egeria's answers never include.
+func TestFullDocQueryBypassesStageI(t *testing.T) {
+	sents := make([]htmldoc.Sentence, len(sentences))
+	for i, s := range sentences {
+		sents[i] = htmldoc.Sentence{Text: s}
+	}
+	adv := core.New().BuildFromSentences(nil, sents)
+	full := vsm.Build(sentences)
+	sawNonAdvising := false
+	for _, i := range FullDocQuery(full, "warp size threads", 0.1) {
+		if !adv.IsAdvising(i) {
+			sawNonAdvising = true
+		}
+	}
+	if !sawNonAdvising {
+		t.Error("full-doc baseline should surface non-advising sentences")
+	}
+	for _, a := range adv.Query("warp size threads") {
+		if !adv.IsAdvising(a.Sentence.Index) {
+			t.Errorf("Egeria answered with non-advising sentence %d", a.Sentence.Index)
+		}
+	}
+	if got := FullDocQuery(full, "warp size threads", 0); len(got) != len(sentences) {
+		t.Errorf("threshold 0: %d sentences, want every one of %d", len(got), len(sentences))
 	}
 }

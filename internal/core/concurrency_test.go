@@ -36,7 +36,10 @@ func TestConcurrentQueries(t *testing.T) {
 				}
 				_ = a.Rules()
 				_ = a.CompressionRatio()
-				_ = a.FullDocQuery(q, 0.2)
+				if _, err := a.QueryBackend(q, "bm25"); err != nil {
+					errs <- err.Error()
+					return
+				}
 				_ = a.SectionOf(i % a.SentenceCount())
 				_ = a.SentenceText(i % a.SentenceCount())
 			}

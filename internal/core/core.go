@@ -139,8 +139,8 @@ type Advisor struct {
 	ids       []doc.SentenceID  // per-sentence stable identities (aligned with sentences)
 	anns      []*nlp.Annotation // per-sentence annotations, retained for incremental rebuilds
 	advising  []AdvisingSentence
-	isAdv     []bool     // per sentence index
-	index     *vsm.Index // one partition per shard
+	isAdv     []bool     // per sentence index; the index's served mask
+	index     *vsm.Index // one partition per shard, postings for advising sentences
 	threshold float64
 	stats     BuildStats
 }
@@ -233,36 +233,20 @@ func (f *Framework) BuildFromSentencesCtx(ctx context.Context, doc *htmldoc.Docu
 	buildClassify.ObserveDuration(a.stats.Classify)
 	a.stats.StageI = a.stats.Annotate + a.stats.Classify
 
-	for i, res := range results {
-		if !res.Advising {
-			continue
-		}
-		a.isAdv[i] = true
-		a.stats.BySelector[res.Selector]++
-		section := ""
-		if doc != nil && sents[i].Section >= 0 && sents[i].Section < len(doc.Sections) {
-			section = doc.Sections[sents[i].Section].Path()
-		}
-		a.advising = append(a.advising, AdvisingSentence{
-			Index:    i,
-			Text:     sents[i].Text,
-			Section:  section,
-			Selector: res.Selector,
-		})
-	}
-	a.stats.Advising = len(a.advising)
+	a.keepAdvising(results)
 
-	// stage 3: the TF-IDF model is built over the whole document (as the
-	// artifact describes) so term weights reflect corpus-wide statistics;
-	// Stage II then restricts matches to the advising subset. The term
-	// lists come from the annotations, so the text is not re-tokenized.
+	// stage 3: the TF-IDF statistics cover the whole document (as the
+	// artifact describes) so term weights reflect corpus-wide statistics,
+	// but only the advising sentences get postings: Stage II retrieves from
+	// Stage I's output and never scores the rest. The term lists come from
+	// the annotations, so the text is not re-tokenized.
 	start = time.Now()
 	indexSpan := obs.SpanFrom(ctx).StartChild("index")
 	terms := make([][]string, len(anns))
 	for i, an := range anns {
 		terms[i] = an.Terms()
 	}
-	a.index = vsm.BuildFromTerms(terms, a.ids, f.shards)
+	a.index = vsm.BuildFromTerms(terms, a.ids, a.isAdv, f.shards)
 	indexSpan.Finish()
 	a.stats.Indexing = time.Since(start)
 	buildIndex.ObserveDuration(a.stats.Indexing)
@@ -271,6 +255,26 @@ func (f *Framework) BuildFromSentencesCtx(ctx context.Context, doc *htmldoc.Docu
 		buildSpan.SetAttrInt("advising", len(a.advising))
 	}
 	return a
+}
+
+// keepAdvising records Stage I's verdicts, aligned with a.sentences: the
+// advising mask (the index's served mask), the rules in document order and
+// the per-selector counts.
+func (a *Advisor) keepAdvising(results []selectors.Result) {
+	for i, res := range results {
+		if !res.Advising {
+			continue
+		}
+		a.isAdv[i] = true
+		a.stats.BySelector[res.Selector]++
+		a.advising = append(a.advising, AdvisingSentence{
+			Index:    i,
+			Text:     a.sentences[i].Text,
+			Section:  a.SectionOf(i),
+			Selector: res.Selector,
+		})
+	}
+	a.stats.Advising = len(a.advising)
 }
 
 // BuildStats returns the Stage-I statistics recorded at build time. A loaded
@@ -442,22 +446,19 @@ func (a *Advisor) QueryTermsWithThresholdCtx(ctx context.Context, terms []string
 }
 
 // Retrieve is the one Stage-II query path every Query method and the
-// serving layer take: it scores pre-normalized query terms under o and
-// keeps the advising sentences among the matches, best first (score
+// serving layer take: it scores pre-normalized query terms under o against
+// the advising sentences, the only ones the index serves, best first (score
 // descending, ties by document order). The outcome counts the index
 // partitions that failed o.Fault's draw; their sentences are missing from
 // the answers. An unknown o.Backend returns vsm.ErrUnknownBackend.
 func (a *Advisor) Retrieve(ctx context.Context, terms []string, o vsm.QueryOpts) ([]Answer, vsm.Outcome, error) {
 	matches, outcome, err := a.index.Query(ctx, terms, o)
-	if err != nil {
+	if err != nil || len(matches) == 0 {
 		return nil, outcome, err
 	}
-	var out []Answer
-	for _, m := range matches {
-		if a.isAdv[m.Index] {
-			adv, _ := a.advisingAt(m.Index)
-			out = append(out, Answer{Sentence: adv, Score: m.Score})
-		}
+	out := make([]Answer, len(matches))
+	for i, m := range matches {
+		out[i] = Answer{Sentence: a.advisingAt(m.Index), Score: m.Score}
 	}
 	return out, outcome, nil
 }
@@ -476,15 +477,15 @@ func (a *Advisor) QueryOpts(backend string) vsm.QueryOpts {
 	return vsm.QueryOpts{Backend: backend, Threshold: a.threshold}
 }
 
-// advisingAt returns the advising sentence at a global sentence index, if
-// that sentence is advising. a.advising is sorted by ascending Index, so
-// the lookup is a binary search.
-func (a *Advisor) advisingAt(index int) (AdvisingSentence, bool) {
+// advisingAt returns the advising sentence at a global sentence index (the
+// zero value when that sentence is not advising). a.advising is sorted by
+// ascending Index, so the lookup is a binary search.
+func (a *Advisor) advisingAt(index int) AdvisingSentence {
 	i := sort.Search(len(a.advising), func(i int) bool { return a.advising[i].Index >= index })
 	if i < len(a.advising) && a.advising[i].Index == index {
-		return a.advising[i], true
+		return a.advising[i]
 	}
-	return AdvisingSentence{}, false
+	return AdvisingSentence{}
 }
 
 // Backends lists the retrieval backends the advisor can score with: the
@@ -504,23 +505,6 @@ func (a *Advisor) QueryBackend(q, backend string) ([]Answer, error) {
 func (a *Advisor) QueryTermsBackendCtx(ctx context.Context, backend string, terms []string) ([]Answer, error) {
 	out, _, err := a.Retrieve(ctx, terms, a.QueryOpts(backend))
 	return out, err
-}
-
-// FullDocQuery retrieves over the whole document without the Stage-I filter
-// — the paper's "full-doc" baseline (§4.2). Exposed here because it shares
-// the advisor's TF-IDF index. A threshold at or below zero returns every
-// sentence.
-func (a *Advisor) FullDocQuery(q string, threshold float64) []Answer {
-	// default backend, no fault draw: no error and no failed partition
-	matches, _, _ := a.index.Query(context.Background(), nlp.QueryTerms(q), vsm.QueryOpts{Threshold: threshold})
-	var out []Answer
-	for _, m := range matches {
-		out = append(out, Answer{
-			Sentence: AdvisingSentence{Index: m.Index, Text: a.sentences[m.Index].Text, Section: a.SectionOf(m.Index)},
-			Score:    m.Score,
-		})
-	}
-	return out
 }
 
 // ReportAnswer pairs one profiler issue with its recommendations.

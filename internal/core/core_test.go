@@ -98,20 +98,6 @@ func TestQueryOnlyReturnsAdvisingSentences(t *testing.T) {
 	}
 }
 
-func TestFullDocQueryBypassesStageI(t *testing.T) {
-	a := buildMini(t)
-	full := a.FullDocQuery("warp size threads", 0.1)
-	sawNonAdvising := false
-	for _, ans := range full {
-		if !a.IsAdvising(ans.Sentence.Index) {
-			sawNonAdvising = true
-		}
-	}
-	if !sawNonAdvising {
-		t.Error("full-doc baseline should surface non-advising sentences")
-	}
-}
-
 func TestCompressionRatio(t *testing.T) {
 	a := buildMini(t)
 	r := a.CompressionRatio()

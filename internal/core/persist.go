@@ -40,7 +40,8 @@ type advisorSnapshot struct {
 	Terms [][]string
 	// Shards records the index partition count (version 2+). Zero or one —
 	// including every version-1 snapshot, where gob leaves the field zero —
-	// loads the monolithic layout; scores are identical either way.
+	// loads the monolithic layout; scores are identical either way. Load
+	// rejects a negative count or one above vsm.MaxPartitions.
 	Shards int
 }
 
@@ -87,6 +88,9 @@ func LoadAdvisor(r io.Reader) (*Advisor, error) {
 	}
 	if snap.Threshold <= 0 {
 		return nil, fmt.Errorf("core: snapshot has invalid threshold %v", snap.Threshold)
+	}
+	if snap.Shards < 0 || snap.Shards > vsm.MaxPartitions {
+		return nil, fmt.Errorf("core: snapshot asks for %d shards, want 0..%d", snap.Shards, vsm.MaxPartitions)
 	}
 	a := &Advisor{
 		sentences: snap.Sentences,
@@ -139,6 +143,6 @@ func LoadAdvisor(r io.Reader) (*Advisor, error) {
 			terms[i] = textproc.NormalizeTerms(s.Text)
 		}
 	}
-	a.index = vsm.BuildFromTerms(terms, a.ids, snap.Shards)
+	a.index = vsm.BuildFromTerms(terms, a.ids, a.isAdv, snap.Shards)
 	return a, nil
 }

@@ -96,6 +96,23 @@ func TestLoadAdvisorErrors(t *testing.T) {
 	if _, err := LoadAdvisor(bytes.NewReader(nil)); err == nil {
 		t.Error("empty stream accepted")
 	}
+	// a crafted partition count must not size an allocation
+	for _, shards := range []int{1 << 16, -1} {
+		var buf bytes.Buffer
+		snap := advisorSnapshot{
+			Version:   snapshotVersion,
+			Threshold: 0.15,
+			Sentences: []htmldoc.Sentence{{Text: "Use shared memory."}},
+			Terms:     [][]string{{"us", "share", "memori"}},
+			Shards:    shards,
+		}
+		if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadAdvisor(&buf); err == nil {
+			t.Errorf("snapshot with %d shards accepted", shards)
+		}
+	}
 }
 
 // legacySentence / legacySnapshot mirror the pre-identity wire shapes (no

@@ -131,35 +131,19 @@ func (f *Framework) UpdateFromSentencesCtx(ctx context.Context, prev *Advisor, d
 	a.stats.Classify = time.Since(start)
 	a.stats.StageI = a.stats.Annotate + a.stats.Classify
 
-	for i, res := range results {
-		if !res.Advising {
-			continue
-		}
-		a.isAdv[i] = true
-		a.stats.BySelector[res.Selector]++
-		section := ""
-		if d != nil && sents[i].Section >= 0 && sents[i].Section < len(d.Sections) {
-			section = d.Sections[sents[i].Section].Path()
-		}
-		a.advising = append(a.advising, AdvisingSentence{
-			Index:    i,
-			Text:     sents[i].Text,
-			Section:  section,
-			Selector: res.Selector,
-		})
-	}
-	a.stats.Advising = len(a.advising)
+	a.keepAdvising(results)
 
 	// stage 3: differential index rebuild — corpus-wide statistics are
 	// recomputed (one edit can shift every IDF), per-sentence term counts
-	// are reused for the kept sentences.
+	// are reused for the kept sentences, and the successor's advising
+	// sentences get postings.
 	start = time.Now()
 	indexSpan := obs.SpanFrom(ctx).StartChild("index")
 	added := make([]vsm.AddedDoc, len(diffs.Added))
 	for k, j := range diffs.Added {
 		added[k] = vsm.AddedDoc{Pos: j, Terms: anns[j].Terms(), ID: newIDs[j]}
 	}
-	index, err := prev.index.Rebuild(diffs.Kept, added)
+	index, err := prev.index.Rebuild(diffs.Kept, added, a.isAdv)
 	indexSpan.Finish()
 	if err != nil {
 		return nil, fmt.Errorf("core: incremental index rebuild: %w", err)

@@ -118,6 +118,7 @@ type Table6Row struct {
 // issue, as the paper's underlining selects).
 func Table6(g *corpus.Guide, adv *core.Advisor) []Table6Row {
 	texts := g.Texts()
+	full := vsm.Build(texts)
 	var rows []Table6Row
 	for _, q := range corpus.CUDAQueries() {
 		truth := g.GroundTruth(q)
@@ -126,10 +127,7 @@ func Table6(g *corpus.Guide, adv *core.Advisor) []Table6Row {
 		for _, a := range adv.Query(q.Text) {
 			egeriaIdx = append(egeriaIdx, a.Sentence.Index)
 		}
-		var fullIdx []int
-		for _, a := range adv.FullDocQuery(q.Text, 0.15) {
-			fullIdx = append(fullIdx, a.Sentence.Index)
-		}
+		fullIdx := baselines.FullDocQuery(full, q.Text, 0.15)
 
 		best := eval.PRF{}
 		bestKw := ""

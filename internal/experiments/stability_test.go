@@ -9,6 +9,7 @@ import (
 	"repro/internal/depparse"
 	"repro/internal/eval"
 	"repro/internal/selectors"
+	"repro/internal/vsm"
 )
 
 // recognitionAtSeed reruns the Table 8 comparison on a fresh corpus seed.
@@ -57,16 +58,15 @@ func TestAnswerQualityShapeStableAcrossSeeds(t *testing.T) {
 	for _, seed := range []int64{2, 3} {
 		g := corpus.Generate(corpus.CUDA, seed)
 		adv := core.New().BuildFromSentences(g.Doc, g.Sentences)
+		full := vsm.Build(g.Texts())
 		wins := 0
 		for _, q := range corpus.CUDAQueries() {
 			truth := g.GroundTruth(q)
-			var egeriaIdx, fullIdx []int
+			var egeriaIdx []int
 			for _, a := range adv.Query(q.Text) {
 				egeriaIdx = append(egeriaIdx, a.Sentence.Index)
 			}
-			for _, a := range adv.FullDocQuery(q.Text, 0.15) {
-				fullIdx = append(fullIdx, a.Sentence.Index)
-			}
+			fullIdx := baselines.FullDocQuery(full, q.Text, 0.15)
 			if eval.ScoreSets(egeriaIdx, truth).F > eval.ScoreSets(fullIdx, truth).F {
 				wins++
 			}

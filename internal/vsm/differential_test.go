@@ -77,7 +77,7 @@ func TestSerialScoringBitIdentical(t *testing.T) {
 	for i, s := range diffSentences {
 		terms[i] = textproc.NormalizeTerms(s)
 	}
-	ix := BuildFromTerms(terms, nil, 3)
+	ix := BuildFromTerms(terms, nil, nil, 3)
 	q := textproc.NormalizeTerms("shared memory global bandwidth warp")
 	for _, backend := range Backends() {
 		o := QueryOpts{Backend: backend, Threshold: -1}

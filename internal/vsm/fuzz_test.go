@@ -13,7 +13,8 @@ import (
 // which admit zero-score documents), truncated to their best k, must
 // reproduce the oracle's sort-then-truncate list Float64bits-exactly, for
 // both backends, for arbitrary corpora, queries and partition counts 0-8
-// (0 builds one partition). k <= 0 keeps every match, the served shape.
+// (0 builds one partition), serving every sentence and serving only the
+// sentences of odd byte length. k <= 0 keeps every match, the served shape.
 // Seeds live in testdata/fuzz/FuzzTopKParity (guide sentences × guide
 // queries; regenerate with `go run ./tools/fuzzseed`).
 func FuzzTopKParity(f *testing.F) {
@@ -43,15 +44,22 @@ func FuzzTopKParity(f *testing.F) {
 		for i, s := range sentences {
 			termLists[i] = textproc.NormalizeTerms(s)
 		}
-		// the oracle scores from a one-partition build's weights, so weights
-		// that drifted with the partition count would show too
-		ix := BuildFromTerms(termLists, nil, parts)
-		ref := BuildFromTerms(termLists, nil, 1)
+		odd := make([]bool, n)
+		for i, s := range sentences {
+			odd[i] = len(s)%2 == 1
+		}
+		// the oracle scores from a one-partition build of every sentence, so
+		// weights that drifted with the partition count or the mask would
+		// show too
+		ref := BuildFromTerms(termLists, nil, nil, 1)
 		terms := textproc.NormalizeTerms(query)
-		for _, backend := range Backends() {
-			got := prefix(run(t, ix, terms, QueryOpts{Backend: backend, Threshold: threshold}), k)
-			want := prefix(denseMatches(ref, terms, backend, threshold), k)
-			sameMatches(t, fmt.Sprintf("%s parts=%d", backend, parts), got, want)
+		for _, served := range [][]bool{nil, odd} {
+			ix := BuildFromTerms(termLists, nil, served, parts)
+			for _, backend := range Backends() {
+				got := prefix(run(t, ix, terms, QueryOpts{Backend: backend, Threshold: threshold}), k)
+				want := prefix(maskedOracle(ref, served, terms, backend, threshold), k)
+				sameMatches(t, fmt.Sprintf("%s parts=%d masked=%v", backend, parts, served != nil), got, want)
+			}
 		}
 	})
 }

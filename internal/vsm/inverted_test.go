@@ -99,7 +99,7 @@ func TestPostingsCoverVectors(t *testing.T) {
 		terms[i] = textproc.NormalizeTerms(d)
 	}
 	for _, nParts := range []int{1, 3} {
-		ix := BuildFromTerms(terms, nil, nParts)
+		ix := BuildFromTerms(terms, nil, nil, nParts)
 		var nPostings, nEntries int
 		for _, p := range ix.parts {
 			for id := 0; id+1 < len(p.start); id++ {

@@ -2,7 +2,9 @@ package vsm
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -115,6 +117,52 @@ func denseMatches(ix *Index, terms []string, backend string, threshold float64) 
 		return out[a].Index < out[b].Index
 	})
 	return out
+}
+
+// maskedOracle is the reference for an index serving a subset of the
+// documents: the dense oracle's matches over an index of every document
+// (same documents, nil mask), kept where served is set. A nil mask keeps
+// every match.
+func maskedOracle(all *Index, served []bool, terms []string, backend string, threshold float64) []Match {
+	var out []Match
+	for _, m := range denseMatches(all, terms, backend, threshold) {
+		if served == nil || served[m.Index] {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// randomMask draws a served mask over n documents: nil (every document
+// served) one time in four, otherwise each document served with
+// probability one half, so empty and full masks occur on small corpora.
+func randomMask(rng *rand.Rand, n int) []bool {
+	if rng.Intn(4) == 0 {
+		return nil
+	}
+	served := make([]bool, n)
+	for i := range served {
+		served[i] = rng.Intn(2) == 0
+	}
+	return served
+}
+
+// maskThresholds are the thresholds the mask differentials run at: the
+// VSM and BM25 serving cuts, and the cuts at or below zero that admit
+// every served document.
+var maskThresholds = []float64{DefaultThreshold, positive, 0, -1, math.Inf(-1)}
+
+// sameAsMaskedOracle checks a served index against maskedOracle for both
+// backends at every mask threshold.
+func sameAsMaskedOracle(t *testing.T, label string, ix, all *Index, served []bool, terms []string) {
+	t.Helper()
+	for _, backend := range Backends() {
+		for _, threshold := range maskThresholds {
+			sameMatches(t, fmt.Sprintf("%s %s@%v", label, backend, threshold),
+				run(t, ix, terms, QueryOpts{Backend: backend, Threshold: threshold}),
+				maskedOracle(all, served, terms, backend, threshold))
+		}
+	}
 }
 
 // prefix truncates a match list to its k best; k <= 0 keeps every match.

@@ -49,14 +49,14 @@ func TestPropertyPermutationInvariance(t *testing.T) {
 		}
 		query := randPropTerms(rng, 1, 6, propVocab)
 
-		scores := engineScores(t, BuildFromTerms(docs, nil, 1), query, BackendVSM)
+		scores := engineScores(t, BuildFromTerms(docs, nil, nil, 1), query, BackendVSM)
 
 		perm := rng.Perm(nDocs)
 		permuted := make([][]string, nDocs)
 		for newPos, oldPos := range perm {
 			permuted[newPos] = docs[oldPos]
 		}
-		permScores := engineScores(t, BuildFromTerms(permuted, nil, 1), query, BackendVSM)
+		permScores := engineScores(t, BuildFromTerms(permuted, nil, nil, 1), query, BackendVSM)
 
 		for newPos, oldPos := range perm {
 			if math.Float64bits(permScores[newPos]) != math.Float64bits(scores[oldPos]) {
@@ -90,7 +90,7 @@ func TestPropertyDuplicateNonMatchingDoc(t *testing.T) {
 		}
 		query := randPropTerms(rng, 1, 6, qPool)
 
-		scores := engineScores(t, BuildFromTerms(docs, nil, 1), query, BackendVSM)
+		scores := engineScores(t, BuildFromTerms(docs, nil, nil, 1), query, BackendVSM)
 		top, second := -1, -1
 		for i, s := range scores {
 			switch {
@@ -105,7 +105,7 @@ func TestPropertyDuplicateNonMatchingDoc(t *testing.T) {
 		}
 
 		dup := append(append([][]string{}, docs...), docs[0])
-		dupScores := engineScores(t, BuildFromTerms(dup, nil, 1), query, BackendVSM)
+		dupScores := engineScores(t, BuildFromTerms(dup, nil, nil, 1), query, BackendVSM)
 		if got := dupScores[nDocs]; got != 0 {
 			t.Fatalf("round %d: duplicated non-matching doc scored %v, want exactly 0", round, got)
 		}

@@ -14,10 +14,11 @@ import (
 )
 
 // Stage-II observability, reported into the default metrics registry
-// (surfaced on /metricz as vsm_*): query volume, scoring latency across both
-// backends, and partitions lost to their fault draw.
+// (surfaced on /metricz as vsm_*): query volume, postings walked, scoring
+// latency across both backends, and partitions lost to their fault draw.
 var (
 	queriesScored     = obs.Default().Counter("vsm_queries_scored_total")
+	postingsScored    = obs.Default().Counter("vsm_postings_scored_total")
 	scoreHist         = obs.Default().Histogram("vsm_score_micros")
 	partitionFailures = obs.Default().Counter("vsm_shard_failures_total")
 )
@@ -27,9 +28,9 @@ type QueryOpts struct {
 	// Backend selects the weighting: "" or BackendVSM for TF-IDF cosine,
 	// BackendBM25 for Okapi BM25.
 	Backend string
-	// Threshold admits every document scoring at or above it. A threshold
-	// at or below zero admits zero-score documents, so every document
-	// matches.
+	// Threshold admits every served document scoring at or above it. A
+	// threshold at or below zero admits zero-score documents, so every
+	// served document matches.
 	Threshold float64
 	// Serial scores the partitions one after another on the calling
 	// goroutine rather than across GOMAXPROCS workers, for callers that are
@@ -64,11 +65,11 @@ type accumulator struct {
 	touched []int32
 }
 
-// Query scores pre-normalized query terms against every partition and
-// returns the matches best first: score descending, ties by ascending
-// document ordinal. Under the VSM backend a score is the cosine of the
-// document's and the query's TF-IDF vectors (Eqs. 1-2); under BM25 it is
-// the document's Okapi score for the distinct query terms.
+// Query scores pre-normalized query terms against every partition's served
+// documents and returns the matches best first: score descending, ties by
+// ascending document ordinal. Under the VSM backend a score is the cosine
+// of the document's and the query's TF-IDF vectors (Eqs. 1-2); under BM25
+// it is the document's Okapi score for the distinct query terms.
 //
 // Every document's score is the sum, in ascending term-id order, of the
 // query multiplier times the posting weight of each query term it
@@ -103,9 +104,15 @@ func (ix *Index) Query(ctx context.Context, terms []string, o QueryOpts) ([]Matc
 	}()
 	qv := ix.queryVector(terms, wt)
 	lists := make([][]Match, len(ix.parts))
+	walked := make([]int, len(ix.parts))
 	outcome := ix.fanOut(ctx, o, func(p int) {
-		lists[p] = ix.parts[p].score(qv, wt, o.Threshold)
+		lists[p], walked[p] = ix.parts[p].score(qv, wt, o.Threshold)
 	})
+	postings := 0
+	for _, w := range walked {
+		postings += w
+	}
+	postingsScored.Add(int64(postings))
 	out := lists[0]
 	if len(lists) > 1 {
 		out = slices.Concat(lists...)
@@ -133,10 +140,12 @@ func sortMatches(m []Match) {
 // queryVector resolves query terms under weighting wt, in ascending term-id
 // order. For VSM it is the L2-normalized TF-IDF query vector, without
 // zero-weight terms (terms in every document contribute nothing to a
-// cosine). For BM25 it is each distinct in-vocabulary term once, with
-// multiplier 1 (the binary query model; 1·c is exactly c). Sorting before
-// the norm keeps vectorization bit-deterministic: map iteration order is
-// random.
+// cosine). The vocabulary and IDF cover every document, so the norm counts
+// the query terms that occur only in unserved documents, as a query vector
+// over the whole corpus must. For BM25 it is each distinct in-vocabulary
+// term once, with multiplier 1 (the binary query model; 1·c is exactly c).
+// Sorting before the norm keeps vectorization bit-deterministic: map
+// iteration order is random.
 func (ix *Index) queryVector(terms []string, wt int) []term {
 	tf := map[int]float64{}
 	for _, t := range terms {
@@ -228,17 +237,19 @@ func (ix *Index) fanOut(ctx context.Context, o QueryOpts, fn func(p int)) Outcom
 // score is the one exact accumulator. It walks the query terms' postings in
 // ascending term-id order into pooled scratch, adding q.w·w to each
 // document's slot, then keeps the documents at or above threshold, mapped
-// to global ordinals, unsorted. A positive threshold can only admit touched
-// documents, since an untouched score is exactly zero; otherwise every slot
-// is a candidate.
-func (p *partition) score(qv []term, wt int, threshold float64) []Match {
+// to global ordinals, unsorted, and counts the postings it walked. A
+// positive threshold can only admit touched documents, since an untouched
+// score is exactly zero; otherwise every slot is a candidate.
+func (p *partition) score(qv []term, wt int, threshold float64) ([]Match, int) {
 	acc, _ := p.scratch.Get().(*accumulator)
 	if acc == nil {
 		acc = &accumulator{score: make([]float64, len(p.docs)), seen: make([]bool, len(p.docs))}
 	}
 	weights := p.w[wt]
+	walked := 0
 	for _, q := range qv {
 		lo, hi := p.start[q.id], p.start[q.id+1]
+		walked += hi - lo
 		ws := weights[lo:hi]
 		for i, d := range p.post[lo:hi] {
 			if !acc.seen[d] {
@@ -281,5 +292,5 @@ func (p *partition) score(qv []term, wt int, threshold float64) []Match {
 	}
 	acc.touched = acc.touched[:0]
 	p.scratch.Put(acc)
-	return out
+	return out, walked
 }

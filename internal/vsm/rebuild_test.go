@@ -105,9 +105,12 @@ func sameIndex(t *testing.T, got, want *Index) {
 }
 
 // TestRebuildBitIdentical is the incremental≡full oracle at the index layer:
-// for random corpora and random edits, Rebuild over (kept, added) must equal
-// a from-scratch BuildFromTerms of the successor's full term lists — every
-// IDF, posting weight, and query score Float64bits-identical.
+// for random corpora, random edits and random served masks (the
+// predecessor's and the successor's drawn independently), Rebuild over
+// (kept, added) must equal a from-scratch BuildFromTerms of the successor's
+// full term lists under its mask — every IDF, posting weight, and query
+// score Float64bits-identical — and answer as the dense oracle over every
+// document, filtered to the mask.
 func TestRebuildBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	queries := []string{
@@ -115,47 +118,55 @@ func TestRebuildBitIdentical(t *testing.T) {
 	}
 	for round := 0; round < 60; round++ {
 		termLists := randomTermLists(rng, 3+rng.Intn(40))
-		ix := BuildFromTerms(termLists, nil, 1)
+		ix := BuildFromTerms(termLists, nil, randomMask(rng, len(termLists)), 1)
 		next, kept, added := randomEdit(rng, termLists)
+		served := randomMask(rng, len(next))
 
-		got, err := ix.Rebuild(kept, added)
+		got, err := ix.Rebuild(kept, added, served)
 		if err != nil {
 			t.Fatalf("round %d: Rebuild: %v", round, err)
 		}
 		// added documents carry no identity here, as in the cold build
-		want := BuildFromTerms(next, nil, 1)
+		want := BuildFromTerms(next, nil, served, 1)
 		sameIndex(t, got, want)
 
+		all := BuildFromTerms(next, nil, nil, 1)
 		for _, q := range queries {
 			terms := textproc.NormalizeTerms(q)
 			for _, backend := range Backends() {
 				sameScores(t, fmt.Sprintf("round %d: %s %q", round, backend, q),
 					engineScores(t, got, terms, backend), engineScores(t, want, terms, backend))
 			}
+			sameAsMaskedOracle(t, fmt.Sprintf("round %d %q", round, q), got, all, served, terms)
 		}
 	}
 }
 
 // TestRebuildChained checks that Rebuild composes: an index produced by
-// Rebuild can itself be rebuilt, and the chain stays bit-identical to
-// rebuilding from scratch at every step.
+// Rebuild can itself be rebuilt, with a new served mask at every step, and
+// the chain stays bit-identical to rebuilding from scratch at every step.
 func TestRebuildChained(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	termLists := randomTermLists(rng, 20)
-	ix := BuildFromTerms(termLists, nil, 1)
+	ix := BuildFromTerms(termLists, nil, randomMask(rng, len(termLists)), 1)
 	for step := 0; step < 10; step++ {
 		next, kept, added := randomEdit(rng, termLists)
-		got, err := ix.Rebuild(kept, added)
+		served := randomMask(rng, len(next))
+		got, err := ix.Rebuild(kept, added, served)
 		if err != nil {
 			t.Fatalf("step %d: Rebuild: %v", step, err)
 		}
-		sameIndex(t, got, BuildFromTerms(next, nil, 1))
+		sameIndex(t, got, BuildFromTerms(next, nil, served, 1))
+		all := BuildFromTerms(next, nil, nil, 1)
+		for _, q := range []string{"term03 term17 common", "term34 term05"} {
+			sameAsMaskedOracle(t, fmt.Sprintf("step %d %q", step, q), got, all, served, splitTerms(q))
+		}
 		ix, termLists = got, next
 	}
 }
 
 func TestRebuildValidation(t *testing.T) {
-	ix := BuildFromTerms([][]string{{"a"}, {"b"}}, nil, 1)
+	ix := BuildFromTerms([][]string{{"a"}, {"b"}}, nil, nil, 1)
 	cases := []struct {
 		name  string
 		kept  []doc.Kept
@@ -168,15 +179,19 @@ func TestRebuildValidation(t *testing.T) {
 		{"added collides", []doc.Kept{{Old: 0, New: 0}}, []AddedDoc{{Pos: 0, Terms: []string{"c"}}}},
 	}
 	for _, tc := range cases {
-		if _, err := ix.Rebuild(tc.kept, tc.added); err == nil {
+		if _, err := ix.Rebuild(tc.kept, tc.added, nil); err == nil {
 			t.Errorf("%s: want error, got nil", tc.name)
 		}
 	}
+	// the successor's mask must cover exactly its documents
+	if _, err := ix.Rebuild([]doc.Kept{{Old: 0, New: 0}, {Old: 1, New: 1}}, nil, []bool{true}); err == nil {
+		t.Error("misaligned mask: want error, got nil")
+	}
 	// a full tiling succeeds, including the empty successor
-	if _, err := ix.Rebuild(nil, nil); err != nil {
+	if _, err := ix.Rebuild(nil, nil, nil); err != nil {
 		t.Errorf("empty successor: %v", err)
 	}
-	if _, err := ix.Rebuild([]doc.Kept{{Old: 1, New: 0}}, []AddedDoc{{Pos: 1, Terms: []string{"c"}}}); err != nil {
+	if _, err := ix.Rebuild([]doc.Kept{{Old: 1, New: 0}}, []AddedDoc{{Pos: 1, Terms: []string{"c"}}}, nil); err != nil {
 		t.Errorf("valid tiling: %v", err)
 	}
 }

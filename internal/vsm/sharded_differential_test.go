@@ -34,27 +34,26 @@ var diffQueries = []string{
 }
 
 // TestShardedBitIdenticalAcrossShardCounts is the heart of the suite: 100
-// random corpora, each indexed in one partition and at every partition
-// count in 1..8, must produce Float64bits-identical scores for both
-// backends.
+// random corpora, each with a random served mask and indexed at every
+// partition count in 1..8, must produce Float64bits-identical matches for
+// both backends to the dense oracle over the one-partition index of every
+// document, filtered to the mask — at the serving thresholds and at
+// thresholds <= 0, which admit every served document.
 func TestShardedBitIdenticalAcrossShardCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	gen := 0
 	for round := 0; round < 100; round++ {
 		termLists := randomTermLists(rng, 3+rng.Intn(40))
 		ids := idsFor(len(termLists), &gen)
-		mono := BuildFromTerms(termLists, nil, 1)
+		served := randomMask(rng, len(termLists))
+		all := BuildFromTerms(termLists, nil, nil, 1)
 		q := splitTerms(diffQueries[round%len(diffQueries)])
-		wantVSM := engineScores(t, mono, q, BackendVSM)
-		wantBM25 := engineScores(t, mono, q, BackendBM25)
 		for nShards := 1; nShards <= 8; nShards++ {
-			sh := BuildFromTerms(termLists, ids, nShards)
-			if sh.n != mono.n || sh.Partitions() != nShards {
-				t.Fatalf("round %d shards %d: Len %d vs %d, %d partitions", round, nShards, sh.n, mono.n, sh.Partitions())
+			sh := BuildFromTerms(termLists, ids, served, nShards)
+			if sh.n != all.n || sh.Partitions() != nShards {
+				t.Fatalf("round %d shards %d: Len %d vs %d, %d partitions", round, nShards, sh.n, all.n, sh.Partitions())
 			}
-			label := fmt.Sprintf("round %d shards %d query %q", round, nShards, q)
-			sameScores(t, label+" vsm", engineScores(t, sh, q, BackendVSM), wantVSM)
-			sameScores(t, label+" bm25", engineScores(t, sh, q, BackendBM25), wantBM25)
+			sameAsMaskedOracle(t, fmt.Sprintf("round %d shards %d query %q", round, nShards, q), sh, all, served, q)
 		}
 	}
 }
@@ -76,8 +75,8 @@ func TestShardedPermutationInvariance(t *testing.T) {
 			permIDs[newPos] = ids[oldPos]
 		}
 		for _, nShards := range []int{1, 2, 3, 5, 8} {
-			orig := BuildFromTerms(termLists, ids, nShards)
-			shuf := BuildFromTerms(permLists, permIDs, nShards)
+			orig := BuildFromTerms(termLists, ids, nil, nShards)
+			shuf := BuildFromTerms(permLists, permIDs, nil, nShards)
 			for _, q := range diffQueries {
 				for _, backend := range Backends() {
 					os := engineScores(t, orig, splitTerms(q), backend)
@@ -110,9 +109,9 @@ func TestShardedQueryAndTopKMatchMonolithic(t *testing.T) {
 			termLists = append(termLists, termLists[rng.Intn(len(termLists))])
 		}
 		ids := idsFor(len(termLists), &gen)
-		mono := BuildFromTerms(termLists, nil, 1)
+		mono := BuildFromTerms(termLists, nil, nil, 1)
 		for _, nShards := range []int{1, 2, 4, 7, 8} {
-			sh := BuildFromTerms(termLists, ids, nShards)
+			sh := BuildFromTerms(termLists, ids, nil, nShards)
 			for _, q := range diffQueries {
 				for _, backend := range Backends() {
 					for _, threshold := range []float64{DefaultThreshold, 0.01, 0} {
@@ -149,31 +148,31 @@ func shardedEdit(rng *rand.Rand, termLists [][]string, ids []doc.SentenceID, gen
 }
 
 // TestShardedRebuildEqualsColdBuild: a partitioned Rebuild over a random
-// edit script is bit-identical to a cold partitioned build of the successor
-// corpus — including the placement of every kept sentence — and both stay
-// bit-identical to the one-partition index. The chain runs 6 steps,
-// covering the acceptance criterion of >= 3 chained incremental rebuilds.
+// edit script, with a served mask that changes at every step, is
+// bit-identical to a cold partitioned build of the successor corpus under
+// the same mask — including the placement of every kept sentence — and
+// both answer as the dense oracle over the one-partition index of every
+// document, filtered to the mask. The chain runs 6 steps, covering the
+// acceptance criterion of >= 3 chained incremental rebuilds.
 func TestShardedRebuildEqualsColdBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	gen := 0
 	for _, nShards := range []int{2, 4, 8} {
 		termLists := randomTermLists(rng, 20)
 		ids := idsFor(len(termLists), &gen)
-		sh := BuildFromTerms(termLists, ids, nShards)
+		sh := BuildFromTerms(termLists, ids, randomMask(rng, len(termLists)), nShards)
 		for step := 0; step < 6; step++ {
 			next, nextIDs, kept, added := shardedEdit(rng, termLists, ids, &gen)
-			got, err := sh.Rebuild(kept, added)
+			served := randomMask(rng, len(next))
+			got, err := sh.Rebuild(kept, added, served)
 			if err != nil {
 				t.Fatalf("shards %d step %d: Rebuild: %v", nShards, step, err)
 			}
-			cold := BuildFromTerms(next, nextIDs, nShards)
+			cold := BuildFromTerms(next, nextIDs, served, nShards)
 			sameIndex(t, got, cold)
-			mono := BuildFromTerms(next, nil, 1)
+			all := BuildFromTerms(next, nil, nil, 1)
 			for _, q := range diffQueries {
-				for _, backend := range Backends() {
-					sameScores(t, fmt.Sprintf("shards %d step %d %s %q", nShards, step, backend, q),
-						engineScores(t, got, splitTerms(q), backend), engineScores(t, mono, splitTerms(q), backend))
-				}
+				sameAsMaskedOracle(t, fmt.Sprintf("shards %d step %d %q", nShards, step, q), got, all, served, splitTerms(q))
 			}
 			sh, termLists, ids = got, next, nextIDs
 		}
@@ -185,17 +184,17 @@ func TestShardedRebuildEqualsColdBuild(t *testing.T) {
 func TestShardedRebuildValidation(t *testing.T) {
 	gen := 0
 	lists := [][]string{{"a"}, {"b"}}
-	sh := BuildFromTerms(lists, idsFor(2, &gen), 2)
-	if _, err := sh.Rebuild([]doc.Kept{{Old: 0, New: 0}}, []AddedDoc{{Pos: 2, Terms: []string{"c"}, ID: "x"}}); err == nil {
+	sh := BuildFromTerms(lists, idsFor(2, &gen), nil, 2)
+	if _, err := sh.Rebuild([]doc.Kept{{Old: 0, New: 0}}, []AddedDoc{{Pos: 2, Terms: []string{"c"}, ID: "x"}}, nil); err == nil {
 		t.Error("gap: want error, got nil")
 	}
-	if _, err := sh.Rebuild([]doc.Kept{{Old: 0, New: 0}, {Old: 1, New: 0}}, nil); err == nil {
+	if _, err := sh.Rebuild([]doc.Kept{{Old: 0, New: 0}, {Old: 1, New: 0}}, nil, nil); err == nil {
 		t.Error("double assignment: want error, got nil")
 	}
-	if _, err := sh.Rebuild([]doc.Kept{{Old: 5, New: 0}}, nil); err == nil {
+	if _, err := sh.Rebuild([]doc.Kept{{Old: 5, New: 0}}, nil, nil); err == nil {
 		t.Error("old out of range: want error, got nil")
 	}
-	next, err := sh.Rebuild(nil, nil)
+	next, err := sh.Rebuild(nil, nil, nil)
 	if err != nil {
 		t.Fatalf("empty successor: %v", err)
 	}
@@ -210,7 +209,7 @@ func TestShardedSerialScoringBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	gen := 0
 	termLists := randomTermLists(rng, 50)
-	sh := BuildFromTerms(termLists, idsFor(len(termLists), &gen), 4)
+	sh := BuildFromTerms(termLists, idsFor(len(termLists), &gen), nil, 4)
 	for _, q := range diffQueries {
 		for _, backend := range Backends() {
 			o := QueryOpts{Backend: backend, Threshold: -1}

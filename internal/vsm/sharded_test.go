@@ -51,7 +51,7 @@ func TestShardSizesSumToLen(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	gen := 0
 	termLists := randomTermLists(rng, 37)
-	sh := BuildFromTerms(termLists, idsFor(len(termLists), &gen), 5)
+	sh := BuildFromTerms(termLists, idsFor(len(termLists), &gen), nil, 5)
 	sizes := partitionSizes(sh)
 	if len(sizes) != 5 {
 		t.Fatalf("partition sizes len = %d, want 5", len(sizes))
@@ -72,7 +72,7 @@ func TestBuildShardedNilIDsFallsBack(t *testing.T) {
 	// nil or misaligned ids must not panic: every doc lands via round-robin
 	lists := [][]string{{"a"}, {"b"}, {"c"}, {"d"}}
 	for _, ids := range [][]doc.SentenceID{nil, {"only-one"}} {
-		sh := BuildFromTerms(lists, ids, 2)
+		sh := BuildFromTerms(lists, ids, nil, 2)
 		if sh.n != 4 {
 			t.Fatalf("Len = %d, want 4", sh.n)
 		}
@@ -128,7 +128,7 @@ func TestMergeMatchesEdges(t *testing.T) {
 func TestTopMatchesVecEqualsSortTruncate(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	for round := 0; round < 30; round++ {
-		ix := BuildFromTerms(randomTermLists(rng, 5+rng.Intn(30)), nil, 1+round%3)
+		ix := BuildFromTerms(randomTermLists(rng, 5+rng.Intn(30)), nil, nil, 1+round%3)
 		q := splitTerms(diffQueries[round%len(diffQueries)])
 		for _, threshold := range []float64{0, 0.01, DefaultThreshold} {
 			for _, backend := range Backends() {
@@ -146,7 +146,7 @@ func TestTopMatchesVecEqualsSortTruncate(t *testing.T) {
 func TestShardedQueryEmptyAndUnknownTerms(t *testing.T) {
 	gen := 0
 	lists := [][]string{{"alpha", "beta"}, {"gamma"}}
-	sh := BuildFromTerms(lists, idsFor(2, &gen), 2)
+	sh := BuildFromTerms(lists, idsFor(2, &gen), nil, 2)
 	if got := run(t, sh, nil, QueryOpts{Threshold: DefaultThreshold}); got != nil {
 		t.Fatalf("empty query: %v, want nil", got)
 	}
@@ -162,7 +162,7 @@ func TestShardedQueryEmptyAndUnknownTerms(t *testing.T) {
 
 func TestShardedScorerBackends(t *testing.T) {
 	gen := 0
-	sh := BuildFromTerms([][]string{{"a"}, {"b"}}, idsFor(2, &gen), 2)
+	sh := BuildFromTerms([][]string{{"a"}, {"b"}}, idsFor(2, &gen), nil, 2)
 	for _, backend := range []string{"", BackendVSM, BackendBM25} {
 		if _, _, err := sh.Query(t.Context(), []string{"a"}, QueryOpts{Backend: backend}); err != nil {
 			t.Fatalf("backend %q: %v", backend, err)
@@ -177,7 +177,7 @@ func TestShardedScorerBackends(t *testing.T) {
 // every partition ran, none failed, no error.
 func TestShardOutcomeNilSafe(t *testing.T) {
 	gen := 0
-	sh := BuildFromTerms([][]string{{"a"}, {"b"}, {"c"}}, idsFor(3, &gen), 3)
+	sh := BuildFromTerms([][]string{{"a"}, {"b"}, {"c"}}, idsFor(3, &gen), nil, 3)
 	_, o, err := sh.Query(t.Context(), []string{"a"}, QueryOpts{})
 	if err != nil || o.Partitions != 3 || o.Failed != 0 || o.Err != nil {
 		t.Fatalf("outcome %+v err %v, want 3 partitions, none failed", o, err)
@@ -203,7 +203,7 @@ func TestShardFaultPartialAndTotal(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	gen := 0
 	termLists := randomTermLists(rng, 24)
-	sh := BuildFromTerms(termLists, idsFor(len(termLists), &gen), 4)
+	sh := BuildFromTerms(termLists, idsFor(len(termLists), &gen), nil, 4)
 	terms := []string{"term03", "term17", "common"}
 	healthy := engineScores(t, sh, terms, BackendVSM)
 
@@ -254,9 +254,9 @@ func TestShardedRebuildRetrieverKeepsLayout(t *testing.T) {
 	gen := 0
 	lists := [][]string{{"a"}, {"b"}, {"c"}}
 	ids := idsFor(3, &gen)
-	next, err := BuildFromTerms(lists, ids, 3).Rebuild(
+	next, err := BuildFromTerms(lists, ids, nil, 3).Rebuild(
 		[]doc.Kept{{Old: 0, New: 0}, {Old: 2, New: 1}},
-		[]AddedDoc{{Pos: 2, Terms: []string{"d"}, ID: doc.SentenceID(fmt.Sprintf("sent-%06d", gen))}})
+		[]AddedDoc{{Pos: 2, Terms: []string{"d"}, ID: doc.SentenceID(fmt.Sprintf("sent-%06d", gen))}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,8 +269,8 @@ func TestShardedAccessorsAndTracedPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	gen := 0
 	termLists := randomTermLists(rng, 20)
-	sh := BuildFromTerms(termLists, idsFor(len(termLists), &gen), 3)
-	mono := BuildFromTerms(termLists, nil, 1)
+	sh := BuildFromTerms(termLists, idsFor(len(termLists), &gen), nil, 3)
+	mono := BuildFromTerms(termLists, nil, nil, 1)
 
 	if len(sh.vocab) != len(mono.vocab) {
 		t.Fatalf("VocabSize %d vs %d", len(sh.vocab), len(mono.vocab))
@@ -334,7 +334,7 @@ func TestShardedParallelFanOut(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	gen := 0
 	termLists := randomTermLists(rng, 60)
-	sh := BuildFromTerms(termLists, idsFor(len(termLists), &gen), 4)
+	sh := BuildFromTerms(termLists, idsFor(len(termLists), &gen), nil, 4)
 	terms := []string{"term03", "term17", "common", "term29"}
 	for _, backend := range Backends() {
 		o := QueryOpts{Backend: backend, Threshold: -1}
@@ -385,7 +385,7 @@ func TestConcurrentQueriesShareScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	gen := 0
 	termLists := randomTermLists(rng, 80)
-	ix := BuildFromTerms(termLists, idsFor(len(termLists), &gen), 2)
+	ix := BuildFromTerms(termLists, idsFor(len(termLists), &gen), nil, 2)
 	type tc struct {
 		terms []string
 		o     QueryOpts
@@ -416,4 +416,55 @@ func TestConcurrentQueriesShareScratch(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestServedMask pins what a served mask changes and what it keeps: only
+// served documents have postings (and the postings counter advances by
+// exactly the ones walked), while the vocabulary, the IDF tables and the
+// query norm still cover every document — "d" occurs only in the unserved
+// document, yet it weighs in the norm of a query that names it.
+func TestServedMask(t *testing.T) {
+	lists := [][]string{{"a", "b"}, {"a", "c", "d"}, {"c"}}
+	served := []bool{true, false, true}
+	all := BuildFromTerms(lists, nil, nil, 1)
+	for _, parts := range []int{1, 2} {
+		ix := BuildFromTerms(lists, nil, served, parts)
+		if len(ix.vocab) != len(all.vocab) || ix.n != all.n {
+			t.Fatalf("parts %d: vocab %d n %d, want %d and %d", parts, len(ix.vocab), ix.n, len(all.vocab), all.n)
+		}
+		for term, id := range all.vocab {
+			if ix.vocab[term] != id || math.Float64bits(ix.idf[id]) != math.Float64bits(all.idf[id]) {
+				t.Fatalf("parts %d: term %q statistics differ", parts, term)
+			}
+		}
+		before := postingsScored.Value()
+		got := run(t, ix, []string{"a", "c"}, QueryOpts{Threshold: -1})
+		if walked := postingsScored.Value() - before; walked != 2 {
+			t.Fatalf("parts %d: %d postings walked, want 2 (one served posting each for a and c)", parts, walked)
+		}
+		if len(got) != 2 || got[0].Index == 1 || got[1].Index == 1 {
+			t.Fatalf("parts %d: matches %+v, want the two served documents", parts, got)
+		}
+		sameMatches(t, fmt.Sprintf("parts %d global norm", parts),
+			run(t, ix, []string{"b", "d"}, QueryOpts{Threshold: -1}),
+			maskedOracle(all, served, []string{"b", "d"}, BackendVSM, -1))
+	}
+}
+
+// TestBuildLimits: a misaligned mask is a caller bug and panics; the
+// partition count is clamped to [1, MaxPartitions].
+func TestBuildLimits(t *testing.T) {
+	lists := [][]string{{"a"}, {"b"}}
+	if got := BuildFromTerms(lists, nil, nil, MaxPartitions+1).Partitions(); got != MaxPartitions {
+		t.Errorf("%d partitions asked: %d built, want %d", MaxPartitions+1, got, MaxPartitions)
+	}
+	if got := BuildFromTerms(lists, nil, nil, -3).Partitions(); got != 1 {
+		t.Errorf("-3 partitions asked: %d built, want 1", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("misaligned mask: no panic")
+		}
+	}()
+	BuildFromTerms(lists, nil, []bool{true}, 1)
 }

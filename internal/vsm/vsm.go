@@ -12,9 +12,10 @@
 // An Index holds N >= 1 partitions built under global statistics
 // (DESIGN.md §13): a document's weights depend only on the corpus-wide
 // vocabulary, IDF table and BM25 length average and on the document
-// itself, so scores are Float64bits-identical at any partition count. The
-// serving layer calls partitions shards. An Index is immutable after build
-// and safe for concurrent queries.
+// itself, so scores are Float64bits-identical at any partition count, and
+// whichever subset of the documents is served (has postings). The serving
+// layer calls partitions shards. An Index is immutable after build and
+// safe for concurrent queries.
 package vsm
 
 import (
@@ -29,6 +30,11 @@ import (
 	"repro/internal/doc"
 	"repro/internal/textproc"
 )
+
+// MaxPartitions caps an index's partition count. Every partition holds a
+// per-term offset table over the whole vocabulary, so the count bounds the
+// memory an index costs beyond its postings.
+const MaxPartitions = 64
 
 // DefaultThreshold is the similarity threshold the paper uses to recommend a
 // sentence (§3.2: 0.15).
@@ -89,22 +95,24 @@ type Match struct {
 }
 
 // Index is a TF-IDF (and BM25) weighted vector space over a fixed sentence
-// set, partitioned by stable sentence identity.
+// set, partitioned by stable sentence identity. Its statistics cover every
+// sentence; its postings cover the served ones, the only sentences a query
+// can match.
 type Index struct {
 	vocab   map[string]int
 	idf     []float64        // TF-IDF IDF log(n/df), per term id
 	parts   []*partition     // at least one
 	ids     []doc.SentenceID // global ordinal -> identity, the placement key
 	counted []*termCounts    // global order, reused by Rebuild
-	n       int              // number of sentences
+	n       int              // number of sentences, served or not
 }
 
-// partition is one slice of the documents with its own postings, stored
-// compactly: term t's postings are post[start[t]:start[t+1]] in ascending
-// local position, and w[wVSM]/w[wBM25] hold each posting's weight under the
-// two backends — the L2-normalized TF-IDF weight (0 for a term in every
-// document, which cosine queries never walk) and the precomputed Okapi
-// contribution idf·tf·(k1+1)/(tf+norm).
+// partition is one slice of the served documents with its own postings,
+// stored compactly: term t's postings are post[start[t]:start[t+1]] in
+// ascending local position, and w[wVSM]/w[wBM25] hold each posting's weight
+// under the two backends — the L2-normalized TF-IDF weight (0 for a term in
+// every document, which cosine queries never walk) and the precomputed
+// Okapi contribution idf·tf·(k1+1)/(tf+norm).
 type partition struct {
 	docs    []int32 // local position -> global ordinal, ascending
 	start   []int   // per term id, plus a final end offset
@@ -121,21 +129,30 @@ func Build(sentences []string) *Index {
 	for i, s := range sentences {
 		terms[i] = textproc.NormalizeTerms(s)
 	}
-	return BuildFromTerms(terms, nil, 1)
+	return BuildFromTerms(terms, nil, nil, 1)
 }
 
 // BuildFromTerms constructs an index over pre-normalized term lists in
-// nParts partitions (fewer than one builds one). Documents are placed by
-// their aligned stable identities, so an incremental Rebuild keeps every
+// nParts partitions (clamped to [1, MaxPartitions]). Documents are placed
+// by their aligned stable identities, so an incremental Rebuild keeps every
 // surviving sentence in its partition; a nil or misaligned ids slice places
 // them round robin by ordinal, which balances but is not stable across
 // edits.
+//
+// served, aligned with termLists, marks the documents that get postings;
+// nil serves every document. The statistics — vocabulary, document
+// frequencies, both IDF tables and the BM25 length average — always cover
+// every document, so a served document's weights and every query vector
+// are the same floats whatever the mask. A misaligned non-nil mask panics.
 //
 // Term ids are assigned in sorted term order, not first-appearance order.
 // Because every weight accumulation runs in ascending term-id order, scores
 // are a function of the document set alone: permuting the documents yields
 // bit-identical scores.
-func BuildFromTerms(termLists [][]string, ids []doc.SentenceID, nParts int) *Index {
+func BuildFromTerms(termLists [][]string, ids []doc.SentenceID, served []bool, nParts int) *Index {
+	if served != nil && len(served) != len(termLists) {
+		panic(fmt.Sprintf("vsm: served mask has %d entries for %d documents", len(served), len(termLists)))
+	}
 	counted := make([]*termCounts, len(termLists))
 	for i, terms := range termLists {
 		counted[i] = countTerms(terms)
@@ -143,7 +160,7 @@ func BuildFromTerms(termLists [][]string, ids []doc.SentenceID, nParts int) *Ind
 	if len(ids) != len(termLists) {
 		ids = make([]doc.SentenceID, len(termLists))
 	}
-	return build(counted, ids, nParts)
+	return build(counted, ids, served, nParts)
 }
 
 // termCounts is one document's corpus-independent term statistics: its
@@ -196,9 +213,10 @@ func partitionOf(id doc.SentenceID, ordinal, nParts int) int {
 // length average, summed in global document order — then every partition's
 // postings under them. Each weight is a function of the global statistics
 // and its own document only, computed by the same float operations in the
-// same order whatever partition the document lands in.
-func build(counted []*termCounts, ids []doc.SentenceID, nParts int) *Index {
-	nParts = max(nParts, 1)
+// same order whatever partition the document lands in. Only the served
+// documents (all of them for a nil mask) are placed and get postings.
+func build(counted []*termCounts, ids []doc.SentenceID, served []bool, nParts int) *Index {
+	nParts = min(max(nParts, 1), MaxPartitions)
 	n := len(counted)
 	df := map[string]int{} // counted terms are unique per document already
 	var total float64
@@ -236,6 +254,9 @@ func build(counted []*termCounts, ids []doc.SentenceID, nParts int) *Index {
 		ix.parts[p] = &partition{}
 	}
 	for g := range counted {
+		if served != nil && !served[g] {
+			continue
+		}
 		p := ix.parts[partitionOf(ids[g], g, nParts)]
 		p.docs = append(p.docs, int32(g))
 	}
@@ -312,7 +333,8 @@ type AddedDoc struct {
 // identities verbatim, so every kept sentence stays in its partition; added
 // carries the term lists and identities of new sentences at their new
 // positions. Together they must tile the successor document exactly — every
-// position in [0, kept+added) assigned once.
+// position in [0, kept+added) assigned once. served is the successor's
+// mask, aligned with its positions (nil serves every document).
 //
 // Global statistics — document frequencies, IDF, and therefore every weight
 // — are recomputed from the merged set: IDF is corpus-wide, so one edit can
@@ -321,8 +343,11 @@ type AddedDoc struct {
 // tokenization, stemming, and annotation upstream. The result is
 // Float64bits-identical to a cold BuildFromTerms of the successor (see
 // TestRebuildBitIdentical).
-func (ix *Index) Rebuild(kept []doc.Kept, added []AddedDoc) (*Index, error) {
+func (ix *Index) Rebuild(kept []doc.Kept, added []AddedDoc, served []bool) (*Index, error) {
 	n := len(kept) + len(added)
+	if served != nil && len(served) != n {
+		return nil, fmt.Errorf("vsm: rebuild mask has %d entries for %d documents", len(served), n)
+	}
 	counted := make([]*termCounts, n)
 	ids := make([]doc.SentenceID, n)
 	place := func(pos int, tc *termCounts, id doc.SentenceID) error {
@@ -348,7 +373,7 @@ func (ix *Index) Rebuild(kept []doc.Kept, added []AddedDoc) (*Index, error) {
 			return nil, err
 		}
 	}
-	return build(counted, ids, len(ix.parts)), nil
+	return build(counted, ids, served, len(ix.parts)), nil
 }
 
 // Partitions returns the partition count (1 for the monolithic layout).

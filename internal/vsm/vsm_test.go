@@ -94,7 +94,7 @@ func TestQueryAllMatchesSerial(t *testing.T) {
 	for i, s := range corpus {
 		terms[i] = textproc.NormalizeTerms(s)
 	}
-	ix := BuildFromTerms(terms, nil, 3)
+	ix := BuildFromTerms(terms, nil, nil, 3)
 	for _, q := range []string{"memory bandwidth", "divergent warps", "loop unrolling"} {
 		all := QueryOpts{Threshold: -1}
 		par := query(t, ix, q, all)
