@@ -84,7 +84,7 @@ func main() {
 		corpora     = flag.String("corpora", "", "comma-separated extra built-in guides to serve alongside the primary advisor (e.g. opencl,xeon)")
 		cacheSize   = flag.Int("cache-size", 1024, "query cache capacity (entries)")
 		maxInflight = flag.Int("max-inflight", 64, "max concurrent retrievals before queuing/429")
-		maxBatch    = flag.Int("max-batch", 64, "max queries accepted per POST /v1/batch request")
+		maxBatch    = flag.Int("max-batch", 64, "queries per batch, or issues per report")
 		timeout     = flag.Duration("timeout", 2*time.Second, "per-request deadline")
 		traceSample = flag.Float64("trace-sample", 0, "fraction of requests whose span trees are recorded for /tracez (0 = off, 1 = every request)")
 

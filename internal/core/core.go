@@ -26,12 +26,14 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/doc"
 	"repro/internal/htmldoc"
+	"repro/internal/jsonw"
 	"repro/internal/nlp"
 	"repro/internal/nvvp"
 	"repro/internal/obs"
@@ -115,6 +117,27 @@ type AdvisingSentence struct {
 	Text     string
 	Section  string // section path ("5.4.2. Control Flow Instructions")
 	Selector selectors.SelectorID
+
+	// wire is the sentence's /v1 JSON object up to its score, rendered once
+	// per advisor when Stage I keeps it or a snapshot loads it (see
+	// Answer.AppendJSON). Unexported, so gob snapshots never carry it.
+	wire string
+}
+
+// appendWire appends the sentence's /v1 object prefix — what encoding/json
+// writes for service.Rule, without the closing brace:
+// {"index":…,"text":…,"section":…,"selector":… (section omitted when empty).
+func (s *AdvisingSentence) appendWire(dst []byte) []byte {
+	dst = append(dst, `{"index":`...)
+	dst = strconv.AppendInt(dst, int64(s.Index), 10)
+	dst = append(dst, `,"text":`...)
+	dst = jsonw.AppendString(dst, s.Text)
+	if s.Section != "" {
+		dst = append(dst, `,"section":`...)
+		dst = jsonw.AppendString(dst, s.Section)
+	}
+	dst = append(dst, `,"selector":`...)
+	return jsonw.AppendString(dst, s.Selector.String())
 }
 
 // BuildStats describes what the build pipeline did to a document, with
@@ -267,12 +290,14 @@ func (a *Advisor) keepAdvising(results []selectors.Result) {
 		}
 		a.isAdv[i] = true
 		a.stats.BySelector[res.Selector]++
-		a.advising = append(a.advising, AdvisingSentence{
+		adv := AdvisingSentence{
 			Index:    i,
 			Text:     a.sentences[i].Text,
 			Section:  a.SectionOf(i),
 			Selector: res.Selector,
-		})
+		}
+		adv.wire = string(adv.appendWire(nil))
+		a.advising = append(a.advising, adv)
 	}
 	a.stats.Advising = len(a.advising)
 }
@@ -402,6 +427,19 @@ func (a *Advisor) CompressionRatio() float64 {
 type Answer struct {
 	Sentence AdvisingSentence
 	Score    float64
+}
+
+// AppendJSON appends the answer as the /v1 API's answer object, byte for
+// byte what encoding/json writes for service.Answer with HTML escaping off.
+// The sentence part is the prefix its advisor rendered when it kept the
+// rule, so an answer always writes the text of the advisor that scored it;
+// a sentence built outside an advisor is rendered here by the same code.
+func (a Answer) AppendJSON(dst []byte) []byte {
+	if a.Sentence.wire == "" {
+		dst = a.Sentence.appendWire(dst)
+	}
+	dst = append(append(dst, a.Sentence.wire...), `,"score":`...)
+	return append(jsonw.AppendFloat(dst, a.Score), '}')
 }
 
 // Query answers a natural-language query with the relevant advising

@@ -115,11 +115,13 @@ func LoadAdvisor(r io.Reader) (*Advisor, error) {
 	// exactly the IDs the original build assigned
 	a.sentences = htmldoc.StampIDs(a.doc, a.sentences)
 	a.ids = htmldoc.IDsOf(a.sentences)
-	for _, adv := range snap.Advising {
+	for i := range a.advising {
+		adv := &a.advising[i]
 		if adv.Index < 0 || adv.Index >= len(a.isAdv) {
 			return nil, fmt.Errorf("core: snapshot advising index %d out of range", adv.Index)
 		}
 		a.isAdv[adv.Index] = true
+		adv.wire = string(adv.appendWire(nil))
 	}
 	terms := snap.Terms
 	if len(terms) > 0 {

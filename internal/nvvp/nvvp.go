@@ -66,11 +66,15 @@ func (r *Report) Issues() []Issue {
 // Sections open with "-- n. Title --"; each "Optimization:" line opens an
 // issue whose description runs until the next issue, section, or blank line
 // followed by a non-indented marker.
+//
+// Description and body lines are appended to builders, whose text is taken
+// without a copy, so parsing is linear in the report's size.
 func Parse(text string) (*Report, error) {
 	r := &Report{}
 	lines := strings.Split(text, "\n")
 	var cur *Section
 	var curIssue *Issue
+	var body, desc strings.Builder // the open section's body and issue's description
 	sawHeader := false
 	for _, raw := range lines {
 		line := strings.TrimRight(raw, " \t\r")
@@ -89,6 +93,7 @@ func Parse(text string) (*Report, error) {
 			r.Sections = append(r.Sections, Section{Title: title})
 			cur = &r.Sections[len(r.Sections)-1]
 			curIssue = nil
+			body.Reset()
 		case strings.HasPrefix(trimmed, "Optimization:"):
 			if cur == nil {
 				return nil, fmt.Errorf("nvvp: Optimization marker before any section")
@@ -98,20 +103,15 @@ func Parse(text string) (*Report, error) {
 				Title:   strings.TrimSpace(strings.TrimPrefix(trimmed, "Optimization:")),
 			})
 			curIssue = &cur.Issues[len(cur.Issues)-1]
+			desc.Reset()
 		case trimmed == "":
 			curIssue = nil
 		default:
 			switch {
 			case curIssue != nil:
-				if curIssue.Description != "" {
-					curIssue.Description += " "
-				}
-				curIssue.Description += trimmed
+				curIssue.Description = addLine(&desc, trimmed)
 			case cur != nil:
-				if cur.Body != "" {
-					cur.Body += " "
-				}
-				cur.Body += trimmed
+				cur.Body = addLine(&body, trimmed)
 			}
 		}
 	}
@@ -122,6 +122,16 @@ func Parse(text string) (*Report, error) {
 		return nil, fmt.Errorf("nvvp: report has no sections")
 	}
 	return r, nil
+}
+
+// addLine appends one line to a description or body, space-separated, and
+// returns the text so far.
+func addLine(b *strings.Builder, line string) string {
+	if b.Len() > 0 {
+		b.WriteByte(' ')
+	}
+	b.WriteString(line)
+	return b.String()
 }
 
 // issuePlacement maps a query's report section by its subtopic, mirroring

@@ -1,6 +1,7 @@
 package nvvp
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -170,5 +171,37 @@ func BenchmarkParseReport(b *testing.B) {
 		if _, err := Parse(text); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestParseLinearInSize: a report of ~64k short lines — an issue
+// description and a section body that keep growing — allocates a small
+// multiple of its own size: a builder grows about 1.25× a step, so each
+// joined text costs about five times its length. Appending each line to
+// the growing string copied it again and again (22 GB in 12 s here).
+func TestParseLinearInSize(t *testing.T) {
+	const lines = 1 << 15
+	var b strings.Builder
+	b.WriteString("=== NVVP Analysis Report ===\n-- 1. Overview --\n")
+	for i := 0; i < lines; i++ {
+		b.WriteString("body line\n")
+	}
+	b.WriteString("Optimization: Long\n")
+	for i := 0; i < lines; i++ {
+		b.WriteString("desc line\n")
+	}
+	text := b.String()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r, err := Parse(text)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Sections[0]; len(got.Body) != lines*len("body line ")-1 || len(got.Issues[0].Description) != lines*len("desc line ")-1 {
+		t.Fatalf("body %d bytes, description %d bytes", len(got.Body), len(got.Issues[0].Description))
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8*uint64(len(text)) {
+		t.Fatalf("parsing %d bytes allocated %d", len(text), alloc)
 	}
 }

@@ -1,10 +1,15 @@
 package service
 
 import (
+	"net/http"
+	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/jsonw"
 	"repro/internal/lifecycle"
+	"repro/internal/obs"
 )
 
 // The /v1 wire types. Marshaling with encoding/json is deterministic (struct
@@ -117,6 +122,53 @@ func toAnswers(answers []core.Answer) []Answer {
 		out[i] = Answer{Rule: toRule(a.Sentence), Score: a.Score}
 	}
 	return out
+}
+
+// The query and report bodies are the hot path's output, so they are not
+// marshalled: each handler appends its body into a pooled buffer, field by
+// field in the order of QueryResponse and ReportResponse, and every answer
+// appends the JSON its advisor rendered once (core.Answer.AppendJSON).
+// encoding/json over those types stays the reference the tests compare
+// every byte against; the other bodies keep writeJSON.
+
+// maxPooledBody caps the buffers bodyPool keeps: a bigger one (a report
+// with many long answers) is left to the collector, so one outsized body
+// does not pin its memory in the pool.
+const maxPooledBody = 64 << 10
+
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+func getBody() []byte { return (*bodyPool.Get().(*[]byte))[:0] }
+
+// appendAnswers appends the ,"count":N,"answers":[…] members shared by
+// QueryResponse and IssueAnswers.
+func appendAnswers(b []byte, answers []core.Answer) []byte {
+	b = append(b, `,"count":`...)
+	b = strconv.AppendInt(b, int64(len(answers)), 10)
+	b = append(b, `,"answers":[`...)
+	for i, a := range answers {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = a.AppendJSON(b)
+	}
+	return append(b, ']')
+}
+
+// writeBody closes a query or report body with the request's trace ID,
+// writes it as a 200, and returns the buffer to the pool. (A body abandoned
+// for an error is left to the collector.)
+func writeBody(w http.ResponseWriter, b []byte, r *http.Request) {
+	if id := obs.TraceID(r.Context()); id != "" {
+		b = jsonw.AppendString(append(b, `,"trace_id":`...), id)
+	}
+	b = append(b, "}\n"...)
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b)
+	if cap(b) <= maxPooledBody {
+		bodyPool.Put(&b)
+	}
 }
 
 func advisorInfo(name string, a *core.Advisor) AdvisorInfo {

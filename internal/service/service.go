@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/jsonw"
 	"repro/internal/lifecycle"
 	"repro/internal/nlp"
 	"repro/internal/nvvp"
@@ -32,7 +33,7 @@ type Options struct {
 	MaxQueue     int           // waiting-room size (default 4*MaxInFlight)
 	Timeout      time.Duration // per-request deadline (default 2s)
 	MaxBodySize  int64         // report upload cap in bytes (default 1 MiB)
-	MaxBatch     int           // queries accepted per /v1/batch request (default 64)
+	MaxBatch     int           // queries per batch, or issues per report (default 64)
 	BatchWorkers int           // worker pool answering one batch (default 8, capped by MaxInFlight)
 	Logger       *slog.Logger  // structured access log (default: discard)
 
@@ -500,15 +501,18 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	} else {
 		w.Header().Set("X-Cache", "miss")
 	}
-	writeJSON(w, http.StatusOK, QueryResponse{
-		Advisor:      name,
-		Query:        q,
-		Backend:      backend,
-		Count:        len(answers),
-		Answers:      toAnswers(answers),
-		ShardsFailed: shardsFailed,
-		TraceID:      obs.TraceID(r.Context()),
-	})
+	// the QueryResponse body, written without encoding/json (see api.go)
+	b := jsonw.AppendString(append(getBody(), `{"advisor":`...), name)
+	b = jsonw.AppendString(append(b, `,"query":`...), q)
+	if backend != "" {
+		b = jsonw.AppendString(append(b, `,"backend":`...), backend)
+	}
+	b = appendAnswers(b, answers)
+	if shardsFailed != 0 {
+		b = append(b, `,"shards_failed":`...)
+		b = strconv.AppendInt(b, int64(shardsFailed), 10)
+	}
+	writeBody(w, b, r)
 }
 
 // handleBackends lists the scoring backends every advisor offers, default
@@ -537,24 +541,40 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "could not parse report: %v", err)
 		return
 	}
+	issues := report.Issues()
+	if len(issues) > s.opts.MaxBatch {
+		writeError(w, http.StatusBadRequest, "report of %d issues exceeds limit %d", len(issues), s.opts.MaxBatch)
+		return
+	}
 	start := time.Now()
-	resp := ReportResponse{Advisor: name, Program: report.Program, TraceID: obs.TraceID(r.Context())}
-	for _, issue := range report.Issues() {
+	// the ReportResponse body, written without encoding/json (see api.go)
+	b := jsonw.AppendString(append(getBody(), `{"advisor":`...), name)
+	if report.Program != "" {
+		b = jsonw.AppendString(append(b, `,"program":`...), report.Program)
+	}
+	b = append(b, `,"issues":`...)
+	sep := byte('[')
+	for _, issue := range issues {
 		answers, _, err := s.CachedQuery(r.Context(), name, issue.Query())
 		if err != nil {
 			s.stats.recordReport(time.Since(start))
 			writeQueryError(w, err)
 			return
 		}
-		resp.Issues = append(resp.Issues, IssueAnswers{
-			Title:   issue.Title,
-			Section: issue.Section,
-			Count:   len(answers),
-			Answers: toAnswers(answers),
-		})
+		b = jsonw.AppendString(append(append(b, sep), `{"title":`...), issue.Title)
+		if issue.Section != "" {
+			b = jsonw.AppendString(append(b, `,"section":`...), issue.Section)
+		}
+		b = append(appendAnswers(b, answers), '}')
+		sep = ','
+	}
+	if len(issues) == 0 {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, ']')
 	}
 	s.stats.recordReport(time.Since(start))
-	writeJSON(w, http.StatusOK, resp)
+	writeBody(w, b, r)
 }
 
 // handleAdminReload synchronously rebuilds and hot-swaps advisors through

@@ -1,6 +1,7 @@
 // Command fuzzseed regenerates the checked-in seed corpora for the fuzz
-// targets (FuzzTokenize, FuzzParse, FuzzQuery, FuzzLoadAdvisor) from the
-// three built-in synthetic guides. Run from the repository root:
+// targets (FuzzTokenize, FuzzParse, FuzzQuery, FuzzLoadAdvisor,
+// FuzzTopKParity, FuzzReport) from the three built-in synthetic guides and
+// the synthesized profiler reports. Run from the repository root:
 //
 //	go run ./tools/fuzzseed
 //
@@ -22,7 +23,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/gpusim"
 	"repro/internal/htmldoc"
+	"repro/internal/nvvp"
 	"repro/internal/textproc"
 )
 
@@ -51,9 +54,9 @@ func main() {
 		queries = append(queries, seed{fmt.Sprintf("cuda_query_%02d", i), q.Text})
 	}
 
-	write("internal/htmldoc/testdata/fuzz/FuzzTokenize", html)
-	write("internal/depparse/testdata/fuzz/FuzzParse", sentences)
-	write("internal/service/testdata/fuzz/FuzzQuery", queries)
+	write("internal/htmldoc/testdata/fuzz/FuzzTokenize", "string", html)
+	write("internal/depparse/testdata/fuzz/FuzzParse", "string", sentences)
+	write("internal/service/testdata/fuzz/FuzzQuery", "string", queries)
 
 	// top-k parity seeds: realistic guide corpora × guide queries, across
 	// the k / threshold / partition-count axes (tiny k, k past the corpus
@@ -111,7 +114,35 @@ func main() {
 		seed{"cuda_legacy_no_terms", string(legacyBare)},
 	)
 	snaps = append(snaps, seed{"empty", ""}, seed{"not_gob", "{\"advisor\":\"cuda\"}"})
-	writeBytes("internal/core/testdata/fuzz/FuzzLoadAdvisor", snaps)
+	write("internal/core/testdata/fuzz/FuzzLoadAdvisor", "[]byte", snaps)
+
+	write("internal/service/testdata/fuzz/FuzzReport", "[]byte", reportSeeds())
+}
+
+// reportSeeds are FuzzReport's bodies: the synthesized NVVP text reports,
+// the metrics snapshot of each modelled kernel, and reports whose program
+// and issue titles carry bytes a JSON writer must escape.
+func reportSeeds() []seed {
+	var out []seed
+	for _, p := range nvvp.Programs() {
+		text, err := nvvp.Synthesize(p)
+		if err != nil {
+			log.Fatal(err)
+		}
+		out = append(out, seed{"report_" + p, text})
+	}
+	for name, k := range gpusim.BenchmarkKernels() {
+		body, err := nvvp.ProfileKernel(k, gpusim.GTX780()).Encode()
+		if err != nil {
+			log.Fatal(err)
+		}
+		out = append(out, seed{"metrics_" + name, string(body)})
+	}
+	for i, h := range []string{`quote " backslash \\`, "C0 \x00\x1f\b\f\t DEL \x7f", "bad UTF-8 \xff\xe2\x80", "\u2028 \u2029 <script>&"} {
+		out = append(out, seed{fmt.Sprintf("hostile_%d", i), fmt.Sprintf(
+			"=== NVVP Analysis Report ===\nProgram: %s\n\n-- 2. %s --\nOptimization: %s\nreduce memory latency %s\n", h, h, h, h)})
+	}
+	return out
 }
 
 // legacySentence mirrors the pre-identity htmldoc.Sentence wire shape: no ID
@@ -161,13 +192,14 @@ func legacySnapshots(g *corpus.Guide) (withTerms, withoutTerms []byte) {
 
 type seed struct{ name, value string }
 
-// write emits one file per seed in the `go test fuzz v1` corpus format.
-func write(dir string, seeds []seed) {
+// write emits one file per seed in the `go test fuzz v1` corpus format, each
+// value typed as the fuzz target's argument ("string" or "[]byte").
+func write(dir, typ string, seeds []seed) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		log.Fatal(err)
 	}
 	for _, s := range seeds {
-		body := "go test fuzz v1\nstring(" + strconv.Quote(s.value) + ")\n"
+		body := "go test fuzz v1\n" + typ + "(" + strconv.Quote(s.value) + ")\n"
 		if err := os.WriteFile(filepath.Join(dir, s.name), []byte(body), 0o644); err != nil {
 			log.Fatal(err)
 		}
@@ -209,20 +241,6 @@ func writeTopK(dir string, seeds []topkSeed) {
 			"int(" + strconv.Itoa(s.k) + ")\n" +
 			"float64(" + strconv.FormatFloat(s.threshold, 'g', -1, 64) + ")\n" +
 			"int(" + strconv.Itoa(s.shards) + ")\n"
-		if err := os.WriteFile(filepath.Join(dir, s.name), []byte(body), 0o644); err != nil {
-			log.Fatal(err)
-		}
-	}
-	log.Printf("%s: %d seeds", dir, len(seeds))
-}
-
-// writeBytes is write for []byte-typed fuzz targets (binary inputs).
-func writeBytes(dir string, seeds []seed) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		log.Fatal(err)
-	}
-	for _, s := range seeds {
-		body := "go test fuzz v1\n[]byte(" + strconv.Quote(s.value) + ")\n"
 		if err := os.WriteFile(filepath.Join(dir, s.name), []byte(body), 0o644); err != nil {
 			log.Fatal(err)
 		}
