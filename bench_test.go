@@ -485,25 +485,24 @@ type retrievalShape struct {
 }
 
 // windows draws n queries of 3-8 consecutive words from the guide's
-// sentences, seeded, pre-normalized as the serving layer does before its
-// cache.
-func windows(g *corpus.Guide, n int, seed int64) [][]string {
+// sentences, seeded.
+func windows(g *corpus.Guide, n int, seed int64) []string {
 	rng := rand.New(rand.NewSource(seed))
 	texts := g.Texts()
-	out := make([][]string, n)
+	out := make([]string, n)
 	for i := range out {
 		words := strings.Fields(texts[rng.Intn(len(texts))])
 		k := min(3+rng.Intn(6), len(words))
 		start := rng.Intn(len(words) - k + 1)
-		out[i] = nlp.QueryTerms(strings.Join(words[start:start+k], " "))
+		out[i] = strings.Join(words[start:start+k], " ")
 	}
 	return out
 }
 
 // issueQueries are the issue queries of every synthesized NVVP report: the
 // long queries the report endpoint asks.
-func issueQueries(b *testing.B) [][]string {
-	var out [][]string
+func issueQueries(b *testing.B) []string {
+	var out []string
 	for _, program := range nvvp.Programs() {
 		text, err := nvvp.Synthesize(program)
 		if err != nil {
@@ -514,10 +513,46 @@ func issueQueries(b *testing.B) [][]string {
 			b.Fatal(err)
 		}
 		for _, issue := range r.Issues() {
-			out = append(out, nlp.QueryTerms(issue.Query()))
+			out = append(out, issue.Query())
 		}
 	}
 	return out
+}
+
+// queryTerms normalizes each query as the serving layer does before its
+// cache.
+func queryTerms(queries []string) [][]string {
+	out := make([][]string, len(queries))
+	for i, q := range queries {
+		out[i] = nlp.QueryTerms(q)
+	}
+	return out
+}
+
+// termsSink keeps BenchmarkQueryTerms' terms live.
+var termsSink []string
+
+// BenchmarkQueryTerms times query normalization (tracked across PRs):
+// nlp.QueryTerms, which every query and every report issue pays before the
+// cache, on NVVP report issues (about 30 terms each) and on the hot-query
+// shape, short windows of the paper-size CUDA guide. The stem memo is warm
+// after the first pass over the queries, as in a serving process.
+func BenchmarkQueryTerms(b *testing.B) {
+	paper := corpus.Generate(corpus.CUDA, experiments.Seed)
+	for _, sh := range []struct {
+		name    string
+		queries []string
+	}{
+		{"report-issue", issueQueries(b)},
+		{"hot-query", windows(paper, 1000, 1)},
+	} {
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				termsSink = nlp.QueryTerms(sh.queries[i%len(sh.queries)])
+			}
+		})
+	}
 }
 
 // servedSink keeps BenchmarkServedRetrieval's answers live.
@@ -540,9 +575,9 @@ func BenchmarkServedRetrieval(b *testing.B) {
 	paper := corpus.Generate(corpus.CUDA, experiments.Seed)
 	big := corpus.GenerateSized(corpus.CUDA, 10000, 0.15, 1)
 	shapes := []retrievalShape{
-		{"hot", paper, windows(paper, 1000, 1)},
-		{"cold", big, windows(big, 1000, 2)},
-		{"report", paper, issueQueries(b)},
+		{"hot", paper, queryTerms(windows(paper, 1000, 1))},
+		{"cold", big, queryTerms(windows(big, 1000, 2))},
+		{"report", paper, queryTerms(issueQueries(b))},
 	}
 	ctx := context.Background()
 	for _, sh := range shapes {

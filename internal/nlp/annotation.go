@@ -81,21 +81,14 @@ func (a *Annotation) Lower() []string {
 }
 
 // Terms returns the sentence's retrieval term sequence: stopwords and
-// punctuation dropped, remaining tokens stemmed. It reuses the stems
-// computed at annotation time and is bit-exact with
+// punctuation dropped, remaining tokens stemmed. It is
+// textproc.NormalizeWords over the sentence's tokens, whose stems the
+// annotation already put in the stem memo, and is bit-exact with
 // textproc.NormalizeTerms(a.Text), so an index built from annotation terms
 // is identical to one built from the raw sentence texts.
 func (a *Annotation) Terms() []string {
 	a.termsOnce.Do(func() {
-		words := a.Tree.Words
-		terms := make([]string, 0, len(words))
-		for i, w := range words {
-			if textproc.IsStopword(w) || textproc.IsPunct(w) {
-				continue
-			}
-			terms = append(terms, a.Stems[i])
-		}
-		a.terms = terms
+		a.terms = textproc.NormalizeWords(a.Tree.Words)
 	})
 	return a.terms
 }

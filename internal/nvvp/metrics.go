@@ -33,16 +33,21 @@ func ParseMetricsJSON(data []byte) (*Metrics, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("nvvp: bad metrics JSON: %w", err)
 	}
-	for name, v := range map[string]float64{
-		"warp_execution_efficiency": m.WarpExecutionEfficiency,
-		"occupancy":                 m.Occupancy,
-		"global_load_efficiency":    m.GlobalLoadEfficiency,
-		"branch_divergence":         m.BranchDivergence,
-		"dram_utilization":          m.DramUtilization,
-		"issue_slot_utilization":    m.IssueSlotUtilization,
+	// checked in struct-field order, so a snapshot with several bad ratios
+	// always names the same one
+	for _, r := range []struct {
+		name string
+		v    float64
+	}{
+		{"warp_execution_efficiency", m.WarpExecutionEfficiency},
+		{"occupancy", m.Occupancy},
+		{"global_load_efficiency", m.GlobalLoadEfficiency},
+		{"branch_divergence", m.BranchDivergence},
+		{"dram_utilization", m.DramUtilization},
+		{"issue_slot_utilization", m.IssueSlotUtilization},
 	} {
-		if v < 0 || v > 1 {
-			return nil, fmt.Errorf("nvvp: metric %s = %v outside [0,1]", name, v)
+		if r.v < 0 || r.v > 1 {
+			return nil, fmt.Errorf("nvvp: metric %s = %v outside [0,1]", r.name, r.v)
 		}
 	}
 	if m.TransferComputeRatio < 0 {

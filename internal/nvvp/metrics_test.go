@@ -54,6 +54,18 @@ func TestParseMetricsJSONValidation(t *testing.T) {
 	}
 }
 
+// A snapshot with two out-of-range ratios must be rejected naming the first
+// in struct-field order, every time.
+func TestParseMetricsJSONErrorIsDeterministic(t *testing.T) {
+	body := []byte(`{"occupancy":1.5,"dram_utilization":-0.5}`)
+	for i := 0; i < 100; i++ {
+		_, err := ParseMetricsJSON(body)
+		if err == nil || !strings.Contains(err.Error(), "occupancy") || strings.Contains(err.Error(), "dram_utilization") {
+			t.Fatalf("parse %d: error %v, want it to name occupancy only", i, err)
+		}
+	}
+}
+
 func TestHealthyKernelHasNoIssues(t *testing.T) {
 	m := healthyMetrics()
 	if issues := m.Issues(); len(issues) != 0 {

@@ -481,14 +481,15 @@ func (s *Service) handleRules(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("advisor")
-	q := strings.TrimSpace(r.URL.Query().Get("q"))
+	params := r.URL.Query()
+	q := strings.TrimSpace(params.Get("q"))
 	if q == "" {
 		writeError(w, http.StatusBadRequest, "missing query parameter q")
 		return
 	}
 	// absent/empty backend takes the default path and leaves the response
 	// byte-identical to a backend-unaware build (Backend marshals omitempty)
-	backend := strings.TrimSpace(r.URL.Query().Get("backend"))
+	backend := strings.TrimSpace(params.Get("backend"))
 	start := time.Now()
 	answers, hit, shardsFailed, err := s.CachedQueryFull(r.Context(), name, backend, q)
 	s.stats.recordQuery(time.Since(start))

@@ -201,20 +201,6 @@ func TestStopwords(t *testing.T) {
 	}
 }
 
-func TestRemoveStopwords(t *testing.T) {
-	in := []string{"the", "kernel", "is", "slow", ",", "and", "divergent"}
-	got := RemoveStopwords(in)
-	want := []string{"kernel", "slow", "divergent"}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("got[%d] = %q, want %q", i, got[i], want[i])
-		}
-	}
-}
-
 func TestNormalizeTerms(t *testing.T) {
 	got := NormalizeTerms("Maximize the memory throughput of the application.")
 	want := []string{"maxim", "memori", "throughput", "applic"}

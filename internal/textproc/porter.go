@@ -1,32 +1,21 @@
 package textproc
 
-import "strings"
+import (
+	"strings"
+	"sync/atomic"
+)
 
 // Stem applies the Porter stemming algorithm (Porter, 1980) to word and
 // returns the stem in lowercase. Words of length <= 2 are returned unchanged
 // (lowercased), per the original algorithm. The NLTK extension LOGI->LOG in
 // step 2 is included to match the behaviour of the stemmer the paper used.
+// Stems of ASCII words of up to memoMaxWord bytes are memoized, so such a
+// word runs the algorithm once per process, or again after an eviction.
 func Stem(word string) string {
-	w := []byte(strings.ToLower(word))
-	if len(w) <= 2 {
-		return string(w)
+	if e := memoize(word); e != nil {
+		return e.stem
 	}
-	for _, b := range w {
-		if b < 'a' || b > 'z' {
-			// not a plain alphabetic word (identifier, number, ...):
-			// leave untouched, vendor-guide identifiers must not be mangled.
-			return string(w)
-		}
-	}
-	w = step1a(w)
-	w = step1b(w)
-	w = step1c(w)
-	w = step2(w)
-	w = step3(w)
-	w = step4(w)
-	w = step5a(w)
-	w = step5b(w)
-	return string(w)
+	return string(porter([]byte(strings.ToLower(word))))
 }
 
 // StemAll stems each word of words, returning a new slice.
@@ -36,6 +25,114 @@ func StemAll(words []string) []string {
 		out[i] = Stem(w)
 	}
 	return out
+}
+
+// porter stems the lowercased word w in place and returns the stem, which
+// shares w's array.
+func porter(w []byte) []byte {
+	if len(w) <= 2 {
+		return w
+	}
+	for _, b := range w {
+		if b < 'a' || b > 'z' {
+			// not a plain alphabetic word (identifier, number, ...):
+			// leave untouched, vendor-guide identifiers must not be mangled.
+			return w
+		}
+	}
+	w = step1a(w)
+	w = step1b(w)
+	w = step1c(w)
+	w = step2(w)
+	w = step3(w)
+	w = step4(w)
+	w = step5a(w)
+	return step5b(w)
+}
+
+// The stem memo: a fixed table of 1<<memoBits slots of immutable entries.
+// Each word may sit in either of two slots picked by its hash, so two
+// frequent words that share one slot do not keep evicting each other, as
+// they would in a direct-mapped table. Stemming is a pure function of the
+// lowercased word, so a hit returns exactly what recomputing would, and an
+// entry overwritten by a racing writer only costs a recomputation. Entries
+// own their bytes; the table holds at most 1<<memoBits words of at most
+// memoMaxWord bytes each.
+const (
+	memoBits    = 14
+	memoMaxWord = 32 // longer words are stemmed on every call
+)
+
+// memoEntry is one memoized word: its ASCII-lowercased form, Porter stem
+// and whether it is a stopword.
+type memoEntry struct {
+	word, stem string
+	stop       bool
+}
+
+var memo [1 << memoBits]atomic.Pointer[memoEntry]
+
+// memoize returns the memo entry of word, stemming and publishing it on a
+// miss, or nil when word is not ASCII or is longer than memoMaxWord: such
+// words go through strings.ToLower, whose Unicode mapping can change their
+// length and even make them ASCII.
+func memoize(word string) *memoEntry {
+	if len(word) > memoMaxWord {
+		return nil
+	}
+	var buf [memoMaxWord]byte
+	for i := 0; i < len(word); i++ {
+		b := word[i]
+		if b >= 0x80 {
+			return nil
+		}
+		if 'A' <= b && b <= 'Z' {
+			b += 'a' - 'A'
+		}
+		buf[i] = b
+	}
+	lower := buf[:len(word)]
+	i1, i2 := memoSlots(lower)
+	s1, s2 := &memo[i1], &memo[i2]
+	e1 := s1.Load()
+	if e1 != nil && e1.word == string(lower) {
+		return e1
+	}
+	e2 := s2.Load()
+	if e2 != nil && e2.word == string(lower) {
+		return e2
+	}
+	e := &memoEntry{word: string(lower)}
+	e.stop = stopwordSet[e.word]
+	if stem := porter(lower); string(stem) == e.word {
+		e.stem = e.word
+	} else {
+		e.stem = string(stem)
+	}
+	// take a free slot, the first if both are; evict from the first. An
+	// evicted word moves to its other slot on its next miss if that is free.
+	if e1 != nil && e2 == nil {
+		s2.Store(e)
+	} else {
+		s1.Store(e)
+	}
+	return e
+}
+
+// memoSlots returns the two memo slots of a lowercased word: the top and
+// bottom memoBits bits of its 64-bit FNV-1a hash, mixed by MurmurHash3's
+// finalizer so that words differing in one byte land far apart.
+func memoSlots(lower []byte) (first, second uint64) {
+	h := uint64(14695981039346656037)
+	for _, b := range lower {
+		h = (h ^ uint64(b)) * 1099511628211
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h >> (64 - memoBits), h & (1<<memoBits - 1)
 }
 
 // isConsonant reports whether w[i] is a consonant in Porter's sense:

@@ -26,23 +26,25 @@ func IsStopword(w string) bool {
 	return stopwordSet[strings.ToLower(w)]
 }
 
-// RemoveStopwords returns words with stopwords and pure punctuation tokens
-// removed.
-func RemoveStopwords(words []string) []string {
-	out := make([]string, 0, len(words))
-	for _, w := range words {
-		if IsStopword(w) || IsPunct(w) {
-			continue
-		}
-		out = append(out, w)
-	}
-	return out
-}
-
 // NormalizeTerms produces the canonical term sequence used by the retrieval
 // layer: tokenize, lowercase, drop stopwords and punctuation, Porter-stem.
+// It is one pass of the tokenizer's scanner that stems each word through
+// the memo as it is cut, so it builds no token slice; the result is the
+// only allocation for up to 128 terms.
 func NormalizeTerms(text string) []string {
-	return NormalizeWords(Words(text))
+	var buf [128]string
+	terms := buf[:0]
+	sc := scanner{text: text}
+	for {
+		start, end, word, ok := sc.next()
+		if !ok {
+			break
+		}
+		if word { // punctuation tokens are never terms
+			terms = appendTerm(terms, text[start:end])
+		}
+	}
+	return append(make([]string, 0, len(terms)), terms...)
 }
 
 // NormalizeWords is NormalizeTerms over an already-tokenized sentence — the
@@ -52,10 +54,24 @@ func NormalizeTerms(text string) []string {
 func NormalizeWords(words []string) []string {
 	out := make([]string, 0, len(words))
 	for _, w := range words {
-		if IsStopword(w) || IsPunct(w) {
-			continue
+		if !IsPunct(w) {
+			out = appendTerm(out, w)
 		}
-		out = append(out, Stem(w))
 	}
 	return out
+}
+
+// appendTerm appends the retrieval term of the word w to terms: its stem,
+// or nothing for a stopword.
+func appendTerm(terms []string, w string) []string {
+	if e := memoize(w); e != nil {
+		if !e.stop {
+			terms = append(terms, e.stem)
+		}
+		return terms
+	}
+	if IsStopword(w) {
+		return terms
+	}
+	return append(terms, Stem(w))
 }

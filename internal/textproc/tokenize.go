@@ -2,13 +2,11 @@
 // every NLP layer of the Egeria reproduction: sentence segmentation, word
 // tokenization, stemming (Porter), lemmatization, stopword filtering and
 // normalization. All components are deterministic, allocation-conscious and
-// safe for concurrent use (they hold no mutable state).
+// safe for concurrent use: their one piece of mutable state, the stem memo,
+// is lock-free and cannot change a result.
 package textproc
 
-import (
-	"strings"
-	"unicode"
-)
+import "strings"
 
 // Token is a single word-level token with its position in the source text.
 type Token struct {
@@ -29,45 +27,75 @@ var cliticSuffixes = []string{"n't", "'ll", "'re", "'ve", "'s", "'d", "'m"}
 // guides are full of them.
 func Tokenize(text string) []Token {
 	var tokens []Token
-	i := 0
-	n := len(text)
-	for i < n {
-		r := rune(text[i])
-		switch {
-		case r < 128 && unicode.IsSpace(r):
-			i++
-		case isWordByte(text[i]):
-			j := i
-			for j < n && isWordContinuation(text, j) {
-				j++
-			}
-			word := text[i:j]
-			tokens = appendWordSplittingClitics(tokens, word, i)
-			i = j
-		default:
-			// punctuation: group runs of identical punctuation ("..." "--")
-			j := i + 1
-			for j < n && text[j] == text[i] && isGroupablePunct(text[i]) {
-				j++
-			}
-			tokens = append(tokens, Token{Text: text[i:j], Start: i, End: j})
-			i = j
+	sc := scanner{text: text}
+	for {
+		start, end, _, ok := sc.next()
+		if !ok {
+			return tokens
 		}
+		tokens = append(tokens, Token{Text: text[start:end], Start: start, End: end})
 	}
-	return tokens
 }
 
 // Words returns just the token strings of Tokenize(text).
 func Words(text string) []string {
-	toks := Tokenize(text)
-	if len(toks) == 0 {
-		return nil
+	var words []string
+	sc := scanner{text: text}
+	for {
+		start, end, _, ok := sc.next()
+		if !ok {
+			return words
+		}
+		words = append(words, text[start:end])
 	}
-	out := make([]string, len(toks))
-	for i, t := range toks {
-		out[i] = t.Text
+}
+
+// scanner is the one pass over text that Tokenize, Words and NormalizeTerms
+// share, so all three cut text at the same token boundaries.
+type scanner struct {
+	text   string
+	i      int // next byte to scan
+	clitic int // when > 0, a clitic split off a word spans text[i:clitic]
+}
+
+// next returns the next token, text[start:end], and whether it is a word or
+// a clitic split from one rather than punctuation; ok is false once text is
+// exhausted.
+func (s *scanner) next() (start, end int, word, ok bool) {
+	if s.clitic > 0 {
+		start, end = s.i, s.clitic
+		s.i, s.clitic = end, 0
+		return start, end, true, true
 	}
-	return out
+	text, n := s.text, len(s.text)
+	for s.i < n {
+		i := s.i
+		b := text[i]
+		switch {
+		case b == ' ' || (b >= '\t' && b <= '\r'): // ASCII white space
+			s.i++
+		case isWordByte(b):
+			j := i + 1 // isWordByte first: inlined, it settles most bytes
+			for j < n && (isWordByte(text[j]) || isWordContinuation(text, j)) {
+				j++
+			}
+			if cut := cliticCut(text[i:j]); cut > 0 {
+				s.i, s.clitic = i+cut, j
+				return i, i + cut, true, true
+			}
+			s.i = j
+			return i, j, true, true
+		default:
+			// punctuation: group runs of identical punctuation ("..." "--")
+			j := i + 1
+			for j < n && text[j] == b && isGroupablePunct(b) {
+				j++
+			}
+			s.i = j
+			return i, j, false, true
+		}
+	}
+	return 0, 0, false, false
 }
 
 // isWordByte reports whether b can begin a word token.
@@ -113,19 +141,21 @@ func isGroupablePunct(b byte) bool {
 	return b == '.' || b == '-' || b == '*' || b == '=' || b == '_'
 }
 
-// appendWordSplittingClitics appends word (starting at byte offset off) to
-// tokens, splitting a trailing contraction clitic if present.
-func appendWordSplittingClitics(tokens []Token, word string, off int) []Token {
+// cliticCut returns the offset at which word splits before a trailing
+// contraction clitic ("don't" at 2, "GPU's" at 3), or 0 when it has none.
+// Every clitic contains an apostrophe, so only a word that contains one is
+// lowercased and examined.
+func cliticCut(word string) int {
+	if strings.IndexByte(word, '\'') < 0 {
+		return 0
+	}
 	lower := strings.ToLower(word)
 	for _, suf := range cliticSuffixes {
 		if len(lower) > len(suf) && strings.HasSuffix(lower, suf) {
-			cut := len(word) - len(suf)
-			tokens = append(tokens, Token{Text: word[:cut], Start: off, End: off + cut})
-			tokens = append(tokens, Token{Text: word[cut:], Start: off + cut, End: off + len(word)})
-			return tokens
+			return len(word) - len(suf)
 		}
 	}
-	return append(tokens, Token{Text: word, Start: off, End: off + len(word)})
+	return 0
 }
 
 // IsPunct reports whether tok consists entirely of punctuation bytes.

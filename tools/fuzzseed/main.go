@@ -1,7 +1,7 @@
 // Command fuzzseed regenerates the checked-in seed corpora for the fuzz
 // targets (FuzzTokenize, FuzzParse, FuzzQuery, FuzzLoadAdvisor,
-// FuzzTopKParity, FuzzReport) from the three built-in synthetic guides and
-// the synthesized profiler reports. Run from the repository root:
+// FuzzTopKParity, FuzzReport, FuzzNormalizeTerms) from the three built-in
+// synthetic guides and the synthesized profiler reports. Run from the repository root:
 //
 //	go run ./tools/fuzzseed
 //
@@ -117,6 +117,37 @@ func main() {
 	write("internal/core/testdata/fuzz/FuzzLoadAdvisor", "[]byte", snaps)
 
 	write("internal/service/testdata/fuzz/FuzzReport", "[]byte", reportSeeds())
+	write("internal/textproc/testdata/fuzz/FuzzNormalizeTerms", "string", normalizeSeeds(sentences, queries))
+}
+
+// normalizeSeeds are FuzzNormalizeTerms' texts: guide sentences, guide
+// queries, the issue text of every synthesized NVVP report, and words that
+// Unicode lowercasing shortens or makes ASCII, clitics in both cases,
+// invalid UTF-8 and words around the stem memo's 32-byte limit.
+func normalizeSeeds(sentences, queries []seed) []seed {
+	out := append(append([]seed(nil), sentences...), queries...)
+	for _, p := range nvvp.Programs() {
+		text, err := nvvp.Synthesize(p)
+		if err != nil {
+			log.Fatal(err)
+		}
+		r, err := nvvp.Parse(text)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for i, is := range r.Issues() {
+			out = append(out, seed{fmt.Sprintf("issue_%s_%d", p, i), is.Query()})
+		}
+	}
+	for i, h := range []string{
+		"\u0130S \u0130t's \u212Aeeping \u017Ftrides CAF\u00c9\u00a0caf\u00e9",
+		"Don't DON'T GPU's n't 'S it'LL we'RE",
+		"caf\xff \xe2\x80 x86 3.14f e.g. i.e. non-coalesced read/write clWaitForEvents()",
+		"optimizeoptimizeoptimizeoptimize optimizeoptimizeoptimizeoptimizes",
+	} {
+		out = append(out, seed{fmt.Sprintf("hostile_%d", i), h})
+	}
+	return out
 }
 
 // reportSeeds are FuzzReport's bodies: the synthesized NVVP text reports,
