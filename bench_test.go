@@ -250,7 +250,9 @@ func serveQuery(b *testing.B, svc *service.Service, q string) {
 // Stage-II retrieval) with a cache hit (same query repeated); the warm path
 // should be >= 10x cheaper — the whole point of the serving layer. The
 // -http cases take the same two paths through ServeHTTP, so they also
-// count routing and writing the JSON body, which CachedQuery never reaches.
+// count routing and writing the JSON body, which CachedQuery never reaches;
+// report-http posts a warm synthesized NVVP report, one cached lookup per
+// issue, so it counts the report envelope.
 func BenchmarkServiceQuery(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		svc := newBenchService(b)
@@ -295,6 +297,26 @@ func BenchmarkServiceQuery(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			serveQuery(b, svc, q)
+		}
+	})
+	b.Run("report-http", func(b *testing.B) {
+		svc := newBenchService(b)
+		text, err := nvvp.Synthesize("norm")
+		if err != nil {
+			b.Fatal(err)
+		}
+		serveReport := func() {
+			rec := httptest.NewRecorder()
+			svc.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/cuda/report", strings.NewReader(text)))
+			if rec.Code != http.StatusOK {
+				b.Fatalf("report: %d %s", rec.Code, rec.Body)
+			}
+		}
+		serveReport()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			serveReport()
 		}
 	})
 	// the warm path with every request's span tree recorded (sampling 1.0)

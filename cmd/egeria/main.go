@@ -730,6 +730,18 @@ func buildServeHandler(fw *core.Framework, cfg serveConfig, logger *slog.Logger)
 	return root, svc, mgr, nil
 }
 
+// Connection bounds for `egeria serve`. A client gets readHeaderTimeout to
+// send its request line and headers and may hold an idle keep-alive
+// connection for idleTimeout. maxHeaderBytes bounds the request line and
+// headers, a GET query included: 64 KiB holds a query of 1,024 English
+// words several times over, and net/http refuses a megabyte URL with 431
+// before any handler runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
 // cmdServe runs the production serving layer: a registry warm-started from
 // the snapshot store (cold-building only what is missing or stale), the /v1
 // JSON API with query cache and admission control, the HTML webui on the
@@ -749,7 +761,13 @@ func cmdServe(fw *core.Framework, cfg serveConfig) error {
 		logger.Info("watching sources", "interval", cfg.rebuildInterval.String())
 	}
 
-	srv := &http.Server{Addr: cfg.addr, Handler: root}
+	srv := &http.Server{
+		Addr:              cfg.addr,
+		Handler:           root,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 	done := make(chan error, 1)
 	go func() {
 		sigc := make(chan os.Signal, 1)

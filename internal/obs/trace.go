@@ -22,17 +22,20 @@ import (
 	"time"
 )
 
-// traceSeq makes trace IDs process-unique; idEpoch distinguishes processes.
+// traceSeq makes trace IDs process-unique; idPrefix, the hex process-start
+// stamp and a dash, distinguishes processes.
 var (
 	traceSeq atomic.Uint64
-	idEpoch  = uint32(time.Now().UnixNano())
+	idPrefix = strconv.FormatUint(uint64(uint32(time.Now().UnixNano())), 16) + "-"
 )
 
 // NewTraceID returns a process-unique request identifier. IDs are unique
 // within a process (a strictly increasing sequence) and prefixed with a
-// process-start stamp so IDs from different runs rarely collide.
+// process-start stamp so IDs from different runs rarely collide. The ID
+// string is its only allocation.
 func NewTraceID() string {
-	return strconv.FormatUint(uint64(idEpoch), 16) + "-" + strconv.FormatUint(traceSeq.Add(1), 16)
+	var buf [32]byte
+	return string(strconv.AppendUint(append(buf[:0], idPrefix...), traceSeq.Add(1), 16))
 }
 
 // ctx keys for the trace ID (always present on traced requests) and the
@@ -200,12 +203,26 @@ func (t *Tracer) Store() *TraceStore {
 func (t *Tracer) Start(ctx context.Context, name string) (context.Context, *Span) {
 	id := NewTraceID()
 	ctx = WithTraceID(ctx, id)
-	if t == nil || t.period == 0 || t.store == nil || t.n.Add(1)%t.period != 0 {
+	if !t.Sample() {
 		return ctx, nil
 	}
+	root := t.Root(id, name)
+	return ContextWithSpan(ctx, root), root
+}
+
+// Sample advances the sampler by one trace and reports whether that trace
+// is recorded. A caller that assigns its own trace ID pairs it with Root,
+// and so builds neither a context nor a span name for an unsampled request.
+func (t *Tracer) Sample() bool {
+	return t != nil && t.period != 0 && t.store != nil && t.n.Add(1)%t.period == 0
+}
+
+// Root begins a recorded trace under id and returns its root span, which
+// the caller must Finish. Call it only after Sample reported true.
+func (t *Tracer) Root(id, name string) *Span {
 	tr := &Trace{id: id, start: time.Now(), store: t.store}
 	tr.root = &Span{trace: tr, name: name, start: tr.start}
-	return ContextWithSpan(ctx, tr.root), tr.root
+	return tr.root
 }
 
 // TraceStore retains the most recent completed traces for /tracez.

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/jsonw"
 	"repro/internal/lifecycle"
-	"repro/internal/obs"
 )
 
 // The /v1 wire types. Marshaling with encoding/json is deterministic (struct
@@ -155,15 +154,29 @@ func appendAnswers(b []byte, answers []core.Answer) []byte {
 	return append(b, ']')
 }
 
+// Header values every query or report response shares. net/http only reads
+// a response's header values (Add appends past a one-element slice's
+// capacity into a new array), so one slice can serve every response and
+// spare each a []string allocation.
+var (
+	jsonContentType = []string{"application/json; charset=utf-8"}
+	cacheHit        = []string{"hit"}
+	cacheMiss       = []string{"miss"}
+)
+
 // writeBody closes a query or report body with the request's trace ID,
-// writes it as a 200, and returns the buffer to the pool. (A body abandoned
-// for an error is left to the collector.)
-func writeBody(w http.ResponseWriter, b []byte, r *http.Request) {
-	if id := obs.TraceID(r.Context()); id != "" {
-		b = jsonw.AppendString(append(b, `,"trace_id":`...), id)
+// writes it as a 200 with its Content-Length, and returns the buffer to the
+// pool. (A body abandoned for an error is left to the collector.) With the
+// length known, net/http writes the headers and the body in one write
+// instead of chunking a body of more than 2 KB.
+func writeBody(w http.ResponseWriter, b []byte, traceID string) {
+	if traceID != "" {
+		b = jsonw.AppendString(append(b, `,"trace_id":`...), traceID)
 	}
 	b = append(b, "}\n"...)
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h["Content-Length"] = []string{strconv.Itoa(len(b))}
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(b)
 	if cap(b) <= maxPooledBody {

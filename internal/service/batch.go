@@ -63,7 +63,16 @@ type BatchResponse struct {
 // out over min(BatchWorkers, len(items)) workers. Results keep request
 // order. Item failures (unknown advisor, unknown backend, empty query,
 // overload, timeout) are recorded per item, never returned as an error.
+//
+// The batch must finish within Options.Timeout, or by ctx's deadline when
+// ctx carries one.
 func (s *Service) Batch(ctx context.Context, items []BatchItem) []BatchItemResult {
+	return s.batch(ctx, time.Now().Add(remainingBudget(ctx, s.opts.Timeout)), items)
+}
+
+// batch is Batch with the whole batch's deadline explicit; no timer runs
+// until an item misses the cache.
+func (s *Service) batch(ctx context.Context, deadline time.Time, items []BatchItem) []BatchItemResult {
 	parent := obs.SpanFrom(ctx)
 	results := make([]BatchItemResult, len(items))
 	workers := s.opts.BatchWorkers
@@ -77,7 +86,7 @@ func (s *Service) Batch(ctx context.Context, items []BatchItem) []BatchItemResul
 	// fair-share the remaining request budget across scheduling waves: item
 	// 64 of a big batch gets the same slice as item 1 instead of inheriting
 	// whatever the early items left over (see batchShare)
-	share := batchShare(remainingBudget(ctx, s.opts.Timeout), len(items), workers)
+	share := batchShare(time.Until(deadline), len(items), workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -89,7 +98,7 @@ func (s *Service) Batch(ctx context.Context, items []BatchItem) []BatchItemResul
 				if i >= len(items) {
 					return
 				}
-				results[i] = s.batchItem(ctx, parent, i, items[i], share, serial)
+				results[i] = s.batchItem(ctx, parent, i, items[i], deadline, share, serial)
 			}
 		}()
 	}
@@ -100,18 +109,12 @@ func (s *Service) Batch(ctx context.Context, items []BatchItem) []BatchItemResul
 // batchItem answers one batch item under its own trace ID, span, and time
 // share, so each item is individually attributable in traces and responses
 // and cannot consume the budget of the items behind it.
-func (s *Service) batchItem(ctx context.Context, parent *obs.Span, i int, item BatchItem, share time.Duration, serial bool) BatchItemResult {
-	res := BatchItemResult{Advisor: item.Advisor, Query: item.Query, Backend: item.Backend}
+func (s *Service) batchItem(ctx context.Context, parent *obs.Span, i int, item BatchItem, deadline time.Time, share time.Duration, serial bool) BatchItemResult {
+	res := BatchItemResult{Advisor: item.Advisor, Query: item.Query, Backend: item.Backend, TraceID: obs.NewTraceID()}
 	span := parent.StartChild("batch.item")
 	defer span.Finish()
 	span.SetAttrInt("index", i)
 	span.SetAttr("advisor", item.Advisor)
-	// the item's clock starts when a worker picks it up, not when the batch
-	// arrived; the parent deadline still caps it (WithTimeout never extends)
-	ctx, cancel := context.WithTimeout(ctx, share)
-	defer cancel()
-	ctx = obs.WithTraceID(ctx, obs.NewTraceID())
-	res.TraceID = obs.TraceID(ctx)
 	if span != nil {
 		ctx = obs.ContextWithSpan(ctx, span)
 	}
@@ -120,7 +123,14 @@ func (s *Service) batchItem(ctx context.Context, parent *obs.Span, i int, item B
 		span.SetAttr("outcome", "error")
 		return res
 	}
-	answers, hit, _, err := s.cachedQuery(ctx, item.Advisor, item.Backend, item.Query, serial)
+	// the item's clock starts when a worker picks it up, not when the batch
+	// arrived; the batch's deadline still caps it
+	l := lease{deadline: time.Now().Add(share)}
+	if deadline.Before(l.deadline) {
+		l.deadline = deadline
+	}
+	answers, hit, _, err := s.cachedQuery(ctx, &l, item.Advisor, item.Backend, item.Query, serial)
+	l.release(s)
 	if err != nil {
 		res.Error = err.Error()
 		span.SetAttr("outcome", "error")
@@ -161,12 +171,11 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "batch of %d exceeds limit %d", len(req.Queries), s.opts.MaxBatch)
 		return
 	}
+	ex := w.(*exchange)
 	start := time.Now()
-	// the whole batch runs inside one request budget; Batch splits it into
-	// per-wave item shares
-	ctx, cancel := context.WithTimeout(r.Context(), s.opts.Timeout)
-	defer cancel()
-	results := s.Batch(ctx, req.Queries)
+	// the whole batch runs inside one request budget, from the request's
+	// arrival; batch splits it into per-wave item shares
+	results := s.batch(r.Context(), ex.start.Add(s.opts.Timeout), req.Queries)
 	s.stats.recordBatch(time.Since(start), len(results))
 	nerr := 0
 	for i := range results {
@@ -178,6 +187,6 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Count:   len(results),
 		Errors:  nerr,
 		Results: results,
-		TraceID: obs.TraceID(r.Context()),
+		TraceID: ex.traceID,
 	})
 }

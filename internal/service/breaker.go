@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -181,45 +182,52 @@ func (b *Breaker) State() BreakerState {
 }
 
 // breakerSet is the per-advisor breaker table, created lazily on first use
-// so hot swaps and late registrations need no extra wiring.
+// so hot swaps and late registrations need no extra wiring. Every query
+// reads it, so the table is copy-on-write: a lookup loads one pointer and
+// takes no lock, and only the first use of an advisor copies the map.
 type breakerSet struct {
-	mu        sync.Mutex
-	m         map[string]*Breaker
+	mu        sync.Mutex // serialises the copy-on-write additions
+	m         atomic.Pointer[map[string]*Breaker]
 	threshold int
 	cooldown  time.Duration
 	metrics   *obs.Registry
 }
 
 func newBreakerSet(threshold int, cooldown time.Duration, metrics *obs.Registry) *breakerSet {
-	return &breakerSet{
-		m:         map[string]*Breaker{},
-		threshold: threshold,
-		cooldown:  cooldown,
-		metrics:   metrics,
-	}
+	s := &breakerSet{threshold: threshold, cooldown: cooldown, metrics: metrics}
+	s.m.Store(&map[string]*Breaker{})
+	return s
 }
 
 // get returns the advisor's breaker, creating it closed on first use.
 func (s *breakerSet) get(advisor string) *Breaker {
+	if b, ok := (*s.m.Load())[advisor]; ok {
+		return b
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b, ok := s.m[advisor]
-	if !ok {
-		b = NewBreaker(s.threshold, s.cooldown)
-		b.transitions = s.metrics.Counter("service_breaker_transitions_total")
-		b.stateGauge = s.metrics.Gauge(`service_breaker_state{advisor="` + advisor + `"}`)
-		s.m[advisor] = b
+	old := *s.m.Load()
+	if b, ok := old[advisor]; ok {
+		return b
 	}
+	b := NewBreaker(s.threshold, s.cooldown)
+	b.transitions = s.metrics.Counter("service_breaker_transitions_total")
+	b.stateGauge = s.metrics.Gauge(`service_breaker_state{advisor="` + advisor + `"}`)
+	next := make(map[string]*Breaker, len(old)+1)
+	for name, ob := range old {
+		next[name] = ob
+	}
+	next[advisor] = b
+	s.m.Store(&next)
 	return b
 }
 
 // snapshot returns the per-advisor breaker states, sorted by advisor name —
 // the /statsz view.
 func (s *breakerSet) snapshot() []BreakerInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]BreakerInfo, 0, len(s.m))
-	for name, b := range s.m {
+	m := *s.m.Load()
+	out := make([]BreakerInfo, 0, len(m))
+	for name, b := range m {
 		out = append(out, BreakerInfo{Advisor: name, State: b.State().String()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Advisor < out[j].Advisor })

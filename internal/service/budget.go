@@ -3,7 +3,59 @@ package service
 import (
 	"context"
 	"time"
+
+	"repro/internal/obs"
 )
+
+// lease is one request's claim on the serving envelope: a deadline and at
+// most one admission slot. The deadline is fixed when the request arrives,
+// but nothing runs until a cache miss needs it: the first miss arms the
+// deadline (a context timer) and queues for the slot, and every later miss
+// of the request reuses both. A request whose lookups all hit arms no timer
+// and holds no slot. The request's owner calls release once it has its
+// answers. A lease is used by one goroutine at a time.
+type lease struct {
+	deadline time.Time // zero: Options.Timeout from the first miss
+	ctx      context.Context
+	cancel   context.CancelFunc
+	admitted bool
+}
+
+// acquire readies the lease for a miss under ctx and returns the context
+// the miss waits under: ctx bounded by the deadline. It fails with
+// ErrOverloaded when the admission queue is full, or with the context's
+// error when the wait for a slot outlasts the deadline.
+func (l *lease) acquire(ctx context.Context, s *Service, parent *obs.Span) (context.Context, error) {
+	if l.ctx == nil {
+		if l.deadline.IsZero() {
+			l.deadline = time.Now().Add(s.opts.Timeout)
+		}
+		l.ctx, l.cancel = context.WithDeadline(ctx, l.deadline)
+	}
+	if !l.admitted {
+		span := parent.StartChild("admission")
+		defer span.Finish()
+		if err := s.admit.Acquire(l.ctx); err != nil {
+			span.SetAttr("outcome", "rejected")
+			return nil, err
+		}
+		l.admitted = true
+	}
+	return l.ctx, nil
+}
+
+// release frees the admission slot and the deadline's timer, if the lease
+// took them.
+func (l *lease) release(s *Service) {
+	if l.admitted {
+		s.admit.Release()
+		l.admitted = false
+	}
+	if l.cancel != nil {
+		l.cancel()
+		l.cancel = nil
+	}
+}
 
 // Deadline-budget propagation: a request-scoped time budget is split fairly
 // across the sub-queries a request fans out into, instead of every

@@ -2,7 +2,6 @@ package service
 
 import (
 	"container/list"
-	"hash/fnv"
 	"strings"
 	"sync"
 
@@ -87,7 +86,7 @@ func QueryKey(advisor, query string) string {
 // the annotate-once path: the serving layer normalizes each query exactly
 // once and reuses the terms for both the cache key and retrieval scoring.
 func QueryKeyTerms(advisor string, terms []string) string {
-	return advisor + "\x00" + strings.Join(terms, " ")
+	return QueryKeyBackend(advisor, "", terms)
 }
 
 // QueryKeyBackend extends QueryKeyTerms with the scoring backend. The
@@ -96,12 +95,38 @@ func QueryKeyTerms(advisor string, terms []string) string {
 // while alternate backends get a disjoint key space (terms never contain
 // control bytes, so the "\x00\x01" marker cannot collide with a default
 // key) under the same advisor prefix, so Invalidate drops every backend's
-// entries for an advisor in one pass.
+// entries for an advisor in one pass. The key is built in one allocation
+// of exactly queryKeyLen bytes.
 func QueryKeyBackend(advisor, backend string, terms []string) string {
-	if backend == "" || backend == vsm.BackendVSM {
-		return QueryKeyTerms(advisor, terms)
+	var b strings.Builder
+	b.Grow(queryKeyLen(advisor, backend, terms))
+	b.WriteString(advisor)
+	b.WriteByte(0)
+	if backend != "" && backend != vsm.BackendVSM {
+		b.WriteByte(1)
+		b.WriteString(backend)
+		b.WriteByte(0)
 	}
-	return advisor + "\x00\x01" + backend + "\x00" + strings.Join(terms, " ")
+	for i, t := range terms {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(t)
+	}
+	return b.String()
+}
+
+// queryKeyLen is the length of QueryKeyBackend(advisor, backend, terms),
+// computed without building the key.
+func queryKeyLen(advisor, backend string, terms []string) int {
+	n := len(advisor) + 1 + max(len(terms)-1, 0)
+	if backend != "" && backend != vsm.BackendVSM {
+		n += len(backend) + 2
+	}
+	for _, t := range terms {
+		n += len(t)
+	}
+	return n
 }
 
 // QueryKeyFull extends QueryKeyBackend with a pruning flag that only callers
@@ -117,10 +142,40 @@ func QueryKeyFull(advisor, backend string, prune bool, terms []string) string {
 	return advisor + "\x00\x02" + key[len(advisor)+1:]
 }
 
+// shardFor places key by its 32-bit FNV-1a hash, computed inline so a
+// lookup allocates nothing.
 func (c *Cache) shardFor(key string) *cacheShard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return c.shards[h.Sum32()%uint32(len(c.shards))]
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return c.shards[h%uint32(len(c.shards))]
+}
+
+// Get returns the cached value for key and counts a hit, or reports false
+// and counts nothing: a caller that misses goes on to GetOrCompute, which
+// counts the lookup's outcome once. Get never waits for an in-flight
+// computation.
+func (c *Cache) Get(key string) ([]core.Answer, bool) {
+	sh := c.shardFor(key)
+	sh.mu.Lock()
+	v, ok := sh.getLocked(key)
+	sh.mu.Unlock()
+	if ok {
+		c.stats.hits.Add(1)
+	}
+	return v, ok
+}
+
+// getLocked returns the entry for key, marking it most recently used.
+func (sh *cacheShard) getLocked(key string) ([]core.Answer, bool) {
+	el, ok := sh.entries[key]
+	if !ok {
+		return nil, false
+	}
+	sh.ll.MoveToFront(el)
+	return el.Value.(*cacheEntry).val, true
 }
 
 // GetOrCompute returns the cached value for key, computing and inserting it
@@ -130,9 +185,7 @@ func (c *Cache) shardFor(key string) *cacheShard {
 func (c *Cache) GetOrCompute(key string, compute func() ([]core.Answer, error)) (val []core.Answer, hit bool, err error) {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
-	if el, ok := sh.entries[key]; ok {
-		sh.ll.MoveToFront(el)
-		v := el.Value.(*cacheEntry).val
+	if v, ok := sh.getLocked(key); ok {
 		sh.mu.Unlock()
 		c.stats.hits.Add(1)
 		return v, true, nil

@@ -94,6 +94,19 @@ func TestCacheHitMissEvict(t *testing.T) {
 	if stats.hits.Value() != 1 || stats.misses.Value() != int64(calls) {
 		t.Errorf("hits %d misses %d calls %d", stats.hits.Value(), stats.misses.Value(), calls)
 	}
+	// Get counts a hit and never a miss: a miss is counted once, by the
+	// GetOrCompute that follows it
+	hits, misses := stats.hits.Value(), stats.misses.Value()
+	if _, ok := c.Get("absent"); ok {
+		t.Error("Get found a key never stored")
+	}
+	if val, ok := c.Get("key-19"); !ok || val[0].Sentence.Text != "key-19" {
+		t.Errorf("Get of the newest key: ok=%v val=%v", ok, val)
+	}
+	if stats.hits.Value() != hits+1 || stats.misses.Value() != misses {
+		t.Errorf("Get moved hits %d -> %d and misses %d -> %d, want +1 and +0",
+			hits, stats.hits.Value(), misses, stats.misses.Value())
+	}
 }
 
 func TestCacheLRUOrder(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/nlp"
 	"repro/internal/obs"
 	"repro/internal/vsm"
 )
@@ -53,7 +54,16 @@ type AskResponse struct {
 // index — deterministic for identical registries). Per-advisor failures
 // land in the errors map; an ask only fails entirely when no advisor is
 // registered (empty results, empty errors).
+//
+// The ask must finish within Options.Timeout, or by ctx's deadline when ctx
+// carries one.
 func (s *Service) Ask(ctx context.Context, backend, q string, k int) ([]FederatedAnswer, map[string]string) {
+	return s.ask(ctx, time.Now().Add(remainingBudget(ctx, s.opts.Timeout)), backend, q, k)
+}
+
+// ask is Ask with the whole ask's deadline explicit; no timer runs until a
+// leg misses the cache.
+func (s *Service) ask(ctx context.Context, deadline time.Time, backend, q string, k int) ([]FederatedAnswer, map[string]string) {
 	start := time.Now()
 	defer func() { s.stats.recordAsk(time.Since(start)) }()
 	if k <= 0 {
@@ -64,10 +74,9 @@ func (s *Service) Ask(ctx context.Context, backend, q string, k int) ([]Federate
 	perAdvisor := make([][]FederatedAnswer, len(names))
 	errTexts := make([]string, len(names))
 	// every leg runs concurrently, so each gets the same share: the
-	// remaining request budget minus a merge reserve (see askShare). The
-	// leg's own WithTimeout can only shrink the parent deadline, never
-	// extend it.
-	share := askShare(remainingBudget(ctx, s.opts.Timeout))
+	// remaining request budget minus a merge reserve (see askShare). A
+	// leg's deadline can only shrink ctx's own, never extend it.
+	legDeadline := time.Now().Add(askShare(time.Until(deadline)))
 	var wg sync.WaitGroup
 	for i, name := range names {
 		wg.Add(1)
@@ -87,9 +96,9 @@ func (s *Service) Ask(ctx context.Context, backend, q string, k int) ([]Federate
 				errTexts[i] = ErrBreakerOpen.Error()
 				return
 			}
-			lctx, cancel := context.WithTimeout(ctx, share)
-			defer cancel()
-			answers, hit, err := s.CachedQueryBackend(lctx, name, backend, q)
+			l := lease{deadline: legDeadline}
+			answers, hit, _, err := s.cachedQuery(ctx, &l, name, backend, q, false)
+			l.release(s)
 			if err != nil {
 				span.SetAttr("outcome", "error")
 				errTexts[i] = err.Error()
@@ -172,11 +181,19 @@ func (s *Service) handleAsk(w http.ResponseWriter, r *http.Request) {
 		}
 		k = n
 	}
-	// establish the request-wide budget here so the per-leg shares inside
-	// Ask are computed against a real deadline
-	ctx, cancel := context.WithTimeout(r.Context(), s.opts.Timeout)
-	defer cancel()
-	answers, errs := s.Ask(ctx, backend, q, k)
+	// an over-long query is the client's mistake for every advisor alike,
+	// so it fails the ask as a whole instead of filling the errors map
+	terms := nlp.QueryTerms(q)
+	for _, name := range s.reg.Names() {
+		if err := boundQuery(name, backend, terms); err != nil {
+			writeQueryError(w, err)
+			return
+		}
+	}
+	// the per-leg shares are computed against the request's one deadline,
+	// running from its arrival
+	ex := w.(*exchange)
+	answers, errs := s.ask(r.Context(), ex.start.Add(s.opts.Timeout), backend, q, k)
 	writeJSON(w, http.StatusOK, AskResponse{
 		Query:   q,
 		Backend: backend,
@@ -184,6 +201,6 @@ func (s *Service) handleAsk(w http.ResponseWriter, r *http.Request) {
 		Count:   len(answers),
 		Answers: answers,
 		Errors:  errs,
-		TraceID: obs.TraceID(r.Context()),
+		TraceID: ex.traceID,
 	})
 }

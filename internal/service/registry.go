@@ -2,8 +2,8 @@
 // reproduction: a registry of named advisors (one per guide), a versioned
 // JSON API over Stage-II retrieval, a sharded LRU query cache with
 // single-flight deduplication, and an admission-control front (bounded
-// concurrency, per-request timeouts, overload rejection, access logging,
-// graceful draining).
+// concurrency, per-request timeouts, overload rejection, a log of failed
+// and slow requests, graceful draining).
 //
 // The paper ships Egeria's output as a served web artifact (Figs. 6-7); this
 // package is the layer that makes that artifact hold up under real traffic:

@@ -9,6 +9,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -35,10 +36,10 @@ type Options struct {
 	MaxBodySize  int64         // report upload cap in bytes (default 1 MiB)
 	MaxBatch     int           // queries per batch, or issues per report (default 64)
 	BatchWorkers int           // worker pool answering one batch (default 8, capped by MaxInFlight)
-	Logger       *slog.Logger  // structured access log (default: discard)
+	Logger       *slog.Logger  // failed (status >= 400) and slow request log (default: discard)
 
 	// Tracer samples request traces for /tracez. Every request gets a
-	// trace ID (X-Trace-Id header, trace_id response field, access log)
+	// trace ID (X-Trace-Id header, trace_id response field, request log)
 	// regardless; the tracer only decides whether the span tree is
 	// recorded. nil: never sampled.
 	Tracer *obs.Tracer
@@ -208,54 +209,73 @@ func (s *Service) isDraining() bool {
 	return s.drained
 }
 
-// statusRecorder captures the response code for access logging.
-type statusRecorder struct {
+// exchange is one request's envelope around the routed handler, pooled so
+// a request allocates none: it wraps the ResponseWriter to record the
+// status, and carries the trace ID and the arrival time the request's
+// deadline runs from. Handlers reach it through the writer they are given.
+type exchange struct {
 	http.ResponseWriter
-	status int
+	status  int
+	traceID string
+	start   time.Time
 }
 
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
+var exchangePool = sync.Pool{New: func() any { return new(exchange) }}
+
+func (e *exchange) WriteHeader(code int) {
+	e.status = code
+	e.ResponseWriter.WriteHeader(code)
 }
 
-// ServeHTTP implements http.Handler with per-request tracing, access
-// logging, and in-flight accounting around the routed handlers. Every
-// request gets a trace ID (returned in X-Trace-Id and logged); when the
-// tracer samples the request, the handler pipeline records a span tree
-// retrievable from /tracez by that ID.
+// ServeHTTP implements http.Handler with per-request tracing, in-flight
+// accounting and a log of failed and slow requests around the routed
+// handlers. Every request gets a trace ID (returned in X-Trace-Id and
+// logged); when the tracer samples the request, the handler pipeline
+// records a span tree retrievable from /tracez by that ID, and only then
+// does the request carry a derived context.
+//
+// A request is logged when its status is 400 or more or it took longer
+// than a tenth of Options.Timeout; /statsz and /metricz count every
+// request.
 func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
+	ex := exchangePool.Get().(*exchange)
+	*ex = exchange{ResponseWriter: w, status: http.StatusOK, traceID: obs.NewTraceID(), start: time.Now()}
 	s.stats.requests.Add(1)
 	s.stats.inFlight.Add(1)
 	defer s.stats.inFlight.Add(-1)
-	ctx, root := s.opts.Tracer.Start(r.Context(), r.Method+" "+r.URL.Path)
-	traceID := obs.TraceID(ctx)
-	w.Header().Set("X-Trace-Id", traceID)
-	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+	w.Header().Set("X-Trace-Id", ex.traceID)
+	var root *obs.Span
+	if s.opts.Tracer.Sample() {
+		root = s.opts.Tracer.Root(ex.traceID, r.Method+" "+r.URL.Path)
+		r = r.WithContext(obs.ContextWithSpan(obs.WithTraceID(r.Context(), ex.traceID), root))
+	}
 	if ferr := s.flt.Err(fault.ServiceHandler); ferr != nil {
 		// injected handler fault: the request fails before routing, but
 		// still as a well-formed JSON error carrying its trace ID
-		writeError(rec, http.StatusInternalServerError, "%v", ferr)
+		writeError(ex, http.StatusInternalServerError, "%v", ferr)
 	} else {
-		s.mux.ServeHTTP(rec, r.WithContext(ctx))
+		s.mux.ServeHTTP(ex, r)
 	}
-	dur := time.Since(start)
-	if rec.status >= 500 {
+	dur := time.Since(ex.start)
+	if ex.status >= 500 {
 		s.stats.errors5xx.Add(1)
 	}
 	if root != nil {
-		root.SetAttrInt("status", rec.status)
+		root.SetAttrInt("status", ex.status)
 		root.Finish()
 	}
-	s.opts.Logger.Info("access",
-		"method", r.Method,
-		"path", r.URL.Path,
-		"status", rec.status,
-		"dur_micros", dur.Microseconds(),
-		"cache", rec.Header().Get("X-Cache"),
-		"trace", traceID,
-	)
+	if ex.status >= http.StatusBadRequest || dur > s.opts.Timeout/10 {
+		s.opts.Logger.Info("access",
+			"method", r.Method,
+			"path", r.URL.Path,
+			"status", ex.status,
+			"dur_micros", dur.Microseconds(),
+			"cache", w.Header().Get("X-Cache"),
+			"trace", ex.traceID,
+		)
+	}
+	*ex = exchange{}
+	exchangePool.Put(ex)
 }
 
 // CachedQuery answers q against the named advisor through the cache and
@@ -301,20 +321,49 @@ func (p *partialAnswers) Error() string {
 // many are missing. Such partial results are never cached. All shards
 // failing — the only shard, for a monolithic index — is a real error (and
 // counts toward the advisor's circuit breaker).
+//
+// Each call is its own request: a hit returns on the caller's goroutine
+// with no deadline or admission slot, and a miss runs under Options.Timeout
+// from the moment it misses.
 func (s *Service) CachedQueryFull(ctx context.Context, advisor, backend, q string) (answers []core.Answer, hit bool, shardsFailed int, err error) {
-	return s.cachedQuery(ctx, advisor, backend, q, false)
+	var l lease
+	defer l.release(s)
+	return s.cachedQuery(ctx, &l, advisor, backend, q, false)
 }
 
-// cachedQuery is CachedQueryFull with the scoring mode explicit: serial
-// keeps a miss's shard fan-out on one goroutine, for callers that are
-// already parallel across queries (the batch executor).
+// Bounds on one untrusted query: a /v1 query, an ask, a batch item or one
+// report issue. Both sit far above the longest synthesized report issue
+// (108 terms), and together they cap what one cache entry can pin.
+const (
+	maxQueryTerms    = 1024
+	maxQueryKeyBytes = 16 << 10
+)
+
+// ErrQueryTooLong: the query normalizes to more than maxQueryTerms terms,
+// or to a cache key longer than maxQueryKeyBytes. It is the client's
+// mistake, so it answers 400 and never reaches the advisor's breaker.
+var ErrQueryTooLong = errors.New("service: query too long")
+
+// boundQuery bounds a normalized query against the named advisor.
+func boundQuery(advisor, backend string, terms []string) error {
+	if len(terms) > maxQueryTerms {
+		return fmt.Errorf("%w: %d terms exceed %d", ErrQueryTooLong, len(terms), maxQueryTerms)
+	}
+	if n := queryKeyLen(advisor, backend, terms); n > maxQueryKeyBytes {
+		return fmt.Errorf("%w: %d-byte cache key exceeds %d", ErrQueryTooLong, n, maxQueryKeyBytes)
+	}
+	return nil
+}
+
+// cachedQuery is CachedQueryFull under the caller's lease (see lease),
+// with the scoring mode explicit: serial keeps a miss's shard fan-out on
+// one goroutine, for callers that are already parallel across queries (the
+// batch executor).
 //
-// The advisor that answers a miss is read inside the cache's compute func,
-// after the flight is registered, never before: a Reload that swaps the
-// advisor while the miss is in flight then finds the flight and marks it
-// not cacheable (Cache.Invalidate), so a stale answer cannot outlive the
-// swap in the cache.
-func (s *Service) cachedQuery(ctx context.Context, advisor, backend, q string, serial bool) (answers []core.Answer, hit bool, shardsFailed int, err error) {
+// The query is normalized and keyed first, and a hit is answered right
+// there, on the caller's goroutine. Only a miss takes the lease's deadline
+// and admission slot and the detached single-flight compute (see miss).
+func (s *Service) cachedQuery(ctx context.Context, l *lease, advisor, backend, q string, serial bool) (answers []core.Answer, hit bool, shardsFailed int, err error) {
 	// one span lookup covers the whole query path: with tracing off (or
 	// this request unsampled) parent is nil and every child span below is
 	// a no-op nil pointer — the hot path pays a single ctx.Value call
@@ -325,49 +374,68 @@ func (s *Service) cachedQuery(ctx context.Context, advisor, backend, q string, s
 	if _, ok := s.reg.Get(advisor); !ok {
 		return nil, false, 0, fmt.Errorf("%w: %q", ErrUnknownAdvisor, advisor)
 	}
+	// annotate the query once: the normalized terms key the cache AND feed
+	// retrieval on a miss, so the query text is never tokenized twice —
+	// report answering (one lookup per profiler issue) pays the query NLP
+	// exactly once per issue
+	annSpan := parent.StartChild("annotate")
+	terms := nlp.QueryTerms(q)
+	annSpan.SetAttrInt("terms", len(terms))
+	annSpan.Finish()
+	if err := boundQuery(advisor, backend, terms); err != nil {
+		return nil, false, 0, err
+	}
+	key := QueryKeyBackend(advisor, backend, terms)
 	// every outcome past this point feeds the advisor's circuit breaker:
 	// successes reset it, infrastructure failures (timeouts, injected
 	// faults, internal errors) count toward tripping it, and client errors
 	// or server-wide overload are not this advisor's fault and record
 	// nothing (see breakerFailure)
+	brk := s.breakers.get(advisor)
 	defer func() {
 		switch {
 		case err == nil:
-			s.breakers.get(advisor).Record(false)
+			brk.Record(false)
 		case breakerFailure(err):
-			s.breakers.get(advisor).Record(true)
+			brk.Record(true)
 		}
 	}()
 	if ferr := s.flt.Err(fault.NLPAnnotate); ferr != nil {
 		return nil, false, 0, ferr
 	}
-	ctx, cancel := context.WithTimeout(ctx, s.opts.Timeout)
-	defer cancel()
-	admSpan := parent.StartChild("admission")
-	if err := s.admit.Acquire(ctx); err != nil {
-		admSpan.SetAttr("outcome", "rejected")
-		admSpan.Finish()
-		return nil, false, 0, err
+	cacheSpan := parent.StartChild("cache")
+	if answers, ok := s.cache.Get(key); ok {
+		if cacheSpan != nil {
+			cacheSpan.SetAttr("hit", "true")
+			cacheSpan.Finish()
+		}
+		return answers, true, 0, nil
 	}
-	admSpan.Finish()
-	defer s.admit.Release()
-	// annotate the query once: the normalized terms key the cache AND feed
-	// retrieval on a miss, so the query text is never tokenized twice —
-	// report answering (one CachedQuery per profiler issue) pays the query
-	// NLP exactly once per issue
-	annSpan := parent.StartChild("annotate")
-	terms := nlp.QueryTerms(q)
-	annSpan.SetAttrInt("terms", len(terms))
-	annSpan.Finish()
-	key := QueryKeyBackend(advisor, backend, terms)
-	// run the lookup in a goroutine so an expired deadline returns promptly;
-	// the computation itself finishes and still populates the cache
+	return s.miss(ctx, l, parent, cacheSpan, key, advisor, backend, terms, serial)
+}
+
+// miss answers a lookup the cache could not. It takes the lease's deadline
+// and admission slot, and only then enters the cache's single-flight
+// compute, so a flight is registered by an owner that already holds a
+// slot: no waiter waits on an owner still queued. The compute runs in a
+// goroutine detached from the deadline, so an expired deadline returns
+// promptly while the computation finishes and still fills the cache.
+//
+// The advisor that answers is read inside the compute func, after the
+// flight is registered, never before: a Reload that swaps the advisor while
+// the miss is in flight then finds the flight and marks it not cacheable
+// (Cache.Invalidate), so a stale answer cannot outlive the swap in the
+// cache.
+func (s *Service) miss(ctx context.Context, l *lease, parent, cacheSpan *obs.Span, key, advisor, backend string, terms []string, serial bool) ([]core.Answer, bool, int, error) {
+	ctx, err := l.acquire(ctx, s, parent)
+	if err != nil {
+		return nil, false, 0, s.failLookup(cacheSpan, err)
+	}
 	type result struct {
 		answers []core.Answer
 		hit     bool
 		err     error
 	}
-	cacheSpan := parent.StartChild("cache")
 	ch := make(chan result, 1)
 	go func() {
 		a, h, e := s.cache.GetOrCompute(key, func() ([]core.Answer, error) {
@@ -375,19 +443,17 @@ func (s *Service) cachedQuery(ctx context.Context, advisor, backend, q string, s
 			if !ok {
 				return nil, fmt.Errorf("%w: %q", ErrUnknownAdvisor, advisor)
 			}
-			// a miss runs Stage-II retrieval; the score span hangs off the
-			// cache span so a trace shows hit (no child) vs miss (scored)
+			// the score span hangs off the cache span so a trace shows hit
+			// (no child) vs miss (scored)
 			scoreSpan := cacheSpan.StartChild("score")
 			defer scoreSpan.Finish()
 			if backend != "" {
 				scoreSpan.SetAttr("backend", backend)
 			}
-			// detach from the request ctx so the computation outlives an
-			// expired deadline and still populates the cache. The vsm.score
-			// fault point is drawn once per index shard, so one failing
-			// shard degrades the query to partial results instead of
-			// failing it; injected faults surface inside the compute func,
-			// which GetOrCompute never caches.
+			// the vsm.score fault point is drawn once per index shard, so
+			// one failing shard degrades the query to partial results
+			// instead of failing it; injected faults surface inside the
+			// compute func, which GetOrCompute never caches
 			o := adv.QueryOpts(backend)
 			o.Serial = serial
 			o.Fault = func() error { return s.flt.Err(fault.VSMScore) }
@@ -420,13 +486,20 @@ func (s *Service) cachedQuery(ctx context.Context, advisor, backend, q string, s
 		}
 		return res.answers, res.hit, 0, res.err
 	case <-ctx.Done():
-		s.stats.timeouts.Add(1)
-		if cacheSpan != nil {
-			cacheSpan.SetAttr("outcome", "timeout")
-			cacheSpan.Finish()
-		}
-		return nil, false, 0, ctx.Err()
+		return nil, false, 0, s.failLookup(cacheSpan, ctx.Err())
 	}
+}
+
+// failLookup ends a miss that got no answer: the admission queue was full,
+// the deadline passed (queued for a slot or waiting for the compute), or
+// the caller gave up. Only the deadline counts as a timeout.
+func (s *Service) failLookup(cacheSpan *obs.Span, err error) error {
+	if errors.Is(err, context.DeadlineExceeded) {
+		s.stats.timeouts.Add(1)
+		cacheSpan.SetAttr("outcome", "timeout")
+	}
+	cacheSpan.Finish()
+	return err
 }
 
 // ErrUnknownAdvisor: the path's {advisor} is not in the registry.
@@ -481,26 +554,28 @@ func (s *Service) handleRules(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("advisor")
-	params := r.URL.Query()
-	q := strings.TrimSpace(params.Get("q"))
+	q := strings.TrimSpace(queryParam(r.URL.RawQuery, "q"))
 	if q == "" {
 		writeError(w, http.StatusBadRequest, "missing query parameter q")
 		return
 	}
 	// absent/empty backend takes the default path and leaves the response
 	// byte-identical to a backend-unaware build (Backend marshals omitempty)
-	backend := strings.TrimSpace(params.Get("backend"))
+	backend := strings.TrimSpace(queryParam(r.URL.RawQuery, "backend"))
+	ex := w.(*exchange)
 	start := time.Now()
-	answers, hit, shardsFailed, err := s.CachedQueryFull(r.Context(), name, backend, q)
+	l := lease{deadline: ex.start.Add(s.opts.Timeout)}
+	answers, hit, shardsFailed, err := s.cachedQuery(r.Context(), &l, name, backend, q, false)
+	l.release(s)
 	s.stats.recordQuery(time.Since(start))
 	if err != nil {
 		writeQueryError(w, err)
 		return
 	}
 	if hit {
-		w.Header().Set("X-Cache", "hit")
+		w.Header()["X-Cache"] = cacheHit
 	} else {
-		w.Header().Set("X-Cache", "miss")
+		w.Header()["X-Cache"] = cacheMiss
 	}
 	// the QueryResponse body, written without encoding/json (see api.go)
 	b := jsonw.AppendString(append(getBody(), `{"advisor":`...), name)
@@ -513,7 +588,28 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		b = append(b, `,"shards_failed":`...)
 		b = strconv.AppendInt(b, int64(shardsFailed), 10)
 	}
-	writeBody(w, b, r)
+	writeBody(w, b, ex.traceID)
+}
+
+// queryParam is url.ParseQuery(raw).Get(name) without building the map:
+// the value of the first pair whose key unescapes to name, skipping pairs
+// ParseQuery rejects (a semicolon, a bad escape) exactly as it does.
+func queryParam(raw, name string) string {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != name {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
 }
 
 // handleBackends lists the scoring backends every advisor offers, default
@@ -547,7 +643,11 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "report of %d issues exceeds limit %d", len(issues), s.opts.MaxBatch)
 		return
 	}
+	ex := w.(*exchange)
 	start := time.Now()
+	// the issues share the request's one deadline, running from its
+	// arrival, and at most one admission slot, taken by the first miss
+	l := lease{deadline: ex.start.Add(s.opts.Timeout)}
 	// the ReportResponse body, written without encoding/json (see api.go)
 	b := jsonw.AppendString(append(getBody(), `{"advisor":`...), name)
 	if report.Program != "" {
@@ -556,8 +656,9 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 	b = append(b, `,"issues":`...)
 	sep := byte('[')
 	for _, issue := range issues {
-		answers, _, err := s.CachedQuery(r.Context(), name, issue.Query())
+		answers, _, _, err := s.cachedQuery(r.Context(), &l, name, "", issue.Query(), false)
 		if err != nil {
+			l.release(s)
 			s.stats.recordReport(time.Since(start))
 			writeQueryError(w, err)
 			return
@@ -574,8 +675,9 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 	} else {
 		b = append(b, ']')
 	}
+	l.release(s)
 	s.stats.recordReport(time.Since(start))
-	writeBody(w, b, r)
+	writeBody(w, b, ex.traceID)
 }
 
 // handleAdminReload synchronously rebuilds and hot-swaps advisors through
@@ -610,7 +712,7 @@ func (s *Service) handleAdminReload(w http.ResponseWriter, r *http.Request) {
 		Advisor:       advisor,
 		DurationMicro: time.Since(start).Microseconds(),
 		State:         lm.State(),
-		TraceID:       obs.TraceID(r.Context()),
+		TraceID:       w.(*exchange).traceID,
 	})
 }
 
@@ -629,13 +731,13 @@ func parseReport(text string) (*nvvp.Report, error) {
 }
 
 // writeQueryError maps CachedQuery errors onto status codes: unknown advisor
-// → 404, unknown backend → 400, overload → 429, deadline → 503, anything
-// else → 500.
+// → 404, unknown backend or an over-long query → 400, overload → 429,
+// deadline → 503, anything else → 500.
 func writeQueryError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrUnknownAdvisor):
 		writeError(w, http.StatusNotFound, "%v", err)
-	case errors.Is(err, vsm.ErrUnknownBackend):
+	case errors.Is(err, vsm.ErrUnknownBackend), errors.Is(err, ErrQueryTooLong):
 		writeError(w, http.StatusBadRequest, "%v", err)
 	case errors.Is(err, ErrOverloaded):
 		w.Header().Set("Retry-After", "1")

@@ -74,7 +74,7 @@ type Stats struct {
 	misses    *obs.Counter // cache misses that ran retrieval
 	evictions *obs.Counter // LRU evictions
 	rejected  *obs.Counter // 429s from admission control
-	timeouts  *obs.Counter // requests cancelled by the per-request deadline
+	timeouts  *obs.Counter // requests (batch items, ask legs) that ended on their deadline, queued or computing
 	errors5xx *obs.Counter // responses with status >= 500
 	inFlight  *obs.Gauge   // requests currently inside a /v1 handler
 
