@@ -69,7 +69,7 @@ cover: ## per-package coverage table + total; fails below COVER_BASELINE
 # root module (bench/ is its own module), physical and code (neither blank
 # nor comment-only), then the totals. It fails when the code-line total
 # exceeds LOC_BASELINE; lower the baseline when a change deletes code.
-LOC_BASELINE = 14565
+LOC_BASELINE = 14382
 loc: ## per-package non-test Go line counts; fails above LOC_BASELINE code lines
 	@find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print \
 	| xargs awk 'FNR == 1 { pkg = FILENAME; sub(/\/[^\/]*$$/, "", pkg); sub(/^\.\/?/, "", pkg); if (pkg == "") pkg = "." } \

@@ -1,8 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // (run with `go test -bench=. -benchmem`), plus the performance ablations of
 // DESIGN.md: per-NLP-layer cost, serial vs parallel Stage I, Stage-II
-// retrieval across query shapes, partitions and backends, and
-// document-size scaling.
+// retrieval across query shapes and backends, and document-size scaling.
 package repro_test
 
 import (
@@ -261,7 +260,7 @@ func BenchmarkServiceQuery(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			q := fmt.Sprintf("reduce instruction and memory latency variant %d", i)
-			if _, _, err := svc.CachedQuery(ctx, "cuda", q); err != nil {
+			if _, _, err := svc.CachedQuery(ctx, "cuda", "", q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -270,13 +269,13 @@ func BenchmarkServiceQuery(b *testing.B) {
 		svc := newBenchService(b)
 		ctx := context.Background()
 		const q = "reduce instruction and memory latency"
-		if _, _, err := svc.CachedQuery(ctx, "cuda", q); err != nil {
+		if _, _, err := svc.CachedQuery(ctx, "cuda", "", q); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, hit, err := svc.CachedQuery(ctx, "cuda", q); err != nil || !hit {
+			if _, hit, err := svc.CachedQuery(ctx, "cuda", "", q); err != nil || !hit {
 				b.Fatalf("hit=%v err=%v", hit, err)
 			}
 		}
@@ -325,14 +324,14 @@ func BenchmarkServiceQuery(b *testing.B) {
 		svc := newBenchService(b)
 		tracer := obs.NewTracer(1.0, obs.NewTraceStore(obs.DefaultTraceCapacity))
 		const q = "reduce instruction and memory latency"
-		if _, _, err := svc.CachedQuery(context.Background(), "cuda", q); err != nil {
+		if _, _, err := svc.CachedQuery(context.Background(), "cuda", "", q); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ctx, root := tracer.Start(context.Background(), "bench.query")
-			if _, hit, err := svc.CachedQuery(ctx, "cuda", q); err != nil || !hit {
+			if _, hit, err := svc.CachedQuery(ctx, "cuda", "", q); err != nil || !hit {
 				b.Fatalf("hit=%v err=%v", hit, err)
 			}
 			root.Finish()
@@ -491,7 +490,7 @@ func BenchmarkAnnotateOnce(b *testing.B) {
 				rec.ClassifyAnnotated(ann)
 				terms[j] = ann.Terms()
 			}
-			vsm.BuildFromTerms(terms, nil, nil, 1)
+			vsm.BuildFromTerms(terms, nil)
 		}
 	})
 }
@@ -585,14 +584,12 @@ var servedSink []core.Answer
 var postingsScored = obs.Default().Counter("vsm_postings_scored_total")
 
 // BenchmarkServedRetrieval times Stage-II retrieval the way every endpoint
-// asks for it (tracked across PRs): Advisor.QueryTermsBackendCtx at the
-// served threshold, returning every match, over pre-normalized terms. Three
-// query shapes — short windows on the paper-size CUDA guide (hot), short
-// windows on a 10,000-sentence guide (cold), and NVVP issue queries on the
-// paper-size guide (report) — run against 1 and 2 index partitions under
-// both backends. Answers are identical across partition counts; the
-// partition axis isolates fan-out cost against the host's cores. postings/op
-// is the number of postings the engine walked per query.
+// asks for it (tracked across PRs): Advisor.Retrieve at the served
+// threshold, returning every match, over pre-normalized terms. Three query
+// shapes — short windows on the paper-size CUDA guide (hot), short windows
+// on a 10,000-sentence guide (cold), and NVVP issue queries on the
+// paper-size guide (report) — run under both backends. postings/op is the
+// number of postings the engine walked per query.
 func BenchmarkServedRetrieval(b *testing.B) {
 	paper := corpus.Generate(corpus.CUDA, experiments.Seed)
 	big := corpus.GenerateSized(corpus.CUDA, 10000, 0.15, 1)
@@ -603,23 +600,22 @@ func BenchmarkServedRetrieval(b *testing.B) {
 	}
 	ctx := context.Background()
 	for _, sh := range shapes {
-		for _, parts := range []int{1, 2} {
-			adv := core.New(core.WithShards(parts)).BuildFromSentences(sh.guide.Doc, sh.guide.Sentences)
-			for _, backend := range vsm.Backends() {
-				b.Run(fmt.Sprintf("shape=%s/parts=%d/%s", sh.name, parts, backend), func(b *testing.B) {
-					b.ReportAllocs()
-					walked := postingsScored.Value()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						answers, err := adv.QueryTermsBackendCtx(ctx, backend, sh.queries[i%len(sh.queries)])
-						if err != nil {
-							b.Fatal(err)
-						}
-						servedSink = answers
+		adv := core.New().BuildFromSentences(sh.guide.Doc, sh.guide.Sentences)
+		for _, backend := range vsm.Backends() {
+			o := adv.QueryOpts(backend)
+			b.Run(fmt.Sprintf("shape=%s/%s", sh.name, backend), func(b *testing.B) {
+				b.ReportAllocs()
+				walked := postingsScored.Value()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					answers, err := adv.Retrieve(ctx, sh.queries[i%len(sh.queries)], o)
+					if err != nil {
+						b.Fatal(err)
 					}
-					b.ReportMetric(float64(postingsScored.Value()-walked)/float64(b.N), "postings/op")
-				})
-			}
+					servedSink = answers
+				}
+				b.ReportMetric(float64(postingsScored.Value()-walked)/float64(b.N), "postings/op")
+			})
 		}
 	}
 }

@@ -62,7 +62,6 @@ import (
 	"repro/internal/selectors"
 	"repro/internal/service"
 	"repro/internal/store"
-	"repro/internal/vsm"
 	"repro/internal/webui"
 )
 
@@ -75,7 +74,6 @@ func main() {
 		corpusReg = flag.String("corpus", "", "built-in synthetic guide: cuda, opencl, xeon")
 		seed      = flag.Int64("seed", 1, "corpus generation seed")
 		threshold = flag.Float64("threshold", 0.15, "similarity threshold for recommendations")
-		shards    = flag.Int("shards", 1, fmt.Sprintf("Stage-II index shard count, at most %d (1 = monolithic; retrieval scores are identical at any count)", vsm.MaxPartitions))
 		xeonTuned = flag.Bool("xeon-tuned", false, "use the Xeon-tuned keyword sets (§4.3)")
 		cfgPath   = flag.String("config", "", "JSON keyword configuration merged over the defaults")
 		addr      = flag.String("addr", ":8080", "listen address for serve")
@@ -127,12 +125,9 @@ func main() {
 		cfg = cfg.Merge(extra)
 	}
 	// newFramework builds the advisor generator from the framework-level
-	// flags, refusing a shard count no snapshot load would accept
+	// flags
 	newFramework := func() *core.Framework {
-		if *shards > vsm.MaxPartitions {
-			log.Fatalf("-shards %d is above the maximum of %d", *shards, vsm.MaxPartitions)
-		}
-		return core.New(core.WithConfig(cfg), core.WithThreshold(*threshold), core.WithShards(*shards))
+		return core.New(core.WithConfig(cfg), core.WithThreshold(*threshold))
 	}
 	fw := newFramework()
 	// rules/query/report/repl/save build the advisor in-process; serve warm
@@ -170,8 +165,8 @@ func main() {
 			if err := flag.CommandLine.Parse(args[1:]); err != nil {
 				log.Fatal(err)
 			}
-			// the re-parse may have changed framework-level flags
-			// (-threshold, -shards), so rebuild the framework from them
+			// the re-parse may have changed a framework-level flag
+			// (-threshold), so rebuild the framework from it
 			fw = newFramework()
 		}
 		if *docPath == "" && *corpusReg == "" {
@@ -184,7 +179,7 @@ func main() {
 			corpusReg:       *corpusReg,
 			extra:           splitList(*corpora),
 			seed:            *seed,
-			cfgHash:         configFingerprint(cfg, *threshold, *shards),
+			cfgHash:         configFingerprint(cfg, *threshold),
 			snapshotDir:     *snapshotDir,
 			watch:           *watch,
 			rebuildInterval: *rebuildInterval,
@@ -365,16 +360,14 @@ func loadAdvisorFile(path string) (*core.Advisor, error) {
 }
 
 // configFingerprint hashes everything an advisor build depends on besides
-// the document: the keyword configuration, the recommendation threshold,
-// and the index shard count (a snapshot stores its shard layout, so a
-// -shards change must invalidate it). selectors.Config is plain string
-// slices, so the JSON encoding is deterministic.
-func configFingerprint(cfg selectors.Config, threshold float64, shards int) string {
+// the document: the keyword configuration and the recommendation
+// threshold. selectors.Config is plain string slices, so the JSON encoding
+// is deterministic.
+func configFingerprint(cfg selectors.Config, threshold float64) string {
 	blob, _ := json.Marshal(struct {
 		Config    selectors.Config
 		Threshold float64
-		Shards    int
-	}{cfg, threshold, shards})
+	}{cfg, threshold})
 	return store.HashBytes(blob)
 }
 
@@ -685,7 +678,7 @@ func buildServeHandler(fw *core.Framework, cfg serveConfig, logger *slog.Logger)
 		return nil
 	})
 	ui.SetQuerier(func(ctx context.Context, backend, q string) []core.Answer {
-		answers, _, err := svc.CachedQueryBackend(ctx, cfg.primaryName, backend, q)
+		answers, _, err := svc.CachedQuery(ctx, cfg.primaryName, backend, q)
 		if err != nil {
 			logger.Warn("webui query failed", "err", err)
 			return nil

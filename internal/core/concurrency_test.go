@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/nlp"
 )
 
 // TestConcurrentQueries exercises an advisor from many goroutines at once
@@ -36,7 +38,7 @@ func TestConcurrentQueries(t *testing.T) {
 				}
 				_ = a.Rules()
 				_ = a.CompressionRatio()
-				if _, err := a.QueryBackend(q, "bm25"); err != nil {
+				if _, err := a.Retrieve(context.Background(), nlp.QueryTerms(q), a.QueryOpts("bm25")); err != nil {
 					errs <- err.Error()
 					return
 				}

@@ -60,7 +60,6 @@ type Framework struct {
 	annotator   *nlp.Annotator
 	threshold   float64
 	parallelism int
-	shards      int
 }
 
 // Option configures a Framework.
@@ -81,13 +80,11 @@ func WithParallelism(n int) Option {
 	return func(f *Framework) { f.parallelism = n }
 }
 
-// WithShards partitions each advisor's Stage-II index across n shards keyed
-// by stable sentence identity (<=1 keeps the monolithic index, the
-// default). Retrieval is Float64bits-identical at any partition count — see
-// vsm.Index — so this is purely a serving topology choice.
-func WithShards(n int) Option {
-	return func(f *Framework) { f.shards = n }
-}
+// WithShards does nothing: every advisor has one Stage-II index.
+//
+// Deprecated: the index has no partitions; drop the option. It stays only
+// because the benchmark module still passes it.
+func WithShards(int) Option { return func(*Framework) {} }
 
 // New creates a Framework with the paper's defaults.
 func New(opts ...Option) *Framework {
@@ -163,7 +160,7 @@ type Advisor struct {
 	anns      []*nlp.Annotation // per-sentence annotations, retained for incremental rebuilds
 	advising  []AdvisingSentence
 	isAdv     []bool     // per sentence index; the index's served mask
-	index     *vsm.Index // one partition per shard, postings for advising sentences
+	index     *vsm.Index // statistics over every sentence, postings for advising ones
 	threshold float64
 	stats     BuildStats
 }
@@ -269,7 +266,7 @@ func (f *Framework) BuildFromSentencesCtx(ctx context.Context, doc *htmldoc.Docu
 	for i, an := range anns {
 		terms[i] = an.Terms()
 	}
-	a.index = vsm.BuildFromTerms(terms, a.ids, a.isAdv, f.shards)
+	a.index = vsm.BuildFromTerms(terms, a.isAdv)
 	indexSpan.Finish()
 	a.stats.Indexing = time.Since(start)
 	buildIndex.ObserveDuration(a.stats.Indexing)
@@ -380,15 +377,6 @@ func (a *Advisor) HasIdentity() bool {
 // SentenceCount returns the document's total sentence count.
 func (a *Advisor) SentenceCount() int { return len(a.sentences) }
 
-// ShardCount reports how many partitions the advisor's Stage-II index has
-// (1 for the monolithic layout).
-func (a *Advisor) ShardCount() int {
-	if a.index == nil {
-		return 1
-	}
-	return a.index.Partitions()
-}
-
 // IsAdvising reports Stage I's decision for sentence i.
 func (a *Advisor) IsAdvising(i int) bool {
 	return i >= 0 && i < len(a.isAdv) && a.isAdv[i]
@@ -446,59 +434,27 @@ func (a Answer) AppendJSON(dst []byte) []byte {
 // sentences at the framework's threshold, best first. An empty result
 // corresponds to the tool's "No relevant sentences found".
 func (a *Advisor) Query(q string) []Answer {
-	return a.QueryWithThreshold(q, a.threshold)
-}
-
-// QueryWithThreshold is Query with an explicit similarity threshold.
-func (a *Advisor) QueryWithThreshold(q string, threshold float64) []Answer {
-	return a.QueryTermsWithThreshold(nlp.QueryTerms(q), threshold)
-}
-
-// QueryTerms answers a pre-normalized query term list at the framework's
-// threshold — the annotation-fed path: a serving layer that already
-// normalized the query (for cache keying, say) passes the terms straight
-// through instead of having retrieval re-tokenize the text.
-func (a *Advisor) QueryTerms(terms []string) []Answer {
-	return a.QueryTermsWithThreshold(terms, a.threshold)
-}
-
-// QueryTermsWithThreshold is QueryTerms with an explicit threshold.
-func (a *Advisor) QueryTermsWithThreshold(terms []string, threshold float64) []Answer {
-	return a.QueryTermsWithThresholdCtx(context.Background(), terms, threshold)
-}
-
-// QueryTermsCtx is QueryTerms under a trace: when ctx carries a sampled
-// span, Stage-II scoring is recorded beneath it (see vsm.Index.Query).
-func (a *Advisor) QueryTermsCtx(ctx context.Context, terms []string) []Answer {
-	return a.QueryTermsWithThresholdCtx(ctx, terms, a.threshold)
-}
-
-// QueryTermsWithThresholdCtx is the context-carrying form of
-// QueryTermsWithThreshold: the paper's TF-IDF/cosine model at an explicit
-// threshold.
-func (a *Advisor) QueryTermsWithThresholdCtx(ctx context.Context, terms []string, threshold float64) []Answer {
-	// the default backend is always known and no fault draw is armed, so
-	// neither an error nor a failed partition can come back
-	out, _, _ := a.Retrieve(ctx, terms, vsm.QueryOpts{Threshold: threshold})
+	// the default backend is always known, so no error can come back
+	out, _ := a.Retrieve(context.Background(), nlp.QueryTerms(q), a.QueryOpts(""))
 	return out
 }
 
-// Retrieve is the one Stage-II query path every Query method and the
-// serving layer take: it scores pre-normalized query terms under o against
-// the advising sentences, the only ones the index serves, best first (score
-// descending, ties by document order). The outcome counts the index
-// partitions that failed o.Fault's draw; their sentences are missing from
-// the answers. An unknown o.Backend returns vsm.ErrUnknownBackend.
-func (a *Advisor) Retrieve(ctx context.Context, terms []string, o vsm.QueryOpts) ([]Answer, vsm.Outcome, error) {
-	matches, outcome, err := a.index.Query(ctx, terms, o)
+// Retrieve is the one Stage-II query path Query and the serving layer
+// take: it scores pre-normalized query terms under o against the advising
+// sentences, the only ones the index serves, best first (score descending,
+// ties by document order). When ctx carries a sampled span, scoring is
+// recorded beneath it (see vsm.Index.Query). An unknown o.Backend returns
+// vsm.ErrUnknownBackend.
+func (a *Advisor) Retrieve(ctx context.Context, terms []string, o vsm.QueryOpts) ([]Answer, error) {
+	matches, err := a.index.Query(ctx, terms, o)
 	if err != nil || len(matches) == 0 {
-		return nil, outcome, err
+		return nil, err
 	}
 	out := make([]Answer, len(matches))
 	for i, m := range matches {
 		out[i] = Answer{Sentence: a.advisingAt(m.Index), Score: m.Score}
 	}
-	return out, outcome, nil
+	return out, nil
 }
 
 // QueryOpts returns the options that answer with the named backend at its
@@ -530,19 +486,12 @@ func (a *Advisor) advisingAt(index int) AdvisingSentence {
 // paper's TF-IDF/VSM (default) plus the alternates sharing its index.
 func (a *Advisor) Backends() []string { return vsm.Backends() }
 
-// QueryBackend answers a natural-language query with the named scoring
-// backend (see QueryTermsBackendCtx; "" selects the paper's VSM).
-func (a *Advisor) QueryBackend(q, backend string) ([]Answer, error) {
-	return a.QueryTermsBackendCtx(context.Background(), backend, nlp.QueryTerms(q))
-}
-
-// QueryTermsBackendCtx answers a pre-normalized query term list with the
-// named scoring backend at its threshold (see QueryOpts). Scores are
-// comparable only within one backend. An unknown backend name returns
-// vsm.ErrUnknownBackend.
+// QueryTermsBackendCtx is Retrieve with the named backend's options.
+//
+// Deprecated: call Retrieve with QueryOpts(backend). It stays only because
+// the benchmark module still calls it.
 func (a *Advisor) QueryTermsBackendCtx(ctx context.Context, backend string, terms []string) ([]Answer, error) {
-	out, _, err := a.Retrieve(ctx, terms, a.QueryOpts(backend))
-	return out, err
+	return a.Retrieve(ctx, terms, a.QueryOpts(backend))
 }
 
 // ReportAnswer pairs one profiler issue with its recommendations.

@@ -1,13 +1,19 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/corpus"
 	"repro/internal/htmldoc"
+	"repro/internal/nlp"
 	"repro/internal/nvvp"
 	"repro/internal/selectors"
+	"repro/internal/vsm"
 )
 
 const miniGuide = `<html><head><title>Mini Guide</title></head><body>
@@ -27,6 +33,61 @@ impact the effective instruction throughput.</p>
 func buildMini(t *testing.T) *Advisor {
 	t.Helper()
 	return New().BuildFromHTML(miniGuide)
+}
+
+// retrieve answers raw query text with the named backend through Retrieve,
+// failing the test on an error.
+func retrieve(t testing.TB, a *Advisor, q, backend string) []Answer {
+	t.Helper()
+	out, err := a.Retrieve(context.Background(), nlp.QueryTerms(q), a.QueryOpts(backend))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// sameAnswers demands bit-identical retrieval: same sentences in the same
+// order with Float64bits-equal scores.
+func sameAnswers(t *testing.T, label string, got, want []Answer) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d vs %d answers", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Sentence.Index != want[i].Sentence.Index ||
+			math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+			t.Fatalf("%s: answer %d: (%d, %x) vs (%d, %x)", label, i,
+				got[i].Sentence.Index, got[i].Score, want[i].Sentence.Index, want[i].Score)
+		}
+	}
+}
+
+// TestRetrieve pins the one query path's options: Query is Retrieve with
+// the default backend's options, an unknown backend is
+// vsm.ErrUnknownBackend, and the advisor offers both backends.
+func TestRetrieve(t *testing.T) {
+	g := corpus.GenerateSized(corpus.CUDA, 200, 0.25, 31)
+	adv := New().BuildFromSentences(g.Doc, g.Sentences)
+	const q = "reduce instruction and memory latency"
+	full := retrieve(t, adv, q, "")
+	if len(full) == 0 {
+		t.Fatalf("no answers for %q", q)
+	}
+	sameAnswers(t, "Query", adv.Query(q), full)
+	sameAnswers(t, "vsm", retrieve(t, adv, q, vsm.BackendVSM), full)
+	if _, err := adv.Retrieve(context.Background(), nlp.QueryTerms(q), adv.QueryOpts("tfidf2")); !errors.Is(err, vsm.ErrUnknownBackend) {
+		t.Fatalf("unknown backend: %v", err)
+	}
+	if got := fmt.Sprint(adv.Backends()); got != "[vsm bm25]" {
+		t.Fatalf("Backends = %s", got)
+	}
+	// the deprecated names still answer the same: WithShards changes
+	// nothing, and QueryTermsBackendCtx is Retrieve with QueryOpts
+	bm25, err := New(WithShards(4)).BuildFromSentences(g.Doc, g.Sentences).QueryTermsBackendCtx(context.Background(), "bm25", nlp.QueryTerms(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAnswers(t, "QueryTermsBackendCtx", bm25, retrieve(t, adv, q, "bm25"))
 }
 
 func TestStageIRecognition(t *testing.T) {

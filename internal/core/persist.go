@@ -13,8 +13,9 @@ import (
 	"repro/internal/vsm"
 )
 
-// snapshotVersion guards the on-disk format. Version 2 added the Shards
-// field (sharded index layout); version-1 snapshots load as single-shard.
+// snapshotVersion guards the on-disk format. Version-2 streams written while
+// the index had partitions carry a Shards field, which gob skips on decode;
+// version-1 streams load too.
 const snapshotVersion = 2
 
 // advisorSnapshot is the serialized form of an Advisor. The TF-IDF index is
@@ -38,11 +39,6 @@ type advisorSnapshot struct {
 	// produces the identical index (vsm.Build is NormalizeTerms +
 	// BuildFromTerms).
 	Terms [][]string
-	// Shards records the index partition count (version 2+). Zero or one —
-	// including every version-1 snapshot, where gob leaves the field zero —
-	// loads the monolithic layout; scores are identical either way. Load
-	// rejects a negative count or one above vsm.MaxPartitions.
-	Shards int
 }
 
 // Save serializes the advisor so it can be reloaded without re-running
@@ -64,7 +60,6 @@ func (a *Advisor) Save(w io.Writer) error {
 		Sentences: a.sentences,
 		Advising:  a.advising,
 		Terms:     terms,
-		Shards:    a.ShardCount(),
 	}
 	if a.doc != nil {
 		snap.Title = a.doc.Title
@@ -88,9 +83,6 @@ func LoadAdvisor(r io.Reader) (*Advisor, error) {
 	}
 	if snap.Threshold <= 0 {
 		return nil, fmt.Errorf("core: snapshot has invalid threshold %v", snap.Threshold)
-	}
-	if snap.Shards < 0 || snap.Shards > vsm.MaxPartitions {
-		return nil, fmt.Errorf("core: snapshot asks for %d shards, want 0..%d", snap.Shards, vsm.MaxPartitions)
 	}
 	a := &Advisor{
 		sentences: snap.Sentences,
@@ -145,6 +137,6 @@ func LoadAdvisor(r io.Reader) (*Advisor, error) {
 			terms[i] = textproc.NormalizeTerms(s.Text)
 		}
 	}
-	a.index = vsm.BuildFromTerms(terms, a.ids, a.isAdv, snap.Shards)
+	a.index = vsm.BuildFromTerms(terms, a.isAdv)
 	return a, nil
 }

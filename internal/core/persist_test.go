@@ -3,12 +3,14 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/corpus"
 	"repro/internal/htmldoc"
 	"repro/internal/textproc"
+	"repro/internal/vsm"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -96,21 +98,94 @@ func TestLoadAdvisorErrors(t *testing.T) {
 	if _, err := LoadAdvisor(bytes.NewReader(nil)); err == nil {
 		t.Error("empty stream accepted")
 	}
-	// a crafted partition count must not size an allocation
-	for _, shards := range []int{1 << 16, -1} {
-		var buf bytes.Buffer
-		snap := advisorSnapshot{
-			Version:   snapshotVersion,
-			Threshold: 0.15,
-			Sentences: []htmldoc.Sentence{{Text: "Use shared memory."}},
-			Terms:     [][]string{{"us", "share", "memori"}},
+}
+
+// TestV1SnapshotLoads pins forward compatibility: a version-1 stream must
+// load, not be rejected by the version gate, and answer bit-identically to
+// a fresh build.
+func TestV1SnapshotLoads(t *testing.T) {
+	g := corpus.GenerateSized(corpus.CUDA, 120, 0.3, 41)
+	fresh := New().BuildFromSentences(g.Doc, g.Sentences)
+	snap := advisorSnapshot{
+		Version:   1,
+		Threshold: 0.15,
+		Title:     g.Doc.Title,
+		Sections:  g.Doc.Sections,
+		Advising:  fresh.Rules(),
+	}
+	for _, s := range g.Sentences {
+		snap.Sentences = append(snap.Sentences, htmldoc.Sentence{Text: s.Text, Section: s.Section})
+		snap.Terms = append(snap.Terms, textproc.NormalizeTerms(s.Text))
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadAdvisor(&buf)
+	if err != nil {
+		t.Fatalf("v1 snapshot rejected: %v", err)
+	}
+	for _, q := range persistQueries {
+		sameAnswers(t, q, loaded.Query(q), fresh.Query(q))
+	}
+}
+
+var persistQueries = []string{
+	"how to avoid shared memory bank conflicts",
+	"reduce instruction and memory latency",
+	"minimize divergent warps",
+	"zyzzyva nothing matches",
+}
+
+// partitionedSnapshot mirrors the version-2 wire shape written while the
+// index had partitions: advisorSnapshot plus the partition count.
+type partitionedSnapshot struct {
+	Version   int
+	Threshold float64
+	Title     string
+	Sections  []htmldoc.Section
+	Sentences []htmldoc.Sentence
+	Advising  []AdvisingSentence
+	Terms     [][]string
+	Shards    int
+}
+
+// TestPartitionedSnapshotsLoad: a version-2 stream carrying a partition
+// count — a sane one, one far above any count ever allowed, and a negative
+// one — loads (gob skips the field) and answers under both backends
+// Float64bits-identically to a cold build.
+func TestPartitionedSnapshotsLoad(t *testing.T) {
+	g := corpus.GenerateSized(corpus.CUDA, 150, 0.3, 43)
+	cold := New().BuildFromSentences(g.Doc, g.Sentences)
+	for _, shards := range []int{3, 1 << 16, -1} {
+		snap := partitionedSnapshot{
+			Version:   2,
+			Threshold: cold.threshold,
+			Title:     g.Doc.Title,
+			Sections:  g.Doc.Sections,
+			Sentences: cold.sentences,
+			Advising:  cold.Rules(),
 			Shards:    shards,
 		}
+		for _, an := range cold.anns {
+			snap.Terms = append(snap.Terms, an.Terms())
+		}
+		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadAdvisor(&buf); err == nil {
-			t.Errorf("snapshot with %d shards accepted", shards)
+		loaded, err := LoadAdvisor(&buf)
+		if err != nil {
+			t.Fatalf("snapshot with %d shards rejected: %v", shards, err)
+		}
+		if !loaded.HasIdentity() {
+			t.Fatalf("snapshot with %d shards: loaded advisor is no incremental base", shards)
+		}
+		for _, q := range persistQueries {
+			for _, backend := range vsm.Backends() {
+				sameAnswers(t, fmt.Sprintf("shards %d %s %q", shards, backend, q),
+					retrieve(t, loaded, q, backend), retrieve(t, cold, q, backend))
+			}
 		}
 	}
 }

@@ -53,7 +53,7 @@ func TestBuildPipelineEquivalence(t *testing.T) {
 		} {
 			// a threshold below zero scores every served document
 			all := vsm.QueryOpts{Threshold: -1}
-			matches, _, _ := ref.Query(context.Background(), nlp.QueryTerms(q), all)
+			matches, _ := ref.Query(context.Background(), nlp.QueryTerms(q), all)
 			var want []vsm.Match
 			for _, m := range matches {
 				if adv.IsAdvising(m.Index) {
@@ -63,7 +63,7 @@ func TestBuildPipelineEquivalence(t *testing.T) {
 			if len(want) != len(adv.Rules()) {
 				t.Fatalf("%v query %q: %d advising sentences scored, want all %d", reg, q, len(want), len(adv.Rules()))
 			}
-			got, _, _ := adv.index.Query(context.Background(), nlp.QueryTerms(q), all)
+			got, _ := adv.index.Query(context.Background(), nlp.QueryTerms(q), all)
 			if len(got) != len(want) {
 				t.Fatalf("%v query %q: %d vs %d scored documents", reg, q, len(got), len(want))
 			}
@@ -106,7 +106,7 @@ func TestQueryTermsEquivalence(t *testing.T) {
 		"coalesce global memory accesses",
 	} {
 		viaString := adv.Query(q)
-		viaTerms := adv.QueryTerms(nlp.QueryTerms(q))
+		viaTerms := retrieve(t, adv, q, "")
 		if len(viaString) != len(viaTerms) {
 			t.Fatalf("query %q: %d vs %d answers", q, len(viaString), len(viaTerms))
 		}

@@ -141,7 +141,7 @@ func (f *Framework) UpdateFromSentencesCtx(ctx context.Context, prev *Advisor, d
 	indexSpan := obs.SpanFrom(ctx).StartChild("index")
 	added := make([]vsm.AddedDoc, len(diffs.Added))
 	for k, j := range diffs.Added {
-		added[k] = vsm.AddedDoc{Pos: j, Terms: anns[j].Terms(), ID: newIDs[j]}
+		added[k] = vsm.AddedDoc{Pos: j, Terms: anns[j].Terms()}
 	}
 	index, err := prev.index.Rebuild(diffs.Kept, added, a.isAdv)
 	indexSpan.Finish()

@@ -50,14 +50,7 @@ func assertEquivalent(t *testing.T, inc, full *Advisor) {
 	}
 	for _, q := range corpus.CUDAQueries() {
 		for _, backend := range vsm.Backends() {
-			ai, err := inc.QueryBackend(q.Text, backend)
-			if err != nil {
-				t.Fatal(err)
-			}
-			af, err := full.QueryBackend(q.Text, backend)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ai, af := retrieve(t, inc, q.Text, backend), retrieve(t, full, q.Text, backend)
 			if len(ai) != len(af) {
 				t.Fatalf("query %q/%s: %d vs %d answers", q.Text, backend, len(ai), len(af))
 			}

@@ -1,6 +1,7 @@
 package eval_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -8,8 +9,20 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/htmldoc"
+	"repro/internal/nlp"
 	"repro/internal/vsm"
 )
+
+// retrieve answers raw query text with the named backend, failing the test
+// on an error.
+func retrieve(t *testing.T, a *core.Advisor, q, backend string) []core.Answer {
+	t.Helper()
+	out, err := a.Retrieve(context.Background(), nlp.QueryTerms(q), a.QueryOpts(backend))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
 
 // editStep is one mutation of a document's sentence list — the edit shapes
 // technical documentation actually sees between releases.
@@ -92,14 +105,7 @@ func TestIncrementalEqualsFullBuild(t *testing.T) {
 		}
 		for _, backend := range vsm.Backends() {
 			for _, q := range corpus.CUDAQueries() {
-				ia, err := inc.QueryBackend(q.Text, backend)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fa, err := full.QueryBackend(q.Text, backend)
-				if err != nil {
-					t.Fatal(err)
-				}
+				ia, fa := retrieve(t, inc, q.Text, backend), retrieve(t, full, q.Text, backend)
 				if len(ia) != len(fa) {
 					t.Fatalf("step %s %s %q: %d vs %d answers", step.name, backend, q.Text, len(ia), len(fa))
 				}

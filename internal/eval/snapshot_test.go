@@ -42,14 +42,7 @@ func TestSnapshotBitExactAnswers(t *testing.T) {
 
 	for _, backend := range []string{"vsm", "bm25"} {
 		for _, q := range corpus.CUDAQueries() {
-			fa, err := fresh.QueryBackend(q.Text, backend)
-			if err != nil {
-				t.Fatal(err)
-			}
-			la, err := loaded.QueryBackend(q.Text, backend)
-			if err != nil {
-				t.Fatal(err)
-			}
+			fa, la := retrieve(t, fresh, q.Text, backend), retrieve(t, loaded, q.Text, backend)
 			if len(fa) != len(la) {
 				t.Fatalf("%s %q: fresh %d answers, loaded %d", backend, q.Text, len(fa), len(la))
 			}

@@ -467,7 +467,9 @@ func ThresholdSweep(g *corpus.Guide, adv *core.Advisor, thresholds []float64) []
 		for _, q := range queries {
 			truth := g.GroundTruth(q)
 			var idx []int
-			for _, a := range adv.QueryWithThreshold(q.Text, th) {
+			// the default backend is always known, so no error can come back
+			answers, _ := adv.Retrieve(context.Background(), nlp.QueryTerms(q.Text), vsm.QueryOpts{Threshold: th})
+			for _, a := range answers {
 				idx = append(idx, a.Sentence.Index)
 			}
 			s := eval.ScoreSets(idx, truth)
@@ -512,7 +514,7 @@ func RetrievalAblation(g *corpus.Guide, adv *core.Advisor) []RetrievalRow {
 			tfidfIdx = append(tfidfIdx, a.Sentence.Index)
 		}
 		// every positive BM25 score, best first, cut to the TF-IDF budget
-		matches, _, err := bm.Query(context.Background(), nlp.QueryTerms(q.Text),
+		matches, err := bm.Query(context.Background(), nlp.QueryTerms(q.Text),
 			vsm.QueryOpts{Backend: vsm.BackendBM25, Threshold: math.SmallestNonzeroFloat64})
 		if err != nil {
 			// the backend name is a package constant; an error here is a bug
@@ -568,7 +570,7 @@ type BackendRow struct {
 
 // BackendAblation runs the served-backend comparison over the Table 6
 // queries. Unlike RetrievalAblation, which rebuilds a standalone BM25 index
-// from raw advising text, this goes through Advisor.QueryBackend so both
+// from raw advising text, this goes through Advisor.Retrieve so both
 // backends share one tokenization, one postings list, and one advising set:
 // any quality difference is the weighting model alone.
 func BackendAblation(g *corpus.Guide, adv *core.Advisor) []BackendRow {
@@ -579,7 +581,7 @@ func BackendAblation(g *corpus.Guide, adv *core.Advisor) []BackendRow {
 		for _, a := range adv.Query(q.Text) {
 			vsmIdx = append(vsmIdx, a.Sentence.Index)
 		}
-		bmAns, err := adv.QueryBackend(q.Text, vsm.BackendBM25)
+		bmAns, err := adv.Retrieve(context.Background(), nlp.QueryTerms(q.Text), adv.QueryOpts(vsm.BackendBM25))
 		if err != nil {
 			// the backend name is a package constant; an error here is a bug
 			panic(err)

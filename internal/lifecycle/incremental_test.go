@@ -12,6 +12,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/htmldoc"
 	"repro/internal/lifecycle"
+	"repro/internal/nlp"
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/vsm"
@@ -116,11 +117,12 @@ func assertSameAnswers(t *testing.T, got, want *core.Advisor) {
 	t.Helper()
 	for _, q := range corpus.CUDAQueries() {
 		for _, backend := range vsm.Backends() {
-			ag, err := got.QueryBackend(q.Text, backend)
+			terms := nlp.QueryTerms(q.Text)
+			ag, err := got.Retrieve(context.Background(), terms, got.QueryOpts(backend))
 			if err != nil {
 				t.Fatal(err)
 			}
-			aw, err := want.QueryBackend(q.Text, backend)
+			aw, err := want.Retrieve(context.Background(), terms, want.QueryOpts(backend))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -720,9 +720,6 @@ type AdvisorState struct {
 	// document's sentences the last incremental rebuild carried over.
 	LastMode       string  `json:"last_mode,omitempty"`
 	LastReuseRatio float64 `json:"last_reuse_ratio,omitempty"`
-	// Shards is the advisor's Stage-II index partition count; omitted for
-	// the monolithic (single-shard) layout.
-	Shards int `json:"shards,omitempty"`
 }
 
 // State is the lifecycle snapshot served on /statsz.
@@ -756,7 +753,7 @@ func (m *Manager) State() State {
 	defer m.mu.Unlock()
 	for _, name := range m.order {
 		st := m.sources[name]
-		as := AdvisorState{
+		out.Advisors = append(out.Advisors, AdvisorState{
 			Advisor:        name,
 			Origin:         st.origin,
 			SourcePath:     st.src.Path,
@@ -768,11 +765,7 @@ func (m *Manager) State() State {
 			Rebuilding:     st.inflight,
 			LastMode:       st.lastMode,
 			LastReuseRatio: st.lastReuse,
-		}
-		if st.current != nil && st.current.ShardCount() > 1 {
-			as.Shards = st.current.ShardCount()
-		}
-		out.Advisors = append(out.Advisors, as)
+		})
 	}
 	sort.Slice(out.Advisors, func(i, j int) bool { return out.Advisors[i].Advisor < out.Advisors[j].Advisor })
 	return out

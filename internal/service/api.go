@@ -52,17 +52,13 @@ type Answer struct {
 // the X-Trace-Id header) and keys a sampled span tree on /tracez.
 // Backend is present only when the client selected one explicitly, so the
 // default path marshals byte-identically to a backend-unaware response.
-// ShardsFailed is present only when a sharded advisor served degraded
-// partial results (some index shards failed), so healthy responses stay
-// byte-identical to a shard-unaware build.
 type QueryResponse struct {
-	Advisor      string   `json:"advisor"`
-	Query        string   `json:"query"`
-	Backend      string   `json:"backend,omitempty"`
-	Count        int      `json:"count"`
-	Answers      []Answer `json:"answers"`
-	ShardsFailed int      `json:"shards_failed,omitempty"`
-	TraceID      string   `json:"trace_id,omitempty"`
+	Advisor string   `json:"advisor"`
+	Query   string   `json:"query"`
+	Backend string   `json:"backend,omitempty"`
+	Count   int      `json:"count"`
+	Answers []Answer `json:"answers"`
+	TraceID string   `json:"trace_id,omitempty"`
 }
 
 // BackendsResponse is the body of GET /v1/backends.

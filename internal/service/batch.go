@@ -17,9 +17,7 @@ import (
 // a bounded worker pool (Options.BatchWorkers); each worker holds one
 // admission slot at a time, so a batch cannot starve interactive queries —
 // it competes for the same MaxInFlight budget, N items strong instead of
-// N requests strong. Workers score serially (vsm.QueryOpts.Serial): the
-// pool is already parallel across queries, and P workers scoring serially
-// beat P×GOMAXPROCS goroutines contending for the same cores.
+// N requests strong.
 
 // BatchItem is one query in a BatchRequest. Advisor and Query are required;
 // Backend defaults to the paper's VSM.
@@ -82,7 +80,6 @@ func (s *Service) batch(ctx context.Context, deadline time.Time, items []BatchIt
 	if workers < 1 {
 		workers = 1
 	}
-	serial := workers > 1
 	// fair-share the remaining request budget across scheduling waves: item
 	// 64 of a big batch gets the same slice as item 1 instead of inheriting
 	// whatever the early items left over (see batchShare)
@@ -98,7 +95,7 @@ func (s *Service) batch(ctx context.Context, deadline time.Time, items []BatchIt
 				if i >= len(items) {
 					return
 				}
-				results[i] = s.batchItem(ctx, parent, i, items[i], deadline, share, serial)
+				results[i] = s.batchItem(ctx, parent, i, items[i], deadline, share)
 			}
 		}()
 	}
@@ -109,7 +106,7 @@ func (s *Service) batch(ctx context.Context, deadline time.Time, items []BatchIt
 // batchItem answers one batch item under its own trace ID, span, and time
 // share, so each item is individually attributable in traces and responses
 // and cannot consume the budget of the items behind it.
-func (s *Service) batchItem(ctx context.Context, parent *obs.Span, i int, item BatchItem, deadline time.Time, share time.Duration, serial bool) BatchItemResult {
+func (s *Service) batchItem(ctx context.Context, parent *obs.Span, i int, item BatchItem, deadline time.Time, share time.Duration) BatchItemResult {
 	res := BatchItemResult{Advisor: item.Advisor, Query: item.Query, Backend: item.Backend, TraceID: obs.NewTraceID()}
 	span := parent.StartChild("batch.item")
 	defer span.Finish()
@@ -129,7 +126,7 @@ func (s *Service) batchItem(ctx context.Context, parent *obs.Span, i int, item B
 	if deadline.Before(l.deadline) {
 		l.deadline = deadline
 	}
-	answers, hit, _, err := s.cachedQuery(ctx, &l, item.Advisor, item.Backend, item.Query, serial)
+	answers, hit, err := s.cachedQuery(ctx, &l, item.Advisor, item.Backend, item.Query)
 	l.release(s)
 	if err != nil {
 		res.Error = err.Error()

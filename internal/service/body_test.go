@@ -15,11 +15,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/corpus"
-	"repro/internal/fault"
 	"repro/internal/htmldoc"
 	"repro/internal/nvvp"
-	"repro/internal/obs"
 )
 
 // hostileTexts carry every byte class the JSON writer treats specially:
@@ -79,12 +76,12 @@ func encodeRef(v any) []byte {
 // holds for q.
 func checkQuery(svc *Service, rec *httptest.ResponseRecorder, advisor, backend, q string) error {
 	q = strings.TrimSpace(q)
-	answers, _, failed, err := svc.CachedQueryFull(context.Background(), advisor, backend, q)
+	answers, _, err := svc.CachedQuery(context.Background(), advisor, backend, q)
 	if err != nil {
 		return fmt.Errorf("oracle: %v", err)
 	}
 	return sameBody(rec, QueryResponse{Advisor: advisor, Query: q, Backend: backend, Count: len(answers),
-		Answers: toAnswers(answers), ShardsFailed: failed, TraceID: rec.Header().Get("X-Trace-Id")})
+		Answers: toAnswers(answers), TraceID: rec.Header().Get("X-Trace-Id")})
 }
 
 // checkReport is checkQuery for POST /v1/{advisor}/report with body: the
@@ -97,7 +94,7 @@ func checkReport(svc *Service, rec *httptest.ResponseRecorder, advisor string, b
 	}
 	resp := ReportResponse{Advisor: advisor, Program: report.Program, TraceID: rec.Header().Get("X-Trace-Id")}
 	for _, issue := range report.Issues() {
-		answers, _, err := svc.CachedQuery(context.Background(), advisor, issue.Query())
+		answers, _, err := svc.CachedQuery(context.Background(), advisor, "", issue.Query())
 		if err != nil {
 			return fmt.Errorf("oracle: %v", err)
 		}
@@ -190,38 +187,6 @@ func TestQueryAndReportBodiesMatchEncodingJSON(t *testing.T) {
 	}
 }
 
-// TestDegradedQueryBodyMatchesEncodingJSON: a partial answer from a
-// sharded advisor writes "shards_failed" where encoding/json puts it.
-// Partial answers are never cached, so the oracle re-encodes the decoded
-// body instead of asking the cache (the guide's text has no bytes that
-// decoding would change).
-func TestDegradedQueryBodyMatchesEncodingJSON(t *testing.T) {
-	g := corpus.GenerateSized(corpus.CUDA, 150, 0.3, 7)
-	inj := fault.New(1)
-	inj.Set(fault.VSMScore, fault.Rule{ErrProb: 0.5})
-	reg := NewRegistry()
-	reg.Add("cuda", core.New(core.WithShards(4)).BuildFromSentences(g.Doc, g.Sentences))
-	svc := New(reg, Options{Fault: inj, Metrics: obs.NewRegistry(), BreakerThreshold: 1 << 20})
-	partials := 0
-	for i := 0; i < 20; i++ {
-		rec := serve(svc, http.MethodGet, fmt.Sprintf("/v1/cuda/query?q=reduce+global+memory+latency+%d", i), nil)
-		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"shards_failed":`) {
-			continue
-		}
-		partials++
-		var resp QueryResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-			t.Fatal(err)
-		}
-		if err := sameBody(rec, resp); err != nil || resp.ShardsFailed == 0 {
-			t.Fatalf("degraded body, shards_failed %d: %v", resp.ShardsFailed, err)
-		}
-	}
-	if partials == 0 {
-		t.Fatal("no degraded answers under a 50% per-shard fault rate")
-	}
-}
-
 // TestAnswersKeepScoringAdvisorText: answers carry the JSON of the advisor
 // that scored them, so writing them after a hot swap cannot pair v1's
 // scores with v2's text.
@@ -229,7 +194,7 @@ func TestAnswersKeepScoringAdvisorText(t *testing.T) {
 	reg := NewRegistry()
 	reg.Add("h", hostileAdvisor(t, "v1 "))
 	svc := New(reg, Options{})
-	answers, _, err := svc.CachedQuery(context.Background(), "h", "shared memory")
+	answers, _, err := svc.CachedQuery(context.Background(), "h", "", "shared memory")
 	if err != nil || len(answers) == 0 {
 		t.Fatalf("%d answers, err %v", len(answers), err)
 	}

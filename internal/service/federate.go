@@ -97,7 +97,7 @@ func (s *Service) ask(ctx context.Context, deadline time.Time, backend, q string
 				return
 			}
 			l := lease{deadline: legDeadline}
-			answers, hit, _, err := s.cachedQuery(ctx, &l, name, backend, q, false)
+			answers, hit, err := s.cachedQuery(ctx, &l, name, backend, q)
 			l.release(s)
 			if err != nil {
 				span.SetAttr("outcome", "error")

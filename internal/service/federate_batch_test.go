@@ -45,7 +45,7 @@ func TestAskPreservesPerAdvisorOrder(t *testing.T) {
 		t.Fatal("federated ask found nothing")
 	}
 	for _, advisor := range []string{"cuda", "opencl"} {
-		own, _, err := svc.CachedQuery(context.Background(), advisor, q)
+		own, _, err := svc.CachedQuery(context.Background(), advisor, "", q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +195,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 	}
 	results := svc.Batch(context.Background(), items)
 	for i, item := range items {
-		want, _, err := svc.CachedQueryBackend(context.Background(), item.Advisor, item.Backend, item.Query)
+		want, _, err := svc.CachedQuery(context.Background(), item.Advisor, item.Backend, item.Query)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,7 +326,7 @@ func TestBatchAskReplaceRace(t *testing.T) {
 		}
 	}
 	// the service is still coherent: a fresh query answers normally
-	if _, _, err := svc.CachedQuery(context.Background(), "cuda", "final sanity query"); err != nil {
+	if _, _, err := svc.CachedQuery(context.Background(), "cuda", "", "final sanity query"); err != nil {
 		t.Errorf("post-hammer query failed: %v", err)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // testdata/fuzz/FuzzQuery (the paper's Table 6 queries; regenerate with
 // `go run ./tools/fuzzseed`) plus the edge cases below. Invariants: never a
 // 5xx, never a panic, and every 200 body is byte for byte encoding/json of
-// the QueryResponse over CachedQueryFull's answers, every answer at or
+// the QueryResponse over CachedQuery's answers, every answer at or
 // above the threshold.
 func FuzzQuery(f *testing.F) {
 	f.Add("")

@@ -279,56 +279,30 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // CachedQuery answers q against the named advisor through the cache and
-// admission control — the path shared by the JSON API and the HTML webui.
-// hit reports whether retrieval was skipped. It always scores with the
-// default (VSM) backend.
-func (s *Service) CachedQuery(ctx context.Context, advisor, q string) (answers []core.Answer, hit bool, err error) {
-	return s.CachedQueryBackend(ctx, advisor, "", q)
-}
-
-// CachedQueryBackend is CachedQuery with an explicit scoring backend ("" or
-// "vsm" for the paper's TF-IDF/cosine default, "bm25" for the Okapi view
-// over the same postings). Unknown backends fail fast with
-// vsm.ErrUnknownBackend, before admission or annotation. Each backend keys
-// its own cache entries; the default spellings share one key space.
-//
-// Against a sharded advisor a partially degraded result (some shards failed
-// their fault draw) comes back as a success; callers that need the degraded
-// shard count use CachedQueryFull.
-func (s *Service) CachedQueryBackend(ctx context.Context, advisor, backend, q string) (answers []core.Answer, hit bool, err error) {
-	answers, hit, _, err = s.CachedQueryFull(ctx, advisor, backend, q)
-	return answers, hit, err
-}
-
-// partialAnswers carries a degraded result out of the cache compute func as
-// an error: GetOrCompute never caches errors, so a partial result — correct
-// for the shards that ran, silently missing the rest — can never be served
-// from the cache as if it were complete. cachedQuery unwraps it back into a
-// success with a non-zero shard-failure count.
-type partialAnswers struct {
-	answers []core.Answer
-	failed  int
-	err     error // first shard failure
-}
-
-func (p *partialAnswers) Error() string {
-	return fmt.Sprintf("service: partial results, %d shards failed: %v", p.failed, p.err)
-}
-
-// CachedQueryFull is CachedQueryBackend plus the degraded-shard count: every
-// index shard draws the vsm.score fault point, and when some (but not all)
-// fail, the answers cover the surviving shards and shardsFailed reports how
-// many are missing. Such partial results are never cached. All shards
-// failing — the only shard, for a monolithic index — is a real error (and
-// counts toward the advisor's circuit breaker).
+// admission control — the path the JSON API, the HTML webui, batches and
+// asks share. backend "" or "vsm" scores with the paper's TF-IDF/cosine
+// default, "bm25" with the Okapi view over the same postings; an unknown
+// backend fails fast with vsm.ErrUnknownBackend, before admission or
+// annotation. Each backend keys its own cache entries; the default
+// spellings share one key space. hit reports whether retrieval was skipped.
 //
 // Each call is its own request: a hit returns on the caller's goroutine
 // with no deadline or admission slot, and a miss runs under Options.Timeout
 // from the moment it misses.
-func (s *Service) CachedQueryFull(ctx context.Context, advisor, backend, q string) (answers []core.Answer, hit bool, shardsFailed int, err error) {
+func (s *Service) CachedQuery(ctx context.Context, advisor, backend, q string) (answers []core.Answer, hit bool, err error) {
 	var l lease
 	defer l.release(s)
-	return s.cachedQuery(ctx, &l, advisor, backend, q, false)
+	return s.cachedQuery(ctx, &l, advisor, backend, q)
+}
+
+// CachedQueryFull is CachedQuery plus a count of failed index partitions,
+// which no longer exist: the count is always 0.
+//
+// Deprecated: use CachedQuery. It stays only because the benchmark module
+// still calls it.
+func (s *Service) CachedQueryFull(ctx context.Context, advisor, backend, q string) (answers []core.Answer, hit bool, shardsFailed int, err error) {
+	answers, hit, err = s.CachedQuery(ctx, advisor, backend, q)
+	return answers, hit, 0, err
 }
 
 // Bounds on one untrusted query: a /v1 query, an ask, a batch item or one
@@ -355,24 +329,21 @@ func boundQuery(advisor, backend string, terms []string) error {
 	return nil
 }
 
-// cachedQuery is CachedQueryFull under the caller's lease (see lease),
-// with the scoring mode explicit: serial keeps a miss's shard fan-out on
-// one goroutine, for callers that are already parallel across queries (the
-// batch executor).
+// cachedQuery is CachedQuery under the caller's lease (see lease).
 //
 // The query is normalized and keyed first, and a hit is answered right
 // there, on the caller's goroutine. Only a miss takes the lease's deadline
 // and admission slot and the detached single-flight compute (see miss).
-func (s *Service) cachedQuery(ctx context.Context, l *lease, advisor, backend, q string, serial bool) (answers []core.Answer, hit bool, shardsFailed int, err error) {
+func (s *Service) cachedQuery(ctx context.Context, l *lease, advisor, backend, q string) (answers []core.Answer, hit bool, err error) {
 	// one span lookup covers the whole query path: with tracing off (or
 	// this request unsampled) parent is nil and every child span below is
 	// a no-op nil pointer — the hot path pays a single ctx.Value call
 	parent := obs.SpanFrom(ctx)
 	if !vsm.ValidBackend(backend) {
-		return nil, false, 0, fmt.Errorf("%w: %q", vsm.ErrUnknownBackend, backend)
+		return nil, false, fmt.Errorf("%w: %q", vsm.ErrUnknownBackend, backend)
 	}
 	if _, ok := s.reg.Get(advisor); !ok {
-		return nil, false, 0, fmt.Errorf("%w: %q", ErrUnknownAdvisor, advisor)
+		return nil, false, fmt.Errorf("%w: %q", ErrUnknownAdvisor, advisor)
 	}
 	// annotate the query once: the normalized terms key the cache AND feed
 	// retrieval on a miss, so the query text is never tokenized twice —
@@ -383,7 +354,7 @@ func (s *Service) cachedQuery(ctx context.Context, l *lease, advisor, backend, q
 	annSpan.SetAttrInt("terms", len(terms))
 	annSpan.Finish()
 	if err := boundQuery(advisor, backend, terms); err != nil {
-		return nil, false, 0, err
+		return nil, false, err
 	}
 	key := QueryKeyBackend(advisor, backend, terms)
 	// every outcome past this point feeds the advisor's circuit breaker:
@@ -401,7 +372,7 @@ func (s *Service) cachedQuery(ctx context.Context, l *lease, advisor, backend, q
 		}
 	}()
 	if ferr := s.flt.Err(fault.NLPAnnotate); ferr != nil {
-		return nil, false, 0, ferr
+		return nil, false, ferr
 	}
 	cacheSpan := parent.StartChild("cache")
 	if answers, ok := s.cache.Get(key); ok {
@@ -409,9 +380,9 @@ func (s *Service) cachedQuery(ctx context.Context, l *lease, advisor, backend, q
 			cacheSpan.SetAttr("hit", "true")
 			cacheSpan.Finish()
 		}
-		return answers, true, 0, nil
+		return answers, true, nil
 	}
-	return s.miss(ctx, l, parent, cacheSpan, key, advisor, backend, terms, serial)
+	return s.miss(ctx, l, parent, cacheSpan, key, advisor, backend, terms)
 }
 
 // miss answers a lookup the cache could not. It takes the lease's deadline
@@ -426,10 +397,10 @@ func (s *Service) cachedQuery(ctx context.Context, l *lease, advisor, backend, q
 // the miss is in flight then finds the flight and marks it not cacheable
 // (Cache.Invalidate), so a stale answer cannot outlive the swap in the
 // cache.
-func (s *Service) miss(ctx context.Context, l *lease, parent, cacheSpan *obs.Span, key, advisor, backend string, terms []string, serial bool) ([]core.Answer, bool, int, error) {
+func (s *Service) miss(ctx context.Context, l *lease, parent, cacheSpan *obs.Span, key, advisor, backend string, terms []string) ([]core.Answer, bool, error) {
 	ctx, err := l.acquire(ctx, s, parent)
 	if err != nil {
-		return nil, false, 0, s.failLookup(cacheSpan, err)
+		return nil, false, s.failLookup(cacheSpan, err)
 	}
 	type result struct {
 		answers []core.Answer
@@ -450,22 +421,16 @@ func (s *Service) miss(ctx context.Context, l *lease, parent, cacheSpan *obs.Spa
 			if backend != "" {
 				scoreSpan.SetAttr("backend", backend)
 			}
-			// the vsm.score fault point is drawn once per index shard, so
-			// one failing shard degrades the query to partial results
-			// instead of failing it; injected faults surface inside the
-			// compute func, which GetOrCompute never caches
-			o := adv.QueryOpts(backend)
-			o.Serial = serial
-			o.Fault = func() error { return s.flt.Err(fault.VSMScore) }
-			out, outcome, qerr := adv.Retrieve(obs.ContextWithSpan(context.Background(), scoreSpan), terms, o)
-			switch {
-			case qerr != nil:
+			// the vsm.score fault point is drawn once per miss; an injected
+			// fault surfaces inside the compute func, which GetOrCompute
+			// never caches
+			if ferr := s.flt.Err(fault.VSMScore); ferr != nil {
+				scoreSpan.SetAttr("error", ferr.Error())
+				return nil, ferr
+			}
+			out, qerr := adv.Retrieve(obs.ContextWithSpan(context.Background(), scoreSpan), terms, adv.QueryOpts(backend))
+			if qerr != nil {
 				return nil, qerr
-			case outcome.Failed == outcome.Partitions:
-				return nil, fmt.Errorf("service: all %d index shards failed: %w", outcome.Failed, outcome.Err)
-			case outcome.Failed > 0:
-				scoreSpan.SetAttrInt("shards_failed", outcome.Failed)
-				return nil, &partialAnswers{answers: out, failed: outcome.Failed, err: outcome.Err}
 			}
 			scoreSpan.SetAttrInt("answers", len(out))
 			return out, nil
@@ -478,15 +443,9 @@ func (s *Service) miss(ctx context.Context, l *lease, parent, cacheSpan *obs.Spa
 			cacheSpan.SetAttr("hit", strconv.FormatBool(res.hit))
 			cacheSpan.Finish()
 		}
-		// a partial result rides out of the compute func as an error (so it
-		// is never cached); deliver it as a degraded success
-		var partial *partialAnswers
-		if errors.As(res.err, &partial) {
-			return partial.answers, false, partial.failed, nil
-		}
-		return res.answers, res.hit, 0, res.err
+		return res.answers, res.hit, res.err
 	case <-ctx.Done():
-		return nil, false, 0, s.failLookup(cacheSpan, ctx.Err())
+		return nil, false, s.failLookup(cacheSpan, ctx.Err())
 	}
 }
 
@@ -565,7 +524,7 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ex := w.(*exchange)
 	start := time.Now()
 	l := lease{deadline: ex.start.Add(s.opts.Timeout)}
-	answers, hit, shardsFailed, err := s.cachedQuery(r.Context(), &l, name, backend, q, false)
+	answers, hit, err := s.cachedQuery(r.Context(), &l, name, backend, q)
 	l.release(s)
 	s.stats.recordQuery(time.Since(start))
 	if err != nil {
@@ -584,10 +543,6 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		b = jsonw.AppendString(append(b, `,"backend":`...), backend)
 	}
 	b = appendAnswers(b, answers)
-	if shardsFailed != 0 {
-		b = append(b, `,"shards_failed":`...)
-		b = strconv.AppendInt(b, int64(shardsFailed), 10)
-	}
 	writeBody(w, b, ex.traceID)
 }
 
@@ -656,7 +611,7 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 	b = append(b, `,"issues":`...)
 	sep := byte('[')
 	for _, issue := range issues {
-		answers, _, _, err := s.cachedQuery(r.Context(), &l, name, "", issue.Query(), false)
+		answers, _, err := s.cachedQuery(r.Context(), &l, name, "", issue.Query())
 		if err != nil {
 			l.release(s)
 			s.stats.recordReport(time.Since(start))

@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/fault"
+	"repro/internal/nlp"
 	"repro/internal/nvvp"
 	"repro/internal/obs"
 )
@@ -380,7 +381,7 @@ func TestQueryTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.admit.Release()
-	_, _, err := svc.CachedQuery(context.Background(), "cuda", "memory latency")
+	_, _, err := svc.CachedQuery(context.Background(), "cuda", "", "memory latency")
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want deadline exceeded, got %v", err)
 	}
@@ -445,7 +446,7 @@ func TestReloadDuringMissNeverCachesStaleAnswers(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := svc.CachedQuery(context.Background(), "cuda", q)
+		_, _, err := svc.CachedQuery(context.Background(), "cuda", "", q)
 		done <- err
 	}()
 	<-parked // the miss is scoring
@@ -455,7 +456,7 @@ func TestReloadDuringMissNeverCachesStaleAnswers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, hit, err := svc.CachedQuery(context.Background(), "cuda", q)
+	got, hit, err := svc.CachedQuery(context.Background(), "cuda", "", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,59 +465,43 @@ func TestReloadDuringMissNeverCachesStaleAnswers(t *testing.T) {
 	}
 }
 
-// TestShardedDegradedAnswers: against a partitioned advisor every shard
-// draws the vsm.score fault point. Some shards failing degrade a query to a
-// success that counts them and carries the surviving shards' answers, and
-// is never cached; all failing is an injected-fault error; once the faults
-// stop, the complete answers come back and are cached.
-func TestShardedDegradedAnswers(t *testing.T) {
-	const nShards = 4
+// TestScoreFaultFailsQuery: the vsm.score fault point is drawn once per
+// miss. An injected error fails the query with an error wrapping
+// fault.ErrInjected, counts toward the advisor's breaker and is never
+// cached: once the faults stop, the same query is a miss and then a hit,
+// both bit-identical to a fault-free answer.
+func TestScoreFaultFailsQuery(t *testing.T) {
 	g := corpus.GenerateSized(corpus.CUDA, 150, 0.3, 7)
-	adv := core.New(core.WithShards(nShards)).BuildFromSentences(g.Doc, g.Sentences)
+	adv := core.New().BuildFromSentences(g.Doc, g.Sentences)
 	inj := fault.New(1)
 	reg := NewRegistry()
 	reg.Add("cuda", adv)
-	svc := New(reg, Options{Fault: inj, Metrics: obs.NewRegistry(), BreakerThreshold: 1 << 20})
+	svc := New(reg, Options{Fault: inj, Metrics: obs.NewRegistry(), BreakerThreshold: 1})
 	ctx := context.Background()
-
-	inj.Set(fault.VSMScore, fault.Rule{ErrProb: 0.5})
-	partials := 0
-	for i := 0; i < 20; i++ {
-		q := fmt.Sprintf("reduce global memory latency %d", i)
-		answers, hit, failed, err := svc.CachedQueryFull(ctx, "cuda", "", q)
-		if err != nil || failed == 0 {
-			continue
-		}
-		partials++
-		if hit || failed >= nShards {
-			t.Fatalf("%q: hit=%v shards_failed=%d", q, hit, failed)
-		}
-		full := map[int]uint64{}
-		for _, a := range adv.Query(q) {
-			full[a.Sentence.Index] = math.Float64bits(a.Score)
-		}
-		for _, a := range answers {
-			if bits, ok := full[a.Sentence.Index]; !ok || bits != math.Float64bits(a.Score) {
-				t.Fatalf("%q: degraded answer %d not in the complete answer set", q, a.Sentence.Index)
-			}
-		}
-	}
-	if partials == 0 {
-		t.Fatal("no degraded answers under a 50% per-shard fault rate")
+	const q = "reduce global memory latency"
+	want, err := adv.Retrieve(ctx, nlp.QueryTerms(q), adv.QueryOpts("bm25"))
+	if err != nil || len(want) == 0 {
+		t.Fatalf("fault-free answers: %d, err %v", len(want), err)
 	}
 
 	inj.Set(fault.VSMScore, fault.Rule{ErrProb: 1})
-	const q = "reduce global memory latency"
-	if _, _, _, err := svc.CachedQueryFull(ctx, "cuda", "bm25", q); !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("every shard failing: err %v, want an injected fault", err)
+	if _, _, err := svc.CachedQuery(ctx, "cuda", "bm25", q); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("scoring fault: err %v, want an injected fault", err)
+	}
+	if got := svc.breakers.get("cuda").State(); got != BreakerOpen {
+		t.Fatalf("breaker %v after a scoring fault at threshold 1, want open", got)
 	}
 
 	inj.Reset()
 	for _, wantHit := range []bool{false, true} {
-		answers, hit, failed, err := svc.CachedQueryFull(ctx, "cuda", "", q)
-		if err != nil || failed != 0 || hit != wantHit || !sameAnswerBits(answers, adv.Query(q)) {
-			t.Fatalf("recovered: hit=%v (want %v) shards_failed=%d err=%v", hit, wantHit, failed, err)
+		answers, hit, err := svc.CachedQuery(ctx, "cuda", "bm25", q)
+		if err != nil || hit != wantHit || !sameAnswerBits(answers, want) {
+			t.Fatalf("recovered: hit=%v (want %v) err=%v, answers differ: %v", hit, wantHit, err, !sameAnswerBits(answers, want))
 		}
+	}
+	// the deprecated four-result form answers the same, with no failures
+	if answers, hit, failed, err := svc.CachedQueryFull(ctx, "cuda", "bm25", q); err != nil || !hit || failed != 0 || !sameAnswerBits(answers, want) {
+		t.Fatalf("CachedQueryFull: hit=%v failed=%d err=%v", hit, failed, err)
 	}
 }
 

@@ -1,9 +1,12 @@
 package vsm
 
 import (
+	"errors"
+	"fmt"
 	"math"
-	"runtime"
+	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/textproc"
@@ -23,6 +26,135 @@ var diffSentences = []string{
 	"Overlap data transfers with kernel execution using streams.",
 	"Prefer single precision arithmetic when accuracy permits.",
 	"Occupancy depends on registers and shared memory per block.",
+}
+
+// diffQueries are pre-normalized queries over randomTermLists corpora:
+// in-vocabulary, out-of-vocabulary, zero-IDF ("common" is in every
+// generated document) and repeated terms.
+var diffQueries = []string{
+	"term03 term17 common",
+	"term00",
+	"common term29 term29",
+	"term34 term05",
+	"nosuchterm",
+}
+
+// TestScorerBackends: both backend names and the empty default score; any
+// other name is ErrUnknownBackend.
+func TestScorerBackends(t *testing.T) {
+	ix := BuildFromTerms([][]string{{"a"}, {"b"}}, nil)
+	for _, backend := range []string{"", BackendVSM, BackendBM25} {
+		if _, err := ix.Query(t.Context(), []string{"a"}, QueryOpts{Backend: backend}); err != nil {
+			t.Fatalf("backend %q: %v", backend, err)
+		}
+	}
+	if _, err := ix.Query(t.Context(), []string{"a"}, QueryOpts{Backend: "tfidf2"}); !errors.Is(err, ErrUnknownBackend) {
+		t.Fatalf("unknown backend error = %v, want ErrUnknownBackend", err)
+	}
+	if !ValidBackend(BackendBM25) || !ValidBackend("") || ValidBackend("nope") {
+		t.Fatal("ValidBackend broken")
+	}
+}
+
+// TestMaskedBitIdentical: 100 random corpora, each with a random served
+// mask, must produce Float64bits-identical matches for both backends to the
+// dense oracle over an index of every document, filtered to the mask — at
+// the serving thresholds and at thresholds <= 0, which admit every served
+// document.
+func TestMaskedBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for round := 0; round < 100; round++ {
+		termLists := randomTermLists(rng, 3+rng.Intn(40))
+		served := randomMask(rng, len(termLists))
+		all := BuildFromTerms(termLists, nil)
+		ix := BuildFromTerms(termLists, served)
+		if ix.n != all.n {
+			t.Fatalf("round %d: Len %d vs %d", round, ix.n, all.n)
+		}
+		q := strings.Fields(diffQueries[round%len(diffQueries)])
+		sameAsMaskedOracle(t, fmt.Sprintf("round %d query %q", round, q), ix, all, served, q)
+	}
+}
+
+// TestTieOrderMatchesOracle: duplicated documents score identically at
+// distinct indices, so the match lists hold exact ties; the full list at
+// each threshold and its best-k prefixes must reproduce the dense oracle's
+// exactly — same indices, same score bits, ties by ascending index.
+func TestTieOrderMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for round := 0; round < 40; round++ {
+		termLists := randomTermLists(rng, 4+rng.Intn(24))
+		for d := 0; d < 3; d++ {
+			termLists = append(termLists, termLists[rng.Intn(len(termLists))])
+		}
+		ix := BuildFromTerms(termLists, nil)
+		for _, q := range diffQueries {
+			for _, backend := range Backends() {
+				for _, threshold := range []float64{DefaultThreshold, 0.01, 0} {
+					got := run(t, ix, strings.Fields(q), QueryOpts{Backend: backend, Threshold: threshold})
+					want := denseMatches(ix, strings.Fields(q), backend, threshold)
+					label := fmt.Sprintf("round %d %s(%q,%v)", round, backend, q, threshold)
+					for _, k := range []int{0, 1, 3, 10, 1000} {
+						sameMatches(t, fmt.Sprintf("%s top %d", label, k), prefix(got, k), prefix(want, k))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSortMatchesEdges pins the total match order sortMatches puts the
+// accumulator's unsorted matches in — score descending, ties by index —
+// and that a caller's top-k cut of it keeps the best.
+func TestSortMatchesEdges(t *testing.T) {
+	m := func(idx int, score float64) Match { return Match{Index: idx, Score: score} }
+	cases := []struct {
+		name string
+		in   []Match
+		k    int
+		want []Match
+	}{
+		{"empty", nil, 0, nil},
+		{"sorted passthrough", []Match{m(0, 0.9), m(2, 0.5)}, 0, []Match{m(0, 0.9), m(2, 0.5)}},
+		{"interleave", []Match{m(1, 0.8), m(3, 0.2), m(0, 0.9), m(2, 0.5)}, 0,
+			[]Match{m(0, 0.9), m(1, 0.8), m(2, 0.5), m(3, 0.2)}},
+		{"tie resolves by index", []Match{m(5, 0.7), m(2, 0.7)}, 0, []Match{m(2, 0.7), m(5, 0.7)}},
+		{"k truncates", []Match{m(1, 0.8), m(0, 0.9), m(2, 0.5)}, 2, []Match{m(0, 0.9), m(1, 0.8)}},
+		{"k larger than total", []Match{m(1, 0.8)}, 10, []Match{m(1, 0.8)}},
+	}
+	for _, tc := range cases {
+		got := append([]Match(nil), tc.in...)
+		sortMatches(got)
+		got = prefix(got, tc.k)
+		if len(got) != len(tc.want) {
+			t.Fatalf("%s: %d matches, want %d", tc.name, len(got), len(tc.want))
+		}
+		for i := range tc.want {
+			if got[i] != tc.want[i] {
+				t.Fatalf("%s: match %d = %+v, want %+v", tc.name, i, got[i], tc.want[i])
+			}
+		}
+	}
+}
+
+// TestTopMatchesVecEqualsSortTruncate: cutting the engine's list to its
+// best k equals sorting the oracle's scores and truncating.
+func TestTopMatchesVecEqualsSortTruncate(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for round := 0; round < 30; round++ {
+		ix := BuildFromTerms(randomTermLists(rng, 5+rng.Intn(30)), nil)
+		q := strings.Fields(diffQueries[round%len(diffQueries)])
+		for _, threshold := range []float64{0, 0.01, DefaultThreshold} {
+			for _, backend := range Backends() {
+				full := run(t, ix, q, QueryOpts{Backend: backend, Threshold: threshold})
+				dense := denseMatches(ix, q, backend, threshold)
+				for _, k := range []int{1, 2, 5, 100} {
+					sameMatches(t, fmt.Sprintf("round %d %s k=%d th=%v", round, backend, k, threshold),
+						prefix(full, k), prefix(dense, k))
+				}
+			}
+		}
+	}
 }
 
 func TestBackendsAgreeOnZeroOverlap(t *testing.T) {
@@ -66,24 +198,6 @@ func TestScorerVSMBitIdentical(t *testing.T) {
 				t.Fatalf("q=%q: Query score %v != dense score %v at doc %d", q, m.Score, direct[m.Index], m.Index)
 			}
 		}
-	}
-}
-
-// TestSerialScoringBitIdentical: the batch executor's serial-scoring option
-// must not change a single bit of any score.
-func TestSerialScoringBitIdentical(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	terms := make([][]string, len(diffSentences))
-	for i, s := range diffSentences {
-		terms[i] = textproc.NormalizeTerms(s)
-	}
-	ix := BuildFromTerms(terms, nil, nil, 3)
-	q := textproc.NormalizeTerms("shared memory global bandwidth warp")
-	for _, backend := range Backends() {
-		o := QueryOpts{Backend: backend, Threshold: -1}
-		par := run(t, ix, q, o)
-		o.Serial = true
-		sameMatches(t, backend+" serial vs parallel", run(t, ix, q, o), par)
 	}
 }
 

@@ -87,10 +87,10 @@ func TestInvertedTopK(t *testing.T) {
 	}
 }
 
-// TestPostingsCoverVectors: every partition's postings are exactly its
-// documents' term vectors — each (document, term) pair once, in strictly
-// ascending document order per term, with the TF-IDF weight recomputed
-// here from the document's counts and the global IDF table.
+// TestPostingsCoverVectors: the postings are exactly the documents' term
+// vectors — each (document, term) pair once, in strictly ascending document
+// order per term, with the TF-IDF weight recomputed here from the
+// document's counts and the global IDF table.
 func TestPostingsCoverVectors(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	docs := randomCorpus(rng, 80)
@@ -98,50 +98,46 @@ func TestPostingsCoverVectors(t *testing.T) {
 	for i, d := range docs {
 		terms[i] = textproc.NormalizeTerms(d)
 	}
-	for _, nParts := range []int{1, 3} {
-		ix := BuildFromTerms(terms, nil, nil, nParts)
-		var nPostings, nEntries int
-		for _, p := range ix.parts {
-			for id := 0; id+1 < len(p.start); id++ {
-				last := int32(-1)
-				for i := p.start[id]; i < p.start[id+1]; i++ {
-					if p.post[i] <= last {
-						t.Fatalf("term %d postings not strictly ascending", id)
-					}
-					last = p.post[i]
-					nPostings++
+	ix := BuildFromTerms(terms, nil)
+	var nPostings, nEntries int
+	for id := 0; id+1 < len(ix.start); id++ {
+		last := int32(-1)
+		for i := ix.start[id]; i < ix.start[id+1]; i++ {
+			if ix.post[i] <= last {
+				t.Fatalf("term %d postings not strictly ascending", id)
+			}
+			last = ix.post[i]
+			nPostings++
+		}
+	}
+	for pos, g := range ix.docs {
+		tc := ix.counted[g]
+		var norm float64
+		for i, term := range tc.terms {
+			w := tc.counts[i] * ix.idf[ix.vocab[term]]
+			norm += w * w
+		}
+		for i, term := range tc.terms {
+			id := ix.vocab[term]
+			want := tc.counts[i] * ix.idf[id]
+			if norm > 0 {
+				want /= math.Sqrt(norm)
+			}
+			found := false
+			for j := ix.start[id]; j < ix.start[id+1]; j++ {
+				if ix.post[j] == int32(pos) {
+					found = ix.w[wVSM][j] == want
+					break
 				}
 			}
-			for local, g := range p.docs {
-				tc := ix.counted[g]
-				var norm float64
-				for i, term := range tc.terms {
-					w := tc.counts[i] * ix.idf[ix.vocab[term]]
-					norm += w * w
-				}
-				for i, term := range tc.terms {
-					id := ix.vocab[term]
-					want := tc.counts[i] * ix.idf[id]
-					if norm > 0 {
-						want /= math.Sqrt(norm)
-					}
-					found := false
-					for j := p.start[id]; j < p.start[id+1]; j++ {
-						if p.post[j] == int32(local) {
-							found = p.w[wVSM][j] == want
-							break
-						}
-					}
-					if !found {
-						t.Fatalf("doc %d term %q (weight %v) missing from postings", g, term, want)
-					}
-					nEntries++
-				}
+			if !found {
+				t.Fatalf("doc %d term %q (weight %v) missing from postings", g, term, want)
 			}
+			nEntries++
 		}
-		if nPostings != nEntries {
-			t.Fatalf("postings %d != vector entries %d", nPostings, nEntries)
-		}
+	}
+	if nPostings != nEntries {
+		t.Fatalf("postings %d != vector entries %d", nPostings, nEntries)
 	}
 }
 
@@ -152,7 +148,7 @@ func ExampleIndex_Query_invertedEquivalence() {
 		"unrelated sentence about gardening",
 	})
 	q := textproc.NormalizeTerms("reduce memory transfers")
-	fast, _, _ := ix.Query(context.Background(), q, QueryOpts{Threshold: DefaultThreshold})
+	fast, _ := ix.Query(context.Background(), q, QueryOpts{Threshold: DefaultThreshold})
 	dense := denseMatches(ix, q, BackendVSM, DefaultThreshold)
 	fmt.Println(matchesEqual(fast, dense))
 	// Output: true

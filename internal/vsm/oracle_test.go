@@ -16,8 +16,8 @@ import (
 // postings and scores each document with one sparse dot product, in
 // ascending term-id order. It shares the per-document weights and the query
 // vector with the engine and nothing else — no accumulator, no touched
-// list, no partition fan-out, no threshold shortcut — so agreement pins the
-// accumulation, filtering, ordering and partition merge.
+// list, no threshold shortcut — so agreement pins the accumulation,
+// filtering and ordering.
 
 // positive is the threshold that admits exactly the positive scores (the
 // BM25 serving cut).
@@ -27,7 +27,7 @@ const positive = math.SmallestNonzeroFloat64
 // error.
 func run(t testing.TB, ix *Index, terms []string, o QueryOpts) []Match {
 	t.Helper()
-	m, _, err := ix.Query(context.Background(), terms, o)
+	m, err := ix.Query(context.Background(), terms, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,16 +52,13 @@ func engineScores(t testing.TB, ix *Index, terms []string, backend string) []flo
 }
 
 // docVectors gathers every document's weight vector under weighting wt from
-// the partitions' postings, entries in ascending term id, indexed by global
-// document ordinal.
+// the postings, entries in ascending term id, indexed by document ordinal.
 func docVectors(ix *Index, wt int) [][]term {
 	vecs := make([][]term, ix.n)
-	for _, p := range ix.parts {
-		for id := 0; id+1 < len(p.start); id++ {
-			for i := p.start[id]; i < p.start[id+1]; i++ {
-				g := p.docs[p.post[i]]
-				vecs[g] = append(vecs[g], term{id: id, w: p.w[wt][i]})
-			}
+	for id := 0; id+1 < len(ix.start); id++ {
+		for i := ix.start[id]; i < ix.start[id+1]; i++ {
+			g := ix.docs[ix.post[i]]
+			vecs[g] = append(vecs[g], term{id: id, w: ix.w[wt][i]})
 		}
 	}
 	return vecs

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/doc"
@@ -65,11 +66,11 @@ func randomEdit(rng *rand.Rand, termLists [][]string) ([][]string, []doc.Kept, [
 }
 
 // sameIndex compares two indexes exhaustively: global statistics bitwise,
-// identities, and every partition's document map, postings and weights.
+// and the document map, postings and weights.
 func sameIndex(t *testing.T, got, want *Index) {
 	t.Helper()
-	if got.n != want.n || len(got.parts) != len(want.parts) {
-		t.Fatalf("shape: n %d vs %d, partitions %d vs %d", got.n, want.n, len(got.parts), len(want.parts))
+	if got.n != want.n {
+		t.Fatalf("shape: n %d vs %d", got.n, want.n)
 	}
 	if len(got.vocab) != len(want.vocab) {
 		t.Fatalf("vocab size: %d vs %d", len(got.vocab), len(want.vocab))
@@ -84,21 +85,13 @@ func sameIndex(t *testing.T, got, want *Index) {
 			t.Fatalf("idf[%d]: %x vs %x", id, got.idf[id], want.idf[id])
 		}
 	}
-	for i := range want.ids {
-		if got.ids[i] != want.ids[i] {
-			t.Fatalf("ids[%d]: %q vs %q", i, got.ids[i], want.ids[i])
-		}
+	if !slices.Equal(got.docs, want.docs) || !slices.Equal(got.start, want.start) || !slices.Equal(got.post, want.post) {
+		t.Fatal("document map or postings differ")
 	}
-	for pi, wp := range want.parts {
-		gp := got.parts[pi]
-		if !slices.Equal(gp.docs, wp.docs) || !slices.Equal(gp.start, wp.start) || !slices.Equal(gp.post, wp.post) {
-			t.Fatalf("partition %d: document map or postings differ", pi)
-		}
-		for wt := range wp.w {
-			for i := range wp.w[wt] {
-				if math.Float64bits(gp.w[wt][i]) != math.Float64bits(wp.w[wt][i]) {
-					t.Fatalf("partition %d weighting %d posting %d: %x vs %x", pi, wt, i, gp.w[wt][i], wp.w[wt][i])
-				}
+	for wt := range want.w {
+		for i := range want.w[wt] {
+			if math.Float64bits(got.w[wt][i]) != math.Float64bits(want.w[wt][i]) {
+				t.Fatalf("weighting %d posting %d: %x vs %x", wt, i, got.w[wt][i], want.w[wt][i])
 			}
 		}
 	}
@@ -118,7 +111,7 @@ func TestRebuildBitIdentical(t *testing.T) {
 	}
 	for round := 0; round < 60; round++ {
 		termLists := randomTermLists(rng, 3+rng.Intn(40))
-		ix := BuildFromTerms(termLists, nil, randomMask(rng, len(termLists)), 1)
+		ix := BuildFromTerms(termLists, randomMask(rng, len(termLists)))
 		next, kept, added := randomEdit(rng, termLists)
 		served := randomMask(rng, len(next))
 
@@ -127,10 +120,10 @@ func TestRebuildBitIdentical(t *testing.T) {
 			t.Fatalf("round %d: Rebuild: %v", round, err)
 		}
 		// added documents carry no identity here, as in the cold build
-		want := BuildFromTerms(next, nil, served, 1)
+		want := BuildFromTerms(next, served)
 		sameIndex(t, got, want)
 
-		all := BuildFromTerms(next, nil, nil, 1)
+		all := BuildFromTerms(next, nil)
 		for _, q := range queries {
 			terms := textproc.NormalizeTerms(q)
 			for _, backend := range Backends() {
@@ -148,7 +141,7 @@ func TestRebuildBitIdentical(t *testing.T) {
 func TestRebuildChained(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	termLists := randomTermLists(rng, 20)
-	ix := BuildFromTerms(termLists, nil, randomMask(rng, len(termLists)), 1)
+	ix := BuildFromTerms(termLists, randomMask(rng, len(termLists)))
 	for step := 0; step < 10; step++ {
 		next, kept, added := randomEdit(rng, termLists)
 		served := randomMask(rng, len(next))
@@ -156,17 +149,17 @@ func TestRebuildChained(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: Rebuild: %v", step, err)
 		}
-		sameIndex(t, got, BuildFromTerms(next, nil, served, 1))
-		all := BuildFromTerms(next, nil, nil, 1)
-		for _, q := range []string{"term03 term17 common", "term34 term05"} {
-			sameAsMaskedOracle(t, fmt.Sprintf("step %d %q", step, q), got, all, served, splitTerms(q))
+		sameIndex(t, got, BuildFromTerms(next, served))
+		all := BuildFromTerms(next, nil)
+		for _, q := range diffQueries {
+			sameAsMaskedOracle(t, fmt.Sprintf("step %d %q", step, q), got, all, served, strings.Fields(q))
 		}
 		ix, termLists = got, next
 	}
 }
 
 func TestRebuildValidation(t *testing.T) {
-	ix := BuildFromTerms([][]string{{"a"}, {"b"}}, nil, nil, 1)
+	ix := BuildFromTerms([][]string{{"a"}, {"b"}}, nil)
 	cases := []struct {
 		name  string
 		kept  []doc.Kept
@@ -188,8 +181,10 @@ func TestRebuildValidation(t *testing.T) {
 		t.Error("misaligned mask: want error, got nil")
 	}
 	// a full tiling succeeds, including the empty successor
-	if _, err := ix.Rebuild(nil, nil, nil); err != nil {
+	if next, err := ix.Rebuild(nil, nil, nil); err != nil {
 		t.Errorf("empty successor: %v", err)
+	} else if next.n != 0 || len(next.docs) != 0 {
+		t.Errorf("empty successor: %d documents, %d served", next.n, len(next.docs))
 	}
 	if _, err := ix.Rebuild([]doc.Kept{{Old: 1, New: 0}}, []AddedDoc{{Pos: 1, Terms: []string{"c"}}}, nil); err != nil {
 		t.Errorf("valid tiling: %v", err)

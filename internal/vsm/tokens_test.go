@@ -28,7 +28,7 @@ func fromTokens(tokenLists [][]string) *Index {
 	for i, toks := range tokenLists {
 		terms[i] = textproc.NormalizeWords(toks)
 	}
-	return BuildFromTerms(terms, nil, nil, 1)
+	return BuildFromTerms(terms, nil)
 }
 
 // TestBuildFromTokensBitExact asserts that an index built from pre-tokenized
@@ -52,7 +52,7 @@ func TestBuildFromTermsBitExact(t *testing.T) {
 	for i, s := range tokenTestSentences {
 		terms[i] = textproc.NormalizeTerms(s)
 	}
-	assertIndexesBitExact(t, Build(tokenTestSentences), BuildFromTerms(terms, nil, nil, 1))
+	assertIndexesBitExact(t, Build(tokenTestSentences), BuildFromTerms(terms, nil))
 }
 
 // TestBuildFromTokensBitExactRandom repeats the equivalence over larger

@@ -9,19 +9,17 @@
 // Okapi BM25 over the same postings is the retrieval ablation, selectable
 // per query.
 //
-// An Index holds N >= 1 partitions built under global statistics
-// (DESIGN.md §13): a document's weights depend only on the corpus-wide
-// vocabulary, IDF table and BM25 length average and on the document
-// itself, so scores are Float64bits-identical at any partition count, and
-// whichever subset of the documents is served (has postings). The serving
-// layer calls partitions shards. An Index is immutable after build and
-// safe for concurrent queries.
+// An Index is built under statistics over every document (DESIGN.md §13):
+// a document's weights depend only on the corpus-wide vocabulary, IDF
+// table and BM25 length average and on the document itself, so scores are
+// Float64bits-identical whichever subset of the documents is served (has
+// postings). An Index is immutable after build and safe for concurrent
+// queries.
 package vsm
 
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 	"strings"
@@ -30,11 +28,6 @@ import (
 	"repro/internal/doc"
 	"repro/internal/textproc"
 )
-
-// MaxPartitions caps an index's partition count. Every partition holds a
-// per-term offset table over the whole vocabulary, so the count bounds the
-// memory an index costs beyond its postings.
-const MaxPartitions = 64
 
 // DefaultThreshold is the similarity threshold the paper uses to recommend a
 // sentence (§3.2: 0.15).
@@ -95,49 +88,38 @@ type Match struct {
 }
 
 // Index is a TF-IDF (and BM25) weighted vector space over a fixed sentence
-// set, partitioned by stable sentence identity. Its statistics cover every
-// sentence; its postings cover the served ones, the only sentences a query
-// can match.
+// set. Its statistics cover every sentence; its postings cover the served
+// ones, the only sentences a query can match. The postings are stored
+// compactly: term t's postings are post[start[t]:start[t+1]] in ascending
+// position, and w[wVSM]/w[wBM25] hold each posting's weight under the two
+// backends — the L2-normalized TF-IDF weight (0 for a term in every
+// document, which cosine queries never walk) and the precomputed Okapi
+// contribution idf·tf·(k1+1)/(tf+norm).
 type Index struct {
 	vocab   map[string]int
-	idf     []float64        // TF-IDF IDF log(n/df), per term id
-	parts   []*partition     // at least one
-	ids     []doc.SentenceID // global ordinal -> identity, the placement key
-	counted []*termCounts    // global order, reused by Rebuild
-	n       int              // number of sentences, served or not
-}
+	idf     []float64     // TF-IDF IDF log(n/df), per term id
+	counted []*termCounts // document order, reused by Rebuild
+	n       int           // number of sentences, served or not
 
-// partition is one slice of the served documents with its own postings,
-// stored compactly: term t's postings are post[start[t]:start[t+1]] in
-// ascending local position, and w[wVSM]/w[wBM25] hold each posting's weight
-// under the two backends — the L2-normalized TF-IDF weight (0 for a term in
-// every document, which cosine queries never walk) and the precomputed
-// Okapi contribution idf·tf·(k1+1)/(tf+norm).
-type partition struct {
-	docs    []int32 // local position -> global ordinal, ascending
+	docs    []int32 // position -> document ordinal of the served documents, ascending
 	start   []int   // per term id, plus a final end offset
-	post    []int32 // posting documents, as local positions
+	post    []int32 // posting documents, as positions in docs
 	w       [2][]float64
 	scratch sync.Pool // *accumulator over len(docs) documents
 }
 
-// Build constructs a one-partition index over raw sentences, normalizing
-// each with textproc.NormalizeTerms (tokenize, lowercase, stop/punct
-// removal, Porter stemming).
+// Build constructs an index over raw sentences, normalizing each with
+// textproc.NormalizeTerms (tokenize, lowercase, stop/punct removal, Porter
+// stemming).
 func Build(sentences []string) *Index {
 	terms := make([][]string, len(sentences))
 	for i, s := range sentences {
 		terms[i] = textproc.NormalizeTerms(s)
 	}
-	return BuildFromTerms(terms, nil, nil, 1)
+	return BuildFromTerms(terms, nil)
 }
 
-// BuildFromTerms constructs an index over pre-normalized term lists in
-// nParts partitions (clamped to [1, MaxPartitions]). Documents are placed
-// by their aligned stable identities, so an incremental Rebuild keeps every
-// surviving sentence in its partition; a nil or misaligned ids slice places
-// them round robin by ordinal, which balances but is not stable across
-// edits.
+// BuildFromTerms constructs an index over pre-normalized term lists.
 //
 // served, aligned with termLists, marks the documents that get postings;
 // nil serves every document. The statistics — vocabulary, document
@@ -149,7 +131,7 @@ func Build(sentences []string) *Index {
 // Because every weight accumulation runs in ascending term-id order, scores
 // are a function of the document set alone: permuting the documents yields
 // bit-identical scores.
-func BuildFromTerms(termLists [][]string, ids []doc.SentenceID, served []bool, nParts int) *Index {
+func BuildFromTerms(termLists [][]string, served []bool) *Index {
 	if served != nil && len(served) != len(termLists) {
 		panic(fmt.Sprintf("vsm: served mask has %d entries for %d documents", len(served), len(termLists)))
 	}
@@ -157,10 +139,7 @@ func BuildFromTerms(termLists [][]string, ids []doc.SentenceID, served []bool, n
 	for i, terms := range termLists {
 		counted[i] = countTerms(terms)
 	}
-	if len(ids) != len(termLists) {
-		ids = make([]doc.SentenceID, len(termLists))
-	}
-	return build(counted, ids, served, nParts)
+	return build(counted, served)
 }
 
 // termCounts is one document's corpus-independent term statistics: its
@@ -194,29 +173,12 @@ func countTerms(terms []string) *termCounts {
 	return tc
 }
 
-// partitionOf places a sentence: FNV-1a over its stable identity, or round
-// robin on the ordinal when it has none.
-func partitionOf(id doc.SentenceID, ordinal, nParts int) int {
-	if nParts <= 1 {
-		return 0
-	}
-	if id == "" {
-		return ordinal % nParts
-	}
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return int(h.Sum32() % uint32(nParts))
-}
-
 // build assembles an index from counted documents: the global statistics
 // first — vocabulary, document frequencies, both IDF tables and the BM25
-// length average, summed in global document order — then every partition's
-// postings under them. Each weight is a function of the global statistics
-// and its own document only, computed by the same float operations in the
-// same order whatever partition the document lands in. Only the served
-// documents (all of them for a nil mask) are placed and get postings.
-func build(counted []*termCounts, ids []doc.SentenceID, served []bool, nParts int) *Index {
-	nParts = min(max(nParts, 1), MaxPartitions)
+// length average, summed in document order — then the served documents'
+// postings under them (every document's for a nil mask). Each weight is a
+// function of the global statistics and its own document only.
+func build(counted []*termCounts, served []bool) *Index {
 	n := len(counted)
 	df := map[string]int{} // counted terms are unique per document already
 	var total float64
@@ -234,7 +196,6 @@ func build(counted []*termCounts, ids []doc.SentenceID, served []bool, nParts in
 	ix := &Index{
 		vocab:   make(map[string]int, len(terms)),
 		idf:     make([]float64, len(terms)),
-		ids:     ids,
 		counted: counted,
 		n:       n,
 	}
@@ -249,45 +210,37 @@ func build(counted []*termCounts, ids []doc.SentenceID, served []bool, nParts in
 	if n > 0 {
 		avg = total / float64(n)
 	}
-	ix.parts = make([]*partition, nParts)
-	for p := range ix.parts {
-		ix.parts[p] = &partition{}
-	}
 	for g := range counted {
-		if served != nil && !served[g] {
-			continue
+		if served == nil || served[g] {
+			ix.docs = append(ix.docs, int32(g))
 		}
-		p := ix.parts[partitionOf(ids[g], g, nParts)]
-		p.docs = append(p.docs, int32(g))
 	}
-	for _, p := range ix.parts {
-		p.fill(ix, bidf, avg)
-	}
+	ix.fill(bidf, avg)
 	return ix
 }
 
-// fill builds one partition's postings: a counting pass sizes every term's
-// list, then each document (in ascending local position, so every list is
-// in document order) writes its postings. The TF-IDF weights are
+// fill builds the postings: a counting pass sizes every term's list, then
+// each served document (in ascending position, so every list is in
+// document order) writes its postings. The TF-IDF weights are
 // L2-normalized per document, the norm accumulated in ascending term-id
 // order; counted terms are sorted and ids follow sorted term order, so the
 // entries arrive in that order without re-sorting.
-func (p *partition) fill(ix *Index, bidf []float64, avg float64) {
-	p.start = make([]int, len(ix.idf)+1)
-	for _, g := range p.docs {
+func (ix *Index) fill(bidf []float64, avg float64) {
+	ix.start = make([]int, len(ix.idf)+1)
+	for _, g := range ix.docs {
 		for _, t := range ix.counted[g].terms {
-			p.start[ix.vocab[t]+1]++
+			ix.start[ix.vocab[t]+1]++
 		}
 	}
-	for t := 1; t < len(p.start); t++ {
-		p.start[t] += p.start[t-1]
+	for t := 1; t < len(ix.start); t++ {
+		ix.start[t] += ix.start[t-1]
 	}
-	size := p.start[len(p.start)-1]
-	p.post = make([]int32, size)
-	p.w = [2][]float64{make([]float64, size), make([]float64, size)}
-	next := append([]int(nil), p.start[:len(ix.idf)]...)
+	size := ix.start[len(ix.start)-1]
+	ix.post = make([]int32, size)
+	ix.w = [2][]float64{make([]float64, size), make([]float64, size)}
+	next := append([]int(nil), ix.start[:len(ix.idf)]...)
 	var weights []float64
-	for local, g := range p.docs {
+	for pos, g := range ix.docs {
 		tc := ix.counted[g]
 		weights = weights[:0]
 		var norm float64
@@ -311,30 +264,27 @@ func (p *partition) fill(ix *Index, bidf []float64, avg float64) {
 			tf := tc.counts[i]
 			at := next[id]
 			next[id]++
-			p.post[at] = int32(local)
-			p.w[wVSM][at] = weights[i]
-			p.w[wBM25][at] = bidf[id] * tf * (bm25K1 + 1) / (tf + lenNorm)
+			ix.post[at] = int32(pos)
+			ix.w[wVSM][at] = weights[i]
+			ix.w[wBM25][at] = bidf[id] * tf * (bm25K1 + 1) / (tf + lenNorm)
 		}
 	}
 }
 
 // AddedDoc is one new sentence handed to Rebuild: its position in the
-// successor document, its normalized term list, and its stable identity
-// (the placement key).
+// successor document and its normalized term list.
 type AddedDoc struct {
 	Pos   int
 	Terms []string
-	ID    doc.SentenceID
 }
 
-// Rebuild constructs the successor index after a document edit, with the
-// same partition count: kept pairs map this index's sentences (Old
-// position) to their new positions, reusing their term statistics and
-// identities verbatim, so every kept sentence stays in its partition; added
-// carries the term lists and identities of new sentences at their new
-// positions. Together they must tile the successor document exactly — every
-// position in [0, kept+added) assigned once. served is the successor's
-// mask, aligned with its positions (nil serves every document).
+// Rebuild constructs the successor index after a document edit: kept pairs
+// map this index's sentences (Old position) to their new positions, reusing
+// their term statistics verbatim; added carries the term lists of new
+// sentences at their new positions. Together they must tile the successor
+// document exactly — every position in [0, kept+added) assigned once.
+// served is the successor's mask, aligned with its positions (nil serves
+// every document).
 //
 // Global statistics — document frequencies, IDF, and therefore every weight
 // — are recomputed from the merged set: IDF is corpus-wide, so one edit can
@@ -349,32 +299,28 @@ func (ix *Index) Rebuild(kept []doc.Kept, added []AddedDoc, served []bool) (*Ind
 		return nil, fmt.Errorf("vsm: rebuild mask has %d entries for %d documents", len(served), n)
 	}
 	counted := make([]*termCounts, n)
-	ids := make([]doc.SentenceID, n)
-	place := func(pos int, tc *termCounts, id doc.SentenceID) error {
+	place := func(pos int, tc *termCounts) error {
 		if pos < 0 || pos >= n {
 			return fmt.Errorf("vsm: rebuild position %d outside [0,%d)", pos, n)
 		}
 		if counted[pos] != nil {
 			return fmt.Errorf("vsm: rebuild position %d assigned twice", pos)
 		}
-		counted[pos], ids[pos] = tc, id
+		counted[pos] = tc
 		return nil
 	}
 	for _, k := range kept {
 		if k.Old < 0 || k.Old >= ix.n {
 			return nil, fmt.Errorf("vsm: rebuild kept old position %d outside [0,%d)", k.Old, ix.n)
 		}
-		if err := place(k.New, ix.counted[k.Old], ix.ids[k.Old]); err != nil {
+		if err := place(k.New, ix.counted[k.Old]); err != nil {
 			return nil, err
 		}
 	}
 	for _, a := range added {
-		if err := place(a.Pos, countTerms(a.Terms), a.ID); err != nil {
+		if err := place(a.Pos, countTerms(a.Terms)); err != nil {
 			return nil, err
 		}
 	}
-	return build(counted, ids, served, len(ix.parts)), nil
+	return build(counted, served), nil
 }
-
-// Partitions returns the partition count (1 for the monolithic layout).
-func (ix *Index) Partitions() int { return len(ix.parts) }

@@ -1,11 +1,17 @@
 package vsm
 
 import (
+	"context"
+	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/obs"
 	"repro/internal/textproc"
 )
 
@@ -86,28 +92,139 @@ func TestIDFBehaviour(t *testing.T) {
 	}
 }
 
-// TestQueryAllMatchesSerial: scoring the partitions in parallel and one
-// after another gives the same scores.
-func TestQueryAllMatchesSerial(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	terms := make([][]string, len(corpus))
-	for i, s := range corpus {
-		terms[i] = textproc.NormalizeTerms(s)
+// TestQueryEmptyAndUnknownTerms: an empty query and one with no term in
+// the vocabulary match nothing, and score every document exactly zero.
+func TestQueryEmptyAndUnknownTerms(t *testing.T) {
+	ix := BuildFromTerms([][]string{{"alpha", "beta"}, {"gamma"}}, nil)
+	if got := run(t, ix, nil, QueryOpts{Threshold: DefaultThreshold}); got != nil {
+		t.Fatalf("empty query: %v, want nil", got)
 	}
-	ix := BuildFromTerms(terms, nil, nil, 3)
-	for _, q := range []string{"memory bandwidth", "divergent warps", "loop unrolling"} {
-		all := QueryOpts{Threshold: -1}
-		par := query(t, ix, q, all)
-		all.Serial = true
-		ser := query(t, ix, q, all)
-		if len(par) != len(ser) {
-			t.Fatalf("length mismatch %d vs %d", len(par), len(ser))
-		}
-		for i := range par {
-			if par[i].Index != ser[i].Index || math.Abs(par[i].Score-ser[i].Score) > 1e-12 {
-				t.Errorf("q=%q rank %d: parallel %+v != serial %+v", q, i, par[i], ser[i])
+	if got := run(t, ix, []string{"zzz"}, QueryOpts{Threshold: DefaultThreshold}); got != nil {
+		t.Fatalf("out-of-vocab query: %v, want nil", got)
+	}
+	for _, backend := range Backends() {
+		for i, s := range engineScores(t, ix, []string{"zzz"}, backend) {
+			if s != 0 {
+				t.Fatalf("%s out-of-vocab score[%d] = %v, want 0", backend, i, s)
 			}
 		}
+	}
+}
+
+// TestConcurrentQueriesShareScratch: queries racing on one index each draw
+// their own pooled accumulator, and an accumulator comes back to the pool
+// clean, so every query returns what it returns alone.
+func TestConcurrentQueriesShareScratch(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	rng := rand.New(rand.NewSource(83))
+	ix := BuildFromTerms(randomTermLists(rng, 80), nil)
+	type tc struct {
+		terms []string
+		o     QueryOpts
+		want  []Match
+	}
+	var cases []tc
+	for _, q := range diffQueries {
+		for _, backend := range Backends() {
+			for _, threshold := range []float64{-1, DefaultThreshold} {
+				o := QueryOpts{Backend: backend, Threshold: threshold}
+				cases = append(cases, tc{strings.Fields(q), o, run(t, ix, strings.Fields(q), o)})
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				c := cases[(g+i)%len(cases)]
+				got, err := ix.Query(context.Background(), c.terms, c.o)
+				if err != nil || !matchesEqual(got, c.want) {
+					t.Errorf("goroutine %d query %v %+v: %v (err %v), want %v", g, c.terms, c.o, got, err, c.want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestServedMask pins what a served mask changes and what it keeps: only
+// served documents have postings (and the postings counter advances by
+// exactly the ones walked), while the vocabulary, the IDF tables and the
+// query norm still cover every document — "d" occurs only in the unserved
+// document, yet it weighs in the norm of a query that names it.
+func TestServedMask(t *testing.T) {
+	lists := [][]string{{"a", "b"}, {"a", "c", "d"}, {"c"}}
+	served := []bool{true, false, true}
+	all := BuildFromTerms(lists, nil)
+	ix := BuildFromTerms(lists, served)
+	if len(ix.vocab) != len(all.vocab) || ix.n != all.n {
+		t.Fatalf("vocab %d n %d, want %d and %d", len(ix.vocab), ix.n, len(all.vocab), all.n)
+	}
+	for term, id := range all.vocab {
+		if ix.vocab[term] != id || math.Float64bits(ix.idf[id]) != math.Float64bits(all.idf[id]) {
+			t.Fatalf("term %q statistics differ", term)
+		}
+	}
+	before := postingsScored.Value()
+	got := run(t, ix, []string{"a", "c"}, QueryOpts{Threshold: -1})
+	if walked := postingsScored.Value() - before; walked != 2 {
+		t.Fatalf("%d postings walked, want 2 (one served posting each for a and c)", walked)
+	}
+	if len(got) != 2 || got[0].Index == 1 || got[1].Index == 1 {
+		t.Fatalf("matches %+v, want the two served documents", got)
+	}
+	sameMatches(t, "global norm",
+		run(t, ix, []string{"b", "d"}, QueryOpts{Threshold: -1}),
+		maskedOracle(all, served, []string{"b", "d"}, BackendVSM, -1))
+}
+
+// TestBuildLimits: a misaligned mask is a caller bug and panics.
+func TestBuildLimits(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("misaligned mask: no panic")
+		}
+	}()
+	BuildFromTerms([][]string{{"a"}, {"b"}}, []bool{true})
+}
+
+// TestTracedScoring: under a recorded span both backends score exactly as
+// untraced, and the trace holds one vsm.score span per query naming its
+// backend.
+func TestTracedScoring(t *testing.T) {
+	ix := BuildFromTerms(randomTermLists(rand.New(rand.NewSource(73)), 20), nil)
+	tracer := obs.NewTracer(1.0, obs.NewTraceStore(obs.DefaultTraceCapacity))
+	terms := []string{"term03", "term17", "common"}
+	sctx, root := tracer.Start(context.Background(), "test.query")
+	for _, backend := range Backends() {
+		o := QueryOpts{Backend: backend, Threshold: -1}
+		got, err := ix.Query(sctx, terms, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameMatches(t, "traced "+backend, got, run(t, ix, terms, o))
+	}
+	root.Finish()
+	tr, ok := tracer.Store().Get(obs.TraceID(sctx))
+	if !ok {
+		t.Fatal("trace not recorded")
+	}
+	var backends []string
+	for _, sp := range tr.Root.Children {
+		if sp.Name != "vsm.score" || len(sp.Children) != 0 {
+			t.Fatalf("root child %q with %d children, want a vsm.score leaf", sp.Name, len(sp.Children))
+		}
+		for _, a := range sp.Attrs {
+			if a.Key == "backend" {
+				backends = append(backends, a.Value)
+			}
+		}
+	}
+	if fmt.Sprint(backends) != "[vsm bm25]" {
+		t.Fatalf("traced span backends %v, want [vsm bm25]", backends)
 	}
 }
 

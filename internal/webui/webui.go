@@ -128,9 +128,11 @@ func (s *Server) query(ctx context.Context, backend, q string) []core.Answer {
 		return s.querier(ctx, backend, q)
 	}
 	adv := s.adv()
-	answers, err := adv.QueryTermsBackendCtx(ctx, backend, nlp.QueryTerms(q))
+	terms := nlp.QueryTerms(q)
+	answers, err := adv.Retrieve(ctx, terms, adv.QueryOpts(backend))
 	if err != nil {
-		return adv.QueryTermsCtx(ctx, nlp.QueryTerms(q))
+		// the default backend is always known, so no error can come back
+		answers, _ = adv.Retrieve(ctx, terms, adv.QueryOpts(""))
 	}
 	return answers
 }

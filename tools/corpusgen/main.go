@@ -1,9 +1,9 @@
 // Command corpusgen renders a seeded, size-parameterized synthetic HPC
 // guide as HTML on stdout (or to -o). It is the CLI face of
-// corpus.GenerateSized: the scale and sharding benchmarks use the same
-// generator in-process, and corpusgen makes the identical documents
-// available to shell workflows — exporting a 10k-sentence guide to feed
-// `egeria -doc ... serve -shards 8`, say, or regenerating a scaling corpus
+// corpus.GenerateSized: the scale benchmarks use the same generator
+// in-process, and corpusgen makes the identical documents available to
+// shell workflows — exporting a 10k-sentence guide to feed
+// `egeria -doc guide.html serve`, say, or regenerating a scaling corpus
 // byte-for-byte from its (register, size, fraction, seed) tuple.
 //
 //	go run ./tools/corpusgen -register cuda -sentences 10000 -seed 7 -o guide.html

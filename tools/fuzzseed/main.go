@@ -59,9 +59,8 @@ func main() {
 	write("internal/service/testdata/fuzz/FuzzQuery", "string", queries)
 
 	// top-k parity seeds: realistic guide corpora × guide queries, across
-	// the k / threshold / partition-count axes (tiny k, k past the corpus
-	// size, the paper's threshold, thresholds that admit zero-score
-	// documents, one and many partitions)
+	// the k and threshold axes (tiny k, k past the corpus size, the paper's
+	// threshold, thresholds that admit zero-score documents)
 	var parity []topkSeed
 	for name, reg := range guides {
 		g := corpus.GenerateSized(reg, 60, 0.3, 11)
@@ -75,9 +74,9 @@ func main() {
 				break
 			}
 			parity = append(parity,
-				topkSeed{fmt.Sprintf("%s_q%02d_top10", name, i), blob, q.Text, 10, 0.15, 4},
-				topkSeed{fmt.Sprintf("%s_q%02d_top1", name, i), blob, q.Text, 1, 0.01, 1},
-				topkSeed{fmt.Sprintf("%s_q%02d_all", name, i), blob, q.Text, 2 * len(texts), 0, 8},
+				topkSeed{fmt.Sprintf("%s_q%02d_top10", name, i), blob, q.Text, 10, 0.15},
+				topkSeed{fmt.Sprintf("%s_q%02d_top1", name, i), blob, q.Text, 1, 0.01},
+				topkSeed{fmt.Sprintf("%s_q%02d_all", name, i), blob, q.Text, 2 * len(texts), 0},
 			)
 		}
 	}
@@ -239,12 +238,11 @@ func write(dir, typ string, seeds []seed) {
 }
 
 // topkSeed is one FuzzTopKParity input: a newline-joined sentence corpus,
-// a query, and the k / threshold / shard-count axes.
+// a query, and the k and threshold axes.
 type topkSeed struct {
 	name, blob, query string
 	k                 int
 	threshold         float64
-	shards            int
 }
 
 // joinLines joins sentences into the newline-separated corpus blob the
@@ -260,7 +258,7 @@ func joinLines(texts []string) string {
 	return out
 }
 
-// writeTopK emits FuzzTopKParity's five-argument corpus files.
+// writeTopK emits FuzzTopKParity's four-argument corpus files.
 func writeTopK(dir string, seeds []topkSeed) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		log.Fatal(err)
@@ -270,8 +268,7 @@ func writeTopK(dir string, seeds []topkSeed) {
 			"string(" + strconv.Quote(s.blob) + ")\n" +
 			"string(" + strconv.Quote(s.query) + ")\n" +
 			"int(" + strconv.Itoa(s.k) + ")\n" +
-			"float64(" + strconv.FormatFloat(s.threshold, 'g', -1, 64) + ")\n" +
-			"int(" + strconv.Itoa(s.shards) + ")\n"
+			"float64(" + strconv.FormatFloat(s.threshold, 'g', -1, 64) + ")\n"
 		if err := os.WriteFile(filepath.Join(dir, s.name), []byte(body), 0o644); err != nil {
 			log.Fatal(err)
 		}
