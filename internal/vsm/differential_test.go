@@ -76,6 +76,35 @@ func TestMaskedBitIdentical(t *testing.T) {
 	}
 }
 
+// TestPermutationInvariance: permuting the document order permutes the
+// scores and nothing else — every diff query scores each document
+// bit-identically under both backends.
+func TestPermutationInvariance(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for round := 0; round < 25; round++ {
+		termLists := randomTermLists(rng, 5+rng.Intn(30))
+		perm := rng.Perm(len(termLists))
+		permLists := make([][]string, len(termLists))
+		for newPos, oldPos := range perm {
+			permLists[newPos] = termLists[oldPos]
+		}
+		orig := BuildFromTerms(termLists, nil)
+		shuf := BuildFromTerms(permLists, nil)
+		for _, q := range diffQueries {
+			for _, backend := range Backends() {
+				os := engineScores(t, orig, strings.Fields(q), backend)
+				ss := engineScores(t, shuf, strings.Fields(q), backend)
+				for newPos, oldPos := range perm {
+					if math.Float64bits(ss[newPos]) != math.Float64bits(os[oldPos]) {
+						t.Fatalf("round %d %s %q: permuted doc %d (was %d): %x vs %x",
+							round, backend, q, newPos, oldPos, ss[newPos], os[oldPos])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestTieOrderMatchesOracle: duplicated documents score identically at
 // distinct indices, so the match lists hold exact ties; the full list at
 // each threshold and its best-k prefixes must reproduce the dense oracle's

@@ -151,7 +151,7 @@ func TestRebuildChained(t *testing.T) {
 		}
 		sameIndex(t, got, BuildFromTerms(next, served))
 		all := BuildFromTerms(next, nil)
-		for _, q := range diffQueries {
+		for _, q := range []string{"term03 term17 common", "term34 term05"} {
 			sameAsMaskedOracle(t, fmt.Sprintf("step %d %q", step, q), got, all, served, strings.Fields(q))
 		}
 		ix, termLists = got, next
@@ -181,12 +181,67 @@ func TestRebuildValidation(t *testing.T) {
 		t.Error("misaligned mask: want error, got nil")
 	}
 	// a full tiling succeeds, including the empty successor
-	if next, err := ix.Rebuild(nil, nil, nil); err != nil {
+	if _, err := ix.Rebuild(nil, nil, nil); err != nil {
 		t.Errorf("empty successor: %v", err)
-	} else if next.n != 0 || len(next.docs) != 0 {
-		t.Errorf("empty successor: %d documents, %d served", next.n, len(next.docs))
 	}
 	if _, err := ix.Rebuild([]doc.Kept{{Old: 1, New: 0}}, []AddedDoc{{Pos: 1, Terms: []string{"c"}}}, nil); err != nil {
 		t.Errorf("valid tiling: %v", err)
 	}
+}
+
+// TestRebuildEqualsColdBuild: three independent chains of six Rebuilds over
+// random edit scripts, with a served mask that changes at every step, stay
+// bit-identical to a cold build of each successor under the same mask, and
+// answer every diff query as the dense oracle over an index of every
+// document, filtered to the mask.
+func TestRebuildEqualsColdBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for chain := 0; chain < 3; chain++ {
+		termLists := randomTermLists(rng, 20)
+		ix := BuildFromTerms(termLists, randomMask(rng, len(termLists)))
+		for step := 0; step < 6; step++ {
+			next, kept, added := randomEdit(rng, termLists)
+			served := randomMask(rng, len(next))
+			got, err := ix.Rebuild(kept, added, served)
+			if err != nil {
+				t.Fatalf("chain %d step %d: Rebuild: %v", chain, step, err)
+			}
+			sameIndex(t, got, BuildFromTerms(next, served))
+			all := BuildFromTerms(next, nil)
+			for _, q := range diffQueries {
+				sameAsMaskedOracle(t, fmt.Sprintf("chain %d step %d %q", chain, step, q), got, all, served, strings.Fields(q))
+			}
+			ix, termLists = got, next
+		}
+	}
+}
+
+// TestRebuildEmptySuccessor: an edit that drops every document leaves an
+// index of none, which matches nothing under either backend even at a
+// threshold that admits every document, and documents added to it again
+// give the cold build of those documents.
+func TestRebuildEmptySuccessor(t *testing.T) {
+	ix := BuildFromTerms([][]string{{"a"}, {"b"}}, nil)
+	empty, err := ix.Rebuild(nil, nil, nil)
+	if err != nil {
+		t.Fatalf("empty successor: %v", err)
+	}
+	if empty.n != 0 || len(empty.docs) != 0 {
+		t.Fatalf("empty successor: %d documents, %d served", empty.n, len(empty.docs))
+	}
+	for _, backend := range Backends() {
+		if got := run(t, empty, []string{"a"}, QueryOpts{Backend: backend, Threshold: -1}); len(got) != 0 {
+			t.Fatalf("%s: empty successor matched %v", backend, got)
+		}
+	}
+	lists := [][]string{{"a", "c"}, {"c"}, {"b", "b"}}
+	added := make([]AddedDoc, len(lists))
+	for i, terms := range lists {
+		added[i] = AddedDoc{Pos: i, Terms: terms}
+	}
+	refilled, err := empty.Rebuild(nil, added, nil)
+	if err != nil {
+		t.Fatalf("refill: %v", err)
+	}
+	sameIndex(t, refilled, BuildFromTerms(lists, nil))
 }
