@@ -23,6 +23,8 @@ fuzz: ## run every fuzz target for $(FUZZTIME) (default 10s each)
 	go test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/depparse
 	go test -run '^$$' -fuzz FuzzQuery -fuzztime $(FUZZTIME) ./internal/service
 	go test -run '^$$' -fuzz FuzzReport -fuzztime $(FUZZTIME) ./internal/service
+	go test -run '^$$' -fuzz FuzzBatch -fuzztime $(FUZZTIME) ./internal/service
+	go test -run '^$$' -fuzz FuzzAsk -fuzztime $(FUZZTIME) ./internal/service
 	go test -run '^$$' -fuzz FuzzLoadAdvisor -fuzztime $(FUZZTIME) ./internal/core
 	go test -run '^$$' -fuzz FuzzTopKParity -fuzztime $(FUZZTIME) ./internal/vsm
 	go test -run '^$$' -fuzz FuzzNormalizeTerms -fuzztime $(FUZZTIME) ./internal/textproc
@@ -69,7 +71,7 @@ cover: ## per-package coverage table + total; fails below COVER_BASELINE
 # root module (bench/ is its own module), physical and code (neither blank
 # nor comment-only), then the totals. It fails when the code-line total
 # exceeds LOC_BASELINE; lower the baseline when a change deletes code.
-LOC_BASELINE = 14382
+LOC_BASELINE = 14440
 loc: ## per-package non-test Go line counts; fails above LOC_BASELINE code lines
 	@find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print \
 	| xargs awk 'FNR == 1 { pkg = FILENAME; sub(/\/[^\/]*$$/, "", pkg); sub(/^\.\/?/, "", pkg); if (pkg == "") pkg = "." } \

@@ -6,12 +6,14 @@ package repro_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -235,6 +237,68 @@ func newBenchService(b *testing.B) *service.Service {
 	})
 }
 
+// guideWords returns the lowercase words of the first advisor's rules that
+// every advisor's guide uses, each normalizing to one term and no two to
+// the same term.
+func guideWords(advs ...*core.Advisor) []string {
+	seen := map[string]bool{}
+	var out []string
+	for _, r := range advs[0].Rules() {
+		for _, w := range strings.Fields(strings.ToLower(r.Text)) {
+			w = strings.Trim(w, ".,;:()")
+			terms := nlp.QueryTerms(w)
+			if strings.Trim(w, "abcdefghijklmnopqrstuvwxyz") != "" || len(terms) != 1 || seen[terms[0]] {
+				continue
+			}
+			seen[terms[0]] = true
+			if usedByAll(advs, terms[0]) {
+				out = append(out, w)
+			}
+		}
+	}
+	return out
+}
+
+// usedByAll reports whether every advisor's guide has a rule with term.
+func usedByAll(advs []*core.Advisor, term string) bool {
+	for _, a := range advs {
+		found := false
+		for _, r := range a.Rules() {
+			if found = slices.Contains(nlp.QueryTerms(r.Text), term); found {
+				break
+			}
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
+}
+
+// variant is a suffix unique to i in words the guide uses: i's four digits
+// in base len(words)/4, the j-th digit spelled by a word of the j-th
+// quarter. A number or a made-up word would not do: Stage II drops it, and
+// so does the cache key, so every variant would hit.
+func variant(b *testing.B, words []string, i int) string {
+	base := len(words) / 4
+	if base < 2 || i >= base*base*base*base {
+		b.Fatalf("%d guide words cannot spell variant %d", len(words), i)
+	}
+	parts := make([]string, 4)
+	for j := range parts {
+		parts[j] = words[j*base+i%base]
+		i /= base
+	}
+	return strings.Join(parts, " ")
+}
+
+// allMisses fails a cold benchmark in which any lookup hit the cache.
+func allMisses(b *testing.B, svc *service.Service) {
+	if st := svc.Stats(); st.CacheHits != 0 {
+		b.Fatalf("%d cache hits and %d misses in a cold benchmark", st.CacheHits, st.CacheMisses)
+	}
+}
+
 // serveQuery answers q through the service's HTTP handler, body writer
 // included, into a response recorder.
 func serveQuery(b *testing.B, svc *service.Service, q string) {
@@ -251,19 +315,24 @@ func serveQuery(b *testing.B, svc *service.Service, q string) {
 // -http cases take the same two paths through ServeHTTP, so they also
 // count routing and writing the JSON body, which CachedQuery never reaches;
 // report-http posts a warm synthesized NVVP report, one cached lookup per
-// issue, so it counts the report envelope.
+// issue, so it counts the report envelope. report-snapshots posts a fresh
+// metrics snapshot each iteration, its percentages moved: issue queries
+// that differ only in measured values, which the cache answers once.
 func BenchmarkServiceQuery(b *testing.B) {
+	_, adv := setup(b)
+	words := guideWords(adv)
 	b.Run("cold", func(b *testing.B) {
 		svc := newBenchService(b)
 		ctx := context.Background()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			q := fmt.Sprintf("reduce instruction and memory latency variant %d", i)
+			q := "reduce instruction and memory latency " + variant(b, words, i)
 			if _, _, err := svc.CachedQuery(ctx, "cuda", "", q); err != nil {
 				b.Fatal(err)
 			}
 		}
+		allMisses(b, svc)
 	})
 	b.Run("warm", func(b *testing.B) {
 		svc := newBenchService(b)
@@ -285,8 +354,9 @@ func BenchmarkServiceQuery(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			serveQuery(b, svc, fmt.Sprintf("reduce instruction and memory latency variant %d", i))
+			serveQuery(b, svc, "reduce instruction and memory latency "+variant(b, words, i))
 		}
+		allMisses(b, svc)
 	})
 	b.Run("warm-http", func(b *testing.B) {
 		svc := newBenchService(b)
@@ -318,6 +388,39 @@ func BenchmarkServiceQuery(b *testing.B) {
 			serveReport()
 		}
 	})
+	b.Run("report-snapshots", func(b *testing.B) {
+		svc := newBenchService(b)
+		bodies := make([]string, b.N)
+		for i := range bodies {
+			// every rule fires; each percentage moves with i
+			p := float64(i%50) / 100
+			m := nvvp.Metrics{
+				Program:                 "snap",
+				WarpExecutionEfficiency: 0.2 + p,
+				Occupancy:               p,
+				GlobalLoadEfficiency:    0.05 + p,
+				BranchDivergence:        0.3 + p,
+				DramUtilization:         p,
+				IssueSlotUtilization:    0.05 + p,
+				LowThroughputInstFrac:   0.4 + p,
+				TransferComputeRatio:    1 + float64(i)/100,
+			}
+			body, err := json.Marshal(m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			bodies[i] = string(body)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for _, body := range bodies {
+			rec := httptest.NewRecorder()
+			svc.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/cuda/report", strings.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				b.Fatalf("report: %d %s", rec.Code, rec.Body)
+			}
+		}
+	})
 	// the warm path with every request's span tree recorded (sampling 1.0)
 	// — the worst-case tracing cost, for the EXPERIMENTS.md overhead table
 	b.Run("warm-traced", func(b *testing.B) {
@@ -343,9 +446,11 @@ func BenchmarkServiceQuery(b *testing.B) {
 // out of the service: N sequential /v1/{advisor}/query round trips, each
 // paying HTTP dispatch, admission, tracing, and a JSON response of its own,
 // versus one POST /v1/batch that amortizes all of that across a worker
-// pool. Every iteration uses fresh query texts so both paths stay on the
-// cache-miss path being measured.
+// pool. Every iteration uses fresh query texts, told apart by words of the
+// guide, so both paths stay on the cache-miss path being measured.
 func BenchmarkBatchRetrieval(b *testing.B) {
+	_, adv := setup(b)
+	words := guideWords(adv)
 	for _, n := range []int{8, 32} {
 		b.Run(fmt.Sprintf("sequential-%d", n), func(b *testing.B) {
 			svc := newBenchService(b)
@@ -355,7 +460,7 @@ func BenchmarkBatchRetrieval(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for j := 0; j < n; j++ {
-					q := url.QueryEscape(fmt.Sprintf("memory latency seq %d-%d", i, j))
+					q := url.QueryEscape("memory latency seq " + variant(b, words, i*n+j))
 					resp, err := http.Get(ts.URL + "/v1/cuda/query?q=" + q)
 					if err != nil {
 						b.Fatal(err)
@@ -367,6 +472,7 @@ func BenchmarkBatchRetrieval(b *testing.B) {
 					}
 				}
 			}
+			allMisses(b, svc)
 		})
 		b.Run(fmt.Sprintf("batch-%d", n), func(b *testing.B) {
 			svc := newBenchService(b)
@@ -381,7 +487,7 @@ func BenchmarkBatchRetrieval(b *testing.B) {
 					if j > 0 {
 						sb.WriteByte(',')
 					}
-					fmt.Fprintf(&sb, `{"advisor":"cuda","query":"memory latency batch %d-%d"}`, i, j)
+					fmt.Fprintf(&sb, `{"advisor":"cuda","query":"memory latency batch %s"}`, variant(b, words, i*n+j))
 				}
 				sb.WriteString(`]}`)
 				resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(sb.String()))
@@ -394,30 +500,39 @@ func BenchmarkBatchRetrieval(b *testing.B) {
 					b.Fatalf("status %d", resp.StatusCode)
 				}
 			}
+			allMisses(b, svc)
 		})
 	}
 }
 
 // BenchmarkFederatedAsk measures one cross-advisor fan-out (three advisors,
-// cold then warm) — the /v1/ask hot path.
+// cold then warm) — the /v1/ask hot path. Cold asks are told apart by words
+// all three guides use, so every leg misses.
 func BenchmarkFederatedAsk(b *testing.B) {
 	_, adv := setup(b)
 	reg := service.NewRegistry()
 	reg.Add("cuda", adv)
+	advs := []*core.Advisor{adv}
 	for i, r := range []corpus.Register{corpus.OpenCL, corpus.XeonPhi} {
 		g := corpus.GenerateSized(r, 300, 0.2, int64(23+i))
-		reg.Add([]string{"opencl", "xeon"}[i], core.New().BuildFromSentences(g.Doc, g.Sentences))
+		a := core.New().BuildFromSentences(g.Doc, g.Sentences)
+		reg.Add([]string{"opencl", "xeon"}[i], a)
+		advs = append(advs, a)
 	}
+	words := guideWords(advs...)
 	svc := service.New(reg, service.Options{CacheSize: 8192, Timeout: 30 * time.Second})
 	ctx := context.Background()
+	asked := 0 // cold asks so far: the cold runs share the service's cache
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			q := fmt.Sprintf("overlap transfers with execution variant %d", i)
+			q := "overlap transfers with execution " + variant(b, words, asked)
+			asked++
 			if ans, errs := svc.Ask(ctx, "", q, 3); len(errs) != 0 {
 				b.Fatalf("%v (%d answers)", errs, len(ans))
 			}
 		}
+		allMisses(b, svc)
 	})
 	b.Run("warm", func(b *testing.B) {
 		const q = "overlap transfers with execution"

@@ -110,7 +110,7 @@ func TestServeChaosSoak(t *testing.T) {
 	// before any rule is armed so the warm start is clean.
 	inj := fault.New(42)
 	snapDir := t.TempDir()
-	handler, _, _, err := buildServeHandler(core.New(), serveConfig{
+	handler, svc, _, err := buildServeHandler(core.New(), serveConfig{
 		primaryName:  "cuda",
 		snapshotDir:  snapDir,
 		cacheSize:    128,
@@ -214,10 +214,20 @@ func TestServeChaosSoak(t *testing.T) {
 
 	// breakers: with scoring failing hard, brkThreshold asks trip every
 	// advisor's breaker; /statsz reports them open and further asks skip the
-	// advisors with ErrBreakerOpen in the errors map
+	// advisors with ErrBreakerOpen in the errors map. The asks differ in a
+	// word both guides use, so each one misses, and so scores, on both.
+	var advs []*core.Advisor
+	for _, a := range advisors {
+		adv, ok := svc.Registry().Get(a)
+		if !ok {
+			t.Fatalf("no %s advisor", a)
+		}
+		advs = append(advs, adv)
+	}
+	words := guideWords(t, brkThreshold, advs...)
 	inj.Set(fault.VSMScore, fault.Rule{ErrProb: 1})
 	for i := 0; i < brkThreshold; i++ {
-		httpGet(t, ts.URL+fmt.Sprintf("/v1/ask?q=trip+breaker+%d", i))
+		httpGet(t, ts.URL+"/v1/ask?q=trip+breaker+"+words[i])
 	}
 	var st struct {
 		Breakers []service.BreakerInfo `json:"breakers"`

@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/lifecycle"
+	"repro/internal/nlp"
 	"repro/internal/obs"
 )
 
@@ -98,6 +99,14 @@ func TestServeScoreFaultHammer(t *testing.T) {
 		workers = 6
 		perG    = 40
 	)
+	// words[g] and words[workers+i] make every hammer query unique in the
+	// guide's own words: a number or a made-up word would be dropped by
+	// Stage II and by the cache key, and the queries would hit
+	adv, ok := svc.Registry().Get("cuda")
+	if !ok {
+		t.Fatal("no cuda advisor")
+	}
+	words := guideWords(t, workers+perG, adv)
 	var (
 		healthy   atomic.Int64
 		failures  atomic.Int64 // 5xx
@@ -133,7 +142,7 @@ func TestServeScoreFaultHammer(t *testing.T) {
 				}
 				// unique q per request defeats the cache, forcing a fresh
 				// score that draws the fault point
-				q := fmt.Sprintf("%s hammer-%d-%d", queries[i%len(queries)], g, i)
+				q := fmt.Sprintf("%s %s %s", queries[i%len(queries)], words[g], words[workers+i])
 				u := ts.URL + "/v1/cuda/query?q=" + url.QueryEscape(q)
 				if i%3 == 2 {
 					// BM25 races the default weighting on the same index
@@ -181,7 +190,18 @@ func TestServeScoreFaultHammer(t *testing.T) {
 	if reloads.Load() == 0 {
 		t.Fatal("no reloads completed")
 	}
-	t.Logf("hammer: %d healthy, %d 5xx, %d reloads", healthy.Load(), failures.Load(), reloads.Load())
+	// every hammer query is unique, so each one missed the cache: this is a
+	// miss hammer, not a hit hammer
+	var st struct {
+		CacheMisses int64 `json:"cache_misses"`
+	}
+	if code, body := httpGet(t, ts.URL+"/statsz"); code != 200 || json.Unmarshal(body, &st) != nil {
+		t.Fatalf("statsz: %d %s", code, body)
+	}
+	if queried := healthy.Load() + failures.Load(); st.CacheMisses < queried {
+		t.Fatalf("%d cache misses for %d unique hammer queries", st.CacheMisses, queried)
+	}
+	t.Logf("hammer: %d healthy, %d 5xx, %d reloads, %d misses", healthy.Load(), failures.Load(), reloads.Load(), st.CacheMisses)
 
 	// a query whose scoring always fails is a clean 5xx, never an empty 200
 	inj.Set(fault.VSMScore, fault.Rule{ErrProb: 1})
@@ -205,6 +225,41 @@ func TestServeScoreFaultHammer(t *testing.T) {
 			}
 		}
 	}
+}
+
+// guideWords returns n lowercase words of the first advisor's rules, each
+// normalizing to one term that every advisor's rules use and no two to the
+// same term, so queries that differ in them key apart on every advisor.
+func guideWords(t testing.TB, n int, advs ...*core.Advisor) []string {
+	t.Helper()
+	uses := map[string]int{} // advisors whose rules use the term
+	for _, a := range advs {
+		seen := map[string]bool{}
+		for _, r := range a.Rules() {
+			for _, term := range nlp.QueryTerms(r.Text) {
+				if !seen[term] {
+					seen[term] = true
+					uses[term]++
+				}
+			}
+		}
+	}
+	var out []string
+	for _, r := range advs[0].Rules() {
+		for _, w := range strings.Fields(strings.ToLower(r.Text)) {
+			w = strings.Trim(w, ".,;:()")
+			terms := nlp.QueryTerms(w)
+			if strings.Trim(w, "abcdefghijklmnopqrstuvwxyz") != "" || len(terms) != 1 || uses[terms[0]] != len(advs) {
+				continue
+			}
+			uses[terms[0]] = 0 // taken
+			if out = append(out, w); len(out) == n {
+				return out
+			}
+		}
+	}
+	t.Fatalf("the guides share %d usable words, want %d", len(out), n)
+	return nil
 }
 
 // backendPaths is the query path of q under the default backend and BM25.

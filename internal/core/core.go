@@ -25,7 +25,6 @@ import (
 	"context"
 	"math"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -160,6 +159,7 @@ type Advisor struct {
 	anns      []*nlp.Annotation // per-sentence annotations, retained for incremental rebuilds
 	advising  []AdvisingSentence
 	isAdv     []bool     // per sentence index; the index's served mask
+	rulePos   []int32    // per sentence index: its rule's position in advising, where isAdv
 	index     *vsm.Index // statistics over every sentence, postings for advising ones
 	threshold float64
 	stats     BuildStats
@@ -224,7 +224,6 @@ func (f *Framework) BuildFromSentencesCtx(ctx context.Context, doc *htmldoc.Docu
 		doc:       doc,
 		sentences: sents,
 		ids:       htmldoc.IDsOf(sents),
-		isAdv:     make([]bool, len(sents)),
 		threshold: f.threshold,
 		builtAt:   time.Now(),
 		stats: BuildStats{
@@ -278,14 +277,17 @@ func (f *Framework) BuildFromSentencesCtx(ctx context.Context, doc *htmldoc.Docu
 }
 
 // keepAdvising records Stage I's verdicts, aligned with a.sentences: the
-// advising mask (the index's served mask), the rules in document order and
-// the per-selector counts.
+// advising mask (the index's served mask), the rules in document order with
+// each one's position, and the per-selector counts.
 func (a *Advisor) keepAdvising(results []selectors.Result) {
+	a.isAdv = make([]bool, len(results))
+	a.rulePos = make([]int32, len(results))
 	for i, res := range results {
 		if !res.Advising {
 			continue
 		}
 		a.isAdv[i] = true
+		a.rulePos[i] = int32(len(a.advising))
 		a.stats.BySelector[res.Selector]++
 		adv := AdvisingSentence{
 			Index:    i,
@@ -450,11 +452,20 @@ func (a *Advisor) Retrieve(ctx context.Context, terms []string, o vsm.QueryOpts)
 	if err != nil || len(matches) == 0 {
 		return nil, err
 	}
+	// the index serves advising sentences only, so every match has a rule
 	out := make([]Answer, len(matches))
 	for i, m := range matches {
-		out[i] = Answer{Sentence: a.advisingAt(m.Index), Score: m.Score}
+		out[i] = Answer{Sentence: a.advising[a.rulePos[m.Index]], Score: m.Score}
 	}
 	return out, nil
+}
+
+// AppendQueryKey appends to b what Retrieve scores for the query terms on
+// this advisor's index (see vsm.Index.AppendQueryKey): equal bytes mean
+// Float64bits-equal answers from this advisor under every backend, and no
+// other advisor, a rebuild of this one included, appends the same bytes.
+func (a *Advisor) AppendQueryKey(b []byte, terms []string) []byte {
+	return a.index.AppendQueryKey(b, terms)
 }
 
 // QueryOpts returns the options that answer with the named backend at its
@@ -469,17 +480,6 @@ func (a *Advisor) QueryOpts(backend string) vsm.QueryOpts {
 		return vsm.QueryOpts{Backend: backend, Threshold: math.SmallestNonzeroFloat64}
 	}
 	return vsm.QueryOpts{Backend: backend, Threshold: a.threshold}
-}
-
-// advisingAt returns the advising sentence at a global sentence index (the
-// zero value when that sentence is not advising). a.advising is sorted by
-// ascending Index, so the lookup is a binary search.
-func (a *Advisor) advisingAt(index int) AdvisingSentence {
-	i := sort.Search(len(a.advising), func(i int) bool { return a.advising[i].Index >= index })
-	if i < len(a.advising) && a.advising[i].Index == index {
-		return a.advising[i]
-	}
-	return AdvisingSentence{}
 }
 
 // Backends lists the retrieval backends the advisor can score with: the

@@ -13,7 +13,8 @@ import (
 // flipped bits, version skew, non-gob garbage — must come back as an error,
 // never a panic; and anything that does decode must yield a usable advisor
 // (rules enumerable, queries answerable) with internally consistent
-// advising indices. The checked-in seed corpus
+// advising indices: rules strictly ascending, and every answer carrying
+// the text of the sentence it names. The checked-in seed corpus
 // (testdata/fuzz/FuzzLoadAdvisor, regenerate with `go run ./tools/fuzzseed`)
 // starts the fuzzer from real snapshots and their corrupted variants.
 func FuzzLoadAdvisor(f *testing.F) {
@@ -49,7 +50,15 @@ func FuzzLoadAdvisor(f *testing.F) {
 			if !a.IsAdvising(r.Index) {
 				t.Fatalf("rule %d: index %d not marked advising", i, r.Index)
 			}
+			if i > 0 && r.Index <= rules[i-1].Index {
+				t.Fatalf("rule %d: index %d after %d, want strictly ascending", i, r.Index, rules[i-1].Index)
+			}
 		}
-		_ = a.Query("reduce global memory latency")
+		for _, ans := range a.Query("reduce global memory latency") {
+			if ans.Sentence.Text != a.SentenceText(ans.Sentence.Index) {
+				t.Fatalf("answer at sentence %d carries %q, the sentence is %q",
+					ans.Sentence.Index, ans.Sentence.Text, a.SentenceText(ans.Sentence.Index))
+			}
+		}
 	})
 }

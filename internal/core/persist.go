@@ -89,6 +89,7 @@ func LoadAdvisor(r io.Reader) (*Advisor, error) {
 		advising:  snap.Advising,
 		threshold: snap.Threshold,
 		isAdv:     make([]bool, len(snap.Sentences)),
+		rulePos:   make([]int32, len(snap.Sentences)),
 		builtAt:   time.Now(),
 		stats: BuildStats{
 			Sentences:  len(snap.Sentences),
@@ -107,12 +108,23 @@ func LoadAdvisor(r io.Reader) (*Advisor, error) {
 	// exactly the IDs the original build assigned
 	a.sentences = htmldoc.StampIDs(a.doc, a.sentences)
 	a.ids = htmldoc.IDsOf(a.sentences)
+	// a rule out of order or out of step with its sentence would answer
+	// with the wrong rule, so the snapshot is refused (the store reports
+	// ErrCorrupt and the advisor is rebuilt)
 	for i := range a.advising {
 		adv := &a.advising[i]
 		if adv.Index < 0 || adv.Index >= len(a.isAdv) {
 			return nil, fmt.Errorf("core: snapshot advising index %d out of range", adv.Index)
 		}
+		if i > 0 && adv.Index <= a.advising[i-1].Index {
+			return nil, fmt.Errorf("core: snapshot advising index %d follows %d, want strictly ascending",
+				adv.Index, a.advising[i-1].Index)
+		}
+		if adv.Text != a.sentences[adv.Index].Text {
+			return nil, fmt.Errorf("core: snapshot rule %d does not carry the text of sentence %d", i, adv.Index)
+		}
 		a.isAdv[adv.Index] = true
+		a.rulePos[adv.Index] = int32(i)
 		adv.wire = string(adv.appendWire(nil))
 	}
 	terms := snap.Terms

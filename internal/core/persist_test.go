@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -127,6 +128,49 @@ func TestV1SnapshotLoads(t *testing.T) {
 	}
 	for _, q := range persistQueries {
 		sameAnswers(t, q, loaded.Query(q), fresh.Query(q))
+	}
+}
+
+// TestLoadRefusesRulesOutOfStep: a snapshot whose rules are not strictly
+// ascending by sentence — reversed, or with one rule repeated — or whose
+// rule carries another text than its sentence is refused. Unchecked, the
+// reversed rules answered every query with empty sentences and the
+// repeated rule loaded one rule too many.
+func TestLoadRefusesRulesOutOfStep(t *testing.T) {
+	g := corpus.GenerateSized(corpus.CUDA, 150, 0.3, 1)
+	var buf bytes.Buffer
+	if err := New().BuildFromSentences(g.Doc, g.Sentences).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var snap advisorSnapshot
+	if err := gob.NewDecoder(&buf).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	rules := snap.Advising
+	reversed := slices.Clone(rules)
+	slices.Reverse(reversed)
+	tampered := slices.Clone(rules)
+	tampered[1].Text = "tampered"
+	for name, c := range map[string]struct {
+		rules []AdvisingSentence
+		want  string
+	}{
+		"reversed":   {reversed, "strictly ascending"},
+		"duplicated": {slices.Insert(slices.Clone(rules), 1, rules[0]), "strictly ascending"},
+		"tampered":   {tampered, "does not carry the text"},
+	} {
+		snap.Advising = c.rules
+		buf.Reset()
+		if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+			t.Fatal(err)
+		}
+		if a, err := LoadAdvisor(&buf); err == nil || !strings.Contains(err.Error(), c.want) {
+			n := 0
+			if a != nil {
+				n = len(a.Rules())
+			}
+			t.Errorf("%s rules: loaded %d rules for %d, err %v, want %q", name, n, len(rules), err, c.want)
+		}
 	}
 }
 

@@ -72,7 +72,6 @@ func (f *Framework) UpdateFromSentencesCtx(ctx context.Context, prev *Advisor, d
 		doc:       d,
 		sentences: sents,
 		ids:       newIDs,
-		isAdv:     make([]bool, len(sents)),
 		threshold: f.threshold,
 		builtAt:   time.Now(),
 		stats: BuildStats{

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/htmldoc"
+	"repro/internal/nlp"
 	"repro/internal/nvvp"
 )
 
@@ -70,13 +71,22 @@ func encodeRef(v any) []byte {
 	return buf.Bytes()
 }
 
+// retrieve is the uncached oracle: the registry's advisor scores q itself,
+// so a wrong cache key cannot hide behind the cache it would fill.
+func retrieve(svc *Service, advisor, backend, q string) ([]core.Answer, error) {
+	adv, ok := svc.reg.Get(advisor)
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownAdvisor, advisor)
+	}
+	return adv.Retrieve(context.Background(), nlp.QueryTerms(q), adv.QueryOpts(backend))
+}
+
 // checkQuery reports how a response to GET /v1/{advisor}/query?q=q (with
 // &backend= when backend is set) differs from its oracle: a 200 whose body
-// is encoding/json of the QueryResponse over the answers the cache now
-// holds for q.
+// is encoding/json of the QueryResponse over the uncached answers to q.
 func checkQuery(svc *Service, rec *httptest.ResponseRecorder, advisor, backend, q string) error {
 	q = strings.TrimSpace(q)
-	answers, _, err := svc.CachedQuery(context.Background(), advisor, backend, q)
+	answers, err := retrieve(svc, advisor, backend, q)
 	if err != nil {
 		return fmt.Errorf("oracle: %v", err)
 	}
@@ -94,7 +104,7 @@ func checkReport(svc *Service, rec *httptest.ResponseRecorder, advisor string, b
 	}
 	resp := ReportResponse{Advisor: advisor, Program: report.Program, TraceID: rec.Header().Get("X-Trace-Id")}
 	for _, issue := range report.Issues() {
-		answers, _, err := svc.CachedQuery(context.Background(), advisor, "", issue.Query())
+		answers, err := retrieve(svc, advisor, "", issue.Query())
 		if err != nil {
 			return fmt.Errorf("oracle: %v", err)
 		}
@@ -115,12 +125,14 @@ func sameBody(rec *httptest.ResponseRecorder, want any) error {
 	return nil
 }
 
-// issuesReport is a text report with n issues.
-func issuesReport(n int) []byte {
+// issuesReport is a text report with n issues whose queries differ in a
+// word of the e2e guide, so each one misses on a cold cache.
+func issuesReport(t testing.TB, n int) []byte {
+	t.Helper()
 	var b strings.Builder
 	b.WriteString("=== R ===\n-- 1. Memory --\n")
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&b, "Optimization: issue %d\nreduce memory latency %d\n", i, i)
+	for i, w := range guideWords(t, e2eAdvisor(t), n) {
+		fmt.Fprintf(&b, "Optimization: issue %d\nreduce memory latency %s\n", i, w)
 	}
 	return []byte(b.String())
 }
@@ -262,8 +274,10 @@ func TestPrefixesSurviveSnapshotAndUpdate(t *testing.T) {
 func TestBodyWritersConcurrent(t *testing.T) {
 	reg := NewRegistry()
 	reg.Add("cuda", e2eAdvisor(t))
-	reg.Add("h", hostileAdvisor(t, ""))
+	h := hostileAdvisor(t, "")
+	reg.Add("h", h)
 	svc := New(reg, Options{})
+	words := guideWords(t, h, 4)
 	var reports [][]byte
 	for _, p := range nvvp.Programs() {
 		text, err := nvvp.Synthesize(p)
@@ -280,7 +294,7 @@ func TestBodyWritersConcurrent(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				var err error
 				if (w+i)%3 == 0 {
-					q := fmt.Sprintf("reduce memory latency %s %d", hostileTexts[i%len(hostileTexts)], i%4)
+					q := fmt.Sprintf("reduce memory latency %s %s", hostileTexts[i%len(hostileTexts)], words[i%4])
 					rec := serve(svc, http.MethodGet, "/v1/h/query?q="+url.QueryEscape(q), nil)
 					err = checkQuery(svc, rec, "h", "", q)
 				} else {
@@ -305,14 +319,14 @@ func TestReportIssueCap(t *testing.T) {
 	reg.Add("cuda", e2eAdvisor(t))
 	svc := New(reg, Options{MaxBatch: 2})
 	before := svc.Stats().CacheMisses
-	rec := serve(svc, http.MethodPost, "/v1/cuda/report", issuesReport(3))
+	rec := serve(svc, http.MethodPost, "/v1/cuda/report", issuesReport(t, 3))
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "3 issues exceeds limit 2") {
 		t.Fatalf("3-issue report with MaxBatch 2: %d %s", rec.Code, rec.Body)
 	}
 	if after := svc.Stats().CacheMisses; after != before {
 		t.Fatalf("a refused report ran %d retrievals", after-before)
 	}
-	if rec := serve(svc, http.MethodPost, "/v1/cuda/report", issuesReport(2)); rec.Code != http.StatusOK {
+	if rec := serve(svc, http.MethodPost, "/v1/cuda/report", issuesReport(t, 2)); rec.Code != http.StatusOK {
 		t.Fatalf("2-issue report with MaxBatch 2: %d %s", rec.Code, rec.Body)
 	}
 }

@@ -6,15 +6,15 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/textproc"
 	"repro/internal/vsm"
 )
 
-// Cache is a sharded LRU over Stage-II query results, keyed on the
-// advisor name plus the *normalized* query terms — "Avoid bank conflicts!"
-// and "avoiding banks conflict" collapse to one entry, exactly the
-// normalization the VSM applies before scoring, so a cached answer is always
-// what retrieval would have produced.
+// Cache is a sharded LRU over Stage-II query results. The service keys an
+// entry by the advisor name, the backend and what the advisor's index
+// scores for the query (see appendQueryKey), so a cached answer is always
+// what retrieval would have produced. Keys are opaque to the cache, except
+// that every key of an advisor starts with its name and a zero byte
+// (Invalidate).
 //
 // Values are []core.Answer slices; they are stored once and returned to
 // every caller, so they must be treated as immutable.
@@ -76,32 +76,53 @@ func NewCache(capacity, shards int, stats *Stats) *Cache {
 	return c
 }
 
-// QueryKey derives the cache key for a query against a named advisor: the
-// normalized terms joined in order, prefixed by the advisor name.
-func QueryKey(advisor, query string) string {
-	return QueryKeyTerms(advisor, textproc.NormalizeTerms(query))
+// appendQueryKey appends the cache key of a query against adv, registered
+// as advisor, under backend: the advisor name, a zero byte, the backend
+// ("" for the default, so "" and "vsm" share their entries, as their
+// answers are bit-identical), a zero byte, then what adv's index scores
+// for the terms (core.Advisor.AppendQueryKey). Queries that differ only in
+// terms the guide never uses share one key; a key never matches a lookup
+// against another advisor or another build of this one. Names and backends
+// hold no zero byte, so the layout is unambiguous.
+func appendQueryKey(b []byte, adv *core.Advisor, advisor, backend string, terms []string) []byte {
+	if backend == vsm.BackendVSM {
+		backend = ""
+	}
+	b = append(append(append(append(b, advisor...), 0), backend...), 0)
+	return adv.AppendQueryKey(b, terms)
 }
 
-// QueryKeyTerms is QueryKey over an already-normalized query term list —
-// the annotate-once path: the serving layer normalizes each query exactly
-// once and reuses the terms for both the cache key and retrieval scoring.
-func QueryKeyTerms(advisor string, terms []string) string {
-	return QueryKeyBackend(advisor, "", terms)
+// queryKeyLen is the length of the normalized query written out as the
+// term-string key of QueryKeyFull(advisor, backend, true, terms), computed
+// without building it: the size boundQuery limits.
+func queryKeyLen(advisor, backend string, terms []string) int {
+	n := len(advisor) + 1 + max(len(terms)-1, 0)
+	if backend != "" && backend != vsm.BackendVSM {
+		n += len(backend) + 2
+	}
+	for _, t := range terms {
+		n += len(t)
+	}
+	return n
 }
 
-// QueryKeyBackend extends QueryKeyTerms with the scoring backend. The
-// default backend ("" or "vsm") keys exactly like QueryKeyTerms — the two
-// spellings share cache entries because their answers are bit-identical —
-// while alternate backends get a disjoint key space (terms never contain
-// control bytes, so the "\x00\x01" marker cannot collide with a default
-// key) under the same advisor prefix, so Invalidate drops every backend's
-// entries for an advisor in one pass. The key is built in one allocation
-// of exactly queryKeyLen bytes.
-func QueryKeyBackend(advisor, backend string, terms []string) string {
+// QueryKeyFull builds a term-string cache key: the advisor name, a zero
+// byte, for a backend other than the default "\x01", the backend and a
+// zero byte, then the normalized terms joined by spaces. prune=false maps
+// to a disjoint space under the same advisor prefix ("\x00\x02" after the
+// advisor name).
+//
+// Deprecated: the service keys its cache by what the advisor's index
+// scores (appendQueryKey), not by terms. It stays only because the
+// benchmark module still calls it.
+func QueryKeyFull(advisor, backend string, prune bool, terms []string) string {
 	var b strings.Builder
-	b.Grow(queryKeyLen(advisor, backend, terms))
+	b.Grow(queryKeyLen(advisor, backend, terms) + 1)
 	b.WriteString(advisor)
 	b.WriteByte(0)
+	if !prune {
+		b.WriteByte(2)
+	}
 	if backend != "" && backend != vsm.BackendVSM {
 		b.WriteByte(1)
 		b.WriteString(backend)
@@ -114,32 +135,6 @@ func QueryKeyBackend(advisor, backend string, terms []string) string {
 		b.WriteString(t)
 	}
 	return b.String()
-}
-
-// queryKeyLen is the length of QueryKeyBackend(advisor, backend, terms),
-// computed without building the key.
-func queryKeyLen(advisor, backend string, terms []string) int {
-	n := len(advisor) + 1 + max(len(terms)-1, 0)
-	if backend != "" && backend != vsm.BackendVSM {
-		n += len(backend) + 2
-	}
-	for _, t := range terms {
-		n += len(t)
-	}
-	return n
-}
-
-// QueryKeyFull extends QueryKeyBackend with a pruning flag that only callers
-// outside this package still pass: prune=true keys exactly like
-// QueryKeyBackend, the only key space the service produces; prune=false
-// maps to a disjoint space under the same advisor prefix ("\x00\x02" after
-// the advisor name, which no default or backend key can produce).
-func QueryKeyFull(advisor, backend string, prune bool, terms []string) string {
-	key := QueryKeyBackend(advisor, backend, terms)
-	if prune {
-		return key
-	}
-	return advisor + "\x00\x02" + key[len(advisor)+1:]
 }
 
 // shardFor places key by its 32-bit FNV-1a hash, computed inline so a

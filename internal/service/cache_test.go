@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/htmldoc"
+	"repro/internal/nlp"
 	"repro/internal/obs"
 )
 
@@ -18,35 +20,71 @@ func answersOf(texts ...string) []core.Answer {
 	return out
 }
 
+// TestQueryKeyNormalization: the cache key is what the advisor's index
+// scores. Casing, punctuation, inflection (Porter stemming), word order and
+// words the guide never uses leave it unchanged; another advisor, a
+// rebuild of the same guide, another backend or another in-vocabulary term
+// change it.
 func TestQueryKeyNormalization(t *testing.T) {
-	// same advisor + same normalized terms -> same key, across casing,
-	// punctuation and inflection (Porter stemming)
-	a := QueryKey("cuda", "Avoid bank conflicts!")
-	b := QueryKey("cuda", "avoiding banks conflict")
-	if a != b {
-		t.Errorf("normalized keys differ: %q vs %q", a, b)
+	guide := []htmldoc.Sentence{
+		{Text: "You should avoid bank conflicts in shared memory."},
+		{Text: "Reduce memory latency by coalescing accesses."},
+		{Text: "Minimize thread divergence within a warp."},
 	}
-	if QueryKey("cuda", "avoid bank conflicts") == QueryKey("opencl", "avoid bank conflicts") {
-		t.Error("keys must separate advisors")
+	fw := core.New(core.WithParallelism(1))
+	cuda, rebuilt := fw.BuildFromSentences(nil, guide), fw.BuildFromSentences(nil, guide)
+	key := func(adv *core.Advisor, advisor, backend, q string) string {
+		return string(appendQueryKey(nil, adv, advisor, backend, nlp.QueryTerms(q)))
 	}
-	if QueryKey("cuda", "memory latency") == QueryKey("cuda", "thread divergence") {
+	k := key(cuda, "cuda", "", "Avoid bank conflicts!")
+	for _, q := range []string{"avoiding banks conflict", "Avoid bank conflicts! 42", "conflicts bank avoid", "Avoid bank conflicts! 23% of 1.85x, zyzzyva"} {
+		if got := key(cuda, "cuda", "", q); got != k {
+			t.Errorf("%q keys as %q, want %q", q, got, k)
+		}
+	}
+	if key(cuda, "cuda", "", "avoid") == key(cuda, "cuda", "", "zyzzyva") {
+		t.Error("an in-vocabulary term must change the key")
+	}
+	if key(cuda, "cuda", "", "memory latency") == key(cuda, "cuda", "", "thread divergence") {
 		t.Error("distinct queries must produce distinct keys")
+	}
+	if key(cuda, "cuda", "", "memory latency") == key(cuda, "cuda", "", "memory memory latency") {
+		t.Error("a repeated term must change the key")
+	}
+	for name, other := range map[string]string{
+		"another advisor name":   key(cuda, "opencl", "", "avoid bank conflicts"),
+		"a rebuild of the guide": key(rebuilt, "cuda", "", "avoid bank conflicts"),
+		"another backend":        key(cuda, "cuda", "bm25", "avoid bank conflicts"),
+	} {
+		if other == k {
+			t.Errorf("%s shares the key %q", name, k)
+		}
+	}
+	if key(cuda, "cuda", "vsm", "avoid bank conflicts") != k {
+		t.Error(`"vsm" must key like the default backend`)
 	}
 }
 
-// TestQueryKeyFull pins the key spaces: the pruning flag's true value keys
-// exactly like QueryKeyBackend (the one space the service produces), false
-// maps to a disjoint space under the same advisor prefix, and Invalidate
-// drops both.
+// TestQueryKeyFull pins the deprecated term-string key spaces: the pruning
+// flag's true value keys the normalized terms under the advisor and
+// backend, false maps to a disjoint space under the same advisor prefix,
+// and Invalidate drops both.
 func TestQueryKeyFull(t *testing.T) {
 	terms := []string{"memori", "latenc"}
-	for _, backend := range []string{"", "vsm", "bm25"} {
+	for backend, want := range map[string]string{
+		"":     "cuda\x00memori latenc",
+		"vsm":  "cuda\x00memori latenc",
+		"bm25": "cuda\x00\x01bm25\x00memori latenc",
+	} {
 		on, off := QueryKeyFull("cuda", backend, true, terms), QueryKeyFull("cuda", backend, false, terms)
-		if on != QueryKeyBackend("cuda", backend, terms) {
-			t.Errorf("%q: prune=true key %q differs from the backend key", backend, on)
+		if on != want {
+			t.Errorf("%q: prune=true key %q, want %q", backend, on, want)
 		}
 		if on == off {
 			t.Errorf("%q: prune=false shares the default key space", backend)
+		}
+		if len(on) != queryKeyLen("cuda", backend, terms) {
+			t.Errorf("%q: queryKeyLen %d for a %d-byte key", backend, queryKeyLen("cuda", backend, terms), len(on))
 		}
 	}
 	c := NewCache(8, 1, newStats(obs.NewRegistry()))
@@ -195,7 +233,7 @@ func TestCacheComputeErrorNotCached(t *testing.T) {
 func TestCacheInvalidate(t *testing.T) {
 	c := NewCache(32, 4, newStats(obs.NewRegistry()))
 	fill := func(advisor, q string) {
-		c.GetOrCompute(QueryKey(advisor, q), func() ([]core.Answer, error) { return nil, nil })
+		c.GetOrCompute(advisor+"\x00"+q, func() ([]core.Answer, error) { return nil, nil })
 	}
 	for _, q := range []string{"memory latency", "warp divergence", "bank conflicts"} {
 		fill("cuda", q)
@@ -211,7 +249,7 @@ func TestCacheInvalidate(t *testing.T) {
 		t.Errorf("cache holds %d after invalidate, want 3 (opencl untouched)", n)
 	}
 	// the opencl entries must still hit
-	_, hit, _ := c.GetOrCompute(QueryKey("opencl", "memory latency"),
+	_, hit, _ := c.GetOrCompute("opencl\x00memory latency",
 		func() ([]core.Answer, error) { return nil, nil })
 	if !hit {
 		t.Error("opencl entry lost by cuda invalidation")
@@ -224,7 +262,7 @@ func TestCacheInvalidate(t *testing.T) {
 // it.
 func TestCacheInvalidateInFlight(t *testing.T) {
 	c := NewCache(8, 1, newStats(obs.NewRegistry()))
-	key := QueryKeyTerms("cuda", []string{"memori"})
+	const key = "cuda\x00memori"
 	started, release := make(chan struct{}), make(chan struct{})
 	done := make(chan []core.Answer)
 	go func() {

@@ -85,7 +85,7 @@ func TestReportSharesOneDeadline(t *testing.T) {
 	const timeout = 300 * time.Millisecond
 	svc, ts := newTestService(t, Options{Fault: inj, Timeout: timeout, Metrics: obs.NewRegistry()})
 	start := time.Now()
-	resp, err := http.Post(ts.URL+"/v1/cuda/report", "text/plain", bytes.NewReader(issuesReport(3)))
+	resp, err := http.Post(ts.URL+"/v1/cuda/report", "text/plain", bytes.NewReader(issuesReport(t, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestReportTakesOneAdmission(t *testing.T) {
 	tracer := obs.NewTracer(1.0, obs.NewTraceStore(16))
 	svc, _ := newTestService(t, Options{Tracer: tracer, Metrics: obs.NewRegistry()})
 	const issues = 3
-	rec := serve(svc, http.MethodPost, "/v1/cuda/report", issuesReport(issues))
+	rec := serve(svc, http.MethodPost, "/v1/cuda/report", issuesReport(t, issues))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("report %d %s", rec.Code, rec.Body)
 	}

@@ -15,15 +15,21 @@ import (
 	"repro/internal/corpus"
 )
 
-// twoAdvisorService builds a service hosting the shared CUDA advisor plus
-// an OpenCL advisor, for federation tests.
-func twoAdvisorService(t testing.TB, opts Options) (*Service, *httptest.Server) {
+// twoAdvisorRegistry holds the shared CUDA advisor plus an OpenCL advisor,
+// for federation tests.
+func twoAdvisorRegistry(t testing.TB) *Registry {
 	t.Helper()
 	reg := NewRegistry()
 	reg.Add("cuda", e2eAdvisor(t))
 	g := corpus.GenerateSized(corpus.OpenCL, 150, 0.3, 7)
 	reg.Add("opencl", core.New().BuildFromSentences(g.Doc, g.Sentences))
-	svc := New(reg, opts)
+	return reg
+}
+
+// twoAdvisorService builds a service over twoAdvisorRegistry.
+func twoAdvisorService(t testing.TB, opts Options) (*Service, *httptest.Server) {
+	t.Helper()
+	svc := New(twoAdvisorRegistry(t), opts)
 	ts := httptest.NewServer(svc)
 	t.Cleanup(ts.Close)
 	return svc, ts
@@ -181,21 +187,22 @@ func TestBatchHandlerLimits(t *testing.T) {
 }
 
 // TestBatchMatchesSequential: a batch answer must be answer-for-answer
-// identical to asking the same queries one at a time (same cache, same
-// backend), independent of worker interleaving.
+// identical to asking the same queries one at a time (same advisor, same
+// backend, uncached), independent of worker interleaving.
 func TestBatchMatchesSequential(t *testing.T) {
 	svc, _ := newTestService(t, Options{BatchWorkers: 4})
+	words := guideWords(t, e2eAdvisor(t), 12)
 	var items []BatchItem
 	for i := 0; i < 12; i++ {
 		items = append(items, BatchItem{
 			Advisor: "cuda",
-			Query:   fmt.Sprintf("memory access pattern variant %d", i),
+			Query:   fmt.Sprintf("memory access pattern variant %s", words[i]),
 			Backend: []string{"", "vsm", "bm25"}[i%3],
 		})
 	}
 	results := svc.Batch(context.Background(), items)
 	for i, item := range items {
-		want, _, err := svc.CachedQuery(context.Background(), item.Advisor, item.Backend, item.Query)
+		want, err := retrieve(svc, item.Advisor, item.Backend, item.Query)
 		if err != nil {
 			t.Fatal(err)
 		}

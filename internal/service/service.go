@@ -283,8 +283,11 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // asks share. backend "" or "vsm" scores with the paper's TF-IDF/cosine
 // default, "bm25" with the Okapi view over the same postings; an unknown
 // backend fails fast with vsm.ErrUnknownBackend, before admission or
-// annotation. Each backend keys its own cache entries; the default
-// spellings share one key space. hit reports whether retrieval was skipped.
+// annotation. A lookup is keyed by what the advisor's index scores for q
+// (see appendQueryKey): queries that differ only in words the guide never
+// uses share an entry. Each backend keys its own cache entries; the
+// default spellings share one key space. hit reports whether retrieval was
+// skipped.
 //
 // Each call is its own request: a hit returns on the caller's goroutine
 // with no deadline or admission slot, and a miss runs under Options.Timeout
@@ -334,6 +337,10 @@ func boundQuery(advisor, backend string, terms []string) error {
 // The query is normalized and keyed first, and a hit is answered right
 // there, on the caller's goroutine. Only a miss takes the lease's deadline
 // and admission slot and the detached single-flight compute (see miss).
+//
+// The advisor is read from the registry once, before keying: the key holds
+// term ids of that advisor's index, which mean nothing to another index,
+// so a miss scores on that same advisor.
 func (s *Service) cachedQuery(ctx context.Context, l *lease, advisor, backend, q string) (answers []core.Answer, hit bool, err error) {
 	// one span lookup covers the whole query path: with tracing off (or
 	// this request unsampled) parent is nil and every child span below is
@@ -342,7 +349,8 @@ func (s *Service) cachedQuery(ctx context.Context, l *lease, advisor, backend, q
 	if !vsm.ValidBackend(backend) {
 		return nil, false, fmt.Errorf("%w: %q", vsm.ErrUnknownBackend, backend)
 	}
-	if _, ok := s.reg.Get(advisor); !ok {
+	adv, ok := s.reg.Get(advisor)
+	if !ok {
 		return nil, false, fmt.Errorf("%w: %q", ErrUnknownAdvisor, advisor)
 	}
 	// annotate the query once: the normalized terms key the cache AND feed
@@ -356,7 +364,8 @@ func (s *Service) cachedQuery(ctx context.Context, l *lease, advisor, backend, q
 	if err := boundQuery(advisor, backend, terms); err != nil {
 		return nil, false, err
 	}
-	key := QueryKeyBackend(advisor, backend, terms)
+	var buf [256]byte
+	key := string(appendQueryKey(buf[:0], adv, advisor, backend, terms))
 	// every outcome past this point feeds the advisor's circuit breaker:
 	// successes reset it, infrastructure failures (timeouts, injected
 	// faults, internal errors) count toward tripping it, and client errors
@@ -382,7 +391,7 @@ func (s *Service) cachedQuery(ctx context.Context, l *lease, advisor, backend, q
 		}
 		return answers, true, nil
 	}
-	return s.miss(ctx, l, parent, cacheSpan, key, advisor, backend, terms)
+	return s.miss(ctx, l, parent, cacheSpan, key, adv, backend, terms)
 }
 
 // miss answers a lookup the cache could not. It takes the lease's deadline
@@ -392,12 +401,12 @@ func (s *Service) cachedQuery(ctx context.Context, l *lease, advisor, backend, q
 // goroutine detached from the deadline, so an expired deadline returns
 // promptly while the computation finishes and still fills the cache.
 //
-// The advisor that answers is read inside the compute func, after the
-// flight is registered, never before: a Reload that swaps the advisor while
-// the miss is in flight then finds the flight and marks it not cacheable
-// (Cache.Invalidate), so a stale answer cannot outlive the swap in the
-// cache.
-func (s *Service) miss(ctx context.Context, l *lease, parent, cacheSpan *obs.Span, key, advisor, backend string, terms []string) ([]core.Answer, bool, error) {
+// adv is the advisor whose index made key, and it alone answers: no lookup
+// resolved against a successor index can produce that key, so an entry a
+// miss stores after a Reload swapped adv out is never read by a lookup
+// against the successor, and ages out of the LRU. A Reload while the miss
+// is in flight still marks the flight not cacheable (Cache.Invalidate).
+func (s *Service) miss(ctx context.Context, l *lease, parent, cacheSpan *obs.Span, key string, adv *core.Advisor, backend string, terms []string) ([]core.Answer, bool, error) {
 	ctx, err := l.acquire(ctx, s, parent)
 	if err != nil {
 		return nil, false, s.failLookup(cacheSpan, err)
@@ -410,10 +419,6 @@ func (s *Service) miss(ctx context.Context, l *lease, parent, cacheSpan *obs.Spa
 	ch := make(chan result, 1)
 	go func() {
 		a, h, e := s.cache.GetOrCompute(key, func() ([]core.Answer, error) {
-			adv, ok := s.reg.Get(advisor)
-			if !ok {
-				return nil, fmt.Errorf("%w: %q", ErrUnknownAdvisor, advisor)
-			}
 			// the score span hangs off the cache span so a trace shows hit
 			// (no child) vs miss (scored)
 			scoreSpan := cacheSpan.StartChild("score")

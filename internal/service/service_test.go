@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -41,6 +42,33 @@ func e2eAdvisor(t testing.TB) *core.Advisor {
 		e2eAdv = core.New().BuildFromSentences(g.Doc, g.Sentences)
 	})
 	return e2eAdv
+}
+
+// guideWords returns n lowercase words of adv's rules, each normalizing to
+// one term the guide uses and no two to the same term. Queries that differ
+// in them key apart, where a number or a made-up word, which Stage II
+// drops, would share one cache entry.
+func guideWords(t testing.TB, adv *core.Advisor, n int) []string {
+	t.Helper()
+	seen := map[string]bool{}
+	var out []string
+	for _, r := range adv.Rules() {
+		inRule := nlp.QueryTerms(r.Text)
+		for _, w := range strings.Fields(strings.ToLower(r.Text)) {
+			w = strings.Trim(w, ".,;:()")
+			terms := nlp.QueryTerms(w)
+			if strings.Trim(w, "abcdefghijklmnopqrstuvwxyz") != "" || len(terms) != 1 ||
+				seen[terms[0]] || !slices.Contains(inRule, terms[0]) {
+				continue
+			}
+			seen[terms[0]] = true
+			if out = append(out, w); len(out) == n {
+				return out
+			}
+		}
+	}
+	t.Fatalf("the guide has %d usable words, want %d", len(out), n)
+	return nil
 }
 
 func newTestService(t testing.TB, opts Options) (*Service, *httptest.Server) {
@@ -259,6 +287,8 @@ func TestEndpoints(t *testing.T) {
 // byte-identical bodies for identical queries. Run under -race in CI.
 func TestConcurrentHammer(t *testing.T) {
 	svc, ts := newTestService(t, Options{CacheSize: 256, MaxInFlight: 16, Timeout: 10 * time.Second})
+	// words[i/3] and words[10+g] tell the unique queries apart
+	words := guideWords(t, e2eAdvisor(t), 10+32)
 
 	repeated := []string{
 		"how to reduce global memory latency",
@@ -283,7 +313,7 @@ func TestConcurrentHammer(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				var q string
 				if i%3 == 0 { // a third unique, the rest repeated
-					q = fmt.Sprintf("unique question %d from goroutine %d about latency", i, g)
+					q = fmt.Sprintf("unique question %s from goroutine %s about latency", words[i/3], words[10+g])
 				} else {
 					q = repeated[(g+i)%len(repeated)]
 				}

@@ -89,7 +89,7 @@ func denseScores(ix *Index, terms []string, backend string) []float64 {
 	if err != nil {
 		panic(err)
 	}
-	qv := ix.queryVector(terms, wt)
+	qv := ix.queryVector(nil, terms, wt)
 	out := make([]float64, ix.n)
 	for d, v := range docVectors(ix, wt) {
 		out[d] = dot(v, qv)
@@ -181,7 +181,7 @@ func idfOf(ix *Index, t string) float64 {
 // cosine is the cosine similarity of two raw texts under the index's TF-IDF
 // weights.
 func cosine(ix *Index, a, b string) float64 {
-	return dot(ix.queryVector(textproc.NormalizeTerms(a), wVSM), ix.queryVector(textproc.NormalizeTerms(b), wVSM))
+	return dot(ix.queryVector(nil, textproc.NormalizeTerms(a), wVSM), ix.queryVector(nil, textproc.NormalizeTerms(b), wVSM))
 }
 
 func sameMatches(t *testing.T, label string, got, want []Match) {

@@ -2,9 +2,9 @@ package vsm
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/obs"
@@ -72,7 +72,8 @@ func (ix *Index) Query(ctx context.Context, terms []string, o QueryOpts) ([]Matc
 		defer span.Finish()
 	}
 	start := time.Now()
-	out, walked := ix.score(ix.queryVector(terms, wt), wt, o.Threshold)
+	var buf [64]term
+	out, walked := ix.score(ix.queryVector(buf[:0], terms, wt), wt, o.Threshold)
 	postingsScored.Add(int64(walked))
 	sortMatches(out)
 	scoreHist.ObserveDuration(time.Since(start))
@@ -94,43 +95,76 @@ func sortMatches(m []Match) {
 	})
 }
 
-// queryVector resolves query terms under weighting wt, in ascending term-id
-// order. For VSM it is the L2-normalized TF-IDF query vector, without
-// zero-weight terms (terms in every document contribute nothing to a
-// cosine). The vocabulary and IDF cover every document, so the norm counts
-// the query terms that occur only in unserved documents, as a query vector
-// over the whole corpus must. For BM25 it is each distinct in-vocabulary
-// term once, with multiplier 1 (the binary query model; 1·c is exactly c).
-// Sorting before the norm keeps vectorization bit-deterministic: map
-// iteration order is random.
-func (ix *Index) queryVector(terms []string, wt int) []term {
-	tf := map[int]float64{}
+// resolve appends to ids the vocabulary id of every query term the index
+// knows, sorted ascending: exactly what Stage II scores, each id as often
+// as the query holds its term. Every other term is dropped here.
+func (ix *Index) resolve(ids []int32, terms []string) []int32 {
 	for _, t := range terms {
 		if id, ok := ix.vocab[t]; ok {
-			tf[id]++
+			ids = append(ids, int32(id))
 		}
 	}
-	qv := make([]term, 0, len(tf))
-	for id, f := range tf {
+	slices.Sort(ids)
+	return ids
+}
+
+// idRun returns the id at ids[i] of sorted ids and how many times it occurs.
+func idRun(ids []int32, i int) (int32, int) {
+	n := 1
+	for i+n < len(ids) && ids[i+n] == ids[i] {
+		n++
+	}
+	return ids[i], n
+}
+
+// AppendQueryKey appends to b what this index scores for the query terms:
+// the index's process-unique identity, then each distinct in-vocabulary
+// term id in ascending order with its count, all as uvarints. Two queries
+// append the same bytes exactly when this index gives them the same query
+// vector, so they score Float64bits-identically under every backend; no
+// two indexes, even built from identical term lists, append the same
+// bytes, since term ids of different indexes cannot be compared.
+func (ix *Index) AppendQueryKey(b []byte, terms []string) []byte {
+	var buf [64]int32
+	ids := ix.resolve(buf[:0], terms)
+	b = binary.AppendUvarint(b, ix.id)
+	for i := 0; i < len(ids); {
+		id, n := idRun(ids, i)
+		i += n
+		b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(id)), uint64(n))
+	}
+	return b
+}
+
+// queryVector appends to qv the query vector of terms under weighting wt,
+// in ascending term-id order. For VSM it is the L2-normalized TF-IDF query
+// vector, without zero-weight terms (terms in every document contribute
+// nothing to a cosine). The vocabulary and IDF cover every document, so
+// the norm counts the query terms that occur only in unserved documents,
+// as a query vector over the whole corpus must. For BM25 it is each
+// distinct in-vocabulary term once, with multiplier 1 (the binary query
+// model; 1·c is exactly c). The norm is summed in ascending term-id order,
+// so vectorization is bit-deterministic.
+func (ix *Index) queryVector(qv []term, terms []string, wt int) []term {
+	var buf [64]int32
+	ids := ix.resolve(buf[:0], terms)
+	var norm float64
+	for i := 0; i < len(ids); {
+		id, n := idRun(ids, i)
+		i += n
 		w := 1.0
 		if wt == wVSM {
-			if w = f * ix.idf[id]; w == 0 {
+			if w = float64(n) * ix.idf[id]; w == 0 {
 				continue
 			}
+			norm += w * w
 		}
-		qv = append(qv, term{id: id, w: w})
+		qv = append(qv, term{id: int(id), w: w})
 	}
-	sort.Slice(qv, func(a, b int) bool { return qv[a].id < qv[b].id })
-	if wt == wVSM {
-		var norm float64
-		for _, q := range qv {
-			norm += q.w * q.w
-		}
-		if norm > 0 {
-			norm = math.Sqrt(norm)
-			for i := range qv {
-				qv[i].w /= norm
-			}
+	if norm > 0 {
+		norm = math.Sqrt(norm)
+		for i := range qv {
+			qv[i].w /= norm
 		}
 	}
 	return qv

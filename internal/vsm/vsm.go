@@ -24,6 +24,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/doc"
 	"repro/internal/textproc"
@@ -96,6 +97,7 @@ type Match struct {
 // document, which cosine queries never walk) and the precomputed Okapi
 // contribution idf·tf·(k1+1)/(tf+norm).
 type Index struct {
+	id      uint64 // process-unique, from indexIDs: see AppendQueryKey
 	vocab   map[string]int
 	idf     []float64     // TF-IDF IDF log(n/df), per term id
 	counted []*termCounts // document order, reused by Rebuild
@@ -173,6 +175,9 @@ func countTerms(terms []string) *termCounts {
 	return tc
 }
 
+// indexIDs numbers the indexes this process builds, from 1.
+var indexIDs atomic.Uint64
+
 // build assembles an index from counted documents: the global statistics
 // first — vocabulary, document frequencies, both IDF tables and the BM25
 // length average, summed in document order — then the served documents'
@@ -194,6 +199,7 @@ func build(counted []*termCounts, served []bool) *Index {
 	}
 	sort.Strings(terms)
 	ix := &Index{
+		id:      indexIDs.Add(1),
 		vocab:   make(map[string]int, len(terms)),
 		idf:     make([]float64, len(terms)),
 		counted: counted,

@@ -1,7 +1,8 @@
 // Command fuzzseed regenerates the checked-in seed corpora for the fuzz
 // targets (FuzzTokenize, FuzzParse, FuzzQuery, FuzzLoadAdvisor,
-// FuzzTopKParity, FuzzReport, FuzzNormalizeTerms) from the three built-in
-// synthetic guides and the synthesized profiler reports. Run from the repository root:
+// FuzzTopKParity, FuzzReport, FuzzNormalizeTerms, FuzzBatch, FuzzAsk) from
+// the three built-in synthetic guides and the synthesized profiler reports.
+// Run from the repository root:
 //
 //	go run ./tools/fuzzseed
 //
@@ -17,9 +18,11 @@ import (
 	"encoding/gob"
 	"fmt"
 	"log"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -116,6 +119,8 @@ func main() {
 	write("internal/core/testdata/fuzz/FuzzLoadAdvisor", "[]byte", snaps)
 
 	write("internal/service/testdata/fuzz/FuzzReport", "[]byte", reportSeeds())
+	write("internal/service/testdata/fuzz/FuzzBatch", "[]byte", batchSeeds())
+	write("internal/service/testdata/fuzz/FuzzAsk", "string", askSeeds())
 	write("internal/textproc/testdata/fuzz/FuzzNormalizeTerms", "string", normalizeSeeds(sentences, queries))
 }
 
@@ -171,6 +176,45 @@ func reportSeeds() []seed {
 	for i, h := range []string{`quote " backslash \\`, "C0 \x00\x1f\b\f\t DEL \x7f", "bad UTF-8 \xff\xe2\x80", "\u2028 \u2029 <script>&"} {
 		out = append(out, seed{fmt.Sprintf("hostile_%d", i), fmt.Sprintf(
 			"=== NVVP Analysis Report ===\nProgram: %s\n\n-- 2. %s --\nOptimization: %s\nreduce memory latency %s\n", h, h, h, h)})
+	}
+	return out
+}
+
+// batchSeeds are FuzzBatch's bodies: the paper's CUDA queries spread over
+// both advisors and every backend spelling, the same queries differing
+// only in measured values, and batches whose items fail alone (empty
+// query, unknown advisor or backend) or that fail whole (not JSON, empty).
+func batchSeeds() []seed {
+	var items []string
+	for i, q := range corpus.CUDAQueries() {
+		items = append(items, fmt.Sprintf(`{"advisor":%q,"query":%q,"backend":%q}`,
+			[]string{"cuda", "opencl"}[i%2], q.Text, []string{"", "vsm", "bm25"}[i%3]))
+	}
+	measured := `{"advisor":"cuda","query":"reduce memory latency 23%"},{"advisor":"cuda","query":"reduce memory latency 71%"}`
+	failing := `{"advisor":"cuda","query":"  "},{"advisor":"fortran","query":"memory"},{"advisor":"cuda","query":"memory","backend":"tfidf"}`
+	return []seed{
+		{"batch_queries", `{"queries":[` + strings.Join(items, ",") + `]}`},
+		{"batch_measured", `{"queries":[` + measured + `]}`},
+		{"batch_item_errors", `{"queries":[` + failing + `,` + items[0] + `]}`},
+		{"batch_empty", `{"queries":[]}`},
+		{"batch_not_json", `{"queries":[{"advisor":"cuda",`},
+	}
+}
+
+// askSeeds are FuzzAsk's query strings: the paper's CUDA queries under both
+// backends and several k, and malformed parameters (a bad escape, k not a
+// positive integer, an unknown backend, no q).
+func askSeeds() []seed {
+	var out []seed
+	for i, q := range corpus.CUDAQueries() {
+		v := url.Values{"q": {q.Text}, "k": {strconv.Itoa(1 + i%4)}}
+		if i%2 == 1 {
+			v.Set("backend", "bm25")
+		}
+		out = append(out, seed{fmt.Sprintf("ask_%02d", i), v.Encode()})
+	}
+	for i, raw := range []string{"q=%zz&k=2", "q=memory&k=0", "q=memory&k=x", "q=memory&backend=tfidf", "k=3", "q=memory;latency&q=second"} {
+		out = append(out, seed{fmt.Sprintf("ask_bad_%d", i), raw})
 	}
 	return out
 }
