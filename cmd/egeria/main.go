@@ -648,8 +648,8 @@ func buildServeHandler(fw *core.Framework, cfg serveConfig, logger *slog.Logger)
 		BreakerThreshold: cfg.brkThreshold,
 		BreakerCooldown:  cfg.brkCooldown,
 	})
-	// rebuilds now swap through the service (Replace + cache invalidation),
-	// and the admin/stats surface gains the lifecycle view
+	// rebuilds swap through the service's registry, and the
+	// admin/stats surface gains the lifecycle view
 	mgr.SetSwap(svc.Reload)
 	svc.SetLifecycle(mgr)
 
@@ -825,7 +825,7 @@ func cmdReport(a *core.Advisor, arg string) {
 		}
 		text = synth
 	}
-	report, err := parseAnyReport(text)
+	report, err := nvvp.ParseReport(text)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -880,18 +880,4 @@ func exportCorpus(register string, seed int64, path string) error {
 	}
 	g := corpus.Generate(reg, seed)
 	return os.WriteFile(path, []byte(g.RenderHTML()), 0o644)
-}
-
-// parseAnyReport accepts both supported profiler formats: the NVVP-style
-// text report and the JSON metrics snapshot.
-func parseAnyReport(text string) (*nvvp.Report, error) {
-	trimmed := strings.TrimSpace(text)
-	if strings.HasPrefix(trimmed, "{") {
-		m, err := nvvp.ParseMetricsJSON([]byte(trimmed))
-		if err != nil {
-			return nil, err
-		}
-		return m.Report(), nil
-	}
-	return nvvp.Parse(text)
 }

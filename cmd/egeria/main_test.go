@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/nvvp"
 )
 
 func TestBuildAdvisorFromCorpus(t *testing.T) {
@@ -73,9 +74,11 @@ func TestExportCorpusRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseAnyReportDispatch: the report subcommand reads both profiler
+// formats through nvvp.ParseReport.
 func TestParseAnyReportDispatch(t *testing.T) {
 	// JSON metrics
-	r, err := parseAnyReport(`{"program": "k", "warp_execution_efficiency": 0.4,
+	r, err := nvvp.ParseReport(`{"program": "k", "warp_execution_efficiency": 0.4,
 		"occupancy": 0.9, "global_load_efficiency": 0.9, "branch_divergence": 0.0,
 		"dram_utilization": 0.2, "issue_slot_utilization": 0.9,
 		"low_throughput_inst_fraction": 0.0, "transfer_compute_ratio": 0.1}`)
@@ -86,7 +89,7 @@ func TestParseAnyReportDispatch(t *testing.T) {
 		t.Errorf("metrics issues: %+v", r.Issues())
 	}
 	// text report
-	r2, err := parseAnyReport("=== NVVP Analysis Report ===\nProgram: a.cu\n\n-- 1. Overview --\nbody\n")
+	r2, err := nvvp.ParseReport("=== NVVP Analysis Report ===\nProgram: a.cu\n\n-- 1. Overview --\nbody\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,10 +97,10 @@ func TestParseAnyReportDispatch(t *testing.T) {
 		t.Errorf("program %q", r2.Program)
 	}
 	// garbage in both formats
-	if _, err := parseAnyReport("{broken json"); err == nil {
+	if _, err := nvvp.ParseReport("{broken json"); err == nil {
 		t.Error("broken JSON accepted")
 	}
-	if _, err := parseAnyReport("not a report"); err == nil {
+	if _, err := nvvp.ParseReport("not a report"); err == nil {
 		t.Error("broken text accepted")
 	}
 }

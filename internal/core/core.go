@@ -212,67 +212,11 @@ func (f *Framework) BuildFromSentences(doc *htmldoc.Document, sents []htmldoc.Se
 // carries a sampled span, the three pipeline stages are recorded as
 // annotate/classify/index child spans of a "core.build" span. The same
 // stage timings also feed BuildStats and the core_build_* histograms.
+//
+// A cold build is the update from nothing: UpdateFromSentencesCtx with a
+// nil predecessor, which marks every sentence Added and cannot fail.
 func (f *Framework) BuildFromSentencesCtx(ctx context.Context, doc *htmldoc.Document, sents []htmldoc.Sentence) *Advisor {
-	buildSpan := obs.SpanFrom(ctx).StartChild("core.build")
-	if buildSpan != nil {
-		buildSpan.SetAttrInt("sentences", len(sents))
-		ctx = obs.ContextWithSpan(ctx, buildSpan)
-		defer buildSpan.Finish()
-	}
-	sents = htmldoc.StampIDs(doc, sents)
-	a := &Advisor{
-		doc:       doc,
-		sentences: sents,
-		ids:       htmldoc.IDsOf(sents),
-		threshold: f.threshold,
-		builtAt:   time.Now(),
-		stats: BuildStats{
-			Sentences:  len(sents),
-			BySelector: map[selectors.SelectorID]int{},
-		},
-	}
-	texts := make([]string, len(sents))
-	for i, s := range sents {
-		texts[i] = s.Text
-	}
-
-	// stage 1: annotate (tokenize, tag, parse, stem) each sentence once
-	start := time.Now()
-	anns := f.annotator.AnnotateAllCtx(ctx, texts)
-	a.anns = anns
-	a.stats.Annotate = time.Since(start)
-	buildAnnotate.ObserveDuration(a.stats.Annotate)
-
-	// stage 2: classify the shared annotations
-	start = time.Now()
-	classifySpan := obs.SpanFrom(ctx).StartChild("classify")
-	results := f.classifyAnnotated(anns)
-	classifySpan.Finish()
-	a.stats.Classify = time.Since(start)
-	buildClassify.ObserveDuration(a.stats.Classify)
-	a.stats.StageI = a.stats.Annotate + a.stats.Classify
-
-	a.keepAdvising(results)
-
-	// stage 3: the TF-IDF statistics cover the whole document (as the
-	// artifact describes) so term weights reflect corpus-wide statistics,
-	// but only the advising sentences get postings: Stage II retrieves from
-	// Stage I's output and never scores the rest. The term lists come from
-	// the annotations, so the text is not re-tokenized.
-	start = time.Now()
-	indexSpan := obs.SpanFrom(ctx).StartChild("index")
-	terms := make([][]string, len(anns))
-	for i, an := range anns {
-		terms[i] = an.Terms()
-	}
-	a.index = vsm.BuildFromTerms(terms, a.isAdv)
-	indexSpan.Finish()
-	a.stats.Indexing = time.Since(start)
-	buildIndex.ObserveDuration(a.stats.Indexing)
-	buildsTotal.Inc()
-	if buildSpan != nil {
-		buildSpan.SetAttrInt("advising", len(a.advising))
-	}
+	a, _ := f.UpdateFromSentencesCtx(ctx, nil, doc, sents)
 	return a
 }
 
@@ -357,24 +301,6 @@ func (a *Advisor) Rules() []AdvisingSentence { return a.advising }
 // document order — the left-hand side of doc.Diff when this advisor is the
 // previous version of a document.
 func (a *Advisor) SentenceIDs() []doc.SentenceID { return a.ids }
-
-// HasIdentity reports whether the advisor retains enough per-sentence state
-// to serve as the base of an incremental rebuild: a stamped identity and an
-// annotation (at least term-only, see nlp.FromSavedTerms) for every
-// sentence. Freshly built advisors always do; advisors loaded from
-// pre-identity snapshots without term lists do not, and updates from them
-// fall back to a full build.
-func (a *Advisor) HasIdentity() bool {
-	if len(a.ids) != len(a.sentences) || len(a.anns) != len(a.sentences) {
-		return false
-	}
-	for i := range a.sentences {
-		if a.ids[i] == "" || a.anns[i] == nil {
-			return false
-		}
-	}
-	return true
-}
 
 // SentenceCount returns the document's total sentence count.
 func (a *Advisor) SentenceCount() int { return len(a.sentences) }

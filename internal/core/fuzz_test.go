@@ -1,10 +1,9 @@
-package core_test
+package core
 
 import (
 	"bytes"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
 )
 
@@ -13,13 +12,15 @@ import (
 // flipped bits, version skew, non-gob garbage — must come back as an error,
 // never a panic; and anything that does decode must yield a usable advisor
 // (rules enumerable, queries answerable) with internally consistent
-// advising indices: rules strictly ascending, and every answer carrying
-// the text of the sentence it names. The checked-in seed corpus
+// advising indices — rules strictly ascending, and every answer carrying
+// the text of the sentence it names — that is an incremental base for
+// every one of its sentences. The checked-in seed corpus
 // (testdata/fuzz/FuzzLoadAdvisor, regenerate with `go run ./tools/fuzzseed`)
 // starts the fuzzer from real snapshots and their corrupted variants.
 func FuzzLoadAdvisor(f *testing.F) {
 	g := corpus.GenerateSized(corpus.CUDA, 40, 0.3, 17)
-	adv := core.New().BuildFromSentences(g.Doc, g.Sentences)
+	fw := New()
+	adv := fw.BuildFromSentences(g.Doc, g.Sentences)
 	var buf bytes.Buffer
 	if err := adv.Save(&buf); err != nil {
 		f.Fatal(err)
@@ -34,7 +35,7 @@ func FuzzLoadAdvisor(f *testing.F) {
 	f.Add(mutated)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		a, err := core.LoadAdvisor(bytes.NewReader(data))
+		a, err := LoadAdvisor(bytes.NewReader(data))
 		if err != nil {
 			if a != nil {
 				t.Fatal("LoadAdvisor returned both an advisor and an error")
@@ -60,5 +61,6 @@ func FuzzLoadAdvisor(f *testing.F) {
 					ans.Sentence.Index, ans.Sentence.Text, a.SentenceText(ans.Sentence.Index))
 			}
 		}
+		assertReusesAll(t, fw, a)
 	})
 }

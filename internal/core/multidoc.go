@@ -14,7 +14,7 @@ import (
 func (f *Framework) BuildFromDocuments(docs ...*htmldoc.Document) *Advisor {
 	merged := &htmldoc.Document{}
 	var sents []htmldoc.Sentence
-	for di, doc := range docs {
+	for _, doc := range docs {
 		if doc == nil {
 			continue
 		}
@@ -34,7 +34,6 @@ func (f *Framework) BuildFromDocuments(docs ...*htmldoc.Document) *Advisor {
 		for _, s := range doc.Sentences() {
 			sents = append(sents, htmldoc.Sentence{Text: s.Text, Section: base + s.Section})
 		}
-		_ = di
 	}
 	return f.BuildFromSentences(merged, sents)
 }

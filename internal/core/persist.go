@@ -6,16 +6,16 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/doc"
 	"repro/internal/htmldoc"
 	"repro/internal/nlp"
 	"repro/internal/selectors"
-	"repro/internal/textproc"
 	"repro/internal/vsm"
 )
 
-// snapshotVersion guards the on-disk format. Version-2 streams written while
-// the index had partitions carry a Shards field, which gob skips on decode;
-// version-1 streams load too.
+// snapshotVersion guards the on-disk format: LoadAdvisor accepts this
+// version only. Streams written while the index had partitions carry a
+// Shards field, which gob skips on decode.
 const snapshotVersion = 2
 
 // advisorSnapshot is the serialized form of an Advisor. The TF-IDF index is
@@ -24,9 +24,7 @@ const snapshotVersion = 2
 // Stage I, the expensive NLP pass over the document.
 //
 // Sentence identities ride along inside Sentences (htmldoc.Sentence.ID is a
-// gob field); gob matches fields by name, so pre-identity snapshots decode
-// with empty IDs and load re-stamps them — the ID is a pure function of the
-// stored section paths and texts, so a re-stamp reproduces the original.
+// gob field), so a loaded advisor is the base of an incremental rebuild.
 type advisorSnapshot struct {
 	Version   int
 	Threshold float64
@@ -34,25 +32,17 @@ type advisorSnapshot struct {
 	Sections  []htmldoc.Section
 	Sentences []htmldoc.Sentence
 	Advising  []AdvisingSentence
-	// Terms holds the normalized retrieval terms per sentence. Older
-	// snapshots lack it; load falls back to re-normalizing the text, which
-	// produces the identical index (vsm.Build is NormalizeTerms +
-	// BuildFromTerms).
-	Terms [][]string
+	Terms     [][]string // normalized retrieval terms, one list per sentence
 }
 
 // Save serializes the advisor so it can be reloaded without re-running
 // Stage I. The format is a versioned gob stream.
 func (a *Advisor) Save(w io.Writer) error {
-	terms := make([][]string, len(a.sentences))
-	for i, s := range a.sentences {
-		// the retained annotation's terms are bit-exact with NormalizeTerms;
-		// prefer them so saving doesn't re-tokenize the document
-		if i < len(a.anns) && a.anns[i] != nil {
-			terms[i] = a.anns[i].Terms()
-		} else {
-			terms[i] = textproc.NormalizeTerms(s.Text)
-		}
+	// the annotations' terms are bit-exact with NormalizeTerms, so saving
+	// doesn't re-tokenize the document
+	terms := make([][]string, len(a.anns))
+	for i, an := range a.anns {
+		terms[i] = an.Terms()
 	}
 	snap := advisorSnapshot{
 		Version:   snapshotVersion,
@@ -72,20 +62,29 @@ func (a *Advisor) Save(w io.Writer) error {
 }
 
 // LoadAdvisor reconstructs an advisor from a Save stream, rebuilding the
-// retrieval index from the stored sentences.
+// retrieval index from the stored term lists. It refuses any other snapshot
+// version, a stream without one term list per sentence, and sentences
+// without an identity of their own, so every loaded advisor is the base of
+// an incremental rebuild.
 func LoadAdvisor(r io.Reader) (*Advisor, error) {
 	var snap advisorSnapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("core: load advisor: %w", err)
 	}
-	if snap.Version < 1 || snap.Version > snapshotVersion {
-		return nil, fmt.Errorf("core: snapshot version %d, want 1..%d", snap.Version, snapshotVersion)
+	if snap.Version != snapshotVersion {
+		return nil, fmt.Errorf("core: snapshot version %d, want %d", snap.Version, snapshotVersion)
 	}
 	if snap.Threshold <= 0 {
 		return nil, fmt.Errorf("core: snapshot has invalid threshold %v", snap.Threshold)
 	}
+	if len(snap.Terms) != len(snap.Sentences) {
+		return nil, fmt.Errorf("core: snapshot has %d term lists for %d sentences",
+			len(snap.Terms), len(snap.Sentences))
+	}
 	a := &Advisor{
 		sentences: snap.Sentences,
+		ids:       htmldoc.IDsOf(snap.Sentences),
+		anns:      make([]*nlp.Annotation, len(snap.Sentences)),
 		advising:  snap.Advising,
 		threshold: snap.Threshold,
 		isAdv:     make([]bool, len(snap.Sentences)),
@@ -97,17 +96,24 @@ func LoadAdvisor(r io.Reader) (*Advisor, error) {
 			BySelector: map[selectors.SelectorID]int{},
 		},
 	}
+	// Save writes each sentence's identity, unique within the document; with
+	// a term-only annotation per sentence, that makes the loaded advisor an
+	// incremental base for every sentence, so a warm-started source can
+	// still take the differential path
+	seen := make(map[doc.SentenceID]bool, len(a.ids))
+	for i, id := range a.ids {
+		if id == "" || seen[id] {
+			return nil, fmt.Errorf("core: snapshot sentence %d has no identity of its own", i)
+		}
+		seen[id] = true
+		a.anns[i] = nlp.FromSavedTerms(a.sentences[i].Text, snap.Terms[i])
+	}
 	for _, adv := range snap.Advising {
 		a.stats.BySelector[adv.Selector]++
 	}
 	if snap.Title != "" || len(snap.Sections) > 0 {
 		a.doc = htmldoc.FromBlocks(snap.Title, snap.Sections)
 	}
-	// stamp identities for pre-identity snapshots: the ID is a function of
-	// the stored section path, text, and ordinal, so re-stamping reproduces
-	// exactly the IDs the original build assigned
-	a.sentences = htmldoc.StampIDs(a.doc, a.sentences)
-	a.ids = htmldoc.IDsOf(a.sentences)
 	// a rule out of order or out of step with its sentence would answer
 	// with the wrong rule, so the snapshot is refused (the store reports
 	// ErrCorrupt and the advisor is rebuilt)
@@ -127,28 +133,6 @@ func LoadAdvisor(r io.Reader) (*Advisor, error) {
 		a.rulePos[adv.Index] = int32(i)
 		adv.wire = string(adv.appendWire(nil))
 	}
-	terms := snap.Terms
-	if len(terms) > 0 {
-		if len(terms) != len(snap.Sentences) {
-			return nil, fmt.Errorf("core: snapshot has %d term lists for %d sentences",
-				len(terms), len(snap.Sentences))
-		}
-		// term-only annotations make the loaded advisor a valid incremental
-		// base: a warm-started source can still take the differential path
-		a.anns = make([]*nlp.Annotation, len(a.sentences))
-		for i, s := range a.sentences {
-			a.anns[i] = nlp.FromSavedTerms(s.Text, terms[i])
-		}
-	} else {
-		// no stored terms: the annotations are gone and rebuilding them here
-		// would re-run the NLP pass Save exists to skip — leave anns nil
-		// (HasIdentity false) so updates from this advisor take the full
-		// path, and re-normalize the text for the index
-		terms = make([][]string, len(snap.Sentences))
-		for i, s := range snap.Sentences {
-			terms[i] = textproc.NormalizeTerms(s.Text)
-		}
-	}
-	a.index = vsm.BuildFromTerms(terms, a.isAdv)
+	a.index = vsm.BuildFromTerms(snap.Terms, a.isAdv)
 	return a, nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -23,11 +22,6 @@ var (
 	updateAnnotateMicro = obs.Default().Histogram("core_update_annotate_micros")
 )
 
-// ErrCannotUpdate reports that the previous advisor does not retain the
-// per-sentence identity state an incremental rebuild needs (see
-// Advisor.HasIdentity); the caller should fall back to a full build.
-var ErrCannotUpdate = errors.New("core: previous advisor lacks sentence identity state; full rebuild required")
-
 // UpdateFromSentences synthesizes an advisor for a new version of a document
 // by reusing the previous version's per-sentence work. See
 // UpdateFromSentencesCtx.
@@ -35,96 +29,85 @@ func (f *Framework) UpdateFromSentences(prev *Advisor, d *htmldoc.Document, sent
 	return f.UpdateFromSentencesCtx(context.Background(), prev, d, sents)
 }
 
-// UpdateFromSentencesCtx is the incremental counterpart of
-// BuildFromSentencesCtx: it diffs the new sentence list against prev by
-// stable identity (internal/doc) and re-runs Stage I — annotation and
-// selector classification — only over the Added sentences, splicing prev's
-// annotations and classifications for the Kept ones. The TF-IDF index is
-// rebuilt through vsm.Rebuild, which recomputes every corpus-wide statistic
-// (document frequencies, IDF, weights, postings) but reuses the kept
-// sentences' term counts.
+// UpdateFromSentencesCtx is the one Stage-I pipeline: it diffs the new
+// sentence list against prev by stable identity (internal/doc) and re-runs
+// Stage I — annotation and selector classification — only over the Added
+// sentences, taking prev's annotation and verdict for each Kept one. The
+// TF-IDF index is rebuilt through vsm.Index.Rebuild, which recomputes every
+// corpus-wide statistic (document frequencies, IDF, weights, postings) but
+// reuses the kept sentences' term counts.
 //
-// The result is indistinguishable from a full build of the same sentences:
+// A nil prev holds no sentences, so every sentence is Added and the result
+// is the cold build (BuildFromSentencesCtx), traced as "core.build" and
+// counted by the core_build_* metrics; an update from an advisor is traced
+// as "core.update" and counted by the core_update_* ones.
+//
+// The result is indistinguishable from a cold build of the same sentences:
 // identical rules and Float64bits-identical retrieval scores under every
 // backend (the eval suite's incremental≡full test enforces this). Only
 // BuildStats differs — Reused reports how many sentences carried over.
-//
-// Returns ErrCannotUpdate when prev does not retain identity state (e.g. an
-// advisor loaded from a pre-identity snapshot); callers then fall back to a
-// full build. prev is never mutated: its annotations and index-side term
-// counts are shared with the new advisor, but both treat them as immutable.
+// prev is never mutated: its annotations and index-side term counts are
+// shared with the new advisor, but both treat them as immutable.
 func (f *Framework) UpdateFromSentencesCtx(ctx context.Context, prev *Advisor, d *htmldoc.Document, sents []htmldoc.Sentence) (*Advisor, error) {
-	if prev == nil || !prev.HasIdentity() {
-		return nil, ErrCannotUpdate
+	cold := prev == nil
+	spanName := "core.update"
+	if cold {
+		prev = &Advisor{index: new(vsm.Index)}
+		spanName = "core.build"
 	}
-	updateSpan := obs.SpanFrom(ctx).StartChild("core.update")
-	if updateSpan != nil {
-		updateSpan.SetAttrInt("sentences", len(sents))
-		ctx = obs.ContextWithSpan(ctx, updateSpan)
-		defer updateSpan.Finish()
+	span := obs.SpanFrom(ctx).StartChild(spanName)
+	if span != nil {
+		span.SetAttrInt("sentences", len(sents))
+		ctx = obs.ContextWithSpan(ctx, span)
+		defer span.Finish()
 	}
 	sents = htmldoc.StampIDs(d, sents)
-	newIDs := htmldoc.IDsOf(sents)
-	diffs := doc.Diff(prev.ids, newIDs)
-
 	a := &Advisor{
 		name:      prev.name,
 		doc:       d,
 		sentences: sents,
-		ids:       newIDs,
+		ids:       htmldoc.IDsOf(sents),
 		threshold: f.threshold,
 		builtAt:   time.Now(),
 		stats: BuildStats{
 			Sentences:  len(sents),
-			Reused:     len(diffs.Kept),
 			BySelector: map[selectors.SelectorID]int{},
 		},
 	}
+	diffs := doc.Diff(prev.ids, a.ids)
+	a.stats.Reused = len(diffs.Kept)
 
-	// stage 1: annotate only the Added sentences. The cache is seeded with
-	// every annotation of the previous version, so the kept sentences (and
-	// any sentence that merely moved) are served from it.
-	texts := make([]string, len(sents))
-	for i, s := range sents {
-		texts[i] = s.Text
-	}
-	cache := nlp.NewAnnotationCache()
-	for i, id := range prev.ids {
-		cache.Put(id, prev.anns[i])
-	}
+	// stage 1: annotate (tokenize, tag, parse, stem) each Added sentence
+	// once; a Kept sentence takes prev's annotation
 	start := time.Now()
-	anns, reused := f.annotator.AnnotateAllCachedCtx(ctx, newIDs, texts, cache)
-	a.anns = anns
+	texts := make([]string, len(diffs.Added))
+	for k, j := range diffs.Added {
+		texts[k] = sents[j].Text
+	}
+	fresh := f.annotator.AnnotateAllCtx(ctx, texts)
+	a.anns = make([]*nlp.Annotation, len(sents))
+	for _, kp := range diffs.Kept {
+		a.anns[kp.New] = prev.anns[kp.Old]
+	}
+	for k, j := range diffs.Added {
+		a.anns[j] = fresh[k]
+	}
 	a.stats.Annotate = time.Since(start)
-	updateAnnotateMicro.ObserveDuration(a.stats.Annotate)
-	if reused < len(diffs.Kept) {
-		// cannot happen: every kept ID was seeded above
-		return nil, fmt.Errorf("core: incremental update reused %d annotations for %d kept sentences", reused, len(diffs.Kept))
-	}
 
-	// stage 2: classify only the Added sentences; kept sentences inherit the
-	// previous version's Stage-I decision (the selectors are pure functions
-	// of one sentence's annotation and the framework's immutable config, so
-	// the decision cannot have changed).
-	prevSel := make([]selectors.SelectorID, len(prev.ids))
-	for _, adv := range prev.advising {
-		prevSel[adv.Index] = adv.Selector
-	}
+	// stage 2: classify the Added annotations; a Kept sentence keeps prev's
+	// verdict (the selectors are pure functions of one sentence's annotation
+	// and the framework's immutable config, so it cannot have changed)
 	start = time.Now()
 	classifySpan := obs.SpanFrom(ctx).StartChild("classify")
-	addedAnns := make([]*nlp.Annotation, len(diffs.Added))
-	for k, j := range diffs.Added {
-		addedAnns[k] = anns[j]
-	}
-	addedResults := f.classifyAnnotated(addedAnns)
+	verdicts := f.classifyAnnotated(fresh)
 	results := make([]selectors.Result, len(sents))
 	for _, kp := range diffs.Kept {
 		if prev.isAdv[kp.Old] {
-			results[kp.New] = selectors.Result{Advising: true, Selector: prevSel[kp.Old]}
+			results[kp.New] = selectors.Result{Advising: true, Selector: prev.advising[prev.rulePos[kp.Old]].Selector}
 		}
 	}
 	for k, j := range diffs.Added {
-		results[j] = addedResults[k]
+		results[j] = verdicts[k]
 	}
 	classifySpan.Finish()
 	a.stats.Classify = time.Since(start)
@@ -132,31 +115,44 @@ func (f *Framework) UpdateFromSentencesCtx(ctx context.Context, prev *Advisor, d
 
 	a.keepAdvising(results)
 
-	// stage 3: differential index rebuild — corpus-wide statistics are
-	// recomputed (one edit can shift every IDF), per-sentence term counts
-	// are reused for the kept sentences, and the successor's advising
-	// sentences get postings.
+	// stage 3: the TF-IDF statistics cover the whole document (as the
+	// artifact describes) so term weights reflect corpus-wide statistics,
+	// but only the advising sentences get postings: Stage II retrieves from
+	// Stage I's output and never scores the rest. Every statistic is
+	// recomputed (one edit can shift every IDF); the Kept sentences' term
+	// counts are reused and the Added ones' come from their annotations, so
+	// no text is re-tokenized.
 	start = time.Now()
 	indexSpan := obs.SpanFrom(ctx).StartChild("index")
 	added := make([]vsm.AddedDoc, len(diffs.Added))
 	for k, j := range diffs.Added {
-		added[k] = vsm.AddedDoc{Pos: j, Terms: anns[j].Terms()}
+		added[k] = vsm.AddedDoc{Pos: j, Terms: fresh[k].Terms()}
 	}
 	index, err := prev.index.Rebuild(diffs.Kept, added, a.isAdv)
 	indexSpan.Finish()
 	if err != nil {
-		return nil, fmt.Errorf("core: incremental index rebuild: %w", err)
+		return nil, fmt.Errorf("core: index rebuild: %w", err)
 	}
 	a.index = index
 	a.stats.Indexing = time.Since(start)
 
-	updatesTotal.Inc()
-	updateReusedTotal.Add(int64(len(diffs.Kept)))
-	if updateSpan != nil {
-		updateSpan.SetAttrInt("kept", len(diffs.Kept))
-		updateSpan.SetAttrInt("added", len(diffs.Added))
-		updateSpan.SetAttrInt("removed", len(diffs.Removed))
-		updateSpan.SetAttrInt("advising", len(a.advising))
+	if cold {
+		buildAnnotate.ObserveDuration(a.stats.Annotate)
+		buildClassify.ObserveDuration(a.stats.Classify)
+		buildIndex.ObserveDuration(a.stats.Indexing)
+		buildsTotal.Inc()
+	} else {
+		updateAnnotateMicro.ObserveDuration(a.stats.Annotate)
+		updatesTotal.Inc()
+		updateReusedTotal.Add(int64(len(diffs.Kept)))
+	}
+	if span != nil {
+		if !cold {
+			span.SetAttrInt("kept", len(diffs.Kept))
+			span.SetAttrInt("added", len(diffs.Added))
+			span.SetAttrInt("removed", len(diffs.Removed))
+		}
+		span.SetAttrInt("advising", len(a.advising))
 	}
 	return a, nil
 }

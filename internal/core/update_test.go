@@ -2,12 +2,13 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/doc"
 	"repro/internal/htmldoc"
+	"repro/internal/obs"
 	"repro/internal/vsm"
 )
 
@@ -81,8 +82,53 @@ func TestUpdateEquivalentToFullBuild(t *testing.T) {
 	if want := len(sents) - 2; stats.Reused != want { // rewritten + appended are new
 		t.Fatalf("Reused = %d, want %d", stats.Reused, want)
 	}
-	if !inc.HasIdentity() {
-		t.Fatal("incrementally built advisor lost identity state")
+	assertReusesAll(t, f, inc)
+}
+
+// assertReusesAll checks that a is an incremental base for every one of its
+// sentences: an update by f from a over its own sentences reuses them all.
+func assertReusesAll(t *testing.T, f *Framework, a *Advisor) {
+	t.Helper()
+	next, err := f.UpdateFromSentences(a, a.doc, a.sentences)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := next.BuildStats().Reused; got != a.SentenceCount() {
+		t.Fatalf("an update over its own sentences reused %d of %d", got, a.SentenceCount())
+	}
+}
+
+// TestUpdateReannotatesOnlyAdded: an update runs the NLP pass over exactly
+// its Added sentences, and every Kept sentence carries prev's annotation
+// itself, not a copy.
+func TestUpdateReannotatesOnlyAdded(t *testing.T) {
+	g := corpus.GenerateSized(corpus.CUDA, 150, 0.3, 31)
+	f := New()
+	prev := f.BuildFromSentences(g.Doc, g.Sentences)
+	d, sents := editGuide(g)
+	diffs := doc.Diff(prev.SentenceIDs(), htmldoc.IDsOf(sents))
+	if len(diffs.Added) == 0 || len(diffs.Kept) == 0 {
+		t.Fatalf("edit has %d added, %d kept sentences", len(diffs.Added), len(diffs.Kept))
+	}
+
+	annotated := obs.Default().Counter("nlp_sentences_annotated_total")
+	before := annotated.Value()
+	inc, err := f.UpdateFromSentences(prev, d, sents)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := annotated.Value() - before; got != int64(len(diffs.Added)) {
+		t.Fatalf("update annotated %d sentences, want the %d added", got, len(diffs.Added))
+	}
+	for _, kp := range diffs.Kept {
+		if inc.anns[kp.New] != prev.anns[kp.Old] {
+			t.Fatalf("kept sentence %d -> %d does not carry prev's annotation", kp.Old, kp.New)
+		}
+	}
+	for _, j := range diffs.Added {
+		if inc.anns[j].Text != sents[j].Text {
+			t.Fatalf("added sentence %d annotated as %q", j, inc.anns[j].Text)
+		}
 	}
 }
 
@@ -112,9 +158,7 @@ func TestUpdateFromLoadedSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !prev.HasIdentity() {
-		t.Fatal("warm-started advisor should retain identity state (terms snapshot)")
-	}
+	assertReusesAll(t, f, prev)
 
 	d, sents := editGuide(g)
 	inc, err := f.UpdateFromSentences(prev, d, sents)
@@ -124,17 +168,17 @@ func TestUpdateFromLoadedSnapshot(t *testing.T) {
 	assertEquivalent(t, inc, f.BuildFromSentences(d, sents))
 }
 
-func TestUpdateCannotUpdate(t *testing.T) {
+// TestUpdateFromNothing: an update from no predecessor is the cold build —
+// nothing reused, the same rules and Float64bits-identical answers.
+func TestUpdateFromNothing(t *testing.T) {
 	f := New()
 	g := corpus.GenerateSized(corpus.CUDA, 40, 0.3, 37)
-	if _, err := f.UpdateFromSentences(nil, g.Doc, g.Sentences); !errors.Is(err, ErrCannotUpdate) {
-		t.Fatalf("nil prev: err = %v, want ErrCannotUpdate", err)
+	inc, err := f.UpdateFromSentences(nil, g.Doc, g.Sentences)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// an advisor stripped of its annotations (pre-identity snapshot without
-	// terms) must refuse the incremental path
-	prev := f.BuildFromSentences(g.Doc, g.Sentences)
-	prev.anns = nil
-	if _, err := f.UpdateFromSentences(prev, g.Doc, g.Sentences); !errors.Is(err, ErrCannotUpdate) {
-		t.Fatalf("no annotations: err = %v, want ErrCannotUpdate", err)
+	if got := inc.BuildStats().Reused; got != 0 {
+		t.Fatalf("an update from nothing reused %d sentences", got)
 	}
+	assertEquivalent(t, inc, f.BuildFromSentences(g.Doc, g.Sentences))
 }

@@ -16,7 +16,7 @@
 // per-advisor single-flight and retry-with-backoff; each successful build is
 // verified (non-empty rules, self-query smoke check), snapshotted, and then
 // hot-swapped into the live registry through the configured Swap hook (the
-// service's Reload, which logs the rule diff and invalidates the cache).
+// service's Reload).
 // Pause is the kill switch: the watcher keeps polling but triggers nothing
 // until Resume.
 package lifecycle
@@ -311,6 +311,7 @@ func (m *Manager) WarmStart(ctx context.Context) error {
 }
 
 // startOne warm-starts a single source: snapshot if fresh, else cold build.
+// The manifest is read first, so a stale snapshot is never decoded.
 func (m *Manager) startOne(ctx context.Context, name string) error {
 	m.mu.Lock()
 	st := m.sources[name]
@@ -324,7 +325,11 @@ func (m *Manager) startOne(ctx context.Context, name string) error {
 		loadSpan := obs.SpanFrom(ctx).StartChild("lifecycle.load")
 		loadSpan.SetAttr("advisor", name)
 		start := time.Now()
-		adv, man, lerr := m.opts.Store.Load(name)
+		man, lerr := m.opts.Store.Manifest(name)
+		var adv *core.Advisor
+		if lerr == nil && man.SourceHash == fp {
+			adv, man, lerr = m.opts.Store.Load(name)
+		}
 		m.loadHist.ObserveDuration(time.Since(start))
 		switch {
 		case lerr == nil && man.SourceHash == fp:
@@ -409,10 +414,7 @@ func (m *Manager) buildVerified(ctx context.Context, name string, src Source) (*
 // The diff itself is recorded as a lifecycle.diff span with the
 // added/removed/kept partition sizes and the change ratio.
 func (m *Manager) tryIncremental(ctx context.Context, name string, src Source, prev *core.Advisor) (*core.Advisor, float64, bool) {
-	if m.opts.IncrementalThreshold < 0 || src.Sentences == nil || src.Update == nil {
-		return nil, 0, false
-	}
-	if prev == nil || !prev.HasIdentity() {
+	if m.opts.IncrementalThreshold < 0 || src.Sentences == nil || src.Update == nil || prev == nil {
 		return nil, 0, false
 	}
 	d, sents, err := src.Sentences(ctx)

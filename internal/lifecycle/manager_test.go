@@ -1,7 +1,10 @@
 package lifecycle_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -13,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/htmldoc"
 	"repro/internal/lifecycle"
 	"repro/internal/obs"
 	"repro/internal/store"
@@ -198,6 +202,114 @@ func TestWarmStartQuarantinesCorruptSnapshot(t *testing.T) {
 	}
 	if got := m3.State(); got.SnapshotHits != 1 {
 		t.Errorf("post-repair boot hits %d, want 1", got.SnapshotHits)
+	}
+}
+
+// TestWarmStartStaleSnapshotIsNeverDecoded: warm start compares the
+// manifest's fingerprint before it reads the payload, so a stale snapshot
+// whose payload is garbage is a plain miss: rebuilt and overwritten, neither
+// counted corrupt nor quarantined.
+func TestWarmStartStaleSnapshotIsNeverDecoded(t *testing.T) {
+	dir := t.TempDir()
+	st, _ := store.Open(dir)
+	src := &buildSource{name: "cuda", seed: 9}
+	if err := managerOver(t, st, newFakeRegistry(), src.source()).WarmStart(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	src.setSeed(10)
+	if err := os.WriteFile(filepath.Join(dir, "cuda.snap"), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m2 := managerOver(t, st, newFakeRegistry(), src.source())
+	if err := m2.WarmStart(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := m2.State(); got.SnapshotMisses != 1 || got.SnapshotBad != 0 || got.Advisors[0].Origin != "build" {
+		t.Errorf("stale garbage snapshot: misses %d, corrupt %d, origin %q; want 1, 0, build",
+			got.SnapshotMisses, got.SnapshotBad, got.Advisors[0].Origin)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "cuda.snap.bad")); err == nil {
+		t.Error("stale snapshot quarantined")
+	}
+	m3 := managerOver(t, st, newFakeRegistry(), src.source())
+	if err := m3.WarmStart(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := m3.State(); got.SnapshotHits != 1 || src.builds.Load() != 2 {
+		t.Errorf("the rebuild did not overwrite the snapshot: hits %d, builds %d", got.SnapshotHits, src.builds.Load())
+	}
+}
+
+// snapshotWire mirrors the fields of core's snapshot stream. gob matches
+// struct fields by name, so re-encoding one writes the stream a build with
+// another format would have written.
+type snapshotWire struct {
+	Version   int
+	Threshold float64
+	Title     string
+	Sections  []htmldoc.Section
+	Sentences []htmldoc.Sentence
+	Advising  []core.AdvisingSentence
+	Terms     [][]string
+}
+
+// TestWarmStartQuarantinesOldFormatSnapshot: a version-1 snapshot under a
+// manifest whose fingerprint and checksum match is refused by the loader,
+// so warm start counts it corrupt, quarantines it and cold-builds.
+func TestWarmStartQuarantinesOldFormatSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	st, _ := store.Open(dir)
+	src := &buildSource{name: "cuda", seed: 9}
+	if err := managerOver(t, st, newFakeRegistry(), src.source()).WarmStart(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	snapPath, manPath := filepath.Join(dir, "cuda.snap"), filepath.Join(dir, "cuda.json")
+	data, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap snapshotWire
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	snap.Version = 1
+	var v1 bytes.Buffer
+	if err := gob.NewEncoder(&v1).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	man, err := st.Manifest("cuda")
+	if err != nil {
+		t.Fatal(err)
+	}
+	man.Checksum, man.Bytes = store.HashBytes(v1.Bytes()), int64(v1.Len())
+	raw, err := json.Marshal(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snapPath, v1.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	metrics := obs.NewRegistry()
+	reg := newFakeRegistry()
+	m := lifecycle.New(lifecycle.Options{Store: st, Register: reg.register, Swap: reg.swap, Metrics: metrics})
+	if err := m.AddSource(src.source()); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WarmStart(context.Background()); err != nil {
+		t.Fatalf("old-format snapshot failed startup: %v", err)
+	}
+	if got := metrics.Counter("lifecycle_snapshot_corrupt_total").Value(); got != 1 {
+		t.Errorf("lifecycle_snapshot_corrupt_total = %d, want 1", got)
+	}
+	if src.builds.Load() != 2 || reg.get("cuda") == nil || m.State().Advisors[0].Origin != "build" {
+		t.Errorf("old-format snapshot not cold-built: %d builds, origin %q", src.builds.Load(), m.State().Advisors[0].Origin)
+	}
+	if _, err := os.Stat(snapPath + ".bad"); err != nil {
+		t.Errorf("old-format snapshot not quarantined: %v", err)
 	}
 }
 

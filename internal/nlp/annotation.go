@@ -45,7 +45,6 @@ var (
 // Annotation is the full per-sentence analysis, produced once by an
 // Annotator and consumed by selectors, SRL, indexing and serving.
 type Annotation struct {
-	Index int    // sentence index within the source document (-1 standalone)
 	Text  string // the raw sentence text
 	Tree  *depparse.Tree
 	Stems []string // Porter stem of every token (aligned with Tree.Words)
@@ -139,7 +138,7 @@ func NewAnnotator(opts ...Option) *Annotator {
 // Annotate runs the eager layers (tokenize, POS-tag, dependency-parse,
 // stem) over one sentence; the remaining products are computed lazily.
 func (an *Annotator) Annotate(text string) *Annotation {
-	return annotate(-1, text)
+	return annotate(text)
 }
 
 // AnnotateCtx is Annotate under a trace: when the context carries a sampled
@@ -148,11 +147,11 @@ func (an *Annotator) Annotate(text string) *Annotation {
 func (an *Annotator) AnnotateCtx(ctx context.Context, text string) *Annotation {
 	parent := obs.SpanFrom(ctx)
 	if parent == nil {
-		return annotate(-1, text)
+		return annotate(text)
 	}
 	span := parent.StartChild("nlp.annotate")
 	defer span.Finish()
-	a := annotateSpans(-1, text, span)
+	a := annotateSpans(text, span)
 	span.SetAttrInt("tokens", len(a.Tree.Words))
 	return a
 }
@@ -185,7 +184,7 @@ func (an *Annotator) AnnotateAllCtx(ctx context.Context, texts []string) []*Anno
 	}
 	if workers <= 1 {
 		for i, t := range texts {
-			out[i] = annotate(i, t)
+			out[i] = annotate(t)
 		}
 		return out
 	}
@@ -200,7 +199,7 @@ func (an *Annotator) AnnotateAllCtx(ctx context.Context, texts []string) []*Anno
 				if i >= n {
 					return
 				}
-				out[i] = annotate(i, texts[i])
+				out[i] = annotate(texts[i])
 			}
 		}()
 	}
@@ -209,17 +208,30 @@ func (an *Annotator) AnnotateAllCtx(ctx context.Context, texts []string) []*Anno
 }
 
 // Annotate is the package-level convenience for one-off sentences.
-func Annotate(text string) *Annotation { return annotate(-1, text) }
+func Annotate(text string) *Annotation { return annotate(text) }
 
 // FromTree wraps an already-parsed sentence in an Annotation (text may be
 // "" when only the tree is known; it is informational).
 func FromTree(text string, tree *depparse.Tree) *Annotation {
 	return &Annotation{
-		Index: -1,
 		Text:  text,
 		Tree:  tree,
 		Stems: textproc.StemAll(tree.Words),
 	}
+}
+
+// FromSavedTerms reconstitutes a term-only annotation from persisted state:
+// the sentence text plus the normalized retrieval terms a snapshot stored.
+// It supports exactly the products persistence kept — Text and Terms — and
+// exists so a loaded advisor can be the base of an incremental rebuild
+// without re-running any NLP stage. Tree-dependent accessors (Tokens, Tags,
+// Purposes, Frames) must not be called on it; the incremental build path
+// never does for kept sentences, whose classification is reused rather than
+// recomputed.
+func FromSavedTerms(text string, terms []string) *Annotation {
+	a := &Annotation{Text: text}
+	a.termsOnce.Do(func() { a.terms = terms })
+	return a
 }
 
 // QueryTerms is the query-side annotation: the normalized term sequence
@@ -234,7 +246,7 @@ func QueryTerms(query string) []string {
 // depparse.ParseText) so each stage's latency is observed into its
 // histogram — the per-component instrumentation the serving layer's
 // /metricz reports. The stage outputs are identical to ParseText's.
-func annotate(idx int, text string) *Annotation {
+func annotate(text string) *Annotation {
 	start := time.Now()
 	words := textproc.Words(text)
 	t1 := time.Now()
@@ -250,7 +262,6 @@ func annotate(idx int, text string) *Annotation {
 	stemHist.ObserveDuration(t4.Sub(t3))
 	annotatedSentences.Inc()
 	return &Annotation{
-		Index: idx,
 		Text:  text,
 		Tree:  tree,
 		Stems: stems,
@@ -259,7 +270,7 @@ func annotate(idx int, text string) *Annotation {
 
 // annotateSpans is annotate with a child span per stage, used when a
 // sampled trace asks for the per-stage breakdown of one sentence.
-func annotateSpans(idx int, text string, parent *obs.Span) *Annotation {
+func annotateSpans(text string, parent *obs.Span) *Annotation {
 	s := parent.StartChild("tokenize")
 	words := textproc.Words(text)
 	s.Finish()
@@ -274,7 +285,6 @@ func annotateSpans(idx int, text string, parent *obs.Span) *Annotation {
 	s.Finish()
 	annotatedSentences.Inc()
 	return &Annotation{
-		Index: idx,
 		Text:  text,
 		Tree:  tree,
 		Stems: stems,

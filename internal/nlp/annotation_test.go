@@ -1,11 +1,13 @@
 package nlp
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/depparse"
+	"repro/internal/obs"
 	"repro/internal/postag"
 	"repro/internal/srl"
 	"repro/internal/textproc"
@@ -84,7 +86,7 @@ func TestQueryTerms(t *testing.T) {
 }
 
 // TestAnnotateAllOrder checks that parallel annotation preserves order and
-// indexes, and equals serial annotation.
+// equals serial annotation.
 func TestAnnotateAllOrder(t *testing.T) {
 	texts := make([]string, 100)
 	for i := range texts {
@@ -96,9 +98,6 @@ func TestAnnotateAllOrder(t *testing.T) {
 		t.Fatalf("lengths: %d / %d, want %d", len(parallel), len(serial), len(texts))
 	}
 	for i := range texts {
-		if parallel[i].Index != i || serial[i].Index != i {
-			t.Fatalf("index %d: got %d / %d", i, parallel[i].Index, serial[i].Index)
-		}
 		if parallel[i].Text != texts[i] {
 			t.Fatalf("text %d: got %q", i, parallel[i].Text)
 		}
@@ -148,4 +147,84 @@ func TestConcurrentLazyAccess(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestFromSavedTermsRoundTrip: a reconstituted annotation serves exactly the
+// persisted terms — no NLP stage runs, so the terms are returned verbatim
+// even when they differ from what fresh annotation would compute.
+func TestFromSavedTermsRoundTrip(t *testing.T) {
+	text := testSentences[0]
+	saved := Annotate(text).Terms()
+	a := FromSavedTerms(text, saved)
+	if a.Text != text {
+		t.Fatalf("reconstituted annotation: text %q", a.Text)
+	}
+	if !reflect.DeepEqual(a.Terms(), saved) {
+		t.Fatalf("Terms() = %v, want saved %v", a.Terms(), saved)
+	}
+	// the terms are pinned at construction, not recomputed on access
+	marker := []string{"marker", "terms"}
+	b := FromSavedTerms(text, marker)
+	if !reflect.DeepEqual(b.Terms(), marker) {
+		t.Fatalf("Terms() = %v recomputed, want pinned %v", b.Terms(), marker)
+	}
+}
+
+// TestAnnotateCtx: without a sampled span the traced path equals plain
+// annotation; with one, each NLP stage appears as a child span.
+func TestAnnotateCtx(t *testing.T) {
+	an := NewAnnotator()
+	text := testSentences[0]
+
+	plain := an.AnnotateCtx(context.Background(), text)
+	direct := an.Annotate(text)
+	if !reflect.DeepEqual(plain.Tokens(), direct.Tokens()) || !reflect.DeepEqual(plain.Stems, direct.Stems) {
+		t.Fatal("untraced AnnotateCtx diverges from Annotate")
+	}
+
+	store := obs.NewTraceStore(4)
+	tracer := obs.NewTracer(1, store)
+	ctx, root := tracer.Start(context.Background(), "test")
+	if root == nil {
+		t.Fatal("tracer with rate 1 did not sample")
+	}
+	traced := an.AnnotateCtx(ctx, text)
+	root.Finish()
+	if !reflect.DeepEqual(traced.Tokens(), direct.Tokens()) {
+		t.Fatal("traced AnnotateCtx diverges from Annotate")
+	}
+	tj, ok := store.Get(obs.TraceID(ctx))
+	if !ok {
+		t.Fatal("sampled trace not stored")
+	}
+	if len(tj.Root.Children) != 1 || tj.Root.Children[0].Name != "nlp.annotate" {
+		t.Fatalf("root children: %+v", tj.Root.Children)
+	}
+	stages := tj.Root.Children[0].Children
+	want := []string{"tokenize", "tag", "parse", "stem"}
+	if len(stages) != len(want) {
+		t.Fatalf("stage spans: %+v", stages)
+	}
+	for i, s := range stages {
+		if s.Name != want[i] {
+			t.Fatalf("stage %d = %q, want %q", i, s.Name, want[i])
+		}
+	}
+}
+
+// TestAnnotateAllCtxTraced: the fan-out is recorded as a single
+// nlp.annotate_all span with sentence and worker counts.
+func TestAnnotateAllCtxTraced(t *testing.T) {
+	store := obs.NewTraceStore(4)
+	tracer := obs.NewTracer(1, store)
+	ctx, root := tracer.Start(context.Background(), "test")
+	out := NewAnnotator(WithParallelism(2)).AnnotateAllCtx(ctx, []string{testSentences[0], testSentences[1]})
+	root.Finish()
+	if len(out) != 2 {
+		t.Fatalf("annotated %d", len(out))
+	}
+	tj, ok := store.Get(obs.TraceID(ctx))
+	if !ok || len(tj.Root.Children) != 1 || tj.Root.Children[0].Name != "nlp.annotate_all" {
+		t.Fatalf("trace: %+v", tj.Root)
+	}
 }

@@ -1,6 +1,8 @@
 package nvvp
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -236,5 +238,54 @@ func TestMetricsIssueDescriptionsMentionValues(t *testing.T) {
 	issues := m.Issues()
 	if len(issues) != 1 || !strings.Contains(issues[0].Description, "42%") {
 		t.Errorf("description should carry the measured value: %+v", issues)
+	}
+}
+
+// TestParseReport: a text whose first non-space byte is '{' parses as a
+// metrics snapshot, anything else as a text report, and each result or
+// error equals the direct call's.
+func TestParseReport(t *testing.T) {
+	m := healthyMetrics()
+	m.WarpExecutionEfficiency = 0.4
+	snapshot, err := m.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := Synthesize("norm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaMetrics := func(body string) (*Report, error) {
+		m, err := ParseMetricsJSON([]byte(strings.TrimSpace(body)))
+		if err != nil {
+			return nil, err
+		}
+		return m.Report(), nil
+	}
+	for _, c := range []struct {
+		name, body string
+		direct     func(string) (*Report, error)
+		wantErr    bool
+	}{
+		{"json", string(snapshot), viaMetrics, false},
+		{"json_leading_whitespace", "\n\t  " + string(snapshot) + "\n", viaMetrics, false},
+		{"text", text, Parse, false},
+		{"malformed_json", "  {\"occupancy\": ", viaMetrics, true},
+		{"out_of_range_json", `{"occupancy": 2}`, viaMetrics, true},
+		{"malformed_text", "not a report", Parse, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got, err := ParseReport(c.body)
+			want, wantErr := c.direct(c.body)
+			if (err != nil) != c.wantErr || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("err %v, direct call %v, want an error: %v", err, wantErr, c.wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("report %+v, direct call %+v", got, want)
+			}
+			if !c.wantErr && len(got.Issues()) == 0 {
+				t.Fatal("no issues parsed")
+			}
+		})
 	}
 }

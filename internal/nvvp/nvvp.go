@@ -50,6 +50,21 @@ func (r *Report) Issues() []Issue {
 	return out
 }
 
+// ParseReport reads either profiler format: a text whose first non-space
+// byte is '{' is a JSON metrics snapshot (ParseMetricsJSON, then
+// Metrics.Report), anything else the text report format (Parse).
+func ParseReport(text string) (*Report, error) {
+	trimmed := strings.TrimSpace(text)
+	if !strings.HasPrefix(trimmed, "{") {
+		return Parse(text)
+	}
+	m, err := ParseMetricsJSON([]byte(trimmed))
+	if err != nil {
+		return nil, err
+	}
+	return m.Report(), nil
+}
+
 // Parse reads the text report format:
 //
 //	=== NVVP Analysis Report ===

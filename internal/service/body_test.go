@@ -98,7 +98,7 @@ func checkQuery(svc *Service, rec *httptest.ResponseRecorder, advisor, backend, 
 // oracle is encoding/json of its ReportResponse, "issues":null included for
 // a report with no issues.
 func checkReport(svc *Service, rec *httptest.ResponseRecorder, advisor string, body []byte) error {
-	report, err := parseReport(string(body))
+	report, err := nvvp.ParseReport(string(body))
 	if err != nil {
 		return fmt.Errorf("oracle: %v", err)
 	}

@@ -12,9 +12,10 @@ import (
 // Cache is a sharded LRU over Stage-II query results. The service keys an
 // entry by the advisor name, the backend and what the advisor's index
 // scores for the query (see appendQueryKey), so a cached answer is always
-// what retrieval would have produced. Keys are opaque to the cache, except
-// that every key of an advisor starts with its name and a zero byte
-// (Invalidate).
+// what retrieval would have produced. Keys are opaque to the cache. The key
+// carries the answering index's process-unique identity, so after a reload
+// no lookup reads or joins an entry of the replaced index; those entries are
+// never used again and leave the LRU first.
 //
 // Values are []core.Answer slices; they are stored once and returned to
 // every caller, so they must be treated as immutable.
@@ -40,10 +41,9 @@ type cacheEntry struct {
 }
 
 type flight struct {
-	done  chan struct{}
-	val   []core.Answer
-	err   error
-	stale bool // set under the shard lock by Invalidate: do not cache val
+	done chan struct{}
+	val  []core.Answer
+	err  error
 }
 
 // NewCache creates a cache holding at most capacity entries spread over
@@ -204,23 +204,18 @@ func (c *Cache) GetOrCompute(key string, compute func() ([]core.Answer, error)) 
 	close(fl.done)
 
 	sh.mu.Lock()
-	if sh.flights[key] == fl {
-		delete(sh.flights, key)
-	}
-	if fl.err == nil && !fl.stale {
+	delete(sh.flights, key)
+	if fl.err == nil {
 		sh.insertLocked(key, fl.val, c.stats)
 	}
 	sh.mu.Unlock()
 	return fl.val, false, fl.err
 }
 
-// insertLocked adds an entry, evicting from the tail past capacity.
+// insertLocked adds an entry, evicting from the tail past capacity. The key
+// is absent: a key has at most one flight at a time, registered while the
+// key was missing, and only that flight inserts it.
 func (sh *cacheShard) insertLocked(key string, val []core.Answer, stats *Stats) {
-	if el, ok := sh.entries[key]; ok { // raced with another insert
-		sh.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).val = val
-		return
-	}
 	sh.entries[key] = sh.ll.PushFront(&cacheEntry{key: key, val: val})
 	for sh.ll.Len() > sh.cap {
 		back := sh.ll.Back()
@@ -239,34 +234,4 @@ func (c *Cache) Len() int {
 		sh.mu.Unlock()
 	}
 	return n
-}
-
-// Invalidate drops every entry belonging to the named advisor — called when
-// the registry hot-swaps that advisor, since cached answers reference the
-// old rule set. Computations in flight for the advisor may be scoring with
-// the old advisor, so they are marked not cacheable and detached: their
-// waiters still get the result, but a lookup arriving after Invalidate
-// starts a fresh computation instead of joining one. It returns the number
-// of entries dropped.
-func (c *Cache) Invalidate(advisor string) int {
-	prefix := advisor + "\x00"
-	dropped := 0
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for key, el := range sh.entries {
-			if strings.HasPrefix(key, prefix) {
-				sh.ll.Remove(el)
-				delete(sh.entries, key)
-				dropped++
-			}
-		}
-		for key, fl := range sh.flights {
-			if strings.HasPrefix(key, prefix) {
-				fl.stale = true
-				delete(sh.flights, key)
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return dropped
 }

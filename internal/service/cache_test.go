@@ -67,8 +67,8 @@ func TestQueryKeyNormalization(t *testing.T) {
 
 // TestQueryKeyFull pins the deprecated term-string key spaces: the pruning
 // flag's true value keys the normalized terms under the advisor and
-// backend, false maps to a disjoint space under the same advisor prefix,
-// and Invalidate drops both.
+// backend, and false maps to a disjoint space under the same advisor
+// prefix.
 func TestQueryKeyFull(t *testing.T) {
 	terms := []string{"memori", "latenc"}
 	for backend, want := range map[string]string{
@@ -86,13 +86,6 @@ func TestQueryKeyFull(t *testing.T) {
 		if len(on) != queryKeyLen("cuda", backend, terms) {
 			t.Errorf("%q: queryKeyLen %d for a %d-byte key", backend, queryKeyLen("cuda", backend, terms), len(on))
 		}
-	}
-	c := NewCache(8, 1, newStats(obs.NewRegistry()))
-	for _, prune := range []bool{true, false} {
-		c.GetOrCompute(QueryKeyFull("cuda", "bm25", prune, terms), func() ([]core.Answer, error) { return answersOf("x"), nil })
-	}
-	if n := c.Invalidate("cuda"); n != 2 {
-		t.Fatalf("Invalidate dropped %d entries, want both key spaces", n)
 	}
 }
 
@@ -227,65 +220,6 @@ func TestCacheComputeErrorNotCached(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Errorf("errors must not be cached: compute ran %d times, want 2", calls)
-	}
-}
-
-func TestCacheInvalidate(t *testing.T) {
-	c := NewCache(32, 4, newStats(obs.NewRegistry()))
-	fill := func(advisor, q string) {
-		c.GetOrCompute(advisor+"\x00"+q, func() ([]core.Answer, error) { return nil, nil })
-	}
-	for _, q := range []string{"memory latency", "warp divergence", "bank conflicts"} {
-		fill("cuda", q)
-		fill("opencl", q)
-	}
-	if n := c.Len(); n != 6 {
-		t.Fatalf("cache holds %d, want 6", n)
-	}
-	if dropped := c.Invalidate("cuda"); dropped != 3 {
-		t.Errorf("invalidate dropped %d, want 3", dropped)
-	}
-	if n := c.Len(); n != 3 {
-		t.Errorf("cache holds %d after invalidate, want 3 (opencl untouched)", n)
-	}
-	// the opencl entries must still hit
-	_, hit, _ := c.GetOrCompute("opencl\x00memory latency",
-		func() ([]core.Answer, error) { return nil, nil })
-	if !hit {
-		t.Error("opencl entry lost by cuda invalidation")
-	}
-}
-
-// TestCacheInvalidateInFlight: a computation in flight when its advisor is
-// invalidated still answers its own callers, but its value is not cached
-// and a lookup arriving after Invalidate computes afresh instead of joining
-// it.
-func TestCacheInvalidateInFlight(t *testing.T) {
-	c := NewCache(8, 1, newStats(obs.NewRegistry()))
-	const key = "cuda\x00memori"
-	started, release := make(chan struct{}), make(chan struct{})
-	done := make(chan []core.Answer)
-	go func() {
-		v, _, _ := c.GetOrCompute(key, func() ([]core.Answer, error) {
-			close(started)
-			<-release
-			return answersOf("old"), nil
-		})
-		done <- v
-	}()
-	<-started
-	c.Invalidate("cuda")
-	fresh, hit, err := c.GetOrCompute(key, func() ([]core.Answer, error) { return answersOf("new"), nil })
-	if err != nil || hit || fresh[0].Sentence.Text != "new" {
-		t.Fatalf("lookup after Invalidate: %v hit=%v err=%v, want a fresh computation", fresh, hit, err)
-	}
-	close(release)
-	if v := <-done; v[0].Sentence.Text != "old" {
-		t.Fatalf("in-flight caller got %v, want its own result", v)
-	}
-	v, hit, _ := c.GetOrCompute(key, func() ([]core.Answer, error) { return answersOf("recomputed"), nil })
-	if !hit || v[0].Sentence.Text != "new" {
-		t.Fatalf("cached value %v hit=%v, want the post-invalidation result", v, hit)
 	}
 }
 

@@ -182,15 +182,12 @@ func (s *Service) Stats() StatsSnapshot {
 	return snap
 }
 
-// Reload hot-swaps the named advisor and invalidates its cached answers.
-// It returns the rule diff, for callers that want to surface it.
+// Reload hot-swaps the named advisor and returns the rule diff, for callers
+// that want to surface it. No cached answer of the replaced advisor can be
+// served afterwards: every cache key carries the identity of the index that
+// answers it (see appendQueryKey).
 func (s *Service) Reload(name string, next *core.Advisor) core.RulesDiff {
-	diff := s.reg.Replace(name, next)
-	dropped := s.cache.Invalidate(name)
-	if dropped > 0 {
-		s.opts.Logger.Info("cache invalidated", "advisor", name, "entries", dropped)
-	}
-	return diff
+	return s.reg.Replace(name, next)
 }
 
 // BeginDrain marks the service not-ready so load balancers (polling /readyz)
@@ -405,7 +402,7 @@ func (s *Service) cachedQuery(ctx context.Context, l *lease, advisor, backend, q
 // resolved against a successor index can produce that key, so an entry a
 // miss stores after a Reload swapped adv out is never read by a lookup
 // against the successor, and ages out of the LRU. A Reload while the miss
-// is in flight still marks the flight not cacheable (Cache.Invalidate).
+// is in flight is the same case.
 func (s *Service) miss(ctx context.Context, l *lease, parent, cacheSpan *obs.Span, key string, adv *core.Advisor, backend string, terms []string) ([]core.Answer, bool, error) {
 	ctx, err := l.acquire(ctx, s, parent)
 	if err != nil {
@@ -593,7 +590,7 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusRequestEntityTooLarge, "report exceeds %d bytes", s.opts.MaxBodySize)
 		return
 	}
-	report, err := parseReport(string(body))
+	report, err := nvvp.ParseReport(string(body))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "could not parse report: %v", err)
 		return
@@ -674,20 +671,6 @@ func (s *Service) handleAdminReload(w http.ResponseWriter, r *http.Request) {
 		State:         lm.State(),
 		TraceID:       w.(*exchange).traceID,
 	})
-}
-
-// parseReport accepts both profiler formats: NVVP-style text and the JSON
-// metrics snapshot.
-func parseReport(text string) (*nvvp.Report, error) {
-	trimmed := strings.TrimSpace(text)
-	if strings.HasPrefix(trimmed, "{") {
-		m, err := nvvp.ParseMetricsJSON([]byte(trimmed))
-		if err != nil {
-			return nil, err
-		}
-		return m.Report(), nil
-	}
-	return nvvp.Parse(text)
 }
 
 // writeQueryError maps CachedQuery errors onto status codes: unknown advisor

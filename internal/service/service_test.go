@@ -438,7 +438,7 @@ func TestReloadInvalidatesCache(t *testing.T) {
 	io.Copy(io.Discard, resp2.Body)
 	resp2.Body.Close()
 	if resp2.Header.Get("X-Cache") != "miss" {
-		t.Error("cache must miss after hot-swap invalidation")
+		t.Error("cache must miss after a hot swap")
 	}
 	if got, _ := svc.Registry().Get("cuda"); got != next {
 		t.Error("registry did not swap")
@@ -446,8 +446,8 @@ func TestReloadInvalidatesCache(t *testing.T) {
 }
 
 // TestReloadDuringMissNeverCachesStaleAnswers pins the reload race: a cache
-// miss still scoring with the old advisor when Reload swaps the advisor and
-// invalidates the cache must not leave the old answers cached. The
+// miss still scoring with the old advisor when Reload swaps the advisor must
+// not leave the old answers where a later lookup finds them. The
 // vsm.score fault point's latency hook parks the miss mid-retrieval while
 // the reload runs, so the interleaving is deterministic.
 func TestReloadDuringMissNeverCachesStaleAnswers(t *testing.T) {

@@ -16,6 +16,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -128,11 +129,11 @@ func (s *Store) Save(name string, a *core.Advisor, sourcePath, sourceHash string
 	if err := validName(name); err != nil {
 		return Manifest{}, err
 	}
-	var payload strings.Builder
+	var payload bytes.Buffer
 	if err := a.Save(&payload); err != nil {
 		return Manifest{}, fmt.Errorf("store: encode %s: %w", name, err)
 	}
-	data := []byte(payload.String())
+	data := payload.Bytes()
 	man := Manifest{
 		FormatVersion: FormatVersion,
 		Advisor:       name,
@@ -275,7 +276,7 @@ func (s *Store) Load(name string) (*core.Advisor, Manifest, error) {
 		return nil, man, fmt.Errorf("%w: %s checksum %s, manifest says %s",
 			ErrCorrupt, name, sum, man.Checksum)
 	}
-	a, err := core.LoadAdvisor(strings.NewReader(string(data)))
+	a, err := core.LoadAdvisor(bytes.NewReader(data))
 	if err != nil {
 		return nil, man, fmt.Errorf("%w: decode %s: %v", ErrCorrupt, name, err)
 	}

@@ -2,13 +2,17 @@ package store_test
 
 import (
 	"bytes"
+	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/htmldoc"
 	"repro/internal/store"
 )
 
@@ -254,5 +258,103 @@ func TestHashHelpers(t *testing.T) {
 	}
 	if _, err := store.HashFile(filepath.Join(dir, "missing")); err == nil {
 		t.Error("HashFile on a missing file succeeded")
+	}
+}
+
+// snapshotWire mirrors the fields of core's snapshot stream. gob matches
+// struct fields by name, so re-encoding one writes the stream a build with
+// another format would have written.
+type snapshotWire struct {
+	Version   int
+	Threshold float64
+	Title     string
+	Sections  []htmldoc.Section
+	Sentences []htmldoc.Sentence
+	Advising  []core.AdvisingSentence
+	Terms     [][]string
+}
+
+// plantPayload replaces name's payload with data under a manifest that
+// matches it, so only the stream itself can make Load refuse it.
+func plantPayload(t *testing.T, dir, name string, data []byte) {
+	t.Helper()
+	path := filepath.Join(dir, name+".json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man store.Manifest
+	if err := json.Unmarshal(raw, &man); err != nil {
+		t.Fatal(err)
+	}
+	man.Checksum, man.Bytes = store.HashBytes(data), int64(len(data))
+	if raw, err = json.Marshal(man); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, name+".snap"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLoadRefusesOldFormats: one snapshot version is accepted, with one
+// term list and one identity of its own per sentence. A version-1 stream, a
+// stream without term lists or with one too few, and sentences without or
+// with a repeated identity are refused by core.LoadAdvisor, and store.Load
+// reports each as ErrCorrupt under a manifest that matches its bytes.
+func TestLoadRefusesOldFormats(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adv := smallAdvisor(t, 41)
+	var buf bytes.Buffer
+	if err := adv.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var current snapshotWire
+	if err := gob.NewDecoder(&buf).Decode(&current); err != nil {
+		t.Fatal(err)
+	}
+	encode := func(snap snapshotWire) []byte {
+		var b bytes.Buffer
+		if err := gob.NewEncoder(&b).Encode(snap); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	// the mirror is faithful: the current stream re-encoded still loads
+	if _, err := core.LoadAdvisor(bytes.NewReader(encode(current))); err != nil {
+		t.Fatalf("re-encoded current snapshot refused: %v", err)
+	}
+	for _, c := range []struct {
+		name   string
+		mutate func(*snapshotWire)
+	}{
+		{"version_1", func(s *snapshotWire) { s.Version = 1 }},
+		{"no_terms", func(s *snapshotWire) { s.Terms = nil }},
+		{"terms_count", func(s *snapshotWire) { s.Terms = s.Terms[:len(s.Terms)-1] }},
+		{"no_identity", func(s *snapshotWire) { s.Sentences[2].ID = "" }},
+		{"repeated_identity", func(s *snapshotWire) { s.Sentences[2].ID = s.Sentences[1].ID }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			snap := current
+			snap.Sentences = slices.Clone(current.Sentences)
+			c.mutate(&snap)
+			data := encode(snap)
+			if a, err := core.LoadAdvisor(bytes.NewReader(data)); err == nil || a != nil {
+				t.Fatalf("LoadAdvisor accepted the stream: advisor %v, err %v", a != nil, err)
+			}
+			if _, err := st.Save(c.name, adv, "", "h"); err != nil {
+				t.Fatal(err)
+			}
+			plantPayload(t, dir, c.name, data)
+			if _, _, err := st.Load(c.name); !errors.Is(err, store.ErrCorrupt) {
+				t.Fatalf("store.Load: %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }

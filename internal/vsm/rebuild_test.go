@@ -218,8 +218,8 @@ func TestRebuildEqualsColdBuild(t *testing.T) {
 
 // TestRebuildEmptySuccessor: an edit that drops every document leaves an
 // index of none, which matches nothing under either backend even at a
-// threshold that admits every document, and documents added to it again
-// give the cold build of those documents.
+// threshold that admits every document, and documents added to it again —
+// or to the zero Index — give the cold build of those documents.
 func TestRebuildEmptySuccessor(t *testing.T) {
 	ix := BuildFromTerms([][]string{{"a"}, {"b"}}, nil)
 	empty, err := ix.Rebuild(nil, nil, nil)
@@ -239,9 +239,11 @@ func TestRebuildEmptySuccessor(t *testing.T) {
 	for i, terms := range lists {
 		added[i] = AddedDoc{Pos: i, Terms: terms}
 	}
-	refilled, err := empty.Rebuild(nil, added, nil)
-	if err != nil {
-		t.Fatalf("refill: %v", err)
+	for _, base := range []*Index{empty, new(Index)} {
+		refilled, err := base.Rebuild(nil, added, nil)
+		if err != nil {
+			t.Fatalf("refill: %v", err)
+		}
+		sameIndex(t, refilled, BuildFromTerms(lists, nil))
 	}
-	sameIndex(t, refilled, BuildFromTerms(lists, nil))
 }

@@ -290,7 +290,8 @@ type AddedDoc struct {
 // sentences at their new positions. Together they must tile the successor
 // document exactly — every position in [0, kept+added) assigned once.
 // served is the successor's mask, aligned with its positions (nil serves
-// every document).
+// every document). The zero Index holds no documents, so rebuilding it with
+// every document added is a cold build.
 //
 // Global statistics — document frequencies, IDF, and therefore every weight
 // — are recomputed from the merged set: IDF is corpus-wide, so one edit can

@@ -364,17 +364,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	text := r.FormValue("report")
-	var report *nvvp.Report
-	var err error
-	if strings.HasPrefix(strings.TrimSpace(text), "{") {
-		var m *nvvp.Metrics
-		if m, err = nvvp.ParseMetricsJSON([]byte(text)); err == nil {
-			report = m.Report()
-		}
-	} else {
-		report, err = nvvp.Parse(text)
-	}
+	report, err := nvvp.ParseReport(r.FormValue("report"))
 	if err != nil {
 		http.Error(w, "could not parse report: "+err.Error(), http.StatusBadRequest)
 		return

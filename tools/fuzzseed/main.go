@@ -15,7 +15,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"log"
 	"net/url"
@@ -27,9 +26,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/gpusim"
-	"repro/internal/htmldoc"
 	"repro/internal/nvvp"
-	"repro/internal/textproc"
 )
 
 func main() {
@@ -106,15 +103,6 @@ func main() {
 			snaps = append(snaps, seed{"cuda_head_only", string(valid[:24])})
 		}
 	}
-	// pre-identity snapshots: streams an older build wrote, with no ID field
-	// on sentences — one with per-sentence Terms (loads as a full-fidelity
-	// warm start) and one without (the text-renormalizing fallback). Both
-	// must keep loading forever.
-	legacyTerms, legacyBare := legacySnapshots(corpus.GenerateSized(corpus.CUDA, 60, 0.3, 11))
-	snaps = append(snaps,
-		seed{"cuda_legacy_terms_only", string(legacyTerms)},
-		seed{"cuda_legacy_no_terms", string(legacyBare)},
-	)
 	snaps = append(snaps, seed{"empty", ""}, seed{"not_gob", "{\"advisor\":\"cuda\"}"})
 	write("internal/core/testdata/fuzz/FuzzLoadAdvisor", "[]byte", snaps)
 
@@ -217,51 +205,6 @@ func askSeeds() []seed {
 		out = append(out, seed{fmt.Sprintf("ask_bad_%d", i), raw})
 	}
 	return out
-}
-
-// legacySentence mirrors the pre-identity htmldoc.Sentence wire shape: no ID
-// field. gob matches struct fields by name, so encoding these locally-defined
-// structs reproduces byte-compatible old-format streams.
-type legacySentence struct {
-	Text    string
-	Section int
-}
-
-// legacySnapshot mirrors the pre-identity advisorSnapshot wire shape.
-type legacySnapshot struct {
-	Version   int
-	Threshold float64
-	Title     string
-	Sections  []htmldoc.Section
-	Sentences []legacySentence
-	Advising  []core.AdvisingSentence
-	Terms     [][]string
-}
-
-// legacySnapshots encodes a guide the way pre-identity builds persisted it:
-// once with the per-sentence Terms lists, once without.
-func legacySnapshots(g *corpus.Guide) (withTerms, withoutTerms []byte) {
-	adv := core.New().BuildFromSentences(g.Doc, g.Sentences)
-	snap := legacySnapshot{
-		Version:   1,
-		Threshold: 0.15,
-		Title:     g.Doc.Title,
-		Sections:  g.Doc.Sections,
-		Advising:  adv.Rules(),
-	}
-	for _, s := range g.Sentences {
-		snap.Sentences = append(snap.Sentences, legacySentence{Text: s.Text, Section: s.Section})
-		snap.Terms = append(snap.Terms, textproc.NormalizeTerms(s.Text))
-	}
-	var a, b bytes.Buffer
-	if err := gob.NewEncoder(&a).Encode(snap); err != nil {
-		log.Fatal(err)
-	}
-	snap.Terms = nil
-	if err := gob.NewEncoder(&b).Encode(snap); err != nil {
-		log.Fatal(err)
-	}
-	return a.Bytes(), b.Bytes()
 }
 
 type seed struct{ name, value string }
