@@ -310,8 +310,14 @@ func TestServeChaosSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fingerprints := map[string]string{}
+	for _, src := range newSources() {
+		if fingerprints[src.Name], err = src.Fingerprint(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, a := range advisors {
-		_, _, err := fresh.Load(a)
+		_, _, err := fresh.Load(a, fingerprints[a])
 		switch {
 		case err == nil, errors.Is(err, store.ErrNotFound):
 		case errors.Is(err, store.ErrCorrupt):
@@ -353,7 +359,7 @@ func TestServeChaosSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, a := range advisors {
-		if _, man, err := healed.Load(a); err != nil || man.Advisor != a {
+		if _, man, err := healed.Load(a, fingerprints[a]); err != nil || man.Advisor != a {
 			t.Errorf("store not healed after quarantine boot: %s: %v", a, err)
 		}
 	}

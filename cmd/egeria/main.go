@@ -18,9 +18,9 @@
 //
 // diff compares a saved advisor snapshot against the current version of a
 // source (a document file, or a built-in corpus name with -seed) by stable
-// sentence identity: it prints the kept/added/removed partition, the change
-// ratio, and whether a serve reload at -incremental-threshold would take
-// the differential rebuild path or run the full pipeline.
+// sentence identity: it prints the kept/added/removed partition and the
+// change and reuse ratios. A serve reload of that edit re-runs Stage I over
+// the added sentences only.
 //
 // serve hosts the production layer of internal/service: the HTML UI at /
 // (with a federated /ask page), a JSON API under /v1/ (advisors, rules,
@@ -40,6 +40,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"log/slog"
 	"net/http"
@@ -93,13 +94,10 @@ func main() {
 		brkThresh = flag.Int("breaker-threshold", service.DefaultBreakerThreshold, "consecutive failures that open an advisor's circuit breaker")
 		brkCool   = flag.Duration("breaker-cooldown", service.DefaultBreakerCooldown, "how long an open breaker waits before probing the advisor again")
 
-		// corpus lifecycle flags (serve subcommand; -incremental-threshold
-		// also sets the mode the diff subcommand predicts)
+		// corpus lifecycle flags (serve subcommand)
 		snapshotDir     = flag.String("snapshot-dir", "", "directory of advisor snapshots: serve warm-starts from it and persists rebuilds to it (empty: cold build, no persistence)")
 		watch           = flag.Bool("watch", false, "poll source documents and hot-reload advisors when they change")
 		rebuildInterval = flag.Duration("rebuild-interval", 15*time.Second, "poll period for -watch")
-		incrThreshold   = flag.Float64("incremental-threshold", lifecycle.DefaultIncrementalThreshold,
-			"change-ratio ceiling for differential rebuilds: edits touching at most this fraction of a document reuse the previous advisor's per-sentence work (negative disables incremental rebuilds)")
 	)
 	flag.Parse()
 	args := flag.Args()
@@ -183,7 +181,6 @@ func main() {
 			snapshotDir:     *snapshotDir,
 			watch:           *watch,
 			rebuildInterval: *rebuildInterval,
-			incrThreshold:   *incrThreshold,
 			cacheSize:       *cacheSize,
 			maxInflight:     *maxInflight,
 			maxBatch:        *maxBatch,
@@ -237,12 +234,11 @@ func main() {
 		log.Printf("synthetic guide exported to %s", args[1])
 	case "diff":
 		// diff <snapshot> <source> — compare a saved advisor against the
-		// current version of its source by sentence identity, and predict
-		// whether a reload would rebuild incrementally or in full
+		// current version of its source by sentence identity
 		if len(args) < 3 {
 			log.Fatal("diff requires a snapshot path and a source (document path or built-in corpus name)")
 		}
-		if err := cmdDiff(args[1], args[2], *seed, *incrThreshold); err != nil {
+		if err := cmdDiff(os.Stdout, args[1], args[2], *seed); err != nil {
 			log.Fatal(err)
 		}
 	default:
@@ -273,10 +269,10 @@ func loadDiffSource(source string, seed int64) (*htmldoc.Document, []htmldoc.Sen
 	return g.Doc, g.Sentences, nil
 }
 
-// cmdDiff prints the identity diff between a saved advisor and the current
-// version of a source: the kept/added/removed partition, the change ratio,
-// and the rebuild mode a serve reload would pick at the given threshold.
-func cmdDiff(snapPath, source string, seed int64, threshold float64) error {
+// cmdDiff writes the identity diff between a saved advisor and the current
+// version of a source to w: the kept/added/removed partition, the change
+// and reuse ratios, and a sample of the added and removed sentences.
+func cmdDiff(w io.Writer, snapPath, source string, seed int64) error {
 	advisor, err := loadAdvisorFile(snapPath)
 	if err != nil {
 		return err
@@ -288,28 +284,22 @@ func cmdDiff(snapPath, source string, seed int64, threshold float64) error {
 	sents = htmldoc.StampIDs(d, sents)
 	diffs := doc.Diff(advisor.SentenceIDs(), htmldoc.IDsOf(sents))
 
-	fmt.Printf("%s (%d sentences) vs %s (%d sentences)\n", snapPath, diffs.OldLen, source, diffs.NewLen)
-	fmt.Printf("  kept    %d\n  added   %d\n  removed %d\n", len(diffs.Kept), len(diffs.Added), len(diffs.Removed))
-	fmt.Printf("  change ratio %.3f, reuse ratio %.3f\n", diffs.ChangeRatio(), diffs.ReuseRatio())
-	mode := "full"
-	if threshold >= 0 && diffs.ChangeRatio() <= threshold {
-		mode = "incremental"
-	}
-	fmt.Printf("  a reload at -incremental-threshold %.2f would rebuild: %s\n", threshold, mode)
-
+	fmt.Fprintf(w, "%s (%d sentences) vs %s (%d sentences)\n", snapPath, diffs.OldLen, source, diffs.NewLen)
+	fmt.Fprintf(w, "  kept    %d\n  added   %d\n  removed %d\n", len(diffs.Kept), len(diffs.Added), len(diffs.Removed))
+	fmt.Fprintf(w, "  change ratio %.3f, reuse ratio %.3f\n", diffs.ChangeRatio(), diffs.ReuseRatio())
 	for i, j := range diffs.Added {
 		if i == diffSampleCap {
-			fmt.Printf("  ... and %d more added\n", len(diffs.Added)-diffSampleCap)
+			fmt.Fprintf(w, "  ... and %d more added\n", len(diffs.Added)-diffSampleCap)
 			break
 		}
-		fmt.Printf("  + %s\n", sents[j].Text)
+		fmt.Fprintf(w, "  + %s\n", sents[j].Text)
 	}
 	for i, k := range diffs.Removed {
 		if i == diffSampleCap {
-			fmt.Printf("  ... and %d more removed\n", len(diffs.Removed)-diffSampleCap)
+			fmt.Fprintf(w, "  ... and %d more removed\n", len(diffs.Removed)-diffSampleCap)
 			break
 		}
-		fmt.Printf("  - %s\n", advisor.SentenceText(k))
+		fmt.Fprintf(w, "  - %s\n", advisor.SentenceText(k))
 	}
 	return nil
 }
@@ -456,7 +446,6 @@ type serveConfig struct {
 	snapshotDir     string // "" disables the snapshot store
 	watch           bool
 	rebuildInterval time.Duration
-	incrThreshold   float64 // change-ratio ceiling for differential rebuilds (0: default, negative: disabled)
 	cacheSize       int
 	maxInflight     int
 	maxBatch        int
@@ -492,15 +481,10 @@ func corpusSource(fw *core.Framework, name string, reg corpus.Register, seed int
 	return lifecycle.Source{
 		Name:        name,
 		Fingerprint: func() (string, error) { return fp, nil },
-		Build: func(ctx context.Context) (*core.Advisor, error) {
+		Build: func(ctx context.Context, prev *core.Advisor) (*core.Advisor, error) {
 			g := corpus.Generate(reg, seed)
-			return fw.BuildFromSentencesCtx(ctx, g.Doc, g.Sentences), nil
+			return fw.UpdateFromSentencesCtx(ctx, prev, g.Doc, g.Sentences)
 		},
-		Sentences: func(ctx context.Context) (*htmldoc.Document, []htmldoc.Sentence, error) {
-			g := corpus.Generate(reg, seed)
-			return g.Doc, g.Sentences, nil
-		},
-		Update: fw.UpdateFromSentencesCtx,
 	}
 }
 
@@ -518,21 +502,13 @@ func docSource(fw *core.Framework, name, path, cfgHash string) lifecycle.Source 
 			}
 			return store.HashBytes([]byte("doc:" + h + ":cfg=" + cfgHash)), nil
 		},
-		Build: func(ctx context.Context) (*core.Advisor, error) {
+		Build: func(ctx context.Context, prev *core.Advisor) (*core.Advisor, error) {
 			doc, err := parseDocFile(path)
 			if err != nil {
 				return nil, err
 			}
-			return fw.BuildFromSentencesCtx(ctx, doc, doc.Sentences()), nil
+			return fw.UpdateFromSentencesCtx(ctx, prev, doc, doc.Sentences())
 		},
-		Sentences: func(ctx context.Context) (*htmldoc.Document, []htmldoc.Sentence, error) {
-			doc, err := parseDocFile(path)
-			if err != nil {
-				return nil, nil, err
-			}
-			return doc, doc.Sentences(), nil
-		},
-		Update: fw.UpdateFromSentencesCtx,
 	}
 }
 
@@ -606,15 +582,14 @@ func buildServeHandler(fw *core.Framework, cfg serveConfig, logger *slog.Logger)
 
 	registry := service.NewRegistry()
 	mgr := lifecycle.New(lifecycle.Options{
-		Store:                snapStore,
-		Register:             registry.Add,
-		Interval:             cfg.rebuildInterval,
-		Retries:              cfg.retries,
-		Backoff:              cfg.backoff,
-		Logger:               logger,
-		Metrics:              cfg.metrics,
-		Fault:                injector,
-		IncrementalThreshold: cfg.incrThreshold,
+		Store:    snapStore,
+		Register: registry.Add,
+		Interval: cfg.rebuildInterval,
+		Retries:  cfg.retries,
+		Backoff:  cfg.backoff,
+		Logger:   logger,
+		Metrics:  cfg.metrics,
+		Fault:    injector,
 	})
 	for _, src := range sources {
 		if err := mgr.AddSource(src); err != nil {

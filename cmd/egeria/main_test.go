@@ -1,8 +1,10 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -205,5 +207,62 @@ func TestSaveLoadCLIRoundTrip(t *testing.T) {
 	}
 	if err := cmdLoad(garbage, "rules", nil); err == nil {
 		t.Error("garbage snapshot accepted")
+	}
+}
+
+// TestCmdDiff: egeria diff prints the identity partition of a saved advisor
+// against the current version of a source, and refuses a source that is
+// neither a document path nor a built-in corpus name.
+func TestCmdDiff(t *testing.T) {
+	a, _, err := buildAdvisor(core.New(), "", "cuda", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "cuda.snap")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// counts parses the kept/added/removed lines of cmdDiff's output
+	counts := func(source string, seed int64) map[string]int {
+		t.Helper()
+		var out strings.Builder
+		if err := cmdDiff(&out, path, source, seed); err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]int{}
+		for _, line := range strings.Split(out.String(), "\n") {
+			if f := strings.Fields(line); len(f) == 2 && (f[0] == "kept" || f[0] == "added" || f[0] == "removed") {
+				n, err := strconv.Atoi(f[1])
+				if err != nil {
+					t.Fatalf("line %q: %v", line, err)
+				}
+				got[f[0]] = n
+			}
+		}
+		return got
+	}
+	if got := counts("cuda", 1); got["kept"] != a.SentenceCount() || got["added"] != 0 || got["removed"] != 0 {
+		t.Errorf("same seed: %v, want kept %d, added 0, removed 0", got, a.SentenceCount())
+	}
+	if got := counts("cuda", 2); got["added"] == 0 || got["removed"] == 0 {
+		t.Errorf("another seed: %v, want added and removed sentences", got)
+	}
+	html := filepath.Join(dir, "cuda.html")
+	if err := exportCorpus("cuda", 1, html); err != nil {
+		t.Fatal(err)
+	}
+	if got := counts(html, 1); got["kept"] == 0 {
+		t.Errorf("exported guide: %v, want kept sentences", got)
+	}
+	if err := cmdDiff(io.Discard, path, "fortran", 1); err == nil {
+		t.Error("a source that is neither a document nor a corpus name was accepted")
 	}
 }

@@ -32,9 +32,9 @@ func testSource(t testing.TB, name string, size int, seed int64) lifecycle.Sourc
 	return lifecycle.Source{
 		Name:        name,
 		Fingerprint: func() (string, error) { return fmt.Sprintf("test:%s:%d:%d", name, size, seed), nil },
-		Build: func(ctx context.Context) (*core.Advisor, error) {
+		Build: func(ctx context.Context, prev *core.Advisor) (*core.Advisor, error) {
 			g := corpus.GenerateSized(reg, size, 0.3, seed)
-			return core.New().BuildFromSentences(g.Doc, g.Sentences), nil
+			return core.New().UpdateFromSentencesCtx(ctx, prev, g.Doc, g.Sentences)
 		},
 	}
 }
@@ -434,13 +434,13 @@ func TestServeReloadRaceHammer(t *testing.T) {
 	src := lifecycle.Source{
 		Name:        "cuda",
 		Fingerprint: func() (string, error) { return "hammer", nil },
-		Build: func(ctx context.Context) (*core.Advisor, error) {
+		Build: func(ctx context.Context, prev *core.Advisor) (*core.Advisor, error) {
 			seqMu.Lock()
 			buildSeq++
 			seed := buildSeq
 			seqMu.Unlock()
 			g := corpus.GenerateSized(corpus.CUDA, 80, 0.3, seed)
-			return core.New().BuildFromSentences(g.Doc, g.Sentences), nil
+			return core.New().UpdateFromSentencesCtx(ctx, prev, g.Doc, g.Sentences)
 		},
 	}
 	metrics := obs.NewRegistry()

@@ -204,19 +204,11 @@ func (f *Framework) BuildFromDocument(doc *htmldoc.Document) *Advisor {
 // with one built from the raw texts (the annotation terms equal
 // textproc.NormalizeTerms), but tokenization and stemming run once per
 // sentence instead of twice.
-func (f *Framework) BuildFromSentences(doc *htmldoc.Document, sents []htmldoc.Sentence) *Advisor {
-	return f.BuildFromSentencesCtx(context.Background(), doc, sents)
-}
-
-// BuildFromSentencesCtx is BuildFromSentences under a trace: when ctx
-// carries a sampled span, the three pipeline stages are recorded as
-// annotate/classify/index child spans of a "core.build" span. The same
-// stage timings also feed BuildStats and the core_build_* histograms.
 //
 // A cold build is the update from nothing: UpdateFromSentencesCtx with a
 // nil predecessor, which marks every sentence Added and cannot fail.
-func (f *Framework) BuildFromSentencesCtx(ctx context.Context, doc *htmldoc.Document, sents []htmldoc.Sentence) *Advisor {
-	a, _ := f.UpdateFromSentencesCtx(ctx, nil, doc, sents)
+func (f *Framework) BuildFromSentences(doc *htmldoc.Document, sents []htmldoc.Sentence) *Advisor {
+	a, _ := f.UpdateFromSentencesCtx(context.Background(), nil, doc, sents)
 	return a
 }
 

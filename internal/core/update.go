@@ -38,7 +38,7 @@ func (f *Framework) UpdateFromSentences(prev *Advisor, d *htmldoc.Document, sent
 // reuses the kept sentences' term counts.
 //
 // A nil prev holds no sentences, so every sentence is Added and the result
-// is the cold build (BuildFromSentencesCtx), traced as "core.build" and
+// is the cold build (BuildFromSentences), traced as "core.build" and
 // counted by the core_build_* metrics; an update from an advisor is traced
 // as "core.update" and counted by the core_update_* ones.
 //

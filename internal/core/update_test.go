@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -181,4 +182,45 @@ func TestUpdateFromNothing(t *testing.T) {
 		t.Fatalf("an update from nothing reused %d sentences", got)
 	}
 	assertEquivalent(t, inc, f.BuildFromSentences(g.Doc, g.Sentences))
+}
+
+// BenchmarkUpdateVsCold times, on the full CUDA guide, an update from the
+// advisor of the original guide against a cold build of the same edited
+// sentences, at change ratios from a small edit to a full rewrite (each
+// rewritten sentence is one removal plus one addition). The lifecycle
+// updates the serving advisor whatever the ratio; these are the timings
+// behind that choice.
+func BenchmarkUpdateVsCold(b *testing.B) {
+	g := corpus.Generate(corpus.CUDA, 42)
+	f := New()
+	prev := f.BuildFromSentences(g.Doc, g.Sentences)
+	n := len(g.Sentences)
+	for _, ratio := range []float64{0.01, 0.3, 0.6, 1.0, 2.0} {
+		k := int(math.Round(ratio * float64(n) / 2))
+		sents := make([]htmldoc.Sentence, n)
+		for i, s := range g.Sentences {
+			sents[i] = htmldoc.Sentence{Text: s.Text, Section: s.Section}
+		}
+		for j := 0; j < k; j++ {
+			i := j * n / k
+			sents[i].Text = fmt.Sprintf("Coalesce global memory accesses for full bandwidth, rewrite %d.", i)
+		}
+		diffs := doc.Diff(prev.ids, htmldoc.IDsOf(htmldoc.StampIDs(g.Doc, sents)))
+		if got := diffs.ChangeRatio(); math.Abs(got-ratio) > 0.01 {
+			b.Fatalf("edit for ratio %.2f has change ratio %.4f", ratio, got)
+		}
+		name := fmt.Sprintf("ratio=%.2f", ratio)
+		b.Run(name+"/update", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := f.UpdateFromSentences(prev, g.Doc, sents); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"/cold", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				f.BuildFromSentences(g.Doc, sents)
+			}
+		})
+	}
 }

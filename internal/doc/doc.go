@@ -120,8 +120,8 @@ func Diff(old, new []SentenceID) Diffs {
 
 // ChangeRatio is the fraction of the document the edit touched:
 // (added + removed) / max(oldLen, newLen). A no-op edit is 0; a complete
-// rewrite approaches 2 (everything removed plus everything added). The
-// lifecycle manager compares it against the incremental-rebuild threshold.
+// rewrite approaches 2 (everything removed plus everything added).
+// `egeria diff` reports it.
 func (d Diffs) ChangeRatio() float64 {
 	n := d.OldLen
 	if d.NewLen > n {

@@ -21,9 +21,9 @@ func fullGuideSources() []lifecycle.Source {
 		srcs = append(srcs, lifecycle.Source{
 			Name:        reg.String(),
 			Fingerprint: func() (string, error) { return fmt.Sprintf("bench:%d:42", reg), nil },
-			Build: func(ctx context.Context) (*core.Advisor, error) {
+			Build: func(ctx context.Context, prev *core.Advisor) (*core.Advisor, error) {
 				g := corpus.Generate(reg, 42)
-				return core.New().BuildFromSentences(g.Doc, g.Sentences), nil
+				return core.New().UpdateFromSentencesCtx(ctx, prev, g.Doc, g.Sentences)
 			},
 		})
 	}
@@ -56,14 +56,12 @@ func BenchmarkColdBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalRebuild measures the differential rebuild path on the
-// 3-guide registry: each iteration edits a single sentence of the CUDA guide
-// and reloads it, so Stage I re-runs over exactly one sentence and the index
-// is rebuilt from the kept term counts. The acceptance bar is >= 5x faster
-// than BenchmarkColdBuild (which rebuilds all three guides from scratch),
-// with answers bit-identical to a full build under both backends (enforced
-// by the equivalence suites in core and eval).
-func BenchmarkIncrementalRebuild(b *testing.B) {
+// benchReloads warm-starts the 3-guide registry over editable guides, then
+// times b.N reloads of the CUDA guide, applying edit(cuda, i) before the
+// i'th, and checks that every reload was one update from the serving
+// advisor.
+func benchReloads(b *testing.B, edit func(cuda *editableGuide, i int)) {
+	b.Helper()
 	guides := []*editableGuide{
 		newEditableGuide("cuda", corpus.CUDA, 0, 42),
 		newEditableGuide("opencl", corpus.OpenCL, 0, 42),
@@ -84,15 +82,42 @@ func BenchmarkIncrementalRebuild(b *testing.B) {
 	cuda := guides[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cuda.setEdit(10, fmt.Sprintf("Coalesce global memory accesses for full bandwidth, revision %d.", i))
+		edit(cuda, i)
 		if err := m.ReloadNow(context.Background(), "cuda"); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	if got := m.State().IncrementalRebuilds; got != int64(b.N) {
-		b.Fatalf("incremental rebuilds = %d, want %d (some reloads took the full path)", got, b.N)
+	if got := cuda.updates.Load(); got != int64(b.N) {
+		b.Fatalf("updates = %d, want %d (some reloads built from nothing)", got, b.N)
 	}
+}
+
+// BenchmarkIncrementalRebuild measures a one-sentence edit on the 3-guide
+// registry: each iteration edits a single sentence of the CUDA guide and
+// reloads it, so Stage I re-runs over exactly one sentence and the index is
+// rebuilt from the kept term counts. The acceptance bar is >= 5x faster
+// than BenchmarkColdBuild (which rebuilds all three guides from scratch),
+// with answers bit-identical to a cold build under both backends (enforced
+// by the equivalence suites in core and eval).
+func BenchmarkIncrementalRebuild(b *testing.B) {
+	benchReloads(b, func(cuda *editableGuide, i int) {
+		cuda.setEdit(10, fmt.Sprintf("Coalesce global memory accesses for full bandwidth, revision %d.", i))
+	})
+}
+
+// BenchmarkRewriteRebuild measures a large edit on the same registry: each
+// iteration rewrites 30% of the CUDA guide's 2,140 sentences (change ratio
+// 0.6, each rewrite one removal plus one addition) and reloads it as one
+// update, so Stage I re-runs over 642 sentences.
+func BenchmarkRewriteRebuild(b *testing.B) {
+	benchReloads(b, func(cuda *editableGuide, i int) {
+		for j := range cuda.base {
+			if j%10 < 3 {
+				cuda.setEdit(j, fmt.Sprintf("Coalesce global memory accesses for full bandwidth, revision %d of sentence %d.", i, j))
+			}
+		}
+	})
 }
 
 // BenchmarkWarmStart boots the same 3-guide registry from a pre-populated

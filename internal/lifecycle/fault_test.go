@@ -61,7 +61,11 @@ func TestSnapshotRetriesOnStoreFaults(t *testing.T) {
 	if got := metrics.Counter("lifecycle_store_retries_total").Value(); got != 2 {
 		t.Fatalf("clean save still retried: %d", got)
 	}
-	if _, man, err := st.Load("cuda"); err != nil || man.Advisor != "cuda" {
+	fp, err := src.source().Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, man, err := st.Load("cuda", fp); err != nil || man.Advisor != "cuda" {
 		t.Fatalf("post-recovery snapshot missing: %v", err)
 	}
 }

@@ -2,11 +2,13 @@ package lifecycle_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -19,8 +21,8 @@ import (
 )
 
 // editableGuide is a Source over a guide whose sentences a test (or the
-// benchmark) can edit between reloads, with full builds and incremental
-// updates counted separately.
+// benchmark) can edit between reloads, with builds from nothing and updates
+// from a previous advisor counted separately.
 type editableGuide struct {
 	name       string
 	fw         *core.Framework
@@ -29,8 +31,8 @@ type editableGuide struct {
 	base       []htmldoc.Sentence // pristine extraction (texts + section indices)
 	edits      map[int]string     // sentence index → replacement text
 	version    int
-	fullBuilds atomic.Int64
-	updates    atomic.Int64
+	coldBuilds atomic.Int64 // Build calls with a nil prev
+	updates    atomic.Int64 // Build calls with a prev to update
 }
 
 func newEditableGuide(name string, reg corpus.Register, n int, seed int64) *editableGuide {
@@ -80,16 +82,13 @@ func (e *editableGuide) source() lifecycle.Source {
 			defer e.mu.Unlock()
 			return fmt.Sprintf("%s:v%d", e.name, e.version), nil
 		},
-		Build: func(ctx context.Context) (*core.Advisor, error) {
-			e.fullBuilds.Add(1)
-			return e.fw.BuildFromSentencesCtx(ctx, e.d, e.sentences()), nil
-		},
-		Sentences: func(ctx context.Context) (*htmldoc.Document, []htmldoc.Sentence, error) {
-			return e.d, e.sentences(), nil
-		},
-		Update: func(ctx context.Context, prev *core.Advisor, d *htmldoc.Document, sents []htmldoc.Sentence) (*core.Advisor, error) {
-			e.updates.Add(1)
-			return e.fw.UpdateFromSentencesCtx(ctx, prev, d, sents)
+		Build: func(ctx context.Context, prev *core.Advisor) (*core.Advisor, error) {
+			if prev == nil {
+				e.coldBuilds.Add(1)
+			} else {
+				e.updates.Add(1)
+			}
+			return e.fw.UpdateFromSentencesCtx(ctx, prev, e.d, e.sentences())
 		},
 	}
 }
@@ -152,17 +151,10 @@ func TestIncrementalRebuildSmallEdit(t *testing.T) {
 	if got := g.updates.Load(); got != 1 {
 		t.Fatalf("incremental updates = %d, want 1", got)
 	}
-	if got := g.fullBuilds.Load(); got != 1 { // warm start only
-		t.Fatalf("full builds = %d, want 1", got)
+	if got := g.coldBuilds.Load(); got != 1 { // warm start only
+		t.Fatalf("cold builds = %d, want 1", got)
 	}
-	st := m.State()
-	if st.IncrementalRebuilds != 1 || st.FullRebuilds != 0 {
-		t.Fatalf("rebuild counters: incremental=%d full=%d", st.IncrementalRebuilds, st.FullRebuilds)
-	}
-	adv := st.Advisors[0]
-	if adv.LastMode != "incremental" {
-		t.Fatalf("LastMode = %q, want incremental", adv.LastMode)
-	}
+	adv := m.State().Advisors[0]
 	if want := float64(119) / 120; adv.LastReuseRatio != want {
 		t.Fatalf("LastReuseRatio = %v, want %v", adv.LastReuseRatio, want)
 	}
@@ -171,40 +163,65 @@ func TestIncrementalRebuildSmallEdit(t *testing.T) {
 	assertSameAnswers(t, reg.get("cuda"), g.fw.BuildFromSentences(g.d, g.sentences()))
 }
 
-func TestFullRebuildAboveThreshold(t *testing.T) {
+// TestLargeRewriteUpdates: an edit of any size reloads as one update from
+// the serving advisor, here at change ratios 0.6 (18 of 60 sentences
+// rewritten) and 2.0 (all 60), with answers equal to a cold build.
+func TestLargeRewriteUpdates(t *testing.T) {
 	g := newEditableGuide("cuda", corpus.CUDA, 60, 53)
-	m, _ := incrementalManager(t, nil, g)
+	m, reg := incrementalManager(t, nil, g)
 	if err := m.WarmStart(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 25; i++ { // rewrite >30% of the document
-		g.setEdit(i, fmt.Sprintf("Rewritten guidance sentence number %d about memory.", i))
+	// the rewrites stay advising sentences, or Verify would reject the
+	// guide rewritten in full
+	advice := []string{
+		"Use shared memory tiles to cut redundant global loads",
+		"Coalesce global memory accesses across each warp",
+		"Avoid divergent branches inside a warp",
+		"Overlap host transfers with kernel execution using streams",
+		"Prefer pinned host memory for faster transfers",
+		"Limit register use per thread to raise occupancy",
 	}
-	if err := m.ReloadNow(context.Background(), "cuda"); err != nil {
-		t.Fatal(err)
+	for round, n := range []int{18, 60} {
+		for i := 0; i < n; i++ {
+			g.setEdit(i, fmt.Sprintf("%s, revision %d of sentence %d.", advice[i%len(advice)], round, i))
+		}
+		if err := m.ReloadNow(context.Background(), "cuda"); err != nil {
+			t.Fatalf("rewrite of %d sentences: %v", n, err)
+		}
+		if got := g.updates.Load(); got != int64(round+1) {
+			t.Fatalf("rewrite of %d sentences: %d updates, want %d", n, got, round+1)
+		}
+		if got, want := m.State().Advisors[0].LastReuseRatio, float64(60-n)/60; got != want {
+			t.Fatalf("rewrite of %d sentences: reuse ratio %v, want %v", n, got, want)
+		}
+		assertSameAnswers(t, reg.get("cuda"), g.fw.BuildFromSentences(g.d, g.sentences()))
 	}
-	if got := g.updates.Load(); got != 0 {
-		t.Fatalf("incremental updates = %d, want 0", got)
-	}
-	st := m.State()
-	if st.FullRebuilds != 1 || st.IncrementalRebuilds != 0 {
-		t.Fatalf("rebuild counters: incremental=%d full=%d", st.IncrementalRebuilds, st.FullRebuilds)
-	}
-	if got := st.Advisors[0].LastMode; got != "full" {
-		t.Fatalf("LastMode = %q, want full", got)
+	if got := g.coldBuilds.Load(); got != 1 { // warm start only
+		t.Fatalf("cold builds = %d, want 1", got)
 	}
 }
 
-func TestIncrementalDisabledByNegativeThreshold(t *testing.T) {
+// TestRetryBuildsFromNothing: a serving advisor that cannot be updated
+// still reloads, because a rebuild's retry builds from nothing.
+func TestRetryBuildsFromNothing(t *testing.T) {
 	g := newEditableGuide("cuda", corpus.CUDA, 60, 55)
+	src := g.source()
+	build := src.Build
+	src.Build = func(ctx context.Context, prev *core.Advisor) (*core.Advisor, error) {
+		if prev != nil {
+			return nil, errors.New("base cannot be updated")
+		}
+		return build(ctx, nil)
+	}
 	reg := newFakeRegistry()
 	m := lifecycle.New(lifecycle.Options{
-		Register:             reg.register,
-		Swap:                 reg.swap,
-		Metrics:              obs.NewRegistry(),
-		IncrementalThreshold: -1,
+		Register: reg.register,
+		Swap:     reg.swap,
+		Backoff:  time.Millisecond,
+		Metrics:  obs.NewRegistry(),
 	})
-	if err := m.AddSource(g.source()); err != nil {
+	if err := m.AddSource(src); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.WarmStart(context.Background()); err != nil {
@@ -212,14 +229,19 @@ func TestIncrementalDisabledByNegativeThreshold(t *testing.T) {
 	}
 	g.setEdit(3, "Use shared memory tiles to cut redundant global loads.")
 	if err := m.ReloadNow(context.Background(), "cuda"); err != nil {
-		t.Fatal(err)
+		t.Fatalf("reload did not recover on its retry: %v", err)
 	}
-	if got := g.updates.Load(); got != 0 {
-		t.Fatalf("incremental updates = %d, want 0 (path disabled)", got)
+	st := m.State()
+	if st.BuildFailures != 1 || st.Reloads != 1 {
+		t.Fatalf("build failures %d, reloads %d; want 1, 1", st.BuildFailures, st.Reloads)
 	}
-	if st := m.State(); st.FullRebuilds != 1 {
-		t.Fatalf("full rebuilds = %d, want 1", st.FullRebuilds)
+	if got := g.coldBuilds.Load(); got != 2 { // warm start and the retry
+		t.Fatalf("cold builds = %d, want 2", got)
 	}
+	if got := st.Advisors[0].LastReuseRatio; got != 0 {
+		t.Fatalf("reuse ratio of a build from nothing = %v, want 0", got)
+	}
+	assertSameAnswers(t, reg.get("cuda"), g.fw.BuildFromSentences(g.d, g.sentences()))
 }
 
 // TestIncrementalAfterSnapshotWarmStart exercises the warm-started base: an
@@ -248,8 +270,8 @@ func TestIncrementalAfterSnapshotWarmStart(t *testing.T) {
 	if err := m2.ReloadNow(context.Background(), "cuda"); err != nil {
 		t.Fatal(err)
 	}
-	if got := m2.State().IncrementalRebuilds; got != 1 {
-		t.Fatalf("incremental rebuilds = %d, want 1 (warm-started base)", got)
+	if got := g.updates.Load(); got != 1 {
+		t.Fatalf("incremental updates = %d, want 1 (warm-started base)", got)
 	}
 	assertSameAnswers(t, reg.get("cuda"), g.fw.BuildFromSentences(g.d, g.sentences()))
 }

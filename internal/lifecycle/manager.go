@@ -13,10 +13,11 @@
 // fingerprint changed is rebuilt only after the new fingerprint has been
 // observed in two consecutive polls, so a guide mid-edit does not trigger a
 // storm of half-baked rebuilds. Rebuilds run in a bounded worker pool with
-// per-advisor single-flight and retry-with-backoff; each successful build is
-// verified (non-empty rules, self-query smoke check), snapshotted, and then
-// hot-swapped into the live registry through the configured Swap hook (the
-// service's Reload).
+// per-advisor single-flight and retry-with-backoff. A rebuild's first
+// attempt updates the serving advisor (Source.Build with it as prev); a
+// retry builds from nothing. Each successful build is verified (non-empty
+// rules, self-query smoke check), snapshotted, and then hot-swapped into the
+// live registry through the configured Swap hook (the service's Reload).
 // Pause is the kill switch: the watcher keeps polling but triggers nothing
 // until Resume.
 package lifecycle
@@ -34,9 +35,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/doc"
 	"repro/internal/fault"
-	"repro/internal/htmldoc"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -61,20 +60,12 @@ type Source struct {
 	// fingerprints promise bit-identical builds; the watcher polls it and
 	// warm start compares it against the stored manifest.
 	Fingerprint func() (string, error)
-	// Build constructs the advisor from source — the expensive Stage-I path.
-	Build func(ctx context.Context) (*core.Advisor, error)
-	// Sentences extracts the source's current document and sentence list
-	// without building — the cheap front half of Build, used to diff a
-	// changed source against the serving advisor by sentence identity.
-	// Optional; nil disables the incremental rebuild path for this source.
-	Sentences func(ctx context.Context) (*htmldoc.Document, []htmldoc.Sentence, error)
-	// Update incrementally rebuilds from the previous advisor (typically
-	// core.Framework.UpdateFromSentencesCtx): Stage I runs only over the
-	// sentences the diff marked Added. Optional; nil disables the
-	// incremental path. The result must be equivalent to a full Build of
-	// the same sentences — the manager verifies and snapshots it the same
-	// way.
-	Update func(ctx context.Context, prev *core.Advisor, d *htmldoc.Document, sents []htmldoc.Sentence) (*core.Advisor, error)
+	// Build constructs the advisor of the source's current content from
+	// prev, typically through core.Framework.UpdateFromSentencesCtx, which
+	// re-runs Stage I only over the sentences prev does not hold. prev is
+	// the serving advisor on a rebuild's first attempt and nil at warm
+	// start and on a retry; the result must not depend on it.
+	Build func(ctx context.Context, prev *core.Advisor) (*core.Advisor, error)
 }
 
 // Options configures a Manager. Registry registration and hot swap are
@@ -109,20 +100,7 @@ type Options struct {
 	// nil (the production default) costs one nil check per rebuild attempt.
 	// Store-level faults are wired into the Store itself via SetFaults.
 	Fault *fault.Injector
-	// IncrementalThreshold is the change-ratio ceiling for differential
-	// rebuilds: when a changed source's sentence diff against the serving
-	// advisor has ChangeRatio <= threshold, the rebuild reuses the previous
-	// advisor's per-sentence work (Source.Update) instead of running the
-	// full pipeline. 0 selects the default 0.30; negative disables the
-	// incremental path entirely. Values above ~1 make every edit
-	// incremental (a full rewrite has ratio ~2).
-	IncrementalThreshold float64
 }
-
-// DefaultIncrementalThreshold is the change-ratio ceiling below which a
-// rebuild takes the differential path. 30%: past that, the fixed costs of
-// the full pipeline dominate anyway and the diff bookkeeping buys little.
-const DefaultIncrementalThreshold = 0.30
 
 func (o Options) withDefaults() Options {
 	if o.Interval <= 0 {
@@ -148,9 +126,6 @@ func (o Options) withDefaults() Options {
 	if o.Register == nil {
 		o.Register = func(string, *core.Advisor) {}
 	}
-	if o.IncrementalThreshold == 0 {
-		o.IncrementalThreshold = DefaultIncrementalThreshold
-	}
 	return o
 }
 
@@ -158,7 +133,7 @@ func (o Options) withDefaults() Options {
 type sourceState struct {
 	src       Source
 	inflight  bool
-	current   *core.Advisor // the serving advisor — the base of the next incremental rebuild
+	current   *core.Advisor // the serving advisor — the base of the next rebuild
 	liveHash  string        // fingerprint of the serving advisor
 	pending   string        // changed fingerprint awaiting debounce confirmation
 	origin    string        // "snapshot" or "build"
@@ -167,8 +142,7 @@ type sourceState struct {
 	reloads   int64
 	lastDiff  string
 	lastErr   string
-	lastMode  string  // "incremental" or "full" — how the last rebuild ran
-	lastReuse float64 // reuse ratio of the last incremental rebuild
+	lastReuse float64 // share of the last rebuild's sentences carried over from prev
 }
 
 // Manager owns the corpus lifecycle for a set of sources.
@@ -184,17 +158,15 @@ type Manager struct {
 	flt     *fault.Injector     // nil unless fault injection is enabled
 	sleep   func(time.Duration) // retry sleeper; replaced in tests
 
-	reloads     *obs.Counter
-	hits        *obs.Counter
-	misses      *obs.Counter
-	corrupt     *obs.Counter
-	failures    *obs.Counter
-	rebuildIncr *obs.Counter // lifecycle_rebuild_total{mode="incremental"}
-	rebuildFull *obs.Counter // lifecycle_rebuild_total{mode="full"}
-	storeRetry  *obs.Counter // lifecycle_store_retries_total
-	swapHist    *obs.Histogram
-	buildHist   *obs.Histogram
-	loadHist    *obs.Histogram
+	reloads    *obs.Counter
+	hits       *obs.Counter
+	misses     *obs.Counter
+	corrupt    *obs.Counter
+	failures   *obs.Counter
+	storeRetry *obs.Counter // lifecycle_store_retries_total
+	swapHist   *obs.Histogram
+	buildHist  *obs.Histogram
+	loadHist   *obs.Histogram
 }
 
 // New creates a Manager; add sources with AddSource, then WarmStart and
@@ -202,23 +174,21 @@ type Manager struct {
 func New(opts Options) *Manager {
 	opts = opts.withDefaults()
 	m := &Manager{
-		opts:        opts,
-		sources:     map[string]*sourceState{},
-		swap:        opts.Swap,
-		slots:       make(chan struct{}, opts.Workers),
-		flt:         opts.Fault,
-		sleep:       time.Sleep,
-		reloads:     opts.Metrics.Counter("lifecycle_reloads_total"),
-		hits:        opts.Metrics.Counter("lifecycle_snapshot_hits_total"),
-		misses:      opts.Metrics.Counter("lifecycle_snapshot_misses_total"),
-		corrupt:     opts.Metrics.Counter("lifecycle_snapshot_corrupt_total"),
-		failures:    opts.Metrics.Counter("lifecycle_build_failures_total"),
-		rebuildIncr: opts.Metrics.Counter(`lifecycle_rebuild_total{mode="incremental"}`),
-		rebuildFull: opts.Metrics.Counter(`lifecycle_rebuild_total{mode="full"}`),
-		storeRetry:  opts.Metrics.Counter("lifecycle_store_retries_total"),
-		swapHist:    opts.Metrics.Histogram("lifecycle_swap_latency_micros"),
-		buildHist:   opts.Metrics.Histogram("lifecycle_build_micros"),
-		loadHist:    opts.Metrics.Histogram("lifecycle_snapshot_load_micros"),
+		opts:       opts,
+		sources:    map[string]*sourceState{},
+		swap:       opts.Swap,
+		slots:      make(chan struct{}, opts.Workers),
+		flt:        opts.Fault,
+		sleep:      time.Sleep,
+		reloads:    opts.Metrics.Counter("lifecycle_reloads_total"),
+		hits:       opts.Metrics.Counter("lifecycle_snapshot_hits_total"),
+		misses:     opts.Metrics.Counter("lifecycle_snapshot_misses_total"),
+		corrupt:    opts.Metrics.Counter("lifecycle_snapshot_corrupt_total"),
+		failures:   opts.Metrics.Counter("lifecycle_build_failures_total"),
+		storeRetry: opts.Metrics.Counter("lifecycle_store_retries_total"),
+		swapHist:   opts.Metrics.Histogram("lifecycle_swap_latency_micros"),
+		buildHist:  opts.Metrics.Histogram("lifecycle_build_micros"),
+		loadHist:   opts.Metrics.Histogram("lifecycle_snapshot_load_micros"),
 	}
 	return m
 }
@@ -311,7 +281,8 @@ func (m *Manager) WarmStart(ctx context.Context) error {
 }
 
 // startOne warm-starts a single source: snapshot if fresh, else cold build.
-// The manifest is read first, so a stale snapshot is never decoded.
+// Store.Load compares the manifest's fingerprint before it reads the
+// payload, so a stale snapshot is never decoded.
 func (m *Manager) startOne(ctx context.Context, name string) error {
 	m.mu.Lock()
 	st := m.sources[name]
@@ -325,14 +296,10 @@ func (m *Manager) startOne(ctx context.Context, name string) error {
 		loadSpan := obs.SpanFrom(ctx).StartChild("lifecycle.load")
 		loadSpan.SetAttr("advisor", name)
 		start := time.Now()
-		man, lerr := m.opts.Store.Manifest(name)
-		var adv *core.Advisor
-		if lerr == nil && man.SourceHash == fp {
-			adv, man, lerr = m.opts.Store.Load(name)
-		}
+		adv, man, lerr := m.opts.Store.Load(name, fp)
 		m.loadHist.ObserveDuration(time.Since(start))
 		switch {
-		case lerr == nil && man.SourceHash == fp:
+		case lerr == nil:
 			loadSpan.SetAttr("outcome", "hit")
 			loadSpan.Finish()
 			m.hits.Inc()
@@ -340,7 +307,7 @@ func (m *Manager) startOne(ctx context.Context, name string) error {
 			m.noteStarted(name, adv, fp, "snapshot", man.BuiltAt)
 			m.opts.Logger.Info("warm start from snapshot", "advisor", name, "rules", man.Rules)
 			return nil
-		case lerr == nil:
+		case errors.Is(lerr, store.ErrStale):
 			loadSpan.SetAttr("outcome", "stale")
 			loadSpan.Finish()
 			m.misses.Inc()
@@ -361,7 +328,7 @@ func (m *Manager) startOne(ctx context.Context, name string) error {
 		}
 	}
 
-	adv, err := m.buildVerified(ctx, name, st.src)
+	adv, err := m.buildVerified(ctx, name, st.src, nil)
 	if err != nil {
 		return err
 	}
@@ -383,12 +350,13 @@ func (m *Manager) noteStarted(name string, adv *core.Advisor, fp, origin string,
 	m.mu.Unlock()
 }
 
-// buildVerified runs Build then Verify under spans and the build histogram.
-func (m *Manager) buildVerified(ctx context.Context, name string, src Source) (*core.Advisor, error) {
+// buildVerified runs Build from prev, then Verify, under spans and the
+// build histogram.
+func (m *Manager) buildVerified(ctx context.Context, name string, src Source, prev *core.Advisor) (*core.Advisor, error) {
 	buildSpan := obs.SpanFrom(ctx).StartChild("lifecycle.build")
 	buildSpan.SetAttr("advisor", name)
 	start := time.Now()
-	adv, err := src.Build(ctx)
+	adv, err := src.Build(ctx, prev)
 	m.buildHist.ObserveDuration(time.Since(start))
 	buildSpan.Finish()
 	if err != nil {
@@ -403,66 +371,6 @@ func (m *Manager) buildVerified(ctx context.Context, name string, src Source) (*
 		return nil, fmt.Errorf("lifecycle: %s: %w", name, err)
 	}
 	return adv, nil
-}
-
-// tryIncremental attempts the differential rebuild path: extract the
-// source's current sentences, diff them against the serving advisor by
-// stable identity, and — when the change ratio is at or below the
-// incremental threshold — rebuild through Source.Update, re-running Stage I
-// only over the Added sentences. Returns ok=false (never an error) whenever
-// the path does not apply or fails; the caller falls back to a full build.
-// The diff itself is recorded as a lifecycle.diff span with the
-// added/removed/kept partition sizes and the change ratio.
-func (m *Manager) tryIncremental(ctx context.Context, name string, src Source, prev *core.Advisor) (*core.Advisor, float64, bool) {
-	if m.opts.IncrementalThreshold < 0 || src.Sentences == nil || src.Update == nil || prev == nil {
-		return nil, 0, false
-	}
-	d, sents, err := src.Sentences(ctx)
-	if err != nil {
-		m.opts.Logger.Warn("incremental path: sentence extraction failed, falling back to full build",
-			"advisor", name, "err", err)
-		return nil, 0, false
-	}
-	diffSpan := obs.SpanFrom(ctx).StartChild("lifecycle.diff")
-	diffSpan.SetAttr("advisor", name)
-	sents = htmldoc.StampIDs(d, sents)
-	diffs := doc.Diff(prev.SentenceIDs(), htmldoc.IDsOf(sents))
-	ratio := diffs.ChangeRatio()
-	diffSpan.SetAttrInt("added", len(diffs.Added))
-	diffSpan.SetAttrInt("removed", len(diffs.Removed))
-	diffSpan.SetAttrInt("kept", len(diffs.Kept))
-	diffSpan.SetAttr("change_ratio", fmt.Sprintf("%.3f", ratio))
-	if ratio > m.opts.IncrementalThreshold {
-		diffSpan.SetAttr("outcome", "full")
-		diffSpan.Finish()
-		m.opts.Logger.Info("change ratio above threshold, full rebuild",
-			"advisor", name, "ratio", ratio, "threshold", m.opts.IncrementalThreshold)
-		return nil, 0, false
-	}
-	diffSpan.SetAttr("outcome", "incremental")
-	diffSpan.Finish()
-
-	buildSpan := obs.SpanFrom(ctx).StartChild("lifecycle.build")
-	buildSpan.SetAttr("advisor", name)
-	buildSpan.SetAttr("mode", "incremental")
-	start := time.Now()
-	adv, err := src.Update(ctx, prev, d, sents)
-	m.buildHist.ObserveDuration(time.Since(start))
-	buildSpan.Finish()
-	if err != nil {
-		m.opts.Logger.Warn("incremental rebuild failed, falling back to full build",
-			"advisor", name, "err", err)
-		return nil, 0, false
-	}
-	verifySpan := obs.SpanFrom(ctx).StartChild("lifecycle.verify")
-	err = Verify(adv)
-	verifySpan.Finish()
-	if err != nil {
-		m.opts.Logger.Warn("incremental rebuild failed verification, falling back to full build",
-			"advisor", name, "err", err)
-		return nil, 0, false
-	}
-	return adv, diffs.ReuseRatio(), true
 }
 
 // snapshot persists a freshly built advisor, retrying transient store I/O
@@ -647,20 +555,20 @@ func (m *Manager) rebuild(ctx context.Context, name string) error {
 			lastErr = fmt.Errorf("lifecycle: fingerprint %s: %w", name, err)
 			continue
 		}
-		m.mu.Lock()
-		prev := st.current
-		m.mu.Unlock()
-		mode, reuse := "full", 0.0
-		adv, r, ok := m.tryIncremental(ctx, name, st.src, prev)
-		if ok {
-			mode, reuse = "incremental", r
-		} else {
-			adv, err = m.buildVerified(ctx, name, st.src)
-			if err != nil {
-				lastErr = err
-				m.opts.Logger.Warn("rebuild attempt failed", "advisor", name, "attempt", attempt+1, "err", err)
-				continue
-			}
+		// the first attempt updates the serving advisor; a retry builds
+		// from nothing, so a base that cannot be updated still gets a
+		// cold build
+		var prev *core.Advisor
+		if attempt == 0 {
+			m.mu.Lock()
+			prev = st.current
+			m.mu.Unlock()
+		}
+		adv, err := m.buildVerified(ctx, name, st.src, prev)
+		if err != nil {
+			lastErr = err
+			m.opts.Logger.Warn("rebuild attempt failed", "advisor", name, "attempt", attempt+1, "err", err)
+			continue
 		}
 		m.snapshot(name, st.src, adv, fp)
 
@@ -671,10 +579,10 @@ func (m *Manager) rebuild(ctx context.Context, name string) error {
 		swapSpan.SetAttr("diff", diff.Short())
 		swapSpan.Finish()
 		m.reloads.Inc()
-		if mode == "incremental" {
-			m.rebuildIncr.Inc()
-		} else {
-			m.rebuildFull.Inc()
+		stats := adv.BuildStats()
+		reuse := 0.0
+		if stats.Sentences > 0 {
+			reuse = float64(stats.Reused) / float64(stats.Sentences)
 		}
 
 		m.mu.Lock()
@@ -686,10 +594,9 @@ func (m *Manager) rebuild(ctx context.Context, name string) error {
 		st.reloads++
 		st.lastDiff = diff.Short()
 		st.lastErr = ""
-		st.lastMode = mode
 		st.lastReuse = reuse
 		m.mu.Unlock()
-		m.opts.Logger.Info("hot-swapped", "advisor", name, "diff", diff.Short(), "mode", mode)
+		m.opts.Logger.Info("hot-swapped", "advisor", name, "diff", diff.Short(), "reused", stats.Reused)
 		return nil
 	}
 	m.setLastErr(name, lastErr.Error())
@@ -717,39 +624,34 @@ type AdvisorState struct {
 	LastDiff   string    `json:"last_diff,omitempty"`
 	LastError  string    `json:"last_error,omitempty"`
 	Rebuilding bool      `json:"rebuilding,omitempty"`
-	// LastMode reports how the last rebuild ran ("incremental" or "full";
-	// "" before the first rebuild); LastReuseRatio is the fraction of the
-	// document's sentences the last incremental rebuild carried over.
-	LastMode       string  `json:"last_mode,omitempty"`
+	// LastReuseRatio is the fraction of the document's sentences the last
+	// rebuild carried over from the advisor it replaced (0 before the first
+	// rebuild, and after one that built from nothing).
 	LastReuseRatio float64 `json:"last_reuse_ratio,omitempty"`
 }
 
 // State is the lifecycle snapshot served on /statsz.
 type State struct {
-	Watching            bool           `json:"watching"`
-	Paused              bool           `json:"paused"`
-	Reloads             int64          `json:"reloads"`
-	SnapshotHits        int64          `json:"snapshot_hits"`
-	SnapshotMisses      int64          `json:"snapshot_misses"`
-	SnapshotBad         int64          `json:"snapshot_corrupt"`
-	BuildFailures       int64          `json:"build_failures"`
-	IncrementalRebuilds int64          `json:"incremental_rebuilds"`
-	FullRebuilds        int64          `json:"full_rebuilds"`
-	Advisors            []AdvisorState `json:"advisors"`
+	Watching       bool           `json:"watching"`
+	Paused         bool           `json:"paused"`
+	Reloads        int64          `json:"reloads"`
+	SnapshotHits   int64          `json:"snapshot_hits"`
+	SnapshotMisses int64          `json:"snapshot_misses"`
+	SnapshotBad    int64          `json:"snapshot_corrupt"`
+	BuildFailures  int64          `json:"build_failures"`
+	Advisors       []AdvisorState `json:"advisors"`
 }
 
 // State returns a point-in-time lifecycle snapshot.
 func (m *Manager) State() State {
 	out := State{
-		Watching:            m.running.Load(),
-		Paused:              m.paused.Load(),
-		Reloads:             m.reloads.Value(),
-		SnapshotHits:        m.hits.Value(),
-		SnapshotMisses:      m.misses.Value(),
-		SnapshotBad:         m.corrupt.Value(),
-		BuildFailures:       m.failures.Value(),
-		IncrementalRebuilds: m.rebuildIncr.Value(),
-		FullRebuilds:        m.rebuildFull.Value(),
+		Watching:       m.running.Load(),
+		Paused:         m.paused.Load(),
+		Reloads:        m.reloads.Value(),
+		SnapshotHits:   m.hits.Value(),
+		SnapshotMisses: m.misses.Value(),
+		SnapshotBad:    m.corrupt.Value(),
+		BuildFailures:  m.failures.Value(),
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -765,7 +667,6 @@ func (m *Manager) State() State {
 			LastDiff:       st.lastDiff,
 			LastError:      st.lastErr,
 			Rebuilding:     st.inflight,
-			LastMode:       st.lastMode,
 			LastReuseRatio: st.lastReuse,
 		})
 	}

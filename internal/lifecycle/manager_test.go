@@ -86,13 +86,13 @@ func (s *buildSource) source() lifecycle.Source {
 			defer s.mu.Unlock()
 			return store.HashBytes([]byte(s.name + ":" + time.Unix(s.seed, 0).String())), nil
 		},
-		Build: func(ctx context.Context) (*core.Advisor, error) {
+		Build: func(ctx context.Context, prev *core.Advisor) (*core.Advisor, error) {
 			s.mu.Lock()
 			seed := s.seed
 			s.mu.Unlock()
 			s.builds.Add(1)
 			g := corpus.GenerateSized(corpus.CUDA, 60, 0.3, seed)
-			return core.New().BuildFromSentences(g.Doc, g.Sentences), nil
+			return core.New().UpdateFromSentencesCtx(ctx, prev, g.Doc, g.Sentences)
 		},
 	}
 }
@@ -318,7 +318,7 @@ func TestWarmStartBuildFailureIsFatal(t *testing.T) {
 	m.AddSource(lifecycle.Source{
 		Name:        "broken",
 		Fingerprint: func() (string, error) { return "f", nil },
-		Build: func(context.Context) (*core.Advisor, error) {
+		Build: func(context.Context, *core.Advisor) (*core.Advisor, error) {
 			return nil, errors.New("no such guide")
 		},
 	})
@@ -468,7 +468,7 @@ func TestRebuildRetriesWithBackoff(t *testing.T) {
 	m.AddSource(lifecycle.Source{
 		Name:        "flaky",
 		Fingerprint: func() (string, error) { return "f", nil },
-		Build: func(context.Context) (*core.Advisor, error) {
+		Build: func(context.Context, *core.Advisor) (*core.Advisor, error) {
 			if attempts.Add(1) < 3 {
 				return nil, errors.New("transient")
 			}
@@ -494,7 +494,7 @@ func TestRebuildRetriesWithBackoff(t *testing.T) {
 	m2.AddSource(lifecycle.Source{
 		Name:        "dead",
 		Fingerprint: func() (string, error) { return "f", nil },
-		Build: func(context.Context) (*core.Advisor, error) {
+		Build: func(context.Context, *core.Advisor) (*core.Advisor, error) {
 			attempts.Add(1)
 			return nil, errors.New("permanent")
 		},
@@ -525,7 +525,7 @@ func TestSingleFlight(t *testing.T) {
 	m.AddSource(lifecycle.Source{
 		Name:        "slow",
 		Fingerprint: func() (string, error) { return "f", nil },
-		Build: func(context.Context) (*core.Advisor, error) {
+		Build: func(context.Context, *core.Advisor) (*core.Advisor, error) {
 			once.Do(func() { close(started) })
 			<-release
 			g := corpus.GenerateSized(corpus.CUDA, 60, 0.3, 1)
@@ -575,7 +575,7 @@ func TestAddSourceValidation(t *testing.T) {
 	ok := lifecycle.Source{
 		Name:        "x",
 		Fingerprint: func() (string, error) { return "f", nil },
-		Build:       func(context.Context) (*core.Advisor, error) { return nil, nil },
+		Build:       func(context.Context, *core.Advisor) (*core.Advisor, error) { return nil, nil },
 	}
 	if err := m.AddSource(ok); err != nil {
 		t.Fatal(err)

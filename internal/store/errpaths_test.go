@@ -70,7 +70,7 @@ func TestOrphanPayload(t *testing.T) {
 	if _, err := st.Manifest("cuda"); !errors.Is(err, store.ErrCorrupt) {
 		t.Errorf("orphan payload probe: %v, want ErrCorrupt", err)
 	}
-	if _, _, err := st.Load("cuda"); !errors.Is(err, store.ErrCorrupt) {
+	if _, _, err := st.Load("cuda", "h"); !errors.Is(err, store.ErrCorrupt) {
 		t.Errorf("orphan payload load: %v, want ErrCorrupt", err)
 	}
 	// quarantine moves the half that exists; the next load is a clean miss
@@ -80,7 +80,7 @@ func TestOrphanPayload(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "cuda.snap.bad")); err != nil {
 		t.Errorf("orphan payload not quarantined: %v", err)
 	}
-	if _, _, err := st.Load("cuda"); !errors.Is(err, store.ErrNotFound) {
+	if _, _, err := st.Load("cuda", "h"); !errors.Is(err, store.ErrNotFound) {
 		t.Errorf("post-quarantine load: %v, want ErrNotFound", err)
 	}
 }
@@ -100,7 +100,7 @@ func TestOrphanManifest(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, "cuda.snap")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.Load("cuda"); !errors.Is(err, store.ErrCorrupt) {
+	if _, _, err := st.Load("cuda", "h1"); !errors.Is(err, store.ErrCorrupt) {
 		t.Errorf("orphan manifest load: %v, want ErrCorrupt", err)
 	}
 	// the probe alone stays clean: manifests are readable without payloads
@@ -175,7 +175,7 @@ func TestListSkipsBadAndForeignEntries(t *testing.T) {
 		t.Fatalf("List = %v, want [keep]", names)
 	}
 	// the wrong-version manifest is corrupt for Load, too
-	if _, _, err := st.Load("future"); !errors.Is(err, store.ErrCorrupt) {
+	if _, _, err := st.Load("future", "h"); !errors.Is(err, store.ErrCorrupt) {
 		t.Errorf("future-version load: %v, want ErrCorrupt", err)
 	}
 }
@@ -274,7 +274,7 @@ func TestLoadSizeMismatch(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "cuda.snap"), append(data, "trailing"...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = st.Load("cuda")
+	_, _, err = st.Load("cuda", "h")
 	if !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), "bytes") {
 		t.Errorf("size mismatch: %v", err)
 	}

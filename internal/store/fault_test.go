@@ -26,7 +26,7 @@ func TestSaveInjectedWriteError(t *testing.T) {
 	}
 	// a clean write failure leaves the previous snapshot intact and loadable
 	st.SetFaults(nil)
-	if _, man, err := st.Load("cuda"); err != nil || man.SourceHash != "h1" {
+	if _, man, err := st.Load("cuda", "h1"); err != nil || man.SourceHash != "h1" {
 		t.Fatalf("previous snapshot damaged: %v (hash %q)", err, man.SourceHash)
 	}
 }
@@ -53,7 +53,7 @@ func TestSaveTornWriteDetectedOnLoad(t *testing.T) {
 
 	// the old manifest now describes different bytes: never trusted-torn,
 	// always surfaced as corruption
-	_, _, err = st.Load("cuda")
+	_, _, err = st.Load("cuda", "h1")
 	if !errors.Is(err, store.ErrCorrupt) {
 		t.Fatalf("torn snapshot loaded as %v, want ErrCorrupt", err)
 	}
@@ -62,13 +62,13 @@ func TestSaveTornWriteDetectedOnLoad(t *testing.T) {
 	if err := st.Quarantine("cuda"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.Load("cuda"); !errors.Is(err, store.ErrNotFound) {
+	if _, _, err := st.Load("cuda", "h2"); !errors.Is(err, store.ErrNotFound) {
 		t.Fatalf("post-quarantine load: %v, want ErrNotFound", err)
 	}
 	if _, err := st.Save("cuda", adv2, "", "h2"); err != nil {
 		t.Fatal(err)
 	}
-	if _, man, err := st.Load("cuda"); err != nil || man.SourceHash != "h2" {
+	if _, man, err := st.Load("cuda", "h2"); err != nil || man.SourceHash != "h2" {
 		t.Fatalf("post-recovery load: %v (hash %q)", err, man.SourceHash)
 	}
 }
@@ -84,12 +84,12 @@ func TestLoadInjectedReadError(t *testing.T) {
 	inj := fault.New(1)
 	inj.Set(fault.StoreRead, fault.Rule{ErrProb: 1})
 	st.SetFaults(inj)
-	if _, _, err := st.Load("cuda"); !errors.Is(err, store.ErrCorrupt) {
+	if _, _, err := st.Load("cuda", "h1"); !errors.Is(err, store.ErrCorrupt) {
 		t.Fatalf("injected read error surfaced as %v, want ErrCorrupt", err)
 	}
 	// the bytes on disk were never touched: disabling injection heals
 	st.SetFaults(nil)
-	if _, _, err := st.Load("cuda"); err != nil {
+	if _, _, err := st.Load("cuda", "h1"); err != nil {
 		t.Fatalf("load after injection off: %v", err)
 	}
 }

@@ -12,7 +12,9 @@
 // manifest still describes the previous bytes, which Load detects as a
 // checksum mismatch and reports as ErrCorrupt. Callers (the lifecycle
 // manager) treat ErrCorrupt as "rebuild from source", never as a fatal
-// startup error, and Quarantine the bad files for post-mortems.
+// startup error, and Quarantine the bad files for post-mortems. Load takes
+// the source hash the caller expects and reports a snapshot of another
+// source version as ErrStale, without reading its payload.
 package store
 
 import (
@@ -56,6 +58,11 @@ var ErrNotFound = errors.New("store: snapshot not found")
 // version this binary does not speak. The caller should fall back to a cold
 // build and may Quarantine the files.
 var ErrCorrupt = errors.New("store: snapshot corrupt")
+
+// ErrStale: the snapshot's manifest records another source hash than the
+// caller's, so it describes another version of the source. Its payload is
+// not read; the caller rebuilds and overwrites it, no quarantine needed.
+var ErrStale = errors.New("store: snapshot stale")
 
 // Manifest describes one stored snapshot — the JSON sidecar of a .snap file.
 type Manifest struct {
@@ -215,8 +222,7 @@ func (s *Store) syncDir() error {
 }
 
 // Manifest reads and validates the manifest for name without touching the
-// payload — the cheap staleness probe warm start uses before deciding
-// whether to read megabytes of snapshot.
+// payload.
 func (s *Store) Manifest(name string) (Manifest, error) {
 	if err := validName(name); err != nil {
 		return Manifest{}, err
@@ -248,16 +254,21 @@ func (s *Store) readManifest(name string) (Manifest, error) {
 	return man, nil
 }
 
-// Load reads, verifies, and decodes the snapshot under name. Every failure
-// mode after "the files simply aren't there" is reported as ErrCorrupt so
-// callers can fall back to a rebuild; only a clean absence is ErrNotFound.
-func (s *Store) Load(name string) (*core.Advisor, Manifest, error) {
+// Load reads, verifies, and decodes the snapshot under name, built from the
+// source whose hash is sourceHash. A manifest recording another hash is
+// ErrStale, and its payload is never read. Every failure mode after "the
+// files simply aren't there" is reported as ErrCorrupt so callers can fall
+// back to a rebuild; only a clean absence is ErrNotFound.
+func (s *Store) Load(name, sourceHash string) (*core.Advisor, Manifest, error) {
 	if err := validName(name); err != nil {
 		return nil, Manifest{}, err
 	}
 	man, err := s.readManifest(name)
 	if err != nil {
 		return nil, Manifest{}, err
+	}
+	if man.SourceHash != sourceHash {
+		return nil, man, fmt.Errorf("%w: %s was built from source %s, not %s", ErrStale, name, man.SourceHash, sourceHash)
 	}
 	if ferr := s.flt.Err(fault.StoreRead); ferr != nil {
 		// an injected read failure surfaces exactly like a real I/O error:

@@ -42,7 +42,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Errorf("manifest counts %d/%d, want %d/%d", man.Rules, man.Sentences, len(orig.Rules()), orig.SentenceCount())
 	}
 
-	loaded, man2, err := st.Load("cuda")
+	loaded, man2, err := st.Load("cuda", "hash123")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestLoadMissing(t *testing.T) {
 	st, _ := store.Open(t.TempDir())
-	if _, _, err := st.Load("nope"); !errors.Is(err, store.ErrNotFound) {
+	if _, _, err := st.Load("nope", "h"); !errors.Is(err, store.ErrNotFound) {
 		t.Errorf("missing snapshot: %v, want ErrNotFound", err)
 	}
 	if _, err := st.Manifest("nope"); !errors.Is(err, store.ErrNotFound) {
@@ -121,7 +121,7 @@ func TestLoadCorruption(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			restore()
 			c.corrupt()
-			if _, _, err := st.Load("cuda"); !errors.Is(err, store.ErrCorrupt) {
+			if _, _, err := st.Load("cuda", "h"); !errors.Is(err, store.ErrCorrupt) {
 				t.Errorf("Load after %s: %v, want ErrCorrupt", c.name, err)
 			}
 		})
@@ -129,7 +129,7 @@ func TestLoadCorruption(t *testing.T) {
 
 	// and a valid pair still loads after all that
 	restore()
-	if _, _, err := st.Load("cuda"); err != nil {
+	if _, _, err := st.Load("cuda", "h"); err != nil {
 		t.Fatalf("restored snapshot does not load: %v", err)
 	}
 }
@@ -141,7 +141,7 @@ func TestQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	os.WriteFile(filepath.Join(dir, "cuda.snap"), []byte("garbage"), 0o644)
-	if _, _, err := st.Load("cuda"); !errors.Is(err, store.ErrCorrupt) {
+	if _, _, err := st.Load("cuda", "h"); !errors.Is(err, store.ErrCorrupt) {
 		t.Fatalf("garbage payload: %v, want ErrCorrupt", err)
 	}
 	if err := st.Quarantine("cuda"); err != nil {
@@ -154,12 +154,36 @@ func TestQuarantine(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "cuda.json.bad")); err != nil {
 		t.Errorf("quarantined manifest missing: %v", err)
 	}
-	if _, _, err := st.Load("cuda"); !errors.Is(err, store.ErrNotFound) {
+	if _, _, err := st.Load("cuda", "h"); !errors.Is(err, store.ErrNotFound) {
 		t.Errorf("after quarantine: %v, want ErrNotFound", err)
 	}
 	// quarantining a missing name is a no-op
 	if err := st.Quarantine("ghost"); err != nil {
 		t.Errorf("quarantine of missing snapshot: %v", err)
+	}
+}
+
+// TestLoadStaleSkipsPayload: a manifest recording another source hash is
+// ErrStale before the payload is read, so a garbage payload under it is not
+// reported corrupt. Under the matching hash the same bytes are.
+func TestLoadStaleSkipsPayload(t *testing.T) {
+	dir := t.TempDir()
+	st, _ := store.Open(dir)
+	if _, err := st.Save("cuda", smallAdvisor(t, 7), "", "v1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "cuda.snap"), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, man, err := st.Load("cuda", "v2")
+	if !errors.Is(err, store.ErrStale) || errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("stale garbage snapshot: %v, want ErrStale", err)
+	}
+	if man.SourceHash != "v1" {
+		t.Errorf("stale snapshot's manifest hash %q, want v1", man.SourceHash)
+	}
+	if _, _, err := st.Load("cuda", "v1"); !errors.Is(err, store.ErrCorrupt) {
+		t.Errorf("fresh garbage snapshot: %v, want ErrCorrupt", err)
 	}
 }
 
@@ -191,10 +215,10 @@ func TestListAndGC(t *testing.T) {
 	if len(removed) != 2 || removed[0] != "opencl" || removed[1] != "xeon" {
 		t.Fatalf("GC removed %v", removed)
 	}
-	if _, _, err := st.Load("cuda"); err != nil {
+	if _, _, err := st.Load("cuda", "h-cuda"); err != nil {
 		t.Errorf("kept snapshot gone: %v", err)
 	}
-	if _, _, err := st.Load("opencl"); !errors.Is(err, store.ErrNotFound) {
+	if _, _, err := st.Load("opencl", "h-opencl"); !errors.Is(err, store.ErrNotFound) {
 		t.Errorf("collected snapshot still loads: %v", err)
 	}
 	// quarantined files survive GC
@@ -210,7 +234,7 @@ func TestInvalidNames(t *testing.T) {
 		if _, err := st.Save(name, a, "", "h"); err == nil {
 			t.Errorf("Save accepted invalid name %q", name)
 		}
-		if _, _, err := st.Load(name); err == nil {
+		if _, _, err := st.Load(name, "h"); err == nil {
 			t.Errorf("Load accepted invalid name %q", name)
 		}
 	}
@@ -230,7 +254,7 @@ func TestSaveOverwriteIsAtomic(t *testing.T) {
 	if man2.SourceHash != "v2" || man1.SourceHash != "v1" {
 		t.Errorf("overwrite did not replace the manifest: %+v -> %+v", man1, man2)
 	}
-	if _, _, err := st.Load("cuda"); err != nil {
+	if _, _, err := st.Load("cuda", "v2"); err != nil {
 		t.Fatalf("overwritten snapshot does not load: %v", err)
 	}
 	// no temp litter left behind
@@ -352,7 +376,7 @@ func TestLoadRefusesOldFormats(t *testing.T) {
 				t.Fatal(err)
 			}
 			plantPayload(t, dir, c.name, data)
-			if _, _, err := st.Load(c.name); !errors.Is(err, store.ErrCorrupt) {
+			if _, _, err := st.Load(c.name, "h"); !errors.Is(err, store.ErrCorrupt) {
 				t.Fatalf("store.Load: %v, want ErrCorrupt", err)
 			}
 		})
