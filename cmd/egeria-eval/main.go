@@ -110,10 +110,6 @@ func run(args []string, out io.Writer) error {
 			experiments.Table8WithSummarizer(corpus.CUDA, selectors.DefaultConfig())))
 		fmt.Fprintln(out, experiments.FormatAttribution(corpus.CUDA,
 			experiments.CategoryAttribution(corpus.CUDA, selectors.DefaultConfig())))
-		fmt.Fprintln(out, experiments.FormatRetrievalAblation(
-			experiments.RetrievalAblation(cudaGuide, cudaAdvisor)))
-		fmt.Fprintln(out, experiments.FormatBackendAblation(
-			experiments.BackendAblation(cudaGuide, cudaAdvisor)))
 	}
 	return nil
 }

@@ -84,13 +84,10 @@ func TestServeChaosSoak(t *testing.T) {
 	cts := httptest.NewServer(control)
 	defer cts.Close()
 
-	// each query probe is sent under the default backend and BM25, so the
-	// recovery check covers both weightings of the shared index
 	var probeURLs []string
 	for _, a := range advisors {
 		for _, q := range queries {
-			p := fmt.Sprintf("/v1/%s/query?q=%s", a, url.QueryEscape(q))
-			probeURLs = append(probeURLs, p, p+"&backend=bm25")
+			probeURLs = append(probeURLs, fmt.Sprintf("/v1/%s/query?q=%s", a, url.QueryEscape(q)))
 		}
 	}
 	for _, q := range queries {
@@ -138,8 +135,8 @@ func TestServeChaosSoak(t *testing.T) {
 	inj.Set(fault.StoreWrite, fault.Rule{ErrProb: 0.2, PartialProb: 0.3})
 	inj.Set(fault.VSMScore, fault.Rule{ErrProb: 0.2, Latency: 200 * time.Microsecond, LatencyProb: 0.5})
 
-	// the probes run under fire too, under both backends: an injected
-	// failure must never be cached, which the post-chaos comparison with the
+	// the probes run under fire too: an injected failure must never be
+	// cached, which the post-chaos comparison with the
 	// control would expose
 	for _, p := range probeURLs {
 		if code, body := httpGet(t, ts.URL+p); code != 200 && code < 500 {
@@ -178,7 +175,6 @@ func TestServeChaosSoak(t *testing.T) {
 		{fault.ServiceHandler, func() { httpGet(t, ts.URL+"/v1/cuda/query?q=sweep+handler") }},
 		{fault.NLPAnnotate, func() { httpGet(t, ts.URL+"/v1/cuda/query?q=sweep+annotate") }},
 		{fault.VSMScore, func() { httpGet(t, ts.URL+"/v1/cuda/query?q=sweep+score") }},
-		{fault.VSMScore, func() { httpGet(t, ts.URL+"/v1/cuda/query?q=sweep+score&backend=bm25") }},
 		{fault.LifecycleRebuild, func() {
 			resp, err := http.Post(ts.URL+"/v1/admin/reload?advisor=cuda", "", nil)
 			if err != nil {

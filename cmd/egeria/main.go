@@ -24,13 +24,13 @@
 //
 // serve hosts the production layer of internal/service: the HTML UI at /
 // (with a federated /ask page), a JSON API under /v1/ (advisors, rules,
-// query with a selectable scoring backend, report, batch, and the
-// cross-advisor ask), health endpoints (/healthz, /readyz, /statsz), a
-// sharded LRU query cache (-cache-size), and admission control
-// (-max-inflight, -max-batch, -timeout). SIGINT/SIGTERM drains gracefully. Observability: every response carries an X-Trace-Id;
-// -trace-sample records span trees for a fraction of requests on /tracez,
-// /metricz exposes the process metrics registry, and Go profiling lives
-// under /debug/pprof/.
+// query, report, batch, and the cross-advisor ask), health endpoints
+// (/healthz, /readyz, /statsz), a sharded LRU query cache (-cache-size),
+// and admission control (-max-inflight, -max-batch, -timeout).
+// SIGINT/SIGTERM drains gracefully. Observability: every response carries
+// an X-Trace-Id; -trace-sample records span trees for a fraction of
+// requests on /tracez, /metricz exposes the process metrics registry, and
+// Go profiling lives under /debug/pprof/.
 package main
 
 import (
@@ -652,8 +652,8 @@ func buildServeHandler(fw *core.Framework, cfg serveConfig, logger *slog.Logger)
 		}
 		return nil
 	})
-	ui.SetQuerier(func(ctx context.Context, backend, q string) []core.Answer {
-		answers, _, err := svc.CachedQuery(ctx, cfg.primaryName, backend, q)
+	ui.SetQuerier(func(ctx context.Context, q string) []core.Answer {
+		answers, _, err := svc.CachedQuery(ctx, cfg.primaryName, q)
 		if err != nil {
 			logger.Warn("webui query failed", "err", err)
 			return nil
@@ -662,8 +662,8 @@ func buildServeHandler(fw *core.Framework, cfg serveConfig, logger *slog.Logger)
 	})
 	// the /ask page fans out to every advisor in the registry through the
 	// service's federation path, sharing its cache and admission control
-	ui.SetFederator(func(ctx context.Context, backend, q string, k int) []webui.FederatedHit {
-		answers, errs := svc.Ask(ctx, backend, q, k)
+	ui.SetFederator(func(ctx context.Context, q string, k int) []webui.FederatedHit {
+		answers, errs := svc.Ask(ctx, q, k)
 		for name, msg := range errs {
 			logger.Warn("webui federated ask failed for advisor", "advisor", name, "err", msg)
 		}

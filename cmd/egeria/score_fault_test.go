@@ -31,10 +31,6 @@ import (
 //     query that scores answers 200 with no error;
 //   - failures are never cached: after faults stop, the same queries
 //     return byte-identical answers to a fault-free control.
-//
-// A third of the hammer requests carry ?backend=bm25, so both weightings
-// of the shared index race side by side under -race and under scoring
-// faults; after recovery both backends must match the control.
 func TestServeScoreFaultHammer(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 	queries := []string{
@@ -57,15 +53,14 @@ func TestServeScoreFaultHammer(t *testing.T) {
 	}
 	cts := httptest.NewServer(control)
 	defer cts.Close()
-	want := make(map[string]string, 2*len(queries))
+	want := make(map[string]string, len(queries))
 	for _, q := range queries {
-		for _, p := range backendPaths(q) {
-			code, body := httpGet(t, cts.URL+p)
-			if code != 200 {
-				t.Fatalf("control %s: %d %s", p, code, body)
-			}
-			want[p] = scrubTrace(body)
+		p := queryPath(q)
+		code, body := httpGet(t, cts.URL+p)
+		if code != 200 {
+			t.Fatalf("control %s: %d %s", p, code, body)
 		}
+		want[p] = scrubTrace(body)
 	}
 
 	inj := fault.New(7)
@@ -143,12 +138,7 @@ func TestServeScoreFaultHammer(t *testing.T) {
 				// unique q per request defeats the cache, forcing a fresh
 				// score that draws the fault point
 				q := fmt.Sprintf("%s %s %s", queries[i%len(queries)], words[g], words[workers+i])
-				u := ts.URL + "/v1/cuda/query?q=" + url.QueryEscape(q)
-				if i%3 == 2 {
-					// BM25 races the default weighting on the same index
-					u += "&backend=bm25"
-				}
-				resp, err := http.Get(u)
+				resp, err := http.Get(ts.URL + queryPath(q))
 				if err != nil {
 					anomaly("get: %v", err)
 					continue
@@ -215,14 +205,13 @@ func TestServeScoreFaultHammer(t *testing.T) {
 	// no torn state survived the reload races
 	inj.Reset()
 	for _, q := range queries {
-		for _, p := range backendPaths(q) {
-			code, body := httpGet(t, ts.URL+p)
-			if code != 200 {
-				t.Fatalf("post-storm %s: %d %s", p, code, body)
-			}
-			if got := scrubTrace(body); got != want[p] {
-				t.Errorf("post-storm %s diverged from fault-free control:\n got %s\nwant %s", p, got, want[p])
-			}
+		p := queryPath(q)
+		code, body := httpGet(t, ts.URL+p)
+		if code != 200 {
+			t.Fatalf("post-storm %s: %d %s", p, code, body)
+		}
+		if got := scrubTrace(body); got != want[p] {
+			t.Errorf("post-storm %s diverged from fault-free control:\n got %s\nwant %s", p, got, want[p])
 		}
 	}
 }
@@ -262,8 +251,7 @@ func guideWords(t testing.TB, n int, advs ...*core.Advisor) []string {
 	return nil
 }
 
-// backendPaths is the query path of q under the default backend and BM25.
-func backendPaths(q string) []string {
-	p := "/v1/cuda/query?q=" + url.QueryEscape(q)
-	return []string{p, p + "&backend=bm25"}
+// queryPath is the query path of q on the cuda advisor.
+func queryPath(q string) string {
+	return "/v1/cuda/query?q=" + url.QueryEscape(q)
 }

@@ -225,9 +225,9 @@ func httpGet(t *testing.T, url string) (int, []byte) {
 }
 
 // TestServeBatchAskBackend exercises the federated serving surface end to
-// end as `egeria serve -corpora opencl` assembles it: per-query backend
-// selection on /v1/query, the /v1/batch worker pool with per-item trace
-// IDs, the cross-advisor /v1/ask merge, and the webui's /ask page.
+// end as `egeria serve -corpora opencl` assembles it: the backend check on
+// /v1/query, the /v1/batch worker pool with per-item trace IDs, the
+// cross-advisor /v1/ask merge, and the webui's /ask page.
 func TestServeBatchAskBackend(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 	handler, svc, _, err := buildServeHandler(core.New(), serveConfig{
@@ -249,9 +249,9 @@ func TestServeBatchAskBackend(t *testing.T) {
 	ts := httptest.NewServer(handler)
 	defer ts.Close()
 
-	// per-query backend selection: both backends answer, responses echo the
-	// chosen backend, unknown backends are client errors
-	for _, backend := range []string{"", "vsm", "bm25"} {
+	// the one model answers under either spelling and echoes a named one;
+	// any other backend is a client error
+	for _, backend := range []string{"", "vsm"} {
 		url := ts.URL + "/v1/cuda/query?q=reduce+memory+latency"
 		if backend != "" {
 			url += "&backend=" + backend
@@ -270,16 +270,18 @@ func TestServeBatchAskBackend(t *testing.T) {
 			t.Errorf("backend %q echoed as %q", backend, qr.Backend)
 		}
 	}
-	if code, _ := httpGet(t, ts.URL+"/v1/cuda/query?q=x&backend=nope"); code != 400 {
-		t.Errorf("unknown backend: %d, want 400", code)
+	for _, backend := range []string{"bm25", "nope"} {
+		code, body := httpGet(t, ts.URL+"/v1/cuda/query?q=x&backend="+backend)
+		if code != 400 || !strings.Contains(string(body), "unknown scoring backend") {
+			t.Errorf("backend %q: %d %s, want 400", backend, code, body)
+		}
 	}
-	code, body := httpGet(t, ts.URL+"/v1/backends")
-	if code != 200 || !strings.Contains(string(body), "bm25") {
-		t.Errorf("/v1/backends: %d %s", code, body)
+	if code, body := httpGet(t, ts.URL+"/v1/backends"); code != 404 {
+		t.Errorf("/v1/backends: %d %s, want 404", code, body)
 	}
 
-	// batch: mixed advisors and backends, one bad item; per-item trace IDs
-	// must be unique and the bad item must not fail the batch
+	// batch: mixed advisors and backends, two bad items; per-item trace IDs
+	// must be unique and the bad items must not fail the batch
 	batch := `{"queries":[
 		{"advisor":"cuda","query":"reduce global memory latency"},
 		{"advisor":"opencl","query":"work group size"},
@@ -307,8 +309,8 @@ func TestServeBatchAskBackend(t *testing.T) {
 	if err := json.Unmarshal(bbody, &br); err != nil {
 		t.Fatal(err)
 	}
-	if br.Count != 4 || br.Errors != 1 {
-		t.Errorf("batch count=%d errors=%d, want 4/1", br.Count, br.Errors)
+	if br.Count != 4 || br.Errors != 2 {
+		t.Errorf("batch count=%d errors=%d, want 4/2", br.Count, br.Errors)
 	}
 	ids := map[string]bool{}
 	for i, r := range br.Results {
@@ -317,7 +319,8 @@ func TestServeBatchAskBackend(t *testing.T) {
 		}
 		ids[r.TraceID] = true
 	}
-	if br.Results[3].Error == "" || br.Results[0].Error != "" {
+	if br.Results[0].Error != "" || br.Results[1].Error != "" || br.Results[3].Error == "" ||
+		!strings.Contains(br.Results[2].Error, "unknown scoring backend") {
 		t.Errorf("per-item errors misplaced: %+v", br.Results)
 	}
 	// batch limits: empty and oversized batches are client errors

@@ -21,14 +21,13 @@ import (
 	"repro/internal/nlp"
 	"repro/internal/obs"
 	"repro/internal/selectors"
-	"repro/internal/vsm"
 )
 
 // TestServeDocSourceReload drives the production document source: serve an
 // exported guide through -doc with a snapshot directory, rewrite one
 // sentence of the file and reload. The reload updates the serving advisor,
 // reusing every other sentence; its answers equal a cold build of the
-// edited file under both backends; and a second boot over the same
+// edited file; and a second boot over the same
 // directory loads the reloaded snapshot.
 func TestServeDocSourceReload(t *testing.T) {
 	dir := t.TempDir()
@@ -116,22 +115,14 @@ func TestServeDocSourceReload(t *testing.T) {
 	}
 	for _, q := range corpus.CUDAQueries() {
 		terms := nlp.QueryTerms(q.Text)
-		for _, backend := range vsm.Backends() {
-			ag, err := got.Retrieve(context.Background(), terms, got.QueryOpts(backend))
-			if err != nil {
-				t.Fatal(err)
-			}
-			aw, err := want.Retrieve(context.Background(), terms, want.QueryOpts(backend))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ag) != len(aw) {
-				t.Fatalf("query %q/%s: %d answers, cold build %d", q.Text, backend, len(ag), len(aw))
-			}
-			for i := range aw {
-				if ag[i].Sentence != aw[i].Sentence || math.Float64bits(ag[i].Score) != math.Float64bits(aw[i].Score) {
-					t.Fatalf("query %q/%s answer %d: %+v, cold build %+v", q.Text, backend, i, ag[i], aw[i])
-				}
+		ag := got.Retrieve(context.Background(), terms, got.Threshold())
+		aw := want.Retrieve(context.Background(), terms, want.Threshold())
+		if len(ag) != len(aw) {
+			t.Fatalf("query %q: %d answers, cold build %d", q.Text, len(ag), len(aw))
+		}
+		for i := range aw {
+			if ag[i].Sentence != aw[i].Sentence || math.Float64bits(ag[i].Score) != math.Float64bits(aw[i].Score) {
+				t.Fatalf("query %q answer %d: %+v, cold build %+v", q.Text, i, ag[i], aw[i])
 			}
 		}
 	}

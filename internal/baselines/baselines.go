@@ -23,8 +23,7 @@ import (
 // above threshold, best first. A threshold at or below zero returns every
 // sentence.
 func FullDocQuery(full *vsm.Index, q string, threshold float64) []int {
-	// the default backend is always known, so no error can come back
-	matches, _ := full.Query(context.Background(), nlp.QueryTerms(q), vsm.QueryOpts{Threshold: threshold})
+	matches := full.Query(context.Background(), nlp.QueryTerms(q), threshold)
 	out := make([]int, len(matches))
 	for i, m := range matches {
 		out[i] = m.Index

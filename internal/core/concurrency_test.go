@@ -38,9 +38,11 @@ func TestConcurrentQueries(t *testing.T) {
 				}
 				_ = a.Rules()
 				_ = a.CompressionRatio()
-				if _, err := a.Retrieve(context.Background(), nlp.QueryTerms(q), a.QueryOpts("bm25")); err != nil {
-					errs <- err.Error()
-					return
+				for _, ans := range a.Retrieve(context.Background(), nlp.QueryTerms(q), 0) {
+					if !a.IsAdvising(ans.Sentence.Index) {
+						errs <- "non-advising answer at threshold 0 under concurrency"
+						return
+					}
 				}
 				_ = a.SectionOf(i % a.SentenceCount())
 				_ = a.SentenceText(i % a.SentenceCount())

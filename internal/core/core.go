@@ -23,7 +23,7 @@ package core
 
 import (
 	"context"
-	"math"
+	"fmt"
 	"runtime"
 	"strconv"
 	"sync"
@@ -354,62 +354,51 @@ func (a Answer) AppendJSON(dst []byte) []byte {
 // sentences at the framework's threshold, best first. An empty result
 // corresponds to the tool's "No relevant sentences found".
 func (a *Advisor) Query(q string) []Answer {
-	// the default backend is always known, so no error can come back
-	out, _ := a.Retrieve(context.Background(), nlp.QueryTerms(q), a.QueryOpts(""))
-	return out
+	return a.Retrieve(context.Background(), nlp.QueryTerms(q), a.threshold)
 }
 
 // Retrieve is the one Stage-II query path Query and the serving layer
-// take: it scores pre-normalized query terms under o against the advising
-// sentences, the only ones the index serves, best first (score descending,
-// ties by document order). When ctx carries a sampled span, scoring is
-// recorded beneath it (see vsm.Index.Query). An unknown o.Backend returns
-// vsm.ErrUnknownBackend.
-func (a *Advisor) Retrieve(ctx context.Context, terms []string, o vsm.QueryOpts) ([]Answer, error) {
-	matches, err := a.index.Query(ctx, terms, o)
-	if err != nil || len(matches) == 0 {
-		return nil, err
+// take: it scores pre-normalized query terms against the advising
+// sentences, the only ones the index serves, and returns those at or above
+// threshold best first (score descending, ties by document order). When
+// ctx carries a sampled span, scoring is recorded beneath it (see
+// vsm.Index.Query).
+func (a *Advisor) Retrieve(ctx context.Context, terms []string, threshold float64) []Answer {
+	matches := a.index.Query(ctx, terms, threshold)
+	if len(matches) == 0 {
+		return nil
 	}
 	// the index serves advising sentences only, so every match has a rule
 	out := make([]Answer, len(matches))
 	for i, m := range matches {
 		out[i] = Answer{Sentence: a.advising[a.rulePos[m.Index]], Score: m.Score}
 	}
-	return out, nil
+	return out
 }
 
 // AppendQueryKey appends to b what Retrieve scores for the query terms on
 // this advisor's index (see vsm.Index.AppendQueryKey): equal bytes mean
-// Float64bits-equal answers from this advisor under every backend, and no
-// other advisor, a rebuild of this one included, appends the same bytes.
+// Float64bits-equal answers from this advisor, and no other advisor, a
+// rebuild of this one included, appends the same bytes.
 func (a *Advisor) AppendQueryKey(b []byte, terms []string) []byte {
 	return a.index.AppendQueryKey(b, terms)
 }
 
-// QueryOpts returns the options that answer with the named backend at its
-// threshold. The empty string and "vsm" run the paper's TF-IDF/cosine model
-// at the advisor's threshold. "bm25" scores with Okapi BM25 over the same
-// postings and keeps every advising sentence with positive score: BM25
-// scores are unbounded, so the paper's 0.15 cosine threshold has no meaning
-// there and rank order does the filtering (the smallest positive float
-// admits exactly the scores above zero).
-func (a *Advisor) QueryOpts(backend string) vsm.QueryOpts {
-	if backend == vsm.BackendBM25 {
-		return vsm.QueryOpts{Backend: backend, Threshold: math.SmallestNonzeroFloat64}
-	}
-	return vsm.QueryOpts{Backend: backend, Threshold: a.threshold}
-}
+// Threshold is the similarity threshold the advisor answers at: the
+// framework's, 0.15 by default (§3.2).
+func (a *Advisor) Threshold() float64 { return a.threshold }
 
-// Backends lists the retrieval backends the advisor can score with: the
-// paper's TF-IDF/VSM (default) plus the alternates sharing its index.
-func (a *Advisor) Backends() []string { return vsm.Backends() }
-
-// QueryTermsBackendCtx is Retrieve with the named backend's options.
+// QueryTermsBackendCtx is Retrieve at the advisor's threshold, for a
+// backend the request named: "" and "vsm" answer, and any other name is
+// vsm.ErrUnknownBackend.
 //
-// Deprecated: call Retrieve with QueryOpts(backend). It stays only because
-// the benchmark module still calls it.
+// Deprecated: call Retrieve with Threshold(). It stays only because the
+// benchmark module still calls it.
 func (a *Advisor) QueryTermsBackendCtx(ctx context.Context, backend string, terms []string) ([]Answer, error) {
-	return a.Retrieve(ctx, terms, a.QueryOpts(backend))
+	if !vsm.ValidBackend(backend) {
+		return nil, fmt.Errorf("%w: %q", vsm.ErrUnknownBackend, backend)
+	}
+	return a.Retrieve(ctx, terms, a.threshold), nil
 }
 
 // ReportAnswer pairs one profiler issue with its recommendations.

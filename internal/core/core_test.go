@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -35,15 +34,10 @@ func buildMini(t *testing.T) *Advisor {
 	return New().BuildFromHTML(miniGuide)
 }
 
-// retrieve answers raw query text with the named backend through Retrieve,
-// failing the test on an error.
-func retrieve(t testing.TB, a *Advisor, q, backend string) []Answer {
-	t.Helper()
-	out, err := a.Retrieve(context.Background(), nlp.QueryTerms(q), a.QueryOpts(backend))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
+// retrieve answers raw query text through Retrieve at the advisor's
+// threshold.
+func retrieve(a *Advisor, q string) []Answer {
+	return a.Retrieve(context.Background(), nlp.QueryTerms(q), a.Threshold())
 }
 
 // sameAnswers demands bit-identical retrieval: same sentences in the same
@@ -62,32 +56,42 @@ func sameAnswers(t *testing.T, label string, got, want []Answer) {
 	}
 }
 
-// TestRetrieve pins the one query path's options: Query is Retrieve with
-// the default backend's options, an unknown backend is
-// vsm.ErrUnknownBackend, and the advisor offers both backends.
+// TestRetrieve pins the one query path: Query is Retrieve at Threshold(),
+// which is the framework's threshold, and a lower threshold only adds
+// answers. The deprecated names still answer the same: WithShards changes
+// nothing, QueryTermsBackendCtx is Retrieve for "" and "vsm", and any
+// other backend name is vsm.ErrUnknownBackend.
 func TestRetrieve(t *testing.T) {
 	g := corpus.GenerateSized(corpus.CUDA, 200, 0.25, 31)
 	adv := New().BuildFromSentences(g.Doc, g.Sentences)
 	const q = "reduce instruction and memory latency"
-	full := retrieve(t, adv, q, "")
+	full := retrieve(adv, q)
 	if len(full) == 0 {
 		t.Fatalf("no answers for %q", q)
 	}
 	sameAnswers(t, "Query", adv.Query(q), full)
-	sameAnswers(t, "vsm", retrieve(t, adv, q, vsm.BackendVSM), full)
-	if _, err := adv.Retrieve(context.Background(), nlp.QueryTerms(q), adv.QueryOpts("tfidf2")); !errors.Is(err, vsm.ErrUnknownBackend) {
-		t.Fatalf("unknown backend: %v", err)
+	if adv.Threshold() != vsm.DefaultThreshold {
+		t.Fatalf("Threshold = %v, want %v", adv.Threshold(), vsm.DefaultThreshold)
 	}
-	if got := fmt.Sprint(adv.Backends()); got != "[vsm bm25]" {
-		t.Fatalf("Backends = %s", got)
+	if th := New(WithThreshold(0.3)).BuildFromSentences(g.Doc, g.Sentences).Threshold(); th != 0.3 {
+		t.Fatalf("WithThreshold(0.3): Threshold = %v", th)
 	}
-	// the deprecated names still answer the same: WithShards changes
-	// nothing, and QueryTermsBackendCtx is Retrieve with QueryOpts
-	bm25, err := New(WithShards(4)).BuildFromSentences(g.Doc, g.Sentences).QueryTermsBackendCtx(context.Background(), "bm25", nlp.QueryTerms(q))
-	if err != nil {
-		t.Fatal(err)
+	if all := adv.Retrieve(context.Background(), nlp.QueryTerms(q), 0.01); len(all) < len(full) {
+		t.Fatalf("threshold 0.01: %d answers, fewer than %d at the default", len(all), len(full))
 	}
-	sameAnswers(t, "QueryTermsBackendCtx", bm25, retrieve(t, adv, q, "bm25"))
+	sharded := New(WithShards(4)).BuildFromSentences(g.Doc, g.Sentences)
+	for _, backend := range []string{"", "vsm"} {
+		got, err := sharded.QueryTermsBackendCtx(context.Background(), backend, nlp.QueryTerms(q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAnswers(t, "QueryTermsBackendCtx "+backend, got, full)
+	}
+	for _, backend := range []string{"bm25", "tfidf"} {
+		if _, err := adv.QueryTermsBackendCtx(context.Background(), backend, nlp.QueryTerms(q)); !errors.Is(err, vsm.ErrUnknownBackend) {
+			t.Fatalf("QueryTermsBackendCtx(%q): %v, want vsm.ErrUnknownBackend", backend, err)
+		}
+	}
 }
 
 func TestStageIRecognition(t *testing.T) {

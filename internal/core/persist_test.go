@@ -11,7 +11,6 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/htmldoc"
 	"repro/internal/textproc"
-	"repro/internal/vsm"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -167,8 +166,7 @@ type partitionedSnapshot struct {
 // TestPartitionedSnapshotsLoad: a version-2 stream carrying a partition
 // count — a sane one, one far above any count ever allowed, and a negative
 // one — loads (gob skips the field), is an incremental base for every
-// sentence, and answers under both backends Float64bits-identically to a
-// cold build.
+// sentence, and answers Float64bits-identically to a cold build.
 func TestPartitionedSnapshotsLoad(t *testing.T) {
 	g := corpus.GenerateSized(corpus.CUDA, 150, 0.3, 43)
 	cold := New().BuildFromSentences(g.Doc, g.Sentences)
@@ -195,10 +193,7 @@ func TestPartitionedSnapshotsLoad(t *testing.T) {
 		}
 		assertReusesAll(t, New(), loaded)
 		for _, q := range persistQueries {
-			for _, backend := range vsm.Backends() {
-				sameAnswers(t, fmt.Sprintf("shards %d %s %q", shards, backend, q),
-					retrieve(t, loaded, q, backend), retrieve(t, cold, q, backend))
-			}
+			sameAnswers(t, fmt.Sprintf("shards %d %q", shards, q), retrieve(loaded, q), retrieve(cold, q))
 		}
 	}
 }

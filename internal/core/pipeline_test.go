@@ -52,8 +52,7 @@ func TestBuildPipelineEquivalence(t *testing.T) {
 			"overlap transfers with execution",
 		} {
 			// a threshold below zero scores every served document
-			all := vsm.QueryOpts{Threshold: -1}
-			matches, _ := ref.Query(context.Background(), nlp.QueryTerms(q), all)
+			matches := ref.Query(context.Background(), nlp.QueryTerms(q), -1)
 			var want []vsm.Match
 			for _, m := range matches {
 				if adv.IsAdvising(m.Index) {
@@ -63,7 +62,7 @@ func TestBuildPipelineEquivalence(t *testing.T) {
 			if len(want) != len(adv.Rules()) {
 				t.Fatalf("%v query %q: %d advising sentences scored, want all %d", reg, q, len(want), len(adv.Rules()))
 			}
-			got, _ := adv.index.Query(context.Background(), nlp.QueryTerms(q), all)
+			got := adv.index.Query(context.Background(), nlp.QueryTerms(q), -1)
 			if len(got) != len(want) {
 				t.Fatalf("%v query %q: %d vs %d scored documents", reg, q, len(got), len(want))
 			}
@@ -106,7 +105,7 @@ func TestQueryTermsEquivalence(t *testing.T) {
 		"coalesce global memory accesses",
 	} {
 		viaString := adv.Query(q)
-		viaTerms := retrieve(t, adv, q, "")
+		viaTerms := retrieve(adv, q)
 		if len(viaString) != len(viaTerms) {
 			t.Fatalf("query %q: %d vs %d answers", q, len(viaString), len(viaTerms))
 		}

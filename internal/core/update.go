@@ -43,8 +43,8 @@ func (f *Framework) UpdateFromSentences(prev *Advisor, d *htmldoc.Document, sent
 // as "core.update" and counted by the core_update_* ones.
 //
 // The result is indistinguishable from a cold build of the same sentences:
-// identical rules and Float64bits-identical retrieval scores under every
-// backend (the eval suite's incremental≡full test enforces this). Only
+// identical rules and Float64bits-identical retrieval scores (the eval
+// suite's incremental≡full test enforces this). Only
 // BuildStats differs — Reused reports how many sentences carried over.
 // prev is never mutated: its annotations and index-side term counts are
 // shared with the new advisor, but both treat them as immutable.

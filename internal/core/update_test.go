@@ -10,7 +10,6 @@ import (
 	"repro/internal/doc"
 	"repro/internal/htmldoc"
 	"repro/internal/obs"
-	"repro/internal/vsm"
 )
 
 // editGuide derives a new document version from a guide: one sentence
@@ -38,7 +37,7 @@ func editGuide(g *corpus.Guide) (*htmldoc.Document, []htmldoc.Sentence) {
 
 // assertEquivalent checks that an incrementally updated advisor is
 // indistinguishable from a full build of the same sentences: identical
-// rules and Float64bits-identical scores under both backends.
+// rules and Float64bits-identical scores.
 func assertEquivalent(t *testing.T, inc, full *Advisor) {
 	t.Helper()
 	ri, rf := inc.Rules(), full.Rules()
@@ -51,16 +50,14 @@ func assertEquivalent(t *testing.T, inc, full *Advisor) {
 		}
 	}
 	for _, q := range corpus.CUDAQueries() {
-		for _, backend := range vsm.Backends() {
-			ai, af := retrieve(t, inc, q.Text, backend), retrieve(t, full, q.Text, backend)
-			if len(ai) != len(af) {
-				t.Fatalf("query %q/%s: %d vs %d answers", q.Text, backend, len(ai), len(af))
-			}
-			for i := range af {
-				if ai[i].Sentence != af[i].Sentence ||
-					math.Float64bits(ai[i].Score) != math.Float64bits(af[i].Score) {
-					t.Fatalf("query %q/%s answer %d: %+v vs %+v", q.Text, backend, i, ai[i], af[i])
-				}
+		ai, af := retrieve(inc, q.Text), retrieve(full, q.Text)
+		if len(ai) != len(af) {
+			t.Fatalf("query %q: %d vs %d answers", q.Text, len(ai), len(af))
+		}
+		for i := range af {
+			if ai[i].Sentence != af[i].Sentence ||
+				math.Float64bits(ai[i].Score) != math.Float64bits(af[i].Score) {
+				t.Fatalf("query %q answer %d: %+v vs %+v", q.Text, i, ai[i], af[i])
 			}
 		}
 	}

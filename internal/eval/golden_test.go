@@ -118,9 +118,9 @@ func TestGoldenStageIIAnswers(t *testing.T) {
 var traceIDRe = regexp.MustCompile(`"trace_id":"[^"]*"`)
 
 // TestGoldenQueryHTTP freezes the byte-exact /v1/query response body on the
-// default path (no backend parameter) — the proof that adding pluggable
-// backends left the pre-existing wire format untouched. Only the per-request
-// trace ID is scrubbed; everything else, down to field order and float
+// default path (no backend parameter), so no change to the serving stack
+// can move the wire format unnoticed. Only the per-request trace ID is
+// scrubbed; everything else, down to field order and float
 // rendering, must match the golden bytes.
 func TestGoldenQueryHTTP(t *testing.T) {
 	g := corpus.Generate(corpus.CUDA, experiments.Seed)

@@ -10,18 +10,11 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/htmldoc"
 	"repro/internal/nlp"
-	"repro/internal/vsm"
 )
 
-// retrieve answers raw query text with the named backend, failing the test
-// on an error.
-func retrieve(t *testing.T, a *core.Advisor, q, backend string) []core.Answer {
-	t.Helper()
-	out, err := a.Retrieve(context.Background(), nlp.QueryTerms(q), a.QueryOpts(backend))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
+// retrieve answers raw query text at the advisor's threshold.
+func retrieve(a *core.Advisor, q string) []core.Answer {
+	return a.Retrieve(context.Background(), nlp.QueryTerms(q), a.Threshold())
 }
 
 // editStep is one mutation of a document's sentence list — the edit shapes
@@ -76,8 +69,8 @@ func editChain() []editStep {
 // starting from a built guide, apply a chain of edits (modify, insert,
 // delete, duplicate, move); after each step, an incremental update from the
 // previous advisor must match a from-scratch build of the same sentences —
-// identical Stage-I rules and Float64bits-identical Stage-II answers for
-// both scoring backends over the frozen CUDA query set. The chain threads
+// identical Stage-I rules and Float64bits-identical Stage-II answers over
+// the frozen CUDA query set. The chain threads
 // the *incremental* result forward as the next step's base, so divergence
 // cannot hide by being re-derived from a clean build.
 func TestIncrementalEqualsFullBuild(t *testing.T) {
@@ -103,19 +96,17 @@ func TestIncrementalEqualsFullBuild(t *testing.T) {
 				t.Fatalf("step %s rule %d: %+v vs %+v", step.name, i, ir[i], fr[i])
 			}
 		}
-		for _, backend := range vsm.Backends() {
-			for _, q := range corpus.CUDAQueries() {
-				ia, fa := retrieve(t, inc, q.Text, backend), retrieve(t, full, q.Text, backend)
-				if len(ia) != len(fa) {
-					t.Fatalf("step %s %s %q: %d vs %d answers", step.name, backend, q.Text, len(ia), len(fa))
-				}
-				for i := range fa {
-					if ia[i].Sentence != fa[i].Sentence ||
-						math.Float64bits(ia[i].Score) != math.Float64bits(fa[i].Score) {
-						t.Fatalf("step %s %s %q answer %d: (%d, %x) vs (%d, %x)",
-							step.name, backend, q.Text, i,
-							ia[i].Sentence.Index, ia[i].Score, fa[i].Sentence.Index, fa[i].Score)
-					}
+		for _, q := range corpus.CUDAQueries() {
+			ia, fa := retrieve(inc, q.Text), retrieve(full, q.Text)
+			if len(ia) != len(fa) {
+				t.Fatalf("step %s %q: %d vs %d answers", step.name, q.Text, len(ia), len(fa))
+			}
+			for i := range fa {
+				if ia[i].Sentence != fa[i].Sentence ||
+					math.Float64bits(ia[i].Score) != math.Float64bits(fa[i].Score) {
+					t.Fatalf("step %s %q answer %d: (%d, %x) vs (%d, %x)",
+						step.name, q.Text, i,
+						ia[i].Sentence.Index, ia[i].Score, fa[i].Sentence.Index, fa[i].Score)
 				}
 			}
 		}

@@ -12,8 +12,8 @@ import (
 
 // TestSnapshotBitExactAnswers proves the warm-start contract: an advisor
 // round-tripped through a snapshot (Save + LoadAdvisor) must produce
-// Float64bits-identical Stage-II answers to the freshly built advisor — for
-// both scoring backends, over the paper's frozen CUDA query set. Scores are
+// Float64bits-identical Stage-II answers to the freshly built advisor, over
+// the paper's frozen CUDA query set. Scores are
 // compared at the bit level, not with a tolerance: the snapshot stores the
 // exact normalized term lists the fresh build indexed, so the rebuilt index
 // is the same index.
@@ -40,22 +40,20 @@ func TestSnapshotBitExactAnswers(t *testing.T) {
 		}
 	}
 
-	for _, backend := range []string{"vsm", "bm25"} {
-		for _, q := range corpus.CUDAQueries() {
-			fa, la := retrieve(t, fresh, q.Text, backend), retrieve(t, loaded, q.Text, backend)
-			if len(fa) != len(la) {
-				t.Fatalf("%s %q: fresh %d answers, loaded %d", backend, q.Text, len(fa), len(la))
+	for _, q := range corpus.CUDAQueries() {
+		fa, la := retrieve(fresh, q.Text), retrieve(loaded, q.Text)
+		if len(fa) != len(la) {
+			t.Fatalf("%q: fresh %d answers, loaded %d", q.Text, len(fa), len(la))
+		}
+		for i := range fa {
+			if fa[i].Sentence.Index != la[i].Sentence.Index {
+				t.Errorf("%q answer %d: sentence %d vs %d",
+					q.Text, i, fa[i].Sentence.Index, la[i].Sentence.Index)
 			}
-			for i := range fa {
-				if fa[i].Sentence.Index != la[i].Sentence.Index {
-					t.Errorf("%s %q answer %d: sentence %d vs %d",
-						backend, q.Text, i, fa[i].Sentence.Index, la[i].Sentence.Index)
-				}
-				fb, lb := math.Float64bits(fa[i].Score), math.Float64bits(la[i].Score)
-				if fb != lb {
-					t.Errorf("%s %q answer %d: score bits %016x vs %016x (%v vs %v)",
-						backend, q.Text, i, fb, lb, fa[i].Score, la[i].Score)
-				}
+			fb, lb := math.Float64bits(fa[i].Score), math.Float64bits(la[i].Score)
+			if fb != lb {
+				t.Errorf("%q answer %d: score bits %016x vs %016x (%v vs %v)",
+					q.Text, i, fb, lb, fa[i].Score, la[i].Score)
 			}
 		}
 	}

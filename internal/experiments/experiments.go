@@ -11,7 +11,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/baselines"
@@ -467,9 +466,7 @@ func ThresholdSweep(g *corpus.Guide, adv *core.Advisor, thresholds []float64) []
 		for _, q := range queries {
 			truth := g.GroundTruth(q)
 			var idx []int
-			// the default backend is always known, so no error can come back
-			answers, _ := adv.Retrieve(context.Background(), nlp.QueryTerms(q.Text), vsm.QueryOpts{Threshold: th})
-			for _, a := range answers {
+			for _, a := range adv.Retrieve(context.Background(), nlp.QueryTerms(q.Text), th) {
 				idx = append(idx, a.Sentence.Index)
 			}
 			s := eval.ScoreSets(idx, truth)
@@ -483,71 +480,6 @@ func ThresholdSweep(g *corpus.Guide, adv *core.Advisor, thresholds []float64) []
 	return out
 }
 
-// RetrievalRow compares the paper's TF-IDF/VSM Stage II against BM25 on one
-// query (both over the Stage-I advising set; BM25 gets the same answer
-// budget TF-IDF used, since it has no natural threshold).
-type RetrievalRow struct {
-	Issue string
-	TFIDF eval.PRF
-	BM25  eval.PRF
-}
-
-// RetrievalAblation runs the TF-IDF-vs-BM25 comparison over the six Table 6
-// queries.
-func RetrievalAblation(g *corpus.Guide, adv *core.Advisor) []RetrievalRow {
-	// BM25 index over only the advising sentences, mapped back to global
-	// sentence indices
-	rules := adv.Rules()
-	advTexts := make([]string, len(rules))
-	advIdx := make([]int, len(rules))
-	for i, r := range rules {
-		advTexts[i] = r.Text
-		advIdx[i] = r.Index
-	}
-	bm := vsm.Build(advTexts)
-
-	var out []RetrievalRow
-	for _, q := range corpus.CUDAQueries() {
-		truth := g.GroundTruth(q)
-		var tfidfIdx []int
-		for _, a := range adv.Query(q.Text) {
-			tfidfIdx = append(tfidfIdx, a.Sentence.Index)
-		}
-		// every positive BM25 score, best first, cut to the TF-IDF budget
-		matches, err := bm.Query(context.Background(), nlp.QueryTerms(q.Text),
-			vsm.QueryOpts{Backend: vsm.BackendBM25, Threshold: math.SmallestNonzeroFloat64})
-		if err != nil {
-			// the backend name is a package constant; an error here is a bug
-			panic(err)
-		}
-		var bmIdx []int
-		for _, m := range matches[:min(len(matches), len(tfidfIdx))] {
-			bmIdx = append(bmIdx, advIdx[m.Index])
-		}
-		out = append(out, RetrievalRow{
-			Issue: q.Issue,
-			TFIDF: eval.ScoreSets(tfidfIdx, truth),
-			BM25:  eval.ScoreSets(bmIdx, truth),
-		})
-	}
-	return out
-}
-
-// FormatRetrievalAblation renders the comparison.
-func FormatRetrievalAblation(rows []RetrievalRow) string {
-	t := &eval.Table{Header: []string{"Issue", "TF-IDF P", "R", "F", "BM25 P", "R", "F"}}
-	for _, r := range rows {
-		issue := r.Issue
-		if len(issue) > 40 {
-			issue = issue[:37] + "..."
-		}
-		t.AddRow(issue,
-			eval.F3(r.TFIDF.Precision), eval.F3(r.TFIDF.Recall), eval.F3(r.TFIDF.F),
-			eval.F3(r.BM25.Precision), eval.F3(r.BM25.Recall), eval.F3(r.BM25.F))
-	}
-	return "Ablation: Stage-II weighting — TF-IDF/VSM (paper) vs BM25 (same budget)\n" + t.String()
-}
-
 // FormatThresholdSweep renders the sweep.
 func FormatThresholdSweep(points []ThresholdPoint) string {
 	t := &eval.Table{Header: []string{"Threshold", "macro-P", "macro-R", "macro-F"}}
@@ -555,78 +487,4 @@ func FormatThresholdSweep(points []ThresholdPoint) string {
 		t.AddRow(eval.F2(p.Threshold), eval.F3(p.MacroP), eval.F3(p.MacroR), eval.F3(p.MacroF))
 	}
 	return "Ablation: Stage-II similarity threshold sweep (paper default 0.15)\n" + t.String()
-}
-
-// BackendRow compares the advisor's served scoring backends on one query:
-// the paper's TF-IDF/VSM default against Okapi BM25 over the same shared
-// postings — the exact path `/v1/{advisor}/query?backend=bm25` scores with.
-// BM25 has no score threshold, so it is truncated to VSM's answer budget.
-type BackendRow struct {
-	Issue   string
-	Answers int // VSM's answer count, the shared budget
-	VSM     eval.PRF
-	BM25    eval.PRF
-}
-
-// BackendAblation runs the served-backend comparison over the Table 6
-// queries. Unlike RetrievalAblation, which rebuilds a standalone BM25 index
-// from raw advising text, this goes through Advisor.Retrieve so both
-// backends share one tokenization, one postings list, and one advising set:
-// any quality difference is the weighting model alone.
-func BackendAblation(g *corpus.Guide, adv *core.Advisor) []BackendRow {
-	var out []BackendRow
-	for _, q := range corpus.CUDAQueries() {
-		truth := g.GroundTruth(q)
-		var vsmIdx []int
-		for _, a := range adv.Query(q.Text) {
-			vsmIdx = append(vsmIdx, a.Sentence.Index)
-		}
-		bmAns, err := adv.Retrieve(context.Background(), nlp.QueryTerms(q.Text), adv.QueryOpts(vsm.BackendBM25))
-		if err != nil {
-			// the backend name is a package constant; an error here is a bug
-			panic(err)
-		}
-		if len(bmAns) > len(vsmIdx) {
-			bmAns = bmAns[:len(vsmIdx)]
-		}
-		var bmIdx []int
-		for _, a := range bmAns {
-			bmIdx = append(bmIdx, a.Sentence.Index)
-		}
-		out = append(out, BackendRow{
-			Issue:   q.Issue,
-			Answers: len(vsmIdx),
-			VSM:     eval.ScoreSets(vsmIdx, truth),
-			BM25:    eval.ScoreSets(bmIdx, truth),
-		})
-	}
-	return out
-}
-
-// FormatBackendAblation renders the served-backend comparison with a
-// macro-averaged summary row.
-func FormatBackendAblation(rows []BackendRow) string {
-	t := &eval.Table{Header: []string{"Issue", "n", "VSM P", "R", "F", "BM25 P", "R", "F"}}
-	var vp, vr, vf, bp, br, bf float64
-	for _, r := range rows {
-		issue := r.Issue
-		if len(issue) > 40 {
-			issue = issue[:37] + "..."
-		}
-		t.AddRow(issue, fmt.Sprintf("%d", r.Answers),
-			eval.F3(r.VSM.Precision), eval.F3(r.VSM.Recall), eval.F3(r.VSM.F),
-			eval.F3(r.BM25.Precision), eval.F3(r.BM25.Recall), eval.F3(r.BM25.F))
-		vp += r.VSM.Precision
-		vr += r.VSM.Recall
-		vf += r.VSM.F
-		bp += r.BM25.Precision
-		br += r.BM25.Recall
-		bf += r.BM25.F
-	}
-	if n := float64(len(rows)); n > 0 {
-		t.AddRow("macro average", "",
-			eval.F3(vp/n), eval.F3(vr/n), eval.F3(vf/n),
-			eval.F3(bp/n), eval.F3(br/n), eval.F3(bf/n))
-	}
-	return "Ablation: served backends — VSM default vs ?backend=bm25 (shared postings, same budget)\n" + t.String()
 }

@@ -301,28 +301,6 @@ func TestKappasAboveThreshold(t *testing.T) {
 	}
 }
 
-func TestRetrievalAblation(t *testing.T) {
-	g, adv := BuildAdvisor(corpus.CUDA)
-	rows := RetrievalAblation(g, adv)
-	if len(rows) != 6 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	for _, r := range rows {
-		// both rankers must be usable; neither collapses
-		if r.TFIDF.F == 0 && r.BM25.F == 0 {
-			t.Errorf("%s: both rankers scored zero", r.Issue)
-		}
-		// at equal budget the two rankers should stay in the same ballpark:
-		// the paper's TF-IDF choice is adequate, not magic
-		if r.BM25.F < r.TFIDF.F-0.35 || r.TFIDF.F < r.BM25.F-0.35 {
-			t.Errorf("%s: rankers diverge implausibly: tfidf %.3f bm25 %.3f", r.Issue, r.TFIDF.F, r.BM25.F)
-		}
-	}
-	if s := FormatRetrievalAblation(rows); !strings.Contains(s, "BM25") {
-		t.Error("format broken")
-	}
-}
-
 func TestThresholdSweepMonotoneRecall(t *testing.T) {
 	g, adv := BuildAdvisor(corpus.CUDA)
 	points := ThresholdSweep(g, adv, []float64{0.05, 0.15, 0.30})
@@ -383,27 +361,5 @@ func TestFormatters(t *testing.T) {
 	}
 	if s := FormatThresholdSweep(ThresholdSweep(g, adv, []float64{0.15})); !strings.Contains(s, "0.15") {
 		t.Error("sweep format")
-	}
-}
-
-func TestBackendAblation(t *testing.T) {
-	g, adv := BuildAdvisor(corpus.CUDA)
-	rows := BackendAblation(g, adv)
-	if len(rows) != 6 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	for _, r := range rows {
-		if r.Answers == 0 {
-			t.Errorf("%s: VSM answered nothing, budget collapsed", r.Issue)
-		}
-		// precision is budget-matched, so the two backends never diverge
-		// wildly over the same postings
-		if r.BM25.F < r.VSM.F-0.35 || r.VSM.F < r.BM25.F-0.35 {
-			t.Errorf("%s: backends diverge implausibly: vsm %.3f bm25 %.3f", r.Issue, r.VSM.F, r.BM25.F)
-		}
-	}
-	out := FormatBackendAblation(rows)
-	if !strings.Contains(out, "macro average") || !strings.Contains(out, "bm25") {
-		t.Errorf("format broken:\n%s", out)
 	}
 }

@@ -98,8 +98,8 @@ func benchReloads(b *testing.B, edit func(cuda *editableGuide, i int)) {
 // reloads it, so Stage I re-runs over exactly one sentence and the index is
 // rebuilt from the kept term counts. The acceptance bar is >= 5x faster
 // than BenchmarkColdBuild (which rebuilds all three guides from scratch),
-// with answers bit-identical to a cold build under both backends (enforced
-// by the equivalence suites in core and eval).
+// with answers bit-identical to a cold build (enforced by the equivalence
+// suites in core and eval).
 func BenchmarkIncrementalRebuild(b *testing.B) {
 	benchReloads(b, func(cuda *editableGuide, i int) {
 		cuda.setEdit(10, fmt.Sprintf("Coalesce global memory accesses for full bandwidth, revision %d.", i))

@@ -17,7 +17,6 @@ import (
 	"repro/internal/nlp"
 	"repro/internal/obs"
 	"repro/internal/store"
-	"repro/internal/vsm"
 )
 
 // editableGuide is a Source over a guide whose sentences a test (or the
@@ -111,28 +110,20 @@ func incrementalManager(t *testing.T, st *store.Store, guides ...*editableGuide)
 }
 
 // assertSameAnswers checks that two advisors give Float64bits-identical
-// answers over the frozen eval queries under both backends.
+// answers over the frozen eval queries.
 func assertSameAnswers(t *testing.T, got, want *core.Advisor) {
 	t.Helper()
 	for _, q := range corpus.CUDAQueries() {
-		for _, backend := range vsm.Backends() {
-			terms := nlp.QueryTerms(q.Text)
-			ag, err := got.Retrieve(context.Background(), terms, got.QueryOpts(backend))
-			if err != nil {
-				t.Fatal(err)
-			}
-			aw, err := want.Retrieve(context.Background(), terms, want.QueryOpts(backend))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ag) != len(aw) {
-				t.Fatalf("query %q/%s: %d vs %d answers", q.Text, backend, len(ag), len(aw))
-			}
-			for i := range aw {
-				if ag[i].Sentence != aw[i].Sentence ||
-					math.Float64bits(ag[i].Score) != math.Float64bits(aw[i].Score) {
-					t.Fatalf("query %q/%s answer %d: %+v vs %+v", q.Text, backend, i, ag[i], aw[i])
-				}
+		terms := nlp.QueryTerms(q.Text)
+		ag := got.Retrieve(context.Background(), terms, got.Threshold())
+		aw := want.Retrieve(context.Background(), terms, want.Threshold())
+		if len(ag) != len(aw) {
+			t.Fatalf("query %q: %d vs %d answers", q.Text, len(ag), len(aw))
+		}
+		for i := range aw {
+			if ag[i].Sentence != aw[i].Sentence ||
+				math.Float64bits(ag[i].Score) != math.Float64bits(aw[i].Score) {
+				t.Fatalf("query %q answer %d: %+v vs %+v", q.Text, i, ag[i], aw[i])
 			}
 		}
 	}

@@ -50,8 +50,8 @@ type Answer struct {
 // reported in the X-Cache header, not the body, so repeated identical
 // queries stay byte-identical. TraceID is per-request (it also appears in
 // the X-Trace-Id header) and keys a sampled span tree on /tracez.
-// Backend is present only when the client selected one explicitly, so the
-// default path marshals byte-identically to a backend-unaware response.
+// Backend echoes the scoring backend the client named ("vsm", the one
+// model); it is absent when the client named none.
 type QueryResponse struct {
 	Advisor string   `json:"advisor"`
 	Query   string   `json:"query"`
@@ -59,12 +59,6 @@ type QueryResponse struct {
 	Count   int      `json:"count"`
 	Answers []Answer `json:"answers"`
 	TraceID string   `json:"trace_id,omitempty"`
-}
-
-// BackendsResponse is the body of GET /v1/backends.
-type BackendsResponse struct {
-	Default  string   `json:"default"`
-	Backends []string `json:"backends"`
 }
 
 // IssueAnswers pairs one profiler issue with its recommendations in

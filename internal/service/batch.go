@@ -20,7 +20,8 @@ import (
 // N requests strong.
 
 // BatchItem is one query in a BatchRequest. Advisor and Query are required;
-// Backend defaults to the paper's VSM.
+// Backend, when given, must name the one scoring model ("vsm") and is
+// echoed in the item's result.
 type BatchItem struct {
 	Advisor string `json:"advisor"`
 	Query   string `json:"query"`
@@ -120,13 +121,18 @@ func (s *Service) batchItem(ctx context.Context, parent *obs.Span, i int, item B
 		span.SetAttr("outcome", "error")
 		return res
 	}
+	if err := checkBackend(item.Backend); err != nil {
+		res.Error = err.Error()
+		span.SetAttr("outcome", "error")
+		return res
+	}
 	// the item's clock starts when a worker picks it up, not when the batch
 	// arrived; the batch's deadline still caps it
 	l := lease{deadline: time.Now().Add(share)}
 	if deadline.Before(l.deadline) {
 		l.deadline = deadline
 	}
-	answers, hit, err := s.cachedQuery(ctx, &l, item.Advisor, item.Backend, item.Query)
+	answers, hit, err := s.cachedQuery(ctx, &l, item.Advisor, item.Query)
 	l.release(s)
 	if err != nil {
 		res.Error = err.Error()

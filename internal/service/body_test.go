@@ -73,20 +73,21 @@ func encodeRef(v any) []byte {
 
 // retrieve is the uncached oracle: the registry's advisor scores q itself,
 // so a wrong cache key cannot hide behind the cache it would fill.
-func retrieve(svc *Service, advisor, backend, q string) ([]core.Answer, error) {
+func retrieve(svc *Service, advisor, q string) ([]core.Answer, error) {
 	adv, ok := svc.reg.Get(advisor)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownAdvisor, advisor)
 	}
-	return adv.Retrieve(context.Background(), nlp.QueryTerms(q), adv.QueryOpts(backend))
+	return adv.Retrieve(context.Background(), nlp.QueryTerms(q), adv.Threshold()), nil
 }
 
 // checkQuery reports how a response to GET /v1/{advisor}/query?q=q (with
 // &backend= when backend is set) differs from its oracle: a 200 whose body
-// is encoding/json of the QueryResponse over the uncached answers to q.
+// is encoding/json of the QueryResponse over the uncached answers to q,
+// echoing the backend.
 func checkQuery(svc *Service, rec *httptest.ResponseRecorder, advisor, backend, q string) error {
 	q = strings.TrimSpace(q)
-	answers, err := retrieve(svc, advisor, backend, q)
+	answers, err := retrieve(svc, advisor, q)
 	if err != nil {
 		return fmt.Errorf("oracle: %v", err)
 	}
@@ -104,7 +105,7 @@ func checkReport(svc *Service, rec *httptest.ResponseRecorder, advisor string, b
 	}
 	resp := ReportResponse{Advisor: advisor, Program: report.Program, TraceID: rec.Header().Get("X-Trace-Id")}
 	for _, issue := range report.Issues() {
-		answers, err := retrieve(svc, advisor, "", issue.Query())
+		answers, err := retrieve(svc, advisor, issue.Query())
 		if err != nil {
 			return fmt.Errorf("oracle: %v", err)
 		}
@@ -121,6 +122,19 @@ func sameBody(rec *httptest.ResponseRecorder, want any) error {
 	}
 	if w := encodeRef(want); !bytes.Equal(rec.Body.Bytes(), w) {
 		return fmt.Errorf("body differs from encoding/json:\n got %s\nwant %s", rec.Body, w)
+	}
+	return nil
+}
+
+// sameError reports how rec differs from the error response writeError
+// gives status and msg: encoding/json of the ErrorResponse echoing the
+// trace ID.
+func sameError(rec *httptest.ResponseRecorder, status int, msg string) error {
+	if rec.Code != status {
+		return fmt.Errorf("status %d, want %d: %s", rec.Code, status, rec.Body)
+	}
+	if w := encodeRef(ErrorResponse{Error: msg, TraceID: rec.Header().Get("X-Trace-Id")}); !bytes.Equal(rec.Body.Bytes(), w) {
+		return fmt.Errorf("error body:\n got %s\nwant %s", rec.Body, w)
 	}
 	return nil
 }
@@ -178,7 +192,7 @@ func TestQueryAndReportBodiesMatchEncodingJSON(t *testing.T) {
 	svc := New(reg, Options{})
 	for _, h := range append(hostileTexts, "", "no match at all") {
 		q := "shared memory " + h
-		for _, backend := range []string{"", "bm25"} {
+		for _, backend := range []string{"", "vsm"} {
 			rec := serve(svc, http.MethodGet, "/v1/h/query?q="+url.QueryEscape(q)+"&backend="+backend, nil)
 			if err := checkQuery(svc, rec, "h", backend, q); err != nil {
 				t.Fatalf("query %q, backend %q: %v", q, backend, err)
@@ -206,7 +220,7 @@ func TestAnswersKeepScoringAdvisorText(t *testing.T) {
 	reg := NewRegistry()
 	reg.Add("h", hostileAdvisor(t, "v1 "))
 	svc := New(reg, Options{})
-	answers, _, err := svc.CachedQuery(context.Background(), "h", "", "shared memory")
+	answers, _, err := svc.CachedQuery(context.Background(), "h", "shared memory")
 	if err != nil || len(answers) == 0 {
 		t.Fatalf("%d answers, err %v", len(answers), err)
 	}

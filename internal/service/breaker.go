@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/vsm"
 )
 
 // Per-advisor circuit breakers keep one slow or failing advisor from
@@ -22,7 +21,7 @@ import (
 //
 //	closed    -> open       after Threshold consecutive infrastructure
 //	                        failures (timeouts, internal errors — never
-//	                        client mistakes like an unknown backend)
+//	                        client mistakes like an unknown advisor)
 //	open      -> half-open  after Cooldown, admitting exactly one probe
 //	half-open -> closed     when the probe succeeds
 //	half-open -> open       when the probe fails (cooldown restarts)
@@ -242,13 +241,13 @@ type BreakerInfo struct {
 
 // breakerFailure classifies an error for the breaker: infrastructure
 // failures (timeouts, cancellations, injected faults, anything unexpected)
-// count; client mistakes (unknown advisor or backend) and admission
+// count; client mistakes (an unknown advisor) and admission
 // shedding (the server as a whole is overloaded, not this advisor) do not.
 func breakerFailure(err error) bool {
 	switch {
 	case err == nil:
 		return false
-	case errors.Is(err, ErrUnknownAdvisor), errors.Is(err, vsm.ErrUnknownBackend):
+	case errors.Is(err, ErrUnknownAdvisor):
 		return false
 	case errors.Is(err, ErrOverloaded):
 		return false

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/vsm"
 )
 
 // fakeClock is a manually advanced clock for walking breaker cooldowns
@@ -187,7 +186,6 @@ func TestBreakerFailureClassification(t *testing.T) {
 	}{
 		{nil, false},
 		{fmt.Errorf("%w: %q", ErrUnknownAdvisor, "x"), false},
-		{fmt.Errorf("%w: %q", vsm.ErrUnknownBackend, "x"), false},
 		{ErrOverloaded, false},
 		{context.DeadlineExceeded, true},
 		{context.Canceled, true},
@@ -221,7 +219,7 @@ func TestAskSkipsOpenBreaker(t *testing.T) {
 	for i := 0; i < DefaultBreakerThreshold; i++ {
 		// distinct queries dodge the cache (errors are never cached, but
 		// keep the draws independent anyway)
-		_, errs := svc.Ask(context.Background(), "", fmt.Sprintf("memory coalescing %d", i), 3)
+		_, errs := svc.Ask(context.Background(), fmt.Sprintf("memory coalescing %d", i), 3)
 		if len(errs) == 0 {
 			t.Fatalf("round %d: fault storm produced no errors", i)
 		}
@@ -233,7 +231,7 @@ func TestAskSkipsOpenBreaker(t *testing.T) {
 	}
 
 	// while open, asks skip the advisors entirely and report ErrBreakerOpen
-	answers, errs := svc.Ask(context.Background(), "", "memory coalescing", 3)
+	answers, errs := svc.Ask(context.Background(), "memory coalescing", 3)
 	if len(answers) != 0 {
 		t.Fatalf("open breakers still produced answers: %v", answers)
 	}
@@ -246,7 +244,7 @@ func TestAskSkipsOpenBreaker(t *testing.T) {
 	// faults off + cooldown elapsed: the next ask is the probe and heals
 	inj.Reset()
 	clk.advance(DefaultBreakerCooldown)
-	answers, errs = svc.Ask(context.Background(), "", "memory coalescing", 3)
+	answers, errs = svc.Ask(context.Background(), "memory coalescing", 3)
 	if len(errs) != 0 {
 		t.Fatalf("post-recovery errors: %v", errs)
 	}

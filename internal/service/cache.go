@@ -6,12 +6,11 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/vsm"
 )
 
 // Cache is a sharded LRU over Stage-II query results. The service keys an
-// entry by the advisor name, the backend and what the advisor's index
-// scores for the query (see appendQueryKey), so a cached answer is always
+// entry by the advisor name and what the advisor's index scores for the
+// query (see appendQueryKey), so a cached answer is always
 // what retrieval would have produced. Keys are opaque to the cache. The key
 // carries the answering index's process-unique identity, so after a reload
 // no lookup reads or joins an entry of the replaced index; those entries are
@@ -77,29 +76,20 @@ func NewCache(capacity, shards int, stats *Stats) *Cache {
 }
 
 // appendQueryKey appends the cache key of a query against adv, registered
-// as advisor, under backend: the advisor name, a zero byte, the backend
-// ("" for the default, so "" and "vsm" share their entries, as their
-// answers are bit-identical), a zero byte, then what adv's index scores
+// as advisor: the advisor name, a zero byte, then what adv's index scores
 // for the terms (core.Advisor.AppendQueryKey). Queries that differ only in
 // terms the guide never uses share one key; a key never matches a lookup
-// against another advisor or another build of this one. Names and backends
-// hold no zero byte, so the layout is unambiguous.
-func appendQueryKey(b []byte, adv *core.Advisor, advisor, backend string, terms []string) []byte {
-	if backend == vsm.BackendVSM {
-		backend = ""
-	}
-	b = append(append(append(append(b, advisor...), 0), backend...), 0)
-	return adv.AppendQueryKey(b, terms)
+// against another advisor or another build of this one. Names hold no
+// zero byte, so the layout is unambiguous.
+func appendQueryKey(b []byte, adv *core.Advisor, advisor string, terms []string) []byte {
+	return adv.AppendQueryKey(append(append(b, advisor...), 0), terms)
 }
 
 // queryKeyLen is the length of the normalized query written out as the
-// term-string key of QueryKeyFull(advisor, backend, true, terms), computed
+// term-string key of QueryKeyFull(advisor, "", true, terms), computed
 // without building it: the size boundQuery limits.
-func queryKeyLen(advisor, backend string, terms []string) int {
+func queryKeyLen(advisor string, terms []string) int {
 	n := len(advisor) + 1 + max(len(terms)-1, 0)
-	if backend != "" && backend != vsm.BackendVSM {
-		n += len(backend) + 2
-	}
 	for _, t := range terms {
 		n += len(t)
 	}
@@ -107,26 +97,20 @@ func queryKeyLen(advisor, backend string, terms []string) int {
 }
 
 // QueryKeyFull builds a term-string cache key: the advisor name, a zero
-// byte, for a backend other than the default "\x01", the backend and a
-// zero byte, then the normalized terms joined by spaces. prune=false maps
-// to a disjoint space under the same advisor prefix ("\x00\x02" after the
-// advisor name).
+// byte, then the normalized terms joined by spaces. prune=false maps to a
+// disjoint space under the same advisor prefix ("\x00\x02" after the
+// advisor name). The backend is ignored: there is one scoring model.
 //
 // Deprecated: the service keys its cache by what the advisor's index
 // scores (appendQueryKey), not by terms. It stays only because the
 // benchmark module still calls it.
-func QueryKeyFull(advisor, backend string, prune bool, terms []string) string {
+func QueryKeyFull(advisor, _ string, prune bool, terms []string) string {
 	var b strings.Builder
-	b.Grow(queryKeyLen(advisor, backend, terms) + 1)
+	b.Grow(queryKeyLen(advisor, terms) + 1)
 	b.WriteString(advisor)
 	b.WriteByte(0)
 	if !prune {
 		b.WriteByte(2)
-	}
-	if backend != "" && backend != vsm.BackendVSM {
-		b.WriteByte(1)
-		b.WriteString(backend)
-		b.WriteByte(0)
 	}
 	for i, t := range terms {
 		if i > 0 {

@@ -23,8 +23,7 @@ func answersOf(texts ...string) []core.Answer {
 // TestQueryKeyNormalization: the cache key is what the advisor's index
 // scores. Casing, punctuation, inflection (Porter stemming), word order and
 // words the guide never uses leave it unchanged; another advisor, a
-// rebuild of the same guide, another backend or another in-vocabulary term
-// change it.
+// rebuild of the same guide or another in-vocabulary term change it.
 func TestQueryKeyNormalization(t *testing.T) {
 	guide := []htmldoc.Sentence{
 		{Text: "You should avoid bank conflicts in shared memory."},
@@ -33,49 +32,42 @@ func TestQueryKeyNormalization(t *testing.T) {
 	}
 	fw := core.New(core.WithParallelism(1))
 	cuda, rebuilt := fw.BuildFromSentences(nil, guide), fw.BuildFromSentences(nil, guide)
-	key := func(adv *core.Advisor, advisor, backend, q string) string {
-		return string(appendQueryKey(nil, adv, advisor, backend, nlp.QueryTerms(q)))
+	key := func(adv *core.Advisor, advisor, q string) string {
+		return string(appendQueryKey(nil, adv, advisor, nlp.QueryTerms(q)))
 	}
-	k := key(cuda, "cuda", "", "Avoid bank conflicts!")
+	k := key(cuda, "cuda", "Avoid bank conflicts!")
 	for _, q := range []string{"avoiding banks conflict", "Avoid bank conflicts! 42", "conflicts bank avoid", "Avoid bank conflicts! 23% of 1.85x, zyzzyva"} {
-		if got := key(cuda, "cuda", "", q); got != k {
+		if got := key(cuda, "cuda", q); got != k {
 			t.Errorf("%q keys as %q, want %q", q, got, k)
 		}
 	}
-	if key(cuda, "cuda", "", "avoid") == key(cuda, "cuda", "", "zyzzyva") {
+	if key(cuda, "cuda", "avoid") == key(cuda, "cuda", "zyzzyva") {
 		t.Error("an in-vocabulary term must change the key")
 	}
-	if key(cuda, "cuda", "", "memory latency") == key(cuda, "cuda", "", "thread divergence") {
+	if key(cuda, "cuda", "memory latency") == key(cuda, "cuda", "thread divergence") {
 		t.Error("distinct queries must produce distinct keys")
 	}
-	if key(cuda, "cuda", "", "memory latency") == key(cuda, "cuda", "", "memory memory latency") {
+	if key(cuda, "cuda", "memory latency") == key(cuda, "cuda", "memory memory latency") {
 		t.Error("a repeated term must change the key")
 	}
 	for name, other := range map[string]string{
-		"another advisor name":   key(cuda, "opencl", "", "avoid bank conflicts"),
-		"a rebuild of the guide": key(rebuilt, "cuda", "", "avoid bank conflicts"),
-		"another backend":        key(cuda, "cuda", "bm25", "avoid bank conflicts"),
+		"another advisor name":   key(cuda, "opencl", "avoid bank conflicts"),
+		"a rebuild of the guide": key(rebuilt, "cuda", "avoid bank conflicts"),
 	} {
 		if other == k {
 			t.Errorf("%s shares the key %q", name, k)
 		}
 	}
-	if key(cuda, "cuda", "vsm", "avoid bank conflicts") != k {
-		t.Error(`"vsm" must key like the default backend`)
-	}
 }
 
 // TestQueryKeyFull pins the deprecated term-string key spaces: the pruning
-// flag's true value keys the normalized terms under the advisor and
-// backend, and false maps to a disjoint space under the same advisor
-// prefix.
+// flag's true value keys the normalized terms under the advisor, whichever
+// spelling of the one backend is passed, and false maps to a disjoint
+// space under the same advisor prefix.
 func TestQueryKeyFull(t *testing.T) {
 	terms := []string{"memori", "latenc"}
-	for backend, want := range map[string]string{
-		"":     "cuda\x00memori latenc",
-		"vsm":  "cuda\x00memori latenc",
-		"bm25": "cuda\x00\x01bm25\x00memori latenc",
-	} {
+	const want = "cuda\x00memori latenc"
+	for _, backend := range []string{"", "vsm"} {
 		on, off := QueryKeyFull("cuda", backend, true, terms), QueryKeyFull("cuda", backend, false, terms)
 		if on != want {
 			t.Errorf("%q: prune=true key %q, want %q", backend, on, want)
@@ -83,9 +75,9 @@ func TestQueryKeyFull(t *testing.T) {
 		if on == off {
 			t.Errorf("%q: prune=false shares the default key space", backend)
 		}
-		if len(on) != queryKeyLen("cuda", backend, terms) {
-			t.Errorf("%q: queryKeyLen %d for a %d-byte key", backend, queryKeyLen("cuda", backend, terms), len(on))
-		}
+	}
+	if n := queryKeyLen("cuda", terms); n != len(want) {
+		t.Errorf("queryKeyLen %d for a %d-byte key", n, len(want))
 	}
 }
 

@@ -137,11 +137,11 @@ func TestCachedQueryHitAllocations(t *testing.T) {
 	svc, _ := newTestService(t, Options{Metrics: obs.NewRegistry()})
 	ctx := context.Background()
 	const q = "reduce instruction and memory latency"
-	if _, _, err := svc.CachedQuery(ctx, "cuda", "", q); err != nil {
+	if _, _, err := svc.CachedQuery(ctx, "cuda", q); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, hit, err := svc.CachedQuery(ctx, "cuda", "", q); err != nil || !hit {
+		if _, hit, err := svc.CachedQuery(ctx, "cuda", q); err != nil || !hit {
 			t.Fatalf("hit=%v err=%v", hit, err)
 		}
 	})
@@ -233,7 +233,7 @@ func TestTimeoutsCountDeadlinesOnly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := svc.CachedQuery(ctx, "cuda", "", "reduce global memory latency")
+		_, _, err := svc.CachedQuery(ctx, "cuda", "reduce global memory latency")
 		done <- err
 	}()
 	<-parked // the miss is scoring
@@ -251,7 +251,7 @@ func TestTimeoutsCountDeadlinesOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.admit.Release()
-	if _, _, err := svc.CachedQuery(context.Background(), "cuda", "", "memory latency"); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := svc.CachedQuery(context.Background(), "cuda", "memory latency"); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("deadline in the admission queue: %v, want context.DeadlineExceeded", err)
 	}
 	if got := svc.Stats().Timeouts; got != 1 {

@@ -11,17 +11,16 @@ import (
 
 	"repro/internal/nlp"
 	"repro/internal/obs"
-	"repro/internal/vsm"
 )
 
 // GET|POST /v1/ask federates one question across every registered advisor:
 // the query fans out concurrently, each advisor contributes its top-k
 // answers, and the merged list is ranked by per-advisor normalized score.
 // Raw scores are comparable only within one advisor's index (different
-// vocabularies, different IDF tables — and under BM25, different scales),
-// so the merge ranks by Norm = score / advisor's best score: each advisor's
-// best answer scores 1.0, and normalization is strictly monotone per
-// advisor, so an advisor's answers keep their relative order in the merge.
+// vocabularies, different IDF tables), so the merge ranks by Norm = score /
+// advisor's best score: each advisor's best answer scores 1.0, and
+// normalization is strictly monotone per advisor, so an advisor's answers
+// keep their relative order in the merge.
 
 // DefaultFederationK is how many answers each advisor contributes to a
 // federated ask when the client does not say (?k=).
@@ -31,7 +30,7 @@ const DefaultFederationK = 3
 type FederatedAnswer struct {
 	Advisor string  `json:"advisor"`
 	Rule    Rule    `json:"rule"`
-	Score   float64 `json:"score"` // raw backend score, advisor-local scale
+	Score   float64 `json:"score"` // raw cosine score, advisor-local scale
 	Norm    float64 `json:"norm"`  // score / advisor's best score for this ask
 }
 
@@ -57,13 +56,13 @@ type AskResponse struct {
 //
 // The ask must finish within Options.Timeout, or by ctx's deadline when ctx
 // carries one.
-func (s *Service) Ask(ctx context.Context, backend, q string, k int) ([]FederatedAnswer, map[string]string) {
-	return s.ask(ctx, time.Now().Add(remainingBudget(ctx, s.opts.Timeout)), backend, q, k)
+func (s *Service) Ask(ctx context.Context, q string, k int) ([]FederatedAnswer, map[string]string) {
+	return s.ask(ctx, time.Now().Add(remainingBudget(ctx, s.opts.Timeout)), q, k)
 }
 
 // ask is Ask with the whole ask's deadline explicit; no timer runs until a
 // leg misses the cache.
-func (s *Service) ask(ctx context.Context, deadline time.Time, backend, q string, k int) ([]FederatedAnswer, map[string]string) {
+func (s *Service) ask(ctx context.Context, deadline time.Time, q string, k int) ([]FederatedAnswer, map[string]string) {
 	start := time.Now()
 	defer func() { s.stats.recordAsk(time.Since(start)) }()
 	if k <= 0 {
@@ -97,7 +96,7 @@ func (s *Service) ask(ctx context.Context, deadline time.Time, backend, q string
 				return
 			}
 			l := lease{deadline: legDeadline}
-			answers, hit, err := s.cachedQuery(ctx, &l, name, backend, q)
+			answers, hit, err := s.cachedQuery(ctx, &l, name, q)
 			l.release(s)
 			if err != nil {
 				span.SetAttr("outcome", "error")
@@ -168,8 +167,8 @@ func (s *Service) handleAsk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	backend := strings.TrimSpace(r.FormValue("backend"))
-	if !vsm.ValidBackend(backend) {
-		writeError(w, http.StatusBadRequest, "%v: %q", vsm.ErrUnknownBackend, backend)
+	if err := checkBackend(backend); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	k := DefaultFederationK
@@ -185,7 +184,7 @@ func (s *Service) handleAsk(w http.ResponseWriter, r *http.Request) {
 	// so it fails the ask as a whole instead of filling the errors map
 	terms := nlp.QueryTerms(q)
 	for _, name := range s.reg.Names() {
-		if err := boundQuery(name, backend, terms); err != nil {
+		if err := boundQuery(name, terms); err != nil {
 			writeQueryError(w, err)
 			return
 		}
@@ -193,7 +192,7 @@ func (s *Service) handleAsk(w http.ResponseWriter, r *http.Request) {
 	// the per-leg shares are computed against the request's one deadline,
 	// running from its arrival
 	ex := w.(*exchange)
-	answers, errs := s.ask(r.Context(), ex.start.Add(s.opts.Timeout), backend, q, k)
+	answers, errs := s.ask(r.Context(), ex.start.Add(s.opts.Timeout), q, k)
 	writeJSON(w, http.StatusOK, AskResponse{
 		Query:   q,
 		Backend: backend,

@@ -43,7 +43,7 @@ func TestAskPreservesPerAdvisorOrder(t *testing.T) {
 	svc, _ := twoAdvisorService(t, Options{})
 	const q = "memory bandwidth and access patterns"
 	const k = 5
-	merged, errs := svc.Ask(context.Background(), "", q, k)
+	merged, errs := svc.Ask(context.Background(), q, k)
 	if len(errs) != 0 {
 		t.Fatalf("ask errors: %v", errs)
 	}
@@ -51,7 +51,7 @@ func TestAskPreservesPerAdvisorOrder(t *testing.T) {
 		t.Fatal("federated ask found nothing")
 	}
 	for _, advisor := range []string{"cuda", "opencl"} {
-		own, _, err := svc.CachedQuery(context.Background(), advisor, "", q)
+		own, _, err := svc.CachedQuery(context.Background(), advisor, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,8 +91,8 @@ func TestAskPreservesPerAdvisorOrder(t *testing.T) {
 func TestAskDeterministic(t *testing.T) {
 	svc, _ := twoAdvisorService(t, Options{})
 	const q = "overlapping computation with data transfer"
-	a, _ := svc.Ask(context.Background(), "", q, 4)
-	b, _ := svc.Ask(context.Background(), "", q, 4)
+	a, _ := svc.Ask(context.Background(), q, 4)
+	b, _ := svc.Ask(context.Background(), q, 4)
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -187,8 +187,9 @@ func TestBatchHandlerLimits(t *testing.T) {
 }
 
 // TestBatchMatchesSequential: a batch answer must be answer-for-answer
-// identical to asking the same queries one at a time (same advisor, same
-// backend, uncached), independent of worker interleaving.
+// identical to asking the same queries one at a time (same advisor,
+// uncached), independent of worker interleaving, and echo the backend
+// each item named.
 func TestBatchMatchesSequential(t *testing.T) {
 	svc, _ := newTestService(t, Options{BatchWorkers: 4})
 	words := guideWords(t, e2eAdvisor(t), 12)
@@ -197,17 +198,20 @@ func TestBatchMatchesSequential(t *testing.T) {
 		items = append(items, BatchItem{
 			Advisor: "cuda",
 			Query:   fmt.Sprintf("memory access pattern variant %s", words[i]),
-			Backend: []string{"", "vsm", "bm25"}[i%3],
+			Backend: []string{"", "vsm"}[i%2],
 		})
 	}
 	results := svc.Batch(context.Background(), items)
 	for i, item := range items {
-		want, err := retrieve(svc, item.Advisor, item.Backend, item.Query)
+		want, err := retrieve(svc, item.Advisor, item.Query)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if results[i].Error != "" {
 			t.Fatalf("item %d failed: %s", i, results[i].Error)
+		}
+		if results[i].Backend != item.Backend {
+			t.Errorf("item %d echoes backend %q, want %q", i, results[i].Backend, item.Backend)
 		}
 		if len(results[i].Answers) != len(want) {
 			t.Fatalf("item %d: %d answers via batch, %d sequential", i, len(results[i].Answers), len(want))
@@ -275,7 +279,7 @@ func TestBatchAskReplaceRace(t *testing.T) {
 					body := fmt.Sprintf(`{"queries":[
 						{"advisor":"cuda","query":"memory latency round %d"},
 						{"advisor":"opencl","query":"work group size round %d"},
-						{"advisor":"cuda","query":"divergent warps","backend":"bm25"}
+						{"advisor":"cuda","query":"divergent warps","backend":"vsm"}
 					]}`, r, r)
 					resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(body))
 					if err != nil {
@@ -333,7 +337,7 @@ func TestBatchAskReplaceRace(t *testing.T) {
 		}
 	}
 	// the service is still coherent: a fresh query answers normally
-	if _, _, err := svc.CachedQuery(context.Background(), "cuda", "", "final sanity query"); err != nil {
+	if _, _, err := svc.CachedQuery(context.Background(), "cuda", "final sanity query"); err != nil {
 		t.Errorf("post-hammer query failed: %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/nlp"
 	"repro/internal/vsm"
 )
@@ -96,7 +98,8 @@ func FuzzReport(f *testing.F) {
 // ones; regenerate with `go run ./tools/fuzzseed`). Invariants: never a
 // 5xx, never a panic, and every 200 body is byte for byte encoding/json of
 // the BatchResponse whose answered items equal uncached retrieval of their
-// own queries.
+// own queries, and whose items naming a backend other than "vsm" ("bm25"
+// among the seeds) carry the unknown-backend error.
 func FuzzBatch(f *testing.F) {
 	f.Add([]byte(`{"queries":[{"advisor":"cuda","query":"memory latency"}]}`))
 	f.Add([]byte(`{"queries":[{"advisor":"opencl","query":"memory latency 23%","backend":"bm25"},{"advisor":"nope","query":"x"}]}`))
@@ -119,9 +122,10 @@ func FuzzBatch(f *testing.F) {
 
 // checkBatch reports how a 200 answer to POST /v1/batch with body differs
 // from its oracle: encoding/json of the BatchResponse in which every item
-// fails exactly when uncached retrieval of its query cannot answer, and
-// otherwise carries that retrieval's answers. Trace IDs, error texts and
-// the cache outcome are read from the body.
+// fails exactly when its query is empty, its backend is not the one model
+// or uncached retrieval of its query cannot answer, and otherwise carries
+// that retrieval's answers. Trace IDs, the cache outcome and the error
+// texts of failed retrievals are read from the body.
 func checkBatch(svc *Service, rec *httptest.ResponseRecorder, body []byte) error {
 	var req BatchRequest
 	var got BatchResponse
@@ -135,12 +139,20 @@ func checkBatch(svc *Service, rec *httptest.ResponseRecorder, body []byte) error
 	for i, item := range req.Queries {
 		res := got.Results[i]
 		w := BatchItemResult{Advisor: item.Advisor, Query: item.Query, Backend: item.Backend, Error: res.Error, TraceID: res.TraceID}
-		answers, err := retrieve(svc, item.Advisor, item.Backend, item.Query)
-		if err == nil && strings.TrimSpace(item.Query) == "" {
-			err = fmt.Errorf("empty query")
-		}
-		if err == nil {
-			err = boundQuery(item.Advisor, item.Backend, nlp.QueryTerms(item.Query))
+		var answers []core.Answer
+		var err error
+		switch {
+		case strings.TrimSpace(item.Query) == "":
+			err = errors.New("empty query")
+			w.Error = err.Error()
+		case item.Backend != "" && item.Backend != "vsm":
+			err = fmt.Errorf("vsm: unknown scoring backend: %q", item.Backend)
+			w.Error = err.Error()
+		default:
+			answers, err = retrieve(svc, item.Advisor, item.Query)
+			if err == nil {
+				err = boundQuery(item.Advisor, nlp.QueryTerms(item.Query))
+			}
 		}
 		if (err != nil) != (res.Error != "") {
 			return fmt.Errorf("item %d: error %q, oracle error %v", i, res.Error, err)
@@ -160,11 +172,13 @@ func checkBatch(svc *Service, rec *httptest.ResponseRecorder, body []byte) error
 // FuzzAsk sends arbitrary query strings to GET /v1/ask over two advisors:
 // the form parser, the q, backend and k checks, the query bounds and one
 // cached query per advisor, then the merge. Seeds live in
-// testdata/fuzz/FuzzAsk (the paper's Table 6 queries with both backends
-// and several k, and malformed parameters; regenerate with
-// `go run ./tools/fuzzseed`). Invariants: never a 5xx, never a panic, and
-// every 200 body is byte for byte encoding/json of the AskResponse merged
-// from uncached retrieval of the query on every advisor.
+// testdata/fuzz/FuzzAsk (the paper's Table 6 queries under every backend
+// spelling and several k, and malformed parameters; regenerate with
+// `go run ./tools/fuzzseed`). Invariants: never a 5xx, never a panic, a
+// query naming a backend other than "vsm" ("bm25" among the seeds) is a
+// 400 naming it, and every 200 body is byte for byte encoding/json of the
+// AskResponse merged from uncached retrieval of the query on every
+// advisor.
 func FuzzAsk(f *testing.F) {
 	f.Add("q=how+to+reduce+global+memory+latency")
 	f.Add("q=memory+latency+71%25&backend=bm25&k=1")
@@ -180,21 +194,27 @@ func FuzzAsk(f *testing.F) {
 		if rec.Code >= 500 {
 			t.Fatalf("ask %q: status %d body %s", raw, rec.Code, rec.Body.String())
 		}
-		if rec.Code == 200 {
-			if err := checkAsk(svc, rec, raw); err != nil {
-				t.Fatalf("ask %q: %v", raw, err)
-			}
+		if err := checkAsk(svc, rec, raw); err != nil {
+			t.Fatalf("ask %q: %v", raw, err)
 		}
 	})
 }
 
-// checkAsk reports how a 200 answer to GET /v1/ask?raw differs from its
-// oracle: encoding/json of the AskResponse whose answers are each
-// advisor's k best uncached answers to q, normalized by that advisor's
-// best and ranked by norm, then advisor, then rule index.
+// checkAsk reports how an answer to GET /v1/ask?raw differs from its
+// oracle. A query naming a backend other than the one model is a 400
+// whose error names it. Any other 200 is encoding/json of the AskResponse
+// whose answers are each advisor's k best uncached answers to q,
+// normalized by that advisor's best and ranked by norm, then advisor, then
+// rule index; other client errors are not modelled.
 func checkAsk(svc *Service, rec *httptest.ResponseRecorder, raw string) error {
 	v, _ := url.ParseQuery(raw)
 	q, backend := strings.TrimSpace(v.Get("q")), strings.TrimSpace(v.Get("backend"))
+	if q != "" && backend != "" && backend != "vsm" {
+		return sameError(rec, http.StatusBadRequest, fmt.Sprintf("vsm: unknown scoring backend: %q", backend))
+	}
+	if rec.Code != http.StatusOK {
+		return nil
+	}
 	k := DefaultFederationK
 	if kq := strings.TrimSpace(v.Get("k")); kq != "" {
 		n, err := strconv.Atoi(kq)
@@ -205,7 +225,7 @@ func checkAsk(svc *Service, rec *httptest.ResponseRecorder, raw string) error {
 	}
 	var merged []FederatedAnswer
 	for _, name := range svc.reg.Names() {
-		answers, err := retrieve(svc, name, backend, q)
+		answers, err := retrieve(svc, name, q)
 		if err != nil {
 			return fmt.Errorf("oracle %s: %v", name, err)
 		}

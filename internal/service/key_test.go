@@ -137,7 +137,7 @@ func TestReloadResolvesAgainstNewGuide(t *testing.T) {
 		q   string
 		hit bool
 	}{{plain, false}, {word, true}} {
-		if _, hit, err := svc.CachedQuery(ctx, "g", "", c.q); err != nil || hit != c.hit {
+		if _, hit, err := svc.CachedQuery(ctx, "g", c.q); err != nil || hit != c.hit {
 			t.Fatalf("before reload, %q: hit=%v err=%v, want hit=%v", c.q, hit, err, c.hit)
 		}
 	}
@@ -148,7 +148,7 @@ func TestReloadResolvesAgainstNewGuide(t *testing.T) {
 		t.Fatal("precondition: the new word does not change the answers")
 	}
 	for _, wantHit := range []bool{false, true} {
-		got, hit, err := svc.CachedQuery(ctx, "g", "", word)
+		got, hit, err := svc.CachedQuery(ctx, "g", word)
 		if err != nil || hit != wantHit || !sameAnswerBits(got, want) {
 			t.Fatalf("after reload: hit=%v (want %v) err=%v, answers equal a cold build: %v",
 				hit, wantHit, err, sameAnswerBits(got, want))
@@ -168,17 +168,14 @@ func TestReloadRaceResolvesPerIndex(t *testing.T) {
 	reg.Add("g", guides[0])
 	svc := New(reg, Options{Metrics: obs.NewRegistry(), Timeout: 10 * time.Second})
 	queries := []string{"reduce memory latency", "reduce memory latency aardvark", "aardvark latency 42"}
-	backends := []string{"", "bm25"}
 	want := map[string][2][]core.Answer{}
 	for _, q := range queries {
-		for _, backend := range backends {
-			var w [2][]core.Answer
-			for i, sents := range [][]htmldoc.Sentence{v1, v2} {
-				cold := fw.BuildFromSentences(nil, sents)
-				w[i], _ = cold.Retrieve(context.Background(), nlp.QueryTerms(q), cold.QueryOpts(backend))
-			}
-			want[backend+"|"+q] = w
+		var w [2][]core.Answer
+		for i, sents := range [][]htmldoc.Sentence{v1, v2} {
+			cold := fw.BuildFromSentences(nil, sents)
+			w[i] = cold.Retrieve(context.Background(), nlp.QueryTerms(q), cold.Threshold())
 		}
+		want[q] = w
 	}
 
 	stop := make(chan struct{})
@@ -201,14 +198,14 @@ func TestReloadRaceResolvesPerIndex(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
-				q, backend := queries[(w+i)%len(queries)], backends[i%2]
-				got, _, err := svc.CachedQuery(context.Background(), "g", backend, q)
+				q := queries[(w+i)%len(queries)]
+				got, _, err := svc.CachedQuery(context.Background(), "g", q)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if w := want[backend+"|"+q]; !sameAnswerBits(got, w[0]) && !sameAnswerBits(got, w[1]) {
-					t.Errorf("%s %q: answers match neither guide's cold build", backend, q)
+				if w := want[q]; !sameAnswerBits(got, w[0]) && !sameAnswerBits(got, w[1]) {
+					t.Errorf("%q: answers match neither guide's cold build", q)
 					return
 				}
 			}

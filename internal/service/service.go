@@ -139,7 +139,6 @@ func New(reg *Registry, opts Options) *Service {
 	s.mux.Handle("GET /metricz", obs.MetricsHandler(opts.Metrics))
 	s.mux.Handle("GET /tracez", obs.TraceHandler(opts.Tracer.Store()))
 	s.mux.HandleFunc("GET /v1/advisors", s.handleAdvisors)
-	s.mux.HandleFunc("GET /v1/backends", s.handleBackends)
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	s.mux.HandleFunc("GET /v1/ask", s.handleAsk)
 	s.mux.HandleFunc("POST /v1/ask", s.handleAsk)
@@ -277,32 +276,41 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // CachedQuery answers q against the named advisor through the cache and
 // admission control — the path the JSON API, the HTML webui, batches and
-// asks share. backend "" or "vsm" scores with the paper's TF-IDF/cosine
-// default, "bm25" with the Okapi view over the same postings; an unknown
-// backend fails fast with vsm.ErrUnknownBackend, before admission or
-// annotation. A lookup is keyed by what the advisor's index scores for q
+// asks share. A lookup is keyed by what the advisor's index scores for q
 // (see appendQueryKey): queries that differ only in words the guide never
-// uses share an entry. Each backend keys its own cache entries; the
-// default spellings share one key space. hit reports whether retrieval was
-// skipped.
+// uses share an entry. hit reports whether retrieval was skipped.
 //
 // Each call is its own request: a hit returns on the caller's goroutine
 // with no deadline or admission slot, and a miss runs under Options.Timeout
 // from the moment it misses.
-func (s *Service) CachedQuery(ctx context.Context, advisor, backend, q string) (answers []core.Answer, hit bool, err error) {
+func (s *Service) CachedQuery(ctx context.Context, advisor, q string) (answers []core.Answer, hit bool, err error) {
 	var l lease
 	defer l.release(s)
-	return s.cachedQuery(ctx, &l, advisor, backend, q)
+	return s.cachedQuery(ctx, &l, advisor, q)
 }
 
-// CachedQueryFull is CachedQuery plus a count of failed index partitions,
-// which no longer exist: the count is always 0.
+// CachedQueryFull is CachedQuery for a backend the request named, plus a
+// count of failed index partitions, which no longer exist: the count is
+// always 0. A backend other than "" or "vsm" is vsm.ErrUnknownBackend.
 //
 // Deprecated: use CachedQuery. It stays only because the benchmark module
 // still calls it.
 func (s *Service) CachedQueryFull(ctx context.Context, advisor, backend, q string) (answers []core.Answer, hit bool, shardsFailed int, err error) {
-	answers, hit, err = s.CachedQuery(ctx, advisor, backend, q)
+	if err := checkBackend(backend); err != nil {
+		return nil, false, 0, err
+	}
+	answers, hit, err = s.CachedQuery(ctx, advisor, q)
 	return answers, hit, 0, err
+}
+
+// checkBackend refuses a request that names a scoring backend other than
+// the one model (see vsm.ValidBackend). It runs where a request is
+// decoded; nothing below that point sees a backend.
+func checkBackend(backend string) error {
+	if !vsm.ValidBackend(backend) {
+		return fmt.Errorf("%w: %q", vsm.ErrUnknownBackend, backend)
+	}
+	return nil
 }
 
 // Bounds on one untrusted query: a /v1 query, an ask, a batch item or one
@@ -319,11 +327,11 @@ const (
 var ErrQueryTooLong = errors.New("service: query too long")
 
 // boundQuery bounds a normalized query against the named advisor.
-func boundQuery(advisor, backend string, terms []string) error {
+func boundQuery(advisor string, terms []string) error {
 	if len(terms) > maxQueryTerms {
 		return fmt.Errorf("%w: %d terms exceed %d", ErrQueryTooLong, len(terms), maxQueryTerms)
 	}
-	if n := queryKeyLen(advisor, backend, terms); n > maxQueryKeyBytes {
+	if n := queryKeyLen(advisor, terms); n > maxQueryKeyBytes {
 		return fmt.Errorf("%w: %d-byte cache key exceeds %d", ErrQueryTooLong, n, maxQueryKeyBytes)
 	}
 	return nil
@@ -338,14 +346,11 @@ func boundQuery(advisor, backend string, terms []string) error {
 // The advisor is read from the registry once, before keying: the key holds
 // term ids of that advisor's index, which mean nothing to another index,
 // so a miss scores on that same advisor.
-func (s *Service) cachedQuery(ctx context.Context, l *lease, advisor, backend, q string) (answers []core.Answer, hit bool, err error) {
+func (s *Service) cachedQuery(ctx context.Context, l *lease, advisor, q string) (answers []core.Answer, hit bool, err error) {
 	// one span lookup covers the whole query path: with tracing off (or
 	// this request unsampled) parent is nil and every child span below is
 	// a no-op nil pointer — the hot path pays a single ctx.Value call
 	parent := obs.SpanFrom(ctx)
-	if !vsm.ValidBackend(backend) {
-		return nil, false, fmt.Errorf("%w: %q", vsm.ErrUnknownBackend, backend)
-	}
 	adv, ok := s.reg.Get(advisor)
 	if !ok {
 		return nil, false, fmt.Errorf("%w: %q", ErrUnknownAdvisor, advisor)
@@ -358,11 +363,11 @@ func (s *Service) cachedQuery(ctx context.Context, l *lease, advisor, backend, q
 	terms := nlp.QueryTerms(q)
 	annSpan.SetAttrInt("terms", len(terms))
 	annSpan.Finish()
-	if err := boundQuery(advisor, backend, terms); err != nil {
+	if err := boundQuery(advisor, terms); err != nil {
 		return nil, false, err
 	}
 	var buf [256]byte
-	key := string(appendQueryKey(buf[:0], adv, advisor, backend, terms))
+	key := string(appendQueryKey(buf[:0], adv, advisor, terms))
 	// every outcome past this point feeds the advisor's circuit breaker:
 	// successes reset it, infrastructure failures (timeouts, injected
 	// faults, internal errors) count toward tripping it, and client errors
@@ -388,7 +393,7 @@ func (s *Service) cachedQuery(ctx context.Context, l *lease, advisor, backend, q
 		}
 		return answers, true, nil
 	}
-	return s.miss(ctx, l, parent, cacheSpan, key, adv, backend, terms)
+	return s.miss(ctx, l, parent, cacheSpan, key, adv, terms)
 }
 
 // miss answers a lookup the cache could not. It takes the lease's deadline
@@ -403,7 +408,7 @@ func (s *Service) cachedQuery(ctx context.Context, l *lease, advisor, backend, q
 // miss stores after a Reload swapped adv out is never read by a lookup
 // against the successor, and ages out of the LRU. A Reload while the miss
 // is in flight is the same case.
-func (s *Service) miss(ctx context.Context, l *lease, parent, cacheSpan *obs.Span, key string, adv *core.Advisor, backend string, terms []string) ([]core.Answer, bool, error) {
+func (s *Service) miss(ctx context.Context, l *lease, parent, cacheSpan *obs.Span, key string, adv *core.Advisor, terms []string) ([]core.Answer, bool, error) {
 	ctx, err := l.acquire(ctx, s, parent)
 	if err != nil {
 		return nil, false, s.failLookup(cacheSpan, err)
@@ -420,9 +425,6 @@ func (s *Service) miss(ctx context.Context, l *lease, parent, cacheSpan *obs.Spa
 			// (no child) vs miss (scored)
 			scoreSpan := cacheSpan.StartChild("score")
 			defer scoreSpan.Finish()
-			if backend != "" {
-				scoreSpan.SetAttr("backend", backend)
-			}
 			// the vsm.score fault point is drawn once per miss; an injected
 			// fault surfaces inside the compute func, which GetOrCompute
 			// never caches
@@ -430,10 +432,7 @@ func (s *Service) miss(ctx context.Context, l *lease, parent, cacheSpan *obs.Spa
 				scoreSpan.SetAttr("error", ferr.Error())
 				return nil, ferr
 			}
-			out, qerr := adv.Retrieve(obs.ContextWithSpan(context.Background(), scoreSpan), terms, adv.QueryOpts(backend))
-			if qerr != nil {
-				return nil, qerr
-			}
+			out := adv.Retrieve(obs.ContextWithSpan(context.Background(), scoreSpan), terms, adv.Threshold())
 			scoreSpan.SetAttrInt("answers", len(out))
 			return out, nil
 		})
@@ -520,13 +519,17 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing query parameter q")
 		return
 	}
-	// absent/empty backend takes the default path and leaves the response
-	// byte-identical to a backend-unaware build (Backend marshals omitempty)
+	// a named backend must be the one model; it is echoed, and an absent or
+	// empty one leaves the body without the field
 	backend := strings.TrimSpace(queryParam(r.URL.RawQuery, "backend"))
+	if err := checkBackend(backend); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	ex := w.(*exchange)
 	start := time.Now()
 	l := lease{deadline: ex.start.Add(s.opts.Timeout)}
-	answers, hit, err := s.cachedQuery(r.Context(), &l, name, backend, q)
+	answers, hit, err := s.cachedQuery(r.Context(), &l, name, q)
 	l.release(s)
 	s.stats.recordQuery(time.Since(start))
 	if err != nil {
@@ -569,12 +572,6 @@ func queryParam(raw, name string) string {
 	return ""
 }
 
-// handleBackends lists the scoring backends every advisor offers, default
-// first — clients use it to populate a backend picker.
-func (s *Service) handleBackends(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, BackendsResponse{Default: vsm.BackendVSM, Backends: vsm.Backends()})
-}
-
 func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("advisor")
 	if _, ok := s.reg.Get(name); !ok {
@@ -613,7 +610,7 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 	b = append(b, `,"issues":`...)
 	sep := byte('[')
 	for _, issue := range issues {
-		answers, _, err := s.cachedQuery(r.Context(), &l, name, "", issue.Query())
+		answers, _, err := s.cachedQuery(r.Context(), &l, name, issue.Query())
 		if err != nil {
 			l.release(s)
 			s.stats.recordReport(time.Since(start))
@@ -674,13 +671,13 @@ func (s *Service) handleAdminReload(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeQueryError maps CachedQuery errors onto status codes: unknown advisor
-// → 404, unknown backend or an over-long query → 400, overload → 429,
-// deadline → 503, anything else → 500.
+// → 404, an over-long query → 400, overload → 429, deadline → 503,
+// anything else → 500.
 func writeQueryError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrUnknownAdvisor):
 		writeError(w, http.StatusNotFound, "%v", err)
-	case errors.Is(err, vsm.ErrUnknownBackend), errors.Is(err, ErrQueryTooLong):
+	case errors.Is(err, ErrQueryTooLong):
 		writeError(w, http.StatusBadRequest, "%v", err)
 	case errors.Is(err, ErrOverloaded):
 		w.Header().Set("Retry-After", "1")

@@ -22,6 +22,7 @@ import (
 	"repro/internal/nlp"
 	"repro/internal/nvvp"
 	"repro/internal/obs"
+	"repro/internal/vsm"
 )
 
 var (
@@ -125,9 +126,9 @@ func TestEndpoints(t *testing.T) {
 		}
 	})
 	t.Run("backends", func(t *testing.T) {
-		code, body := get(t, ts.URL+"/v1/backends")
-		if code != 200 || strings.TrimSpace(string(body)) != `{"default":"vsm","backends":["vsm","bm25"]}` {
-			t.Errorf("backends %d %s", code, body)
+		// there is one scoring model, so nothing lists backends
+		if code, body := get(t, ts.URL+"/v1/backends"); code != http.StatusNotFound {
+			t.Errorf("backends %d %s, want 404", code, body)
 		}
 	})
 	t.Run("rules", func(t *testing.T) {
@@ -411,7 +412,7 @@ func TestQueryTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.admit.Release()
-	_, _, err := svc.CachedQuery(context.Background(), "cuda", "", "memory latency")
+	_, _, err := svc.CachedQuery(context.Background(), "cuda", "memory latency")
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want deadline exceeded, got %v", err)
 	}
@@ -476,7 +477,7 @@ func TestReloadDuringMissNeverCachesStaleAnswers(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := svc.CachedQuery(context.Background(), "cuda", "", q)
+		_, _, err := svc.CachedQuery(context.Background(), "cuda", q)
 		done <- err
 	}()
 	<-parked // the miss is scoring
@@ -486,7 +487,7 @@ func TestReloadDuringMissNeverCachesStaleAnswers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, hit, err := svc.CachedQuery(context.Background(), "cuda", "", q)
+	got, hit, err := svc.CachedQuery(context.Background(), "cuda", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,13 +510,13 @@ func TestScoreFaultFailsQuery(t *testing.T) {
 	svc := New(reg, Options{Fault: inj, Metrics: obs.NewRegistry(), BreakerThreshold: 1})
 	ctx := context.Background()
 	const q = "reduce global memory latency"
-	want, err := adv.Retrieve(ctx, nlp.QueryTerms(q), adv.QueryOpts("bm25"))
-	if err != nil || len(want) == 0 {
-		t.Fatalf("fault-free answers: %d, err %v", len(want), err)
+	want := adv.Retrieve(ctx, nlp.QueryTerms(q), adv.Threshold())
+	if len(want) == 0 {
+		t.Fatal("no fault-free answers")
 	}
 
 	inj.Set(fault.VSMScore, fault.Rule{ErrProb: 1})
-	if _, _, err := svc.CachedQuery(ctx, "cuda", "bm25", q); !errors.Is(err, fault.ErrInjected) {
+	if _, _, err := svc.CachedQuery(ctx, "cuda", q); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("scoring fault: err %v, want an injected fault", err)
 	}
 	if got := svc.breakers.get("cuda").State(); got != BreakerOpen {
@@ -524,14 +525,18 @@ func TestScoreFaultFailsQuery(t *testing.T) {
 
 	inj.Reset()
 	for _, wantHit := range []bool{false, true} {
-		answers, hit, err := svc.CachedQuery(ctx, "cuda", "bm25", q)
+		answers, hit, err := svc.CachedQuery(ctx, "cuda", q)
 		if err != nil || hit != wantHit || !sameAnswerBits(answers, want) {
 			t.Fatalf("recovered: hit=%v (want %v) err=%v, answers differ: %v", hit, wantHit, err, !sameAnswerBits(answers, want))
 		}
 	}
-	// the deprecated four-result form answers the same, with no failures
-	if answers, hit, failed, err := svc.CachedQueryFull(ctx, "cuda", "bm25", q); err != nil || !hit || failed != 0 || !sameAnswerBits(answers, want) {
+	// the deprecated four-result form answers the same, with no failures,
+	// and refuses a backend other than the one model
+	if answers, hit, failed, err := svc.CachedQueryFull(ctx, "cuda", "vsm", q); err != nil || !hit || failed != 0 || !sameAnswerBits(answers, want) {
 		t.Fatalf("CachedQueryFull: hit=%v failed=%d err=%v", hit, failed, err)
+	}
+	if _, _, _, err := svc.CachedQueryFull(ctx, "cuda", "bm25", q); !errors.Is(err, vsm.ErrUnknownBackend) {
+		t.Fatalf("CachedQueryFull bm25: err %v, want vsm.ErrUnknownBackend", err)
 	}
 }
 

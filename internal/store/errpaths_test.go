@@ -11,8 +11,8 @@ import (
 )
 
 // The degraded-directory and orphan-file paths: what List, GC, Quarantine,
-// and the manifest probe do when the store directory is damaged in ways a
-// crash, an operator, or a foreign process can produce.
+// and Load do when the store directory is damaged in ways a crash, an
+// operator, or a foreign process can produce.
 
 func TestOpenErrors(t *testing.T) {
 	if _, err := store.Open(""); err == nil {
@@ -36,28 +36,42 @@ func TestOpenErrors(t *testing.T) {
 	}
 }
 
+// TestManifestProbe: the manifest a snapshot is probed through — the one
+// Save returns and the one Load reads back — records what was saved, and
+// Load refuses a bad name and reports a missing pair as ErrNotFound.
 func TestManifestProbe(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Manifest("no/slash"); err == nil {
+	if _, _, err := st.Load("no/slash", "h1"); err == nil {
 		t.Error("invalid name accepted")
 	}
-	if _, err := st.Manifest("absent"); !errors.Is(err, store.ErrNotFound) {
+	if _, _, err := st.Load("absent", "h1"); !errors.Is(err, store.ErrNotFound) {
 		t.Errorf("missing pair: %v, want ErrNotFound", err)
 	}
-	if _, err := st.Save("cuda", smallAdvisor(t, 3), "", "h1"); err != nil {
+	adv := smallAdvisor(t, 3)
+	saved, err := st.Save("cuda", adv, "guide.html", "h1")
+	if err != nil {
 		t.Fatal(err)
 	}
-	man, err := st.Manifest("cuda")
-	if err != nil || man.Advisor != "cuda" || man.SourceHash != "h1" {
-		t.Fatalf("probe after save: %+v %v", man, err)
+	if saved.FormatVersion != store.FormatVersion || saved.Advisor != "cuda" ||
+		saved.SourcePath != "guide.html" || saved.SourceHash != "h1" || saved.BuiltAt.IsZero() ||
+		saved.Bytes == 0 || saved.Checksum == "" ||
+		saved.Rules != len(adv.Rules()) || saved.Sentences != adv.SentenceCount() {
+		t.Fatalf("Save's manifest: %+v", saved)
+	}
+	_, loaded, err := st.Load("cuda", "h1")
+	if err != nil || !loaded.BuiltAt.Equal(saved.BuiltAt) {
+		t.Fatalf("Load's manifest %+v (%v), want what Save returned %+v", loaded, err, saved)
+	}
+	if loaded.BuiltAt = saved.BuiltAt; loaded != saved {
+		t.Fatalf("Load's manifest %+v, want what Save returned %+v", loaded, saved)
 	}
 }
 
 // TestOrphanPayload: a .snap with no manifest is an interrupted or foreign
-// write — ErrCorrupt from both the probe and Load, never a clean miss.
+// write — ErrCorrupt from Load, never a clean miss.
 func TestOrphanPayload(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir)
@@ -66,9 +80,6 @@ func TestOrphanPayload(t *testing.T) {
 	}
 	if err := os.WriteFile(filepath.Join(dir, "cuda.snap"), []byte("payload"), 0o644); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := st.Manifest("cuda"); !errors.Is(err, store.ErrCorrupt) {
-		t.Errorf("orphan payload probe: %v, want ErrCorrupt", err)
 	}
 	if _, _, err := st.Load("cuda", "h"); !errors.Is(err, store.ErrCorrupt) {
 		t.Errorf("orphan payload load: %v, want ErrCorrupt", err)
@@ -100,12 +111,10 @@ func TestOrphanManifest(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, "cuda.snap")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.Load("cuda", "h1"); !errors.Is(err, store.ErrCorrupt) {
-		t.Errorf("orphan manifest load: %v, want ErrCorrupt", err)
-	}
-	// the probe alone stays clean: manifests are readable without payloads
-	if _, err := st.Manifest("cuda"); err != nil {
-		t.Errorf("orphan manifest probe: %v", err)
+	// the manifest itself is sound: Load reads it, returns it with the
+	// error, and only then misses the payload it promises
+	if _, man, err := st.Load("cuda", "h1"); !errors.Is(err, store.ErrCorrupt) || man.SourceHash != "h1" {
+		t.Errorf("orphan manifest load: %v with manifest %+v, want ErrCorrupt with the manifest", err, man)
 	}
 	// List reports it (inventory, not validation)...
 	mans, err := st.List()
@@ -120,8 +129,8 @@ func TestOrphanManifest(t *testing.T) {
 	if err := st.Quarantine("cuda"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Manifest("cuda"); !errors.Is(err, store.ErrNotFound) {
-		t.Errorf("post-quarantine probe: %v, want ErrNotFound", err)
+	if _, _, err := st.Load("cuda", "h1"); !errors.Is(err, store.ErrNotFound) {
+		t.Errorf("post-quarantine load: %v, want ErrNotFound", err)
 	}
 }
 

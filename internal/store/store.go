@@ -221,15 +221,6 @@ func (s *Store) syncDir() error {
 	return nil
 }
 
-// Manifest reads and validates the manifest for name without touching the
-// payload.
-func (s *Store) Manifest(name string) (Manifest, error) {
-	if err := validName(name); err != nil {
-		return Manifest{}, err
-	}
-	return s.readManifest(name)
-}
-
 func (s *Store) readManifest(name string) (Manifest, error) {
 	data, err := os.ReadFile(s.manifestPath(name))
 	if err != nil {

@@ -72,9 +72,6 @@ func TestLoadMissing(t *testing.T) {
 	if _, _, err := st.Load("nope", "h"); !errors.Is(err, store.ErrNotFound) {
 		t.Errorf("missing snapshot: %v, want ErrNotFound", err)
 	}
-	if _, err := st.Manifest("nope"); !errors.Is(err, store.ErrNotFound) {
-		t.Errorf("missing manifest: %v, want ErrNotFound", err)
-	}
 }
 
 // TestLoadCorruption covers every way a snapshot can go bad: truncated
@@ -246,13 +243,12 @@ func TestSaveOverwriteIsAtomic(t *testing.T) {
 	if _, err := st.Save("cuda", smallAdvisor(t, 13), "", "v1"); err != nil {
 		t.Fatal(err)
 	}
-	man1, _ := st.Manifest("cuda")
 	if _, err := st.Save("cuda", smallAdvisor(t, 14), "", "v2"); err != nil {
 		t.Fatal(err)
 	}
-	man2, _ := st.Manifest("cuda")
-	if man2.SourceHash != "v2" || man1.SourceHash != "v1" {
-		t.Errorf("overwrite did not replace the manifest: %+v -> %+v", man1, man2)
+	// the v1 manifest is gone: its hash is stale, v2's loads
+	if _, man, err := st.Load("cuda", "v1"); !errors.Is(err, store.ErrStale) || man.SourceHash != "v2" {
+		t.Errorf("overwrite did not replace the manifest: %+v, %v", man, err)
 	}
 	if _, _, err := st.Load("cuda", "v2"); err != nil {
 		t.Fatalf("overwritten snapshot does not load: %v", err)

@@ -16,7 +16,7 @@ func Example() {
 		"The warp size is thirty-two threads.",
 	})
 	terms := textproc.NormalizeTerms("bank conflicts")
-	matches, _ := ix.Query(context.Background(), terms, vsm.QueryOpts{Threshold: vsm.DefaultThreshold})
+	matches := ix.Query(context.Background(), terms, vsm.DefaultThreshold)
 	fmt.Println(matches[0].Index)
 	// Output:
 	// 1

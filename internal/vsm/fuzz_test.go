@@ -12,8 +12,8 @@ import (
 // engine's matches at any threshold (including NaN, infinities, and <= 0,
 // which admit zero-score documents), truncated to their best k, must
 // reproduce the oracle's sort-then-truncate list Float64bits-exactly, for
-// both backends, for arbitrary corpora and queries, serving every sentence
-// and serving only the sentences of odd byte length. k <= 0 keeps every match, the served shape.
+// arbitrary corpora and queries, serving every sentence and serving only
+// the sentences of odd byte length. k <= 0 keeps every match, the served shape.
 // Seeds live in testdata/fuzz/FuzzTopKParity (guide sentences × guide
 // queries; regenerate with `go run ./tools/fuzzseed`).
 func FuzzTopKParity(f *testing.F) {
@@ -49,11 +49,9 @@ func FuzzTopKParity(f *testing.F) {
 		terms := textproc.NormalizeTerms(query)
 		for _, served := range [][]bool{nil, odd} {
 			ix := BuildFromTerms(termLists, served)
-			for _, backend := range Backends() {
-				got := prefix(run(t, ix, terms, QueryOpts{Backend: backend, Threshold: threshold}), k)
-				want := prefix(maskedOracle(ref, served, terms, backend, threshold), k)
-				sameMatches(t, fmt.Sprintf("%s masked=%v", backend, served != nil), got, want)
-			}
+			got := prefix(run(ix, terms, threshold), k)
+			want := prefix(maskedOracle(ref, served, terms, threshold), k)
+			sameMatches(t, fmt.Sprintf("masked=%v", served != nil), got, want)
 		}
 	})
 }

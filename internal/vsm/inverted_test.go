@@ -44,8 +44,8 @@ func TestInvertedMatchesDenseScan(t *testing.T) {
 		for trial := 0; trial < 25; trial++ {
 			q := textproc.NormalizeTerms(randomCorpus(rng, 1)[0])
 			for _, threshold := range []float64{DefaultThreshold, 0.01, 0.5} {
-				fast := run(t, ix, q, QueryOpts{Threshold: threshold})
-				dense := denseMatches(ix, q, BackendVSM, threshold)
+				fast := run(ix, q, threshold)
+				dense := denseMatches(ix, q, threshold)
 				if !matchesEqual(fast, dense) {
 					t.Fatalf("seed %d trial %d threshold %v: inverted %v != dense %v (query %q)",
 						seed, trial, threshold, fast, dense, q)
@@ -66,7 +66,7 @@ func TestInvertedThresholdZeroFallsBackToDense(t *testing.T) {
 	}
 	ix := Build(docs)
 	for _, q := range []string{"shared memory", "", "zyzzyva"} {
-		if got := query(t, ix, q, QueryOpts{}); len(got) != len(docs) {
+		if got := query(ix, q, 0); len(got) != len(docs) {
 			t.Fatalf("%q: threshold 0 should score all %d documents, got %d: %v", q, len(docs), len(got), got)
 		}
 	}
@@ -79,8 +79,8 @@ func TestInvertedTopK(t *testing.T) {
 	ix := Build(docs)
 	for trial := 0; trial < 10; trial++ {
 		q := textproc.NormalizeTerms(randomCorpus(rng, 1)[0])
-		fast := prefix(run(t, ix, q, QueryOpts{Threshold: DefaultThreshold}), 5)
-		dense := prefix(denseMatches(ix, q, BackendVSM, DefaultThreshold), 5)
+		fast := prefix(run(ix, q, DefaultThreshold), 5)
+		dense := prefix(denseMatches(ix, q, DefaultThreshold), 5)
 		if !matchesEqual(fast, dense) {
 			t.Fatalf("trial %d: top 5 %v != dense[:5] %v (query %q)", trial, fast, dense, q)
 		}
@@ -126,7 +126,7 @@ func TestPostingsCoverVectors(t *testing.T) {
 			found := false
 			for j := ix.start[id]; j < ix.start[id+1]; j++ {
 				if ix.post[j] == int32(pos) {
-					found = ix.w[wVSM][j] == want
+					found = ix.w[j] == want
 					break
 				}
 			}
@@ -148,8 +148,8 @@ func ExampleIndex_Query_invertedEquivalence() {
 		"unrelated sentence about gardening",
 	})
 	q := textproc.NormalizeTerms("reduce memory transfers")
-	fast, _ := ix.Query(context.Background(), q, QueryOpts{Threshold: DefaultThreshold})
-	dense := denseMatches(ix, q, BackendVSM, DefaultThreshold)
+	fast := ix.Query(context.Background(), q, DefaultThreshold)
+	dense := denseMatches(ix, q, DefaultThreshold)
 	fmt.Println(matchesEqual(fast, dense))
 	// Output: true
 }

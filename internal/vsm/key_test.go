@@ -61,7 +61,7 @@ func TestQueryKeyIgnoresOrderAndUnusedTerms(t *testing.T) {
 }
 
 // TestQueryKeyEqualMeansEqualMatches: queries with equal keys score
-// Float64bits-identically under both backends, at any threshold. Each
+// Float64bits-identically, at any threshold. Each
 // random query is paired with a reordering of itself plus unknown terms,
 // besides whatever random queries collide.
 func TestQueryKeyEqualMeansEqualMatches(t *testing.T) {
@@ -86,13 +86,10 @@ func TestQueryKeyEqualMeansEqualMatches(t *testing.T) {
 				continue
 			}
 			compared++
-			for _, backend := range Backends() {
-				for _, threshold := range []float64{math.Inf(-1), positive, DefaultThreshold} {
-					o := QueryOpts{Backend: backend, Threshold: threshold}
-					if got, want := run(t, ix, q, o), run(t, ix, first, o); !matchesEqual(got, want) {
-						t.Fatalf("round %d %s@%v: %q and %q share a key but score %v vs %v",
-							round, backend, threshold, q, first, got, want)
-					}
+			for _, threshold := range []float64{math.Inf(-1), positive, DefaultThreshold} {
+				if got, want := run(ix, q, threshold), run(ix, first, threshold); !matchesEqual(got, want) {
+					t.Fatalf("round %d @%v: %q and %q share a key but score %v vs %v",
+						round, threshold, q, first, got, want)
 				}
 			}
 		}
@@ -151,7 +148,7 @@ func TestQueryKeyPerIndex(t *testing.T) {
 // mapQueryVector is the query vectorization the resolve step replaced: a
 // term-frequency map, sorted by id before the norm. The new one must match
 // it bit for bit.
-func mapQueryVector(ix *Index, terms []string, wt int) []term {
+func mapQueryVector(ix *Index, terms []string) []term {
 	tf := map[int]float64{}
 	for _, t := range terms {
 		if id, ok := ix.vocab[t]; ok {
@@ -160,25 +157,19 @@ func mapQueryVector(ix *Index, terms []string, wt int) []term {
 	}
 	qv := make([]term, 0, len(tf))
 	for id, f := range tf {
-		w := 1.0
-		if wt == wVSM {
-			if w = f * ix.idf[id]; w == 0 {
-				continue
-			}
+		if w := f * ix.idf[id]; w != 0 {
+			qv = append(qv, term{id: id, w: w})
 		}
-		qv = append(qv, term{id: id, w: w})
 	}
 	sort.Slice(qv, func(a, b int) bool { return qv[a].id < qv[b].id })
-	if wt == wVSM {
-		var norm float64
-		for _, q := range qv {
-			norm += q.w * q.w
-		}
-		if norm > 0 {
-			norm = math.Sqrt(norm)
-			for i := range qv {
-				qv[i].w /= norm
-			}
+	var norm float64
+	for _, q := range qv {
+		norm += q.w * q.w
+	}
+	if norm > 0 {
+		norm = math.Sqrt(norm)
+		for i := range qv {
+			qv[i].w /= norm
 		}
 	}
 	return qv
@@ -192,15 +183,13 @@ func TestQueryVectorMatchesMapReference(t *testing.T) {
 		docs := randomTermLists(rng, 1+rng.Intn(20))
 		ix := BuildFromTerms(docs, nil)
 		q := append(randPropTerms(rng, 0, 10, docs[rng.Intn(len(docs))]), "common", "zyzzyva")
-		for wt := range ix.w {
-			got, want := ix.queryVector(nil, q, wt), mapQueryVector(ix, q, wt)
-			if len(got) != len(want) {
-				t.Fatalf("round %d weighting %d: %d components, want %d", round, wt, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].id != want[i].id || math.Float64bits(got[i].w) != math.Float64bits(want[i].w) {
-					t.Fatalf("round %d weighting %d component %d: %+v, want %+v", round, wt, i, got[i], want[i])
-				}
+		got, want := ix.queryVector(nil, q), mapQueryVector(ix, q)
+		if len(got) != len(want) {
+			t.Fatalf("round %d: %d components, want %d", round, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].id != want[i].id || math.Float64bits(got[i].w) != math.Float64bits(want[i].w) {
+				t.Fatalf("round %d component %d: %+v, want %+v", round, i, got[i], want[i])
 			}
 		}
 	}

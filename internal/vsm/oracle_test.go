@@ -19,46 +19,37 @@ import (
 // list, no threshold shortcut — so agreement pins the accumulation,
 // filtering and ordering.
 
-// positive is the threshold that admits exactly the positive scores (the
-// BM25 serving cut).
+// positive is the threshold that admits exactly the positive scores.
 const positive = math.SmallestNonzeroFloat64
 
-// run scores pre-normalized terms with the engine, failing the test on an
-// error.
-func run(t testing.TB, ix *Index, terms []string, o QueryOpts) []Match {
-	t.Helper()
-	m, err := ix.Query(context.Background(), terms, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+// run scores pre-normalized terms with the engine.
+func run(ix *Index, terms []string, threshold float64) []Match {
+	return ix.Query(context.Background(), terms, threshold)
 }
 
 // query is run over raw query text.
-func query(t testing.TB, ix *Index, q string, o QueryOpts) []Match {
-	t.Helper()
-	return run(t, ix, textproc.NormalizeTerms(q), o)
+func query(ix *Index, q string, threshold float64) []Match {
+	return run(ix, textproc.NormalizeTerms(q), threshold)
 }
 
 // engineScores runs the engine at a threshold that admits every document
 // and scatters the matches into one score per document.
-func engineScores(t testing.TB, ix *Index, terms []string, backend string) []float64 {
-	t.Helper()
+func engineScores(ix *Index, terms []string) []float64 {
 	out := make([]float64, ix.n)
-	for _, m := range run(t, ix, terms, QueryOpts{Backend: backend, Threshold: math.Inf(-1)}) {
+	for _, m := range run(ix, terms, math.Inf(-1)) {
 		out[m.Index] = m.Score
 	}
 	return out
 }
 
-// docVectors gathers every document's weight vector under weighting wt from
-// the postings, entries in ascending term id, indexed by document ordinal.
-func docVectors(ix *Index, wt int) [][]term {
+// docVectors gathers every document's weight vector from the postings,
+// entries in ascending term id, indexed by document ordinal.
+func docVectors(ix *Index) [][]term {
 	vecs := make([][]term, ix.n)
 	for id := 0; id+1 < len(ix.start); id++ {
 		for i := ix.start[id]; i < ix.start[id+1]; i++ {
 			g := ix.docs[ix.post[i]]
-			vecs[g] = append(vecs[g], term{id: id, w: ix.w[wt][i]})
+			vecs[g] = append(vecs[g], term{id: id, w: ix.w[i]})
 		}
 	}
 	return vecs
@@ -83,15 +74,11 @@ func dot(a, b []term) float64 {
 	return s
 }
 
-// denseScores is the oracle: every document's score under the backend.
-func denseScores(ix *Index, terms []string, backend string) []float64 {
-	wt, err := weightingOf(backend)
-	if err != nil {
-		panic(err)
-	}
-	qv := ix.queryVector(nil, terms, wt)
+// denseScores is the oracle: every document's score.
+func denseScores(ix *Index, terms []string) []float64 {
+	qv := ix.queryVector(nil, terms)
 	out := make([]float64, ix.n)
-	for d, v := range docVectors(ix, wt) {
+	for d, v := range docVectors(ix) {
 		out[d] = dot(v, qv)
 	}
 	return out
@@ -100,9 +87,9 @@ func denseScores(ix *Index, terms []string, backend string) []float64 {
 // denseMatches is the oracle's match list: every document at or above the
 // threshold, sorted by the total match order with the standard library's
 // sort rather than the engine's.
-func denseMatches(ix *Index, terms []string, backend string, threshold float64) []Match {
+func denseMatches(ix *Index, terms []string, threshold float64) []Match {
 	var out []Match
-	for d, s := range denseScores(ix, terms, backend) {
+	for d, s := range denseScores(ix, terms) {
 		if s >= threshold {
 			out = append(out, Match{Index: d, Score: s})
 		}
@@ -120,9 +107,9 @@ func denseMatches(ix *Index, terms []string, backend string, threshold float64) 
 // documents: the dense oracle's matches over an index of every document
 // (same documents, nil mask), kept where served is set. A nil mask keeps
 // every match.
-func maskedOracle(all *Index, served []bool, terms []string, backend string, threshold float64) []Match {
+func maskedOracle(all *Index, served []bool, terms []string, threshold float64) []Match {
 	var out []Match
-	for _, m := range denseMatches(all, terms, backend, threshold) {
+	for _, m := range denseMatches(all, terms, threshold) {
 		if served == nil || served[m.Index] {
 			out = append(out, m)
 		}
@@ -145,20 +132,17 @@ func randomMask(rng *rand.Rand, n int) []bool {
 }
 
 // maskThresholds are the thresholds the mask differentials run at: the
-// VSM and BM25 serving cuts, and the cuts at or below zero that admit
-// every served document.
+// serving cut, the cut admitting every positive score, and the cuts at or
+// below zero that admit every served document.
 var maskThresholds = []float64{DefaultThreshold, positive, 0, -1, math.Inf(-1)}
 
-// sameAsMaskedOracle checks a served index against maskedOracle for both
-// backends at every mask threshold.
+// sameAsMaskedOracle checks a served index against maskedOracle at every
+// mask threshold.
 func sameAsMaskedOracle(t *testing.T, label string, ix, all *Index, served []bool, terms []string) {
 	t.Helper()
-	for _, backend := range Backends() {
-		for _, threshold := range maskThresholds {
-			sameMatches(t, fmt.Sprintf("%s %s@%v", label, backend, threshold),
-				run(t, ix, terms, QueryOpts{Backend: backend, Threshold: threshold}),
-				maskedOracle(all, served, terms, backend, threshold))
-		}
+	for _, threshold := range maskThresholds {
+		sameMatches(t, fmt.Sprintf("%s @%v", label, threshold),
+			run(ix, terms, threshold), maskedOracle(all, served, terms, threshold))
 	}
 }
 
@@ -181,7 +165,7 @@ func idfOf(ix *Index, t string) float64 {
 // cosine is the cosine similarity of two raw texts under the index's TF-IDF
 // weights.
 func cosine(ix *Index, a, b string) float64 {
-	return dot(ix.queryVector(nil, textproc.NormalizeTerms(a), wVSM), ix.queryVector(nil, textproc.NormalizeTerms(b), wVSM))
+	return dot(ix.queryVector(nil, textproc.NormalizeTerms(a)), ix.queryVector(nil, textproc.NormalizeTerms(b)))
 }
 
 func sameMatches(t *testing.T, label string, got, want []Match) {

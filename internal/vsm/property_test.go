@@ -49,14 +49,14 @@ func TestPropertyPermutationInvariance(t *testing.T) {
 		}
 		query := randPropTerms(rng, 1, 6, propVocab)
 
-		scores := engineScores(t, BuildFromTerms(docs, nil), query, BackendVSM)
+		scores := engineScores(BuildFromTerms(docs, nil), query)
 
 		perm := rng.Perm(nDocs)
 		permuted := make([][]string, nDocs)
 		for newPos, oldPos := range perm {
 			permuted[newPos] = docs[oldPos]
 		}
-		permScores := engineScores(t, BuildFromTerms(permuted, nil), query, BackendVSM)
+		permScores := engineScores(BuildFromTerms(permuted, nil), query)
 
 		for newPos, oldPos := range perm {
 			if math.Float64bits(permScores[newPos]) != math.Float64bits(scores[oldPos]) {
@@ -90,7 +90,7 @@ func TestPropertyDuplicateNonMatchingDoc(t *testing.T) {
 		}
 		query := randPropTerms(rng, 1, 6, qPool)
 
-		scores := engineScores(t, BuildFromTerms(docs, nil), query, BackendVSM)
+		scores := engineScores(BuildFromTerms(docs, nil), query)
 		top, second := -1, -1
 		for i, s := range scores {
 			switch {
@@ -105,7 +105,7 @@ func TestPropertyDuplicateNonMatchingDoc(t *testing.T) {
 		}
 
 		dup := append(append([][]string{}, docs...), docs[0])
-		dupScores := engineScores(t, BuildFromTerms(dup, nil), query, BackendVSM)
+		dupScores := engineScores(BuildFromTerms(dup, nil), query)
 		if got := dupScores[nDocs]; got != 0 {
 			t.Fatalf("round %d: duplicated non-matching doc scored %v, want exactly 0", round, got)
 		}
@@ -152,7 +152,7 @@ func TestPropertyThresholdMonotone(t *testing.T) {
 		}
 		q := textproc.NormalizeTerms(strings.Join(randPropTerms(rng, 1, 6, propVocab), " "))
 		ix := Build(sentences)
-		scores := denseScores(ix, q, BackendVSM)
+		scores := denseScores(ix, q)
 
 		thresholds := []float64{DefaultThreshold, 0.01 + 0.5*rng.Float64()}
 		var prevSet map[int]bool
@@ -161,7 +161,7 @@ func TestPropertyThresholdMonotone(t *testing.T) {
 			thresholds[0], thresholds[1] = thresholds[1], thresholds[0]
 		}
 		for _, th := range thresholds {
-			got := run(t, ix, q, QueryOpts{Threshold: th})
+			got := run(ix, q, th)
 			gotSet := map[int]bool{}
 			for i, m := range got {
 				gotSet[m.Index] = true
@@ -181,7 +181,7 @@ func TestPropertyThresholdMonotone(t *testing.T) {
 					t.Fatalf("round %d θ=%v: doc %d (score %v) missing from results", round, th, i, s)
 				}
 			}
-			if !matchesEqual(got, denseMatches(ix, q, BackendVSM, th)) {
+			if !matchesEqual(got, denseMatches(ix, q, th)) {
 				t.Fatalf("round %d θ=%v: inverted-index and dense results differ", round, th)
 			}
 			// monotone: the higher-threshold set is a subset of the lower one

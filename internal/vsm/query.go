@@ -12,26 +12,15 @@ import (
 
 // Stage-II observability, reported into the default metrics registry
 // (surfaced on /metricz as vsm_*): query volume, postings walked and
-// scoring latency across both backends.
+// scoring latency.
 var (
 	queriesScored  = obs.Default().Counter("vsm_queries_scored_total")
 	postingsScored = obs.Default().Counter("vsm_postings_scored_total")
 	scoreHist      = obs.Default().Histogram("vsm_score_micros")
 )
 
-// QueryOpts are the options of one query.
-type QueryOpts struct {
-	// Backend selects the weighting: "" or BackendVSM for TF-IDF cosine,
-	// BackendBM25 for Okapi BM25.
-	Backend string
-	// Threshold admits every served document scoring at or above it. A
-	// threshold at or below zero admits zero-score documents, so every
-	// served document matches.
-	Threshold float64
-}
-
-// term is one query-vector component: a vocabulary id and its query-side
-// multiplier.
+// term is one query-vector component: a vocabulary id and its normalized
+// query weight.
 type term struct {
 	id int
 	w  float64
@@ -47,38 +36,34 @@ type accumulator struct {
 }
 
 // Query scores pre-normalized query terms against the served documents
-// and returns the matches best first: score descending, ties by ascending
-// document ordinal. Under the VSM backend a score is the cosine of the
-// document's and the query's TF-IDF vectors (Eqs. 1-2); under BM25 it is
-// the document's Okapi score for the distinct query terms.
+// and returns the matches scoring at or above threshold, best first: score
+// descending, ties by ascending document ordinal. A score is the cosine of
+// the document's and the query's TF-IDF vectors (Eqs. 1-2). A threshold at
+// or below zero admits zero-score documents, so every served document
+// matches.
 //
 // Every document's score is the sum, in ascending term-id order, of the
-// query multiplier times the posting weight of each query term it
-// contains, so it depends only on the document, the query and the corpus
+// query weight times the posting weight of each query term it contains,
+// so it depends only on the document, the query and the corpus
 // statistics; the ordering is total.
 //
 // When ctx carries a sampled span the pass is recorded as a "vsm.score"
-// child naming its backend. An unknown o.Backend returns ErrUnknownBackend.
-func (ix *Index) Query(ctx context.Context, terms []string, o QueryOpts) ([]Match, error) {
-	wt, err := weightingOf(o.Backend)
-	if err != nil {
-		return nil, err
-	}
+// child.
+func (ix *Index) Query(ctx context.Context, terms []string, threshold float64) []Match {
 	if parent := obs.SpanFrom(ctx); parent != nil {
 		span := parent.StartChild("vsm.score")
-		span.SetAttr("backend", Backends()[wt])
 		span.SetAttrInt("query_terms", len(terms))
 		span.SetAttrInt("docs", ix.n)
 		defer span.Finish()
 	}
 	start := time.Now()
 	var buf [64]term
-	out, walked := ix.score(ix.queryVector(buf[:0], terms, wt), wt, o.Threshold)
+	out, walked := ix.score(ix.queryVector(buf[:0], terms), threshold)
 	postingsScored.Add(int64(walked))
 	sortMatches(out)
 	scoreHist.ObserveDuration(time.Since(start))
 	queriesScored.Inc()
-	return out, nil
+	return out
 }
 
 // sortMatches puts matches in the total match order: score descending, ties
@@ -121,9 +106,9 @@ func idRun(ids []int32, i int) (int32, int) {
 // the index's process-unique identity, then each distinct in-vocabulary
 // term id in ascending order with its count, all as uvarints. Two queries
 // append the same bytes exactly when this index gives them the same query
-// vector, so they score Float64bits-identically under every backend; no
-// two indexes, even built from identical term lists, append the same
-// bytes, since term ids of different indexes cannot be compared.
+// vector, so they score Float64bits-identically; no two indexes, even
+// built from identical term lists, append the same bytes, since term ids
+// of different indexes cannot be compared.
 func (ix *Index) AppendQueryKey(b []byte, terms []string) []byte {
 	var buf [64]int32
 	ids := ix.resolve(buf[:0], terms)
@@ -136,29 +121,25 @@ func (ix *Index) AppendQueryKey(b []byte, terms []string) []byte {
 	return b
 }
 
-// queryVector appends to qv the query vector of terms under weighting wt,
-// in ascending term-id order. For VSM it is the L2-normalized TF-IDF query
-// vector, without zero-weight terms (terms in every document contribute
-// nothing to a cosine). The vocabulary and IDF cover every document, so
-// the norm counts the query terms that occur only in unserved documents,
-// as a query vector over the whole corpus must. For BM25 it is each
-// distinct in-vocabulary term once, with multiplier 1 (the binary query
-// model; 1·c is exactly c). The norm is summed in ascending term-id order,
-// so vectorization is bit-deterministic.
-func (ix *Index) queryVector(qv []term, terms []string, wt int) []term {
+// queryVector appends to qv the L2-normalized TF-IDF query vector of
+// terms, in ascending term-id order, without zero-weight terms (terms in
+// every document contribute nothing to a cosine). The vocabulary and IDF
+// cover every document, so the norm counts the query terms that occur only
+// in unserved documents, as a query vector over the whole corpus must. The
+// norm is summed in ascending term-id order, so vectorization is
+// bit-deterministic.
+func (ix *Index) queryVector(qv []term, terms []string) []term {
 	var buf [64]int32
 	ids := ix.resolve(buf[:0], terms)
 	var norm float64
 	for i := 0; i < len(ids); {
 		id, n := idRun(ids, i)
 		i += n
-		w := 1.0
-		if wt == wVSM {
-			if w = float64(n) * ix.idf[id]; w == 0 {
-				continue
-			}
-			norm += w * w
+		w := float64(n) * ix.idf[id]
+		if w == 0 {
+			continue
 		}
+		norm += w * w
 		qv = append(qv, term{id: int(id), w: w})
 	}
 	if norm > 0 {
@@ -176,17 +157,16 @@ func (ix *Index) queryVector(qv []term, terms []string, wt int) []term {
 // to document ordinals, unsorted, and counts the postings it walked. A
 // positive threshold can only admit touched documents, since an untouched
 // score is exactly zero; otherwise every slot is a candidate.
-func (ix *Index) score(qv []term, wt int, threshold float64) ([]Match, int) {
+func (ix *Index) score(qv []term, threshold float64) ([]Match, int) {
 	acc, _ := ix.scratch.Get().(*accumulator)
 	if acc == nil {
 		acc = &accumulator{score: make([]float64, len(ix.docs)), seen: make([]bool, len(ix.docs))}
 	}
-	weights := ix.w[wt]
 	walked := 0
 	for _, q := range qv {
 		lo, hi := ix.start[q.id], ix.start[q.id+1]
 		walked += hi - lo
-		ws := weights[lo:hi]
+		ws := ix.w[lo:hi]
 		for i, d := range ix.post[lo:hi] {
 			if !acc.seen[d] {
 				acc.seen[d] = true
@@ -195,8 +175,7 @@ func (ix *Index) score(qv []term, wt int, threshold float64) ([]Match, int) {
 			acc.score[d] += q.w * ws[i]
 		}
 	}
-	// the match list is allocated once at its exact size: long BM25 lists
-	// would otherwise regrow many times
+	// the match list is allocated once at its exact size
 	var out []Match
 	if threshold > 0 {
 		kept := 0

@@ -88,11 +88,9 @@ func sameIndex(t *testing.T, got, want *Index) {
 	if !slices.Equal(got.docs, want.docs) || !slices.Equal(got.start, want.start) || !slices.Equal(got.post, want.post) {
 		t.Fatal("document map or postings differ")
 	}
-	for wt := range want.w {
-		for i := range want.w[wt] {
-			if math.Float64bits(got.w[wt][i]) != math.Float64bits(want.w[wt][i]) {
-				t.Fatalf("weighting %d posting %d: %x vs %x", wt, i, got.w[wt][i], want.w[wt][i])
-			}
+	for i := range want.w {
+		if math.Float64bits(got.w[i]) != math.Float64bits(want.w[i]) {
+			t.Fatalf("posting %d: %x vs %x", i, got.w[i], want.w[i])
 		}
 	}
 }
@@ -126,10 +124,7 @@ func TestRebuildBitIdentical(t *testing.T) {
 		all := BuildFromTerms(next, nil)
 		for _, q := range queries {
 			terms := textproc.NormalizeTerms(q)
-			for _, backend := range Backends() {
-				sameScores(t, fmt.Sprintf("round %d: %s %q", round, backend, q),
-					engineScores(t, got, terms, backend), engineScores(t, want, terms, backend))
-			}
+			sameScores(t, fmt.Sprintf("round %d: %q", round, q), engineScores(got, terms), engineScores(want, terms))
 			sameAsMaskedOracle(t, fmt.Sprintf("round %d %q", round, q), got, all, served, terms)
 		}
 	}
@@ -217,7 +212,7 @@ func TestRebuildEqualsColdBuild(t *testing.T) {
 }
 
 // TestRebuildEmptySuccessor: an edit that drops every document leaves an
-// index of none, which matches nothing under either backend even at a
+// index of none, which matches nothing even at a
 // threshold that admits every document, and documents added to it again —
 // or to the zero Index — give the cold build of those documents.
 func TestRebuildEmptySuccessor(t *testing.T) {
@@ -229,10 +224,8 @@ func TestRebuildEmptySuccessor(t *testing.T) {
 	if empty.n != 0 || len(empty.docs) != 0 {
 		t.Fatalf("empty successor: %d documents, %d served", empty.n, len(empty.docs))
 	}
-	for _, backend := range Backends() {
-		if got := run(t, empty, []string{"a"}, QueryOpts{Backend: backend, Threshold: -1}); len(got) != 0 {
-			t.Fatalf("%s: empty successor matched %v", backend, got)
-		}
+	if got := run(empty, []string{"a"}, -1); len(got) != 0 {
+		t.Fatalf("empty successor matched %v", got)
 	}
 	lists := [][]string{{"a", "c"}, {"c"}, {"b", "b"}}
 	added := make([]AddedDoc, len(lists))

@@ -89,13 +89,11 @@ func assertIndexesBitExact(t *testing.T, a, b *Index) {
 	}
 	for _, q := range queries {
 		terms := textproc.NormalizeTerms(q)
-		for _, backend := range Backends() {
-			sa := engineScores(t, a, terms, backend)
-			sb := engineScores(t, b, terms, backend)
-			for i := range sa {
-				if sa[i] != sb[i] {
-					t.Fatalf("%s %q doc %d: %v vs %v (must be bit-identical)", backend, q, i, sa[i], sb[i])
-				}
+		sa := engineScores(a, terms)
+		sb := engineScores(b, terms)
+		for i := range sa {
+			if sa[i] != sb[i] {
+				t.Fatalf("%q doc %d: %v vs %v (must be bit-identical)", q, i, sa[i], sb[i])
 			}
 		}
 	}

@@ -6,15 +6,12 @@
 //	sim(s,q) = (v_s . v_q) / (|v_s| |v_q|)
 //
 // It replaces the Gensim TF-IDF/VSM pipeline of the original implementation.
-// Okapi BM25 over the same postings is the retrieval ablation, selectable
-// per query.
 //
 // An Index is built under statistics over every document (DESIGN.md §13):
-// a document's weights depend only on the corpus-wide vocabulary, IDF
-// table and BM25 length average and on the document itself, so scores are
-// Float64bits-identical whichever subset of the documents is served (has
-// postings). An Index is immutable after build and safe for concurrent
-// queries.
+// a document's weights depend only on the corpus-wide vocabulary and IDF
+// table and on the document itself, so scores are Float64bits-identical
+// whichever subset of the documents is served (has postings). An Index is
+// immutable after build and safe for concurrent queries.
 package vsm
 
 import (
@@ -22,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -34,68 +30,28 @@ import (
 // sentence (§3.2: 0.15).
 const DefaultThreshold = 0.15
 
-// Backend names a query's weighting.
-const (
-	// BackendVSM is the paper's Stage-II model: TF-IDF weights with cosine
-	// similarity (Eqs. 1-2) and the 0.15 recommendation threshold. It is the
-	// default backend everywhere a backend is selectable.
-	BackendVSM = "vsm"
-	// BackendBM25 is Okapi BM25 over the same postings — the lexical
-	// retrieval ablation. Its scores are unbounded and comparable only with
-	// other BM25 scores.
-	BackendBM25 = "bm25"
-)
-
-// ErrUnknownBackend reports a backend name the index does not know.
+// ErrUnknownBackend reports a request naming a scoring model other than
+// the paper's TF-IDF/cosine one.
 var ErrUnknownBackend = errors.New("vsm: unknown scoring backend")
 
-// Backends lists the scoring backends every Index offers, default first.
-func Backends() []string { return []string{BackendVSM, BackendBM25} }
-
-// ValidBackend reports whether name selects a known backend; the empty
-// string selects the default (VSM) and is valid.
+// ValidBackend reports whether a request's backend name selects the one
+// scoring model: only the empty string and "vsm" do.
 func ValidBackend(name string) bool {
-	return name == "" || name == BackendVSM || name == BackendBM25
+	return name == "" || name == "vsm"
 }
-
-// Weightings: the index of a backend's weight in every posting, in
-// Backends() order.
-const (
-	wVSM  = 0
-	wBM25 = 1
-)
-
-// weightingOf resolves a backend name to its weighting.
-func weightingOf(backend string) (int, error) {
-	switch backend {
-	case "", BackendVSM:
-		return wVSM, nil
-	case BackendBM25:
-		return wBM25, nil
-	}
-	return 0, fmt.Errorf("%w: %q (have %s)", ErrUnknownBackend, backend, strings.Join(Backends(), ", "))
-}
-
-// BM25 parameters (standard Robertson/Spärck-Jones defaults).
-const (
-	bm25K1 = 1.2
-	bm25B  = 0.75
-)
 
 // Match is one retrieval result.
 type Match struct {
 	Index int     // document ordinal (sentence index) within the index
-	Score float64 // similarity under the query's backend
+	Score float64 // cosine similarity to the query
 }
 
-// Index is a TF-IDF (and BM25) weighted vector space over a fixed sentence
-// set. Its statistics cover every sentence; its postings cover the served
-// ones, the only sentences a query can match. The postings are stored
-// compactly: term t's postings are post[start[t]:start[t+1]] in ascending
-// position, and w[wVSM]/w[wBM25] hold each posting's weight under the two
-// backends — the L2-normalized TF-IDF weight (0 for a term in every
-// document, which cosine queries never walk) and the precomputed Okapi
-// contribution idf·tf·(k1+1)/(tf+norm).
+// Index is a TF-IDF weighted vector space over a fixed sentence set. Its
+// statistics cover every sentence; its postings cover the served ones, the
+// only sentences a query can match. The postings are stored compactly:
+// term t's postings are post[start[t]:start[t+1]] in ascending position,
+// and w holds each posting's L2-normalized TF-IDF weight (0 for a term in
+// every document, which queries never walk).
 type Index struct {
 	id      uint64 // process-unique, from indexIDs: see AppendQueryKey
 	vocab   map[string]int
@@ -106,7 +62,7 @@ type Index struct {
 	docs    []int32 // position -> document ordinal of the served documents, ascending
 	start   []int   // per term id, plus a final end offset
 	post    []int32 // posting documents, as positions in docs
-	w       [2][]float64
+	w       []float64
 	scratch sync.Pool // *accumulator over len(docs) documents
 }
 
@@ -125,9 +81,9 @@ func Build(sentences []string) *Index {
 //
 // served, aligned with termLists, marks the documents that get postings;
 // nil serves every document. The statistics — vocabulary, document
-// frequencies, both IDF tables and the BM25 length average — always cover
-// every document, so a served document's weights and every query vector
-// are the same floats whatever the mask. A misaligned non-nil mask panics.
+// frequencies and the IDF table — always cover every document, so a
+// served document's weights and every query vector are the same floats
+// whatever the mask. A misaligned non-nil mask panics.
 //
 // Term ids are assigned in sorted term order, not first-appearance order.
 // Because every weight accumulation runs in ascending term-id order, scores
@@ -145,13 +101,12 @@ func BuildFromTerms(termLists [][]string, served []bool) *Index {
 }
 
 // termCounts is one document's corpus-independent term statistics: its
-// unique terms in sorted order with their raw frequencies, plus the total
-// term count (the BM25 length norm). Immutable after countTerms, so Rebuild
-// shares it between an index and its successor for kept sentences.
+// unique terms in sorted order with their raw frequencies. Immutable after
+// countTerms, so Rebuild shares it between an index and its successor for
+// kept sentences.
 type termCounts struct {
 	terms  []string  // unique terms, sorted
 	counts []float64 // raw frequency, aligned with terms
-	total  int32     // total term occurrences including duplicates
 }
 
 // countTerms tallies a term list into its counted form.
@@ -163,7 +118,6 @@ func countTerms(terms []string) *termCounts {
 	tc := &termCounts{
 		terms:  make([]string, 0, len(tf)),
 		counts: make([]float64, 0, len(tf)),
-		total:  int32(len(terms)),
 	}
 	for t := range tf {
 		tc.terms = append(tc.terms, t)
@@ -179,19 +133,16 @@ func countTerms(terms []string) *termCounts {
 var indexIDs atomic.Uint64
 
 // build assembles an index from counted documents: the global statistics
-// first — vocabulary, document frequencies, both IDF tables and the BM25
-// length average, summed in document order — then the served documents'
-// postings under them (every document's for a nil mask). Each weight is a
+// first — vocabulary, document frequencies and the IDF table — then the
+// served documents' postings under them (every document's for a nil mask). Each weight is a
 // function of the global statistics and its own document only.
 func build(counted []*termCounts, served []bool) *Index {
 	n := len(counted)
 	df := map[string]int{} // counted terms are unique per document already
-	var total float64
 	for _, tc := range counted {
 		for _, t := range tc.terms {
 			df[t]++
 		}
-		total += float64(tc.total)
 	}
 	terms := make([]string, 0, len(df))
 	for t := range df {
@@ -205,23 +156,16 @@ func build(counted []*termCounts, served []bool) *Index {
 		counted: counted,
 		n:       n,
 	}
-	bidf := make([]float64, len(terms))
 	for id, t := range terms {
 		ix.vocab[t] = id
-		f := float64(df[t])
-		ix.idf[id] = math.Log(float64(n) / f)
-		bidf[id] = math.Log((float64(n)-f+0.5)/(f+0.5) + 1)
-	}
-	var avg float64
-	if n > 0 {
-		avg = total / float64(n)
+		ix.idf[id] = math.Log(float64(n) / float64(df[t]))
 	}
 	for g := range counted {
 		if served == nil || served[g] {
 			ix.docs = append(ix.docs, int32(g))
 		}
 	}
-	ix.fill(bidf, avg)
+	ix.fill()
 	return ix
 }
 
@@ -231,7 +175,7 @@ func build(counted []*termCounts, served []bool) *Index {
 // L2-normalized per document, the norm accumulated in ascending term-id
 // order; counted terms are sorted and ids follow sorted term order, so the
 // entries arrive in that order without re-sorting.
-func (ix *Index) fill(bidf []float64, avg float64) {
+func (ix *Index) fill() {
 	ix.start = make([]int, len(ix.idf)+1)
 	for _, g := range ix.docs {
 		for _, t := range ix.counted[g].terms {
@@ -243,7 +187,7 @@ func (ix *Index) fill(bidf []float64, avg float64) {
 	}
 	size := ix.start[len(ix.start)-1]
 	ix.post = make([]int32, size)
-	ix.w = [2][]float64{make([]float64, size), make([]float64, size)}
+	ix.w = make([]float64, size)
 	next := append([]int(nil), ix.start[:len(ix.idf)]...)
 	var weights []float64
 	for pos, g := range ix.docs {
@@ -261,18 +205,12 @@ func (ix *Index) fill(bidf []float64, avg float64) {
 				weights[i] /= norm
 			}
 		}
-		lenNorm := bm25K1
-		if avg > 0 {
-			lenNorm = bm25K1 * (1 - bm25B + bm25B*float64(tc.total)/avg)
-		}
 		for i, t := range tc.terms {
 			id := ix.vocab[t]
-			tf := tc.counts[i]
 			at := next[id]
 			next[id]++
 			ix.post[at] = int32(pos)
-			ix.w[wVSM][at] = weights[i]
-			ix.w[wBM25][at] = bidf[id] * tf * (bm25K1 + 1) / (tf + lenNorm)
+			ix.w[at] = weights[i]
 		}
 	}
 }

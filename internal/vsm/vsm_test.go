@@ -28,7 +28,7 @@ var corpus = []string{
 
 func TestQueryRelevanceOrdering(t *testing.T) {
 	ix := Build(corpus)
-	matches := query(t, ix, "how to avoid shared memory bank conflicts", QueryOpts{Threshold: 0.01})
+	matches := query(ix, "how to avoid shared memory bank conflicts", 0.01)
 	if len(matches) == 0 {
 		t.Fatal("no matches")
 	}
@@ -44,8 +44,8 @@ func TestQueryRelevanceOrdering(t *testing.T) {
 
 func TestQueryThreshold(t *testing.T) {
 	ix := Build(corpus)
-	all := query(t, ix, "memory", QueryOpts{})
-	strict := query(t, ix, "memory", QueryOpts{Threshold: 0.5})
+	all := query(ix, "memory", 0)
+	strict := query(ix, "memory", 0.5)
 	if len(strict) > len(all) {
 		t.Error("higher threshold returned more matches")
 	}
@@ -58,10 +58,10 @@ func TestQueryThreshold(t *testing.T) {
 
 func TestQueryNoVocabularyOverlap(t *testing.T) {
 	ix := Build(corpus)
-	if got := query(t, ix, "zyzzyva quux", QueryOpts{Threshold: 0.01}); len(got) != 0 {
+	if got := query(ix, "zyzzyva quux", 0.01); len(got) != 0 {
 		t.Errorf("expected no matches, got %v", got)
 	}
-	if got := query(t, ix, "", QueryOpts{Threshold: 0.01}); len(got) != 0 {
+	if got := query(ix, "", 0.01); len(got) != 0 {
 		t.Errorf("empty query matched: %v", got)
 	}
 }
@@ -70,7 +70,7 @@ func TestQueryNoVocabularyOverlap(t *testing.T) {
 func TestSimilarityBounds(t *testing.T) {
 	ix := Build(corpus)
 	for i := range corpus {
-		s := engineScores(t, ix, textproc.NormalizeTerms(corpus[i]), BackendVSM)[i]
+		s := engineScores(ix, textproc.NormalizeTerms(corpus[i]))[i]
 		if s < 0.999 || s > 1.001 {
 			t.Errorf("self-similarity of %d = %f, want 1", i, s)
 		}
@@ -96,17 +96,15 @@ func TestIDFBehaviour(t *testing.T) {
 // the vocabulary match nothing, and score every document exactly zero.
 func TestQueryEmptyAndUnknownTerms(t *testing.T) {
 	ix := BuildFromTerms([][]string{{"alpha", "beta"}, {"gamma"}}, nil)
-	if got := run(t, ix, nil, QueryOpts{Threshold: DefaultThreshold}); got != nil {
+	if got := run(ix, nil, DefaultThreshold); got != nil {
 		t.Fatalf("empty query: %v, want nil", got)
 	}
-	if got := run(t, ix, []string{"zzz"}, QueryOpts{Threshold: DefaultThreshold}); got != nil {
+	if got := run(ix, []string{"zzz"}, DefaultThreshold); got != nil {
 		t.Fatalf("out-of-vocab query: %v, want nil", got)
 	}
-	for _, backend := range Backends() {
-		for i, s := range engineScores(t, ix, []string{"zzz"}, backend) {
-			if s != 0 {
-				t.Fatalf("%s out-of-vocab score[%d] = %v, want 0", backend, i, s)
-			}
+	for i, s := range engineScores(ix, []string{"zzz"}) {
+		if s != 0 {
+			t.Fatalf("out-of-vocab score[%d] = %v, want 0", i, s)
 		}
 	}
 }
@@ -119,17 +117,14 @@ func TestConcurrentQueriesShareScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	ix := BuildFromTerms(randomTermLists(rng, 80), nil)
 	type tc struct {
-		terms []string
-		o     QueryOpts
-		want  []Match
+		terms     []string
+		threshold float64
+		want      []Match
 	}
 	var cases []tc
 	for _, q := range diffQueries {
-		for _, backend := range Backends() {
-			for _, threshold := range []float64{-1, DefaultThreshold} {
-				o := QueryOpts{Backend: backend, Threshold: threshold}
-				cases = append(cases, tc{strings.Fields(q), o, run(t, ix, strings.Fields(q), o)})
-			}
+		for _, threshold := range []float64{-1, DefaultThreshold} {
+			cases = append(cases, tc{strings.Fields(q), threshold, run(ix, strings.Fields(q), threshold)})
 		}
 	}
 	var wg sync.WaitGroup
@@ -139,9 +134,8 @@ func TestConcurrentQueriesShareScratch(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				c := cases[(g+i)%len(cases)]
-				got, err := ix.Query(context.Background(), c.terms, c.o)
-				if err != nil || !matchesEqual(got, c.want) {
-					t.Errorf("goroutine %d query %v %+v: %v (err %v), want %v", g, c.terms, c.o, got, err, c.want)
+				if got := ix.Query(context.Background(), c.terms, c.threshold); !matchesEqual(got, c.want) {
+					t.Errorf("goroutine %d query %v@%v: %v, want %v", g, c.terms, c.threshold, got, c.want)
 					return
 				}
 			}
@@ -169,7 +163,7 @@ func TestServedMask(t *testing.T) {
 		}
 	}
 	before := postingsScored.Value()
-	got := run(t, ix, []string{"a", "c"}, QueryOpts{Threshold: -1})
+	got := run(ix, []string{"a", "c"}, -1)
 	if walked := postingsScored.Value() - before; walked != 2 {
 		t.Fatalf("%d postings walked, want 2 (one served posting each for a and c)", walked)
 	}
@@ -177,8 +171,8 @@ func TestServedMask(t *testing.T) {
 		t.Fatalf("matches %+v, want the two served documents", got)
 	}
 	sameMatches(t, "global norm",
-		run(t, ix, []string{"b", "d"}, QueryOpts{Threshold: -1}),
-		maskedOracle(all, served, []string{"b", "d"}, BackendVSM, -1))
+		run(ix, []string{"b", "d"}, -1),
+		maskedOracle(all, served, []string{"b", "d"}, -1))
 }
 
 // TestBuildLimits: a misaligned mask is a caller bug and panics.
@@ -191,40 +185,37 @@ func TestBuildLimits(t *testing.T) {
 	BuildFromTerms([][]string{{"a"}, {"b"}}, []bool{true})
 }
 
-// TestTracedScoring: under a recorded span both backends score exactly as
-// untraced, and the trace holds one vsm.score span per query naming its
-// backend.
+// TestTracedScoring: under a recorded span a query scores exactly as
+// untraced, and the trace holds one vsm.score leaf per query, carrying its
+// term and document counts.
 func TestTracedScoring(t *testing.T) {
 	ix := BuildFromTerms(randomTermLists(rand.New(rand.NewSource(73)), 20), nil)
 	tracer := obs.NewTracer(1.0, obs.NewTraceStore(obs.DefaultTraceCapacity))
 	terms := []string{"term03", "term17", "common"}
 	sctx, root := tracer.Start(context.Background(), "test.query")
-	for _, backend := range Backends() {
-		o := QueryOpts{Backend: backend, Threshold: -1}
-		got, err := ix.Query(sctx, terms, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameMatches(t, "traced "+backend, got, run(t, ix, terms, o))
+	thresholds := []float64{-1, DefaultThreshold}
+	for _, threshold := range thresholds {
+		sameMatches(t, fmt.Sprintf("traced @%v", threshold), ix.Query(sctx, terms, threshold), run(ix, terms, threshold))
 	}
 	root.Finish()
 	tr, ok := tracer.Store().Get(obs.TraceID(sctx))
 	if !ok {
 		t.Fatal("trace not recorded")
 	}
-	var backends []string
+	if len(tr.Root.Children) != len(thresholds) {
+		t.Fatalf("%d root children, want one per query", len(tr.Root.Children))
+	}
 	for _, sp := range tr.Root.Children {
 		if sp.Name != "vsm.score" || len(sp.Children) != 0 {
 			t.Fatalf("root child %q with %d children, want a vsm.score leaf", sp.Name, len(sp.Children))
 		}
+		var attrs []string
 		for _, a := range sp.Attrs {
-			if a.Key == "backend" {
-				backends = append(backends, a.Value)
-			}
+			attrs = append(attrs, a.Key+"="+a.Value)
 		}
-	}
-	if fmt.Sprint(backends) != "[vsm bm25]" {
-		t.Fatalf("traced span backends %v, want [vsm bm25]", backends)
+		if got := fmt.Sprint(attrs); got != "[query_terms=3 docs=20]" {
+			t.Fatalf("vsm.score attrs %s", got)
+		}
 	}
 }
 
@@ -232,11 +223,11 @@ func TestTracedScoring(t *testing.T) {
 func TestTopK(t *testing.T) {
 	ix := Build(corpus)
 	terms := textproc.NormalizeTerms("memory")
-	m := prefix(run(t, ix, terms, QueryOpts{}), 2)
+	m := prefix(run(ix, terms, 0), 2)
 	if len(m) > 2 {
 		t.Errorf("TopK returned %d matches", len(m))
 	}
-	sameMatches(t, "top 2", m, prefix(denseMatches(ix, terms, BackendVSM, 0), 2))
+	sameMatches(t, "top 2", m, prefix(denseMatches(ix, terms, 0), 2))
 }
 
 func TestLenAndVocab(t *testing.T) {
@@ -254,7 +245,7 @@ func TestEmptyIndex(t *testing.T) {
 	if ix.n != 0 {
 		t.Error("empty index has nonzero len")
 	}
-	if got := query(t, ix, "anything", QueryOpts{}); len(got) != 0 {
+	if got := query(ix, "anything", 0); len(got) != 0 {
 		t.Errorf("empty index matched: %v", got)
 	}
 }
@@ -286,8 +277,8 @@ func TestQueryScoresConsistent(t *testing.T) {
 	ix := Build(corpus)
 	for _, q := range []string{"shared memory", "register usage compiler"} {
 		terms := textproc.NormalizeTerms(q)
-		dense := denseScores(ix, terms, BackendVSM)
-		for _, m := range run(t, ix, terms, QueryOpts{Threshold: 0.01}) {
+		dense := denseScores(ix, terms)
+		for _, m := range run(ix, terms, 0.01) {
 			if math.Abs(dense[m.Index]-m.Score) > 1e-12 {
 				t.Errorf("inconsistent score for %d", m.Index)
 			}
@@ -307,6 +298,6 @@ func BenchmarkQuery(b *testing.B) {
 	terms := textproc.NormalizeTerms("how to avoid shared memory bank conflicts")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		run(b, ix, terms, QueryOpts{Threshold: DefaultThreshold})
+		run(ix, terms, DefaultThreshold)
 	}
 }

@@ -22,13 +22,14 @@ func getPage(t *testing.T, url string) (int, string) {
 }
 
 // TestAskFederated: with a federator installed, the /ask page fans the
-// question out and attributes every hit to its advisor.
+// question out and attributes every hit to its advisor. A backend
+// parameter left in an old link is ignored.
 func TestAskFederated(t *testing.T) {
 	s := testServer(t)
-	var gotQ, gotBackend string
+	var gotQ string
 	var gotK int
-	s.SetFederator(func(ctx context.Context, backend, q string, k int) []FederatedHit {
-		gotQ, gotBackend, gotK = q, backend, k
+	s.SetFederator(func(ctx context.Context, q string, k int) []FederatedHit {
+		gotQ, gotK = q, k
 		return []FederatedHit{
 			{Advisor: "cuda", Section: "5.2", Text: "coalesce global accesses", Score: 2.0, Norm: 1.0},
 			{Advisor: "opencl", Section: "3.1", Text: "tune the work group size", Score: 0.8, Norm: 0.9},
@@ -41,8 +42,8 @@ func TestAskFederated(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("ask status %d", code)
 	}
-	if gotQ != "memory performance" || gotBackend != "bm25" || gotK != 3 {
-		t.Fatalf("federator saw q=%q backend=%q k=%d", gotQ, gotBackend, gotK)
+	if gotQ != "memory performance" || gotK != 3 {
+		t.Fatalf("federator saw q=%q k=%d", gotQ, gotK)
 	}
 	for _, wantSub := range []string{"cuda", "opencl", "coalesce global accesses", "tune the work group size", "every advisor"} {
 		if !strings.Contains(body, wantSub) {
@@ -96,7 +97,7 @@ func TestAskEmptyQueryRedirects(t *testing.T) {
 // an error page.
 func TestAskNoResults(t *testing.T) {
 	s := testServer(t)
-	s.SetFederator(func(ctx context.Context, backend, q string, k int) []FederatedHit {
+	s.SetFederator(func(ctx context.Context, q string, k int) []FederatedHit {
 		return nil
 	})
 	ts := httptest.NewServer(s)

@@ -35,7 +35,7 @@ type FederatedHit struct {
 	Advisor string
 	Section string
 	Text    string
-	Score   float64 // raw backend score, advisor-local scale
+	Score   float64 // raw cosine score, advisor-local scale
 	Norm    float64 // score / that advisor's best score
 }
 
@@ -54,10 +54,10 @@ type Server struct {
 	advisor    *core.Advisor
 	title      string
 	mux        *http.ServeMux
-	querier    func(ctx context.Context, backend, q string) []core.Answer         // optional shared retrieval path
-	federator  func(ctx context.Context, backend, q string, k int) []FederatedHit // optional cross-advisor ask
-	provider   func() *core.Advisor                                               // optional live-advisor source
-	reloadInfo func() *ReloadInfo                                                 // optional lifecycle summary
+	querier    func(ctx context.Context, q string) []core.Answer         // optional shared retrieval path
+	federator  func(ctx context.Context, q string, k int) []FederatedHit // optional cross-advisor ask
+	provider   func() *core.Advisor                                      // optional live-advisor source
+	reloadInfo func() *ReloadInfo                                        // optional lifecycle summary
 }
 
 // New creates a Server for an advisor. title labels the pages
@@ -74,11 +74,10 @@ func New(advisor *core.Advisor, title string) *Server {
 
 // SetQuerier routes retrieval through f instead of calling the advisor
 // directly — the hook that lets the HTML UI share a serving layer's query
-// cache and admission control. backend selects the scoring model ("" for
-// the default VSM). The context carries the request's trace span (if
-// sampled), so shared-path queries appear in the request's trace tree.
-// Call before serving traffic.
-func (s *Server) SetQuerier(f func(ctx context.Context, backend, q string) []core.Answer) {
+// cache and admission control. The context carries the request's trace
+// span (if sampled), so shared-path queries appear in the request's trace
+// tree. Call before serving traffic.
+func (s *Server) SetQuerier(f func(ctx context.Context, q string) []core.Answer) {
 	s.querier = f
 }
 
@@ -86,7 +85,7 @@ func (s *Server) SetQuerier(f func(ctx context.Context, backend, q string) []cor
 // cross-advisor federation (each advisor's k best answers, merged by
 // normalized score). Without a federator, /ask degrades to this server's
 // single advisor. Call before serving traffic.
-func (s *Server) SetFederator(f func(ctx context.Context, backend, q string, k int) []FederatedHit) {
+func (s *Server) SetFederator(f func(ctx context.Context, q string, k int) []FederatedHit) {
 	s.federator = f
 }
 
@@ -119,22 +118,14 @@ func (s *Server) adv() *core.Advisor {
 
 // query answers q through the shared querier when one is installed; the
 // standalone fallback goes through the annotation path (normalize once,
-// score the terms) like the serving layer does. An unknown backend falls
-// back to the default scoring rather than erroring — the HTML form only
-// offers valid backends.
-func (s *Server) query(ctx context.Context, backend, q string) []core.Answer {
+// score the terms) like the serving layer does.
+func (s *Server) query(ctx context.Context, q string) []core.Answer {
 	queriesTotal.Inc()
 	if s.querier != nil {
-		return s.querier(ctx, backend, q)
+		return s.querier(ctx, q)
 	}
 	adv := s.adv()
-	terms := nlp.QueryTerms(q)
-	answers, err := adv.Retrieve(ctx, terms, adv.QueryOpts(backend))
-	if err != nil {
-		// the default backend is always known, so no error can come back
-		answers, _ = adv.Retrieve(ctx, terms, adv.QueryOpts(""))
-	}
-	return answers
+	return adv.Retrieve(ctx, nlp.QueryTerms(q), adv.Threshold())
 }
 
 // ServeHTTP implements http.Handler.
@@ -158,7 +149,6 @@ textarea { width: 100%; height: 8em; }
 (ratio {{printf "%.1f" .Ratio}}).</p>
 <form action="/query" method="GET">
   <input type="text" name="q" size="60" placeholder="Ask an optimization question">
-  <select name="backend">{{range .Backends}}<option value="{{.}}">{{.}}</option>{{end}}</select>
   <input type="submit" value="Search">
 </form>
 <form action="/ask" method="GET">
@@ -231,14 +221,13 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		reload = s.reloadInfo()
 	}
 	data := struct {
-		Title    string
-		Count    int
-		Total    int
-		Ratio    float64
-		Backends []string
-		Groups   []ruleGroup
-		Reload   *ReloadInfo
-	}{s.title, len(rules), adv.SentenceCount(), adv.CompressionRatio(), adv.Backends(), groups, reload}
+		Title  string
+		Count  int
+		Total  int
+		Ratio  float64
+		Groups []ruleGroup
+		Reload *ReloadInfo
+	}{s.title, len(rules), adv.SentenceCount(), adv.CompressionRatio(), groups, reload}
 	render(w, indexTmpl, data)
 }
 
@@ -282,16 +271,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Redirect(w, r, "/", http.StatusSeeOther)
 		return
 	}
-	backend := strings.TrimSpace(r.URL.Query().Get("backend"))
-	answers := s.query(r.Context(), backend, q)
-	heading := "Query: " + q
-	if backend != "" {
-		heading += " (" + backend + ")"
-	}
+	answers := s.query(r.Context(), q)
 	data := struct {
 		Title  string
 		Blocks []answerBlock
-	}{s.title, []answerBlock{s.answersToBlock(heading, answers)}}
+	}{s.title, []answerBlock{s.answersToBlock("Query: "+q, answers)}}
 	render(w, answerTmpl, data)
 }
 
@@ -324,12 +308,11 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 		http.Redirect(w, r, "/", http.StatusSeeOther)
 		return
 	}
-	backend := strings.TrimSpace(r.URL.Query().Get("backend"))
 	var hits []FederatedHit
 	if s.federator != nil {
-		hits = s.federator(r.Context(), backend, q, 3)
+		hits = s.federator(r.Context(), q, 3)
 	} else {
-		answers := s.query(r.Context(), backend, q)
+		answers := s.query(r.Context(), q)
 		if len(answers) > 3 {
 			answers = answers[:3]
 		}
@@ -374,7 +357,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	for _, issue := range report.Issues() {
 		// each issue is answered through the shared query path, so report
 		// uploads also benefit from (and warm) the serving cache
-		blocks = append(blocks, s.answersToBlock("Issue: "+issue.Title, s.query(r.Context(), "", issue.Query())))
+		blocks = append(blocks, s.answersToBlock("Issue: "+issue.Title, s.query(r.Context(), issue.Query())))
 	}
 	if len(blocks) == 0 {
 		blocks = []answerBlock{{Heading: "Report " + report.Program, Empty: true}}

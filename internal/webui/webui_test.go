@@ -39,6 +39,10 @@ func TestWebUIPages(t *testing.T) {
 	if !strings.Contains(body, `action="/query"`) || !strings.Contains(body, `action="/report"`) {
 		t.Error("index missing query/report forms (Fig. 6 surface)")
 	}
+	// one scoring model: the query form offers no backend to pick
+	if strings.Contains(body, "<select") || strings.Contains(body, `name="backend"`) {
+		t.Error("index still offers a backend select")
+	}
 }
 
 func TestQueryEndpoint(t *testing.T) {
@@ -56,6 +60,19 @@ func TestQueryEndpoint(t *testing.T) {
 	}
 	if !strings.Contains(body, "class=\"hit\"") {
 		t.Errorf("no highlighted answers in query page:\n%s", body[:min(600, len(body))])
+	}
+
+	// a backend parameter left in an old link is ignored: the page and its
+	// heading are the plain query's
+	resp, err = http.Get(ts.URL + "/query?q=" + url.QueryEscape("How to increase warp execution efficiency") + "&backend=bm25")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if withBackend := readBody(t, resp); withBackend != body {
+		t.Errorf("backend parameter changed the query page:\n%s", withBackend[:min(600, len(withBackend))])
+	}
+	if !strings.Contains(body, `<div class="issue">Query: How to increase warp execution efficiency</div>`) {
+		t.Errorf("query heading:\n%s", body[:min(600, len(body))])
 	}
 }
 
@@ -221,7 +238,7 @@ func min(a, b int) int {
 func TestSetQuerierRoutesRetrieval(t *testing.T) {
 	s := testServer(t)
 	var got []string
-	s.SetQuerier(func(_ context.Context, _ string, q string) []core.Answer {
+	s.SetQuerier(func(_ context.Context, q string) []core.Answer {
 		got = append(got, q)
 		return []core.Answer{{
 			Sentence: core.AdvisingSentence{Index: 0, Text: "use the shared path"},

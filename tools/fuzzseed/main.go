@@ -169,9 +169,10 @@ func reportSeeds() []seed {
 }
 
 // batchSeeds are FuzzBatch's bodies: the paper's CUDA queries spread over
-// both advisors and every backend spelling, the same queries differing
-// only in measured values, and batches whose items fail alone (empty
-// query, unknown advisor or backend) or that fail whole (not JSON, empty).
+// both advisors and three backend spellings (the one model's "" and "vsm",
+// and "bm25", which is refused), the same queries differing only in
+// measured values, and batches whose items fail alone (empty query,
+// unknown advisor or backend) or that fail whole (not JSON, empty).
 func batchSeeds() []seed {
 	var items []string
 	for i, q := range corpus.CUDAQueries() {
@@ -189,9 +190,10 @@ func batchSeeds() []seed {
 	}
 }
 
-// askSeeds are FuzzAsk's query strings: the paper's CUDA queries under both
-// backends and several k, and malformed parameters (a bad escape, k not a
-// positive integer, an unknown backend, no q).
+// askSeeds are FuzzAsk's query strings: the paper's CUDA queries with no
+// backend and with "bm25", which is refused, under several k, and
+// malformed parameters (a bad escape, k not a positive integer, an unknown
+// backend, no q).
 func askSeeds() []seed {
 	var out []seed
 	for i, q := range corpus.CUDAQueries() {
