@@ -14,11 +14,14 @@
 // Stage I is embarrassingly parallel over sentences and fans out across
 // GOMAXPROCS goroutines by default.
 //
-// Building is a staged annotate-once pipeline: every sentence is annotated
-// exactly once (tokenize, POS-tag, parse, stem — see internal/nlp), the
-// selectors classify the shared annotations, and the TF-IDF index is built
-// from the annotations' term lists, so no layer re-tokenizes, re-stems or
-// re-parses another layer's work.
+// Building is one pass per sentence: a worker annotates the sentence once
+// (tokenize, POS-tag, parse, stem — see internal/nlp), the selectors
+// classify that annotation, and the worker keeps the verdict and the
+// sentence's retrieval terms and drops the annotation. The TF-IDF index is
+// built from those terms, so no layer re-tokenizes, re-stems or re-parses
+// another layer's work, and no parse tree outlives its sentence: an advisor
+// holds each sentence's terms and verdict, which is all Stage II, Save and
+// the next update read.
 package core
 
 import (
@@ -26,8 +29,6 @@ import (
 	"fmt"
 	"runtime"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/doc"
@@ -56,7 +57,6 @@ var (
 type Framework struct {
 	cfg         selectors.Config
 	recognizer  *selectors.Recognizer
-	annotator   *nlp.Annotator
 	threshold   float64
 	parallelism int
 }
@@ -74,7 +74,8 @@ func WithThreshold(t float64) Option {
 	return func(f *Framework) { f.threshold = t }
 }
 
-// WithParallelism fixes the Stage-I worker count (<=1 forces serial).
+// WithParallelism fixes the Stage-I worker count (<=0 means GOMAXPROCS,
+// 1 forces serial).
 func WithParallelism(n int) Option {
 	return func(f *Framework) { f.parallelism = n }
 }
@@ -88,15 +89,16 @@ func WithShards(int) Option { return func(*Framework) {} }
 // New creates a Framework with the paper's defaults.
 func New(opts ...Option) *Framework {
 	f := &Framework{
-		cfg:         selectors.DefaultConfig(),
-		threshold:   vsm.DefaultThreshold,
-		parallelism: runtime.GOMAXPROCS(0),
+		cfg:       selectors.DefaultConfig(),
+		threshold: vsm.DefaultThreshold,
 	}
 	for _, o := range opts {
 		o(f)
 	}
+	if f.parallelism <= 0 {
+		f.parallelism = runtime.GOMAXPROCS(0)
+	}
 	f.recognizer = selectors.New(f.cfg)
-	f.annotator = nlp.NewAnnotator(nlp.WithParallelism(f.parallelism))
 	return f
 }
 
@@ -137,15 +139,17 @@ func (s *AdvisingSentence) appendWire(dst []byte) []byte {
 }
 
 // BuildStats describes what the build pipeline did to a document, with
-// per-stage timings for the three stages of the annotate-once pipeline.
+// per-stage timings. Stage I is one pass that annotates and classifies each
+// sentence in turn; Annotate and Classify split its wall time in proportion
+// to the time its workers spent in each, so Annotate + Classify == StageI.
 type BuildStats struct {
 	Sentences  int
 	Advising   int
-	Reused     int // sentences whose annotation+classification carried over (incremental builds)
+	Reused     int // sentences whose terms and verdict carried over (incremental builds)
 	BySelector map[selectors.SelectorID]int
-	Annotate   time.Duration // annotation time (tokenize, tag, parse, stem)
-	Classify   time.Duration // selector time over the shared annotations
-	StageI     time.Duration // total recognition time (Annotate + Classify)
+	Annotate   time.Duration // annotation's share of StageI (tokenize, tag, parse, stem, terms)
+	Classify   time.Duration // the selectors' share of StageI
+	StageI     time.Duration // wall time of the Stage-I pass (Annotate + Classify)
 	Indexing   time.Duration // TF-IDF index construction time
 }
 
@@ -155,8 +159,8 @@ type Advisor struct {
 	builtAt   time.Time
 	doc       *htmldoc.Document
 	sentences []htmldoc.Sentence
-	ids       []doc.SentenceID  // per-sentence stable identities (aligned with sentences)
-	anns      []*nlp.Annotation // per-sentence annotations, retained for incremental rebuilds
+	ids       []doc.SentenceID // per-sentence stable identities (aligned with sentences)
+	terms     [][]string       // per-sentence retrieval terms, read by Save and the next update
 	advising  []AdvisingSentence
 	isAdv     []bool     // per sentence index; the index's served mask
 	rulePos   []int32    // per sentence index: its rule's position in advising, where isAdv
@@ -198,12 +202,11 @@ func (f *Framework) BuildFromDocument(doc *htmldoc.Document) *Advisor {
 // path used by the synthetic corpora, whose ground-truth labels align with
 // exactly these sentence boundaries). doc may be nil.
 //
-// The build is a three-stage annotate-once pipeline: (1) annotate every
-// sentence in parallel, (2) classify the shared annotations, (3) build the
-// TF-IDF index from the annotations' term lists. The index is bit-exact
-// with one built from the raw texts (the annotation terms equal
-// textproc.NormalizeTerms), but tokenization and stemming run once per
-// sentence instead of twice.
+// The build runs Stage I as one parallel pass — each sentence annotated,
+// classified and reduced to its retrieval terms — then builds the TF-IDF
+// index from those terms. The index is bit-exact with one built from the
+// raw texts (the annotation terms equal textproc.NormalizeTerms), but
+// tokenization and stemming run once per sentence instead of twice.
 //
 // A cold build is the update from nothing: UpdateFromSentencesCtx with a
 // nil predecessor, which marks every sentence Added and cannot fail.
@@ -246,42 +249,6 @@ func (a *Advisor) BuildStats() BuildStats {
 	for k, v := range a.stats.BySelector {
 		out.BySelector[k] = v
 	}
-	return out
-}
-
-// classifyAnnotated runs the selectors over all annotations, parallel
-// across workers. Work is distributed by an atomic counter rather than a
-// pre-filled channel: claiming an index is one atomic add instead of a
-// channel receive, and no O(n) channel fill precedes the fan-out.
-func (f *Framework) classifyAnnotated(anns []*nlp.Annotation) []selectors.Result {
-	n := len(anns)
-	out := make([]selectors.Result, n)
-	workers := f.parallelism
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i, an := range anns {
-			out[i] = f.recognizer.ClassifyAnnotated(an)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i] = f.recognizer.ClassifyAnnotated(anns[i])
-			}
-		}()
-	}
-	wg.Wait()
 	return out
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/doc"
 	"repro/internal/htmldoc"
-	"repro/internal/nlp"
 	"repro/internal/selectors"
 	"repro/internal/vsm"
 )
@@ -38,18 +37,12 @@ type advisorSnapshot struct {
 // Save serializes the advisor so it can be reloaded without re-running
 // Stage I. The format is a versioned gob stream.
 func (a *Advisor) Save(w io.Writer) error {
-	// the annotations' terms are bit-exact with NormalizeTerms, so saving
-	// doesn't re-tokenize the document
-	terms := make([][]string, len(a.anns))
-	for i, an := range a.anns {
-		terms[i] = an.Terms()
-	}
 	snap := advisorSnapshot{
 		Version:   snapshotVersion,
 		Threshold: a.threshold,
 		Sentences: a.sentences,
 		Advising:  a.advising,
-		Terms:     terms,
+		Terms:     a.terms,
 	}
 	if a.doc != nil {
 		snap.Title = a.doc.Title
@@ -84,7 +77,7 @@ func LoadAdvisor(r io.Reader) (*Advisor, error) {
 	a := &Advisor{
 		sentences: snap.Sentences,
 		ids:       htmldoc.IDsOf(snap.Sentences),
-		anns:      make([]*nlp.Annotation, len(snap.Sentences)),
+		terms:     snap.Terms,
 		advising:  snap.Advising,
 		threshold: snap.Threshold,
 		isAdv:     make([]bool, len(snap.Sentences)),
@@ -97,7 +90,7 @@ func LoadAdvisor(r io.Reader) (*Advisor, error) {
 		},
 	}
 	// Save writes each sentence's identity, unique within the document; with
-	// a term-only annotation per sentence, that makes the loaded advisor an
+	// its stored terms and verdict, that makes the loaded advisor an
 	// incremental base for every sentence, so a warm-started source can
 	// still take the differential path
 	seen := make(map[doc.SentenceID]bool, len(a.ids))
@@ -106,7 +99,6 @@ func LoadAdvisor(r io.Reader) (*Advisor, error) {
 			return nil, fmt.Errorf("core: snapshot sentence %d has no identity of its own", i)
 		}
 		seen[id] = true
-		a.anns[i] = nlp.FromSavedTerms(a.sentences[i].Text, snap.Terms[i])
 	}
 	for _, adv := range snap.Advising {
 		a.stats.BySelector[adv.Selector]++

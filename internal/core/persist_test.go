@@ -69,6 +69,59 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAdvisorTermsAndSaveBytes: every advisor — cold-built, loaded,
+// updated, and updated from a loaded one — holds textproc.NormalizeTerms of
+// each of its sentences, and Save bytes survive both round trips: build →
+// save → load → save, and build → update → save against a cold build of
+// the edited guide.
+func TestAdvisorTermsAndSaveBytes(t *testing.T) {
+	g := corpus.GenerateSized(corpus.CUDA, 150, 0.3, 45)
+	f := New()
+	cold := f.BuildFromSentences(g.Doc, g.Sentences)
+	saved := saveBytes(t, cold)
+	loaded, err := LoadAdvisor(bytes.NewReader(saved))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, sents := editGuide(g)
+	updated, err := f.UpdateFromSentences(cold, d, sents)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromLoaded, err := f.UpdateFromSentences(loaded, d, sents)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, a := range map[string]*Advisor{"cold": cold, "loaded": loaded, "updated": updated, "updated from loaded": fromLoaded} {
+		if len(a.terms) != len(a.sentences) {
+			t.Fatalf("%s advisor: %d term lists for %d sentences", name, len(a.terms), len(a.sentences))
+		}
+		for i, s := range a.sentences {
+			if want := textproc.NormalizeTerms(s.Text); !slices.Equal(a.terms[i], want) {
+				t.Fatalf("%s advisor sentence %d: terms %q, want %q", name, i, a.terms[i], want)
+			}
+		}
+	}
+	if !bytes.Equal(saveBytes(t, loaded), saved) {
+		t.Error("build → save → load → save changed the bytes")
+	}
+	want := saveBytes(t, f.BuildFromSentences(d, sents))
+	for name, a := range map[string]*Advisor{"updated": updated, "updated from loaded": fromLoaded} {
+		if !bytes.Equal(saveBytes(t, a), want) {
+			t.Errorf("%s advisor saves other bytes than a cold build of the edited guide", name)
+		}
+	}
+}
+
+func saveBytes(t *testing.T, a *Advisor) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := a.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func almostEq(a, b float64) bool {
 	d := a - b
 	return d < 1e-12 && d > -1e-12
@@ -178,10 +231,8 @@ func TestPartitionedSnapshotsLoad(t *testing.T) {
 			Sections:  g.Doc.Sections,
 			Sentences: cold.sentences,
 			Advising:  cold.Rules(),
+			Terms:     cold.terms,
 			Shards:    shards,
-		}
-		for _, an := range cold.anns {
-			snap.Terms = append(snap.Terms, an.Terms())
 		}
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(snap); err != nil {

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/doc"
@@ -14,8 +16,8 @@ import (
 )
 
 // Incremental-build observability, alongside the core_build_* metrics: how
-// many incremental updates ran and how many sentence annotations they reused
-// instead of recomputing.
+// many incremental updates ran and how many sentences' terms and verdicts
+// they reused instead of recomputing.
 var (
 	updatesTotal        = obs.Default().Counter("core_updates_total")
 	updateReusedTotal   = obs.Default().Counter("core_update_sentences_reused_total")
@@ -32,8 +34,8 @@ func (f *Framework) UpdateFromSentences(prev *Advisor, d *htmldoc.Document, sent
 // UpdateFromSentencesCtx is the one Stage-I pipeline: it diffs the new
 // sentence list against prev by stable identity (internal/doc) and re-runs
 // Stage I — annotation and selector classification — only over the Added
-// sentences, taking prev's annotation and verdict for each Kept one. The
-// TF-IDF index is rebuilt through vsm.Index.Rebuild, which recomputes every
+// sentences, taking prev's terms and verdict for each Kept one. The TF-IDF
+// index is rebuilt through vsm.Index.Rebuild, which recomputes every
 // corpus-wide statistic (document frequencies, IDF, weights, postings) but
 // reuses the kept sentences' term counts.
 //
@@ -46,7 +48,7 @@ func (f *Framework) UpdateFromSentences(prev *Advisor, d *htmldoc.Document, sent
 // identical rules and Float64bits-identical retrieval scores (the eval
 // suite's incremental≡full test enforces this). Only
 // BuildStats differs — Reused reports how many sentences carried over.
-// prev is never mutated: its annotations and index-side term counts are
+// prev is never mutated: its term lists and index-side term counts are
 // shared with the new advisor, but both treat them as immutable.
 func (f *Framework) UpdateFromSentencesCtx(ctx context.Context, prev *Advisor, d *htmldoc.Document, sents []htmldoc.Sentence) (*Advisor, error) {
 	cold := prev == nil
@@ -67,6 +69,7 @@ func (f *Framework) UpdateFromSentencesCtx(ctx context.Context, prev *Advisor, d
 		doc:       d,
 		sentences: sents,
 		ids:       htmldoc.IDsOf(sents),
+		terms:     make([][]string, len(sents)),
 		threshold: f.threshold,
 		builtAt:   time.Now(),
 		stats: BuildStats{
@@ -77,56 +80,41 @@ func (f *Framework) UpdateFromSentencesCtx(ctx context.Context, prev *Advisor, d
 	diffs := doc.Diff(prev.ids, a.ids)
 	a.stats.Reused = len(diffs.Kept)
 
-	// stage 1: annotate (tokenize, tag, parse, stem) each Added sentence
-	// once; a Kept sentence takes prev's annotation
+	// Stage I: a Kept sentence takes prev's terms and verdict (the
+	// selectors are pure functions of one sentence's annotation and the
+	// framework's immutable config, so neither can have changed); the
+	// Added ones are annotated, classified and reduced to their terms in
+	// one pass
 	start := time.Now()
-	texts := make([]string, len(diffs.Added))
-	for k, j := range diffs.Added {
-		texts[k] = sents[j].Text
-	}
-	fresh := f.annotator.AnnotateAllCtx(ctx, texts)
-	a.anns = make([]*nlp.Annotation, len(sents))
-	for _, kp := range diffs.Kept {
-		a.anns[kp.New] = prev.anns[kp.Old]
-	}
-	for k, j := range diffs.Added {
-		a.anns[j] = fresh[k]
-	}
-	a.stats.Annotate = time.Since(start)
-
-	// stage 2: classify the Added annotations; a Kept sentence keeps prev's
-	// verdict (the selectors are pure functions of one sentence's annotation
-	// and the framework's immutable config, so it cannot have changed)
-	start = time.Now()
-	classifySpan := obs.SpanFrom(ctx).StartChild("classify")
-	verdicts := f.classifyAnnotated(fresh)
 	results := make([]selectors.Result, len(sents))
 	for _, kp := range diffs.Kept {
+		a.terms[kp.New] = prev.terms[kp.Old]
 		if prev.isAdv[kp.Old] {
 			results[kp.New] = selectors.Result{Advising: true, Selector: prev.advising[prev.rulePos[kp.Old]].Selector}
 		}
 	}
-	for k, j := range diffs.Added {
-		results[j] = verdicts[k]
+	annotate, classify := f.stageI(ctx, sents, diffs.Added, a.terms, results)
+	a.stats.StageI = time.Since(start)
+	a.stats.Annotate = a.stats.StageI
+	if busy := annotate + classify; busy > 0 {
+		a.stats.Annotate = time.Duration(float64(a.stats.StageI) * float64(annotate) / float64(busy))
 	}
-	classifySpan.Finish()
-	a.stats.Classify = time.Since(start)
-	a.stats.StageI = a.stats.Annotate + a.stats.Classify
+	a.stats.Classify = a.stats.StageI - a.stats.Annotate
 
 	a.keepAdvising(results)
 
-	// stage 3: the TF-IDF statistics cover the whole document (as the
-	// artifact describes) so term weights reflect corpus-wide statistics,
-	// but only the advising sentences get postings: Stage II retrieves from
-	// Stage I's output and never scores the rest. Every statistic is
-	// recomputed (one edit can shift every IDF); the Kept sentences' term
-	// counts are reused and the Added ones' come from their annotations, so
-	// no text is re-tokenized.
+	// the TF-IDF statistics cover the whole document (as the artifact
+	// describes) so term weights reflect corpus-wide statistics, but only
+	// the advising sentences get postings: Stage II retrieves from Stage
+	// I's output and never scores the rest. Every statistic is recomputed
+	// (one edit can shift every IDF); the Kept sentences' term counts are
+	// reused and the Added ones' come from their Stage-I terms, so no text
+	// is re-tokenized.
 	start = time.Now()
 	indexSpan := obs.SpanFrom(ctx).StartChild("index")
 	added := make([]vsm.AddedDoc, len(diffs.Added))
 	for k, j := range diffs.Added {
-		added[k] = vsm.AddedDoc{Pos: j, Terms: fresh[k].Terms()}
+		added[k] = vsm.AddedDoc{Pos: j, Terms: a.terms[j]}
 	}
 	index, err := prev.index.Rebuild(diffs.Kept, added, a.isAdv)
 	indexSpan.Finish()
@@ -155,4 +143,55 @@ func (f *Framework) UpdateFromSentencesCtx(ctx context.Context, prev *Advisor, d
 		span.SetAttrInt("advising", len(a.advising))
 	}
 	return a, nil
+}
+
+// stageI runs Stage I over the sentences at positions added, fanned out
+// across the framework's workers: each worker annotates a sentence,
+// classifies the annotation and writes the verdict and the sentence's
+// retrieval terms to its position in results and terms, then drops the
+// annotation, so no parse tree outlives its sentence. It returns the time
+// the workers spent annotating (terms included) and classifying, summed
+// over workers. Work is claimed by an atomic counter: one atomic add per
+// sentence, with no channel fill before the fan-out.
+func (f *Framework) stageI(ctx context.Context, sents []htmldoc.Sentence, added []int, terms [][]string, results []selectors.Result) (annotate, classify time.Duration) {
+	n := len(added)
+	workers := min(f.parallelism, n)
+	if span := obs.SpanFrom(ctx).StartChild("stage1"); span != nil {
+		span.SetAttrInt("sentences", n)
+		span.SetAttrInt("workers", workers)
+		defer span.Finish()
+	}
+	var next atomic.Int64
+	work := func() (ann, cls time.Duration) {
+		for k := int(next.Add(1)) - 1; k < n; k = int(next.Add(1)) - 1 {
+			j := added[k]
+			t0 := time.Now()
+			an := nlp.Annotate(sents[j].Text)
+			t1 := time.Now()
+			results[j] = f.recognizer.ClassifyAnnotated(an)
+			t2 := time.Now()
+			terms[j] = an.Terms()
+			ann += t1.Sub(t0) + time.Since(t2)
+			cls += t2.Sub(t1)
+		}
+		return ann, cls
+	}
+	if workers <= 1 {
+		return work()
+	}
+	sums := make([][2]time.Duration, workers) // per worker: annotate, classify
+	var wg sync.WaitGroup
+	for w := range sums {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sums[w][0], sums[w][1] = work()
+		}()
+	}
+	wg.Wait()
+	for _, s := range sums {
+		annotate += s[0]
+		classify += s[1]
+	}
+	return annotate, classify
 }

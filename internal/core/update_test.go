@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/corpus"
 	"repro/internal/doc"
 	"repro/internal/htmldoc"
 	"repro/internal/obs"
+	"repro/internal/textproc"
 )
 
 // editGuide derives a new document version from a guide: one sentence
@@ -97,8 +99,8 @@ func assertReusesAll(t *testing.T, f *Framework, a *Advisor) {
 }
 
 // TestUpdateReannotatesOnlyAdded: an update runs the NLP pass over exactly
-// its Added sentences, and every Kept sentence carries prev's annotation
-// itself, not a copy.
+// its Added sentences, every Kept sentence carries prev's term list itself,
+// not a copy, and every Added one the terms of its own text.
 func TestUpdateReannotatesOnlyAdded(t *testing.T) {
 	g := corpus.GenerateSized(corpus.CUDA, 150, 0.3, 31)
 	f := New()
@@ -119,15 +121,24 @@ func TestUpdateReannotatesOnlyAdded(t *testing.T) {
 		t.Fatalf("update annotated %d sentences, want the %d added", got, len(diffs.Added))
 	}
 	for _, kp := range diffs.Kept {
-		if inc.anns[kp.New] != prev.anns[kp.Old] {
-			t.Fatalf("kept sentence %d -> %d does not carry prev's annotation", kp.Old, kp.New)
+		if !sameSlice(inc.terms[kp.New], prev.terms[kp.Old]) {
+			t.Fatalf("kept sentence %d -> %d does not carry prev's term list", kp.Old, kp.New)
 		}
 	}
 	for _, j := range diffs.Added {
-		if inc.anns[j].Text != sents[j].Text {
-			t.Fatalf("added sentence %d annotated as %q", j, inc.anns[j].Text)
+		if want := textproc.NormalizeTerms(sents[j].Text); !slices.Equal(inc.terms[j], want) {
+			t.Fatalf("added sentence %d has terms %q, want %q", j, inc.terms[j], want)
 		}
 	}
+}
+
+// sameSlice reports whether a and b are the same slice: the same length,
+// capacity and backing array.
+func sameSlice(a, b []string) bool {
+	if len(a) != len(b) || cap(a) != cap(b) {
+		return false
+	}
+	return cap(a) == 0 || &a[:cap(a)][0] == &b[:cap(b)][0]
 }
 
 func TestUpdateNoopEdit(t *testing.T) {

@@ -95,6 +95,9 @@ type Diffs struct {
 // Diff compares two sentence-identity lists. IDs within each list are
 // assumed unique (what Assign guarantees); if a duplicate does appear, the
 // first occurrence wins and the rest are treated as added/removed.
+//
+// Kept is sized at its bound up front, and Added and Removed at their exact
+// sizes once Kept is known, so no list grows by append.
 func Diff(old, new []SentenceID) Diffs {
 	d := Diffs{OldLen: len(old), NewLen: len(new)}
 	oldByID := make(map[SentenceID]int, len(old))
@@ -102,16 +105,27 @@ func Diff(old, new []SentenceID) Diffs {
 		oldByID[old[i]] = i
 	}
 	matched := make([]bool, len(old))
+	d.Kept = make([]Kept, 0, min(len(old), len(new)))
 	for j, id := range new {
 		if i, ok := oldByID[id]; ok && id != "" && !matched[i] {
 			matched[i] = true
 			d.Kept = append(d.Kept, Kept{Old: i, New: j})
+		}
+	}
+	// Kept ascends by New, so one merge walk finds the new positions it
+	// leaves out
+	d.Added = make([]int, 0, len(new)-len(d.Kept))
+	k := 0
+	for j := range new {
+		if k < len(d.Kept) && d.Kept[k].New == j {
+			k++
 			continue
 		}
 		d.Added = append(d.Added, j)
 	}
-	for i := range old {
-		if !matched[i] {
+	d.Removed = make([]int, 0, len(old)-len(d.Kept))
+	for i, m := range matched {
+		if !m {
 			d.Removed = append(d.Removed, i)
 		}
 	}

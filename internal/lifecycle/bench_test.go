@@ -3,6 +3,9 @@ package lifecycle_test
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"runtime/metrics"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -30,11 +33,12 @@ func fullGuideSources() []lifecycle.Source {
 	return srcs
 }
 
-func benchManager(b *testing.B, st *store.Store) *lifecycle.Manager {
+// benchManager is a manager over fullGuideSources; register may be nil.
+func benchManager(b *testing.B, st *store.Store, register func(string, *core.Advisor)) *lifecycle.Manager {
 	b.Helper()
 	m := lifecycle.New(lifecycle.Options{
 		Store:    st,
-		Register: func(string, *core.Advisor) {},
+		Register: register,
 		Metrics:  obs.NewRegistry(),
 	})
 	for _, s := range fullGuideSources() {
@@ -46,14 +50,43 @@ func benchManager(b *testing.B, st *store.Store) *lifecycle.Manager {
 }
 
 // BenchmarkColdBuild is the baseline: every boot re-runs the Stage-I NLP
-// pass for all three guides (no snapshot store).
+// pass for all three guides (no snapshot store). advisor-heap-B is the live
+// heap the last boot's three advisors still hold: the live heap after a
+// forced collection with them, less the live heap after one without them.
 func BenchmarkColdBuild(b *testing.B) {
+	var (
+		mu       sync.Mutex
+		advisors []*core.Advisor
+	)
+	register := func(_ string, a *core.Advisor) {
+		mu.Lock()
+		defer mu.Unlock()
+		advisors = append(advisors, a)
+	}
 	for i := 0; i < b.N; i++ {
-		m := benchManager(b, nil)
+		advisors = nil
+		m := benchManager(b, nil, register)
 		if err := m.WarmStart(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	if len(advisors) != 3 {
+		b.Fatalf("boot registered %d advisors, want 3", len(advisors))
+	}
+	held := liveHeap()
+	runtime.KeepAlive(advisors)
+	advisors = nil
+	b.ReportMetric(float64(held-liveHeap()), "advisor-heap-B")
+}
+
+// liveHeap forces a collection and returns the bytes of heap objects it
+// found live.
+func liveHeap() int64 {
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return int64(s[0].Value.Uint64())
 }
 
 // benchReloads warm-starts the 3-guide registry over editable guides, then
@@ -128,12 +161,12 @@ func BenchmarkWarmStart(b *testing.B) {
 		b.Fatal(err)
 	}
 	// populate the store once, off the clock
-	if err := benchManager(b, st).WarmStart(context.Background()); err != nil {
+	if err := benchManager(b, st, nil).WarmStart(context.Background()); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := benchManager(b, st)
+		m := benchManager(b, st, nil)
 		if err := m.WarmStart(context.Background()); err != nil {
 			b.Fatal(err)
 		}

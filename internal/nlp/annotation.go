@@ -12,6 +12,10 @@
 // processed. With Annotations, the per-sentence NLP cost is paid exactly
 // once regardless of how many layers consume the result.
 //
+// An Annotation is a working value, not a stored one: the framework's build
+// annotates a sentence, classifies it, keeps its Terms and drops the rest,
+// so no parse tree outlives the pass that made it.
+//
 // Annotations are safe for concurrent use: the eager fields are immutable
 // after construction and the lazy products are guarded by sync.Once.
 package nlp
@@ -160,13 +164,6 @@ func (an *Annotator) AnnotateCtx(ctx context.Context, text string) *Annotation {
 // worker count. Work is distributed by an atomic counter (no per-item
 // channel operations) and out[i] always corresponds to texts[i].
 func (an *Annotator) AnnotateAll(texts []string) []*Annotation {
-	return an.AnnotateAllCtx(context.Background(), texts)
-}
-
-// AnnotateAllCtx is AnnotateAll under a trace: the whole fan-out is one
-// span (per-sentence spans at this volume would dwarf the work being
-// traced; per-stage timing is available from the nlp_* histograms).
-func (an *Annotator) AnnotateAllCtx(ctx context.Context, texts []string) []*Annotation {
 	n := len(texts)
 	out := make([]*Annotation, n)
 	workers := an.parallelism
@@ -175,12 +172,6 @@ func (an *Annotator) AnnotateAllCtx(ctx context.Context, texts []string) []*Anno
 	}
 	if workers > n {
 		workers = n
-	}
-	if span := obs.SpanFrom(ctx); span != nil {
-		child := span.StartChild("nlp.annotate_all")
-		child.SetAttrInt("sentences", n)
-		child.SetAttrInt("workers", workers)
-		defer child.Finish()
 	}
 	if workers <= 1 {
 		for i, t := range texts {
@@ -218,20 +209,6 @@ func FromTree(text string, tree *depparse.Tree) *Annotation {
 		Tree:  tree,
 		Stems: textproc.StemAll(tree.Words),
 	}
-}
-
-// FromSavedTerms reconstitutes a term-only annotation from persisted state:
-// the sentence text plus the normalized retrieval terms a snapshot stored.
-// It supports exactly the products persistence kept — Text and Terms — and
-// exists so a loaded advisor can be the base of an incremental rebuild
-// without re-running any NLP stage. Tree-dependent accessors (Tokens, Tags,
-// Purposes, Frames) must not be called on it; the incremental build path
-// never does for kept sentences, whose classification is reused rather than
-// recomputed.
-func FromSavedTerms(text string, terms []string) *Annotation {
-	a := &Annotation{Text: text}
-	a.termsOnce.Do(func() { a.terms = terms })
-	return a
 }
 
 // QueryTerms is the query-side annotation: the normalized term sequence

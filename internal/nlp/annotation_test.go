@@ -149,27 +149,6 @@ func TestConcurrentLazyAccess(t *testing.T) {
 	wg.Wait()
 }
 
-// TestFromSavedTermsRoundTrip: a reconstituted annotation serves exactly the
-// persisted terms — no NLP stage runs, so the terms are returned verbatim
-// even when they differ from what fresh annotation would compute.
-func TestFromSavedTermsRoundTrip(t *testing.T) {
-	text := testSentences[0]
-	saved := Annotate(text).Terms()
-	a := FromSavedTerms(text, saved)
-	if a.Text != text {
-		t.Fatalf("reconstituted annotation: text %q", a.Text)
-	}
-	if !reflect.DeepEqual(a.Terms(), saved) {
-		t.Fatalf("Terms() = %v, want saved %v", a.Terms(), saved)
-	}
-	// the terms are pinned at construction, not recomputed on access
-	marker := []string{"marker", "terms"}
-	b := FromSavedTerms(text, marker)
-	if !reflect.DeepEqual(b.Terms(), marker) {
-		t.Fatalf("Terms() = %v recomputed, want pinned %v", b.Terms(), marker)
-	}
-}
-
 // TestAnnotateCtx: without a sampled span the traced path equals plain
 // annotation; with one, each NLP stage appears as a child span.
 func TestAnnotateCtx(t *testing.T) {
@@ -209,22 +188,5 @@ func TestAnnotateCtx(t *testing.T) {
 		if s.Name != want[i] {
 			t.Fatalf("stage %d = %q, want %q", i, s.Name, want[i])
 		}
-	}
-}
-
-// TestAnnotateAllCtxTraced: the fan-out is recorded as a single
-// nlp.annotate_all span with sentence and worker counts.
-func TestAnnotateAllCtxTraced(t *testing.T) {
-	store := obs.NewTraceStore(4)
-	tracer := obs.NewTracer(1, store)
-	ctx, root := tracer.Start(context.Background(), "test")
-	out := NewAnnotator(WithParallelism(2)).AnnotateAllCtx(ctx, []string{testSentences[0], testSentences[1]})
-	root.Finish()
-	if len(out) != 2 {
-		t.Fatalf("annotated %d", len(out))
-	}
-	tj, ok := store.Get(obs.TraceID(ctx))
-	if !ok || len(tj.Root.Children) != 1 || tj.Root.Children[0].Name != "nlp.annotate_all" {
-		t.Fatalf("trace: %+v", tj.Root)
 	}
 }

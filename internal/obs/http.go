@@ -4,14 +4,24 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"runtime/metrics"
 	"strconv"
 )
 
 // MetricsHandler serves the registry's snapshot as JSON — the /metricz
-// endpoint.
+// endpoint — plus two Go runtime metrics: the gauge go_heap_live_bytes (the
+// heap the last collection found live) and the counter go_gc_cycles_total
+// (collections completed). Both are read with runtime/metrics when /metricz
+// is served, so no other request pays for them and the registry holds
+// neither.
 func MetricsHandler(r *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		serveJSON(w, r.Snapshot())
+		snap := r.Snapshot()
+		s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/gc/cycles/total:gc-cycles"}}
+		metrics.Read(s) // both exist since Go 1.21, below go.mod's line
+		snap.Gauges["go_heap_live_bytes"] = int64(s[0].Value.Uint64())
+		snap.Counters["go_gc_cycles_total"] = int64(s[1].Value.Uint64())
+		serveJSON(w, snap)
 	})
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -131,5 +132,29 @@ func TestRegistrySnapshotAndMetricsHandler(t *testing.T) {
 	h := snap.Histograms["c"]
 	if h.Count != 1 || math.Abs(h.Sum-42) > 1e-9 {
 		t.Errorf("histogram snapshot = %+v", h)
+	}
+}
+
+// TestMetricsHandlerRuntime: /metricz reports the Go runtime's live heap
+// and completed collections, read when it is served, and leaves the
+// registry without either.
+func TestMetricsHandlerRuntime(t *testing.T) {
+	r := NewRegistry()
+	runtime.GC()
+	rec := httptest.NewRecorder()
+	MetricsHandler(r).ServeHTTP(rec, httptest.NewRequest("GET", "/metricz", nil))
+	var snap Snapshot
+	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
+		t.Fatalf("metricz decode: %v (%s)", err, rec.Body.String())
+	}
+	if got := snap.Gauges["go_heap_live_bytes"]; got <= 0 {
+		t.Errorf("go_heap_live_bytes = %d, want > 0", got)
+	}
+	if got := snap.Counters["go_gc_cycles_total"]; got < 1 {
+		t.Errorf("go_gc_cycles_total = %d after a forced collection, want >= 1", got)
+	}
+	own := r.Snapshot()
+	if len(own.Gauges) != 0 || len(own.Counters) != 0 {
+		t.Errorf("serving /metricz added metrics to the registry: %+v", own)
 	}
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"errors"
 	"sort"
 	"sync"
@@ -239,21 +238,12 @@ type BreakerInfo struct {
 	State   string `json:"state"`
 }
 
-// breakerFailure classifies an error for the breaker: infrastructure
-// failures (timeouts, cancellations, injected faults, anything unexpected)
-// count; client mistakes (an unknown advisor) and admission
-// shedding (the server as a whole is overloaded, not this advisor) do not.
+// breakerFailure classifies an error for the breaker: any error but
+// admission shedding (the server as a whole is overloaded, not this
+// advisor) is an infrastructure failure — a timeout, a cancellation, an
+// injected fault, anything unexpected. Client mistakes never get here:
+// cachedQuery refuses an unknown advisor or an over-long query before it
+// installs the breaker record.
 func breakerFailure(err error) bool {
-	switch {
-	case err == nil:
-		return false
-	case errors.Is(err, ErrUnknownAdvisor):
-		return false
-	case errors.Is(err, ErrOverloaded):
-		return false
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return true
-	default:
-		return true
-	}
+	return err != nil && !errors.Is(err, ErrOverloaded)
 }

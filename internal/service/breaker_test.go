@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -185,7 +186,6 @@ func TestBreakerFailureClassification(t *testing.T) {
 		want bool
 	}{
 		{nil, false},
-		{fmt.Errorf("%w: %q", ErrUnknownAdvisor, "x"), false},
 		{ErrOverloaded, false},
 		{context.DeadlineExceeded, true},
 		{context.Canceled, true},
@@ -196,6 +196,31 @@ func TestBreakerFailureClassification(t *testing.T) {
 		if got := breakerFailure(tt.err); got != tt.want {
 			t.Errorf("breakerFailure(%v) = %v, want %v", tt.err, got, tt.want)
 		}
+	}
+}
+
+// TestClientErrorsLeaveNoBreakerRecord: a query to an unknown advisor and
+// an over-long query are refused before the breaker record is installed,
+// so however often they repeat they create no breaker and trip none.
+func TestClientErrorsLeaveNoBreakerRecord(t *testing.T) {
+	svc, names := newTestServiceWithFaults(t, nil, 1)
+	long := strings.Repeat("coalesce ", maxQueryTerms+1)
+	for i := 0; i < 3*DefaultBreakerThreshold; i++ {
+		if _, _, err := svc.CachedQuery(context.Background(), "nope", "memory coalescing"); !errors.Is(err, ErrUnknownAdvisor) {
+			t.Fatalf("query to an unknown advisor: err %v, want ErrUnknownAdvisor", err)
+		}
+		if _, _, err := svc.CachedQuery(context.Background(), names[0], long); !errors.Is(err, ErrQueryTooLong) {
+			t.Fatalf("over-long query: err %v, want ErrQueryTooLong", err)
+		}
+	}
+	if b := svc.Stats().Breakers; len(b) != 0 {
+		t.Fatalf("client errors left breaker records: %+v", b)
+	}
+	if _, _, err := svc.CachedQuery(context.Background(), names[0], "memory coalescing"); err != nil {
+		t.Fatal(err)
+	}
+	if b := svc.Stats().Breakers; len(b) != 1 || b[0] != (BreakerInfo{Advisor: names[0], State: "closed"}) {
+		t.Fatalf("breakers after one good query: %+v", b)
 	}
 }
 

@@ -370,9 +370,9 @@ func (s *Service) cachedQuery(ctx context.Context, l *lease, advisor, q string) 
 	key := string(appendQueryKey(buf[:0], adv, advisor, terms))
 	// every outcome past this point feeds the advisor's circuit breaker:
 	// successes reset it, infrastructure failures (timeouts, injected
-	// faults, internal errors) count toward tripping it, and client errors
-	// or server-wide overload are not this advisor's fault and record
-	// nothing (see breakerFailure)
+	// faults, internal errors) count toward tripping it, and server-wide
+	// overload is not this advisor's fault and records nothing (see
+	// breakerFailure); the client errors above never reach it
 	brk := s.breakers.get(advisor)
 	defer func() {
 		switch {

@@ -50,15 +50,18 @@ func NormalizeTerms(text string) []string {
 // NormalizeWords is NormalizeTerms over an already-tokenized sentence — the
 // path used when an upstream layer (the dependency parser, the annotation
 // pipeline) has tokenized the text and the term sequence must be bit-exact
-// with NormalizeTerms on the original string.
+// with NormalizeTerms on the original string. Like NormalizeTerms, its
+// result is its one allocation (for up to 128 terms), sized to the terms
+// alone: an advisor keeps it for the sentence's lifetime.
 func NormalizeWords(words []string) []string {
-	out := make([]string, 0, len(words))
+	var buf [128]string
+	terms := buf[:0]
 	for _, w := range words {
 		if !IsPunct(w) {
-			out = appendTerm(out, w)
+			terms = appendTerm(terms, w)
 		}
 	}
-	return out
+	return append(make([]string, 0, len(terms)), terms...)
 }
 
 // appendTerm appends the retrieval term of the word w to terms: its stem,
