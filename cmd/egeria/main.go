@@ -54,7 +54,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/doc"
 	"repro/internal/fault"
 	"repro/internal/htmldoc"
 	"repro/internal/lifecycle"
@@ -281,8 +280,7 @@ func cmdDiff(w io.Writer, snapPath, source string, seed int64) error {
 	if err != nil {
 		return err
 	}
-	sents = htmldoc.StampIDs(d, sents)
-	diffs := doc.Diff(advisor.SentenceIDs(), htmldoc.IDsOf(sents))
+	diffs := advisor.Diff(d, sents)
 
 	fmt.Fprintf(w, "%s (%d sentences) vs %s (%d sentences)\n", snapPath, diffs.OldLen, source, diffs.NewLen)
 	fmt.Fprintf(w, "  kept    %d\n  added   %d\n  removed %d\n", len(diffs.Kept), len(diffs.Added), len(diffs.Removed))

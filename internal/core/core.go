@@ -158,9 +158,8 @@ type Advisor struct {
 	name      string // registry name ("cuda"); set via SetName
 	builtAt   time.Time
 	doc       *htmldoc.Document
-	sentences []htmldoc.Sentence
-	ids       []doc.SentenceID // per-sentence stable identities (aligned with sentences)
-	terms     [][]string       // per-sentence retrieval terms, read by Save and the next update
+	sentences []htmldoc.Sentence // the advisor's own copy, so a caller's later edits cannot reach it
+	terms     [][]string         // per-sentence retrieval terms, read by Save and the next update
 	advising  []AdvisingSentence
 	isAdv     []bool     // per sentence index; the index's served mask
 	rulePos   []int32    // per sentence index: its rule's position in advising, where isAdv
@@ -256,10 +255,13 @@ func (a *Advisor) BuildStats() BuildStats {
 // extracted from the document (what the tool's front page shows).
 func (a *Advisor) Rules() []AdvisingSentence { return a.advising }
 
-// SentenceIDs returns the stable identity of every sentence, aligned with
-// document order — the left-hand side of doc.Diff when this advisor is the
-// previous version of a document.
-func (a *Advisor) SentenceIDs() []doc.SentenceID { return a.ids }
+// Diff compares a new version of the advisor's document with the one it
+// was built from, by sentence identity (see internal/doc): both sides' keys
+// are derived from content on every call, the old side from the advisor's
+// own document and sentences.
+func (a *Advisor) Diff(d *htmldoc.Document, sents []htmldoc.Sentence) doc.Diffs {
+	return doc.Diff(htmldoc.Keys(a.doc, a.sentences), htmldoc.Keys(d, sents))
+}
 
 // SentenceCount returns the document's total sentence count.
 func (a *Advisor) SentenceCount() int { return len(a.sentences) }

@@ -6,15 +6,16 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/doc"
 	"repro/internal/htmldoc"
 	"repro/internal/selectors"
 	"repro/internal/vsm"
 )
 
 // snapshotVersion guards the on-disk format: LoadAdvisor accepts this
-// version only. Streams written while the index had partitions carry a
-// Shards field, which gob skips on decode.
+// version only. gob skips a field the receiving type lacks, so two older
+// shapes of version 2 still load: streams written while the index had
+// partitions carry a Shards field, and streams written while sentences
+// carried a stored identity carry a Sentence.ID field.
 const snapshotVersion = 2
 
 // advisorSnapshot is the serialized form of an Advisor. The TF-IDF index is
@@ -22,8 +23,9 @@ const snapshotVersion = 2
 // far cheaper than re-normalizing text); what persistence buys is skipping
 // Stage I, the expensive NLP pass over the document.
 //
-// Sentence identities ride along inside Sentences (htmldoc.Sentence.ID is a
-// gob field), so a loaded advisor is the base of an incremental rebuild.
+// Sections and Sentences are all a sentence's identity is derived from
+// (Advisor.Diff), so a loaded advisor is the base of an incremental rebuild
+// with nothing else stored.
 type advisorSnapshot struct {
 	Version   int
 	Threshold float64
@@ -56,9 +58,8 @@ func (a *Advisor) Save(w io.Writer) error {
 
 // LoadAdvisor reconstructs an advisor from a Save stream, rebuilding the
 // retrieval index from the stored term lists. It refuses any other snapshot
-// version, a stream without one term list per sentence, and sentences
-// without an identity of their own, so every loaded advisor is the base of
-// an incremental rebuild.
+// version and a stream without one term list per sentence, so every loaded
+// advisor is the base of an incremental rebuild.
 func LoadAdvisor(r io.Reader) (*Advisor, error) {
 	var snap advisorSnapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
@@ -76,7 +77,6 @@ func LoadAdvisor(r io.Reader) (*Advisor, error) {
 	}
 	a := &Advisor{
 		sentences: snap.Sentences,
-		ids:       htmldoc.IDsOf(snap.Sentences),
 		terms:     snap.Terms,
 		advising:  snap.Advising,
 		threshold: snap.Threshold,
@@ -88,17 +88,6 @@ func LoadAdvisor(r io.Reader) (*Advisor, error) {
 			Advising:   len(snap.Advising),
 			BySelector: map[selectors.SelectorID]int{},
 		},
-	}
-	// Save writes each sentence's identity, unique within the document; with
-	// its stored terms and verdict, that makes the loaded advisor an
-	// incremental base for every sentence, so a warm-started source can
-	// still take the differential path
-	seen := make(map[doc.SentenceID]bool, len(a.ids))
-	for i, id := range a.ids {
-		if id == "" || seen[id] {
-			return nil, fmt.Errorf("core: snapshot sentence %d has no identity of its own", i)
-		}
-		seen[id] = true
 	}
 	for _, adv := range snap.Advising {
 		a.stats.BySelector[adv.Selector]++

@@ -249,9 +249,10 @@ func TestPartitionedSnapshotsLoad(t *testing.T) {
 	}
 }
 
-// legacySentence / legacySnapshot mirror the pre-identity wire shapes (no
-// Sentence.ID field). gob matches struct fields by name, so encoding them
-// reproduces exactly the streams older builds wrote.
+// legacySentence / legacySnapshot mirror the wire shapes written before
+// sentences carried a stored identity (no Sentence.ID field), which is again
+// the shape Save writes. gob matches struct fields by name, so encoding
+// them reproduces exactly the streams those builds wrote.
 type legacySentence struct {
 	Text    string
 	Section int
@@ -267,12 +268,13 @@ type legacySnapshot struct {
 	Terms     [][]string
 }
 
-// TestLoadLegacySnapshot: streams written before sentence identity existed
-// (no ID field; with or without per-sentence Terms) cannot be the base of
-// an incremental rebuild, so LoadAdvisor refuses them: nil advisor and an
-// error. Each is refused as written (version 1) and with its version
-// field raised to the current one, so the refusal rests on the missing
-// identities and term lists, not on the version gate alone.
+// TestLoadLegacySnapshot: streams without a stored sentence identity, with
+// or without per-sentence Terms. As written (version 1) both are refused.
+// At the current version the stream with terms is exactly what Save writes,
+// since identity is derived from the sections and sentences, so it loads
+// and equals the cold build: the same Save bytes and answers, and an update
+// over its own sentences reuses them all. The stream without terms is
+// refused at either version.
 func TestLoadLegacySnapshot(t *testing.T) {
 	g := corpus.GenerateSized(corpus.CUDA, 120, 0.3, 41)
 	fresh := New().BuildFromSentences(g.Doc, g.Sentences)
@@ -304,12 +306,83 @@ func TestLoadLegacySnapshot(t *testing.T) {
 				if err := gob.NewEncoder(&buf).Encode(legacy); err != nil {
 					t.Fatal(err)
 				}
-				if a, err := LoadAdvisor(&buf); err == nil || a != nil {
-					t.Fatalf("version %d legacy snapshot accepted: advisor %v, err %v", version, a != nil, err)
+				a, err := LoadAdvisor(&buf)
+				if version != snapshotVersion || tc.terms == nil {
+					if err == nil || a != nil {
+						t.Fatalf("version %d legacy snapshot accepted: advisor %v, err %v", version, a != nil, err)
+					}
+					continue
 				}
+				if err != nil {
+					t.Fatalf("version %d snapshot in the current shape refused: %v", version, err)
+				}
+				assertSameAsCold(t, a, fresh)
 			}
 		})
 	}
+}
+
+// stampedSentence / stampedSnapshot mirror the version-2 wire shape written
+// while each sentence carried a stored identity: a Sentence.ID string.
+type stampedSentence struct {
+	Text    string
+	Section int
+	ID      string
+}
+
+type stampedSnapshot struct {
+	Version   int
+	Threshold float64
+	Title     string
+	Sections  []htmldoc.Section
+	Sentences []stampedSentence
+	Advising  []AdvisingSentence
+	Terms     [][]string
+}
+
+// TestLoadStampedSnapshot: a version-2 stream whose sentences each carry a
+// stored ID still loads, since gob skips a field the receiving type lacks,
+// so a snapshot written before identity was derived from content still
+// warm-starts. It re-saves to the cold build's bytes, answers as the cold
+// build does, and an update from it over its own sentences reuses every
+// one.
+func TestLoadStampedSnapshot(t *testing.T) {
+	g := corpus.GenerateSized(corpus.CUDA, 150, 0.3, 39)
+	cold := New().BuildFromSentences(g.Doc, g.Sentences)
+	snap := stampedSnapshot{
+		Version:   snapshotVersion,
+		Threshold: cold.threshold,
+		Title:     g.Doc.Title,
+		Sections:  g.Doc.Sections,
+		Advising:  cold.Rules(),
+		Terms:     cold.terms,
+	}
+	for i, s := range cold.sentences {
+		snap.Sentences = append(snap.Sentences, stampedSentence{Text: s.Text, Section: s.Section, ID: fmt.Sprintf("%032x", i)})
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadAdvisor(&buf)
+	if err != nil {
+		t.Fatalf("stamped snapshot refused: %v", err)
+	}
+	assertSameAsCold(t, loaded, cold)
+}
+
+// assertSameAsCold checks that a loaded advisor is the cold build it was
+// saved from: the same Save bytes and Float64bits-equal answers, and an
+// incremental base for every one of its sentences.
+func assertSameAsCold(t *testing.T, loaded, cold *Advisor) {
+	t.Helper()
+	if !bytes.Equal(saveBytes(t, loaded), saveBytes(t, cold)) {
+		t.Error("the loaded advisor saves other bytes than the cold build")
+	}
+	for _, q := range persistQueries {
+		sameAnswers(t, q, retrieve(loaded, q), retrieve(cold, q))
+	}
+	assertReusesAll(t, New(), loaded)
 }
 
 func TestLoadedAdvisorAnswersReports(t *testing.T) {

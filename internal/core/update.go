@@ -3,11 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/doc"
 	"repro/internal/htmldoc"
 	"repro/internal/nlp"
 	"repro/internal/obs"
@@ -32,12 +32,13 @@ func (f *Framework) UpdateFromSentences(prev *Advisor, d *htmldoc.Document, sent
 }
 
 // UpdateFromSentencesCtx is the one Stage-I pipeline: it diffs the new
-// sentence list against prev by stable identity (internal/doc) and re-runs
-// Stage I — annotation and selector classification — only over the Added
-// sentences, taking prev's terms and verdict for each Kept one. The TF-IDF
-// index is rebuilt through vsm.Index.Rebuild, which recomputes every
-// corpus-wide statistic (document frequencies, IDF, weights, postings) but
-// reuses the kept sentences' term counts.
+// sentence list against prev by identity, derived from content on every
+// call (Advisor.Diff), and re-runs Stage I — annotation and selector
+// classification — only over the Added sentences, taking prev's terms and
+// verdict for each Kept one. The TF-IDF index is rebuilt through
+// vsm.Index.Rebuild, which recomputes every corpus-wide statistic
+// (document frequencies, IDF, weights, postings) but reuses the kept
+// sentences' term counts.
 //
 // A nil prev holds no sentences, so every sentence is Added and the result
 // is the cold build (BuildFromSentences), traced as "core.build" and
@@ -49,7 +50,9 @@ func (f *Framework) UpdateFromSentences(prev *Advisor, d *htmldoc.Document, sent
 // suite's incremental≡full test enforces this). Only
 // BuildStats differs — Reused reports how many sentences carried over.
 // prev is never mutated: its term lists and index-side term counts are
-// shared with the new advisor, but both treat them as immutable.
+// shared with the new advisor, but both treat them as immutable. The new
+// advisor keeps its own copy of sents, so a caller may edit the slice it
+// passed in place and hand it to the next update.
 func (f *Framework) UpdateFromSentencesCtx(ctx context.Context, prev *Advisor, d *htmldoc.Document, sents []htmldoc.Sentence) (*Advisor, error) {
 	cold := prev == nil
 	spanName := "core.update"
@@ -63,12 +66,10 @@ func (f *Framework) UpdateFromSentencesCtx(ctx context.Context, prev *Advisor, d
 		ctx = obs.ContextWithSpan(ctx, span)
 		defer span.Finish()
 	}
-	sents = htmldoc.StampIDs(d, sents)
 	a := &Advisor{
 		name:      prev.name,
 		doc:       d,
-		sentences: sents,
-		ids:       htmldoc.IDsOf(sents),
+		sentences: slices.Clone(sents),
 		terms:     make([][]string, len(sents)),
 		threshold: f.threshold,
 		builtAt:   time.Now(),
@@ -77,7 +78,7 @@ func (f *Framework) UpdateFromSentencesCtx(ctx context.Context, prev *Advisor, d
 			BySelector: map[selectors.SelectorID]int{},
 		},
 	}
-	diffs := doc.Diff(prev.ids, a.ids)
+	diffs := prev.Diff(d, a.sentences)
 	a.stats.Reused = len(diffs.Kept)
 
 	// Stage I: a Kept sentence takes prev's terms and verdict (the
@@ -93,7 +94,7 @@ func (f *Framework) UpdateFromSentencesCtx(ctx context.Context, prev *Advisor, d
 			results[kp.New] = selectors.Result{Advising: true, Selector: prev.advising[prev.rulePos[kp.Old]].Selector}
 		}
 	}
-	annotate, classify := f.stageI(ctx, sents, diffs.Added, a.terms, results)
+	annotate, classify := f.stageI(ctx, a.sentences, diffs.Added, a.terms, results)
 	a.stats.StageI = time.Since(start)
 	a.stats.Annotate = a.stats.StageI
 	if busy := annotate + classify; busy > 0 {
@@ -112,11 +113,7 @@ func (f *Framework) UpdateFromSentencesCtx(ctx context.Context, prev *Advisor, d
 	// is re-tokenized.
 	start = time.Now()
 	indexSpan := obs.SpanFrom(ctx).StartChild("index")
-	added := make([]vsm.AddedDoc, len(diffs.Added))
-	for k, j := range diffs.Added {
-		added[k] = vsm.AddedDoc{Pos: j, Terms: a.terms[j]}
-	}
-	index, err := prev.index.Rebuild(diffs.Kept, added, a.isAdv)
+	index, err := prev.index.Rebuild(diffs.Kept, a.terms, a.isAdv)
 	indexSpan.Finish()
 	if err != nil {
 		return nil, fmt.Errorf("core: index rebuild: %w", err)

@@ -1,78 +1,26 @@
-// Package doc defines the canonical sentence-identity layer the incremental
-// build pipeline rests on. Every stage of the framework — extraction,
-// annotation, Stage-I classification, Stage-II indexing, persistence, and
-// the corpus lifecycle — correlates sentences across document versions
-// through a SentenceID rather than a positional index.
+// Package doc defines the sentence-identity layer the incremental build
+// pipeline rests on. Every stage that carries work across document versions
+// — Stage-I verdicts, retrieval terms, Stage-II term counts, `egeria diff`
+// — correlates sentences through their content rather than their position.
 //
-// A SentenceID is a function of exactly three things: the sentence's text,
-// the path of the section containing it, and its occurrence ordinal among
-// identical (section, text) pairs. It deliberately excludes the sentence's
-// position in the document, so inserting, deleting, moving, or editing
-// sentences *elsewhere* never changes an untouched sentence's identity —
-// the property that lets a rebuild re-annotate only what actually changed.
+// A sentence is identified by exactly three things: its text, the path of
+// the section containing it, and its occurrence ordinal among identical
+// (section, text) pairs. Position is deliberately excluded, so inserting,
+// deleting, moving, or editing sentences *elsewhere* never changes an
+// untouched sentence's identity — the property that lets a rebuild
+// re-annotate only what actually changed. Nothing is hashed or stored:
+// Diff matches Keys in order of occurrence, which is the ordinal.
 //
-// Diff compares two versions of a document by identity and partitions the
-// sentences into Added, Removed, and Kept. Within one document IDs are
-// unique by construction (the ordinal disambiguates duplicates), so Kept is
-// a one-to-one position mapping: old index → new index.
+// Diff compares two versions of a document and partitions the sentences
+// into Added, Removed, and Kept. Kept is a one-to-one position mapping:
+// old index → new index.
 package doc
 
-import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-)
-
-// SentenceID is the stable identity of one sentence: a hex digest of the
-// sentence text, its section path, and its occurrence ordinal among
-// identical (section, text) pairs in the same document. The empty string
-// means "identity not assigned".
-type SentenceID string
-
-// Key is the identity-bearing content of one sentence — everything that
-// goes into its SentenceID besides the duplicate ordinal.
+// Key is what identifies one sentence besides its duplicate ordinal: its
+// section path and its text.
 type Key struct {
 	Section string // section path ("5.4.2. Control Flow Instructions"; "" for bare sentences)
 	Text    string
-}
-
-// idBytes is how many digest bytes an ID keeps. 16 bytes (128 bits) makes
-// accidental collisions across document versions vanishingly unlikely while
-// keeping IDs short enough to read in logs and diff output.
-const idBytes = 16
-
-// New computes the identity of one sentence. ordinal is the number of
-// earlier sentences in the same document with an identical Key (0 for the
-// first occurrence). Fields are length-prefixed before hashing so no two
-// distinct (section, text, ordinal) triples can collide by concatenation.
-func New(k Key, ordinal int) SentenceID {
-	h := sha256.New()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(len(k.Section)))
-	h.Write(buf[:])
-	h.Write([]byte(k.Section))
-	binary.LittleEndian.PutUint64(buf[:], uint64(len(k.Text)))
-	h.Write(buf[:])
-	h.Write([]byte(k.Text))
-	binary.LittleEndian.PutUint64(buf[:], uint64(ordinal))
-	h.Write(buf[:])
-	sum := h.Sum(nil)
-	return SentenceID(hex.EncodeToString(sum[:idBytes]))
-}
-
-// Assign computes the identity of every sentence of a document, in order.
-// Ordinals are assigned per distinct Key by first occurrence, so the IDs of
-// a document's sentences are pairwise distinct, and a sentence's ID only
-// changes when the sentence itself, its section, or the number of identical
-// copies *before* it changes.
-func Assign(keys []Key) []SentenceID {
-	ids := make([]SentenceID, len(keys))
-	seen := make(map[Key]int, len(keys))
-	for i, k := range keys {
-		ids[i] = New(k, seen[k])
-		seen[k]++
-	}
-	return ids
 }
 
 // Kept maps one sentence that survived a document edit: its position in the
@@ -92,22 +40,31 @@ type Diffs struct {
 	Kept           []Kept // old→new position pairs, ascending by New
 }
 
-// Diff compares two sentence-identity lists. IDs within each list are
-// assumed unique (what Assign guarantees); if a duplicate does appear, the
-// first occurrence wins and the rest are treated as added/removed.
+// Diff compares the keys of two versions of a document. Equal keys are
+// matched in order of occurrence: the n-th copy of a key in new keeps the
+// n-th copy in old, and copies beyond the other list's count are Added or
+// Removed. So a sentence keeps its identity exactly when its section, its
+// text and the number of identical copies before it are unchanged.
 //
 // Kept is sized at its bound up front, and Added and Removed at their exact
 // sizes once Kept is known, so no list grows by append.
-func Diff(old, new []SentenceID) Diffs {
+func Diff(old, new []Key) Diffs {
 	d := Diffs{OldLen: len(old), NewLen: len(new)}
-	oldByID := make(map[SentenceID]int, len(old))
-	for i := len(old) - 1; i >= 0; i-- { // first occurrence wins
-		oldByID[old[i]] = i
+	// head[k] is 1 + the first unmatched old position holding k (0: none
+	// left); next[i] is 1 + the following old position holding old[i]'s
+	// key, so each key's positions form a chain in document order
+	head := make(map[Key]int, len(old))
+	next := make([]int, len(old))
+	for i := len(old) - 1; i >= 0; i-- {
+		next[i] = head[old[i]]
+		head[old[i]] = i + 1
 	}
 	matched := make([]bool, len(old))
 	d.Kept = make([]Kept, 0, min(len(old), len(new)))
-	for j, id := range new {
-		if i, ok := oldByID[id]; ok && id != "" && !matched[i] {
+	for j, k := range new {
+		if h := head[k]; h > 0 {
+			i := h - 1
+			head[k] = next[i]
 			matched[i] = true
 			d.Kept = append(d.Kept, Kept{Old: i, New: j})
 		}

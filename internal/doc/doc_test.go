@@ -16,34 +16,10 @@ func keysOf(sents [][2]string) []doc.Key {
 	return keys
 }
 
-func TestAssignUniqueAndDeterministic(t *testing.T) {
-	sents := [][2]string{
-		{"1. Intro", "Use coalesced accesses."},
-		{"1. Intro", "Use coalesced accesses."},  // duplicate: ordinal disambiguates
-		{"2. Memory", "Use coalesced accesses."}, // same text, other section
-		{"2. Memory", "Prefer shared memory."},
-	}
-	a := doc.Assign(keysOf(sents))
-	b := doc.Assign(keysOf(sents))
-	seen := map[doc.SentenceID]int{}
-	for i, id := range a {
-		if id == "" {
-			t.Fatalf("sentence %d: empty ID", i)
-		}
-		if id != b[i] {
-			t.Fatalf("sentence %d: Assign not deterministic: %s vs %s", i, id, b[i])
-		}
-		if j, dup := seen[id]; dup {
-			t.Fatalf("sentences %d and %d share ID %s", j, i, id)
-		}
-		seen[id] = i
-	}
-}
-
 func TestDiffIdentical(t *testing.T) {
-	ids := doc.Assign(keysOf([][2]string{{"s", "a"}, {"s", "b"}, {"t", "a"}}))
-	d := doc.Diff(ids, ids)
-	if len(d.Added) != 0 || len(d.Removed) != 0 || len(d.Kept) != 3 {
+	keys := keysOf([][2]string{{"s", "a"}, {"s", "b"}, {"t", "a"}, {"s", "a"}})
+	d := doc.Diff(keys, keys)
+	if len(d.Added) != 0 || len(d.Removed) != 0 || len(d.Kept) != 4 {
 		t.Fatalf("identical docs: got %+v", d)
 	}
 	if d.ChangeRatio() != 0 || d.ReuseRatio() != 1 {
@@ -57,11 +33,11 @@ func TestDiffIdentical(t *testing.T) {
 }
 
 func TestDiffEmptyEdges(t *testing.T) {
-	ids := doc.Assign(keysOf([][2]string{{"s", "a"}, {"s", "b"}}))
-	if d := doc.Diff(nil, ids); len(d.Added) != 2 || len(d.Kept) != 0 || len(d.Removed) != 0 {
+	keys := keysOf([][2]string{{"s", "a"}, {"s", "b"}})
+	if d := doc.Diff(nil, keys); len(d.Added) != 2 || len(d.Kept) != 0 || len(d.Removed) != 0 {
 		t.Fatalf("nil→doc: %+v", d)
 	}
-	if d := doc.Diff(ids, nil); len(d.Removed) != 2 || len(d.Kept) != 0 || len(d.Added) != 0 {
+	if d := doc.Diff(keys, nil); len(d.Removed) != 2 || len(d.Kept) != 0 || len(d.Added) != 0 {
 		t.Fatalf("doc→nil: %+v", d)
 	}
 	if d := doc.Diff(nil, nil); d.ChangeRatio() != 0 {
@@ -132,11 +108,16 @@ func editScript(rng *rand.Rand, sents [][2]string, n int) (out [][2]string, unto
 //
 //  1. Kept ∪ Added partitions the new document (every new index exactly
 //     once), and Kept ∪ Removed partitions the old one.
-//  2. Kept pairs carry identical IDs, so splicing old per-sentence state at
+//  2. Kept pairs carry equal keys, so splicing old per-sentence state at
 //     kept positions reconstructs the new document exactly.
-//  3. IDs are stable under unrelated edits: a (section, text) pair whose
-//     sentences were never themselves edited or duplicated keeps every one
-//     of its IDs, no matter what happened elsewhere in the document.
+//  3. Identity is stable under unrelated edits: a (section, text) pair
+//     whose sentences were never themselves edited or duplicated keeps
+//     every one of its sentences, no matter what happened elsewhere in the
+//     document.
+//  4. Duplicates are told apart by their order: for each key, the n-th
+//     copy in the new document keeps the n-th copy in the old one, for
+//     every n below both documents' counts of that key, and no other copy
+//     is kept.
 func TestDiffMetamorphic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 100; round++ {
@@ -152,25 +133,25 @@ func TestDiffMetamorphic(t *testing.T) {
 		}
 		edited, untouched := editScript(rng, sents, 1+rng.Intn(12))
 
-		oldIDs := doc.Assign(keysOf(sents))
-		newIDs := doc.Assign(keysOf(edited))
-		d := doc.Diff(oldIDs, newIDs)
+		oldKeys := keysOf(sents)
+		newKeys := keysOf(edited)
+		d := doc.Diff(oldKeys, newKeys)
 
 		// invariant 1: exact partitions on both sides
-		newSeen := make([]int, len(newIDs))
+		newSeen := make([]int, len(newKeys))
 		for _, j := range d.Added {
 			newSeen[j]++
 		}
-		oldSeen := make([]int, len(oldIDs))
+		oldSeen := make([]int, len(oldKeys))
 		for _, i := range d.Removed {
 			oldSeen[i]++
 		}
 		for _, k := range d.Kept {
 			newSeen[k.New]++
 			oldSeen[k.Old]++
-			// invariant 2: kept means identical identity
-			if oldIDs[k.Old] != newIDs[k.New] {
-				t.Fatalf("round %d: kept pair %+v has IDs %s vs %s", round, k, oldIDs[k.Old], newIDs[k.New])
+			// invariant 2: kept means an equal key
+			if oldKeys[k.Old] != newKeys[k.New] {
+				t.Fatalf("round %d: kept pair %+v has keys %q vs %q", round, k, oldKeys[k.Old], newKeys[k.New])
 			}
 		}
 		for j, c := range newSeen {
@@ -184,14 +165,40 @@ func TestDiffMetamorphic(t *testing.T) {
 			}
 		}
 
-		// invariant 3: untouched (section,text) pairs keep all their IDs
-		kept := map[doc.SentenceID]bool{}
+		// invariant 3: untouched (section,text) pairs keep all their sentences
+		keptOld := make([]bool, len(oldKeys))
 		for _, k := range d.Kept {
-			kept[oldIDs[k.Old]] = true
+			keptOld[k.Old] = true
 		}
 		for i, s := range sents {
-			if untouched[s[0]+"\x00"+s[1]] && !kept[oldIDs[i]] {
+			if untouched[s[0]+"\x00"+s[1]] && !keptOld[i] {
 				t.Fatalf("round %d: untouched sentence %d (%q/%q) lost its identity", round, i, s[0], s[1])
+			}
+		}
+
+		// invariant 4: per key, kept pairs match the n-th occurrences in order
+		occurrences := func(keys []doc.Key) map[doc.Key][]int {
+			at := map[doc.Key][]int{}
+			for i, k := range keys {
+				at[k] = append(at[k], i)
+			}
+			return at
+		}
+		oldAt, newAt := occurrences(oldKeys), occurrences(newKeys)
+		keptAt := map[doc.Key][]doc.Kept{}
+		for _, k := range d.Kept {
+			keptAt[newKeys[k.New]] = append(keptAt[newKeys[k.New]], k)
+		}
+		for key, news := range newAt {
+			olds := oldAt[key]
+			pairs := keptAt[key]
+			if len(pairs) != min(len(olds), len(news)) {
+				t.Fatalf("round %d: key %q kept %d copies, want min(%d, %d)", round, key, len(pairs), len(olds), len(news))
+			}
+			for n, p := range pairs {
+				if p.Old != olds[n] || p.New != news[n] {
+					t.Fatalf("round %d: key %q copy %d kept as %+v, want {%d %d}", round, key, n, p, olds[n], news[n])
+				}
 			}
 		}
 
@@ -199,7 +206,7 @@ func TestDiffMetamorphic(t *testing.T) {
 		if r := d.ChangeRatio(); r < 0 || r > 2 {
 			t.Fatalf("round %d: change ratio %v out of range", round, r)
 		}
-		if got, want := d.ReuseRatio(), float64(len(d.Kept))/float64(len(newIDs)); len(newIDs) > 0 && got != want {
+		if got, want := d.ReuseRatio(), float64(len(d.Kept))/float64(len(newKeys)); len(newKeys) > 0 && got != want {
 			t.Fatalf("round %d: reuse ratio %v, want %v", round, got, want)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -24,23 +25,15 @@ type editStep struct {
 	apply func(sents []htmldoc.Sentence) []htmldoc.Sentence
 }
 
-func unstamped(sents []htmldoc.Sentence) []htmldoc.Sentence {
-	out := make([]htmldoc.Sentence, len(sents))
-	for i, s := range sents {
-		out[i] = htmldoc.Sentence{Text: s.Text, Section: s.Section}
-	}
-	return out
-}
-
 func editChain() []editStep {
 	return []editStep{
 		{"modify", func(s []htmldoc.Sentence) []htmldoc.Sentence {
-			out := unstamped(s)
+			out := slices.Clone(s)
 			out[9].Text = "Coalesce global memory accesses to use the full transaction width."
 			return out
 		}},
 		{"insert", func(s []htmldoc.Sentence) []htmldoc.Sentence {
-			out := unstamped(s)
+			out := slices.Clone(s)
 			ins := htmldoc.Sentence{
 				Text:    "Prefer shared memory staging over repeated global memory reads.",
 				Section: out[len(out)/2].Section,
@@ -49,15 +42,15 @@ func editChain() []editStep {
 			return append(out[:mid], append([]htmldoc.Sentence{ins}, out[mid:]...)...)
 		}},
 		{"delete", func(s []htmldoc.Sentence) []htmldoc.Sentence {
-			out := unstamped(s)
+			out := slices.Clone(s)
 			return append(out[:4], out[5:]...)
 		}},
 		{"duplicate", func(s []htmldoc.Sentence) []htmldoc.Sentence {
-			out := unstamped(s)
+			out := slices.Clone(s)
 			return append(out, out[7])
 		}},
 		{"move", func(s []htmldoc.Sentence) []htmldoc.Sentence {
-			out := unstamped(s)
+			out := slices.Clone(s)
 			moved := out[2]
 			out = append(out[:2], out[3:]...)
 			return append(out, moved)
@@ -128,7 +121,7 @@ func TestIncrementalChainDrift(t *testing.T) {
 	sents := g.Sentences
 
 	for step := 0; step < 8; step++ {
-		next := unstamped(sents)
+		next := slices.Clone(sents)
 		next[step*7%len(next)].Text = fmt.Sprintf(
 			"Revision %d: overlap data transfers with kernel execution using streams.", step)
 		inc, err := fw.UpdateFromSentences(prev, g.Doc, next)

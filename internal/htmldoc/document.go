@@ -32,16 +32,13 @@ type Document struct {
 	Sections []Section
 }
 
-// Sentence is one sentence of the document with its structural location and
-// stable identity. ID is a function of the text, the section path, and the
-// occurrence ordinal among identical (section, text) pairs — never of the
-// sentence's position — so edits elsewhere in the document leave it intact
-// (see internal/doc). Document.Sentences stamps IDs at extraction; StampIDs
-// fills them in for sentence lists built by other paths.
+// Sentence is one sentence of the document with its structural location.
+// What identifies it across document versions — its section path, its text
+// and its ordinal among identical copies — is derived from this content by
+// Keys and doc.Diff; nothing is stamped on the sentence itself.
 type Sentence struct {
 	Text    string
-	Section int            // index into Document.Sections
-	ID      doc.SentenceID // stable identity ("" until stamped)
+	Section int // index into Document.Sections
 }
 
 // sectionNumberRe matches leading section numbers like "5.", "5.4.2", "5.4.2.".
@@ -154,7 +151,7 @@ func normalizeSpace(s string) string {
 }
 
 // Sentences splits every block of every section into sentences, preserving
-// the section back-pointer and stamping each sentence's stable identity.
+// the section back-pointer.
 func (d *Document) Sentences() []Sentence {
 	var out []Sentence
 	for si := range d.Sections {
@@ -164,53 +161,29 @@ func (d *Document) Sentences() []Sentence {
 			}
 		}
 	}
-	return StampIDs(d, out)
-}
-
-// StampIDs assigns sentence identities (see internal/doc): each sentence's
-// ID hashes its text, its section path under d (or "" when d is nil or the
-// section index is out of range), and its occurrence ordinal among identical
-// (section, text) pairs. Sentences that already carry an ID are left alone;
-// when every sentence is already stamped the input slice is returned as-is,
-// otherwise a stamped copy is returned and the input is not mutated.
-func StampIDs(d *Document, sents []Sentence) []Sentence {
-	missing := false
-	for i := range sents {
-		if sents[i].ID == "" {
-			missing = true
-			break
-		}
-	}
-	if !missing {
-		return sents
-	}
-	keys := make([]doc.Key, len(sents))
-	for i, s := range sents {
-		section := ""
-		if d != nil && s.Section >= 0 && s.Section < len(d.Sections) {
-			section = d.Sections[s.Section].Path()
-		}
-		keys[i] = doc.Key{Section: section, Text: s.Text}
-	}
-	ids := doc.Assign(keys)
-	out := make([]Sentence, len(sents))
-	copy(out, sents)
-	for i := range out {
-		if out[i].ID == "" {
-			out[i].ID = ids[i]
-		}
-	}
 	return out
 }
 
-// IDsOf projects a sentence list onto its identities ("" for unstamped
-// sentences) — the shape doc.Diff consumes.
-func IDsOf(sents []Sentence) []doc.SentenceID {
-	ids := make([]doc.SentenceID, len(sents))
-	for i, s := range sents {
-		ids[i] = s.ID
+// Keys returns what identifies each sentence of d (see internal/doc): its
+// section's path and its text. The path is "" when d is nil or the
+// sentence's section index is out of range. Each section's path is
+// computed once.
+func Keys(d *Document, sents []Sentence) []doc.Key {
+	var paths []string
+	if d != nil {
+		paths = make([]string, len(d.Sections))
+		for i := range d.Sections {
+			paths[i] = d.Sections[i].Path()
+		}
 	}
-	return ids
+	keys := make([]doc.Key, len(sents))
+	for i, s := range sents {
+		keys[i].Text = s.Text
+		if s.Section >= 0 && s.Section < len(paths) {
+			keys[i].Section = paths[s.Section]
+		}
+	}
+	return keys
 }
 
 // SentenceCount returns the total number of sentences in the document.

@@ -1,9 +1,12 @@
 package htmldoc
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/doc"
 )
 
 const sampleGuide = `<!DOCTYPE html>
@@ -197,5 +200,35 @@ func BenchmarkParseGuide(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Parse(sampleGuide)
+	}
+}
+
+// TestKeys: a sentence's key is its section's path and its text; a section
+// index out of range (a snapshot's sentences are untrusted) or a nil
+// document gives the path "", never a panic.
+func TestKeys(t *testing.T) {
+	d := FromBlocks("Guide", []Section{
+		{Number: "5.4", Title: "Maximize Instruction Throughput"},
+		{Title: "Preamble"},
+	})
+	sents := []Sentence{
+		{Text: "Use intrinsics.", Section: 0},
+		{Text: "Read this first.", Section: 1},
+		{Text: "Out of range.", Section: 2},
+		{Text: "Negative.", Section: -1},
+	}
+	want := []doc.Key{
+		{Section: "5.4. Maximize Instruction Throughput", Text: "Use intrinsics."},
+		{Section: "Preamble", Text: "Read this first."},
+		{Section: "", Text: "Out of range."},
+		{Section: "", Text: "Negative."},
+	}
+	if got := Keys(d, sents); !slices.Equal(got, want) {
+		t.Fatalf("Keys = %q, want %q", got, want)
+	}
+	for i, k := range Keys(nil, sents) {
+		if k != (doc.Key{Text: sents[i].Text}) {
+			t.Fatalf("Keys(nil)[%d] = %q, want no section", i, k)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -58,17 +59,14 @@ func (e *editableGuide) setEdit(i int, text string) {
 	e.mu.Unlock()
 }
 
-// sentences materializes the current document version: fresh unstamped
-// copies of the base sentences with the edits applied.
+// sentences materializes the current document version: a copy of the base
+// sentences with the edits applied.
 func (e *editableGuide) sentences() []htmldoc.Sentence {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]htmldoc.Sentence, len(e.base))
-	for i, s := range e.base {
-		out[i] = htmldoc.Sentence{Text: s.Text, Section: s.Section}
-		if text, ok := e.edits[i]; ok {
-			out[i].Text = text
-		}
+	out := slices.Clone(e.base)
+	for i, text := range e.edits {
+		out[i].Text = text
 	}
 	return out
 }

@@ -21,7 +21,6 @@
 package nlp
 
 import (
-	"context"
 	"runtime"
 	"strings"
 	"sync"
@@ -46,8 +45,8 @@ var (
 	stemHist           = obs.Default().Histogram("nlp_stem_micros")
 )
 
-// Annotation is the full per-sentence analysis, produced once by an
-// Annotator and consumed by selectors, SRL, indexing and serving.
+// Annotation is the full per-sentence analysis, produced once by Annotate
+// and consumed by selectors, SRL, indexing and serving.
 type Annotation struct {
 	Text  string // the raw sentence text
 	Tree  *depparse.Tree
@@ -114,9 +113,10 @@ func (a *Annotation) Frames() []srl.Frame {
 	return a.frames
 }
 
-// Annotator produces Annotations. The zero value is usable; NewAnnotator
-// applies options. An Annotator is stateless after construction and safe
-// for concurrent use.
+// Annotator annotates sentence lists in parallel (AnnotateAll); a single
+// sentence takes the package-level Annotate. The zero value is usable;
+// NewAnnotator applies options. An Annotator is stateless after
+// construction and safe for concurrent use.
 type Annotator struct {
 	parallelism int
 }
@@ -136,27 +136,6 @@ func NewAnnotator(opts ...Option) *Annotator {
 	for _, o := range opts {
 		o(a)
 	}
-	return a
-}
-
-// Annotate runs the eager layers (tokenize, POS-tag, dependency-parse,
-// stem) over one sentence; the remaining products are computed lazily.
-func (an *Annotator) Annotate(text string) *Annotation {
-	return annotate(text)
-}
-
-// AnnotateCtx is Annotate under a trace: when the context carries a sampled
-// span, each NLP stage (tokenize, tag, parse, stem) is recorded as a child
-// span — the per-stage view of where one sentence's annotation time goes.
-func (an *Annotator) AnnotateCtx(ctx context.Context, text string) *Annotation {
-	parent := obs.SpanFrom(ctx)
-	if parent == nil {
-		return annotate(text)
-	}
-	span := parent.StartChild("nlp.annotate")
-	defer span.Finish()
-	a := annotateSpans(text, span)
-	span.SetAttrInt("tokens", len(a.Tree.Words))
 	return a
 }
 
@@ -237,29 +216,6 @@ func annotate(text string) *Annotation {
 	tagHist.ObserveDuration(t2.Sub(t1))
 	parseHist.ObserveDuration(t3.Sub(t2))
 	stemHist.ObserveDuration(t4.Sub(t3))
-	annotatedSentences.Inc()
-	return &Annotation{
-		Text:  text,
-		Tree:  tree,
-		Stems: stems,
-	}
-}
-
-// annotateSpans is annotate with a child span per stage, used when a
-// sampled trace asks for the per-stage breakdown of one sentence.
-func annotateSpans(text string, parent *obs.Span) *Annotation {
-	s := parent.StartChild("tokenize")
-	words := textproc.Words(text)
-	s.Finish()
-	s = parent.StartChild("tag")
-	tags := postag.Tags(words)
-	s.Finish()
-	s = parent.StartChild("parse")
-	tree := depparse.ParseTagged(words, tags)
-	s.Finish()
-	s = parent.StartChild("stem")
-	stems := textproc.StemAll(words)
-	s.Finish()
 	annotatedSentences.Inc()
 	return &Annotation{
 		Text:  text,

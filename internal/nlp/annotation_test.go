@@ -1,7 +1,6 @@
 package nlp
 
 import (
-	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -149,44 +148,29 @@ func TestConcurrentLazyAccess(t *testing.T) {
 	wg.Wait()
 }
 
-// TestAnnotateCtx: without a sampled span the traced path equals plain
-// annotation; with one, each NLP stage appears as a child span.
-func TestAnnotateCtx(t *testing.T) {
-	an := NewAnnotator()
-	text := testSentences[0]
+// TestAnnotateObservesEachStage: one Annotate call adds exactly one
+// observation to each per-stage histogram /metricz reports — tokenise, tag,
+// parse and stem, the build layers the north star names — and one to the
+// annotated-sentence counter.
+func TestAnnotateObservesEachStage(t *testing.T) {
+	reg := obs.Default()
+	hists := map[string]*obs.Histogram{}
+	before := map[string]int64{}
+	for _, name := range []string{"nlp_tokenize_micros", "nlp_tag_micros", "nlp_parse_micros", "nlp_stem_micros"} {
+		hists[name] = reg.Histogram(name)
+		before[name] = hists[name].Count()
+	}
+	annotated := reg.Counter("nlp_sentences_annotated_total")
+	n := annotated.Value()
 
-	plain := an.AnnotateCtx(context.Background(), text)
-	direct := an.Annotate(text)
-	if !reflect.DeepEqual(plain.Tokens(), direct.Tokens()) || !reflect.DeepEqual(plain.Stems, direct.Stems) {
-		t.Fatal("untraced AnnotateCtx diverges from Annotate")
-	}
+	Annotate(testSentences[0])
 
-	store := obs.NewTraceStore(4)
-	tracer := obs.NewTracer(1, store)
-	ctx, root := tracer.Start(context.Background(), "test")
-	if root == nil {
-		t.Fatal("tracer with rate 1 did not sample")
-	}
-	traced := an.AnnotateCtx(ctx, text)
-	root.Finish()
-	if !reflect.DeepEqual(traced.Tokens(), direct.Tokens()) {
-		t.Fatal("traced AnnotateCtx diverges from Annotate")
-	}
-	tj, ok := store.Get(obs.TraceID(ctx))
-	if !ok {
-		t.Fatal("sampled trace not stored")
-	}
-	if len(tj.Root.Children) != 1 || tj.Root.Children[0].Name != "nlp.annotate" {
-		t.Fatalf("root children: %+v", tj.Root.Children)
-	}
-	stages := tj.Root.Children[0].Children
-	want := []string{"tokenize", "tag", "parse", "stem"}
-	if len(stages) != len(want) {
-		t.Fatalf("stage spans: %+v", stages)
-	}
-	for i, s := range stages {
-		if s.Name != want[i] {
-			t.Fatalf("stage %d = %q, want %q", i, s.Name, want[i])
+	for name, h := range hists {
+		if got := h.Count() - before[name]; got != 1 {
+			t.Errorf("%s: %d observations, want 1", name, got)
 		}
+	}
+	if got := annotated.Value() - n; got != 1 {
+		t.Errorf("nlp_sentences_annotated_total rose by %d, want 1", got)
 	}
 }

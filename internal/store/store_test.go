@@ -7,7 +7,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -320,9 +319,8 @@ func plantPayload(t *testing.T, dir, name string, data []byte) {
 }
 
 // TestLoadRefusesOldFormats: one snapshot version is accepted, with one
-// term list and one identity of its own per sentence. A version-1 stream, a
-// stream without term lists or with one too few, and sentences without or
-// with a repeated identity are refused by core.LoadAdvisor, and store.Load
+// term list per sentence. A version-1 stream and a stream without term
+// lists or with one too few are refused by core.LoadAdvisor, and store.Load
 // reports each as ErrCorrupt under a manifest that matches its bytes.
 func TestLoadRefusesOldFormats(t *testing.T) {
 	dir := t.TempDir()
@@ -357,12 +355,9 @@ func TestLoadRefusesOldFormats(t *testing.T) {
 		{"version_1", func(s *snapshotWire) { s.Version = 1 }},
 		{"no_terms", func(s *snapshotWire) { s.Terms = nil }},
 		{"terms_count", func(s *snapshotWire) { s.Terms = s.Terms[:len(s.Terms)-1] }},
-		{"no_identity", func(s *snapshotWire) { s.Sentences[2].ID = "" }},
-		{"repeated_identity", func(s *snapshotWire) { s.Sentences[2].ID = s.Sentences[1].ID }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			snap := current
-			snap.Sentences = slices.Clone(current.Sentences)
 			c.mutate(&snap)
 			data := encode(snap)
 			if a, err := core.LoadAdvisor(bytes.NewReader(data)); err == nil || a != nil {

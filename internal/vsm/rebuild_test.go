@@ -35,18 +35,16 @@ func randomTermLists(rng *rand.Rand, n int) [][]string {
 // randomEdit derives a successor document from termLists: each old document
 // is kept (possibly at a shifted position) or dropped, and new documents are
 // spliced in. Returns the successor's full term lists plus the kept pairs
-// and added docs that describe it for Rebuild.
-func randomEdit(rng *rand.Rand, termLists [][]string) ([][]string, []doc.Kept, []AddedDoc) {
+// that describe it for Rebuild.
+func randomEdit(rng *rand.Rand, termLists [][]string) ([][]string, []doc.Kept) {
 	var next [][]string
 	var kept []doc.Kept
-	var added []AddedDoc
 	addNew := func() {
 		m := 1 + rng.Intn(8)
 		terms := make([]string, m)
 		for j := range terms {
 			terms[j] = fmt.Sprintf("term%02d", rng.Intn(35)) // may extend the vocab
 		}
-		added = append(added, AddedDoc{Pos: len(next), Terms: terms})
 		next = append(next, terms)
 	}
 	for i, terms := range termLists {
@@ -62,7 +60,7 @@ func randomEdit(rng *rand.Rand, termLists [][]string) ([][]string, []doc.Kept, [
 	for rng.Intn(3) == 0 {
 		addNew()
 	}
-	return next, kept, added
+	return next, kept
 }
 
 // sameIndex compares two indexes exhaustively: global statistics bitwise,
@@ -98,7 +96,7 @@ func sameIndex(t *testing.T, got, want *Index) {
 // TestRebuildBitIdentical is the incremental≡full oracle at the index layer:
 // for random corpora, random edits and random served masks (the
 // predecessor's and the successor's drawn independently), Rebuild over
-// (kept, added) must equal a from-scratch BuildFromTerms of the successor's
+// the kept pairs and the successor's term lists must equal a from-scratch BuildFromTerms of the successor's
 // full term lists under its mask — every IDF, posting weight, and query
 // score Float64bits-identical — and answer as the dense oracle over every
 // document, filtered to the mask.
@@ -110,14 +108,13 @@ func TestRebuildBitIdentical(t *testing.T) {
 	for round := 0; round < 60; round++ {
 		termLists := randomTermLists(rng, 3+rng.Intn(40))
 		ix := BuildFromTerms(termLists, randomMask(rng, len(termLists)))
-		next, kept, added := randomEdit(rng, termLists)
+		next, kept := randomEdit(rng, termLists)
 		served := randomMask(rng, len(next))
 
-		got, err := ix.Rebuild(kept, added, served)
+		got, err := ix.Rebuild(kept, next, served)
 		if err != nil {
 			t.Fatalf("round %d: Rebuild: %v", round, err)
 		}
-		// added documents carry no identity here, as in the cold build
 		want := BuildFromTerms(next, served)
 		sameIndex(t, got, want)
 
@@ -138,9 +135,9 @@ func TestRebuildChained(t *testing.T) {
 	termLists := randomTermLists(rng, 20)
 	ix := BuildFromTerms(termLists, randomMask(rng, len(termLists)))
 	for step := 0; step < 10; step++ {
-		next, kept, added := randomEdit(rng, termLists)
+		next, kept := randomEdit(rng, termLists)
 		served := randomMask(rng, len(next))
-		got, err := ix.Rebuild(kept, added, served)
+		got, err := ix.Rebuild(kept, next, served)
 		if err != nil {
 			t.Fatalf("step %d: Rebuild: %v", step, err)
 		}
@@ -155,32 +152,31 @@ func TestRebuildChained(t *testing.T) {
 
 func TestRebuildValidation(t *testing.T) {
 	ix := BuildFromTerms([][]string{{"a"}, {"b"}}, nil)
+	next := [][]string{{"a"}, {"c"}}
 	cases := []struct {
-		name  string
-		kept  []doc.Kept
-		added []AddedDoc
+		name string
+		kept []doc.Kept
 	}{
-		{"gap", []doc.Kept{{Old: 0, New: 0}}, []AddedDoc{{Pos: 2, Terms: []string{"c"}}}},
-		{"double", []doc.Kept{{Old: 0, New: 0}, {Old: 1, New: 0}}, nil},
-		{"old out of range", []doc.Kept{{Old: 5, New: 0}}, nil},
-		{"new negative", []doc.Kept{{Old: 0, New: -1}}, nil},
-		{"added collides", []doc.Kept{{Old: 0, New: 0}}, []AddedDoc{{Pos: 0, Terms: []string{"c"}}}},
+		{"double", []doc.Kept{{Old: 0, New: 0}, {Old: 1, New: 0}}},
+		{"old out of range", []doc.Kept{{Old: 5, New: 0}}},
+		{"new negative", []doc.Kept{{Old: 0, New: -1}}},
+		{"new out of range", []doc.Kept{{Old: 0, New: 2}}},
 	}
 	for _, tc := range cases {
-		if _, err := ix.Rebuild(tc.kept, tc.added, nil); err == nil {
+		if _, err := ix.Rebuild(tc.kept, next, nil); err == nil {
 			t.Errorf("%s: want error, got nil", tc.name)
 		}
 	}
 	// the successor's mask must cover exactly its documents
-	if _, err := ix.Rebuild([]doc.Kept{{Old: 0, New: 0}, {Old: 1, New: 1}}, nil, []bool{true}); err == nil {
+	if _, err := ix.Rebuild([]doc.Kept{{Old: 0, New: 0}, {Old: 1, New: 1}}, next, []bool{true}); err == nil {
 		t.Error("misaligned mask: want error, got nil")
 	}
-	// a full tiling succeeds, including the empty successor
+	// valid successors rebuild, including the empty one
 	if _, err := ix.Rebuild(nil, nil, nil); err != nil {
 		t.Errorf("empty successor: %v", err)
 	}
-	if _, err := ix.Rebuild([]doc.Kept{{Old: 1, New: 0}}, []AddedDoc{{Pos: 1, Terms: []string{"c"}}}, nil); err != nil {
-		t.Errorf("valid tiling: %v", err)
+	if _, err := ix.Rebuild([]doc.Kept{{Old: 1, New: 0}}, next, nil); err != nil {
+		t.Errorf("valid successor: %v", err)
 	}
 }
 
@@ -195,9 +191,9 @@ func TestRebuildEqualsColdBuild(t *testing.T) {
 		termLists := randomTermLists(rng, 20)
 		ix := BuildFromTerms(termLists, randomMask(rng, len(termLists)))
 		for step := 0; step < 6; step++ {
-			next, kept, added := randomEdit(rng, termLists)
+			next, kept := randomEdit(rng, termLists)
 			served := randomMask(rng, len(next))
-			got, err := ix.Rebuild(kept, added, served)
+			got, err := ix.Rebuild(kept, next, served)
 			if err != nil {
 				t.Fatalf("chain %d step %d: Rebuild: %v", chain, step, err)
 			}
@@ -228,12 +224,8 @@ func TestRebuildEmptySuccessor(t *testing.T) {
 		t.Fatalf("empty successor matched %v", got)
 	}
 	lists := [][]string{{"a", "c"}, {"c"}, {"b", "b"}}
-	added := make([]AddedDoc, len(lists))
-	for i, terms := range lists {
-		added[i] = AddedDoc{Pos: i, Terms: terms}
-	}
 	for _, base := range []*Index{empty, new(Index)} {
-		refilled, err := base.Rebuild(nil, added, nil)
+		refilled, err := base.Rebuild(nil, lists, nil)
 		if err != nil {
 			t.Fatalf("refill: %v", err)
 		}

@@ -215,56 +215,42 @@ func (ix *Index) fill() {
 	}
 }
 
-// AddedDoc is one new sentence handed to Rebuild: its position in the
-// successor document and its normalized term list.
-type AddedDoc struct {
-	Pos   int
-	Terms []string
-}
-
-// Rebuild constructs the successor index after a document edit: kept pairs
-// map this index's sentences (Old position) to their new positions, reusing
-// their term statistics verbatim; added carries the term lists of new
-// sentences at their new positions. Together they must tile the successor
-// document exactly — every position in [0, kept+added) assigned once.
-// served is the successor's mask, aligned with its positions (nil serves
-// every document). The zero Index holds no documents, so rebuilding it with
-// every document added is a cold build.
+// Rebuild constructs the successor index after a document edit. terms holds
+// the successor's term lists, one per position; kept pairs map this
+// index's sentences (Old position) to successor positions (New), whose term
+// counts are reused verbatim. Every position no kept pair covers is counted
+// from terms. served is the successor's mask, aligned with its positions
+// (nil serves every document). The zero Index holds no documents, so
+// rebuilding it with no kept pairs is a cold build.
 //
 // Global statistics — document frequencies, IDF, and therefore every weight
 // — are recomputed from the merged set: IDF is corpus-wide, so one edit can
 // shift every weight in the index. What Rebuild skips is the work that does
-// not depend on the rest of the corpus: term counting here, and
-// tokenization, stemming, and annotation upstream. The result is
+// not depend on the rest of the corpus: term counting for kept sentences
+// here, and tokenization, stemming, and annotation upstream. The result is
 // Float64bits-identical to a cold BuildFromTerms of the successor (see
 // TestRebuildBitIdentical).
-func (ix *Index) Rebuild(kept []doc.Kept, added []AddedDoc, served []bool) (*Index, error) {
-	n := len(kept) + len(added)
+func (ix *Index) Rebuild(kept []doc.Kept, terms [][]string, served []bool) (*Index, error) {
+	n := len(terms)
 	if served != nil && len(served) != n {
 		return nil, fmt.Errorf("vsm: rebuild mask has %d entries for %d documents", len(served), n)
 	}
 	counted := make([]*termCounts, n)
-	place := func(pos int, tc *termCounts) error {
-		if pos < 0 || pos >= n {
-			return fmt.Errorf("vsm: rebuild position %d outside [0,%d)", pos, n)
-		}
-		if counted[pos] != nil {
-			return fmt.Errorf("vsm: rebuild position %d assigned twice", pos)
-		}
-		counted[pos] = tc
-		return nil
-	}
 	for _, k := range kept {
 		if k.Old < 0 || k.Old >= ix.n {
 			return nil, fmt.Errorf("vsm: rebuild kept old position %d outside [0,%d)", k.Old, ix.n)
 		}
-		if err := place(k.New, ix.counted[k.Old]); err != nil {
-			return nil, err
+		if k.New < 0 || k.New >= n {
+			return nil, fmt.Errorf("vsm: rebuild position %d outside [0,%d)", k.New, n)
 		}
+		if counted[k.New] != nil {
+			return nil, fmt.Errorf("vsm: rebuild position %d assigned twice", k.New)
+		}
+		counted[k.New] = ix.counted[k.Old]
 	}
-	for _, a := range added {
-		if err := place(a.Pos, countTerms(a.Terms)); err != nil {
-			return nil, err
+	for pos, tc := range counted {
+		if tc == nil {
+			counted[pos] = countTerms(terms[pos])
 		}
 	}
 	return build(counted, served), nil
