@@ -114,7 +114,7 @@ func BenchmarkTable8_Recognition(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, s := range texts {
-			rec.Classify(s)
+			rec.ClassifyAnnotated(nlp.Annotate(s))
 		}
 	}
 }
@@ -205,7 +205,7 @@ func BenchmarkLayer5_Selectors(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec.ClassifyParsed(tree)
+		rec.ClassifyAnnotated(nlp.FromTree("", tree))
 	}
 }
 
@@ -594,7 +594,7 @@ func BenchmarkAnnotateOnce(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, s := range texts {
-				rec.ClassifyParsed(depparse.ParseText(s))
+				rec.ClassifyAnnotated(nlp.FromTree(s, depparse.ParseText(s)))
 			}
 			vsm.Build(texts)
 		}

@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"repro/internal/depparse"
+	"repro/internal/nlp"
 	"repro/internal/selectors"
 	"repro/internal/srl"
 	"repro/internal/textproc"
@@ -68,7 +69,7 @@ func analyze(text string, conllOnly bool) {
 			}
 		}
 
-		evidence := selectors.Default().ExplainParsed(tree)
+		evidence := selectors.Default().ExplainAnnotated(nlp.FromTree(sentence, tree))
 		if len(evidence) > 0 {
 			fmt.Println("\nselector decision: ADVISING")
 			for _, ev := range evidence {

@@ -19,7 +19,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"strings"
 
 	"repro/internal/corpus"
 	"repro/internal/selectors"
@@ -45,16 +44,9 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	var reg corpus.Register
-	switch strings.ToLower(*corpusReg) {
-	case "cuda":
-		reg = corpus.CUDA
-	case "opencl":
-		reg = corpus.OpenCL
-	case "xeon", "xeonphi":
-		reg = corpus.XeonPhi
-	default:
-		return fmt.Errorf("unknown corpus %q", *corpusReg)
+	reg, err := corpus.ParseRegister(*corpusReg)
+	if err != nil {
+		return err
 	}
 
 	g := corpus.Generate(reg, *seed)

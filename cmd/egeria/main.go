@@ -260,7 +260,7 @@ func loadDiffSource(source string, seed int64) (*htmldoc.Document, []htmldoc.Sen
 		}
 		return d, d.Sentences(), nil
 	}
-	reg, err := corpusRegister(source)
+	reg, err := corpus.ParseRegister(source)
 	if err != nil {
 		return nil, nil, fmt.Errorf("diff source %q is neither a document path (.html, .md, .txt) nor a built-in corpus name", source)
 	}
@@ -385,7 +385,7 @@ func buildAdvisor(fw *core.Framework, docPath, corpusReg string, seed int64) (*c
 		}
 		return fw.BuildFromDocument(doc), docPath, nil
 	case corpusReg != "":
-		reg, err := corpusRegister(corpusReg)
+		reg, err := corpus.ParseRegister(corpusReg)
 		if err != nil {
 			return nil, "", err
 		}
@@ -395,28 +395,14 @@ func buildAdvisor(fw *core.Framework, docPath, corpusReg string, seed int64) (*c
 	return nil, "", fmt.Errorf("one of -doc or -corpus is required")
 }
 
-// corpusRegister maps a -corpus flag value onto a built-in guide register.
-func corpusRegister(name string) (corpus.Register, error) {
-	switch strings.ToLower(name) {
-	case "cuda":
-		return corpus.CUDA, nil
-	case "opencl":
-		return corpus.OpenCL, nil
-	case "xeon", "xeonphi":
-		return corpus.XeonPhi, nil
-	}
-	return 0, fmt.Errorf("unknown corpus %q", name)
-}
-
 // primaryAdvisorName derives the registry name for the primary advisor: the
 // corpus register when one was selected, else the document's base filename.
 func primaryAdvisorName(corpusReg, docPath string) string {
 	if corpusReg != "" {
-		name := strings.ToLower(corpusReg)
-		if name == "xeonphi" {
-			name = "xeon"
+		if reg, err := corpus.ParseRegister(corpusReg); err == nil {
+			return strings.ToLower(reg.String())
 		}
-		return name
+		return strings.ToLower(corpusReg)
 	}
 	base := filepath.Base(docPath)
 	return strings.TrimSuffix(base, filepath.Ext(base))
@@ -517,23 +503,20 @@ func serveSources(fw *core.Framework, cfg serveConfig) ([]lifecycle.Source, erro
 	if cfg.docPath != "" {
 		sources = append(sources, docSource(fw, cfg.primaryName, cfg.docPath, cfg.cfgHash))
 	} else {
-		reg, err := corpusRegister(cfg.corpusReg)
+		reg, err := corpus.ParseRegister(cfg.corpusReg)
 		if err != nil {
 			return nil, err
 		}
 		sources = append(sources, corpusSource(fw, cfg.primaryName, reg, cfg.seed, cfg.cfgHash))
 	}
-	for _, name := range cfg.extra {
-		name := strings.ToLower(name)
-		if name == "xeonphi" {
-			name = "xeon"
-		}
-		if name == cfg.primaryName {
-			continue
-		}
-		reg, err := corpusRegister(name)
+	for _, extra := range cfg.extra {
+		reg, err := corpus.ParseRegister(extra)
 		if err != nil {
 			return nil, err
+		}
+		name := strings.ToLower(reg.String())
+		if name == cfg.primaryName {
+			continue
 		}
 		sources = append(sources, corpusSource(fw, name, reg, cfg.seed, cfg.cfgHash))
 	}
@@ -847,7 +830,7 @@ func cmdREPL(a *core.Advisor, title string) {
 // exportCorpus renders a synthetic guide as an HTML file, so the HTML
 // ingestion path can be exercised against a document with known properties.
 func exportCorpus(register string, seed int64, path string) error {
-	reg, err := corpusRegister(register)
+	reg, err := corpus.ParseRegister(register)
 	if err != nil {
 		return err
 	}

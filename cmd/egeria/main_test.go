@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/corpus"
 	"repro/internal/nvvp"
 )
 
@@ -131,13 +132,16 @@ func TestSplitList(t *testing.T) {
 	}
 }
 
+// TestCorpusRegisterHelper: every spelling -corpus, -corpora, diff and
+// export accept resolves to a built-in guide, and an unknown name is
+// refused.
 func TestCorpusRegisterHelper(t *testing.T) {
-	for _, name := range []string{"cuda", "OpenCL", "xeon", "xeonphi"} {
-		if _, err := corpusRegister(name); err != nil {
-			t.Errorf("corpusRegister(%q): %v", name, err)
+	for _, name := range []string{"cuda", "OpenCL", "xeon", "xeonphi", "XeonPhi"} {
+		if _, err := corpus.ParseRegister(name); err != nil {
+			t.Errorf("ParseRegister(%q): %v", name, err)
 		}
 	}
-	if _, err := corpusRegister("fortran"); err == nil {
+	if _, err := corpus.ParseRegister("fortran"); err == nil {
 		t.Error("unknown register accepted")
 	}
 }

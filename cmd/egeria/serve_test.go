@@ -25,7 +25,7 @@ import (
 // tests boot quickly instead of building full-size advisors.
 func testSource(t testing.TB, name string, size int, seed int64) lifecycle.Source {
 	t.Helper()
-	reg, err := corpusRegister(name)
+	reg, err := corpus.ParseRegister(name)
 	if err != nil {
 		t.Fatal(err)
 	}

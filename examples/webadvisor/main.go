@@ -20,21 +20,15 @@ func main() {
 	register := flag.String("guide", "cuda", "guide register: cuda, opencl, xeon")
 	flag.Parse()
 
-	var reg corpus.Register
+	reg, err := corpus.ParseRegister(*register)
+	if err != nil {
+		log.Fatal(err)
+	}
 	cfg := selectors.DefaultConfig()
-	title := "CUDA Adviser"
-	switch *register {
-	case "cuda":
-		reg = corpus.CUDA
-	case "opencl":
-		reg = corpus.OpenCL
-		title = "OpenCL Adviser"
-	case "xeon":
-		reg = corpus.XeonPhi
+	title := reg.String() + " Adviser"
+	if reg == corpus.XeonPhi {
 		cfg = selectors.XeonTunedConfig()
 		title = "Xeon Phi Adviser"
-	default:
-		log.Fatalf("unknown guide %q", *register)
 	}
 
 	guide := corpus.Generate(reg, 1)

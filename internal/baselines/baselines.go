@@ -1,9 +1,8 @@
 // Package baselines implements the comparison methods of the paper's
 // evaluation: the one-stage "keywords" method (stemmed keyword search over
 // the raw document), the "full-doc" method (VSM/TF-IDF retrieval without
-// advising-sentence recognition), the "KeywordAll" recognition baseline of
-// Table 8 (selector 1 run with the union of every keyword set), and
-// single-selector recognition.
+// advising-sentence recognition), and the "KeywordAll" recognition baseline
+// of Table 8 (the keywords method over the union of every keyword set).
 package baselines
 
 import (
@@ -11,7 +10,6 @@ import (
 	"strings"
 
 	"repro/internal/nlp"
-	"repro/internal/selectors"
 	"repro/internal/textproc"
 	"repro/internal/vsm"
 )
@@ -36,21 +34,14 @@ func FullDocQuery(full *vsm.Index, q string, threshold float64) []int {
 // keywords and sentences reduced to stems so variants of a word match
 // (§4.2: "Both the keywords and the words in the document are reduced to
 // their stem forms").  Multi-word keywords match as consecutive stems.
+// Over a configuration's AllKeywords it is the Table 8 "KeywordAll" row:
+// selector 1 with the union of all keyword sets as FLAGGING WORDS.
 func KeywordSearch(sentences []string, keywords []string) []int {
-	phrases := make([][]string, 0, len(keywords))
-	for _, k := range keywords {
-		if stems := textproc.StemAll(textproc.Words(k)); len(stems) > 0 {
-			phrases = append(phrases, stems)
-		}
-	}
+	phrases := textproc.StemPhrases(keywords)
 	var out []int
 	for i, s := range sentences {
-		stems := textproc.StemAll(textproc.Words(s))
-		for _, p := range phrases {
-			if containsSeq(stems, p) {
-				out = append(out, i)
-				break
-			}
+		if textproc.FindPhrase(textproc.StemAll(textproc.Words(s)), phrases) >= 0 {
+			out = append(out, i)
 		}
 	}
 	return out
@@ -73,47 +64,6 @@ func KeywordSearchNoStemming(sentences []string, keywords []string) []int {
 				break
 			}
 		}
-	}
-	return out
-}
-
-func containsSeq(haystack, needle []string) bool {
-	if len(needle) == 0 || len(needle) > len(haystack) {
-		return false
-	}
-outer:
-	for i := 0; i+len(needle) <= len(haystack); i++ {
-		for j, n := range needle {
-			if haystack[i+j] != n {
-				continue outer
-			}
-		}
-		return true
-	}
-	return false
-}
-
-// KeywordAllRecognize implements the Table 8 "KeywordAll" row: selector 1
-// with the union of all keyword sets replacing FLAGGING WORDS. Returns the
-// per-sentence advising predictions.
-func KeywordAllRecognize(cfg selectors.Config, sentences []string) []bool {
-	union := selectors.Config{FlaggingWords: cfg.AllKeywords()}
-	rec := selectors.New(union)
-	out := make([]bool, len(sentences))
-	for i, s := range sentences {
-		out[i] = rec.Selector1(s)
-	}
-	return out
-}
-
-// SingleSelectorRecognize runs only the k-th selector (1-5) over the
-// sentences — the per-selector rows of Table 8. Annotates each sentence
-// once; callers running several selectors over the same sentences should
-// annotate once themselves and use Recognizer.SelectorAnnotated.
-func SingleSelectorRecognize(rec *selectors.Recognizer, k int, sentences []string) []bool {
-	out := make([]bool, len(sentences))
-	for i, s := range sentences {
-		out[i] = rec.SelectorAnnotated(k, nlp.Annotate(s))
 	}
 	return out
 }

@@ -11,10 +11,10 @@ import (
 
 // TestBuildPipelineEquivalence verifies the staged annotate->classify->index
 // build end to end against the unshared reference path: per-sentence
-// Classify decisions must match the built advisor's rule set exactly, and
-// the advisor's index, which serves the advising sentences only, must score
-// queries bit-identically to a vsm.Build over all the raw texts filtered to
-// the advising sentences.
+// ClassifyAnnotated decisions must match the built advisor's rule set
+// exactly, and the advisor's index, which serves the advising sentences
+// only, must score queries bit-identically to a vsm.Build over all the raw
+// texts filtered to the advising sentences.
 func TestBuildPipelineEquivalence(t *testing.T) {
 	for _, reg := range []corpus.Register{corpus.CUDA, corpus.OpenCL, corpus.XeonPhi} {
 		g := corpus.Generate(reg, 1)
@@ -25,12 +25,12 @@ func TestBuildPipelineEquivalence(t *testing.T) {
 		rec := fw.Recognizer()
 		wantAdv := 0
 		for i, s := range g.Sentences {
-			res := rec.Classify(s.Text)
+			res := rec.ClassifyAnnotated(nlp.Annotate(s.Text))
 			if res.Advising {
 				wantAdv++
 			}
 			if adv.IsAdvising(i) != res.Advising {
-				t.Errorf("%v sentence %d: advisor says %v, Classify says %v\n%q",
+				t.Errorf("%v sentence %d: advisor says %v, ClassifyAnnotated says %v\n%q",
 					reg, i, adv.IsAdvising(i), res.Advising, s.Text)
 			}
 		}
@@ -38,7 +38,7 @@ func TestBuildPipelineEquivalence(t *testing.T) {
 			t.Errorf("%v: %d rules, reference path selects %d", reg, got, wantAdv)
 		}
 		for _, r := range adv.Rules() {
-			if res := rec.Classify(r.Text); r.Selector != res.Selector {
+			if res := rec.ClassifyAnnotated(nlp.Annotate(r.Text)); r.Selector != res.Selector {
 				t.Errorf("%v rule %d: selector %v, reference %v", reg, r.Index, r.Selector, res.Selector)
 			}
 		}

@@ -53,6 +53,21 @@ func (r Register) String() string {
 	return "unknown"
 }
 
+// ParseRegister maps a guide name onto its register, ignoring case: cuda,
+// opencl, and xeon or xeonphi. strings.ToLower(r.String()) is the canonical
+// name of a register.
+func ParseRegister(name string) (Register, error) {
+	switch strings.ToLower(name) {
+	case "cuda":
+		return CUDA, nil
+	case "opencl":
+		return OpenCL, nil
+	case "xeon", "xeonphi":
+		return XeonPhi, nil
+	}
+	return 0, fmt.Errorf("unknown corpus %q (want cuda, opencl or xeon)", name)
+}
+
 // Category is the paper's Table 1 advising sentence category (1-6);
 // 0 marks non-advising sentences.
 type Category int

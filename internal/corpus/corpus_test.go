@@ -260,6 +260,12 @@ func TestRegisterString(t *testing.T) {
 	if Register(99).String() != "unknown" {
 		t.Error("unknown register")
 	}
+	// the lowercased name is the canonical spelling ParseRegister accepts
+	for _, r := range []Register{CUDA, OpenCL, XeonPhi} {
+		if got, err := ParseRegister(strings.ToLower(r.String())); err != nil || got != r {
+			t.Errorf("ParseRegister(%q) = %v, %v", strings.ToLower(r.String()), got, err)
+		}
+	}
 }
 
 func TestFillDeterministicSlots(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/nlp"
 	"repro/internal/selectors"
 )
 
@@ -22,7 +23,7 @@ func TestAdvisingTemplatesTriggerTheirCategory(t *testing.T) {
 			for trial := 0; trial < 3; trial++ {
 				sentence := sentenceCase(fill(rng, tmpl.text, slots))
 				total++
-				if rec.Classify(sentence).Advising {
+				if rec.ClassifyAnnotated(nlp.Annotate(sentence)).Advising {
 					accepted++
 				} else if len(misses) < 5 {
 					misses = append(misses, sentence)
@@ -51,7 +52,7 @@ func TestExplanatoryTemplatesStayClean(t *testing.T) {
 			for trial := 0; trial < 3; trial++ {
 				sentence := sentenceCase(fill(rng, tmpl.text, slots))
 				total++
-				if rec.Classify(sentence).Advising {
+				if rec.ClassifyAnnotated(nlp.Annotate(sentence)).Advising {
 					flagged++
 					if len(hits) < 5 {
 						hits = append(hits, sentence)
@@ -84,7 +85,7 @@ func TestHardTemplatesEvadeSelectors(t *testing.T) {
 			for trial := 0; trial < 3; trial++ {
 				sentence := sentenceCase(fill(rng, tmpl.text, slots))
 				total++
-				if rec.Classify(sentence).Advising {
+				if rec.ClassifyAnnotated(nlp.Annotate(sentence)).Advising {
 					flagged++
 					if len(hits) < 5 {
 						hits = append(hits, sentence)
@@ -133,7 +134,7 @@ func TestEgeriaTrapsActuallyTrap(t *testing.T) {
 		const trials = 4
 		for trial := 0; trial < trials; trial++ {
 			sentence := sentenceCase(fill(rng, tmpl.text, slots))
-			if rec.Classify(sentence).Advising {
+			if rec.ClassifyAnnotated(nlp.Annotate(sentence)).Advising {
 				hits++
 			}
 		}

@@ -209,19 +209,6 @@ func TestLemmaMethod(t *testing.T) {
 	}
 }
 
-func TestHasRelationHelper(t *testing.T) {
-	tree := ParseText("A developer may prefer using buffers.")
-	if !tree.HasRelation(Xcomp, "prefer") {
-		t.Errorf("HasRelation(xcomp, prefer) = false\n%s", tree)
-	}
-	if !tree.HasRelation(Xcomp, "*") {
-		t.Error("wildcard governor failed")
-	}
-	if tree.HasRelation(Xcomp, "buffer") {
-		t.Error("false positive governor")
-	}
-}
-
 func TestEmptyAndDegenerate(t *testing.T) {
 	if tr := ParseText(""); len(tr.Relations) != 0 {
 		t.Errorf("empty sentence produced relations: %v", tr.Relations)

@@ -148,18 +148,6 @@ func (t *Tree) HasSubject(i int) bool {
 	return false
 }
 
-// SubjectsOf returns the dependents of nsubj/nsubjpass relations governed by
-// token i.
-func (t *Tree) SubjectsOf(i int) []int {
-	var out []int
-	for _, r := range t.Relations {
-		if (r.Type == Nsubj || r.Type == Nsubjpass) && r.Governor == i {
-			out = append(out, r.Dependent)
-		}
-	}
-	return out
-}
-
 // AllSubjects returns the dependents of every nsubj relation in the tree.
 func (t *Tree) AllSubjects() []int {
 	var out []int
@@ -208,18 +196,4 @@ func (t *Tree) String() string {
 			r.Type, t.Word(r.Governor), r.Governor+1, t.Word(r.Dependent), r.Dependent+1)
 	}
 	return b.String()
-}
-
-// HasRelation reports whether the tree contains a relation of the given type
-// whose governor's lemma equals govLemma ("*" matches any governor).
-func (t *Tree) HasRelation(rt RelType, govLemma string) bool {
-	for _, r := range t.Relations {
-		if r.Type != rt {
-			continue
-		}
-		if govLemma == "*" || t.Lemma(r.Governor) == govLemma {
-			return true
-		}
-	}
-	return false
 }

@@ -249,7 +249,10 @@ func computeRecognition(reg corpus.Register, cfg selectors.Config) *recognitionD
 		}
 		d.perSel[k-1] = pred
 	}
-	d.kwAll = baselines.KeywordAllRecognize(cfg, texts)
+	d.kwAll = make([]bool, len(texts))
+	for _, i := range baselines.KeywordSearch(texts, cfg.AllKeywords()) {
+		d.kwAll[i] = true
+	}
 	return d
 }
 

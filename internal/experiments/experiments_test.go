@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/nlp"
 	"repro/internal/selectors"
 )
 
@@ -224,7 +225,7 @@ func TestTable8LeaveOneOut(t *testing.T) {
 
 func TestTable8EgeriaEqualsSelectorUnion(t *testing.T) {
 	// the Egeria row must equal the recognizer's own classification
-	// (Classify is exactly the ordered union of the five selectors)
+	// (ClassifyAnnotated is exactly the ordered union of the five selectors)
 	g := corpus.Generate(corpus.XeonPhi, Seed)
 	texts, labels := g.EvalSentences()
 	rec := selectors.Default()
@@ -237,14 +238,14 @@ func TestTable8EgeriaEqualsSelectorUnion(t *testing.T) {
 	}
 	sel := 0
 	for i, s := range texts {
-		if rec.Classify(s).Advising {
+		if rec.ClassifyAnnotated(nlp.Annotate(s)).Advising {
 			sel++
 		}
 		_ = i
 	}
 	_ = labels
 	if sel != egeria.Selected {
-		t.Errorf("union selected %d but Classify selects %d", egeria.Selected, sel)
+		t.Errorf("union selected %d but ClassifyAnnotated selects %d", egeria.Selected, sel)
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/depparse"
 	"repro/internal/eval"
+	"repro/internal/nlp"
 	"repro/internal/selectors"
 	"repro/internal/vsm"
 )
@@ -23,9 +23,12 @@ func recognitionAtSeed(reg corpus.Register, seed int64) (egeria, kwAll eval.PRF)
 	rec := selectors.Default()
 	pred := make([]bool, len(texts))
 	for i, s := range texts {
-		pred[i] = rec.ClassifyParsed(depparse.ParseText(s)).Advising
+		pred[i] = rec.ClassifyAnnotated(nlp.Annotate(s)).Advising
 	}
-	ka := baselines.KeywordAllRecognize(selectors.DefaultConfig(), texts)
+	ka := make([]bool, len(texts))
+	for _, i := range baselines.KeywordSearch(texts, rec.Config().AllKeywords()) {
+		ka[i] = true
+	}
 	return eval.Score(pred, truth), eval.Score(ka, truth)
 }
 

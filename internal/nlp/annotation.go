@@ -1,16 +1,10 @@
 // Package nlp is the shared representation layer between Egeria's NLP
 // passes: the annotate-once core. An Annotation carries everything the
 // multi-layered Stage-I analysis derives from one sentence — tokens, POS
-// tags, the dependency tree, Porter stems — plus lazily-computed products
-// (retrieval terms, SRL purpose clauses and frames, lowercased forms), each
-// materialized at most once and shared by every consumer.
-//
-// Before this layer existed, each downstream pass re-derived its inputs:
-// selector 1 re-tokenized and re-stemmed text the parser had already
-// tokenized, Explain re-parsed sentences Classify had just parsed, and the
-// TF-IDF index re-tokenized and re-stemmed the exact sentences Stage I had
-// processed. With Annotations, the per-sentence NLP cost is paid exactly
-// once regardless of how many layers consume the result.
+// tags and the dependency tree, Porter stems — plus two products computed
+// on first use (retrieval terms and SRL purpose clauses), each materialized
+// at most once and shared by every consumer: the selectors read the stems
+// and purpose clauses, and the TF-IDF index reads the terms.
 //
 // An Annotation is a working value, not a stored one: the framework's build
 // annotates a sentence, classifies it, keeps its Terms and drops the rest,
@@ -22,7 +16,6 @@ package nlp
 
 import (
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,40 +39,17 @@ var (
 )
 
 // Annotation is the full per-sentence analysis, produced once by Annotate
-// and consumed by selectors, SRL, indexing and serving.
+// and consumed by the selectors and the index build.
 type Annotation struct {
 	Text  string // the raw sentence text
 	Tree  *depparse.Tree
 	Stems []string // Porter stem of every token (aligned with Tree.Words)
-
-	lowerOnce sync.Once
-	lower     []string
 
 	termsOnce sync.Once
 	terms     []string
 
 	purposeOnce sync.Once
 	purposes    []srl.Purpose
-
-	framesOnce sync.Once
-	frames     []srl.Frame
-}
-
-// Tokens returns the sentence's word tokens (aliased, do not mutate).
-func (a *Annotation) Tokens() []string { return a.Tree.Words }
-
-// Tags returns the POS tags, aligned with Tokens.
-func (a *Annotation) Tags() []postag.Tag { return a.Tree.Tags }
-
-// Lower returns the lowercased token forms, computed on first use.
-func (a *Annotation) Lower() []string {
-	a.lowerOnce.Do(func() {
-		a.lower = make([]string, len(a.Tree.Words))
-		for i, w := range a.Tree.Words {
-			a.lower[i] = strings.ToLower(w)
-		}
-	})
-	return a.lower
 }
 
 // Terms returns the sentence's retrieval term sequence: stopwords and
@@ -96,21 +66,13 @@ func (a *Annotation) Terms() []string {
 }
 
 // Purposes returns the sentence's purpose clauses (SRL AM-PNC spans),
-// computed on first use and shared by selector 5 and Frames.
+// computed on first use. Selector 5's rule reads them, and so does the
+// evidence that explains it.
 func (a *Annotation) Purposes() []srl.Purpose {
 	a.purposeOnce.Do(func() {
 		a.purposes = srl.PurposeClauses(a.Tree)
 	})
 	return a.purposes
-}
-
-// Frames returns the sentence's predicate-argument frames, computed on
-// first use (reusing Purposes rather than re-scanning for them).
-func (a *Annotation) Frames() []srl.Frame {
-	a.framesOnce.Do(func() {
-		a.frames = srl.LabelWithPurposes(a.Tree, a.Purposes())
-	})
-	return a.frames
 }
 
 // Annotator annotates sentence lists in parallel (AnnotateAll); a single

@@ -27,11 +27,11 @@ func TestAnnotationMatchesLayers(t *testing.T) {
 	for _, s := range testSentences {
 		ann := Annotate(s)
 		words := textproc.Words(s)
-		if !reflect.DeepEqual(ann.Tokens(), words) {
-			t.Errorf("Tokens(%q) = %v, want %v", s, ann.Tokens(), words)
+		if !reflect.DeepEqual(ann.Tree.Words, words) {
+			t.Errorf("words of %q = %v, want %v", s, ann.Tree.Words, words)
 		}
-		if !reflect.DeepEqual(ann.Tags(), postag.Tags(words)) {
-			t.Errorf("Tags(%q) mismatch", s)
+		if !reflect.DeepEqual(ann.Tree.Tags, postag.Tags(words)) {
+			t.Errorf("tags of %q mismatch", s)
 		}
 		if !reflect.DeepEqual(ann.Stems, textproc.StemAll(words)) {
 			t.Errorf("Stems(%q) = %v, want %v", s, ann.Stems, textproc.StemAll(words))
@@ -57,16 +57,13 @@ func TestTermsMatchNormalizeTerms(t *testing.T) {
 	}
 }
 
-// TestLazyProductsMatchSRL verifies the lazily-computed SRL products equal
-// direct srl calls on the same tree.
+// TestLazyProductsMatchSRL verifies the lazily-computed purpose clauses
+// equal a direct srl call on the same tree.
 func TestLazyProductsMatchSRL(t *testing.T) {
 	for _, s := range testSentences {
 		ann := Annotate(s)
 		if !reflect.DeepEqual(ann.Purposes(), srl.PurposeClauses(ann.Tree)) {
 			t.Errorf("Purposes(%q) mismatch", s)
-		}
-		if !reflect.DeepEqual(ann.Frames(), srl.Label(ann.Tree)) {
-			t.Errorf("Frames(%q) mismatch", s)
 		}
 		// memoized: the same slice comes back
 		if len(ann.Purposes()) > 0 && &ann.Purposes()[0] != &ann.purposes[0] {
@@ -100,8 +97,8 @@ func TestAnnotateAllOrder(t *testing.T) {
 		if parallel[i].Text != texts[i] {
 			t.Fatalf("text %d: got %q", i, parallel[i].Text)
 		}
-		if !reflect.DeepEqual(parallel[i].Tokens(), serial[i].Tokens()) {
-			t.Fatalf("tokens %d differ between parallel and serial annotation", i)
+		if !reflect.DeepEqual(parallel[i].Tree, serial[i].Tree) {
+			t.Fatalf("tree %d differs between parallel and serial annotation", i)
 		}
 	}
 }
@@ -128,17 +125,13 @@ func TestConcurrentLazyAccess(t *testing.T) {
 	var wg sync.WaitGroup
 	terms := ann.Terms() // reference values
 	purposes := ann.Purposes()
-	frames := ann.Frames()
-	lower := ann.Lower()
 	for w := 0; w < 16; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				if !reflect.DeepEqual(ann.Terms(), terms) ||
-					!reflect.DeepEqual(ann.Purposes(), purposes) ||
-					!reflect.DeepEqual(ann.Frames(), frames) ||
-					!reflect.DeepEqual(ann.Lower(), lower) {
+					!reflect.DeepEqual(ann.Purposes(), purposes) {
 					t.Error("lazy product changed under concurrency")
 					return
 				}

@@ -6,12 +6,6 @@ import (
 	"repro/internal/textproc"
 )
 
-// TaggedToken pairs a token with its assigned tag.
-type TaggedToken struct {
-	Text string
-	Tag  Tag
-}
-
 // Tag assigns a part-of-speech tag to every token of one sentence. The
 // algorithm is two-phase: lexicon/morphology assignment followed by
 // contextual repair rules (a small Brill-style pass specialized for the
@@ -27,16 +21,6 @@ func Tags(words []string) []Tag {
 	}
 	contextualRepair(words, lower, tags)
 	return tags
-}
-
-// TagTokens is a convenience wrapper returning token/tag pairs.
-func TagTokens(words []string) []TaggedToken {
-	tags := Tags(words)
-	out := make([]TaggedToken, len(words))
-	for i := range words {
-		out[i] = TaggedToken{Text: words[i], Tag: tags[i]}
-	}
-	return out
 }
 
 func initialTag(word, lw string, pos int) Tag {

@@ -71,3 +71,15 @@ func XeonTunedConfig() Config {
 	cfg.KeySubjects = append(cfg.KeySubjects, "user", "one")
 	return cfg
 }
+
+// AllKeywords returns the union of every keyword in the configuration —
+// the KeywordAll baseline of the paper's Table 8.
+func (c Config) AllKeywords() []string {
+	var out []string
+	out = append(out, c.FlaggingWords...)
+	out = append(out, c.XcompGovernors...)
+	out = append(out, c.ImperativeWords...)
+	out = append(out, c.KeySubjects...)
+	out = append(out, c.KeyPredicates...)
+	return out
+}

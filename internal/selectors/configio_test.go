@@ -69,10 +69,10 @@ func TestMergedConfigWorks(t *testing.T) {
 	custom := Config{FlaggingWords: []string{"zgyx pattern"}}
 	merged := DefaultConfig().Merge(custom)
 	r := New(merged)
-	if !r.Selector1("The zgyx pattern appears here.") {
+	if !accepts(r, 1, "The zgyx pattern appears here.") {
 		t.Error("merged keyword not live")
 	}
-	if !r.Selector1("Buffers are a good choice here.") {
+	if !accepts(r, 1, "Buffers are a good choice here.") {
 		t.Error("base keyword lost")
 	}
 }

@@ -2,9 +2,7 @@ package selectors
 
 import (
 	"fmt"
-	"strings"
 
-	"repro/internal/depparse"
 	"repro/internal/nlp"
 	"repro/internal/srl"
 	"repro/internal/textproc"
@@ -19,91 +17,36 @@ type Evidence struct {
 	Detail   string // human-readable, e.g. `flagging phrase "good choice"`
 }
 
-// Explain returns the evidence for every selector that accepts the sentence
-// (not just the first, unlike Classify). An empty slice means no selector
-// fires.
-func (r *Recognizer) Explain(sentence string) []Evidence {
-	return r.ExplainAnnotated(nlp.Annotate(sentence))
-}
-
-// ExplainParsed is Explain over a pre-parsed sentence.
-func (r *Recognizer) ExplainParsed(tree *depparse.Tree) []Evidence {
-	return r.ExplainAnnotated(nlp.FromTree("", tree))
-}
-
-// ExplainAnnotated is Explain over a shared annotation: the stems and
-// purpose clauses Classify already materialized are reused, so explaining a
-// classified sentence costs no additional NLP work.
+// ExplainAnnotated returns the evidence for every selector that accepts the
+// annotated sentence, in selector order (not just the first, unlike
+// ClassifyAnnotated). An empty slice means no selector fires. Each detail
+// is formatted from the position the rule's match returned.
 func (r *Recognizer) ExplainAnnotated(a *nlp.Annotation) []Evidence {
 	tree := a.Tree
 	var out []Evidence
-
-	// selector 1: first matching flagging phrase
-	for pi, phrase := range r.flaggingPhrases {
-		if containsSubsequence(a.Stems, phrase) {
-			out = append(out, Evidence{
-				Selector: Keyword,
-				Detail:   fmt.Sprintf("flagging phrase %q", r.cfg.FlaggingWords[pi]),
-			})
-			break
-		}
-	}
-
-	// selector 2: the xcomp governor
-	for _, rel := range tree.Relations {
-		if rel.Type != depparse.Xcomp || rel.Governor < 0 {
+	for k := Keyword; k <= Purpose; k++ {
+		i := r.match(k, a)
+		if i < 0 {
 			continue
 		}
-		if r.xcompLemmas[tree.Lemma(rel.Governor)] || r.xcompLemmas[strings.ToLower(tree.Words[rel.Governor])] {
-			out = append(out, Evidence{
-				Selector: Comparative,
-				Detail: fmt.Sprintf("xcomp(%s, %s)",
-					tree.Words[rel.Governor], tree.Words[rel.Dependent]),
-			})
-			break
+		var detail string
+		switch k {
+		case Keyword:
+			detail = fmt.Sprintf("flagging phrase %q", r.flagging[i].Text)
+		case Comparative:
+			rel := tree.Relations[i]
+			detail = fmt.Sprintf("xcomp(%s, %s)", tree.Words[rel.Governor], tree.Words[rel.Dependent])
+		case Imperative:
+			detail = fmt.Sprintf("imperative root %q with no subject", tree.Words[i])
+		case Subject:
+			detail = fmt.Sprintf("subject %q (lemma %q)",
+				tree.Words[i], textproc.Lemma(tree.Words[i], textproc.NounClass))
+		case Purpose:
+			p := a.Purposes()[i]
+			detail = fmt.Sprintf("purpose %q with predicate %q",
+				srl.SpanText(tree, p.Start, p.End), textproc.Lemma(tree.Words[p.Predicate], textproc.VerbClass))
 		}
-	}
-
-	// selector 3: the subjectless imperative root
-	for _, v := range tree.ConjChainFromRoot() {
-		if !tree.Tags[v].IsVerb() {
-			continue
-		}
-		if tree.Tags[v] != "VB" && tree.Tags[v] != "VBP" {
-			continue
-		}
-		if r.imperativeLems[tree.Lemma(v)] && !tree.HasSubject(v) {
-			out = append(out, Evidence{
-				Selector: Imperative,
-				Detail:   fmt.Sprintf("imperative root %q with no subject", tree.Words[v]),
-			})
-			break
-		}
-	}
-
-	// selector 4: the key subject
-	for _, n := range tree.AllSubjects() {
-		lemma := textproc.Lemma(tree.Words[n], textproc.NounClass)
-		if r.subjectLemmas[lemma] {
-			out = append(out, Evidence{
-				Selector: Subject,
-				Detail:   fmt.Sprintf("subject %q (lemma %q)", tree.Words[n], lemma),
-			})
-			break
-		}
-	}
-
-	// selector 5: the purpose clause and its predicate
-	for _, p := range a.Purposes() {
-		lemma := textproc.Lemma(tree.Words[p.Predicate], textproc.VerbClass)
-		if r.predicateLemmas[lemma] {
-			out = append(out, Evidence{
-				Selector: Purpose,
-				Detail: fmt.Sprintf("purpose %q with predicate %q",
-					srl.SpanText(tree, p.Start, p.End), lemma),
-			})
-			break
-		}
+		out = append(out, Evidence{Selector: k, Detail: detail})
 	}
 	return out
 }

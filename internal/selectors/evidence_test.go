@@ -4,12 +4,13 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/depparse"
+	"repro/internal/corpus"
+	"repro/internal/nlp"
 )
 
 func evidenceFor(t *testing.T, sentence string) []Evidence {
 	t.Helper()
-	return Default().Explain(sentence)
+	return Default().ExplainAnnotated(nlp.Annotate(sentence))
 }
 
 func TestExplainFlaggingPhrase(t *testing.T) {
@@ -19,6 +20,18 @@ func TestExplainFlaggingPhrase(t *testing.T) {
 	}
 	if !strings.Contains(ev[0].Detail, "good choice") {
 		t.Errorf("detail %q", ev[0].Detail)
+	}
+}
+
+// TestExplainNamesTheMatchedPhrase: a configuration may hold a phrase with
+// no words (Merge keeps " "), which can match nothing; the evidence must
+// still name the phrase that matched, not the one at its position in the
+// configuration.
+func TestExplainNamesTheMatchedPhrase(t *testing.T) {
+	r := New(DefaultConfig().Merge(Config{FlaggingWords: []string{" ", "streaming writes"}}))
+	ev := r.ExplainAnnotated(nlp.Annotate("Buffers suit streaming writes."))
+	if len(ev) == 0 || ev[0] != (Evidence{Selector: Keyword, Detail: `flagging phrase "streaming writes"`}) {
+		t.Errorf("evidence: %+v", ev)
 	}
 }
 
@@ -70,10 +83,14 @@ func TestExplainEmptyForPlainSentences(t *testing.T) {
 	}
 }
 
-// Explain and Classify must agree: evidence is non-empty exactly when
-// Classify says advising, and the first evidence selector matches.
+// TestExplainConsistentWithClassify: the verdict, the per-selector
+// decisions and the evidence all come from one matcher, so over a few
+// hand-picked sentences and every sentence of the three guides, under
+// both configurations, evidence is non-empty exactly when
+// ClassifyAnnotated says advising, the first evidence names the verdict's
+// selector, and selector k alone accepts the sentence exactly when some
+// evidence names k (once, in selector order).
 func TestExplainConsistentWithClassify(t *testing.T) {
-	r := Default()
 	sentences := []string{
 		"Buffers are a good choice for streaming writes.",
 		"Avoid bank conflicts in shared memory.",
@@ -83,16 +100,33 @@ func TestExplainConsistentWithClassify(t *testing.T) {
 		"The first step is to minimize data transfers with low bandwidth.",
 		"Each bank serves one request per cycle.",
 	}
-	for _, s := range sentences {
-		tree := depparse.ParseText(s)
-		res := r.ClassifyParsed(tree)
-		ev := r.ExplainParsed(tree)
-		if res.Advising != (len(ev) > 0) {
-			t.Errorf("%q: advising=%v but %d evidence entries", s, res.Advising, len(ev))
-			continue
-		}
-		if res.Advising && ev[0].Selector != res.Selector {
-			t.Errorf("%q: Classify selector %v but first evidence %v", s, res.Selector, ev[0].Selector)
+	for _, reg := range []corpus.Register{corpus.CUDA, corpus.OpenCL, corpus.XeonPhi} {
+		sentences = append(sentences, corpus.Generate(reg, 1).Texts()...)
+	}
+	for _, cfg := range []Config{DefaultConfig(), XeonTunedConfig()} {
+		r := New(cfg)
+		for _, s := range sentences {
+			ann := nlp.Annotate(s)
+			res := r.ClassifyAnnotated(ann)
+			ev := r.ExplainAnnotated(ann)
+			if res.Advising != (len(ev) > 0) {
+				t.Fatalf("%q: advising=%v but %d evidence entries", s, res.Advising, len(ev))
+			}
+			if res.Advising && ev[0].Selector != res.Selector {
+				t.Fatalf("%q: verdict selector %v but first evidence %v", s, res.Selector, ev[0].Selector)
+			}
+			named := map[SelectorID]bool{}
+			for i, e := range ev {
+				if i > 0 && e.Selector <= ev[i-1].Selector {
+					t.Fatalf("%q: evidence out of selector order: %+v", s, ev)
+				}
+				named[e.Selector] = true
+			}
+			for k := Keyword; k <= Purpose; k++ {
+				if got := r.SelectorAnnotated(int(k), ann); got != named[k] {
+					t.Fatalf("%q: selector %d alone says %v, evidence %+v", s, k, got, ev)
+				}
+			}
 		}
 	}
 }

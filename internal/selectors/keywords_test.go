@@ -54,8 +54,8 @@ func TestEveryFlaggingWordTriggers(t *testing.T) {
 		if !ok {
 			sentence = fmt.Sprintf("This technique %s in most kernels.", kw)
 		}
-		if !r.Selector1(sentence) {
-			t.Errorf("flagging word %q: Selector1 rejected carrier %q", kw, sentence)
+		if !accepts(r, 1, sentence) {
+			t.Errorf("flagging word %q: selector 1 rejected carrier %q", kw, sentence)
 		}
 	}
 }
@@ -88,8 +88,8 @@ func TestEveryImperativeWordTriggers(t *testing.T) {
 		if !ok {
 			t.Fatalf("no carrier sentence for imperative word %q", kw)
 		}
-		if !r.Selector3(sentence) {
-			t.Errorf("imperative word %q: Selector3 rejected %q\n%s",
+		if !accepts(r, 3, sentence) {
+			t.Errorf("imperative word %q: selector 3 rejected %q\n%s",
 				kw, sentence, depparse.ParseText(sentence))
 		}
 	}
@@ -102,8 +102,8 @@ func TestEveryKeySubjectTriggers(t *testing.T) {
 	for _, kw := range DefaultConfig().KeySubjects {
 		for _, form := range []string{kw, plural(kw)} {
 			sentence := fmt.Sprintf("The %s can tune the launch parameters for the device.", form)
-			if !r.Selector4(sentence) {
-				t.Errorf("key subject %q (form %q): Selector4 rejected %q\n%s",
+			if !accepts(r, 4, sentence) {
+				t.Errorf("key subject %q (form %q): selector 4 rejected %q\n%s",
 					kw, form, sentence, depparse.ParseText(sentence))
 			}
 		}
@@ -123,8 +123,8 @@ func TestEveryKeyPredicateTriggers(t *testing.T) {
 	r := Default()
 	for _, kw := range DefaultConfig().KeyPredicates {
 		sentence := fmt.Sprintf("Restructure the loop nest to %s a full overlap of the two phases.", kw)
-		if !r.Selector5(sentence) {
-			t.Errorf("key predicate %q: Selector5 rejected %q\n%s",
+		if !accepts(r, 5, sentence) {
+			t.Errorf("key predicate %q: selector 5 rejected %q\n%s",
 				kw, sentence, depparse.ParseText(sentence))
 		}
 	}
@@ -156,8 +156,8 @@ func TestXcompGovernorsTrigger(t *testing.T) {
 		if !ok {
 			t.Fatalf("no carrier for xcomp governor %q", kw)
 		}
-		if !r.Selector2(sentence) {
-			t.Errorf("xcomp governor %q: Selector2 rejected %q\n%s",
+		if !accepts(r, 2, sentence) {
+			t.Errorf("xcomp governor %q: selector 2 rejected %q\n%s",
 				kw, sentence, depparse.ParseText(sentence))
 		}
 	}

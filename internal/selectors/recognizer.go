@@ -8,7 +8,6 @@ import (
 	"repro/internal/nlp"
 	"repro/internal/obs"
 	"repro/internal/postag"
-	"repro/internal/srl"
 	"repro/internal/textproc"
 )
 
@@ -86,7 +85,7 @@ type Result struct {
 type Recognizer struct {
 	cfg Config
 
-	flaggingPhrases [][]string // stemmed token sequences
+	flagging        []textproc.Phrase
 	xcompLemmas     map[string]bool
 	imperativeLems  map[string]bool
 	subjectLemmas   map[string]bool
@@ -99,16 +98,11 @@ type Recognizer struct {
 func New(cfg Config) *Recognizer {
 	r := &Recognizer{
 		cfg:             cfg,
+		flagging:        textproc.StemPhrases(cfg.FlaggingWords),
 		xcompLemmas:     map[string]bool{},
 		imperativeLems:  map[string]bool{},
 		subjectLemmas:   map[string]bool{},
 		predicateLemmas: map[string]bool{},
-	}
-	for _, phrase := range cfg.FlaggingWords {
-		stems := textproc.StemAll(textproc.Words(phrase))
-		if len(stems) > 0 {
-			r.flaggingPhrases = append(r.flaggingPhrases, stems)
-		}
 	}
 	for _, w := range cfg.XcompGovernors {
 		r.xcompLemmas[textproc.Lemma(w, textproc.VerbClass)] = true
@@ -134,214 +128,80 @@ func Default() *Recognizer { return New(DefaultConfig()) }
 func (r *Recognizer) Config() Config { return r.cfg }
 
 // ClassifyAnnotated runs the five selectors in order over a shared
-// annotation — the canonical classification path. Every layer it needs
-// (tokens, stems, tags, tree, purpose clauses) is read from the annotation,
-// so nothing is recomputed; the annotation's lazy products (purpose
-// clauses) are materialized at most once even across repeated calls.
+// annotation and reports the first that accepts the sentence. Every layer
+// it needs (stems, tags, tree, purpose clauses) is read from the
+// annotation, so nothing is recomputed.
 func (r *Recognizer) ClassifyAnnotated(a *nlp.Annotation) Result {
 	start := time.Now()
-	res := r.classifyAnnotated(a)
+	var res Result
+	for k := Keyword; k <= Purpose; k++ {
+		if r.match(k, a) >= 0 {
+			res = Result{Advising: true, Selector: k}
+			break
+		}
+	}
 	classifyHist.ObserveDuration(time.Since(start))
 	classifiedTotal.Inc()
 	selectorHits[res.Selector].Inc()
 	return res
 }
 
-func (r *Recognizer) classifyAnnotated(a *nlp.Annotation) Result {
-	if r.selector1Stems(a.Stems) {
-		return Result{Advising: true, Selector: Keyword}
-	}
-	switch {
-	case r.Selector2Tree(a.Tree):
-		return Result{Advising: true, Selector: Comparative}
-	case r.Selector3Tree(a.Tree):
-		return Result{Advising: true, Selector: Imperative}
-	case r.Selector4Tree(a.Tree):
-		return Result{Advising: true, Selector: Subject}
-	case r.selector5Annotated(a):
-		return Result{Advising: true, Selector: Purpose}
-	}
-	return Result{}
+// SelectorAnnotated reports whether the k-th selector (1-based) alone
+// accepts the annotated sentence: the per-selector rows of Table 8.
+func (r *Recognizer) SelectorAnnotated(k int, a *nlp.Annotation) bool {
+	return r.match(SelectorID(k), a) >= 0
 }
 
-// Classify is ClassifyAnnotated for a raw sentence (thin shim: annotate,
-// then classify).
-func (r *Recognizer) Classify(sentence string) Result {
-	return r.ClassifyAnnotated(nlp.Annotate(sentence))
-}
-
-// ClassifyParsed is ClassifyAnnotated for a pre-parsed sentence (thin shim:
-// wrap the tree in an annotation).
-func (r *Recognizer) ClassifyParsed(tree *depparse.Tree) Result {
-	return r.ClassifyAnnotated(nlp.FromTree("", tree))
-}
-
-// Selector1 implements Rule 1: the sentence contains a flagging keyword
-// (after stemming; phrases match as consecutive stems).
-func (r *Recognizer) Selector1(sentence string) bool {
-	return r.selector1Tokens(textproc.Words(sentence))
-}
-
-func (r *Recognizer) selector1Tokens(words []string) bool {
-	return r.selector1Stems(textproc.StemAll(words))
-}
-
-// selector1Stems matches the flagging phrases against pre-stemmed tokens —
-// the annotation path, which shares the stems with Stage II's term
-// normalization instead of re-stemming.
-func (r *Recognizer) selector1Stems(stems []string) bool {
-	for _, phrase := range r.flaggingPhrases {
-		if containsSubsequence(stems, phrase) {
-			return true
-		}
-	}
-	return false
-}
-
-func containsSubsequence(haystack, needle []string) bool {
-	if len(needle) == 0 || len(needle) > len(haystack) {
-		return false
-	}
-outer:
-	for i := 0; i+len(needle) <= len(haystack); i++ {
-		for j, n := range needle {
-			if haystack[i+j] != n {
-				continue outer
+// match is the one implementation of Rules 1-5. It returns where rule k
+// holds in the sentence, or -1 if it does not:
+//
+//	Rule 1: the sentence contains a FLAGGING WORDS phrase, matched as
+//	        consecutive stems; returns the phrase's index.
+//	Rule 2: it contains xcomp(governor, *) with the governor in XCOMP
+//	        GOVERNORS, covering comparative (category II) and passive
+//	        (category III) sentences; returns the relation's index.
+//	Rule 3: the root verb, or a clause head coordinated with it ("..., so
+//	        avoid ..." is the paper's own category-IV example), is an
+//	        IMPERATIVE WORD with no subject; returns the verb's word index.
+//	Rule 4: it contains nsubj(*, n) with lemma(n) in KEY SUBJECTS; returns
+//	        n.
+//	Rule 5: it contains an AM-PNC purpose clause whose predicate lemma is
+//	        in KEY PREDICATES; returns the clause's index in a.Purposes().
+func (r *Recognizer) match(k SelectorID, a *nlp.Annotation) int {
+	tree := a.Tree
+	switch k {
+	case Keyword:
+		return textproc.FindPhrase(a.Stems, r.flagging)
+	case Comparative:
+		for i, rel := range tree.Relations {
+			if rel.Type != depparse.Xcomp || rel.Governor < 0 {
+				continue
+			}
+			if r.xcompLemmas[tree.Lemma(rel.Governor)] || r.xcompLemmas[strings.ToLower(tree.Words[rel.Governor])] {
+				return i
 			}
 		}
-		return true
-	}
-	return false
-}
-
-// Selector2 implements Rule 2 on raw text; see Selector2Tree.
-func (r *Recognizer) Selector2(sentence string) bool {
-	return r.Selector2Tree(depparse.ParseText(sentence))
-}
-
-// Selector2Tree implements Rule 2: the sentence contains
-// xcomp(governor, *) with lemma(governor) in XCOMP GOVERNORS. This covers
-// both comparative (category II) and passive (category III) sentences.
-func (r *Recognizer) Selector2Tree(tree *depparse.Tree) bool {
-	for _, rel := range tree.Relations {
-		if rel.Type != depparse.Xcomp {
-			continue
+	case Imperative:
+		for _, v := range tree.ConjChainFromRoot() {
+			if tree.Tags[v] != postag.VB && tree.Tags[v] != postag.VBP {
+				continue
+			}
+			if r.imperativeLems[tree.Lemma(v)] && !tree.HasSubject(v) {
+				return v
+			}
 		}
-		gov := rel.Governor
-		if gov < 0 {
-			continue
+	case Subject:
+		for _, n := range tree.AllSubjects() {
+			if r.subjectLemmas[textproc.Lemma(tree.Words[n], textproc.NounClass)] {
+				return n
+			}
 		}
-		if r.xcompLemmas[tree.Lemma(gov)] || r.xcompLemmas[strings.ToLower(tree.Words[gov])] {
-			return true
+	case Purpose:
+		for i, p := range a.Purposes() {
+			if r.predicateLemmas[textproc.Lemma(tree.Words[p.Predicate], textproc.VerbClass)] {
+				return i
+			}
 		}
 	}
-	return false
-}
-
-// Selector3 implements Rule 3 on raw text; see Selector3Tree.
-func (r *Recognizer) Selector3(sentence string) bool {
-	return r.Selector3Tree(depparse.ParseText(sentence))
-}
-
-// Selector3Tree implements Rule 3: the root verb (or a clause head
-// coordinated with it, covering "..., so avoid ..." — the paper's own
-// category-IV example) is an IMPERATIVE WORD with no nominal subject.
-func (r *Recognizer) Selector3Tree(tree *depparse.Tree) bool {
-	for _, v := range tree.ConjChainFromRoot() {
-		if !tree.Tags[v].IsVerb() {
-			continue
-		}
-		if tree.Tags[v] != postag.VB && tree.Tags[v] != postag.VBP {
-			continue
-		}
-		if !r.imperativeLems[tree.Lemma(v)] {
-			continue
-		}
-		if !tree.HasSubject(v) {
-			return true
-		}
-	}
-	return false
-}
-
-// Selector4 implements Rule 4 on raw text; see Selector4Tree.
-func (r *Recognizer) Selector4(sentence string) bool {
-	return r.Selector4Tree(depparse.ParseText(sentence))
-}
-
-// Selector4Tree implements Rule 4: the sentence contains nsubj(governor, n)
-// with lemma(n) in KEY SUBJECTS.
-func (r *Recognizer) Selector4Tree(tree *depparse.Tree) bool {
-	for _, n := range tree.AllSubjects() {
-		if r.subjectLemmas[textproc.Lemma(tree.Words[n], textproc.NounClass)] {
-			return true
-		}
-	}
-	return false
-}
-
-// Selector5 implements Rule 5 on raw text; see Selector5Tree.
-func (r *Recognizer) Selector5(sentence string) bool {
-	return r.Selector5Tree(depparse.ParseText(sentence))
-}
-
-// Selector5Tree implements Rule 5: the sentence contains an AM-PNC purpose
-// argument whose predicate lemma is in KEY PREDICATES.
-func (r *Recognizer) Selector5Tree(tree *depparse.Tree) bool {
-	return srl.HasPurposeWithPredicate(tree, r.predicateLemmas)
-}
-
-// selector5Annotated is Rule 5 over the annotation's cached purpose clauses.
-func (r *Recognizer) selector5Annotated(a *nlp.Annotation) bool {
-	return srl.PurposesHavePredicate(a.Tree, a.Purposes(), r.predicateLemmas)
-}
-
-// SelectorTree dispatches to the k-th selector (1-based) over a parsed
-// sentence; used by the Table 8 ablation harness.
-func (r *Recognizer) SelectorTree(k int, tree *depparse.Tree) bool {
-	switch k {
-	case 1:
-		return r.selector1Tokens(tree.Words)
-	case 2:
-		return r.Selector2Tree(tree)
-	case 3:
-		return r.Selector3Tree(tree)
-	case 4:
-		return r.Selector4Tree(tree)
-	case 5:
-		return r.Selector5Tree(tree)
-	}
-	return false
-}
-
-// SelectorAnnotated dispatches to the k-th selector (1-based) over a shared
-// annotation, reusing its stems (selector 1) and cached purpose clauses
-// (selector 5) — the ablation harness path that keeps per-selector runs
-// from re-deriving each other's inputs.
-func (r *Recognizer) SelectorAnnotated(k int, a *nlp.Annotation) bool {
-	switch k {
-	case 1:
-		return r.selector1Stems(a.Stems)
-	case 2:
-		return r.Selector2Tree(a.Tree)
-	case 3:
-		return r.Selector3Tree(a.Tree)
-	case 4:
-		return r.Selector4Tree(a.Tree)
-	case 5:
-		return r.selector5Annotated(a)
-	}
-	return false
-}
-
-// AllKeywords returns the union of every keyword in the configuration —
-// the KeywordAll baseline of the paper's Table 8.
-func (c Config) AllKeywords() []string {
-	var out []string
-	out = append(out, c.FlaggingWords...)
-	out = append(out, c.XcompGovernors...)
-	out = append(out, c.ImperativeWords...)
-	out = append(out, c.KeySubjects...)
-	out = append(out, c.KeyPredicates...)
-	return out
+	return -1
 }

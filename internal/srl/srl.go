@@ -74,18 +74,11 @@ var controlVerbs = map[string]bool{
 
 // Label produces the predicate-argument frames of one parsed sentence.
 func Label(tree *depparse.Tree) []Frame {
-	return LabelWithPurposes(tree, PurposeClauses(tree))
-}
-
-// LabelWithPurposes is Label with the sentence's purpose clauses already
-// computed — the annotation-fed entry point: an nlp.Annotation finds the
-// purpose clauses once and shares them between selector 5 and full frame
-// labeling instead of re-scanning the sentence.
-func LabelWithPurposes(tree *depparse.Tree, purposes []Purpose) []Frame {
 	n := len(tree.Words)
 	if n == 0 {
 		return nil
 	}
+	purposes := PurposeClauses(tree)
 	var frames []Frame
 	for v := 0; v < n; v++ {
 		if !isFramePredicate(tree, v) {
@@ -304,25 +297,6 @@ func governingPredicate(tree *depparse.Tree, p Purpose, all []Purpose) int {
 		}
 	}
 	return -1
-}
-
-// HasPurposeWithPredicate reports whether the sentence contains a purpose
-// clause whose predicate lemma is in the given set — the exact condition of
-// Egeria's Rule 5.
-func HasPurposeWithPredicate(tree *depparse.Tree, predicates map[string]bool) bool {
-	return PurposesHavePredicate(tree, PurposeClauses(tree), predicates)
-}
-
-// PurposesHavePredicate is HasPurposeWithPredicate over precomputed purpose
-// clauses (the annotation-fed entry point).
-func PurposesHavePredicate(tree *depparse.Tree, purposes []Purpose, predicates map[string]bool) bool {
-	for _, p := range purposes {
-		lemma := textproc.Lemma(tree.Words[p.Predicate], textproc.VerbClass)
-		if predicates[lemma] {
-			return true
-		}
-	}
-	return false
 }
 
 // SpanText renders the token span [start,end] of the tree as a string.

@@ -83,13 +83,13 @@ var followUpQueries = []string{
 
 // signatures map each optimization to the stemmed phrases whose appearance
 // in retrieved advice surfaces it.
-var signatures = map[gpusim.Optimization][]string{
-	gpusim.RemoveDivergence: {"divergent", "divergence", "branch direction", "predication"},
-	gpusim.CoalesceAccesses: {"coalescing", "coalesce", "coalesced", "alignment", "access pattern", "stride", "segment"},
-	gpusim.TuneOccupancy:    {"occupancy", "threads per block", "block size", "register usage", "resident", "launch configuration", "execution configuration"},
-	gpusim.UnrollLoop:       {"unroll", "unrolling"},
-	gpusim.StageShared:      {"shared memory", "stage", "staging", "tile"},
-	gpusim.PinTransfers:     {"pinned", "page-locked", "transfers", "streams", "overlap", "batching"},
+var signatures = map[gpusim.Optimization][]textproc.Phrase{
+	gpusim.RemoveDivergence: textproc.StemPhrases([]string{"divergent", "divergence", "branch direction", "predication"}),
+	gpusim.CoalesceAccesses: textproc.StemPhrases([]string{"coalescing", "coalesce", "coalesced", "alignment", "access pattern", "stride", "segment"}),
+	gpusim.TuneOccupancy:    textproc.StemPhrases([]string{"occupancy", "threads per block", "block size", "register usage", "resident", "launch configuration", "execution configuration"}),
+	gpusim.UnrollLoop:       textproc.StemPhrases([]string{"unroll", "unrolling"}),
+	gpusim.StageShared:      textproc.StemPhrases([]string{"shared memory", "stage", "staging", "tile"}),
+	gpusim.PinTransfers:     textproc.StemPhrases([]string{"pinned", "page-locked", "transfers", "streams", "overlap", "batching"}),
 }
 
 // SurfacedOptimizations runs the advisor exactly as a student would (report
@@ -133,41 +133,14 @@ func MatchOptimizations(adviceTexts []string) []gpusim.Optimization {
 func matchStems(adviceStems [][]string) []gpusim.Optimization {
 	var surfaced []gpusim.Optimization
 	for opt := gpusim.Optimization(0); opt < gpusim.NumOptimizations; opt++ {
-		sigs := signatures[opt]
-		found := false
-		for _, sig := range sigs {
-			sigStems := textproc.StemAll(textproc.Words(sig))
-			for _, adv := range adviceStems {
-				if containsSeq(adv, sigStems) {
-					found = true
-					break
-				}
-			}
-			if found {
+		for _, adv := range adviceStems {
+			if textproc.FindPhrase(adv, signatures[opt]) >= 0 {
+				surfaced = append(surfaced, opt)
 				break
 			}
 		}
-		if found {
-			surfaced = append(surfaced, opt)
-		}
 	}
 	return surfaced
-}
-
-func containsSeq(haystack, needle []string) bool {
-	if len(needle) == 0 || len(needle) > len(haystack) {
-		return false
-	}
-outer:
-	for i := 0; i+len(needle) <= len(haystack); i++ {
-		for j, n := range needle {
-			if haystack[i+j] != n {
-				continue outer
-			}
-		}
-		return true
-	}
-	return false
 }
 
 // Run simulates the study against a CUDA advisor.

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
 	"repro/internal/corpus"
 )
@@ -57,16 +56,9 @@ func main() {
 // generate resolves the register name and builds the guide: full-size
 // (Table 7) when nSentences is 0, custom-size otherwise.
 func generate(register string, nSentences int, advisingFrac float64, seed int64) (*corpus.Guide, error) {
-	var reg corpus.Register
-	switch strings.ToLower(register) {
-	case "cuda":
-		reg = corpus.CUDA
-	case "opencl":
-		reg = corpus.OpenCL
-	case "xeon", "xeonphi":
-		reg = corpus.XeonPhi
-	default:
-		return nil, fmt.Errorf("unknown register %q (want cuda, opencl, xeon)", register)
+	reg, err := corpus.ParseRegister(register)
+	if err != nil {
+		return nil, err
 	}
 	if nSentences < 0 {
 		return nil, fmt.Errorf("-sentences must be >= 0, got %d", nSentences)
