@@ -48,8 +48,8 @@ race:
 
 # Trajectory benchmarks: the fixed-size numbers tracked across PRs.
 # Flags are pinned so results stay comparable between runs.
-BENCH_TRACKED = BenchmarkServedRetrieval|BenchmarkQueryTerms|BenchmarkBuildAdvisor150|BenchmarkAnnotateOnce|BenchmarkServiceQuery|BenchmarkColdBuild|BenchmarkWarmStart|BenchmarkIncrementalRebuild|BenchmarkRewriteRebuild
-bench: ## cross-PR trajectory benchmarks (build pipeline, annotate-once, query normalization, serving, lifecycle)
+BENCH_TRACKED = BenchmarkServedRetrieval|BenchmarkQueryTerms|BenchmarkBuildAdvisor150|BenchmarkServiceQuery|BenchmarkColdBuild|BenchmarkWarmStart|BenchmarkIncrementalRebuild|BenchmarkRewriteRebuild
+bench: ## cross-PR trajectory benchmarks (build pipeline, query normalization, serving, lifecycle)
 	go test -run '^$$' -bench '$(BENCH_TRACKED)' -benchmem -count 1 . ./internal/lifecycle
 
 bench-all: ## full sweep: per-table benchmarks + serving/index ablations
@@ -71,7 +71,7 @@ cover: ## per-package coverage table + total; fails below COVER_BASELINE
 # root module (bench/ is its own module), physical and code (neither blank
 # nor comment-only), then the totals. It fails when the code-line total
 # exceeds LOC_BASELINE; lower the baseline when a change deletes code.
-LOC_BASELINE = 13503
+LOC_BASELINE = 13203
 loc: ## per-package non-test Go line counts; fails above LOC_BASELINE code lines
 	@find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print \
 	| xargs awk 'FNR == 1 { pkg = FILENAME; sub(/\/[^\/]*$$/, "", pkg); sub(/^\.\/?/, "", pkg); if (pkg == "") pkg = "." } \

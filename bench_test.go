@@ -32,7 +32,6 @@ import (
 	"repro/internal/srl"
 	"repro/internal/study"
 	"repro/internal/textproc"
-	"repro/internal/vsm"
 )
 
 var (
@@ -437,7 +436,14 @@ func BenchmarkServiceQuery(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ctx, root := tracer.Start(context.Background(), "bench.query")
+			// the envelope's per-request work: a trace ID, a sampling
+			// decision, and a root span the context carries
+			id := obs.NewTraceID()
+			if !tracer.Sample() {
+				b.Fatal("rate-1 tracer did not sample")
+			}
+			root := tracer.Root(id, "bench.query")
+			ctx := obs.ContextWithSpan(context.Background(), root)
 			if _, hit, err := svc.CachedQuery(ctx, "cuda", q); err != nil || !hit {
 				b.Fatalf("hit=%v err=%v", hit, err)
 			}
@@ -578,40 +584,6 @@ func BenchmarkBuildAdvisor150(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fw.BuildFromSentences(g.Doc, g.Sentences)
 	}
-}
-
-// BenchmarkAnnotateOnce measures what the shared-annotation pipeline buys:
-// "recompute" runs classification and indexing the pre-refactor way, each
-// stage re-deriving tokens/stems/trees from the raw strings; "shared"
-// annotates every sentence once and feeds the same annotation to both
-// stages. Same corpus, same outputs — only the redundant NLP work differs.
-func BenchmarkAnnotateOnce(b *testing.B) {
-	g := corpus.GenerateSized(corpus.CUDA, 150, 0.2, 17)
-	texts := g.Texts()
-	rec := selectors.Default()
-
-	b.Run("recompute", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, s := range texts {
-				rec.ClassifyAnnotated(nlp.FromTree(s, depparse.ParseText(s)))
-			}
-			vsm.Build(texts)
-		}
-	})
-	b.Run("shared", func(b *testing.B) {
-		ator := nlp.NewAnnotator(nlp.WithParallelism(1)) // serial, like recompute
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			anns := ator.AnnotateAll(texts)
-			terms := make([][]string, len(anns))
-			for j, ann := range anns {
-				rec.ClassifyAnnotated(ann)
-				terms[j] = ann.Terms()
-			}
-			vsm.BuildFromTerms(terms, nil)
-		}
-	})
 }
 
 // --- Stage-II retrieval (trajectory benchmark) -----------------------------

@@ -524,9 +524,9 @@ func serveSources(fw *core.Framework, cfg serveConfig) ([]lifecycle.Source, erro
 }
 
 // buildServeHandler assembles the full serving stack — snapshot store,
-// lifecycle manager (warm start + hot reload), registry, JSON API service,
-// HTML UI sharing the service's cache, tracing middleware, and the debug
-// endpoints (/metricz, /tracez, /debug/pprof) — without binding a listener,
+// lifecycle manager (warm start + hot reload), registry, JSON API service
+// with the HTML UI served inside it, and the debug endpoints (/metricz,
+// /tracez, /debug/pprof) — without binding a listener,
 // so tests can mount it on httptest.Server. It returns the root handler, the
 // service (for BeginDrain and stats), and the lifecycle manager (run its
 // watcher with mgr.Run when cfg.watch is set).
@@ -565,6 +565,7 @@ func buildServeHandler(fw *core.Framework, cfg serveConfig, logger *slog.Logger)
 	mgr := lifecycle.New(lifecycle.Options{
 		Store:    snapStore,
 		Register: registry.Add,
+		Swap:     registry.Replace,
 		Interval: cfg.rebuildInterval,
 		Retries:  cfg.retries,
 		Backoff:  cfg.backoff,
@@ -591,83 +592,26 @@ func buildServeHandler(fw *core.Framework, cfg serveConfig, logger *slog.Logger)
 		title = cfg.primaryName
 	}
 
-	tracer := obs.NewTracer(cfg.traceSample, obs.NewTraceStore(obs.DefaultTraceCapacity))
 	svc := service.New(registry, service.Options{
 		CacheSize:        cfg.cacheSize,
 		MaxInFlight:      cfg.maxInflight,
 		MaxBatch:         cfg.maxBatch,
 		Timeout:          cfg.timeout,
 		Logger:           logger,
-		Tracer:           tracer,
+		Tracer:           obs.NewTracer(cfg.traceSample, obs.NewTraceStore(obs.DefaultTraceCapacity)),
 		Metrics:          cfg.metrics,
 		Fault:            injector,
 		BreakerThreshold: cfg.brkThreshold,
 		BreakerCooldown:  cfg.brkCooldown,
 	})
-	// rebuilds swap through the service's registry, and the
-	// admin/stats surface gains the lifecycle view
-	mgr.SetSwap(svc.Reload)
+	// the admin/stats surface gains the lifecycle view
 	svc.SetLifecycle(mgr)
-
-	// the HTML UI shares the service's cache and admission control; the
-	// request context carries the UI request's span so shared-path queries
-	// appear in its trace tree
-	ui := webui.New(advisor, title)
-	// pages always render the registry's current advisor, so a hot swap
-	// reaches the HTML UI without restarting it
-	ui.SetAdvisorProvider(func() *core.Advisor {
-		a, _ := registry.Get(cfg.primaryName)
-		return a
-	})
-	ui.SetReloadInfo(func() *webui.ReloadInfo {
-		for _, a := range mgr.State().Advisors {
-			if a.Advisor == cfg.primaryName {
-				return &webui.ReloadInfo{
-					Origin:   a.Origin,
-					BuiltAt:  a.BuiltAt,
-					LastSwap: a.LastSwap,
-					Reloads:  a.Reloads,
-					LastDiff: a.LastDiff,
-				}
-			}
-		}
-		return nil
-	})
-	ui.SetQuerier(func(ctx context.Context, q string) []core.Answer {
-		answers, _, err := svc.CachedQuery(ctx, cfg.primaryName, q)
-		if err != nil {
-			logger.Warn("webui query failed", "err", err)
-			return nil
-		}
-		return answers
-	})
-	// the /ask page fans out to every advisor in the registry through the
-	// service's federation path, sharing its cache and admission control
-	ui.SetFederator(func(ctx context.Context, q string, k int) []webui.FederatedHit {
-		answers, errs := svc.Ask(ctx, q, k)
-		for name, msg := range errs {
-			logger.Warn("webui federated ask failed for advisor", "advisor", name, "err", msg)
-		}
-		hits := make([]webui.FederatedHit, len(answers))
-		for i, a := range answers {
-			hits[i] = webui.FederatedHit{
-				Advisor: a.Advisor,
-				Section: a.Rule.Section,
-				Text:    a.Rule.Text,
-				Score:   a.Score,
-				Norm:    a.Norm,
-			}
-		}
-		return hits
-	})
+	// the HTML UI is served inside the service's envelope and answers
+	// through its cache, admission control and report bounds
+	webui.New(svc, cfg.primaryName, title)
 
 	root := http.NewServeMux()
-	root.Handle("/v1/", svc)
-	root.Handle("/healthz", svc)
-	root.Handle("/readyz", svc)
-	root.Handle("/statsz", svc)
-	root.Handle("/metricz", svc)
-	root.Handle("/tracez", svc)
+	root.Handle("/", svc)
 	// profiling endpoints on the serving mux (mounted explicitly rather than
 	// relying on the net/http/pprof DefaultServeMux registration)
 	root.HandleFunc("/debug/pprof/", pprof.Index)
@@ -675,7 +619,6 @@ func buildServeHandler(fw *core.Framework, cfg serveConfig, logger *slog.Logger)
 	root.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	root.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	root.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	root.Handle("/", obs.Middleware(tracer, ui))
 	return root, svc, mgr, nil
 }
 
@@ -693,8 +636,8 @@ const (
 
 // cmdServe runs the production serving layer: a registry warm-started from
 // the snapshot store (cold-building only what is missing or stale), the /v1
-// JSON API with query cache and admission control, the HTML webui on the
-// same mux sharing both, and — with -watch — a background rebuild loop that
+// JSON API with query cache and admission control, the HTML webui served
+// inside the same service, and — with -watch — a background rebuild loop that
 // hot-swaps advisors when their sources change. SIGINT/SIGTERM triggers a
 // graceful drain.
 func cmdServe(fw *core.Framework, cfg serveConfig) error {

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,7 +19,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/lifecycle"
+	"repro/internal/nvvp"
 	"repro/internal/obs"
+	"repro/internal/service"
 )
 
 // testSource wraps a small synthetic guide as a lifecycle source, so serve
@@ -139,7 +142,7 @@ func TestServeEndToEnd(t *testing.T) {
 			t.Errorf("webui %s: %d", path, resp.StatusCode)
 		}
 		if resp.Header.Get("X-Trace-Id") == "" {
-			t.Errorf("webui %s: no X-Trace-Id (tracing middleware not mounted)", path)
+			t.Errorf("webui %s: no X-Trace-Id (not served inside the service)", path)
 		}
 	}
 
@@ -384,6 +387,146 @@ func TestServeBatchAskBackend(t *testing.T) {
 	}
 	if stats.Asks < 2 {
 		t.Errorf("asks %d, want >= 2 (JSON + webui)", stats.Asks)
+	}
+}
+
+// buildTestServer serves a small CUDA advisor through buildServeHandler
+// with a maxBatch cap (0: the default).
+func buildTestServer(t *testing.T, maxBatch int) (*httptest.Server, *service.Service) {
+	t.Helper()
+	handler, svc, _, err := buildServeHandler(core.New(), serveConfig{
+		primaryName: "cuda",
+		seed:        3,
+		cacheSize:   64,
+		maxInflight: 16,
+		maxBatch:    maxBatch,
+		timeout:     10 * time.Second,
+		metrics:     obs.NewRegistry(),
+		sources:     []lifecycle.Source{testSource(t, "cuda", 120, 3)},
+	}, slog.New(slog.NewTextHandler(io.Discard, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(handler)
+	t.Cleanup(ts.Close)
+	return ts, svc
+}
+
+// postForm posts the form to target and returns the status, the trace ID
+// header and the body.
+func postForm(t *testing.T, target string, form url.Values) (int, string, string) {
+	t.Helper()
+	resp, err := http.PostForm(target, form)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, resp.Header.Get("X-Trace-Id"), string(body)
+}
+
+// TestServeUIReportBounds: a report uploaded through the HTML UI is held to
+// the bounds of POST /v1/{advisor}/report: with MaxBatch+1 issues it is a
+// 400 and over MaxBodySize bytes a 413, each before any cache lookup, and
+// the UI answers every report /v1 refuses with the same status.
+func TestServeUIReportBounds(t *testing.T) {
+	text, err := nvvp.Synthesize("norm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := nvvp.ParseReport(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	issues := len(report.Issues())
+	if issues < 2 {
+		t.Fatalf("the norm report has %d issues, want at least 2", issues)
+	}
+	ts, svc := buildTestServer(t, issues-1)
+	lookups := func() int64 {
+		st := svc.Stats()
+		return st.CacheHits + st.CacheMisses
+	}
+	for _, c := range []struct {
+		name, text string
+		status     int
+	}{
+		{"MaxBatch+1 issues", text, http.StatusBadRequest},
+		{"over MaxBodySize", strings.Repeat("x", 1<<20+1), http.StatusRequestEntityTooLarge},
+		{"unparsable", "not a report", http.StatusBadRequest},
+	} {
+		before := lookups()
+		code, _, body := postForm(t, ts.URL+"/report", url.Values{"report": {c.text}})
+		if code != c.status {
+			t.Errorf("%s: UI report %d, want %d: %.200s", c.name, code, c.status, body)
+		}
+		if n := lookups() - before; n != 0 {
+			t.Errorf("%s: a refused UI report made %d cache lookups", c.name, n)
+		}
+		resp, err := http.Post(ts.URL+"/v1/cuda/report", "text/plain", strings.NewReader(c.text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != code {
+			t.Errorf("%s: /v1 report %d, UI report %d", c.name, resp.StatusCode, code)
+		}
+	}
+	// the same report within the cap is answered, one lookup per issue
+	ts, svc = buildTestServer(t, issues)
+	if code, _, body := postForm(t, ts.URL+"/report", url.Values{"report": {text}}); code != http.StatusOK {
+		t.Fatalf("report of %d issues with MaxBatch %d: %d %.200s", issues, issues, code, body)
+	}
+	if n := lookups(); n != int64(issues) {
+		t.Errorf("an answered report made %d lookups, want %d", n, issues)
+	}
+}
+
+// TestServeRoutes: with the HTML UI served inside the service, a wrong
+// method on a /v1 route or a health endpoint is still a 405, an unknown
+// path a 404, and every UI page carries a trace ID.
+func TestServeRoutes(t *testing.T) {
+	ts, _ := buildTestServer(t, 0)
+	for _, c := range []struct {
+		method, path string
+		status       int
+	}{
+		{http.MethodPost, "/v1/advisors", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/v1/cuda/report", http.StatusMethodNotAllowed},
+		{http.MethodDelete, "/healthz", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/report", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/nope", http.StatusNotFound},
+		{http.MethodGet, "/v1/cuda", http.StatusNotFound},
+	} {
+		req, err := http.NewRequest(c.method, ts.URL+c.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.status {
+			t.Errorf("%s %s: %d, want %d", c.method, c.path, resp.StatusCode, c.status)
+		}
+	}
+	for _, path := range []string{"/", "/query?q=memory+latency", "/ask?q=memory+latency", "/doc"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Trace-Id") == "" {
+			t.Errorf("GET %s: %d with trace ID %q", path, resp.StatusCode, resp.Header.Get("X-Trace-Id"))
+		}
+	}
+	text, err := nvvp.Synthesize("norm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, id, _ := postForm(t, ts.URL+"/report", url.Values{"report": {text}}); code != http.StatusOK || id == "" {
+		t.Errorf("POST /report: %d with trace ID %q", code, id)
 	}
 }
 

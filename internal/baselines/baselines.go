@@ -47,27 +47,6 @@ func KeywordSearch(sentences []string, keywords []string) []int {
 	return out
 }
 
-// KeywordSearchNoStemming is the ablation the paper mentions: exact
-// lowercase substring matching without stemming ("the false positives ...
-// could get reduced slightly, but the recall rate would get much lower").
-func KeywordSearchNoStemming(sentences []string, keywords []string) []int {
-	lowered := make([]string, len(keywords))
-	for i, k := range keywords {
-		lowered[i] = strings.ToLower(k)
-	}
-	var out []int
-	for i, s := range sentences {
-		ls := strings.ToLower(s)
-		for _, k := range lowered {
-			if k != "" && strings.Contains(ls, k) {
-				out = append(out, i)
-				break
-			}
-		}
-	}
-	return out
-}
-
 // QueryKeywords lists the candidate keyword sets the paper tried for each
 // Table 6 performance issue (§4.2); the harness picks the best by
 // F-measure, as the paper's underlining does.

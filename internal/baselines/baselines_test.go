@@ -58,24 +58,6 @@ func TestKeywordSearchEmpty(t *testing.T) {
 	}
 }
 
-func TestKeywordSearchNoStemmingIsStricter(t *testing.T) {
-	stemmed := KeywordSearch(sentences, []string{"divergence"})
-	raw := KeywordSearchNoStemming(sentences, []string{"divergence"})
-	if len(raw) > len(stemmed) {
-		t.Errorf("no-stemming found more: %v vs %v", raw, stemmed)
-	}
-	// exact substring still matches sentence 5
-	found := false
-	for _, i := range raw {
-		if i == 5 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("exact match missed: %v", raw)
-	}
-}
-
 // TestKeywordAllRecognize: the Table 8 KeywordAll row is KeywordSearch
 // over every keyword of the configuration.
 func TestKeywordAllRecognize(t *testing.T) {

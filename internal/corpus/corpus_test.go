@@ -235,24 +235,6 @@ func TestSimulateRatersAgreement(t *testing.T) {
 	}
 }
 
-func TestMajorityVote(t *testing.T) {
-	raters := [][]bool{
-		{true, false, true},
-		{true, true, false},
-		{false, true, true},
-	}
-	got := MajorityVote(raters)
-	want := []bool{true, true, true}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("vote %d = %v", i, got[i])
-		}
-	}
-	if MajorityVote(nil) != nil {
-		t.Error("empty raters should vote nil")
-	}
-}
-
 func TestRegisterString(t *testing.T) {
 	if CUDA.String() != "CUDA" || OpenCL.String() != "OpenCL" || XeonPhi.String() != "Xeon" {
 		t.Error("register names")

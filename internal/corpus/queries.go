@@ -154,22 +154,3 @@ func SimulateRaters(labels []Label, nRaters int, seed int64) [][]bool {
 	}
 	return out
 }
-
-// MajorityVote reduces rater label vectors to one vector by majority.
-func MajorityVote(raters [][]bool) []bool {
-	if len(raters) == 0 {
-		return nil
-	}
-	n := len(raters[0])
-	out := make([]bool, n)
-	for i := 0; i < n; i++ {
-		yes := 0
-		for _, r := range raters {
-			if i < len(r) && r[i] {
-				yes++
-			}
-		}
-		out[i] = yes*2 > len(raters)
-	}
-	return out
-}

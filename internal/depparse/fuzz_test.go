@@ -44,9 +44,9 @@ func FuzzParse(f *testing.F) {
 			}
 		}
 		// the traversals Stage I runs on every sentence must stay in bounds
-		for _, v := range tree.ConjChainFromRoot() {
-			if v < 0 || v >= n {
-				t.Fatalf("ConjChainFromRoot returned %d of %d", v, n)
+		for _, v := range []int{-1, n} {
+			if tree.ConjOfRoot(v) {
+				t.Fatalf("ConjOfRoot(%d) true outside [0,%d)", v, n)
 			}
 		}
 		for _, s := range tree.AllSubjects() {
@@ -57,6 +57,7 @@ func FuzzParse(f *testing.F) {
 		for i := 0; i < n; i++ {
 			_ = tree.Lemma(i)
 			_ = tree.HasSubject(i)
+			_ = tree.ConjOfRoot(i)
 		}
 	})
 }

@@ -97,7 +97,12 @@ func TestImperativeConjChain(t *testing.T) {
 	if root < 0 || tree.Words[root] != "takes" {
 		t.Fatalf("root = %q, want takes\n%s", tree.Word(root), tree)
 	}
-	chain := tree.ConjChainFromRoot()
+	var chain []int
+	for i := range tree.Words {
+		if tree.ConjOfRoot(i) {
+			chain = append(chain, i)
+		}
+	}
 	foundAvoid := false
 	for _, i := range chain {
 		if tree.Words[i] == "avoid" {
@@ -109,6 +114,9 @@ func TestImperativeConjChain(t *testing.T) {
 	}
 	if !foundAvoid {
 		t.Errorf("conj chain %v does not include 'avoid'\n%s", chain, tree)
+	}
+	if !tree.ConjOfRoot(root) {
+		t.Error("the root is not ConjOfRoot")
 	}
 }
 

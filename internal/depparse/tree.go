@@ -10,7 +10,6 @@ package depparse
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/postag"
@@ -159,32 +158,21 @@ func (t *Tree) AllSubjects() []int {
 	return out
 }
 
-// ConjChainFromRoot returns the root token plus every token reachable from it
-// via conj relations (transitively). Used by the imperative selector to
-// consider coordinated clause heads ("..., so avoid ...").
-func (t *Tree) ConjChainFromRoot() []int {
-	root := t.RootIndex()
-	if root < 0 {
-		return nil
-	}
-	seen := map[int]bool{root: true}
-	queue := []int{root}
-	for len(queue) > 0 {
-		g := queue[0]
-		queue = queue[1:]
-		for _, r := range t.Relations {
-			if r.Type == Conj && r.Governor == g && !seen[r.Dependent] {
-				seen[r.Dependent] = true
-				queue = append(queue, r.Dependent)
-			}
+// ConjOfRoot reports whether token v is the root, or a clause head joined
+// to it by a chain of conj relations ("..., so avoid ..."), following v's
+// heads while each edge is conj. The imperative selector asks it of every
+// verb, so it allocates nothing.
+func (t *Tree) ConjOfRoot(v int) bool {
+	for v >= 0 && v < len(t.head) {
+		switch {
+		case t.head[v] == -1:
+			return true
+		case t.relOf[v] != Conj:
+			return false
 		}
+		v = t.head[v]
 	}
-	out := make([]int, 0, len(seen))
-	for i := range seen {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
+	return false
 }
 
 // String renders the relations in the conventional

@@ -24,15 +24,6 @@ func (iv Interval) String() string {
 // paper's Table 5 reports bare means over small student groups — the
 // interval quantifies how stable those means are under resampling.
 func BootstrapMean(values []float64, resamples int, level float64, seed int64) Interval {
-	return bootstrap(values, mean, resamples, level, seed)
-}
-
-// BootstrapMedian is BootstrapMean for the median.
-func BootstrapMedian(values []float64, resamples int, level float64, seed int64) Interval {
-	return bootstrap(values, median, resamples, level, seed)
-}
-
-func bootstrap(values []float64, stat func([]float64) float64, resamples int, level float64, seed int64) Interval {
 	if len(values) == 0 {
 		return Interval{Level: level}
 	}
@@ -49,13 +40,13 @@ func bootstrap(values []float64, stat func([]float64) float64, resamples int, le
 		for i := range sample {
 			sample[i] = values[rng.Intn(len(values))]
 		}
-		stats[r] = stat(sample)
+		stats[r] = mean(sample)
 	}
 	sort.Float64s(stats)
 	alpha := (1 - level) / 2
 	lo := stats[clampIndex(int(alpha*float64(resamples)), resamples)]
 	hi := stats[clampIndex(int((1-alpha)*float64(resamples)), resamples)]
-	return Interval{Point: stat(values), Lo: lo, Hi: hi, Level: level}
+	return Interval{Point: mean(values), Lo: lo, Hi: hi, Level: level}
 }
 
 func clampIndex(i, n int) int {
@@ -74,16 +65,6 @@ func mean(v []float64) float64 {
 		s += x
 	}
 	return s / float64(len(v))
-}
-
-func median(v []float64) float64 {
-	c := append([]float64{}, v...)
-	sort.Float64s(c)
-	m := c[len(c)/2]
-	if len(c)%2 == 0 {
-		m = (c[len(c)/2-1] + c[len(c)/2]) / 2
-	}
-	return m
 }
 
 // PermutationPValue tests whether the mean of group a exceeds that of group

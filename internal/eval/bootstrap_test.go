@@ -19,17 +19,6 @@ func TestBootstrapMeanBasic(t *testing.T) {
 	}
 }
 
-func TestBootstrapMedian(t *testing.T) {
-	values := []float64{1, 2, 3, 4, 100}
-	iv := BootstrapMedian(values, 2000, 0.95, 1)
-	if iv.Point != 3 {
-		t.Errorf("median point %f", iv.Point)
-	}
-	if iv.Lo > iv.Point || iv.Hi < iv.Point {
-		t.Errorf("interval: %s", iv)
-	}
-}
-
 func TestBootstrapDeterministic(t *testing.T) {
 	values := []float64{2, 4, 8, 16}
 	a := BootstrapMean(values, 500, 0.95, 7)

@@ -1,7 +1,7 @@
 // Package eval implements the evaluation metrics of the paper: precision,
 // recall, F-measure (§4.2), and Fleiss' kappa for inter-rater agreement
-// (§4.2/§4.3), plus small helpers for majority voting and table rendering
-// used by the experiment harness.
+// (§4.2/§4.3), plus bootstrap intervals, a permutation test and table
+// rendering used by the experiment harness.
 package eval
 
 import (

@@ -241,7 +241,7 @@ func computeRecognition(reg corpus.Register, cfg selectors.Config) *recognitionD
 	rec := selectors.New(cfg)
 	// annotate every sentence once; all methods share the annotations
 	// (selector 1 reuses the stems, selector 5 the cached purpose clauses)
-	anns := nlp.NewAnnotator().AnnotateAll(texts)
+	anns := nlp.AnnotateAll(texts)
 	for k := 1; k <= 5; k++ {
 		pred := make([]bool, len(texts))
 		for i := range texts {

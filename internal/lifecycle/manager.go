@@ -17,9 +17,7 @@
 // attempt updates the serving advisor (Source.Build with it as prev); a
 // retry builds from nothing. Each successful build is verified (non-empty
 // rules, self-query smoke check), snapshotted, and then hot-swapped into the
-// live registry through the configured Swap hook (the service's Reload).
-// Pause is the kill switch: the watcher keeps polling but triggers nothing
-// until Resume.
+// live registry through the configured Swap hook (the registry's Replace).
 package lifecycle
 
 import (
@@ -70,7 +68,7 @@ type Source struct {
 
 // Options configures a Manager. Registry registration and hot swap are
 // plain funcs so the package stays decoupled from the serving layer: wire
-// Register to service.Registry.Add and Swap to service.(*Service).Reload.
+// Register to service.Registry.Add and Swap to service.Registry.Replace.
 type Options struct {
 	// Store persists snapshots; nil disables persistence (every start is a
 	// cold build, the watcher still works).
@@ -78,8 +76,7 @@ type Options struct {
 	// Register installs an advisor at warm start (before traffic flows).
 	Register func(name string, a *core.Advisor)
 	// Swap hot-swaps an advisor under live traffic and returns the rule
-	// diff. Settable later via SetSwap, since the serving layer is usually
-	// constructed after warm start. Defaults to Register with a zero diff.
+	// diff. Defaults to Register with a zero diff.
 	Swap func(name string, next *core.Advisor) core.RulesDiff
 	// Interval is the watcher poll period (default 15s).
 	Interval time.Duration
@@ -126,6 +123,13 @@ func (o Options) withDefaults() Options {
 	if o.Register == nil {
 		o.Register = func(string, *core.Advisor) {}
 	}
+	if o.Swap == nil {
+		register := o.Register
+		o.Swap = func(name string, next *core.Advisor) core.RulesDiff {
+			register(name, next)
+			return core.RulesDiff{}
+		}
+	}
 	return o
 }
 
@@ -151,8 +155,6 @@ type Manager struct {
 	mu      sync.Mutex
 	sources map[string]*sourceState
 	order   []string
-	swap    func(name string, next *core.Advisor) core.RulesDiff
-	paused  atomic.Bool
 	running atomic.Bool
 	slots   chan struct{}       // bounded build pool
 	flt     *fault.Injector     // nil unless fault injection is enabled
@@ -176,7 +178,6 @@ func New(opts Options) *Manager {
 	m := &Manager{
 		opts:       opts,
 		sources:    map[string]*sourceState{},
-		swap:       opts.Swap,
 		slots:      make(chan struct{}, opts.Workers),
 		flt:        opts.Fault,
 		sleep:      time.Sleep,
@@ -206,25 +207,6 @@ func (m *Manager) AddSource(src Source) error {
 	m.sources[src.Name] = &sourceState{src: src}
 	m.order = append(m.order, src.Name)
 	return nil
-}
-
-// SetSwap installs the hot-swap hook (typically service.(*Service).Reload)
-// once the serving layer exists. Until then swaps fall back to Register.
-func (m *Manager) SetSwap(f func(name string, next *core.Advisor) core.RulesDiff) {
-	m.mu.Lock()
-	m.swap = f
-	m.mu.Unlock()
-}
-
-func (m *Manager) doSwap(name string, next *core.Advisor) core.RulesDiff {
-	m.mu.Lock()
-	f := m.swap
-	m.mu.Unlock()
-	if f == nil {
-		m.opts.Register(name, next)
-		return core.RulesDiff{}
-	}
-	return f(name, next)
 }
 
 // Verify is the pre-swap smoke check: an advisor must have extracted at
@@ -432,9 +414,6 @@ func (m *Manager) Run(ctx context.Context) {
 // first-seen change, and fire the rebuild when the change holds for a
 // second consecutive poll.
 func (m *Manager) tick(ctx context.Context) {
-	if m.paused.Load() {
-		return
-	}
 	m.mu.Lock()
 	names := append([]string(nil), m.order...)
 	m.mu.Unlock()
@@ -574,7 +553,7 @@ func (m *Manager) rebuild(ctx context.Context, name string) error {
 
 		swapSpan := obs.SpanFrom(ctx).StartChild("lifecycle.swap")
 		start := time.Now()
-		diff := m.doSwap(name, adv)
+		diff := m.opts.Swap(name, adv)
 		m.swapHist.ObserveDuration(time.Since(start))
 		swapSpan.SetAttr("diff", diff.Short())
 		swapSpan.Finish()
@@ -603,16 +582,6 @@ func (m *Manager) rebuild(ctx context.Context, name string) error {
 	return lastErr
 }
 
-// Pause is the kill switch: the watcher keeps polling but triggers no
-// rebuilds until Resume. Explicit ReloadNow calls still work.
-func (m *Manager) Pause() { m.paused.Store(true) }
-
-// Resume re-enables automatic rebuilds.
-func (m *Manager) Resume() { m.paused.Store(false) }
-
-// Paused reports whether the kill switch is engaged.
-func (m *Manager) Paused() bool { return m.paused.Load() }
-
 // AdvisorState is one advisor's lifecycle view, as served on /statsz.
 type AdvisorState struct {
 	Advisor    string    `json:"advisor"`
@@ -633,7 +602,6 @@ type AdvisorState struct {
 // State is the lifecycle snapshot served on /statsz.
 type State struct {
 	Watching       bool           `json:"watching"`
-	Paused         bool           `json:"paused"`
 	Reloads        int64          `json:"reloads"`
 	SnapshotHits   int64          `json:"snapshot_hits"`
 	SnapshotMisses int64          `json:"snapshot_misses"`
@@ -646,7 +614,6 @@ type State struct {
 func (m *Manager) State() State {
 	out := State{
 		Watching:       m.running.Load(),
-		Paused:         m.paused.Load(),
 		Reloads:        m.reloads.Value(),
 		SnapshotHits:   m.hits.Value(),
 		SnapshotMisses: m.misses.Value(),

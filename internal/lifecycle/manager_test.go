@@ -417,44 +417,6 @@ func TestWatcherTicks(t *testing.T) {
 	}
 }
 
-func TestPauseIsAKillSwitch(t *testing.T) {
-	st, _ := store.Open(t.TempDir())
-	src := &buildSource{name: "cuda", seed: 41}
-	reg := newFakeRegistry()
-	m := lifecycle.New(lifecycle.Options{
-		Store:    st,
-		Register: reg.register,
-		Swap:     reg.swap,
-		Interval: 5 * time.Millisecond,
-		Backoff:  time.Millisecond,
-		Metrics:  obs.NewRegistry(),
-	})
-	m.AddSource(src.source())
-	if err := m.WarmStart(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	m.Pause()
-	if !m.Paused() {
-		t.Fatal("Paused() false after Pause")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go m.Run(ctx)
-	src.setSeed(42)
-	time.Sleep(60 * time.Millisecond) // many poll periods
-	if got := m.State().Reloads; got != 0 {
-		t.Fatalf("paused watcher rebuilt %d times", got)
-	}
-	// explicit reloads still work while paused (operator override)
-	if err := m.ReloadNow(ctx, "cuda"); err != nil {
-		t.Fatal(err)
-	}
-	m.Resume()
-	if m.State().Paused {
-		t.Error("State.Paused true after Resume")
-	}
-}
-
 func TestRebuildRetriesWithBackoff(t *testing.T) {
 	var attempts atomic.Int64
 	reg := newFakeRegistry()

@@ -75,51 +75,13 @@ func (a *Annotation) Purposes() []srl.Purpose {
 	return a.purposes
 }
 
-// Annotator annotates sentence lists in parallel (AnnotateAll); a single
-// sentence takes the package-level Annotate. The zero value is usable;
-// NewAnnotator applies options. An Annotator is stateless after
-// construction and safe for concurrent use.
-type Annotator struct {
-	parallelism int
-}
-
-// Option configures an Annotator.
-type Option func(*Annotator)
-
-// WithParallelism fixes the AnnotateAll worker count (<=0 means
-// GOMAXPROCS, <=1 forces serial).
-func WithParallelism(n int) Option {
-	return func(a *Annotator) { a.parallelism = n }
-}
-
-// NewAnnotator creates an Annotator.
-func NewAnnotator(opts ...Option) *Annotator {
-	a := &Annotator{}
-	for _, o := range opts {
-		o(a)
-	}
-	return a
-}
-
-// AnnotateAll annotates every sentence, fanning out across the annotator's
-// worker count. Work is distributed by an atomic counter (no per-item
-// channel operations) and out[i] always corresponds to texts[i].
-func (an *Annotator) AnnotateAll(texts []string) []*Annotation {
+// AnnotateAll annotates every sentence across GOMAXPROCS workers; a single
+// sentence takes Annotate. Work is distributed by an atomic counter (no
+// per-item channel operations) and out[i] always corresponds to texts[i].
+func AnnotateAll(texts []string) []*Annotation {
 	n := len(texts)
 	out := make([]*Annotation, n)
-	workers := an.parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i, t := range texts {
-			out[i] = annotate(t)
-		}
-		return out
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

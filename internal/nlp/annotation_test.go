@@ -82,23 +82,22 @@ func TestQueryTerms(t *testing.T) {
 }
 
 // TestAnnotateAllOrder checks that parallel annotation preserves order and
-// equals serial annotation.
+// equals annotating each sentence alone.
 func TestAnnotateAllOrder(t *testing.T) {
 	texts := make([]string, 100)
 	for i := range texts {
 		texts[i] = testSentences[i%len(testSentences)]
 	}
-	parallel := NewAnnotator(WithParallelism(8)).AnnotateAll(texts)
-	serial := NewAnnotator(WithParallelism(1)).AnnotateAll(texts)
-	if len(parallel) != len(texts) || len(serial) != len(texts) {
-		t.Fatalf("lengths: %d / %d, want %d", len(parallel), len(serial), len(texts))
+	all := AnnotateAll(texts)
+	if len(all) != len(texts) {
+		t.Fatalf("length %d, want %d", len(all), len(texts))
 	}
-	for i := range texts {
-		if parallel[i].Text != texts[i] {
-			t.Fatalf("text %d: got %q", i, parallel[i].Text)
+	for i, text := range texts {
+		if all[i].Text != text {
+			t.Fatalf("text %d: got %q", i, all[i].Text)
 		}
-		if !reflect.DeepEqual(parallel[i].Tree, serial[i].Tree) {
-			t.Fatalf("tree %d differs between parallel and serial annotation", i)
+		if !reflect.DeepEqual(all[i].Tree, Annotate(text).Tree) {
+			t.Fatalf("tree %d differs between AnnotateAll and Annotate", i)
 		}
 	}
 }

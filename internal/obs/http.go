@@ -61,19 +61,6 @@ func TraceHandler(s *TraceStore) http.Handler {
 	})
 }
 
-// Middleware wraps an HTTP handler so every request runs under a trace: the
-// context carries a fresh trace ID (and the root span when sampled), and the
-// response carries it in X-Trace-Id. Handlers that manage their own traces
-// (the service layer) should not be wrapped.
-func Middleware(t *Tracer, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, root := t.Start(r.Context(), r.Method+" "+r.URL.Path)
-		defer root.Finish()
-		w.Header().Set("X-Trace-Id", TraceID(ctx))
-		next.ServeHTTP(w, r.WithContext(ctx))
-	})
-}
-
 func serveJSON(w http.ResponseWriter, v any) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)

@@ -2,16 +2,14 @@
 // request-scoped span tracer, a metrics registry, and the HTTP surfaces
 // (/metricz, /tracez) that expose both.
 //
-// Tracing is request-scoped and context-propagated: a Tracer starts a Trace
-// per request (subject to sampling), the root Span rides the
-// context.Context, and every instrumented layer attaches child spans via
-// SpanFrom(ctx).StartChild(...). All Span methods are nil-receiver safe, so
-// uninstrumented or unsampled paths pay only a nil check — the hot path
-// stays cheap with sampling off.
-//
-// Every request gets a trace ID (surfaced in responses and logs) even when
-// its spans are not recorded; sampling only controls whether the span tree
-// is materialized and retained for /tracez.
+// Tracing is request-scoped and context-propagated: the server gives every
+// request a trace ID (NewTraceID), surfaced in responses and logs; when the
+// Tracer samples the request (Sample), Root starts its Trace, the root Span
+// rides the context.Context (ContextWithSpan), and every instrumented layer
+// attaches child spans via SpanFrom(ctx).StartChild(...). All Span methods
+// are nil-receiver safe, so uninstrumented or unsampled paths pay only a nil
+// check — the hot path stays cheap with sampling off. Sampling only controls
+// whether the span tree is materialized and retained for /tracez.
 package obs
 
 import (
@@ -38,22 +36,9 @@ func NewTraceID() string {
 	return string(strconv.AppendUint(append(buf[:0], idPrefix...), traceSeq.Add(1), 16))
 }
 
-// ctx keys for the trace ID (always present on traced requests) and the
-// current span (present only when the trace is sampled).
-type traceIDKey struct{}
+// spanKey is the context key of the current span, present only when the
+// request's trace is sampled.
 type spanKey struct{}
-
-// WithTraceID stamps ctx with a request's trace ID.
-func WithTraceID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, traceIDKey{}, id)
-}
-
-// TraceID returns the request's trace ID, or "" when the request was not
-// started through a Tracer.
-func TraceID(ctx context.Context) string {
-	id, _ := ctx.Value(traceIDKey{}).(string)
-	return id
-}
 
 // ContextWithSpan attaches a span to ctx so downstream layers can extend the
 // trace via SpanFrom.
@@ -70,18 +55,6 @@ func ContextWithSpan(ctx context.Context, s *Span) context.Context {
 func SpanFrom(ctx context.Context) *Span {
 	s, _ := ctx.Value(spanKey{}).(*Span)
 	return s
-}
-
-// StartSpan starts a child of the context's current span and returns a
-// derived context carrying it. When the request is unsampled it returns ctx
-// unchanged and a nil (no-op) span.
-func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	parent := SpanFrom(ctx)
-	if parent == nil {
-		return ctx, nil
-	}
-	child := parent.StartChild(name)
-	return context.WithValue(ctx, spanKey{}, child), child
 }
 
 // Attr is one span attribute.
@@ -164,9 +137,8 @@ type Trace struct {
 // ID returns the trace identifier.
 func (t *Trace) ID() string { return t.id }
 
-// Tracer starts traces, applying sampling. A nil *Tracer never samples but
-// still assigns trace IDs, so serving layers can hold an optional tracer
-// without branching.
+// Tracer starts traces, applying sampling. A nil *Tracer never samples, so
+// serving layers can hold an optional tracer without branching.
 type Tracer struct {
 	period int64 // sample every period-th trace; 0 = never
 	n      atomic.Int64
@@ -197,22 +169,9 @@ func (t *Tracer) Store() *TraceStore {
 	return t.store
 }
 
-// Start begins a trace for one request: the returned context always carries
-// a fresh trace ID, and additionally carries the root span when this trace
-// is sampled (root is nil otherwise). The caller must Finish the root span.
-func (t *Tracer) Start(ctx context.Context, name string) (context.Context, *Span) {
-	id := NewTraceID()
-	ctx = WithTraceID(ctx, id)
-	if !t.Sample() {
-		return ctx, nil
-	}
-	root := t.Root(id, name)
-	return ContextWithSpan(ctx, root), root
-}
-
 // Sample advances the sampler by one trace and reports whether that trace
-// is recorded. A caller that assigns its own trace ID pairs it with Root,
-// and so builds neither a context nor a span name for an unsampled request.
+// is recorded; pair it with Root, so an unsampled request builds neither a
+// context nor a span name.
 func (t *Tracer) Sample() bool {
 	return t != nil && t.period != 0 && t.store != nil && t.n.Add(1)%t.period == 0
 }

@@ -30,27 +30,39 @@ func TestTraceIDsUnique(t *testing.T) {
 	}
 }
 
+// start begins a request's trace the way the serving envelope does: a
+// fresh trace ID, and, when the tracer samples the request, a root span the
+// returned context carries.
+func start(tr *Tracer, name string) (context.Context, string, *Span) {
+	id := NewTraceID()
+	if !tr.Sample() {
+		return context.Background(), id, nil
+	}
+	root := tr.Root(id, name)
+	return ContextWithSpan(context.Background(), root), id, root
+}
+
 func TestTracerSampledTraceTree(t *testing.T) {
 	store := NewTraceStore(8)
 	tr := NewTracer(1, store)
-	ctx, root := tr.Start(context.Background(), "GET /v1/query")
+	ctx, id, root := start(tr, "GET /v1/query")
 	if root == nil {
 		t.Fatal("rate-1 tracer did not sample")
 	}
-	if TraceID(ctx) == "" {
-		t.Fatal("no trace id on context")
+	if SpanFrom(ctx) != root {
+		t.Fatal("context does not carry the root span")
 	}
-	ctx2, span := StartSpan(ctx, "cache")
+	span := SpanFrom(ctx).StartChild("cache")
 	span.SetAttr("hit", "false")
-	_, child := StartSpan(ctx2, "score")
+	child := SpanFrom(ContextWithSpan(ctx, span)).StartChild("score")
 	child.SetAttrInt("docs", 42)
 	child.Finish()
 	span.Finish()
 	root.Finish()
 
-	got, ok := store.Get(TraceID(ctx))
+	got, ok := store.Get(id)
 	if !ok {
-		t.Fatalf("trace %q not in store", TraceID(ctx))
+		t.Fatalf("trace %q not in store", id)
 	}
 	if got.Root.Name != "GET /v1/query" {
 		t.Errorf("root name = %q", got.Root.Name)
@@ -84,17 +96,20 @@ func TestTracerSampledTraceTree(t *testing.T) {
 
 func TestTracerUnsampledIsNoop(t *testing.T) {
 	tr := NewTracer(0, NewTraceStore(4))
-	ctx, root := tr.Start(context.Background(), "req")
+	ctx, id, root := start(tr, "req")
 	if root != nil {
 		t.Fatal("rate-0 tracer sampled")
 	}
-	if TraceID(ctx) == "" {
+	if id == "" {
 		t.Fatal("unsampled request must still get a trace id")
 	}
 	// all downstream instrumentation must be a no-op, not a panic
-	ctx2, span := StartSpan(ctx, "child")
+	span := SpanFrom(ctx).StartChild("child")
 	if span != nil {
-		t.Fatal("StartSpan returned a live span without a sampled trace")
+		t.Fatal("StartChild returned a live span without a sampled trace")
+	}
+	if ContextWithSpan(ctx, span) != ctx {
+		t.Fatal("a nil span derived a context")
 	}
 	span.SetAttr("k", "v")
 	span.SetAttrInt("n", 1)
@@ -102,12 +117,10 @@ func TestTracerUnsampledIsNoop(t *testing.T) {
 	grand.Finish()
 	span.Finish()
 	root.Finish()
-	_ = ctx2
 
 	var nilTracer *Tracer
-	ctx3, s := nilTracer.Start(context.Background(), "req")
-	if s != nil || TraceID(ctx3) == "" {
-		t.Fatal("nil tracer must assign ids without sampling")
+	if nilTracer.Sample() || nilTracer.Store() != nil {
+		t.Fatal("nil tracer must never sample")
 	}
 }
 
@@ -116,8 +129,7 @@ func TestTracerSamplingPeriod(t *testing.T) {
 	tr := NewTracer(0.25, store) // every 4th
 	sampled := 0
 	for i := 0; i < 40; i++ {
-		_, root := tr.Start(context.Background(), "req")
-		if root != nil {
+		if _, _, root := start(tr, "req"); root != nil {
 			sampled++
 			root.Finish()
 		}
@@ -132,8 +144,8 @@ func TestTraceStoreEvictsOldest(t *testing.T) {
 	tr := NewTracer(1, store)
 	var ids []string
 	for i := 0; i < 3; i++ {
-		ctx, root := tr.Start(context.Background(), "req")
-		ids = append(ids, TraceID(ctx))
+		_, id, root := start(tr, "req")
+		ids = append(ids, id)
 		root.Finish()
 	}
 	if store.Len() != 2 {
@@ -156,10 +168,10 @@ func TestTraceStoreEvictsOldest(t *testing.T) {
 func TestUnfinishedSpanExport(t *testing.T) {
 	store := NewTraceStore(4)
 	tr := NewTracer(1, store)
-	ctx, root := tr.Start(context.Background(), "req")
-	_, child := StartSpan(ctx, "slow")
+	ctx, id, root := start(tr, "req")
+	child := SpanFrom(ctx).StartChild("slow")
 	root.Finish() // request returned before the child (e.g. deadline hit)
-	got, ok := store.Get(TraceID(ctx))
+	got, ok := store.Get(id)
 	if !ok {
 		t.Fatal("trace missing")
 	}
@@ -172,7 +184,7 @@ func TestUnfinishedSpanExport(t *testing.T) {
 func TestTraceHandler(t *testing.T) {
 	store := NewTraceStore(8)
 	tr := NewTracer(1, store)
-	ctx, root := tr.Start(context.Background(), "req")
+	_, id, root := start(tr, "req")
 	root.Finish()
 
 	h := TraceHandler(store)
@@ -182,17 +194,17 @@ func TestTraceHandler(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &list); err != nil {
 		t.Fatalf("tracez list: %v (%s)", err, rec.Body.String())
 	}
-	if len(list) != 1 || list[0].ID != TraceID(ctx) {
+	if len(list) != 1 || list[0].ID != id {
 		t.Fatalf("tracez listing: %+v", list)
 	}
 
 	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/tracez?id="+TraceID(ctx), nil))
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/tracez?id="+id, nil))
 	var full TraceJSON
 	if err := json.Unmarshal(rec.Body.Bytes(), &full); err != nil {
 		t.Fatalf("tracez by id: %v", err)
 	}
-	if full.ID != TraceID(ctx) {
+	if full.ID != id {
 		t.Errorf("trace id = %q", full.ID)
 	}
 

@@ -281,10 +281,3 @@ func buildOpenLexicon(raw string) map[string]Ambig {
 	}
 	return m
 }
-
-// LexiconClasses returns the word-class ambiguity set recorded for the
-// lowercase word, and whether the word is in the open-class lexicon.
-func LexiconClasses(word string) (Ambig, bool) {
-	a, ok := openLexicon[word]
-	return a, ok
-}

@@ -235,16 +235,6 @@ func TestTagHelpers(t *testing.T) {
 	}
 }
 
-func TestLexiconClasses(t *testing.T) {
-	a, ok := LexiconClasses("use")
-	if !ok || a&CanNoun == 0 || a&CanVerb == 0 {
-		t.Errorf("use: %v %v", a, ok)
-	}
-	if _, ok := LexiconClasses("zzzz"); ok {
-		t.Error("zzzz should be unknown")
-	}
-}
-
 func BenchmarkTagSentence(b *testing.B) {
 	words := textproc.Words("The number of threads per block should be chosen as a multiple of the warp size to avoid wasting computing resources with under-populated warps as much as possible.")
 	b.ReportAllocs()

@@ -182,8 +182,9 @@ func (r *Recognizer) match(k SelectorID, a *nlp.Annotation) int {
 			}
 		}
 	case Imperative:
-		for _, v := range tree.ConjChainFromRoot() {
-			if tree.Tags[v] != postag.VB && tree.Tags[v] != postag.VBP {
+		// in ascending word order, so the first such verb is returned
+		for v, tag := range tree.Tags {
+			if tag != postag.VB && tag != postag.VBP || !tree.ConjOfRoot(v) {
 				continue
 			}
 			if r.imperativeLems[tree.Lemma(v)] && !tree.HasSubject(v) {
@@ -191,9 +192,9 @@ func (r *Recognizer) match(k SelectorID, a *nlp.Annotation) int {
 			}
 		}
 	case Subject:
-		for _, n := range tree.AllSubjects() {
-			if r.subjectLemmas[textproc.Lemma(tree.Words[n], textproc.NounClass)] {
-				return n
+		for _, rel := range tree.Relations {
+			if rel.Type == depparse.Nsubj && r.subjectLemmas[textproc.Lemma(tree.Words[rel.Dependent], textproc.NounClass)] {
+				return rel.Dependent
 			}
 		}
 	case Purpose:

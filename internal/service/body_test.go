@@ -18,6 +18,7 @@ import (
 	"repro/internal/htmldoc"
 	"repro/internal/nlp"
 	"repro/internal/nvvp"
+	"repro/internal/obs"
 )
 
 // hostileTexts carry every byte class the JSON writer treats specially:
@@ -342,5 +343,40 @@ func TestReportIssueCap(t *testing.T) {
 	}
 	if rec := serve(svc, http.MethodPost, "/v1/cuda/report", issuesReport(t, 2)); rec.Code != http.StatusOK {
 		t.Fatalf("2-issue report with MaxBatch 2: %d %s", rec.Code, rec.Body)
+	}
+}
+
+// TestReportRefusals: Report and POST /v1/{advisor}/report refuse the same
+// reports with the same status and message, before any lookup.
+func TestReportRefusals(t *testing.T) {
+	reg := NewRegistry()
+	reg.Add("cuda", e2eAdvisor(t))
+	svc := New(reg, Options{MaxBatch: 2, MaxBodySize: 4 << 10, Metrics: obs.NewRegistry()})
+	cases := []struct {
+		advisor, text string
+		status        int
+		msg           string
+	}{
+		{"nope", "x", http.StatusNotFound, `unknown advisor "nope"`},
+		{"cuda", strings.Repeat("x", 4<<10+1), http.StatusRequestEntityTooLarge, "report exceeds 4096 bytes"},
+		{"cuda", "not a report", http.StatusBadRequest, "could not parse report: "},
+		{"cuda", string(issuesReport(t, 3)), http.StatusBadRequest, "report of 3 issues exceeds limit 2"},
+	}
+	for _, c := range cases {
+		rec := serve(svc, http.MethodPost, "/v1/"+c.advisor+"/report", []byte(c.text))
+		var body ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("%s: error body %q: %v", c.msg, rec.Body, err)
+		}
+		if rec.Code != c.status || !strings.HasPrefix(body.Error, c.msg) {
+			t.Errorf("/v1 refusal: %d %q, want %d %q", rec.Code, body.Error, c.status, c.msg)
+		}
+		_, _, err := svc.Report(context.Background(), c.advisor, c.text)
+		if err == nil || StatusOf(err) != rec.Code || err.Error() != body.Error {
+			t.Errorf("Report refusal %v (status %d), want %d %q", err, StatusOf(err), rec.Code, body.Error)
+		}
+	}
+	if st := svc.Stats(); st.CacheHits+st.CacheMisses != 0 {
+		t.Errorf("refused reports made %d lookups", st.CacheHits+st.CacheMisses)
 	}
 }

@@ -12,7 +12,6 @@
 package service
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
@@ -100,35 +99,4 @@ func (r *Registry) Replace(name string, next *core.Advisor) core.RulesDiff {
 		logf("loaded %s: %d rules", name, len(next.Rules()))
 	}
 	return diff
-}
-
-// BuildAll constructs a registry by running every builder concurrently — the
-// startup path for multi-guide serving, where each Stage-I pass is expensive
-// and independent. A builder returning an error fails the whole startup.
-func BuildAll(builders map[string]func() (*core.Advisor, error)) (*Registry, error) {
-	reg := NewRegistry()
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for name, build := range builders {
-		wg.Add(1)
-		go func(name string, build func() (*core.Advisor, error)) {
-			defer wg.Done()
-			a, err := build()
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("build advisor %q: %w", name, err)
-				}
-				mu.Unlock()
-				return
-			}
-			reg.Add(name, a)
-		}(name, build)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return reg, nil
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -83,49 +82,5 @@ func TestRegistryReplaceLogsDiff(t *testing.T) {
 	wantLine := fmt.Sprintf("reloaded cuda: %s", want.Short())
 	if lines[1] != wantLine {
 		t.Errorf("hot-swap line %q, want %q", lines[1], wantLine)
-	}
-}
-
-func TestBuildAllConcurrent(t *testing.T) {
-	fw := core.New()
-	builders := map[string]func() (*core.Advisor, error){}
-	for i, reg := range []corpus.Register{corpus.CUDA, corpus.OpenCL, corpus.XeonPhi} {
-		reg, seed := reg, int64(50+i)
-		name := fmt.Sprintf("guide-%d", i)
-		builders[name] = func() (*core.Advisor, error) {
-			g := corpus.GenerateSized(reg, 50, 0.3, seed)
-			return fw.BuildFromSentences(g.Doc, g.Sentences), nil
-		}
-	}
-	r, err := BuildAll(builders)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 3 {
-		t.Fatalf("registry has %d advisors, want 3", r.Len())
-	}
-	for _, name := range r.Names() {
-		a, ok := r.Get(name)
-		if !ok || a.SentenceCount() == 0 {
-			t.Errorf("advisor %q empty or missing", name)
-		}
-		if a.Name() != name {
-			t.Errorf("advisor name %q, want %q", a.Name(), name)
-		}
-	}
-}
-
-func TestBuildAllPropagatesError(t *testing.T) {
-	boom := errors.New("corpus unavailable")
-	v1, _ := tinyAdvisors(t)
-	_, err := BuildAll(map[string]func() (*core.Advisor, error){
-		"ok":  func() (*core.Advisor, error) { return v1, nil },
-		"bad": func() (*core.Advisor, error) { return nil, boom },
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("want builder error surfaced, got %v", err)
-	}
-	if err == nil || !strings.Contains(err.Error(), `"bad"`) {
-		t.Errorf("error %v must name the failing advisor", err)
 	}
 }

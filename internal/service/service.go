@@ -168,6 +168,12 @@ func (s *Service) lifecycleManager() *lifecycle.Manager {
 // Registry returns the advisor registry the service serves from.
 func (s *Service) Registry() *Registry { return s.reg }
 
+// Handle mounts h on pattern (a net/http ServeMux pattern) inside the
+// request envelope of ServeHTTP, beside the /v1 routes: h's requests get a
+// trace ID, a root span when sampled, the request count, the access log and
+// the service.handler fault point. Call it before serving traffic.
+func (s *Service) Handle(pattern string, h http.Handler) { s.mux.Handle(pattern, h) }
+
 // Stats returns a point-in-time snapshot of the operational counters.
 func (s *Service) Stats() StatsSnapshot {
 	snap := s.stats.snapshot()
@@ -243,7 +249,7 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	var root *obs.Span
 	if s.opts.Tracer.Sample() {
 		root = s.opts.Tracer.Root(ex.traceID, r.Method+" "+r.URL.Path)
-		r = r.WithContext(obs.ContextWithSpan(obs.WithTraceID(r.Context(), ex.traceID), root))
+		r = r.WithContext(obs.ContextWithSpan(r.Context(), root))
 	}
 	if ferr := s.flt.Err(fault.ServiceHandler); ferr != nil {
 		// injected handler fault: the request fails before routing, but
@@ -465,6 +471,40 @@ func (s *Service) failLookup(cacheSpan *obs.Span, err error) error {
 // ErrUnknownAdvisor: the path's {advisor} is not in the registry.
 var ErrUnknownAdvisor = errors.New("service: unknown advisor")
 
+// refusal is a request the service turns down before any lookup, with the
+// status it answers and the message its error body carries.
+type refusal struct {
+	status int
+	msg    string
+}
+
+func (e *refusal) Error() string { return e.msg }
+
+func refuse(status int, format string, args ...any) error {
+	return &refusal{status: status, msg: fmt.Sprintf(format, args...)}
+}
+
+// StatusOf is the HTTP status an error of CachedQuery, Report or Ask's
+// validation answers: a refused report its own status, an unknown advisor
+// 404, an over-long query 400, overload 429, a deadline 503, and anything
+// else 500.
+func StatusOf(err error) int {
+	var r *refusal
+	switch {
+	case errors.As(err, &r):
+		return r.status
+	case errors.Is(err, ErrUnknownAdvisor):
+		return http.StatusNotFound
+	case errors.Is(err, ErrQueryTooLong):
+		return http.StatusBadRequest
+	case errors.Is(err, ErrOverloaded):
+		return http.StatusTooManyRequests
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusInternalServerError
+}
+
 // --- handlers ---------------------------------------------------------------
 
 func (s *Service) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -574,8 +614,9 @@ func queryParam(raw, name string) string {
 
 func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("advisor")
+	// an unknown advisor is refused before its body is read
 	if _, ok := s.reg.Get(name); !ok {
-		writeError(w, http.StatusNotFound, "unknown advisor %q", name)
+		writeQueryError(w, unknownAdvisor(name))
 		return
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, s.opts.MaxBodySize+1))
@@ -583,25 +624,12 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
-	if int64(len(body)) > s.opts.MaxBodySize {
-		writeError(w, http.StatusRequestEntityTooLarge, "report exceeds %d bytes", s.opts.MaxBodySize)
-		return
-	}
-	report, err := nvvp.ParseReport(string(body))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "could not parse report: %v", err)
-		return
-	}
-	issues := report.Issues()
-	if len(issues) > s.opts.MaxBatch {
-		writeError(w, http.StatusBadRequest, "report of %d issues exceeds limit %d", len(issues), s.opts.MaxBatch)
-		return
-	}
 	ex := w.(*exchange)
-	start := time.Now()
-	// the issues share the request's one deadline, running from its
-	// arrival, and at most one admission slot, taken by the first miss
-	l := lease{deadline: ex.start.Add(s.opts.Timeout)}
+	report, issues, answers, err := s.report(r.Context(), ex.start.Add(s.opts.Timeout), name, string(body))
+	if err != nil {
+		writeQueryError(w, err)
+		return
+	}
 	// the ReportResponse body, written without encoding/json (see api.go)
 	b := jsonw.AppendString(append(getBody(), `{"advisor":`...), name)
 	if report.Program != "" {
@@ -609,19 +637,12 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	b = append(b, `,"issues":`...)
 	sep := byte('[')
-	for _, issue := range issues {
-		answers, _, err := s.cachedQuery(r.Context(), &l, name, issue.Query())
-		if err != nil {
-			l.release(s)
-			s.stats.recordReport(time.Since(start))
-			writeQueryError(w, err)
-			return
-		}
+	for i, issue := range issues {
 		b = jsonw.AppendString(append(append(b, sep), `{"title":`...), issue.Title)
 		if issue.Section != "" {
 			b = jsonw.AppendString(append(b, `,"section":`...), issue.Section)
 		}
-		b = append(appendAnswers(b, answers), '}')
+		b = append(appendAnswers(b, answers[i]), '}')
 		sep = ','
 	}
 	if len(issues) == 0 {
@@ -629,9 +650,55 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 	} else {
 		b = append(b, ']')
 	}
-	l.release(s)
-	s.stats.recordReport(time.Since(start))
 	writeBody(w, b, ex.traceID)
+}
+
+func unknownAdvisor(name string) error {
+	return refuse(http.StatusNotFound, "unknown advisor %q", name)
+}
+
+// Report answers an NVVP report, text or JSON metrics, against the named
+// advisor: answers[i] answers the report's issue i. It refuses an unknown
+// advisor, a text of more than Options.MaxBodySize bytes, a report that
+// does not parse and one of more than Options.MaxBatch issues before any
+// lookup (StatusOf gives each refusal's status). The issues share one
+// deadline, Options.Timeout or ctx's own, and at most one admission slot.
+func (s *Service) Report(ctx context.Context, advisor, text string) (*nvvp.Report, [][]core.Answer, error) {
+	report, _, answers, err := s.report(ctx, time.Now().Add(remainingBudget(ctx, s.opts.Timeout)), advisor, text)
+	return report, answers, err
+}
+
+// report is Report with the request's deadline explicit; it also returns
+// the report's issues, in the order of answers.
+func (s *Service) report(ctx context.Context, deadline time.Time, advisor, text string) (*nvvp.Report, []nvvp.Issue, [][]core.Answer, error) {
+	if _, ok := s.reg.Get(advisor); !ok {
+		return nil, nil, nil, unknownAdvisor(advisor)
+	}
+	if int64(len(text)) > s.opts.MaxBodySize {
+		return nil, nil, nil, refuse(http.StatusRequestEntityTooLarge, "report exceeds %d bytes", s.opts.MaxBodySize)
+	}
+	report, err := nvvp.ParseReport(text)
+	if err != nil {
+		return nil, nil, nil, refuse(http.StatusBadRequest, "could not parse report: %v", err)
+	}
+	issues := report.Issues()
+	if len(issues) > s.opts.MaxBatch {
+		return nil, nil, nil, refuse(http.StatusBadRequest, "report of %d issues exceeds limit %d", len(issues), s.opts.MaxBatch)
+	}
+	start := time.Now()
+	defer func() { s.stats.recordReport(time.Since(start)) }()
+	// at most one admission slot, taken by the first miss
+	l := lease{deadline: deadline}
+	defer l.release(s)
+	answers := make([][]core.Answer, len(issues))
+	for i, issue := range issues {
+		a, _, err := s.cachedQuery(ctx, &l, advisor, issue.Query())
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		answers[i] = a
+	}
+	return report, issues, answers, nil
 }
 
 // handleAdminReload synchronously rebuilds and hot-swaps advisors through
@@ -670,23 +737,18 @@ func (s *Service) handleAdminReload(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// writeQueryError maps CachedQuery errors onto status codes: unknown advisor
-// → 404, an over-long query → 400, overload → 429, deadline → 503,
-// anything else → 500.
+// writeQueryError writes err as the error body of its StatusOf status;
+// overload and deadline errors get a fixed message.
 func writeQueryError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, ErrUnknownAdvisor):
-		writeError(w, http.StatusNotFound, "%v", err)
-	case errors.Is(err, ErrQueryTooLong):
-		writeError(w, http.StatusBadRequest, "%v", err)
-	case errors.Is(err, ErrOverloaded):
+	status, msg := StatusOf(err), err.Error()
+	switch status {
+	case http.StatusTooManyRequests:
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "server overloaded, retry later")
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		writeError(w, http.StatusServiceUnavailable, "request timed out")
-	default:
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		msg = "server overloaded, retry later"
+	case http.StatusServiceUnavailable:
+		msg = "request timed out"
 	}
+	writeError(w, status, "%s", msg)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

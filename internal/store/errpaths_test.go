@@ -31,8 +31,12 @@ func TestOpenErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Dir() != filepath.Join(dir, "snaps") {
-		t.Errorf("Dir() = %q", st.Dir())
+	// once the directory is gone, Save cannot stage its temp file
+	if err := os.RemoveAll(filepath.Join(dir, "snaps")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Save("cuda", smallAdvisor(t, 3), "", "h"); err == nil {
+		t.Error("Save into a missing directory reported success")
 	}
 }
 
@@ -97,8 +101,8 @@ func TestOrphanPayload(t *testing.T) {
 }
 
 // TestOrphanManifest: a manifest with no payload fails Load as corruption
-// (the manifest promises bytes that are not there) and is skippable
-// inventory for List.
+// (the manifest promises bytes that are not there), and quarantine clears
+// it.
 func TestOrphanManifest(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir)
@@ -116,138 +120,12 @@ func TestOrphanManifest(t *testing.T) {
 	if _, man, err := st.Load("cuda", "h1"); !errors.Is(err, store.ErrCorrupt) || man.SourceHash != "h1" {
 		t.Errorf("orphan manifest load: %v with manifest %+v, want ErrCorrupt with the manifest", err, man)
 	}
-	// List reports it (inventory, not validation)...
-	mans, err := st.List()
-	if err != nil || len(mans) != 1 {
-		t.Fatalf("List over orphan manifest: %v %v", mans, err)
-	}
-	// ...and GC leaves it alone (GC walks payloads), but quarantine clears it
-	removed, err := st.GC(nil)
-	if err != nil || len(removed) != 0 {
-		t.Fatalf("GC removed %v, %v", removed, err)
-	}
+	// quarantine clears it
 	if err := st.Quarantine("cuda"); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := st.Load("cuda", "h1"); !errors.Is(err, store.ErrNotFound) {
 		t.Errorf("post-quarantine load: %v, want ErrNotFound", err)
-	}
-}
-
-// TestListSkipsBadAndForeignEntries: quarantined pairs, corrupt manifests,
-// subdirectories, and foreign files never show up in the inventory.
-func TestListSkipsBadAndForeignEntries(t *testing.T) {
-	dir := t.TempDir()
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Save("keep", smallAdvisor(t, 3), "", "h1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Save("broken", smallAdvisor(t, 4), "", "h2"); err != nil {
-		t.Fatal(err)
-	}
-	// corrupt one manifest in place
-	if err := os.WriteFile(filepath.Join(dir, "broken.json"), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// a quarantined pair
-	if _, err := st.Save("bad", smallAdvisor(t, 5), "", "h3"); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Quarantine("bad"); err != nil {
-		t.Fatal(err)
-	}
-	// a wrong-format-version manifest
-	if err := os.WriteFile(filepath.Join(dir, "future.json"),
-		[]byte(`{"format_version":999,"advisor":"future"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// foreign noise: a subdirectory and an unrelated file
-	if err := os.Mkdir(filepath.Join(dir, "subdir"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "README.txt"), []byte("hi"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	mans, err := st.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mans) != 1 || mans[0].Advisor != "keep" {
-		names := make([]string, len(mans))
-		for i, m := range mans {
-			names[i] = m.Advisor
-		}
-		t.Fatalf("List = %v, want [keep]", names)
-	}
-	// the wrong-version manifest is corrupt for Load, too
-	if _, _, err := st.Load("future", "h"); !errors.Is(err, store.ErrCorrupt) {
-		t.Errorf("future-version load: %v, want ErrCorrupt", err)
-	}
-}
-
-// TestListGCUnreadableDir: once the directory is gone, inventory and GC fail
-// loudly instead of reporting an empty store.
-func TestListGCUnreadableDir(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "snaps")
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.RemoveAll(dir); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.List(); err == nil {
-		t.Error("List over a missing directory reported success")
-	}
-	if _, err := st.GC(nil); err == nil {
-		t.Error("GC over a missing directory reported success")
-	}
-	// Save cannot stage its temp file either
-	if _, err := st.Save("cuda", smallAdvisor(t, 3), "", "h"); err == nil {
-		t.Error("Save into a missing directory reported success")
-	}
-}
-
-// TestGCPreservesQuarantinedEvidence: GC removes rejected names but never
-// touches .bad files, and tolerates a payload whose manifest is already gone.
-func TestGCPreservesQuarantinedEvidence(t *testing.T) {
-	dir := t.TempDir()
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"keep", "drop", "bad"} {
-		if _, err := st.Save(name, smallAdvisor(t, 3), "", "h"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Quarantine("bad"); err != nil {
-		t.Fatal(err)
-	}
-	// orphan payload: manifest removed by hand
-	if err := os.Remove(filepath.Join(dir, "drop.json")); err != nil {
-		t.Fatal(err)
-	}
-	removed, err := st.GC(func(name string) bool { return name == "keep" })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(removed) != 1 || removed[0] != "drop" {
-		t.Fatalf("GC removed %v, want [drop]", removed)
-	}
-	for _, f := range []string{"keep.snap", "keep.json", "bad.snap.bad", "bad.json.bad"} {
-		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
-			t.Errorf("GC removed %s: %v", f, err)
-		}
-	}
-	for _, f := range []string{"drop.snap", "drop.json"} {
-		if _, err := os.Stat(filepath.Join(dir, f)); err == nil {
-			t.Errorf("GC left %s behind", f)
-		}
 	}
 }
 

@@ -27,7 +27,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -100,9 +99,6 @@ func Open(dir string) (*Store, error) {
 	}
 	return &Store{dir: dir}, nil
 }
-
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
 
 // validName rejects names that would escape the store directory or collide
 // with the store's own suffix conventions.
@@ -286,31 +282,6 @@ func (s *Store) Load(name, sourceHash string) (*core.Advisor, Manifest, error) {
 	return a, man, nil
 }
 
-// List returns the manifests of every readable snapshot, sorted by advisor
-// name. Corrupt manifests are skipped — List is an inventory, not a
-// validator; Load is where corruption is surfaced per name.
-func (s *Store) List() ([]Manifest, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("store: list %s: %w", s.dir, err)
-	}
-	var out []Manifest
-	for _, e := range entries {
-		fname := e.Name()
-		if e.IsDir() || !strings.HasSuffix(fname, manifestSuffix) || strings.HasSuffix(fname, badSuffix) {
-			continue
-		}
-		name := strings.TrimSuffix(fname, manifestSuffix)
-		man, err := s.readManifest(name)
-		if err != nil {
-			continue
-		}
-		out = append(out, man)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Advisor < out[j].Advisor })
-	return out, nil
-}
-
 // Quarantine moves the snapshot pair aside (name.snap -> name.snap.bad,
 // same for the manifest) so the next Load is a clean miss while the
 // rejected bytes stay available for inspection. Missing files are fine —
@@ -332,34 +303,6 @@ func (s *Store) Quarantine(name string) error {
 		return firstErr
 	}
 	return s.syncDir()
-}
-
-// GC removes every snapshot pair whose name keep rejects, returning the
-// removed names. Quarantined (.bad) files are left alone — they are
-// evidence, and an operator deletes them deliberately.
-func (s *Store) GC(keep func(name string) bool) ([]string, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("store: gc %s: %w", s.dir, err)
-	}
-	var removed []string
-	for _, e := range entries {
-		fname := e.Name()
-		if e.IsDir() || !strings.HasSuffix(fname, snapSuffix) {
-			continue
-		}
-		name := strings.TrimSuffix(fname, snapSuffix)
-		if keep != nil && keep(name) {
-			continue
-		}
-		if err := os.Remove(s.snapPath(name)); err != nil {
-			return removed, fmt.Errorf("store: gc %s: %w", name, err)
-		}
-		_ = os.Remove(s.manifestPath(name)) // manifest may be missing; not an error
-		removed = append(removed, name)
-	}
-	sort.Strings(removed)
-	return removed, nil
 }
 
 // HashBytes returns the sha256 hex digest of b — the checksum and

@@ -183,46 +183,6 @@ func TestLoadStaleSkipsPayload(t *testing.T) {
 	}
 }
 
-func TestListAndGC(t *testing.T) {
-	dir := t.TempDir()
-	st, _ := store.Open(dir)
-	a := smallAdvisor(t, 9)
-	for _, name := range []string{"cuda", "opencl", "xeon"} {
-		if _, err := st.Save(name, a, "", "h-"+name); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// a quarantined pair must not show up in List
-	st.Save("stale", a, "", "h-stale")
-	st.Quarantine("stale")
-
-	mans, err := st.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mans) != 3 || mans[0].Advisor != "cuda" || mans[1].Advisor != "opencl" || mans[2].Advisor != "xeon" {
-		t.Fatalf("List = %+v", mans)
-	}
-
-	removed, err := st.GC(func(name string) bool { return name == "cuda" })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(removed) != 2 || removed[0] != "opencl" || removed[1] != "xeon" {
-		t.Fatalf("GC removed %v", removed)
-	}
-	if _, _, err := st.Load("cuda", "h-cuda"); err != nil {
-		t.Errorf("kept snapshot gone: %v", err)
-	}
-	if _, _, err := st.Load("opencl", "h-opencl"); !errors.Is(err, store.ErrNotFound) {
-		t.Errorf("collected snapshot still loads: %v", err)
-	}
-	// quarantined files survive GC
-	if _, err := os.Stat(filepath.Join(dir, "stale.snap.bad")); err != nil {
-		t.Errorf("GC removed quarantined evidence: %v", err)
-	}
-}
-
 func TestInvalidNames(t *testing.T) {
 	st, _ := store.Open(t.TempDir())
 	a := smallAdvisor(t, 11)

@@ -130,7 +130,7 @@ func TestNormalizeMatchesReference(t *testing.T) {
 		if pass == "cold" {
 			textproc.ResetStemMemo()
 		}
-		for i, ann := range nlp.NewAnnotator().AnnotateAll(inputs) {
+		for i, ann := range nlp.AnnotateAll(inputs) {
 			if got, want := ann.Terms(), textproc.RefNormalizeTerms(inputs[i]); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s memo: AnnotateAll(%q) terms %#v, want %#v", pass, inputs[i], got, want)
 			}

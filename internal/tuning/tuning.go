@@ -92,7 +92,7 @@ func Tune(cfg selectors.Config, sentences []string, labels []bool, opts Options)
 
 	// annotate once; configurations only change keyword sets, not parses,
 	// so every trial configuration scores against the same annotations
-	anns := nlp.NewAnnotator().AnnotateAll(sentences)
+	anns := nlp.AnnotateAll(sentences)
 
 	res := &Result{Config: cfg}
 	cur := cfg

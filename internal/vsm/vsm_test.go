@@ -192,13 +192,18 @@ func TestTracedScoring(t *testing.T) {
 	ix := BuildFromTerms(randomTermLists(rand.New(rand.NewSource(73)), 20), nil)
 	tracer := obs.NewTracer(1.0, obs.NewTraceStore(obs.DefaultTraceCapacity))
 	terms := []string{"term03", "term17", "common"}
-	sctx, root := tracer.Start(context.Background(), "test.query")
+	id := obs.NewTraceID()
+	if !tracer.Sample() {
+		t.Fatal("rate-1 tracer did not sample")
+	}
+	root := tracer.Root(id, "test.query")
+	sctx := obs.ContextWithSpan(context.Background(), root)
 	thresholds := []float64{-1, DefaultThreshold}
 	for _, threshold := range thresholds {
 		sameMatches(t, fmt.Sprintf("traced @%v", threshold), ix.Query(sctx, terms, threshold), run(ix, terms, threshold))
 	}
 	root.Finish()
-	tr, ok := tracer.Store().Get(obs.TraceID(sctx))
+	tr, ok := tracer.Store().Get(id)
 	if !ok {
 		t.Fatal("trace not recorded")
 	}

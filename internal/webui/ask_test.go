@@ -2,14 +2,18 @@ package webui
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
+	"repro/internal/corpus"
+	"repro/internal/lifecycle"
+	"repro/internal/obs"
+	"repro/internal/service"
 )
 
 func getPage(t *testing.T, url string) (int, string) {
@@ -21,42 +25,45 @@ func getPage(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, readBody(t, resp)
 }
 
-// TestAskFederated: with a federator installed, the /ask page fans the
-// question out and attributes every hit to its advisor. A backend
-// parameter left in an old link is ignored.
+// TestAskFederated: the /ask page fans the question out to every advisor of
+// the service and attributes every hit to its advisor. A backend parameter
+// left in an old link is ignored.
 func TestAskFederated(t *testing.T) {
-	s := testServer(t)
-	var gotQ string
-	var gotK int
-	s.SetFederator(func(ctx context.Context, q string, k int) []FederatedHit {
-		gotQ, gotK = q, k
-		return []FederatedHit{
-			{Advisor: "cuda", Section: "5.2", Text: "coalesce global accesses", Score: 2.0, Norm: 1.0},
-			{Advisor: "opencl", Section: "3.1", Text: "tune the work group size", Score: 0.8, Norm: 0.9},
-		}
-	})
+	s := testService(t, corpus.OpenCL)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	code, body := getPage(t, ts.URL+"/ask?q="+url.QueryEscape("memory performance")+"&backend=bm25")
+	const q = "memory performance"
+	code, body := getPage(t, ts.URL+"/ask?q="+url.QueryEscape(q)+"&backend=bm25")
 	if code != 200 {
 		t.Fatalf("ask status %d", code)
 	}
-	if gotQ != "memory performance" || gotK != 3 {
-		t.Fatalf("federator saw q=%q k=%d", gotQ, gotK)
+	answers, errs := s.Ask(context.Background(), q, service.DefaultFederationK)
+	if len(errs) != 0 {
+		t.Fatalf("ask errors: %v", errs)
 	}
-	for _, wantSub := range []string{"cuda", "opencl", "coalesce global accesses", "tune the work group size", "every advisor"} {
+	by := map[string]int{}
+	for _, a := range answers {
+		by[a.Advisor]++
+	}
+	if by["cuda"] == 0 || by["opencl"] == 0 {
+		t.Fatalf("both advisors should answer %q: %v", q, by)
+	}
+	if n := strings.Count(body, `class="hit"`); n != len(answers) {
+		t.Errorf("ask page shows %d hits, want %d", n, len(answers))
+	}
+	for _, wantSub := range []string{`<span class="advisor">cuda</span>`, `<span class="advisor">opencl</span>`, "every advisor"} {
 		if !strings.Contains(body, wantSub) {
 			t.Errorf("ask page missing %q", wantSub)
 		}
 	}
 }
 
-// TestAskStandaloneDegradesToSingleAdvisor: without a federator the page
-// still answers, presenting this server's own advisor in the federated
-// shape — top 3 answers, norms relative to the best hit.
+// TestAskStandaloneDegradesToSingleAdvisor: a service of one advisor still
+// answers the page in the federated shape — top 3 answers, norms relative
+// to the best hit.
 func TestAskStandaloneDegradesToSingleAdvisor(t *testing.T) {
-	s := testServer(t)
+	s := testService(t)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -65,19 +72,19 @@ func TestAskStandaloneDegradesToSingleAdvisor(t *testing.T) {
 		t.Fatalf("ask status %d", code)
 	}
 	if !strings.Contains(body, "CUDA Adviser") || !strings.Contains(body, `class="hit"`) {
-		t.Errorf("standalone ask did not answer:\n%.400s", body)
+		t.Errorf("one-advisor ask did not answer:\n%.400s", body)
 	}
 	// norms render: the best hit is exactly 1.00
 	if !strings.Contains(body, "norm 1.00") {
-		t.Errorf("no normalized top answer on standalone ask:\n%.600s", body)
+		t.Errorf("no normalized top answer on one-advisor ask:\n%.600s", body)
 	}
 	if n := strings.Count(body, `class="hit"`); n > 3 {
-		t.Errorf("standalone ask shows %d hits, want <= 3", n)
+		t.Errorf("one-advisor ask shows %d hits, want <= 3", n)
 	}
 }
 
 func TestAskEmptyQueryRedirects(t *testing.T) {
-	s := testServer(t)
+	s := testService(t)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
@@ -96,61 +103,91 @@ func TestAskEmptyQueryRedirects(t *testing.T) {
 // TestAskNoResults: a question nobody answers renders the empty state, not
 // an error page.
 func TestAskNoResults(t *testing.T) {
-	s := testServer(t)
-	s.SetFederator(func(ctx context.Context, q string, k int) []FederatedHit {
-		return nil
-	})
+	s := testService(t, corpus.OpenCL)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	code, body := getPage(t, ts.URL+"/ask?q=zzzzz")
 	if code != 200 || !strings.Contains(body, "No advisor had a relevant sentence") {
 		t.Errorf("empty federated ask: %d\n%.300s", code, body)
 	}
+	if strings.Contains(body, "could not answer") {
+		t.Errorf("an answered ask names failed advisors:\n%.300s", body)
+	}
+	// a question no advisor may answer names each one with its error
+	var words []string
+	for i := 0; i < 1100; i++ {
+		words = append(words, fmt.Sprintf("w%d", i))
+	}
+	code, body = getPage(t, ts.URL+"/ask?q="+strings.Join(words, "+"))
+	for _, advisor := range []string{"cuda", "opencl"} {
+		if want := advisor + " could not answer: service: query too long"; code != 200 || !strings.Contains(body, want) {
+			t.Errorf("over-long ask: %d, page lacks %q:\n%.600s", code, want, body)
+		}
+	}
 }
 
-// TestReloadInfoFooter: the lifecycle summary renders in the front-page
-// footer when installed, including the hot-reload count and rule diff, and
-// is absent both without the hook and when the hook reports nil.
+// TestReloadInfoFooter: with a lifecycle manager attached, the front-page
+// footer shows where the advisor came from, and after a hot reload the
+// reload count and the rule diff; without a manager there is no footer.
 func TestReloadInfoFooter(t *testing.T) {
-	s := testServer(t)
+	reg := service.NewRegistry()
+	seed := int64(4)
+	mgr := lifecycle.New(lifecycle.Options{
+		Register: reg.Add,
+		Swap:     reg.Replace,
+		Metrics:  obs.NewRegistry(),
+	})
+	err := mgr.AddSource(lifecycle.Source{
+		Name:        "cuda",
+		Fingerprint: func() (string, error) { return fmt.Sprint(seed), nil },
+		Build: func(ctx context.Context, prev *core.Advisor) (*core.Advisor, error) {
+			g := corpus.GenerateSized(corpus.CUDA, 250, 0.25, seed)
+			return core.New().UpdateFromSentencesCtx(ctx, prev, g.Doc, g.Sentences)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.WarmStart(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	s := service.New(reg, service.Options{Metrics: obs.NewRegistry()})
+	New(s, "cuda", "CUDA Adviser")
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
 	_, body := getPage(t, ts.URL+"/")
 	if strings.Contains(body, `class="lifecycle"`) {
-		t.Error("footer rendered without a reload-info hook")
+		t.Error("footer rendered without a lifecycle manager")
 	}
 
-	built := time.Date(2026, 8, 8, 10, 30, 0, 0, time.UTC)
-	swap := built.Add(45 * time.Minute)
-	info := &ReloadInfo{Origin: "snapshot", BuiltAt: built}
-	s.SetReloadInfo(func() *ReloadInfo { return info })
-
+	s.SetLifecycle(mgr)
 	_, body = getPage(t, ts.URL+"/")
-	if !strings.Contains(body, `class="lifecycle"`) || !strings.Contains(body, "corpus: snapshot") {
-		t.Fatalf("footer missing after SetReloadInfo:\n%.400s", body)
+	if !strings.Contains(body, `class="lifecycle"`) || !strings.Contains(body, "corpus: build") {
+		t.Fatalf("footer missing after SetLifecycle:\n%.400s", body)
 	}
-	if !strings.Contains(body, "2026-08-08 10:30:00") {
-		t.Errorf("footer missing build time:\n%s", footerLine(body))
+	state := mgr.State().Advisors[0]
+	if built := state.BuiltAt.Format("2006-01-02 15:04:05"); !strings.Contains(body, built) {
+		t.Errorf("footer missing build time %s:\n%s", built, footerLine(body))
 	}
 	if strings.Contains(body, "hot reload") {
 		t.Errorf("reload-free footer mentions reloads:\n%s", footerLine(body))
 	}
 
 	// after a hot swap the footer gains the reload count, time, and diff
-	info = &ReloadInfo{Origin: "build", BuiltAt: built, LastSwap: swap, Reloads: 2, LastDiff: "3 added, 1 removed"}
+	seed = 5
+	if err := mgr.ReloadNow(context.Background(), "cuda"); err != nil {
+		t.Fatal(err)
+	}
+	state = mgr.State().Advisors[0]
+	if state.LastDiff == "" || state.LastDiff == "0 added, 0 removed" {
+		t.Fatalf("reload changed no rule: %q", state.LastDiff)
+	}
 	_, body = getPage(t, ts.URL+"/")
-	for _, wantSub := range []string{"corpus: build", "2 hot reload(s)", "11:15:00", "3 added, 1 removed"} {
+	for _, wantSub := range []string{"corpus: build", "1 hot reload(s)", state.LastSwap.Format("15:04:05"), "(" + state.LastDiff + ")"} {
 		if !strings.Contains(body, wantSub) {
 			t.Errorf("footer missing %q:\n%s", wantSub, footerLine(body))
 		}
-	}
-
-	// a hook that reports nil hides the footer again
-	info = nil
-	_, body = getPage(t, ts.URL+"/")
-	if strings.Contains(body, `class="lifecycle"`) {
-		t.Error("footer rendered for a nil lifecycle summary")
 	}
 }
 
@@ -165,26 +202,24 @@ func footerLine(body string) string {
 	return "(no footer)"
 }
 
-// TestSetAdvisorProviderSwapsPages: pages render against the provider's
-// advisor, fall back to the constructed one when the provider returns nil,
-// and follow a hot swap on the next request.
+// TestSetAdvisorProviderSwapsPages: pages render the advisor the registry
+// serves now, so a hot swap through the service reaches them on the next
+// request.
 func TestSetAdvisorProviderSwapsPages(t *testing.T) {
-	s := testServer(t)
-	var live *core.Advisor
-	s.SetAdvisorProvider(func() *core.Advisor { return live })
+	s := testService(t)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	// nil provider result: constructed advisor serves
+	a, _ := s.Registry().Get("cuda")
 	_, before := getPage(t, ts.URL+"/")
-	if !strings.Contains(before, "advising sentences") {
-		t.Fatalf("fallback render broken:\n%.300s", before)
+	if want := fmt.Sprintf("<p>%d advising sentences", len(a.Rules())); len(a.Rules()) == 0 || !strings.Contains(before, want) {
+		t.Fatalf("front page before the swap lacks %q:\n%.300s", want, before)
 	}
 
-	live = emptyAdvisor()
+	s.Reload("cuda", emptyAdvisor())
 	_, after := getPage(t, ts.URL+"/")
-	if !strings.Contains(after, "0 advising sentences") {
-		t.Errorf("provider advisor not live after swap:\n%.300s", after)
+	if !strings.Contains(after, "<p>0 advising sentences") {
+		t.Errorf("swapped advisor not live:\n%.300s", after)
 	}
 }
 

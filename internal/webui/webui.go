@@ -3,11 +3,15 @@
 // advising sentences extracted from the guide with links into the document
 // structure, a query box, and a report upload; answers are shown highlighted
 // together with the other advising sentences of the same section.
+//
+// The pages are a view over a service.Service: they render the advisor its
+// registry serves now, answer through its cache and admission control, and
+// are served inside its request envelope (see service.Service.Handle).
 package webui
 
 import (
 	"bytes"
-	"context"
+	"fmt"
 	"html/template"
 	"net/http"
 	"sort"
@@ -15,9 +19,9 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/nlp"
-	"repro/internal/nvvp"
+	"repro/internal/lifecycle"
 	"repro/internal/obs"
+	"repro/internal/service"
 )
 
 // Observability for the HTML front-end, surfaced on /metricz as webui_*.
@@ -28,110 +32,51 @@ var (
 	renderHist   = obs.Default().Histogram("webui_render_micros")
 )
 
-// FederatedHit is one advisor's answer inside the federated /ask page —
-// the webui's own view of a cross-advisor result, so the package stays
-// decoupled from the serving layer's wire types.
-type FederatedHit struct {
-	Advisor string
-	Section string
-	Text    string
-	Score   float64 // raw cosine score, advisor-local scale
-	Norm    float64 // score / that advisor's best score
-}
-
-// ReloadInfo is the corpus-lifecycle summary shown in the front page footer:
-// where the serving advisor came from and when it last changed under traffic.
-type ReloadInfo struct {
-	Origin   string    // "snapshot" (warm start) or "build"
-	BuiltAt  time.Time // when the serving advisor was built
-	LastSwap time.Time // zero until the first hot reload
-	Reloads  int64     // hot reloads since boot
-	LastDiff string    // rule diff of the last swap, e.g. "2 added, 1 removed"
-}
-
-// Server wraps an Advisor with HTTP handlers.
+// Server renders one advisor of a service's registry as HTML pages.
 type Server struct {
-	advisor    *core.Advisor
-	title      string
-	mux        *http.ServeMux
-	querier    func(ctx context.Context, q string) []core.Answer         // optional shared retrieval path
-	federator  func(ctx context.Context, q string, k int) []FederatedHit // optional cross-advisor ask
-	provider   func() *core.Advisor                                      // optional live-advisor source
-	reloadInfo func() *ReloadInfo                                        // optional lifecycle summary
+	svc     *service.Service
+	advisor string // the registry name of the advisor the pages show
+	title   string
 }
 
-// New creates a Server for an advisor. title labels the pages
-// (e.g. "CUDA Adviser").
-func New(advisor *core.Advisor, title string) *Server {
-	s := &Server{advisor: advisor, title: title, mux: http.NewServeMux()}
-	s.mux.HandleFunc("/", s.handleIndex)
-	s.mux.HandleFunc("/query", s.handleQuery)
-	s.mux.HandleFunc("/ask", s.handleAsk)
-	s.mux.HandleFunc("/report", s.handleReport)
-	s.mux.HandleFunc("/doc", s.handleDoc)
+// New mounts the pages of the named advisor on svc, at /, /query, /ask,
+// /report and /doc, so a service serves one advisor's pages. title labels
+// the pages (e.g. "CUDA Adviser"). The /ask page asks every advisor of the
+// registry.
+func New(svc *service.Service, advisor, title string) *Server {
+	s := &Server{svc: svc, advisor: advisor, title: title}
+	for pattern, h := range map[string]http.HandlerFunc{
+		"/{$}":    s.handleIndex,
+		"/query":  s.handleQuery,
+		"/ask":    s.handleAsk,
+		"/report": s.handleReport,
+		"/doc":    s.handleDoc,
+	} {
+		svc.Handle(pattern, page(h))
+	}
 	return s
 }
 
-// SetQuerier routes retrieval through f instead of calling the advisor
-// directly — the hook that lets the HTML UI share a serving layer's query
-// cache and admission control. The context carries the request's trace
-// span (if sampled), so shared-path queries appear in the request's trace
-// tree. Call before serving traffic.
-func (s *Server) SetQuerier(f func(ctx context.Context, q string) []core.Answer) {
-	s.querier = f
-}
-
-// SetFederator routes the /ask page through f, typically a serving layer's
-// cross-advisor federation (each advisor's k best answers, merged by
-// normalized score). Without a federator, /ask degrades to this server's
-// single advisor. Call before serving traffic.
-func (s *Server) SetFederator(f func(ctx context.Context, q string, k int) []FederatedHit) {
-	s.federator = f
-}
-
-// SetAdvisorProvider makes every page render against f() instead of the
-// advisor captured at construction — the hook that lets a hot-swapped
-// registry advisor reach the HTML UI without rebuilding the Server. f must
-// be safe for concurrent use (registry lookups are). Call before serving
-// traffic.
-func (s *Server) SetAdvisorProvider(f func() *core.Advisor) {
-	s.provider = f
-}
-
-// SetReloadInfo installs the lifecycle summary shown in the front-page
-// footer (warm-start origin, last hot reload). nil results hide the footer.
-// Call before serving traffic.
-func (s *Server) SetReloadInfo(f func() *ReloadInfo) {
-	s.reloadInfo = f
-}
-
-// adv returns the advisor to render: the live one when a provider is
-// installed, else the one captured at construction.
-func (s *Server) adv() *core.Advisor {
-	if s.provider != nil {
-		if a := s.provider(); a != nil {
-			return a
-		}
+func page(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		pagesTotal.Inc()
+		h(w, r)
 	}
-	return s.advisor
 }
 
-// query answers q through the shared querier when one is installed; the
-// standalone fallback goes through the annotation path (normalize once,
-// score the terms) like the serving layer does.
-func (s *Server) query(ctx context.Context, q string) []core.Answer {
-	queriesTotal.Inc()
-	if s.querier != nil {
-		return s.querier(ctx, q)
+// adv returns the advisor the registry serves now, or writes a 404 and
+// returns nil.
+func (s *Server) adv(w http.ResponseWriter) *core.Advisor {
+	a, ok := s.svc.Registry().Get(s.advisor)
+	if !ok {
+		http.Error(w, fmt.Sprintf("unknown advisor %q", s.advisor), http.StatusNotFound)
 	}
-	adv := s.adv()
-	return adv.Retrieve(ctx, nlp.QueryTerms(q), adv.Threshold())
+	return a
 }
 
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	pagesTotal.Inc()
-	s.mux.ServeHTTP(w, r)
+// fail answers a lookup error with the status /v1 would give it.
+func fail(w http.ResponseWriter, err error) {
+	http.Error(w, err.Error(), service.StatusOf(err))
 }
 
 var indexTmpl = template.Must(template.New("index").Parse(`<!DOCTYPE html>
@@ -197,11 +142,10 @@ type ruleGroup struct {
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
+	adv := s.adv(w)
+	if adv == nil {
 		return
 	}
-	adv := s.adv()
 	rules := adv.Rules()
 	bySection := map[string][]core.AdvisingSentence{}
 	var order []string
@@ -216,9 +160,15 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	for _, sec := range order {
 		groups = append(groups, ruleGroup{Section: sec, Anchor: anchorFor(sec), Rules: bySection[sec]})
 	}
-	var reload *ReloadInfo
-	if s.reloadInfo != nil {
-		reload = s.reloadInfo()
+	// the footer shows the advisor's lifecycle, when one is attached
+	var reload *lifecycle.AdvisorState
+	if lc := s.svc.Stats().Lifecycle; lc != nil {
+		for i := range lc.Advisors {
+			if lc.Advisors[i].Advisor == s.advisor {
+				reload = &lc.Advisors[i]
+				break
+			}
+		}
 	}
 	data := struct {
 		Title  string
@@ -226,7 +176,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		Total  int
 		Ratio  float64
 		Groups []ruleGroup
-		Reload *ReloadInfo
+		Reload *lifecycle.AdvisorState
 	}{s.title, len(rules), adv.SentenceCount(), adv.CompressionRatio(), groups, reload}
 	render(w, indexTmpl, data)
 }
@@ -245,7 +195,7 @@ type answerBlock struct {
 	Items   []answerItem
 }
 
-func (s *Server) answersToBlock(heading string, answers []core.Answer) answerBlock {
+func answersToBlock(adv *core.Advisor, heading string, answers []core.Answer) answerBlock {
 	b := answerBlock{Heading: heading, Empty: len(answers) == 0}
 	for _, a := range answers {
 		item := answerItem{
@@ -254,7 +204,7 @@ func (s *Server) answersToBlock(heading string, answers []core.Answer) answerBlo
 			Text:    a.Sentence.Text,
 			Score:   a.Score,
 		}
-		for _, c := range s.adv().ContextOf(a) {
+		for _, c := range adv.ContextOf(a) {
 			item.Context = append(item.Context, c.Text)
 		}
 		if len(item.Context) > 4 {
@@ -271,11 +221,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Redirect(w, r, "/", http.StatusSeeOther)
 		return
 	}
-	answers := s.query(r.Context(), q)
+	adv := s.adv(w)
+	if adv == nil {
+		return
+	}
+	queriesTotal.Inc()
+	answers, _, err := s.svc.CachedQuery(r.Context(), s.advisor, q)
+	if err != nil {
+		fail(w, err)
+		return
+	}
 	data := struct {
 		Title  string
 		Blocks []answerBlock
-	}{s.title, []answerBlock{s.answersToBlock("Query: "+q, answers)}}
+	}{s.title, []answerBlock{answersToBlock(adv, "Query: "+q, answers)}}
 	render(w, answerTmpl, data)
 }
 
@@ -291,50 +250,31 @@ body { font-family: sans-serif; margin: 2em; max-width: 60em; }
 <h1>{{.Title}} — every advisor</h1>
 <p><a href="/">back to the rule list</a></p>
 <div class="issue">Ask: {{.Query}}</div>
-{{if not .Hits}}<p>No advisor had a relevant sentence.</p>{{end}}
+{{if not .Hits}}<p>No advisor had a relevant sentence.</p>{{end}}{{range $advisor, $err := .Errors}}<p class="error">{{$advisor}} could not answer: {{$err}}</p>{{end}}
 {{range .Hits}}
-<div class="hit"><span class="advisor">{{.Advisor}}</span>{{.Text}}
+<div class="hit"><span class="advisor">{{.Advisor}}</span>{{.Rule.Text}}
 <span class="score">(norm {{printf "%.2f" .Norm}}, score {{printf "%.2f" .Score}})</span><br>
-<span class="section">{{.Section}}</span></div>
+<span class="section">{{.Rule.Section}}</span></div>
 {{end}}
 </body></html>`))
 
-// handleAsk renders the federated cross-advisor view. With a federator
-// installed the question fans out to every registered advisor; standalone,
-// it degrades to this server's single advisor presented in the same shape.
+// handleAsk renders the federated cross-advisor view: the question fans
+// out to every registered advisor, each contributes its 3 best answers, and
+// an advisor that could not answer (overload, timeout, an open breaker) is
+// named with its error.
 func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 	q := strings.TrimSpace(r.URL.Query().Get("q"))
 	if q == "" {
 		http.Redirect(w, r, "/", http.StatusSeeOther)
 		return
 	}
-	var hits []FederatedHit
-	if s.federator != nil {
-		hits = s.federator(r.Context(), q, 3)
-	} else {
-		answers := s.query(r.Context(), q)
-		if len(answers) > 3 {
-			answers = answers[:3]
-		}
-		for _, a := range answers {
-			norm := 0.0
-			if best := answers[0].Score; best > 0 {
-				norm = a.Score / best
-			}
-			hits = append(hits, FederatedHit{
-				Advisor: s.title,
-				Section: a.Sentence.Section,
-				Text:    a.Sentence.Text,
-				Score:   a.Score,
-				Norm:    norm,
-			})
-		}
-	}
+	hits, errs := s.svc.Ask(r.Context(), q, service.DefaultFederationK)
 	data := struct {
-		Title string
-		Query string
-		Hits  []FederatedHit
-	}{s.title, q, hits}
+		Title  string
+		Query  string
+		Hits   []service.FederatedAnswer
+		Errors map[string]string // advisor → why it could not answer
+	}{s.title, q, hits, errs}
 	render(w, askTmpl, data)
 }
 
@@ -347,17 +287,22 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	report, err := nvvp.ParseReport(r.FormValue("report"))
+	adv := s.adv(w)
+	if adv == nil {
+		return
+	}
+	// the service refuses what POST /v1/{advisor}/report refuses, before
+	// any lookup, and answers every issue through its cache
+	report, answers, err := s.svc.Report(r.Context(), s.advisor, r.FormValue("report"))
 	if err != nil {
-		http.Error(w, "could not parse report: "+err.Error(), http.StatusBadRequest)
+		fail(w, err)
 		return
 	}
 	reportsTotal.Inc()
+	queriesTotal.Add(int64(len(answers)))
 	var blocks []answerBlock
-	for _, issue := range report.Issues() {
-		// each issue is answered through the shared query path, so report
-		// uploads also benefit from (and warm) the serving cache
-		blocks = append(blocks, s.answersToBlock("Issue: "+issue.Title, s.query(r.Context(), issue.Query())))
+	for i, issue := range report.Issues() {
+		blocks = append(blocks, answersToBlock(adv, "Issue: "+issue.Title, answers[i]))
 	}
 	if len(blocks) == 0 {
 		blocks = []answerBlock{{Heading: "Report " + report.Program, Empty: true}}
@@ -400,9 +345,12 @@ type docSection struct {
 // highlighted in place — the "richer context" view the paper's loader
 // structure enables (§3.2), reachable from the answer pages' section links.
 func (s *Server) handleDoc(w http.ResponseWriter, r *http.Request) {
+	adv := s.adv(w)
+	if adv == nil {
+		return
+	}
 	var sections []docSection
 	bySection := map[string]int{}
-	adv := s.adv()
 	for i := 0; i < adv.SentenceCount(); i++ {
 		sec := adv.SectionOf(i)
 		idx, ok := bySection[sec]

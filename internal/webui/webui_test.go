@@ -1,7 +1,6 @@
 package webui
 
 import (
-	"context"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -11,17 +10,32 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/nvvp"
+	"repro/internal/obs"
+	"repro/internal/service"
 )
 
-func testServer(t testing.TB) *Server {
+func testAdvisor(t testing.TB, reg corpus.Register) *core.Advisor {
 	t.Helper()
-	g := corpus.GenerateSized(corpus.CUDA, 250, 0.25, 4)
-	a := core.New().BuildFromSentences(g.Doc, g.Sentences)
-	return New(a, "CUDA Adviser")
+	g := corpus.GenerateSized(reg, 250, 0.25, 4)
+	return core.New().BuildFromSentences(g.Doc, g.Sentences)
+}
+
+// testService serves a small CUDA guide as "cuda", and one advisor per
+// extra register, from one service with the "cuda" pages mounted. Its
+// metrics registry is its own, so cache counters count only its lookups.
+func testService(t testing.TB, regs ...corpus.Register) *service.Service {
+	t.Helper()
+	reg := service.NewRegistry()
+	for _, r := range append([]corpus.Register{corpus.CUDA}, regs...) {
+		reg.Add(strings.ToLower(r.String()), testAdvisor(t, r))
+	}
+	svc := service.New(reg, service.Options{Metrics: obs.NewRegistry()})
+	New(svc, "cuda", "CUDA Adviser")
+	return svc
 }
 
 func TestWebUIPages(t *testing.T) {
-	s := testServer(t)
+	s := testService(t)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -46,7 +60,7 @@ func TestWebUIPages(t *testing.T) {
 }
 
 func TestQueryEndpoint(t *testing.T) {
-	s := testServer(t)
+	s := testService(t)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -77,7 +91,7 @@ func TestQueryEndpoint(t *testing.T) {
 }
 
 func TestQueryEmptyRedirects(t *testing.T) {
-	s := testServer(t)
+	s := testService(t)
 	req := httptest.NewRequest("GET", "/query?q=", nil)
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
@@ -87,7 +101,7 @@ func TestQueryEmptyRedirects(t *testing.T) {
 }
 
 func TestQueryNoResults(t *testing.T) {
-	s := testServer(t)
+	s := testService(t)
 	req := httptest.NewRequest("GET", "/query?q=zyzzyva+quux", nil)
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
@@ -97,7 +111,7 @@ func TestQueryNoResults(t *testing.T) {
 }
 
 func TestReportUpload(t *testing.T) {
-	s := testServer(t)
+	s := testService(t)
 	text, err := nvvp.Synthesize("norm")
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +131,7 @@ func TestReportUpload(t *testing.T) {
 }
 
 func TestReportUploadJSONMetrics(t *testing.T) {
-	s := testServer(t)
+	s := testService(t)
 	metrics := `{
 		"program": "mykernel",
 		"warp_execution_efficiency": 0.5,
@@ -143,7 +157,7 @@ func TestReportUploadJSONMetrics(t *testing.T) {
 }
 
 func TestReportUploadErrors(t *testing.T) {
-	s := testServer(t)
+	s := testService(t)
 	// GET not allowed
 	req := httptest.NewRequest("GET", "/report", nil)
 	rec := httptest.NewRecorder()
@@ -163,7 +177,7 @@ func TestReportUploadErrors(t *testing.T) {
 }
 
 func TestAnswerPagesDeepLinkIntoDoc(t *testing.T) {
-	s := testServer(t)
+	s := testService(t)
 	req := httptest.NewRequest("GET", "/query?q="+url.QueryEscape("warp execution efficiency"), nil)
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
@@ -184,7 +198,7 @@ func TestAnswerPagesDeepLinkIntoDoc(t *testing.T) {
 }
 
 func TestDocBrowserPage(t *testing.T) {
-	s := testServer(t)
+	s := testService(t)
 	req := httptest.NewRequest("GET", "/doc", nil)
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
@@ -204,7 +218,7 @@ func TestDocBrowserPage(t *testing.T) {
 }
 
 func TestNotFound(t *testing.T) {
-	s := testServer(t)
+	s := testService(t)
 	req := httptest.NewRequest("GET", "/missing", nil)
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
@@ -235,27 +249,31 @@ func min(a, b int) int {
 	return b
 }
 
+// lookups counts the service's cache lookups, hits and misses.
+func lookups(svc *service.Service) int64 {
+	st := svc.Stats()
+	return st.CacheHits + st.CacheMisses
+}
+
+// TestSetQuerierRoutesRetrieval: the query page and every issue of an
+// uploaded report are lookups of the service, through its cache.
 func TestSetQuerierRoutesRetrieval(t *testing.T) {
-	s := testServer(t)
-	var got []string
-	s.SetQuerier(func(_ context.Context, q string) []core.Answer {
-		got = append(got, q)
-		return []core.Answer{{
-			Sentence: core.AdvisingSentence{Index: 0, Text: "use the shared path"},
-			Score:    0.99,
-		}}
-	})
+	s := testService(t)
 	req := httptest.NewRequest("GET", "/query?q="+url.QueryEscape("memory latency"), nil)
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
-	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "use the shared path") {
-		t.Fatalf("querier answer not rendered: %d", rec.Code)
+	if rec.Code != 200 {
+		t.Fatalf("query status %d", rec.Code)
 	}
-	if len(got) != 1 || got[0] != "memory latency" {
-		t.Errorf("querier saw %v", got)
+	if got := lookups(s); got != 1 {
+		t.Errorf("query page made %d lookups, want 1", got)
 	}
 	// report issues must flow through the same path
 	text, err := nvvp.Synthesize("norm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := nvvp.ParseReport(text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +285,7 @@ func TestSetQuerierRoutesRetrieval(t *testing.T) {
 	if rec.Code != 200 {
 		t.Fatalf("report status %d", rec.Code)
 	}
-	if len(got) < 2 {
-		t.Errorf("report issues did not go through the querier: %v", got)
+	if got, want := lookups(s), int64(1+len(report.Issues())); got != want {
+		t.Errorf("%d lookups after the report, want %d: one per issue", got, want)
 	}
 }
