@@ -538,8 +538,8 @@ func BenchmarkFederatedAsk(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			q := "overlap transfers with execution " + variant(b, words, asked)
 			asked++
-			if ans, errs := svc.Ask(ctx, q, 3); len(errs) != 0 {
-				b.Fatalf("%v (%d answers)", errs, len(ans))
+			if ans, errs, err := svc.Ask(ctx, q, 3); err != nil || len(errs) != 0 {
+				b.Fatalf("%v %v (%d answers)", err, errs, len(ans))
 			}
 		}
 		allMisses(b, svc)
@@ -550,8 +550,8 @@ func BenchmarkFederatedAsk(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, errs := svc.Ask(ctx, q, 3); len(errs) != 0 {
-				b.Fatal(errs)
+			if _, errs, err := svc.Ask(ctx, q, 3); err != nil || len(errs) != 0 {
+				b.Fatal(err, errs)
 			}
 		}
 	})

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,7 +20,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/lifecycle"
 	"repro/internal/obs"
-	"repro/internal/service"
 	"repro/internal/store"
 )
 
@@ -42,8 +42,8 @@ func scrubTrace(b []byte) string {
 //
 //   - no panics or torn responses (every response is well-formed JSON with a
 //     trace ID and an expected status);
-//   - circuit breakers open under sustained failure and recover after the
-//     cooldown;
+//   - an ask under sustained scoring failure still answers within its
+//     deadline, naming every advisor with its error;
 //   - torn snapshot writes never corrupt the store (post-run loads are clean);
 //   - after faults stop, answers are byte-identical — hence
 //     Float64bits-identical scores — to a fault-free control server.
@@ -62,10 +62,6 @@ func TestServeChaosSoak(t *testing.T) {
 			testSource(t, "opencl", 120, 9),
 		}
 	}
-	const (
-		brkThreshold = 3
-		brkCooldown  = 150 * time.Millisecond
-	)
 
 	// fault-free control: same advisors, no injector. Its answers are the
 	// ground truth the chaos server must reproduce after recovery.
@@ -108,19 +104,17 @@ func TestServeChaosSoak(t *testing.T) {
 	inj := fault.New(42)
 	snapDir := t.TempDir()
 	handler, svc, _, err := buildServeHandler(core.New(), serveConfig{
-		primaryName:  "cuda",
-		snapshotDir:  snapDir,
-		cacheSize:    128,
-		maxInflight:  64,
-		maxBatch:     8,
-		timeout:      5 * time.Second,
-		metrics:      obs.NewRegistry(),
-		faults:       inj,
-		brkThreshold: brkThreshold,
-		brkCooldown:  brkCooldown,
-		retries:      2,
-		backoff:      time.Millisecond,
-		sources:      newSources(),
+		primaryName: "cuda",
+		snapshotDir: snapDir,
+		cacheSize:   128,
+		maxInflight: 64,
+		maxBatch:    8,
+		timeout:     5 * time.Second,
+		metrics:     obs.NewRegistry(),
+		faults:      inj,
+		retries:     2,
+		backoff:     time.Millisecond,
+		sources:     newSources(),
 	}, logger)
 	if err != nil {
 		t.Fatal(err)
@@ -208,10 +202,10 @@ func TestServeChaosSoak(t *testing.T) {
 		}
 	}
 
-	// breakers: with scoring failing hard, brkThreshold asks trip every
-	// advisor's breaker; /statsz reports them open and further asks skip the
-	// advisors with ErrBreakerOpen in the errors map. The asks differ in a
-	// word both guides use, so each one misses, and so scores, on both.
+	// an ask with scoring failing hard: every advisor is asked, the ask
+	// answers within its deadline, and each advisor is named with its
+	// error. The question uses a word both guides use, so it misses, and so
+	// scores, on both.
 	var advs []*core.Advisor
 	for _, a := range advisors {
 		adv, ok := svc.Registry().Get(a)
@@ -220,70 +214,29 @@ func TestServeChaosSoak(t *testing.T) {
 		}
 		advs = append(advs, adv)
 	}
-	words := guideWords(t, brkThreshold, advs...)
+	word := guideWords(t, 1, advs...)[0]
 	inj.Set(fault.VSMScore, fault.Rule{ErrProb: 1})
-	for i := 0; i < brkThreshold; i++ {
-		httpGet(t, ts.URL+"/v1/ask?q=trip+breaker+"+words[i])
-	}
-	var st struct {
-		Breakers []service.BreakerInfo `json:"breakers"`
-	}
-	code, sbody := httpGet(t, ts.URL+"/statsz")
-	if code != 200 {
-		t.Fatalf("statsz: %d", code)
-	}
-	if err := json.Unmarshal(sbody, &st); err != nil {
-		t.Fatal(err)
-	}
-	open := map[string]bool{}
-	for _, b := range st.Breakers {
-		if b.State == "open" {
-			open[b.Advisor] = true
-		}
-	}
-	for _, a := range advisors {
-		if !open[a] {
-			t.Fatalf("breaker for %s not open after %d failing asks: %s", a, brkThreshold, sbody)
-		}
-	}
 	var ask struct {
 		Count  int               `json:"count"`
 		Errors map[string]string `json:"errors"`
 	}
-	code, abody := httpGet(t, ts.URL+"/v1/ask?q=ask+while+open")
-	if code != 200 {
-		t.Fatalf("ask with breakers open: %d %s", code, abody)
+	askStart := time.Now()
+	code, abody := httpGet(t, ts.URL+"/v1/ask?q=failing+score+"+word)
+	if took := time.Since(askStart); code != 200 || took > 5*time.Second {
+		t.Fatalf("ask under scoring faults: %d after %v %s", code, took, abody)
 	}
 	if err := json.Unmarshal(abody, &ask); err != nil {
 		t.Fatal(err)
 	}
 	if ask.Count != 0 {
-		t.Errorf("open breakers still produced %d answers", ask.Count)
+		t.Errorf("failing scoring still produced %d answers", ask.Count)
 	}
 	for _, a := range advisors {
-		if ask.Errors[a] != service.ErrBreakerOpen.Error() {
-			t.Errorf("advisor %s error %q, want %q", a, ask.Errors[a], service.ErrBreakerOpen)
+		if !strings.Contains(ask.Errors[a], fault.ErrInjected.Error()) {
+			t.Errorf("advisor %s error %q, want an injected fault", a, ask.Errors[a])
 		}
 	}
-
-	// recovery: faults off, cooldown elapses, one ask probes each advisor
-	// half-open and closes the breakers
 	inj.Reset()
-	time.Sleep(brkCooldown + 50*time.Millisecond)
-	httpGet(t, ts.URL+"/v1/ask?q=recovery+probe")
-	code, sbody = httpGet(t, ts.URL+"/statsz")
-	if code != 200 {
-		t.Fatalf("statsz after recovery: %d", code)
-	}
-	st.Breakers = nil
-	if err := json.Unmarshal(sbody, &st); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range st.Breakers {
-		if b.State != "closed" {
-			t.Errorf("breaker %s still %s after recovery", b.Advisor, b.State)
-		}
-	}
 
 	// post-chaos answers must be byte-identical to the fault-free control:
 	// identical JSON floats means Float64bits-identical scores, so no torn

@@ -86,17 +86,13 @@ func main() {
 		timeout     = flag.Duration("timeout", 2*time.Second, "per-request deadline")
 		traceSample = flag.Float64("trace-sample", 0, "fraction of requests whose span trees are recorded for /tracez (0 = off, 1 = every request)")
 
-		// resilience flags (serve subcommand). -fault is a development/chaos
-		// knob, off by default; production pays one nil check per fault point.
-		faultSpec = flag.String("fault", "", "fault-injection spec for chaos testing, e.g. 'all:err=0.1' or 'store.write:err=0.2;partial=0.3,vsm.score:lat=5ms@0.5' (dev only; empty = off)")
-		faultSeed = flag.Int64("fault-seed", 1, "PRNG seed for -fault draws (fixed seed = reproducible fault sequence)")
-		brkThresh = flag.Int("breaker-threshold", service.DefaultBreakerThreshold, "consecutive failures that open an advisor's circuit breaker")
-		brkCool   = flag.Duration("breaker-cooldown", service.DefaultBreakerCooldown, "how long an open breaker waits before probing the advisor again")
+		// -fault is a development/chaos knob (serve subcommand), off by
+		// default; production pays one nil check per fault point.
+		faultSpec = flag.String("fault", "", "fault-injection spec for chaos testing, e.g. 'all:err=0.1' or 'store.write:err=0.2;partial=0.3,vsm.score:lat=5ms@0.5'; draws come from a PRNG seeded with 1 (dev only; empty = off)")
 
 		// corpus lifecycle flags (serve subcommand)
-		snapshotDir     = flag.String("snapshot-dir", "", "directory of advisor snapshots: serve warm-starts from it and persists rebuilds to it (empty: cold build, no persistence)")
-		watch           = flag.Bool("watch", false, "poll source documents and hot-reload advisors when they change")
-		rebuildInterval = flag.Duration("rebuild-interval", 15*time.Second, "poll period for -watch")
+		snapshotDir = flag.String("snapshot-dir", "", "directory of advisor snapshots: serve warm-starts from it and persists rebuilds to it (empty: cold build, no persistence)")
+		watch       = flag.Bool("watch", false, "poll source documents every 15s and hot-reload advisors when they change")
 	)
 	flag.Parse()
 	args := flag.Args()
@@ -170,25 +166,21 @@ func main() {
 			log.Fatal("serve needs one of -doc or -corpus")
 		}
 		if err := cmdServe(fw, serveConfig{
-			addr:            *addr,
-			primaryName:     primaryAdvisorName(*corpusReg, *docPath),
-			docPath:         *docPath,
-			corpusReg:       *corpusReg,
-			extra:           splitList(*corpora),
-			seed:            *seed,
-			cfgHash:         configFingerprint(cfg, *threshold),
-			snapshotDir:     *snapshotDir,
-			watch:           *watch,
-			rebuildInterval: *rebuildInterval,
-			cacheSize:       *cacheSize,
-			maxInflight:     *maxInflight,
-			maxBatch:        *maxBatch,
-			timeout:         *timeout,
-			traceSample:     *traceSample,
-			faultSpec:       *faultSpec,
-			faultSeed:       *faultSeed,
-			brkThreshold:    *brkThresh,
-			brkCooldown:     *brkCool,
+			addr:        *addr,
+			primaryName: primaryAdvisorName(*corpusReg, *docPath),
+			docPath:     *docPath,
+			corpusReg:   *corpusReg,
+			extra:       splitList(*corpora),
+			seed:        *seed,
+			cfgHash:     configFingerprint(cfg, *threshold),
+			snapshotDir: *snapshotDir,
+			watch:       *watch,
+			cacheSize:   *cacheSize,
+			maxInflight: *maxInflight,
+			maxBatch:    *maxBatch,
+			timeout:     *timeout,
+			traceSample: *traceSample,
+			faultSpec:   *faultSpec,
 		}); err != nil {
 			log.Fatal(err)
 		}
@@ -420,31 +412,27 @@ func splitList(s string) []string {
 
 // serveConfig carries the serve subcommand's knobs.
 type serveConfig struct {
-	addr            string
-	primaryName     string
-	docPath         string   // primary advisor from a document...
-	corpusReg       string   // ...or from a built-in guide
-	extra           []string // additional built-in guides to host
-	seed            int64
-	cfgHash         string // configFingerprint of keyword config + threshold
-	snapshotDir     string // "" disables the snapshot store
-	watch           bool
-	rebuildInterval time.Duration
-	cacheSize       int
-	maxInflight     int
-	maxBatch        int
-	timeout         time.Duration
-	traceSample     float64       // fraction of requests with recorded span trees
-	metrics         *obs.Registry // nil: the process-wide default registry
+	addr        string
+	primaryName string
+	docPath     string   // primary advisor from a document...
+	corpusReg   string   // ...or from a built-in guide
+	extra       []string // additional built-in guides to host
+	seed        int64
+	cfgHash     string // configFingerprint of keyword config + threshold
+	snapshotDir string // "" disables the snapshot store
+	watch       bool   // poll the sources at the lifecycle's default interval
+	cacheSize   int
+	maxInflight int
+	maxBatch    int
+	timeout     time.Duration
+	traceSample float64       // fraction of requests with recorded span trees
+	metrics     *obs.Registry // nil: the process-wide default registry
 
 	// fault injection (dev/chaos only): faultSpec is the -fault grammar
-	// parsed at startup with faultSeed; faults overrides it with a
-	// pre-built injector — the hook chaos tests use to flip rules mid-run.
-	faultSpec    string
-	faultSeed    int64
-	faults       *fault.Injector
-	brkThreshold int           // circuit-breaker trip threshold (0: default)
-	brkCooldown  time.Duration // circuit-breaker probe cooldown (0: default)
+	// parsed at startup; faults overrides it with a pre-built injector —
+	// the hook chaos tests use to flip rules mid-run.
+	faultSpec string
+	faults    *fault.Injector
 
 	// sources overrides the flag-derived lifecycle sources — the hook tests
 	// use to serve small fixture advisors.
@@ -544,12 +532,12 @@ func buildServeHandler(fw *core.Framework, cfg serveConfig, logger *slog.Logger)
 	injector := cfg.faults
 	if injector == nil && cfg.faultSpec != "" {
 		var err error
-		if injector, err = fault.Parse(cfg.faultSpec, cfg.faultSeed); err != nil {
+		if injector, err = fault.Parse(cfg.faultSpec); err != nil {
 			return nil, nil, nil, err
 		}
 	}
 	if injector.Active() {
-		logger.Warn("fault injection ENABLED — not for production", "spec", injector.String(), "seed", cfg.faultSeed)
+		logger.Warn("fault injection ENABLED — not for production", "spec", injector.String())
 	}
 
 	var snapStore *store.Store
@@ -566,7 +554,6 @@ func buildServeHandler(fw *core.Framework, cfg serveConfig, logger *slog.Logger)
 		Store:    snapStore,
 		Register: registry.Add,
 		Swap:     registry.Replace,
-		Interval: cfg.rebuildInterval,
 		Retries:  cfg.retries,
 		Backoff:  cfg.backoff,
 		Logger:   logger,
@@ -593,16 +580,14 @@ func buildServeHandler(fw *core.Framework, cfg serveConfig, logger *slog.Logger)
 	}
 
 	svc := service.New(registry, service.Options{
-		CacheSize:        cfg.cacheSize,
-		MaxInFlight:      cfg.maxInflight,
-		MaxBatch:         cfg.maxBatch,
-		Timeout:          cfg.timeout,
-		Logger:           logger,
-		Tracer:           obs.NewTracer(cfg.traceSample, obs.NewTraceStore(obs.DefaultTraceCapacity)),
-		Metrics:          cfg.metrics,
-		Fault:            injector,
-		BreakerThreshold: cfg.brkThreshold,
-		BreakerCooldown:  cfg.brkCooldown,
+		CacheSize:   cfg.cacheSize,
+		MaxInFlight: cfg.maxInflight,
+		MaxBatch:    cfg.maxBatch,
+		Timeout:     cfg.timeout,
+		Logger:      logger,
+		Tracer:      obs.NewTracer(cfg.traceSample, obs.NewTraceStore(obs.DefaultTraceCapacity)),
+		Metrics:     cfg.metrics,
+		Fault:       injector,
 	})
 	// the admin/stats surface gains the lifecycle view
 	svc.SetLifecycle(mgr)
@@ -650,7 +635,7 @@ func cmdServe(fw *core.Framework, cfg serveConfig) error {
 	defer stopWatch()
 	if cfg.watch {
 		go mgr.Run(watchCtx)
-		logger.Info("watching sources", "interval", cfg.rebuildInterval.String())
+		logger.Info("watching sources")
 	}
 
 	srv := &http.Server{

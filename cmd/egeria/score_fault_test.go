@@ -65,16 +65,15 @@ func TestServeScoreFaultHammer(t *testing.T) {
 
 	inj := fault.New(7)
 	handler, svc, _, err := buildServeHandler(core.New(), serveConfig{
-		primaryName:  "cuda",
-		cacheSize:    256,
-		maxInflight:  64,
-		timeout:      5 * time.Second,
-		metrics:      obs.NewRegistry(),
-		faults:       inj,
-		brkThreshold: 1 << 20, // keep the breaker out of the way: this test is about scoring faults
-		retries:      0,
-		backoff:      time.Millisecond,
-		sources:      []lifecycle.Source{testSource(t, "cuda", 150, 11)},
+		primaryName: "cuda",
+		cacheSize:   256,
+		maxInflight: 64,
+		timeout:     5 * time.Second,
+		metrics:     obs.NewRegistry(),
+		faults:      inj,
+		retries:     0,
+		backoff:     time.Millisecond,
+		sources:     []lifecycle.Source{testSource(t, "cuda", 150, 11)},
 	}, logger)
 	if err != nil {
 		t.Fatal(err)

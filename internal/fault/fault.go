@@ -269,16 +269,17 @@ func (in *Injector) String() string {
 //	partial=P      truncate a write with probability P (store.write only)
 //
 // The pseudo-point "all" applies an entry to every point in the catalog.
-// An empty spec returns a nil injector — injection fully off.
+// An empty spec returns a nil injector — injection fully off. The
+// injector's PRNG is seeded with 1, so one spec injects one fault sequence.
 //
 //	-fault 'all:err=0.1'
 //	-fault 'store.write:err=0.2;partial=0.3,vsm.score:lat=5ms@0.5'
-func Parse(spec string, seed int64) (*Injector, error) {
+func Parse(spec string) (*Injector, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
 		return nil, nil
 	}
-	in := New(seed)
+	in := New(1)
 	for _, entry := range strings.Split(spec, ",") {
 		entry = strings.TrimSpace(entry)
 		if entry == "" {

@@ -203,7 +203,7 @@ func TestParse(t *testing.T) {
 		{spec: "store.write:;", wantErr: true},
 	}
 	for _, tt := range tests {
-		in, err := Parse(tt.spec, 1)
+		in, err := Parse(tt.spec)
 		if tt.wantErr {
 			if err == nil {
 				t.Errorf("Parse(%q): no error", tt.spec)
@@ -219,12 +219,12 @@ func TestParse(t *testing.T) {
 }
 
 func TestSpecRoundTrip(t *testing.T) {
-	in, err := Parse("store.read:err=0.2,store.write:err=0.5;partial=0.25,vsm.score:lat=5ms@0.5", 1)
+	in, err := Parse("store.read:err=0.2,store.write:err=0.5;partial=0.25,vsm.score:lat=5ms@0.5")
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := in.String()
-	re, err := Parse(spec, 1)
+	re, err := Parse(spec)
 	if err != nil {
 		t.Fatalf("re-parse %q: %v", spec, err)
 	}

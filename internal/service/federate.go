@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"sort"
 	"strconv"
@@ -35,8 +36,8 @@ type FederatedAnswer struct {
 }
 
 // AskResponse is the body of GET|POST /v1/ask. Errors maps advisor name to
-// failure for advisors that could not answer (overload, timeout); advisors
-// with no matching answers are simply absent.
+// failure for advisors that could not answer (overload, timeout, a scoring
+// fault); advisors with no matching answers are simply absent.
 type AskResponse struct {
 	Query   string            `json:"query"`
 	Backend string            `json:"backend,omitempty"`
@@ -51,25 +52,33 @@ type AskResponse struct {
 // cached query path, keeps each advisor's k best answers, and merges them
 // into one list ranked by normalized score (ties: advisor name, then rule
 // index — deterministic for identical registries). Per-advisor failures
-// land in the errors map; an ask only fails entirely when no advisor is
-// registered (empty results, empty errors).
+// land in the errors map, and every advisor is asked every time. The ask
+// fails as a whole only on a question too long for some advisor
+// (ErrQueryTooLong), the client's mistake for every advisor alike; with no
+// advisor registered it answers nothing, with no errors.
 //
 // The ask must finish within Options.Timeout, or by ctx's deadline when ctx
 // carries one.
-func (s *Service) Ask(ctx context.Context, q string, k int) ([]FederatedAnswer, map[string]string) {
+func (s *Service) Ask(ctx context.Context, q string, k int) ([]FederatedAnswer, map[string]string, error) {
 	return s.ask(ctx, time.Now().Add(remainingBudget(ctx, s.opts.Timeout)), q, k)
 }
 
 // ask is Ask with the whole ask's deadline explicit; no timer runs until a
 // leg misses the cache.
-func (s *Service) ask(ctx context.Context, deadline time.Time, q string, k int) ([]FederatedAnswer, map[string]string) {
+func (s *Service) ask(ctx context.Context, deadline time.Time, q string, k int) ([]FederatedAnswer, map[string]string, error) {
+	names := s.reg.Names()
+	terms := nlp.QueryTerms(q)
+	for _, name := range names {
+		if err := boundQuery(name, terms); err != nil {
+			return nil, nil, err
+		}
+	}
 	start := time.Now()
 	defer func() { s.stats.recordAsk(time.Since(start)) }()
 	if k <= 0 {
 		k = DefaultFederationK
 	}
 	parent := obs.SpanFrom(ctx)
-	names := s.reg.Names()
 	perAdvisor := make([][]FederatedAnswer, len(names))
 	errTexts := make([]string, len(names))
 	// every leg runs concurrently, so each gets the same share: the
@@ -83,18 +92,6 @@ func (s *Service) ask(ctx context.Context, deadline time.Time, q string, k int) 
 			defer wg.Done()
 			span := parent.StartChild("ask." + name)
 			defer span.Finish()
-			// an open breaker skips the advisor outright: the leg reports
-			// ErrBreakerOpen in the errors map instead of burning its
-			// budget timing out against a failing advisor
-			br := s.breakers.get(name)
-			if !br.Allow() {
-				bspan := span.StartChild("breaker")
-				bspan.SetAttr("state", br.State().String())
-				bspan.Finish()
-				span.SetAttr("outcome", "breaker-open")
-				errTexts[i] = ErrBreakerOpen.Error()
-				return
-			}
 			l := lease{deadline: legDeadline}
 			answers, hit, err := s.cachedQuery(ctx, &l, name, q)
 			l.release(s)
@@ -138,7 +135,8 @@ func (s *Service) ask(ctx context.Context, deadline time.Time, q string, k int) 
 		}
 	}
 	// stable sort: equal Norm keeps the advisor-name order built above, and
-	// the explicit tiebreakers make the merged ranking deterministic
+	// ordering ties by advisor, then rule index, makes the merged ranking
+	// deterministic
 	sort.SliceStable(merged, func(a, b int) bool {
 		x, y := merged[a], merged[b]
 		if x.Norm != y.Norm {
@@ -152,14 +150,22 @@ func (s *Service) ask(ctx context.Context, deadline time.Time, q string, k int) 
 	if len(errs) == 0 {
 		errs = nil
 	}
-	return merged, errs
+	return merged, errs, nil
 }
 
 // handleAsk serves GET and POST /v1/ask (q, optional backend and k — query
-// parameters on GET, form or query parameters on POST).
+// parameters on GET, form or query parameters on POST). A POST body is read
+// up to Options.MaxBodySize.
 func (s *Service) handleAsk(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodPost {
-		_ = r.ParseForm() // merges POST form body with URL query params
+		r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodySize)
+		// merges POST form body with URL query params; a malformed body
+		// leaves what parsed
+		var tooBig *http.MaxBytesError
+		if err := r.ParseForm(); errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "ask exceeds %d bytes", s.opts.MaxBodySize)
+			return
+		}
 	}
 	q := strings.TrimSpace(r.FormValue("q"))
 	if q == "" {
@@ -180,19 +186,14 @@ func (s *Service) handleAsk(w http.ResponseWriter, r *http.Request) {
 		}
 		k = n
 	}
-	// an over-long query is the client's mistake for every advisor alike,
-	// so it fails the ask as a whole instead of filling the errors map
-	terms := nlp.QueryTerms(q)
-	for _, name := range s.reg.Names() {
-		if err := boundQuery(name, terms); err != nil {
-			writeQueryError(w, err)
-			return
-		}
-	}
 	// the per-leg shares are computed against the request's one deadline,
 	// running from its arrival
 	ex := w.(*exchange)
-	answers, errs := s.ask(r.Context(), ex.start.Add(s.opts.Timeout), q, k)
+	answers, errs, err := s.ask(r.Context(), ex.start.Add(s.opts.Timeout), q, k)
+	if err != nil {
+		writeQueryError(w, err)
+		return
+	}
 	writeJSON(w, http.StatusOK, AskResponse{
 		Query:   q,
 		Backend: backend,

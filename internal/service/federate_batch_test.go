@@ -43,9 +43,9 @@ func TestAskPreservesPerAdvisorOrder(t *testing.T) {
 	svc, _ := twoAdvisorService(t, Options{})
 	const q = "memory bandwidth and access patterns"
 	const k = 5
-	merged, errs := svc.Ask(context.Background(), q, k)
-	if len(errs) != 0 {
-		t.Fatalf("ask errors: %v", errs)
+	merged, errs, err := svc.Ask(context.Background(), q, k)
+	if err != nil || len(errs) != 0 {
+		t.Fatalf("ask: %v, advisor errors: %v", err, errs)
 	}
 	if len(merged) == 0 {
 		t.Fatal("federated ask found nothing")
@@ -91,8 +91,8 @@ func TestAskPreservesPerAdvisorOrder(t *testing.T) {
 func TestAskDeterministic(t *testing.T) {
 	svc, _ := twoAdvisorService(t, Options{})
 	const q = "overlapping computation with data transfer"
-	a, _ := svc.Ask(context.Background(), q, 4)
-	b, _ := svc.Ask(context.Background(), q, 4)
+	a, _, _ := svc.Ask(context.Background(), q, 4)
+	b, _, _ := svc.Ask(context.Background(), q, 4)
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}

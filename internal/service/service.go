@@ -51,12 +51,6 @@ type Options struct {
 	// production default — compiles every fault point to a single nil
 	// check, the same pattern as unsampled obs spans.
 	Fault *fault.Injector
-	// BreakerThreshold is how many consecutive infrastructure failures
-	// open an advisor's circuit breaker (default 5); BreakerCooldown is
-	// how long an open breaker waits before admitting a half-open probe
-	// (default 2s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -107,7 +101,6 @@ type Service struct {
 	opts     Options
 	mux      *http.ServeMux
 	flt      *fault.Injector // nil unless fault injection is enabled
-	breakers *breakerSet     // per-advisor circuit breakers
 	draining sync.RWMutex    // held exclusively only to flip drain
 	drained  bool
 
@@ -121,14 +114,13 @@ func New(reg *Registry, opts Options) *Service {
 	opts = opts.withDefaults()
 	stats := newStats(opts.Metrics)
 	s := &Service{
-		reg:      reg,
-		cache:    NewCache(opts.CacheSize, opts.CacheShards, stats),
-		admit:    NewAdmission(opts.MaxInFlight, opts.MaxQueue, stats),
-		stats:    stats,
-		opts:     opts,
-		mux:      http.NewServeMux(),
-		flt:      opts.Fault,
-		breakers: newBreakerSet(opts.BreakerThreshold, opts.BreakerCooldown, opts.Metrics),
+		reg:   reg,
+		cache: NewCache(opts.CacheSize, opts.CacheShards, stats),
+		admit: NewAdmission(opts.MaxInFlight, opts.MaxQueue, stats),
+		stats: stats,
+		opts:  opts,
+		mux:   http.NewServeMux(),
+		flt:   opts.Fault,
 	}
 	reg.SetLogf(func(format string, args ...any) {
 		opts.Logger.Info(fmt.Sprintf(format, args...))
@@ -159,7 +151,8 @@ func (s *Service) SetLifecycle(lm *lifecycle.Manager) {
 	s.lcMu.Unlock()
 }
 
-func (s *Service) lifecycleManager() *lifecycle.Manager {
+// Lifecycle returns the attached corpus lifecycle manager, or nil.
+func (s *Service) Lifecycle() *lifecycle.Manager {
 	s.lcMu.RLock()
 	defer s.lcMu.RUnlock()
 	return s.lc
@@ -171,19 +164,22 @@ func (s *Service) Registry() *Registry { return s.reg }
 // Handle mounts h on pattern (a net/http ServeMux pattern) inside the
 // request envelope of ServeHTTP, beside the /v1 routes: h's requests get a
 // trace ID, a root span when sampled, the request count, the access log and
-// the service.handler fault point. Call it before serving traffic.
-func (s *Service) Handle(pattern string, h http.Handler) { s.mux.Handle(pattern, h) }
+// the service.handler fault point, and their bodies are capped at
+// Options.MaxBodySize (a read past it fails with *http.MaxBytesError). Call
+// it before serving traffic.
+func (s *Service) Handle(pattern string, h http.Handler) {
+	s.mux.Handle(pattern, http.MaxBytesHandler(h, s.opts.MaxBodySize))
+}
 
 // Stats returns a point-in-time snapshot of the operational counters.
 func (s *Service) Stats() StatsSnapshot {
 	snap := s.stats.snapshot()
 	snap.CacheSize = s.cache.Len()
 	snap.Advisors = s.reg.Len()
-	if lm := s.lifecycleManager(); lm != nil {
+	if lm := s.Lifecycle(); lm != nil {
 		st := lm.State()
 		snap.Lifecycle = &st
 	}
-	snap.Breakers = s.breakers.snapshot()
 	return snap
 }
 
@@ -329,7 +325,7 @@ const (
 
 // ErrQueryTooLong: the query normalizes to more than maxQueryTerms terms,
 // or to a cache key longer than maxQueryKeyBytes. It is the client's
-// mistake, so it answers 400 and never reaches the advisor's breaker.
+// mistake, so it answers 400.
 var ErrQueryTooLong = errors.New("service: query too long")
 
 // boundQuery bounds a normalized query against the named advisor.
@@ -374,20 +370,6 @@ func (s *Service) cachedQuery(ctx context.Context, l *lease, advisor, q string) 
 	}
 	var buf [256]byte
 	key := string(appendQueryKey(buf[:0], adv, advisor, terms))
-	// every outcome past this point feeds the advisor's circuit breaker:
-	// successes reset it, infrastructure failures (timeouts, injected
-	// faults, internal errors) count toward tripping it, and server-wide
-	// overload is not this advisor's fault and records nothing (see
-	// breakerFailure); the client errors above never reach it
-	brk := s.breakers.get(advisor)
-	defer func() {
-		switch {
-		case err == nil:
-			brk.Record(false)
-		case breakerFailure(err):
-			brk.Record(true)
-		}
-	}()
 	if ferr := s.flt.Err(fault.NLPAnnotate); ferr != nil {
 		return nil, false, ferr
 	}
@@ -706,7 +688,7 @@ func (s *Service) report(ctx context.Context, deadline time.Time, advisor, text 
 // collisions are 409 (a rebuild is already running, the request is
 // redundant), unknown advisors 404, build failures 500.
 func (s *Service) handleAdminReload(w http.ResponseWriter, r *http.Request) {
-	lm := s.lifecycleManager()
+	lm := s.Lifecycle()
 	if lm == nil {
 		writeError(w, http.StatusNotImplemented, "corpus lifecycle not enabled on this server")
 		return

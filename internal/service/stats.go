@@ -164,11 +164,6 @@ type StatsSnapshot struct {
 	// and last-error per advisor.
 	Lifecycle *lifecycle.State `json:"lifecycle,omitempty"`
 
-	// Breakers lists each advisor's circuit-breaker state (closed, open,
-	// half-open), sorted by advisor name; empty until an advisor has
-	// answered at least one query.
-	Breakers []BreakerInfo `json:"breakers,omitempty"`
-
 	QueryP50Micros  int64 `json:"query_p50_micros"`
 	QueryP99Micros  int64 `json:"query_p99_micros"`
 	ReportP50Micros int64 `json:"report_p50_micros"`

@@ -38,9 +38,9 @@ func TestAskFederated(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("ask status %d", code)
 	}
-	answers, errs := s.Ask(context.Background(), q, service.DefaultFederationK)
-	if len(errs) != 0 {
-		t.Fatalf("ask errors: %v", errs)
+	answers, errs, err := s.Ask(context.Background(), q, service.DefaultFederationK)
+	if err != nil || len(errs) != 0 {
+		t.Fatalf("ask: %v, advisor errors: %v", err, errs)
 	}
 	by := map[string]int{}
 	for _, a := range answers {
@@ -113,16 +113,14 @@ func TestAskNoResults(t *testing.T) {
 	if strings.Contains(body, "could not answer") {
 		t.Errorf("an answered ask names failed advisors:\n%.300s", body)
 	}
-	// a question no advisor may answer names each one with its error
+	// a question too long to ask is refused as GET /v1/ask refuses it
 	var words []string
 	for i := 0; i < 1100; i++ {
 		words = append(words, fmt.Sprintf("w%d", i))
 	}
 	code, body = getPage(t, ts.URL+"/ask?q="+strings.Join(words, "+"))
-	for _, advisor := range []string{"cuda", "opencl"} {
-		if want := advisor + " could not answer: service: query too long"; code != 200 || !strings.Contains(body, want) {
-			t.Errorf("over-long ask: %d, page lacks %q:\n%.600s", code, want, body)
-		}
+	if want := "service: query too long: 1100 terms exceed 1024"; code != http.StatusBadRequest || !strings.Contains(body, want) {
+		t.Errorf("over-long ask: %d, want 400 %q:\n%.600s", code, want, body)
 	}
 }
 

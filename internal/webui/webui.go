@@ -11,6 +11,7 @@ package webui
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"html/template"
 	"net/http"
@@ -162,10 +163,11 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	}
 	// the footer shows the advisor's lifecycle, when one is attached
 	var reload *lifecycle.AdvisorState
-	if lc := s.svc.Stats().Lifecycle; lc != nil {
-		for i := range lc.Advisors {
-			if lc.Advisors[i].Advisor == s.advisor {
-				reload = &lc.Advisors[i]
+	if lm := s.svc.Lifecycle(); lm != nil {
+		st := lm.State()
+		for i := range st.Advisors {
+			if st.Advisors[i].Advisor == s.advisor {
+				reload = &st.Advisors[i]
 				break
 			}
 		}
@@ -260,15 +262,20 @@ body { font-family: sans-serif; margin: 2em; max-width: 60em; }
 
 // handleAsk renders the federated cross-advisor view: the question fans
 // out to every registered advisor, each contributes its 3 best answers, and
-// an advisor that could not answer (overload, timeout, an open breaker) is
-// named with its error.
+// an advisor that could not answer (overload, timeout, a scoring fault) is
+// named with its error. A question too long to ask gets the status /v1
+// gives it.
 func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 	q := strings.TrimSpace(r.URL.Query().Get("q"))
 	if q == "" {
 		http.Redirect(w, r, "/", http.StatusSeeOther)
 		return
 	}
-	hits, errs := s.svc.Ask(r.Context(), q, service.DefaultFederationK)
+	hits, errs, err := s.svc.Ask(r.Context(), q, service.DefaultFederationK)
+	if err != nil {
+		fail(w, err)
+		return
+	}
 	data := struct {
 		Title  string
 		Query  string
@@ -283,7 +290,14 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST a report", http.StatusMethodNotAllowed)
 		return
 	}
+	// the service caps the form's body, encoding included (see
+	// service.Service.Handle)
 	if err := r.ParseForm(); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("report exceeds %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}

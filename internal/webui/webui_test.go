@@ -1,6 +1,7 @@
 package webui
 
 import (
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -173,6 +174,43 @@ func TestReportUploadErrors(t *testing.T) {
 	s.ServeHTTP(rec, req)
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("bad report status %d", rec.Code)
+	}
+}
+
+// countingReader counts the bytes its reader hands out.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// TestFormReadsStopAtBodyCap: a form posted to the report page or to
+// POST /v1/ask is read up to the service's body cap, encoding included, and
+// answered 413, where net/http alone would read 10 MB of form.
+func TestFormReadsStopAtBodyCap(t *testing.T) {
+	s := testService(t)
+	const limit = 1 << 20 // service.Options.MaxBodySize's default
+	pad := strings.Repeat("x", 1_280_000)
+	for _, tc := range []struct{ path, form, want string }{
+		{"/report", "report=" + pad, "report exceeds 1048576 bytes"},
+		{"/v1/ask", "q=memory+coalescing&pad=" + pad, "ask exceeds 1048576 bytes"},
+	} {
+		body := &countingReader{r: strings.NewReader(tc.form)}
+		req := httptest.NewRequest("POST", tc.path, body)
+		req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), tc.want) {
+			t.Errorf("POST %s of %d bytes: %d %.200s, want 413 %q", tc.path, len(tc.form), rec.Code, rec.Body, tc.want)
+		}
+		if body.n > limit+1 {
+			t.Errorf("POST %s read %d body bytes, want at most %d", tc.path, body.n, limit+1)
+		}
 	}
 }
 
