@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -77,6 +80,60 @@ func TestConcurrentBuilds(t *testing.T) {
 	for i, a := range results {
 		if a == nil || a.SentenceCount() != 80 {
 			t.Errorf("build %d broken", i)
+		}
+	}
+}
+
+// TestNoResultAliasesAScratch builds with four Stage-I workers, then
+// annotates another guide's sentences into every worker's scratch. Only
+// each sentence's verdict and exactly sized term list may leave a worker,
+// so the advisor's rules, answers and Save bytes must not move, and must
+// equal a serial build's.
+func TestNoResultAliasesAScratch(t *testing.T) {
+	g := corpus.Generate(corpus.CUDA, 1)
+	serial := New(WithParallelism(1)).BuildFromSentences(g.Doc, g.Sentences)
+
+	var mu sync.Mutex
+	var scratches []*nlp.Scratch
+	stageIDone = func(sc *nlp.Scratch) {
+		mu.Lock()
+		defer mu.Unlock()
+		scratches = append(scratches, sc)
+	}
+	a := New(WithParallelism(4)).BuildFromSentences(g.Doc, g.Sentences)
+	stageIDone = nil
+	if len(scratches) != 4 {
+		t.Fatalf("%d workers handed back a scratch, want 4", len(scratches))
+	}
+	before := saveBytes(t, a)
+
+	other := corpus.Generate(corpus.OpenCL, 2)
+	for _, sc := range scratches {
+		for _, s := range other.Sentences {
+			sc.Annotate(s.Text)
+		}
+	}
+
+	if after := saveBytes(t, a); !bytes.Equal(after, before) {
+		t.Error("Save bytes changed when the workers' scratches were overwritten")
+	}
+	if !bytes.Equal(before, saveBytes(t, serial)) {
+		t.Error("Save bytes differ from a serial build's")
+	}
+	if !slices.EqualFunc(a.Rules(), serial.Rules(), func(x, y AdvisingSentence) bool { return x == y }) {
+		t.Error("rules differ from a serial build's")
+	}
+	for _, q := range []string{
+		"how to avoid shared memory bank conflicts",
+		"overlap transfers with execution",
+		"memory coalescing",
+		"reduce register pressure to raise occupancy",
+	} {
+		got, want := a.Query(q), serial.Query(q)
+		if !slices.EqualFunc(got, want, func(x, y Answer) bool {
+			return x.Sentence == y.Sentence && math.Float64bits(x.Score) == math.Float64bits(y.Score)
+		}) {
+			t.Errorf("%q: answers differ from a serial build's", q)
 		}
 	}
 }

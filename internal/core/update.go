@@ -24,6 +24,10 @@ var (
 	updateAnnotateMicro = obs.Default().Histogram("core_update_annotate_micros")
 )
 
+// stageIDone, when a test sets it, receives each Stage-I worker's scratch
+// once the worker has taken its last sentence.
+var stageIDone func(*nlp.Scratch)
+
 // UpdateFromSentences synthesizes an advisor for a new version of a document
 // by reusing the previous version's per-sentence work. See
 // UpdateFromSentencesCtx.
@@ -143,13 +147,15 @@ func (f *Framework) UpdateFromSentencesCtx(ctx context.Context, prev *Advisor, d
 }
 
 // stageI runs Stage I over the sentences at positions added, fanned out
-// across the framework's workers: each worker annotates a sentence,
-// classifies the annotation and writes the verdict and the sentence's
-// retrieval terms to its position in results and terms, then drops the
-// annotation, so no parse tree outlives its sentence. It returns the time
-// the workers spent annotating (terms included) and classifying, summed
-// over workers. Work is claimed by an atomic counter: one atomic add per
-// sentence, with no channel fill before the fan-out.
+// across the framework's workers: each worker annotates a sentence into its
+// one nlp.Scratch, classifies the annotation and writes the verdict and the
+// sentence's retrieval terms (an exactly sized copy) to its position in
+// results and terms. Nothing else leaves the worker, and the next sentence
+// overwrites the scratch, so no parse tree outlives its sentence and the
+// buffers are allocated once per worker, not per sentence. It returns the
+// time the workers spent annotating (terms included) and classifying,
+// summed over workers. Work is claimed by an atomic counter: one atomic add
+// per sentence, with no channel fill before the fan-out.
 func (f *Framework) stageI(ctx context.Context, sents []htmldoc.Sentence, added []int, terms [][]string, results []selectors.Result) (annotate, classify time.Duration) {
 	n := len(added)
 	workers := min(f.parallelism, n)
@@ -160,10 +166,14 @@ func (f *Framework) stageI(ctx context.Context, sents []htmldoc.Sentence, added 
 	}
 	var next atomic.Int64
 	work := func() (ann, cls time.Duration) {
+		sc := new(nlp.Scratch)
+		if stageIDone != nil {
+			defer stageIDone(sc)
+		}
 		for k := int(next.Add(1)) - 1; k < n; k = int(next.Add(1)) - 1 {
 			j := added[k]
 			t0 := time.Now()
-			an := nlp.Annotate(sents[j].Text)
+			an := sc.Annotate(sents[j].Text)
 			t1 := time.Now()
 			results[j] = f.recognizer.ClassifyAnnotated(an)
 			t2 := time.Now()

@@ -1,10 +1,6 @@
 package depparse
 
-import (
-	"strings"
-
-	"repro/internal/postag"
-)
+import "repro/internal/postag"
 
 // chunkKind distinguishes the phrase types the attacher manipulates.
 type chunkKind int
@@ -40,24 +36,17 @@ var subordinators = map[string]bool{
 	"until": true, "once": true, "before": true, "after": true, "as": true,
 }
 
-// chunker groups the tagged tokens of one sentence into phrases.
+// chunker groups the tagged tokens of one sentence, whose lowercase forms
+// are lower, into phrases.
 type chunker struct {
 	words []string
 	lower []string
 	tags  []postag.Tag
 }
 
-func newChunker(words []string, tags []postag.Tag) *chunker {
-	lower := make([]string, len(words))
-	for i, w := range words {
-		lower[i] = strings.ToLower(w)
-	}
-	return &chunker{words: words, lower: lower, tags: tags}
-}
-
-// chunks performs a single left-to-right pass producing the phrase sequence.
-func (c *chunker) chunks() []chunk {
-	var out []chunk
+// chunks performs a single left-to-right pass, appending the phrase
+// sequence to out.
+func (c *chunker) chunks(out []chunk) []chunk {
 	n := len(c.words)
 	i := 0
 	for i < n {

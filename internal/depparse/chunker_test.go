@@ -11,7 +11,7 @@ import (
 func chunkKinds(s string) ([]chunkKind, []chunk) {
 	words := textproc.Words(s)
 	tags := postag.Tags(words)
-	chunks := newChunker(words, tags).chunks()
+	chunks := (&chunker{words, textproc.AppendLower(nil, words), tags}).chunks(nil)
 	kinds := make([]chunkKind, len(chunks))
 	for i, c := range chunks {
 		kinds[i] = c.kind
@@ -116,7 +116,7 @@ func TestChunkerCoversAllTokens(t *testing.T) {
 	for _, s := range sentences {
 		words := textproc.Words(s)
 		tags := postag.Tags(words)
-		chunks := newChunker(words, tags).chunks()
+		chunks := (&chunker{words, textproc.AppendLower(nil, words), tags}).chunks(nil)
 		covered := make([]bool, len(words))
 		for _, c := range chunks {
 			if c.start < 0 || c.end >= len(words) || c.start > c.end {

@@ -1,45 +1,73 @@
 package depparse
 
 import (
-	"strings"
+	"slices"
 
 	"repro/internal/postag"
+	"repro/internal/textproc"
 )
 
 // Pcomp is the relation of a clausal complement of a preposition
 // ("in maximizing throughput").
 const Pcomp RelType = "pcomp"
 
-// ParseTagged assembles the dependency tree from pre-tagged tokens.
+// ParseTagged assembles the dependency tree from pre-tagged tokens, on a
+// Parser of its own.
 func ParseTagged(words []string, tags []postag.Tag) *Tree {
-	t := &Tree{
-		Words: words,
-		Tags:  tags,
-		head:  make([]int, len(words)),
-		relOf: make([]RelType, len(words)),
+	return new(Parser).Parse(words, textproc.AppendLower(nil, words), tags)
+}
+
+// Parser assembles dependency trees, reusing from sentence to sentence the
+// storage of its one Tree (head, relOf, Relations), of the chunk sequence
+// and of the attacher's pending lists. The zero value is ready to use. A
+// Parser is not safe for concurrent use.
+type Parser struct {
+	tree   Tree
+	chunks []chunk
+	a      attacher
+}
+
+// Parse assembles the dependency tree of pre-tagged tokens, whose lowercase
+// forms are lower. The tree is p's own and valid until p's next Parse; its
+// Words and Tags are the caller's slices.
+func (p *Parser) Parse(words, lower []string, tags []postag.Tag) *Tree {
+	n := len(words)
+	t := &p.tree
+	*t = Tree{
+		Words:     words,
+		Tags:      tags,
+		Relations: t.Relations[:0],
+		head:      slices.Grow(t.head[:0], n)[:n],
+		relOf:     slices.Grow(t.relOf[:0], n)[:n],
 	}
 	for i := range t.head {
 		t.head[i] = -2
 	}
-	if len(words) == 0 {
+	clear(t.relOf)
+	if n == 0 {
 		return t
 	}
-	a := &attacher{
-		tree:       t,
-		lower:      lowerAll(words),
-		rootIdx:    -1,
-		mainVerb:   -1,
-		curVerb:    -1,
-		subjCand:   -1,
-		afterPrep:  -1,
-		pendingCC:  -1,
-		pendingSub: -1,
-		predAdj:    -1,
-		lastNPHead: -1,
-		gerundSubj: -1,
+	p.a = attacher{
+		tree:         t,
+		lower:        lower,
+		rootIdx:      -1,
+		mainVerb:     -1,
+		curVerb:      -1,
+		subjCand:     -1,
+		afterPrep:    -1,
+		pendingCC:    -1,
+		pendingSub:   -1,
+		predAdj:      -1,
+		lastNPHead:   -1,
+		gerundSubj:   -1,
+		pendingAdvs:  p.a.pendingAdvs[:0],
+		orphanPreps:  p.a.orphanPreps[:0],
+		deferredAdvc: p.a.deferredAdvc[:0],
 	}
-	a.run(newChunker(words, tags).chunks())
-	a.finish()
+	c := chunker{words: words, lower: lower, tags: tags}
+	p.chunks = c.chunks(p.chunks[:0])
+	p.a.run(p.chunks)
+	p.a.finish()
 	return t
 }
 
@@ -49,14 +77,6 @@ func isRelativePronoun(lw string) bool {
 		return true
 	}
 	return false
-}
-
-func lowerAll(words []string) []string {
-	out := make([]string, len(words))
-	for i, w := range words {
-		out[i] = strings.ToLower(w)
-	}
-	return out
 }
 
 // attacher holds the clause-assembly state of the single left-to-right

@@ -8,7 +8,8 @@
 //
 // An Annotation is a working value, not a stored one: the framework's build
 // annotates a sentence, classifies it, keeps its Terms and drops the rest,
-// so no parse tree outlives the pass that made it.
+// so no parse tree outlives the pass that made it. Each build worker
+// annotates into one Scratch, whose buffers every sentence it takes reuses.
 //
 // Annotations are safe for concurrent use: the eager fields are immutable
 // after construction and the lazy products are guarded by sync.Once.
@@ -40,6 +41,10 @@ var (
 
 // Annotation is the full per-sentence analysis, produced once by Annotate
 // and consumed by the selectors and the index build.
+//
+// An Annotation that Scratch.Annotate returns aliases the scratch: it, its
+// Tree and its Stems are valid only until the scratch's next sentence. What
+// Terms and Purposes return is the caller's own and stays valid.
 type Annotation struct {
 	Text  string // the raw sentence text
 	Tree  *depparse.Tree
@@ -53,7 +58,8 @@ type Annotation struct {
 }
 
 // Terms returns the sentence's retrieval term sequence: stopwords and
-// punctuation dropped, remaining tokens stemmed. It is
+// punctuation dropped, remaining tokens stemmed, in a slice of exactly that
+// length that shares nothing with the annotation. It is
 // textproc.NormalizeWords over the sentence's tokens, whose stems the
 // annotation already put in the stem memo, and is bit-exact with
 // textproc.NormalizeTerms(a.Text), so an index built from annotation terms
@@ -66,8 +72,8 @@ func (a *Annotation) Terms() []string {
 }
 
 // Purposes returns the sentence's purpose clauses (SRL AM-PNC spans),
-// computed on first use. Selector 5's rule reads them, and so does the
-// evidence that explains it.
+// computed on first use into a slice of their own. Selector 5's rule reads
+// them, and so does the evidence that explains it.
 func (a *Annotation) Purposes() []srl.Purpose {
 	a.purposeOnce.Do(func() {
 		a.purposes = srl.PurposeClauses(a.Tree)
@@ -93,7 +99,7 @@ func AnnotateAll(texts []string) []*Annotation {
 				if i >= n {
 					return
 				}
-				out[i] = annotate(texts[i])
+				out[i] = Annotate(texts[i])
 			}
 		}()
 	}
@@ -101,8 +107,9 @@ func AnnotateAll(texts []string) []*Annotation {
 	return out
 }
 
-// Annotate is the package-level convenience for one-off sentences.
-func Annotate(text string) *Annotation { return annotate(text) }
+// Annotate annotates one sentence on a fresh Scratch, so the annotation is
+// the caller's own.
+func Annotate(text string) *Annotation { return new(Scratch).Annotate(text) }
 
 // FromTree wraps an already-parsed sentence in an Annotation (text may be
 // "" when only the tree is known; it is informational).
@@ -122,28 +129,38 @@ func QueryTerms(query string) []string {
 	return textproc.NormalizeTerms(query)
 }
 
-// annotate runs the four eager stages explicitly (rather than through
-// depparse.ParseText) so each stage's latency is observed into its
-// histogram — the per-component instrumentation the serving layer's
-// /metricz reports. The stage outputs are identical to ParseText's.
-func annotate(text string) *Annotation {
+// Scratch is one Stage-I worker's reusable storage: the word, lowercase,
+// tag and stem buffers, a dependency parser that owns its tree, and the
+// annotation itself. Annotating a sentence into it allocates only what the
+// buffers have not yet grown to hold. The zero value is ready to use; a
+// Scratch serves one goroutine at a time.
+type Scratch struct {
+	words, lower, stems []string
+	tags                []postag.Tag
+	parser              depparse.Parser
+	ann                 Annotation
+}
+
+// Annotate runs the four eager stages on text: tokenize, lowercase and tag,
+// parse, stem. Each stage's latency is observed into its histogram, the
+// per-component instrumentation the serving layer's /metricz reports. The
+// result aliases s and is valid only until s's next Annotate.
+func (s *Scratch) Annotate(text string) *Annotation {
 	start := time.Now()
-	words := textproc.Words(text)
+	s.words = textproc.AppendWords(s.words[:0], text)
 	t1 := time.Now()
-	tags := postag.Tags(words)
+	s.lower = textproc.AppendLower(s.lower[:0], s.words)
+	s.tags = postag.AppendTags(s.tags[:0], s.words, s.lower)
 	t2 := time.Now()
-	tree := depparse.ParseTagged(words, tags)
+	tree := s.parser.Parse(s.words, s.lower, s.tags)
 	t3 := time.Now()
-	stems := textproc.StemAll(words)
+	s.stems = textproc.AppendStems(s.stems[:0], s.words)
 	t4 := time.Now()
 	tokenizeHist.ObserveDuration(t1.Sub(start))
 	tagHist.ObserveDuration(t2.Sub(t1))
 	parseHist.ObserveDuration(t3.Sub(t2))
 	stemHist.ObserveDuration(t4.Sub(t3))
 	annotatedSentences.Inc()
-	return &Annotation{
-		Text:  text,
-		Tree:  tree,
-		Stems: stems,
-	}
+	s.ann = Annotation{Text: text, Tree: tree, Stems: s.stems}
+	return &s.ann
 }

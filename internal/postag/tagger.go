@@ -1,6 +1,7 @@
 package postag
 
 import (
+	"slices"
 	"strings"
 
 	"repro/internal/textproc"
@@ -11,16 +12,18 @@ import (
 // contextual repair rules (a small Brill-style pass specialized for the
 // constructions Egeria's selectors need: imperatives, passives, modal
 // complements, infinitival purpose clauses).
-func Tags(words []string) []Tag {
-	n := len(words)
-	tags := make([]Tag, n)
-	lower := make([]string, n)
+func Tags(words []string) []Tag { return AppendTags(nil, words, textproc.AppendLower(nil, words)) }
+
+// AppendTags appends the tags of one sentence's words, whose lowercase
+// forms are lower, to dst and returns the extended slice.
+func AppendTags(dst []Tag, words, lower []string) []Tag {
+	dst = slices.Grow(dst, len(words))
+	n := len(dst)
 	for i, w := range words {
-		lower[i] = strings.ToLower(w)
-		tags[i] = initialTag(w, lower[i], i)
+		dst = append(dst, initialTag(w, lower[i], i))
 	}
-	contextualRepair(words, lower, tags)
-	return tags
+	contextualRepair(words, lower, dst[n:])
+	return dst
 }
 
 func initialTag(word, lw string, pos int) Tag {

@@ -19,12 +19,19 @@ func Stem(word string) string {
 }
 
 // StemAll stems each word of words, returning a new slice.
-func StemAll(words []string) []string {
-	out := make([]string, len(words))
-	for i, w := range words {
-		out[i] = Stem(w)
+func StemAll(words []string) []string { return AppendStems(nil, words) }
+
+// AppendStems appends the stem of each word of words to dst and returns the
+// extended slice. A nil dst gets a new slice of exactly that size, so the
+// result is never nil.
+func AppendStems(dst, words []string) []string {
+	if dst == nil {
+		dst = make([]string, 0, len(words))
 	}
-	return out
+	for _, w := range words {
+		dst = append(dst, Stem(w))
+	}
+	return dst
 }
 
 // porter stems the lowercased word w in place and returns the stem, which

@@ -6,7 +6,10 @@
 // is lock-free and cannot change a result.
 package textproc
 
-import "strings"
+import (
+	"slices"
+	"strings"
+)
 
 // Token is a single word-level token with its position in the source text.
 type Token struct {
@@ -38,16 +41,30 @@ func Tokenize(text string) []Token {
 }
 
 // Words returns just the token strings of Tokenize(text).
-func Words(text string) []string {
-	var words []string
+func Words(text string) []string { return AppendWords(nil, text) }
+
+// AppendWords appends the token strings of Tokenize(text) to dst and
+// returns the extended slice.
+func AppendWords(dst []string, text string) []string {
 	sc := scanner{text: text}
 	for {
 		start, end, _, ok := sc.next()
 		if !ok {
-			return words
+			return dst
 		}
-		words = append(words, text[start:end])
+		dst = append(dst, text[start:end])
 	}
+}
+
+// AppendLower appends the lowercase form of each word to dst and returns
+// the extended slice: a sentence's one lowercasing, which the tagger, the
+// chunker and the attacher all read.
+func AppendLower(dst, words []string) []string {
+	dst = slices.Grow(dst, len(words))
+	for _, w := range words {
+		dst = append(dst, strings.ToLower(w))
+	}
+	return dst
 }
 
 // scanner is the one pass over text that Tokenize, Words and NormalizeTerms

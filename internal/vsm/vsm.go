@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -94,8 +95,9 @@ func BuildFromTerms(termLists [][]string, served []bool) *Index {
 		panic(fmt.Sprintf("vsm: served mask has %d entries for %d documents", len(served), len(termLists)))
 	}
 	counted := make([]*termCounts, len(termLists))
+	var sorted []string
 	for i, terms := range termLists {
-		counted[i] = countTerms(terms)
+		counted[i], sorted = countTerms(terms, sorted)
 	}
 	return build(counted, served)
 }
@@ -109,24 +111,31 @@ type termCounts struct {
 	counts []float64 // raw frequency, aligned with terms
 }
 
-// countTerms tallies a term list into its counted form.
-func countTerms(terms []string) *termCounts {
-	tf := make(map[string]float64, len(terms))
-	for _, t := range terms {
-		tf[t]++
+// countTerms tallies a term list into its counted form. It sorts a copy of
+// terms in sorted, a buffer it returns for the next call, and counts each
+// run of equal terms there, so the unique terms come out in order.
+func countTerms(terms, sorted []string) (*termCounts, []string) {
+	sorted = append(sorted[:0], terms...)
+	slices.Sort(sorted)
+	unique := 0
+	for i, t := range sorted {
+		if i == 0 || t != sorted[i-1] {
+			unique++
+		}
 	}
 	tc := &termCounts{
-		terms:  make([]string, 0, len(tf)),
-		counts: make([]float64, 0, len(tf)),
+		terms:  make([]string, 0, unique),
+		counts: make([]float64, 0, unique),
 	}
-	for t := range tf {
+	for i, t := range sorted {
+		if i > 0 && t == sorted[i-1] {
+			tc.counts[len(tc.counts)-1]++
+			continue
+		}
 		tc.terms = append(tc.terms, t)
+		tc.counts = append(tc.counts, 1)
 	}
-	sort.Strings(tc.terms)
-	for _, t := range tc.terms {
-		tc.counts = append(tc.counts, tf[t])
-	}
-	return tc
+	return tc, sorted
 }
 
 // indexIDs numbers the indexes this process builds, from 1.
@@ -248,9 +257,10 @@ func (ix *Index) Rebuild(kept []doc.Kept, terms [][]string, served []bool) (*Ind
 		}
 		counted[k.New] = ix.counted[k.Old]
 	}
+	var sorted []string
 	for pos, tc := range counted {
 		if tc == nil {
-			counted[pos] = countTerms(terms[pos])
+			counted[pos], sorted = countTerms(terms[pos], sorted)
 		}
 	}
 	return build(counted, served), nil
