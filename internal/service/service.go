@@ -161,6 +161,10 @@ func (s *Service) Lifecycle() *lifecycle.Manager {
 // Registry returns the advisor registry the service serves from.
 func (s *Service) Registry() *Registry { return s.reg }
 
+// MaxBodySize returns the cap on a request body in bytes
+// (Options.MaxBodySize).
+func (s *Service) MaxBodySize() int64 { return s.opts.MaxBodySize }
+
 // Handle mounts h on pattern (a net/http ServeMux pattern) inside the
 // request envelope of ServeHTTP, beside the /v1 routes: h's requests get a
 // trace ID, a root span when sampled, the request count, the access log and

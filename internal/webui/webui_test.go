@@ -1,10 +1,13 @@
 package webui
 
 import (
+	"bytes"
 	"io"
+	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -174,6 +177,80 @@ func TestReportUploadErrors(t *testing.T) {
 	s.ServeHTTP(rec, req)
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("bad report status %d", rec.Code)
+	}
+}
+
+// multipartReport encodes text as the multipart/form-data field "report",
+// or as a file part of that name (what curl -F report=@file sends), and
+// returns the body and its content type.
+func multipartReport(t *testing.T, text string, asFile bool) (*bytes.Buffer, string) {
+	t.Helper()
+	var body bytes.Buffer
+	mw := multipart.NewWriter(&body)
+	var part io.Writer
+	var err error
+	if asFile {
+		part, err = mw.CreateFormFile("report", "report.txt")
+	} else {
+		part, err = mw.CreateFormField("report")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.WriteString(part, text); err != nil {
+		t.Fatal(err)
+	}
+	if err := mw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return &body, mw.FormDataContentType()
+}
+
+// TestReportUploadEncodings: the report page reads a report posted
+// url-encoded, as a multipart field or as a multipart file part, and
+// renders the same page for each. A multipart upload just under the body
+// cap stays in memory, so it is answered with no usable temporary
+// directory, and one over the cap gets 413.
+func TestReportUploadEncodings(t *testing.T) {
+	s := testService(t)
+	text, err := nvvp.Synthesize("norm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(body io.Reader, contentType string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest("POST", "/report", body)
+		req.Header.Set("Content-Type", contentType)
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		return rec
+	}
+	want := post(strings.NewReader(url.Values{"report": {text}}.Encode()), "application/x-www-form-urlencoded")
+	if want.Code != 200 {
+		t.Fatalf("url-encoded report: %d %s", want.Code, want.Body)
+	}
+	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
+	const limit = 1 << 20 // service.Options.MaxBodySize's default
+	padded := text + strings.Repeat("\n", limit-len(text)-1024)
+	for _, tc := range []struct {
+		name, text string
+		asFile     bool
+	}{
+		{"field", text, false},
+		{"file", text, true},
+		{"field under the cap", padded, false},
+		{"file under the cap", padded, true},
+	} {
+		got := post(multipartReport(t, tc.text, tc.asFile))
+		if got.Code != 200 || got.Body.String() != want.Body.String() {
+			t.Errorf("multipart %s: %d %.300s, want the url-encoded page", tc.name, got.Code, got.Body)
+		}
+	}
+	over := strings.Repeat("x", limit+1)
+	for _, asFile := range []bool{false, true} {
+		got := post(multipartReport(t, over, asFile))
+		if got.Code != http.StatusRequestEntityTooLarge || !strings.Contains(got.Body.String(), "report exceeds 1048576 bytes") {
+			t.Errorf("multipart report over the cap (file %v): %d %.200s, want 413", asFile, got.Code, got.Body)
+		}
 	}
 }
 
