@@ -36,6 +36,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"debug/elf"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -172,7 +173,6 @@ func main() {
 			corpusReg:   *corpusReg,
 			extra:       splitList(*corpora),
 			seed:        *seed,
-			cfgHash:     configFingerprint(cfg, *threshold),
 			snapshotDir: *snapshotDir,
 			watch:       *watch,
 			cacheSize:   *cacheSize,
@@ -340,15 +340,53 @@ func loadAdvisorFile(path string) (*core.Advisor, error) {
 }
 
 // configFingerprint hashes everything an advisor build depends on besides
-// the document: the keyword configuration and the recommendation
-// threshold. selectors.Config is plain string slices, so the JSON encoding
-// is deterministic.
-func configFingerprint(cfg selectors.Config, threshold float64) string {
+// the document: the keyword configuration, the recommendation threshold and
+// the Go build ID of the binary that builds it, so a snapshot written by
+// other code is stale. selectors.Config is plain string slices, so the JSON
+// encoding is deterministic.
+func configFingerprint(cfg selectors.Config, threshold float64, buildID string) string {
 	blob, _ := json.Marshal(struct {
 		Config    selectors.Config
 		Threshold float64
-	}{cfg, threshold})
+		BuildID   string
+	}{cfg, threshold, buildID})
 	return store.HashBytes(blob)
+}
+
+// executableBuildID returns the Go build ID of the running executable; tests
+// replace it.
+var executableBuildID = readBuildID
+
+// readBuildID reads the Go build ID from the running executable's ELF
+// .note.go.buildid section: a note whose name is "Go" and whose description
+// is the ID. It fails on a binary without one (another OS, or a stripped
+// binary).
+func readBuildID() (string, error) {
+	exe, err := os.Executable()
+	if err != nil {
+		return "", err
+	}
+	f, err := elf.Open(exe)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	sec := f.Section(".note.go.buildid")
+	if sec == nil {
+		return "", fmt.Errorf("%s has no .note.go.buildid section", exe)
+	}
+	note, err := sec.Data()
+	if err != nil {
+		return "", err
+	}
+	if len(note) < 16 || f.ByteOrder.Uint32(note) != 4 || string(note[12:16]) != "Go\x00\x00" {
+		return "", fmt.Errorf("%s: malformed .note.go.buildid", exe)
+	}
+	n := int64(f.ByteOrder.Uint32(note[4:]))
+	if n == 0 || n > int64(len(note)-16) {
+		return "", fmt.Errorf("%s: malformed .note.go.buildid", exe)
+	}
+	return string(note[16 : 16+n]), nil
 }
 
 // parseDocFile loads and parses an on-disk document, choosing the parser by
@@ -418,7 +456,6 @@ type serveConfig struct {
 	corpusReg   string   // ...or from a built-in guide
 	extra       []string // additional built-in guides to host
 	seed        int64
-	cfgHash     string // configFingerprint of keyword config + threshold
 	snapshotDir string // "" disables the snapshot store
 	watch       bool   // poll the sources at the lifecycle's default interval
 	cacheSize   int
@@ -486,16 +523,16 @@ func docSource(fw *core.Framework, name, path, cfgHash string) lifecycle.Source 
 
 // serveSources derives the lifecycle sources from the serve flags: the
 // primary advisor (document or built-in guide) plus every -corpora extra.
-func serveSources(fw *core.Framework, cfg serveConfig) ([]lifecycle.Source, error) {
+func serveSources(fw *core.Framework, cfg serveConfig, cfgHash string) ([]lifecycle.Source, error) {
 	var sources []lifecycle.Source
 	if cfg.docPath != "" {
-		sources = append(sources, docSource(fw, cfg.primaryName, cfg.docPath, cfg.cfgHash))
+		sources = append(sources, docSource(fw, cfg.primaryName, cfg.docPath, cfgHash))
 	} else {
 		reg, err := corpus.ParseRegister(cfg.corpusReg)
 		if err != nil {
 			return nil, err
 		}
-		sources = append(sources, corpusSource(fw, cfg.primaryName, reg, cfg.seed, cfg.cfgHash))
+		sources = append(sources, corpusSource(fw, cfg.primaryName, reg, cfg.seed, cfgHash))
 	}
 	for _, extra := range cfg.extra {
 		reg, err := corpus.ParseRegister(extra)
@@ -506,7 +543,7 @@ func serveSources(fw *core.Framework, cfg serveConfig) ([]lifecycle.Source, erro
 		if name == cfg.primaryName {
 			continue
 		}
-		sources = append(sources, corpusSource(fw, name, reg, cfg.seed, cfg.cfgHash))
+		sources = append(sources, corpusSource(fw, name, reg, cfg.seed, cfgHash))
 	}
 	return sources, nil
 }
@@ -519,10 +556,20 @@ func serveSources(fw *core.Framework, cfg serveConfig) ([]lifecycle.Source, erro
 // service (for BeginDrain and stats), and the lifecycle manager (run its
 // watcher with mgr.Run when cfg.watch is set).
 func buildServeHandler(fw *core.Framework, cfg serveConfig, logger *slog.Logger) (http.Handler, *service.Service, *lifecycle.Manager, error) {
+	// snapshots are keyed to the binary that wrote them; one that cannot
+	// name its build keeps none
+	var buildID string
+	if cfg.snapshotDir != "" {
+		var err error
+		if buildID, err = executableBuildID(); err != nil {
+			logger.Warn("warm start off: no Go build ID to key snapshots to", "snapshot_dir", cfg.snapshotDir, "err", err)
+			cfg.snapshotDir = ""
+		}
+	}
 	sources := cfg.sources
 	if sources == nil {
 		var err error
-		if sources, err = serveSources(fw, cfg); err != nil {
+		if sources, err = serveSources(fw, cfg, configFingerprint(fw.Config(), fw.Threshold(), buildID)); err != nil {
 			return nil, nil, nil, err
 		}
 	}

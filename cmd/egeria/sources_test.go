@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"log/slog"
 	"math"
@@ -20,7 +21,6 @@ import (
 	"repro/internal/lifecycle"
 	"repro/internal/nlp"
 	"repro/internal/obs"
-	"repro/internal/selectors"
 )
 
 // TestServeDocSourceReload drives the production document source: serve an
@@ -38,7 +38,6 @@ func TestServeDocSourceReload(t *testing.T) {
 	cfg := serveConfig{
 		primaryName: primaryAdvisorName("", path),
 		docPath:     path,
-		cfgHash:     configFingerprint(selectors.DefaultConfig(), 0.15),
 		snapshotDir: filepath.Join(dir, "snapshots"),
 		cacheSize:   16,
 		maxInflight: 4,
@@ -152,7 +151,7 @@ func TestServeSources(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			srcs, err := serveSources(core.New(), c.cfg)
+			srcs, err := serveSources(core.New(), c.cfg, "cfg")
 			if c.want == nil {
 				if err == nil {
 					t.Fatal("unknown guide accepted")
@@ -190,5 +189,80 @@ func TestServeSources(t *testing.T) {
 				t.Errorf("%s: update of the unchanged guide reused %d of %d sentences", extra.Name, st.Reused, st.Sentences)
 			}
 		})
+	}
+}
+
+// TestSnapshotsKeyedToBuildID: a snapshot is keyed to the binary that wrote
+// it. Under build A a second boot warm-starts from A's snapshot. Under build
+// B that snapshot is stale, not corrupt: nothing is quarantined, the
+// advisor is cold-built and its snapshot replaces A's, which B's next boot
+// loads. A binary with no build ID neither reads nor writes snapshots, and
+// logs that warm start is off.
+func TestSnapshotsKeyedToBuildID(t *testing.T) {
+	if id, err := readBuildID(); err != nil || id == "" {
+		t.Fatalf("the test binary's build ID: %q, %v", id, err)
+	}
+	dir := t.TempDir()
+	saved := executableBuildID
+	t.Cleanup(func() { executableBuildID = saved })
+	boot := func(id string, idErr error) (lifecycle.AdvisorState, lifecycle.State, string) {
+		t.Helper()
+		executableBuildID = func() (string, error) { return id, idErr }
+		var logs strings.Builder
+		cfg := serveConfig{
+			primaryName: "xeon",
+			corpusReg:   "xeon",
+			seed:        1,
+			snapshotDir: dir,
+			cacheSize:   16,
+			maxInflight: 4,
+			timeout:     5 * time.Second,
+			metrics:     obs.NewRegistry(),
+		}
+		_, _, mgr, err := buildServeHandler(core.New(), cfg, slog.New(slog.NewTextHandler(&logs, nil)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := mgr.State()
+		return st.Advisors[0], st, logs.String()
+	}
+	manifest := func() string {
+		t.Helper()
+		b, err := os.ReadFile(filepath.Join(dir, "xeon.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+
+	if adv, _, _ := boot("A", nil); adv.Origin != "build" {
+		t.Fatalf("first boot under A: origin %q, want build", adv.Origin)
+	}
+	underA := manifest()
+	if adv, _, _ := boot("A", nil); adv.Origin != "snapshot" {
+		t.Fatalf("second boot under A: origin %q, want snapshot", adv.Origin)
+	}
+
+	adv, st, logs := boot("B", nil)
+	if adv.Origin != "build" || st.SnapshotBad != 0 || !strings.Contains(logs, "snapshot stale") {
+		t.Fatalf("boot under B: origin %q, %d corrupt, log:\n%s\nwant a stale snapshot and a cold build", adv.Origin, st.SnapshotBad, logs)
+	}
+	if bad, _ := filepath.Glob(filepath.Join(dir, "*.bad")); len(bad) > 0 {
+		t.Errorf("boot under B quarantined %v", bad)
+	}
+	if manifest() == underA {
+		t.Error("boot under B left A's snapshot in place")
+	}
+	if adv, _, _ := boot("B", nil); adv.Origin != "snapshot" {
+		t.Errorf("second boot under B: origin %q, want snapshot", adv.Origin)
+	}
+
+	underB := manifest()
+	adv, st, logs = boot("", errors.New("no .note.go.buildid section"))
+	if adv.Origin != "build" || st.SnapshotHits+st.SnapshotMisses != 0 || !strings.Contains(logs, "warm start off") {
+		t.Errorf("boot with no build ID: origin %q, %d hits, %d misses, log:\n%s\nwant a cold build with no snapshot store", adv.Origin, st.SnapshotHits, st.SnapshotMisses, logs)
+	}
+	if manifest() != underB {
+		t.Error("a boot with no build ID wrote a snapshot")
 	}
 }
