@@ -709,7 +709,7 @@ func TestServeReloadRaceHammer(t *testing.T) {
 	if err := json.Unmarshal(mbody, &snap); err != nil {
 		t.Fatal(err)
 	}
-	if got := snap.Counters["lifecycle_reloads_total"]; got != stats.Lifecycle.Reloads {
+	if got := snap.Histograms["lifecycle_swap_latency_micros"].Count; got != stats.Lifecycle.Reloads {
 		t.Errorf("metricz reloads %d != statsz reloads %d", got, stats.Lifecycle.Reloads)
 	}
 }

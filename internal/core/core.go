@@ -42,12 +42,11 @@ import (
 	"repro/internal/vsm"
 )
 
-// Build observability: advisor synthesis volume and per-stage latency,
-// reported into the default metrics registry (surfaced on /metricz as
-// core_*). The per-stage histograms mirror BuildStats, but accumulate
-// across every build the process runs.
+// Build observability: per-stage latency of every cold build, reported
+// into the default metrics registry (surfaced on /metricz as core_*). The
+// histograms mirror BuildStats, but accumulate across every build the
+// process runs; each one's count is the number of cold builds.
 var (
-	buildsTotal   = obs.Default().Counter("core_builds_total")
 	buildAnnotate = obs.Default().Histogram("core_build_annotate_micros")
 	buildClassify = obs.Default().Histogram("core_build_classify_micros")
 	buildIndex    = obs.Default().Histogram("core_build_index_micros")

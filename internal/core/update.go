@@ -15,11 +15,10 @@ import (
 	"repro/internal/vsm"
 )
 
-// Incremental-build observability, alongside the core_build_* metrics: how
-// many incremental updates ran and how many sentences' terms and verdicts
-// they reused instead of recomputing.
+// Incremental-build observability, alongside the core_build_* metrics: the
+// Stage-I latency of each update (so its count is the number of updates) and
+// how many sentences' terms and verdicts they reused instead of recomputing.
 var (
-	updatesTotal        = obs.Default().Counter("core_updates_total")
 	updateReusedTotal   = obs.Default().Counter("core_update_sentences_reused_total")
 	updateAnnotateMicro = obs.Default().Histogram("core_update_annotate_micros")
 )
@@ -129,10 +128,8 @@ func (f *Framework) UpdateFromSentencesCtx(ctx context.Context, prev *Advisor, d
 		buildAnnotate.ObserveDuration(a.stats.Annotate)
 		buildClassify.ObserveDuration(a.stats.Classify)
 		buildIndex.ObserveDuration(a.stats.Indexing)
-		buildsTotal.Inc()
 	} else {
 		updateAnnotateMicro.ObserveDuration(a.stats.Annotate)
-		updatesTotal.Inc()
 		updateReusedTotal.Add(int64(len(diffs.Kept)))
 	}
 	if span != nil {

@@ -111,13 +111,14 @@ func TestUpdateReannotatesOnlyAdded(t *testing.T) {
 		t.Fatalf("edit has %d added, %d kept sentences", len(diffs.Added), len(diffs.Kept))
 	}
 
-	annotated := obs.Default().Counter("nlp_sentences_annotated_total")
-	before := annotated.Value()
+	// one tokenize observation per sentence annotated
+	annotated := obs.Default().Histogram("nlp_tokenize_micros")
+	before := annotated.Count()
 	inc, err := f.UpdateFromSentences(prev, d, sents)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := annotated.Value() - before; got != int64(len(diffs.Added)) {
+	if got := annotated.Count() - before; got != int64(len(diffs.Added)) {
 		t.Fatalf("update annotated %d sentences, want the %d added", got, len(diffs.Added))
 	}
 	for _, kp := range diffs.Kept {

@@ -160,13 +160,12 @@ type Manager struct {
 	flt     *fault.Injector     // nil unless fault injection is enabled
 	sleep   func(time.Duration) // retry sleeper; replaced in tests
 
-	reloads    *obs.Counter
 	hits       *obs.Counter
 	misses     *obs.Counter
 	corrupt    *obs.Counter
 	failures   *obs.Counter
-	storeRetry *obs.Counter // lifecycle_store_retries_total
-	swapHist   *obs.Histogram
+	storeRetry *obs.Counter   // lifecycle_store_retries_total
+	swapHist   *obs.Histogram // one observation per hot swap: its count is the reload count
 	buildHist  *obs.Histogram
 	loadHist   *obs.Histogram
 }
@@ -181,7 +180,6 @@ func New(opts Options) *Manager {
 		slots:      make(chan struct{}, opts.Workers),
 		flt:        opts.Fault,
 		sleep:      time.Sleep,
-		reloads:    opts.Metrics.Counter("lifecycle_reloads_total"),
 		hits:       opts.Metrics.Counter("lifecycle_snapshot_hits_total"),
 		misses:     opts.Metrics.Counter("lifecycle_snapshot_misses_total"),
 		corrupt:    opts.Metrics.Counter("lifecycle_snapshot_corrupt_total"),
@@ -557,7 +555,6 @@ func (m *Manager) rebuild(ctx context.Context, name string) error {
 		m.swapHist.ObserveDuration(time.Since(start))
 		swapSpan.SetAttr("diff", diff.Short())
 		swapSpan.Finish()
-		m.reloads.Inc()
 		stats := adv.BuildStats()
 		reuse := 0.0
 		if stats.Sentences > 0 {
@@ -614,7 +611,7 @@ type State struct {
 func (m *Manager) State() State {
 	out := State{
 		Watching:       m.running.Load(),
-		Reloads:        m.reloads.Value(),
+		Reloads:        m.swapHist.Count(),
 		SnapshotHits:   m.hits.Value(),
 		SnapshotMisses: m.misses.Value(),
 		SnapshotBad:    m.corrupt.Value(),

@@ -30,13 +30,13 @@ import (
 
 // Per-stage annotation metrics, registered on the default registry so every
 // annotation path (builds, selectors, tools) reports into one place. The
-// histograms record one observation per sentence per stage, in microseconds.
+// histograms record one observation per sentence per stage, in microseconds,
+// so each one's count is the number of sentences annotated.
 var (
-	annotatedSentences = obs.Default().Counter("nlp_sentences_annotated_total")
-	tokenizeHist       = obs.Default().Histogram("nlp_tokenize_micros")
-	tagHist            = obs.Default().Histogram("nlp_tag_micros")
-	parseHist          = obs.Default().Histogram("nlp_parse_micros")
-	stemHist           = obs.Default().Histogram("nlp_stem_micros")
+	tokenizeHist = obs.Default().Histogram("nlp_tokenize_micros")
+	tagHist      = obs.Default().Histogram("nlp_tag_micros")
+	parseHist    = obs.Default().Histogram("nlp_parse_micros")
+	stemHist     = obs.Default().Histogram("nlp_stem_micros")
 )
 
 // Annotation is the full per-sentence analysis, produced once by Annotate
@@ -160,7 +160,6 @@ func (s *Scratch) Annotate(text string) *Annotation {
 	tagHist.ObserveDuration(t2.Sub(t1))
 	parseHist.ObserveDuration(t3.Sub(t2))
 	stemHist.ObserveDuration(t4.Sub(t3))
-	annotatedSentences.Inc()
 	s.ann = Annotation{Text: text, Tree: tree, Stems: s.stems}
 	return &s.ann
 }

@@ -142,8 +142,8 @@ func TestConcurrentLazyAccess(t *testing.T) {
 
 // TestAnnotateObservesEachStage: one Annotate call adds exactly one
 // observation to each per-stage histogram /metricz reports — tokenise, tag,
-// parse and stem, the build layers the north star names — and one to the
-// annotated-sentence counter.
+// parse and stem, the build layers the north star names — so each count is
+// the number of sentences annotated.
 func TestAnnotateObservesEachStage(t *testing.T) {
 	reg := obs.Default()
 	hists := map[string]*obs.Histogram{}
@@ -152,8 +152,6 @@ func TestAnnotateObservesEachStage(t *testing.T) {
 		hists[name] = reg.Histogram(name)
 		before[name] = hists[name].Count()
 	}
-	annotated := reg.Counter("nlp_sentences_annotated_total")
-	n := annotated.Value()
 
 	Annotate(testSentences[0])
 
@@ -161,8 +159,5 @@ func TestAnnotateObservesEachStage(t *testing.T) {
 		if got := h.Count() - before[name]; got != 1 {
 			t.Errorf("%s: %d observations, want 1", name, got)
 		}
-	}
-	if got := annotated.Value() - n; got != 1 {
-		t.Errorf("nlp_sentences_annotated_total rose by %d, want 1", got)
 	}
 }

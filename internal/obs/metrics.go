@@ -62,31 +62,29 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// DefaultLatencyBounds are the fixed histogram bucket upper bounds used for
-// latency histograms, in microseconds: roughly exponential from 1µs to 5s.
-var DefaultLatencyBounds = []float64{
-	1, 2.5, 5, 10, 25, 50, 100, 250, 500,
-	1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000,
-	1_000_000, 2_500_000, 5_000_000,
-}
+// numBounds is the number of finite histogram bucket upper bounds.
+const numBounds = 91
 
-// Histogram is a fixed-bucket histogram. Observations beyond the last bound
-// land in an overflow bucket. All methods are safe for concurrent use and
+// bounds are the bucket upper bounds every histogram shares, in
+// microseconds: 2^(k/4) for k = 0…90, four per power of two from 1 µs to
+// about 5.9 s. Neighbouring bounds differ by a factor of 2^(1/4), so above
+// 1 µs a quantile interpolated inside a bucket is within 2^(1/4)-1 (about
+// 19%) of any sample in that bucket. Values above the last bound land in an
+// overflow bucket.
+var bounds = func() (b [numBounds]float64) {
+	for k := range b {
+		b[k] = math.Exp2(float64(k) / 4)
+	}
+	return b
+}()
+
+// Histogram is a histogram over the shared bucket bounds. The zero value
+// is empty and ready to use. All methods are safe for concurrent use and
 // nil-receiver safe.
 type Histogram struct {
-	bounds  []float64      // ascending upper bounds
-	buckets []atomic.Int64 // len(bounds)+1; last = overflow
+	buckets [numBounds + 1]atomic.Int64 // the last is the overflow bucket
 	count   atomic.Int64
 	sumBits atomic.Uint64 // float64 bits of the running sum
-}
-
-func newHistogram(bounds []float64) *Histogram {
-	if len(bounds) == 0 {
-		bounds = DefaultLatencyBounds
-	}
-	b := append([]float64(nil), bounds...)
-	sort.Float64s(b)
-	return &Histogram{bounds: b, buckets: make([]atomic.Int64, len(b)+1)}
 }
 
 // Observe records one value.
@@ -94,7 +92,7 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
+	i := sort.SearchFloat64s(bounds[:], v) // first bound >= v
 	h.buckets[i].Add(1)
 	h.count.Add(1)
 	for {
@@ -128,8 +126,9 @@ func (h *Histogram) Sum() float64 {
 }
 
 // Quantile estimates the p-quantile (0 <= p <= 1) by linear interpolation
-// within the containing bucket; 0 when empty. Values in the overflow bucket
-// are attributed to the last bound.
+// within the bucket that holds the nearest-rank sample (rank ceil(p·n)), so
+// the estimate and that sample share a bucket; 0 when empty. A quantile in
+// the overflow bucket reads as the last bound.
 func (h *Histogram) Quantile(p float64) float64 {
 	if h == nil {
 		return 0
@@ -140,29 +139,18 @@ func (h *Histogram) Quantile(p float64) float64 {
 	}
 	rank := p * float64(total)
 	var seen float64
-	lower := 0.0
-	for i := range h.buckets {
+	for i, upper := range bounds[:] {
 		n := float64(h.buckets[i].Load())
-		if n == 0 {
-			continue
-		}
-		upper := h.bounds[len(h.bounds)-1]
-		if i < len(h.bounds) {
-			upper = h.bounds[i]
-		}
-		if seen+n >= rank {
-			frac := (rank - seen) / n
-			if frac < 0 {
-				frac = 0
-			} else if frac > 1 {
-				frac = 1
+		if n > 0 && seen+n >= rank {
+			lower := 0.0
+			if i > 0 {
+				lower = bounds[i-1]
 			}
-			return lower + (upper-lower)*frac
+			return lower + (upper-lower)*min(max((rank-seen)/n, 0), 1)
 		}
 		seen += n
-		lower = upper
 	}
-	return h.bounds[len(h.bounds)-1]
+	return bounds[numBounds-1]
 }
 
 // snapshot exports the histogram under no lock; counts are read atomically
@@ -171,12 +159,11 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	snap := HistogramSnapshot{
 		Count:    h.Count(),
 		Sum:      h.Sum(),
-		Buckets:  make([]BucketCount, 0, len(h.bounds)),
-		Overflow: h.buckets[len(h.bounds)].Load(),
+		Overflow: h.buckets[numBounds].Load(),
 		P50:      h.Quantile(0.50),
 		P99:      h.Quantile(0.99),
 	}
-	for i, b := range h.bounds {
+	for i, b := range bounds[:] {
 		if n := h.buckets[i].Load(); n > 0 {
 			snap.Buckets = append(snap.Buckets, BucketCount{LE: b, Count: n})
 		}
@@ -259,11 +246,8 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it with the given bucket
-// upper bounds on first use (DefaultLatencyBounds when none are given).
-// Bounds are fixed at creation; later calls with different bounds return
-// the existing histogram.
-func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
+// Histogram returns the named histogram, creating it on first use.
+func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.RLock()
 	h, ok := r.hists[name]
 	r.mu.RUnlock()
@@ -273,7 +257,7 @@ func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h, ok = r.hists[name]; !ok {
-		h = newHistogram(bounds)
+		h = &Histogram{}
 		r.hists[name] = h
 	}
 	return h

@@ -3,8 +3,10 @@ package obs
 import (
 	"encoding/json"
 	"math"
+	"math/rand"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -45,9 +47,12 @@ func TestCounterGaugeBasics(t *testing.T) {
 
 func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("lat", 10, 100, 1000)
+	h := r.Histogram("lat")
+	if h.Count() != 0 || h.Quantile(0.5) != 0 || h.Quantile(1) != 0 {
+		t.Error("an empty histogram must read as zero")
+	}
 	for v := 1; v <= 100; v++ {
-		h.Observe(float64(v)) // 1..100: 10 in (..10], 90 in (10..100]
+		h.Observe(float64(v))
 	}
 	if h.Count() != 100 {
 		t.Errorf("count = %d", h.Count())
@@ -56,38 +61,89 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 		t.Errorf("sum = %v", h.Sum())
 	}
 	snap := h.snapshot()
-	if len(snap.Buckets) != 2 || snap.Buckets[0].Count != 10 || snap.Buckets[1].Count != 90 {
-		t.Errorf("buckets = %+v", snap.Buckets)
+	// bucket k holds (2^((k-1)/4), 2^(k/4)]
+	want := map[float64]int64{
+		1:                  1,  // {1}
+		2:                  1,  // (1.68, 2]: {2}
+		64:                 11, // (53.8, 64]: 54..64
+		math.Exp2(27 / 4.): 10, // (90.5, 107.6]: 91..100
 	}
-	if snap.Overflow != 0 {
-		t.Errorf("overflow = %d", snap.Overflow)
+	var total int64
+	for _, b := range snap.Buckets {
+		total += b.Count
+		if n, ok := want[b.LE]; ok && n != b.Count {
+			t.Errorf("bucket le=%v holds %d, want %d", b.LE, b.Count, n)
+		}
+		delete(want, b.LE)
 	}
-	// p50 interpolates within (10,100]: rank 50, 40 of 90 into the bucket
-	want := 10 + 90*(40.0/90.0)
-	if math.Abs(h.Quantile(0.5)-want) > 1e-9 {
-		t.Errorf("p50 = %v, want %v", h.Quantile(0.5), want)
+	if len(want) != 0 || total != 100 || snap.Overflow != 0 {
+		t.Errorf("buckets = %+v (missing %v), overflow %d", snap.Buckets, want, snap.Overflow)
 	}
-	h.Observe(5000) // beyond the last bound
+	// p50: rank 50 falls in (2^(22/4), 2^(23/4)], which holds 46..53 after
+	// 45 smaller values, so the estimate is 5/8 of the way through it
+	lower, upper := math.Exp2(22/4.), math.Exp2(23/4.)
+	if got, want := h.Quantile(0.5), lower+(upper-lower)*5/8; math.Abs(got-want) > 1e-9 {
+		t.Errorf("p50 = %v, want %v", got, want)
+	}
+	h.Observe(1e7) // beyond the last bound
 	if h.snapshot().Overflow != 1 {
 		t.Errorf("overflow = %d, want 1", h.snapshot().Overflow)
 	}
 	// quantiles attribute overflow to the last bound rather than inventing values
-	if q := h.Quantile(1); q != 1000 {
-		t.Errorf("p100 = %v, want 1000", q)
+	if q, last := h.Quantile(1), math.Exp2(90/4.); q != last {
+		t.Errorf("p100 = %v, want %v", q, last)
 	}
 }
 
 func TestHistogramExactBoundLandsInBucket(t *testing.T) {
-	h := newHistogram([]float64{10, 100})
-	h.Observe(10) // le semantics: exactly 10 belongs to the first bucket
+	var h Histogram
+	h.Observe(2)                       // le semantics: exactly 2 belongs to the bucket ending at 2
+	h.Observe(math.Nextafter(2, 3))    // the next float above it does not
+	h.Observe(math.Nextafter(1024, 0)) // nor does the float below 1024
 	snap := h.snapshot()
-	if len(snap.Buckets) != 1 || snap.Buckets[0].LE != 10 || snap.Buckets[0].Count != 1 {
-		t.Errorf("buckets = %+v", snap.Buckets)
+	want := []BucketCount{{LE: 2, Count: 1}, {LE: math.Exp2(5 / 4.), Count: 1}, {LE: 1024, Count: 1}}
+	if !slices.Equal(snap.Buckets, want) {
+		t.Errorf("buckets = %+v, want %+v", snap.Buckets, want)
+	}
+}
+
+// TestQuantileNearestRankProperty: over seeded samples between 1 µs and
+// 1 s, Quantile(p) lies in the bucket of the nearest-rank sample (rank
+// ceil(p·n), the smallest sample for p = 0), so it is within 2^(1/4)-1 of
+// that sample.
+func TestQuantileNearestRankProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	tol := math.Exp2(0.25) - 1
+	for round := 0; round < 200; round++ {
+		n := 1 + rng.Intn(2000)
+		if round < 10 {
+			n = round + 1 // the smallest counts first, from a single sample
+		}
+		center, spread := 6*rng.Float64(), 2*rng.Float64() // log10 µs
+		var h Histogram
+		samples := make([]float64, n)
+		for i := range samples {
+			v := math.Pow(1e6, 1-rng.Float64()) // log-uniform over (1 µs, 1 s]
+			if round%2 == 1 {
+				// clustered, so many samples share a bucket
+				v = math.Min(1e6, math.Max(1+1e-9, math.Pow(10, center+spread*rng.NormFloat64())))
+			}
+			samples[i] = v
+			h.Observe(v)
+		}
+		slices.Sort(samples)
+		for _, p := range []float64{0, 0.5, 0.9, 0.99, 1} {
+			want := samples[max(int(math.Ceil(p*float64(n)))-1, 0)]
+			if got := h.Quantile(p); math.Abs(got-want) > tol*want {
+				t.Fatalf("round %d, n=%d: p%v = %v, nearest rank %v (off by %.1f%%)",
+					round, n, p*100, got, want, 100*math.Abs(got-want)/want)
+			}
+		}
 	}
 }
 
 func TestHistogramConcurrentObserve(t *testing.T) {
-	h := newHistogram(DefaultLatencyBounds)
+	var h Histogram
 	var wg sync.WaitGroup
 	const workers, per = 8, 1000
 	for w := 0; w < workers; w++ {

@@ -12,12 +12,12 @@ import (
 )
 
 // Stage-I observability: how many sentences each selector accepted and how
-// long classification takes, reported into the default metrics registry
-// (surfaced on /metricz as selectors_*).
+// long classification takes (one observation per sentence classified),
+// reported into the default metrics registry (surfaced on /metricz as
+// selectors_*).
 var (
-	classifiedTotal = obs.Default().Counter("selectors_classified_total")
-	classifyHist    = obs.Default().Histogram("selectors_classify_micros")
-	selectorHits    = func() (hits [NumSelectors + 1]*obs.Counter) {
+	classifyHist = obs.Default().Histogram("selectors_classify_micros")
+	selectorHits = func() (hits [NumSelectors + 1]*obs.Counter) {
 		for id := None; id <= Purpose; id++ {
 			hits[id] = obs.Default().Counter("selectors_hits_" + id.MetricName())
 		}
@@ -141,7 +141,6 @@ func (r *Recognizer) ClassifyAnnotated(a *nlp.Annotation) Result {
 		}
 	}
 	classifyHist.ObserveDuration(time.Since(start))
-	classifiedTotal.Inc()
 	selectorHits[res.Selector].Inc()
 	return res
 }

@@ -179,7 +179,8 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// the whole batch runs inside one request budget, from the request's
 	// arrival; batch splits it into per-wave item shares
 	results := s.batch(r.Context(), ex.start.Add(s.opts.Timeout), req.Queries)
-	s.stats.recordBatch(time.Since(start), len(results))
+	s.stats.batchHist.ObserveDuration(time.Since(start))
+	s.stats.batchItems.Add(int64(len(results)))
 	nerr := 0
 	for i := range results {
 		if results[i].Error != "" {

@@ -74,7 +74,7 @@ func (s *Service) ask(ctx context.Context, deadline time.Time, q string, k int) 
 		}
 	}
 	start := time.Now()
-	defer func() { s.stats.recordAsk(time.Since(start)) }()
+	defer func() { s.stats.askHist.ObserveDuration(time.Since(start)) }()
 	if k <= 0 {
 		k = DefaultFederationK
 	}

@@ -29,7 +29,6 @@ import (
 // defaults.
 type Options struct {
 	CacheSize    int           // total cached queries (default 1024)
-	CacheShards  int           // LRU shards (default 8)
 	MaxInFlight  int           // concurrent retrievals (default 64)
 	MaxQueue     int           // waiting-room size (default 4*MaxInFlight)
 	Timeout      time.Duration // per-request deadline (default 2s)
@@ -56,9 +55,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.CacheSize <= 0 {
 		o.CacheSize = 1024
-	}
-	if o.CacheShards <= 0 {
-		o.CacheShards = 8
 	}
 	if o.MaxInFlight <= 0 {
 		o.MaxInFlight = 64
@@ -115,7 +111,7 @@ func New(reg *Registry, opts Options) *Service {
 	stats := newStats(opts.Metrics)
 	s := &Service{
 		reg:   reg,
-		cache: NewCache(opts.CacheSize, opts.CacheShards, stats),
+		cache: NewCache(opts.CacheSize, 8, stats),
 		admit: NewAdmission(opts.MaxInFlight, opts.MaxQueue, stats),
 		stats: stats,
 		opts:  opts,
@@ -557,7 +553,7 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	l := lease{deadline: ex.start.Add(s.opts.Timeout)}
 	answers, hit, err := s.cachedQuery(r.Context(), &l, name, q)
 	l.release(s)
-	s.stats.recordQuery(time.Since(start))
+	s.stats.queryHist.ObserveDuration(time.Since(start))
 	if err != nil {
 		writeQueryError(w, err)
 		return
@@ -672,7 +668,7 @@ func (s *Service) report(ctx context.Context, deadline time.Time, advisor, text 
 		return nil, nil, nil, refuse(http.StatusBadRequest, "report of %d issues exceeds limit %d", len(issues), s.opts.MaxBatch)
 	}
 	start := time.Now()
-	defer func() { s.stats.recordReport(time.Since(start)) }()
+	defer func() { s.stats.reportHist.ObserveDuration(time.Since(start)) }()
 	// at most one admission slot, taken by the first miss
 	l := lease{deadline: deadline}
 	defer l.release(s)

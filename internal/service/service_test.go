@@ -590,7 +590,8 @@ func collectSpanNames(s obs.SpanJSON, into map[string]bool) {
 // TestQueryTraceTree is the observability acceptance path: with sampling at
 // 1.0, a single /v1/query yields a trace ID whose span tree — retrieved from
 // /tracez — contains the admission, annotate, cache, and score stages, and
-// /metricz reconciles with /statsz.
+// after mixed query, report, batch and ask traffic every figure /metricz and
+// /statsz both carry is equal.
 func TestQueryTraceTree(t *testing.T) {
 	metrics := obs.NewRegistry()
 	tracer := obs.NewTracer(1.0, obs.NewTraceStore(16))
@@ -662,8 +663,32 @@ func TestQueryTraceTree(t *testing.T) {
 		t.Error("cache-hit trace contains a score span; retrieval should have been skipped")
 	}
 
-	// /metricz must agree with /statsz: the service_* counters are the same
-	// atomics behind both views
+	// mixed traffic, so every latency and count both surfaces carry moves:
+	// a report, a batch with one failing item, and two asks
+	report, err := nvvp.Synthesize("norm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := `{"queries":[{"advisor":"cuda","query":"shared memory bank conflicts"},{"advisor":"nope","query":"x"}]}`
+	for path, body := range map[string]string{"/v1/cuda/report": report, "/v1/batch": batch} {
+		resp, err := http.Post(ts.URL+path, "text/plain", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s %d %s", path, resp.StatusCode, b)
+		}
+	}
+	for _, q := range []string{"memory+coalescing", "overlap+transfers+with+execution"} {
+		if code, b := get(t, ts.URL+"/v1/ask?q="+q); code != 200 {
+			t.Fatalf("ask %q %d %s", q, code, b)
+		}
+	}
+
+	// /metricz must agree with /statsz: both read the same counters and
+	// histograms
 	code, mbody := get(t, ts.URL+"/metricz")
 	if code != 200 {
 		t.Fatalf("metricz %d", code)
@@ -681,18 +706,40 @@ func TestQueryTraceTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	// statsz was read after metricz, so its request counter may be ahead by
-	// the /statsz request itself — but hits/misses only move on /v1 queries
-	if got := snap.Counters["service_cache_hits_total"]; got != stats.CacheHits {
-		t.Errorf("metricz hits %d != statsz hits %d", got, stats.CacheHits)
+	// the /statsz request itself — but no other figure moves on it
+	hist := func(name string) obs.HistogramSnapshot {
+		h, ok := snap.Histograms[name]
+		if !ok {
+			t.Fatalf("metricz missing %s histogram", name)
+		}
+		return h
 	}
-	if got := snap.Counters["service_cache_misses_total"]; got != stats.CacheMisses {
-		t.Errorf("metricz misses %d != statsz misses %d", got, stats.CacheMisses)
+	q, r, b, a := hist("service_query_latency_micros"), hist("service_report_latency_micros"),
+		hist("service_batch_latency_micros"), hist("service_ask_latency_micros")
+	for _, c := range []struct {
+		name            string
+		metricz, statsz int64
+	}{
+		{"cache_hits", snap.Counters["service_cache_hits_total"], stats.CacheHits},
+		{"cache_misses", snap.Counters["service_cache_misses_total"], stats.CacheMisses},
+		{"batch_items", snap.Counters["service_batch_items_total"], stats.BatchItems},
+		{"batches", b.Count, stats.Batches},
+		{"asks", a.Count, stats.Asks},
+		{"query_p50_micros", int64(q.P50), stats.QueryP50Micros},
+		{"query_p99_micros", int64(q.P99), stats.QueryP99Micros},
+		{"report_p50_micros", int64(r.P50), stats.ReportP50Micros},
+		{"report_p99_micros", int64(r.P99), stats.ReportP99Micros},
+		{"batch_p50_micros", int64(b.P50), stats.BatchP50Micros},
+		{"batch_p99_micros", int64(b.P99), stats.BatchP99Micros},
+		{"ask_p50_micros", int64(a.P50), stats.AskP50Micros},
+		{"ask_p99_micros", int64(a.P99), stats.AskP99Micros},
+	} {
+		if c.metricz != c.statsz {
+			t.Errorf("%s: metricz %d != statsz %d", c.name, c.metricz, c.statsz)
+		}
 	}
-	qh, ok := snap.Histograms["service_query_latency_micros"]
-	if !ok {
-		t.Fatal("metricz missing service_query_latency_micros histogram")
-	}
-	if qh.Count != 2 {
-		t.Errorf("query histogram count %d, want 2", qh.Count)
+	if q.Count != 2 || r.Count != 1 || stats.Batches != 1 || stats.BatchItems != 2 || stats.Asks != 2 {
+		t.Errorf("counts: %d queries, %d reports, %d batches of %d items, %d asks; want 2, 1, 1 of 2, 2",
+			q.Count, r.Count, stats.Batches, stats.BatchItems, stats.Asks)
 	}
 }

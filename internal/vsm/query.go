@@ -11,10 +11,9 @@ import (
 )
 
 // Stage-II observability, reported into the default metrics registry
-// (surfaced on /metricz as vsm_*): query volume, postings walked and
-// scoring latency.
+// (surfaced on /metricz as vsm_*): postings walked and scoring latency, one
+// observation per query scored.
 var (
-	queriesScored  = obs.Default().Counter("vsm_queries_scored_total")
 	postingsScored = obs.Default().Counter("vsm_postings_scored_total")
 	scoreHist      = obs.Default().Histogram("vsm_score_micros")
 )
@@ -62,7 +61,6 @@ func (ix *Index) Query(ctx context.Context, terms []string, threshold float64) [
 	postingsScored.Add(int64(walked))
 	sortMatches(out)
 	scoreHist.ObserveDuration(time.Since(start))
-	queriesScored.Inc()
 	return out
 }
 
