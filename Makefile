@@ -1,11 +1,12 @@
 # Tier-1 gate: everything a PR must keep green.
 .PHONY: check vet fmt build test race fuzz chaos bench bench-all benchrot cover loc serve
 
-check: ## vet + gofmt + build + race-enabled tests + fuzz smoke + chaos smoke + size gate (the tier-1 gate)
+check: ## vet + gofmt + build + race-enabled tests (bench module too) + fuzz smoke + chaos smoke + size gate (the tier-1 gate)
 	go vet ./...
 	@test -z "$$(gofmt -l .)" || { echo "gofmt needed on:"; gofmt -l .; exit 1; }
 	go build ./...
 	go test -race ./...
+	cd bench && go vet ./... && go test -race ./...
 	$(MAKE) fuzz
 	$(MAKE) chaos
 	$(MAKE) loc

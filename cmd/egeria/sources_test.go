@@ -26,9 +26,10 @@ import (
 // TestServeDocSourceReload drives the production document source: serve an
 // exported guide through -doc with a snapshot directory, rewrite one
 // sentence of the file and reload. The reload updates the serving advisor,
-// reusing every other sentence; its answers equal a cold build of the
-// edited file; and a second boot over the same
-// directory loads the reloaded snapshot.
+// reusing every other sentence; /statsz gains the advisor's last_swap,
+// which it lacked before; its answers equal a cold build of the edited
+// file; and a second boot over the same directory loads the reloaded
+// snapshot.
 func TestServeDocSourceReload(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "guide.html")
@@ -51,6 +52,10 @@ func TestServeDocSourceReload(t *testing.T) {
 	}
 	ts := httptest.NewServer(handler)
 	defer ts.Close()
+	_, before := httpGet(t, ts.URL+"/statsz")
+	if !strings.Contains(string(before), `"advisors":[{`) || strings.Contains(string(before), `"last_swap"`) {
+		t.Fatalf("statsz before any reload, want an advisor with no last_swap: %s", before)
+	}
 
 	// rewrite a sentence whose text occurs once in the file
 	data, err := os.ReadFile(path)
@@ -102,8 +107,8 @@ func TestServeDocSourceReload(t *testing.T) {
 	if err := json.Unmarshal(body, &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Lifecycle == nil || len(stats.Lifecycle.Advisors) != 1 {
-		t.Fatalf("statsz lifecycle: %s", body)
+	if stats.Lifecycle == nil || len(stats.Lifecycle.Advisors) != 1 || stats.Lifecycle.Advisors[0].LastSwap == nil {
+		t.Fatalf("statsz lifecycle, want one advisor with a last_swap: %s", body)
 	}
 	if got, want := stats.Lifecycle.Advisors[0].LastReuseRatio, float64(n-1)/float64(n); got != want {
 		t.Errorf("last_reuse_ratio = %v, want %v (%d of %d sentences kept)", got, want, n-1, n)
@@ -120,7 +125,7 @@ func TestServeDocSourceReload(t *testing.T) {
 			t.Fatalf("query %q: %d answers, cold build %d", q.Text, len(ag), len(aw))
 		}
 		for i := range aw {
-			if ag[i].Sentence != aw[i].Sentence || math.Float64bits(ag[i].Score) != math.Float64bits(aw[i].Score) {
+			if *ag[i].Sentence != *aw[i].Sentence || math.Float64bits(ag[i].Score) != math.Float64bits(aw[i].Score) {
 				t.Fatalf("query %q answer %d: %+v, cold build %+v", q.Text, i, ag[i], aw[i])
 			}
 		}

@@ -131,7 +131,7 @@ func TestNoResultAliasesAScratch(t *testing.T) {
 	} {
 		got, want := a.Query(q), serial.Query(q)
 		if !slices.EqualFunc(got, want, func(x, y Answer) bool {
-			return x.Sentence == y.Sentence && math.Float64bits(x.Score) == math.Float64bits(y.Score)
+			return *x.Sentence == *y.Sentence && math.Float64bits(x.Score) == math.Float64bits(y.Score)
 		}) {
 			t.Errorf("%q: answers differ from a serial build's", q)
 		}

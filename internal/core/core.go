@@ -303,9 +303,13 @@ func (a *Advisor) CompressionRatio() float64 {
 	return float64(len(a.sentences)) / float64(len(a.advising))
 }
 
-// Answer is one Stage-II recommendation.
+// Answer is one Stage-II recommendation. Sentence points at the scoring
+// advisor's own rule, shared with the advisor and with every cached answer
+// list that holds it, so it is read-only: no build writes an advisor's rules
+// after publishing them, and an answer keeps its advisor's text after a
+// reload replaces that advisor.
 type Answer struct {
-	Sentence AdvisingSentence
+	Sentence *AdvisingSentence
 	Score    float64
 }
 
@@ -343,7 +347,7 @@ func (a *Advisor) Retrieve(ctx context.Context, terms []string, threshold float6
 	// the index serves advising sentences only, so every match has a rule
 	out := make([]Answer, len(matches))
 	for i, m := range matches {
-		out[i] = Answer{Sentence: a.advising[a.rulePos[m.Index]], Score: m.Score}
+		out[i] = Answer{Sentence: &a.advising[a.rulePos[m.Index]], Score: m.Score}
 	}
 	return out
 }

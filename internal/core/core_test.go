@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/corpus"
 	"repro/internal/htmldoc"
@@ -90,6 +92,28 @@ func TestRetrieve(t *testing.T) {
 	for _, backend := range []string{"bm25", "tfidf"} {
 		if _, err := adv.QueryTermsBackendCtx(context.Background(), backend, nlp.QueryTerms(q)); !errors.Is(err, vsm.ErrUnknownBackend) {
 			t.Fatalf("QueryTermsBackendCtx(%q): %v, want vsm.ErrUnknownBackend", backend, err)
+		}
+	}
+}
+
+// TestAnswersPointAtTheirRules pins the answer layout: an Answer is a
+// pointer and a score, 16 bytes, and every answer Retrieve returns points
+// at its advisor's own rule, not at a copy.
+func TestAnswersPointAtTheirRules(t *testing.T) {
+	if size := unsafe.Sizeof(Answer{}); size != 16 {
+		t.Fatalf("unsafe.Sizeof(Answer{}) = %d, want 16", size)
+	}
+	g := corpus.GenerateSized(corpus.CUDA, 200, 0.25, 31)
+	adv := New().BuildFromSentences(g.Doc, g.Sentences)
+	rules := adv.Rules()
+	answers := retrieve(adv, "reduce instruction and memory latency")
+	if len(answers) < 2 {
+		t.Fatalf("%d answers, want at least 2", len(answers))
+	}
+	for i, a := range answers {
+		k, ok := slices.BinarySearchFunc(rules, a.Sentence.Index, func(r AdvisingSentence, idx int) int { return r.Index - idx })
+		if !ok || a.Sentence != &rules[k] {
+			t.Fatalf("answer %d (sentence %d) does not point at its advisor's rule", i, a.Sentence.Index)
 		}
 	}
 }

@@ -126,7 +126,7 @@ func TestContextOfUnknownSection(t *testing.T) {
 	if len(adv.Rules()) < 2 {
 		t.Skip("corpus produced fewer than 2 rules")
 	}
-	ans := Answer{Sentence: adv.Rules()[0], Score: 1}
+	ans := Answer{Sentence: &adv.Rules()[0], Score: 1}
 	if ans.Sentence.Section != "" {
 		t.Fatalf("bare-sentence rule unexpectedly has section %q", ans.Sentence.Section)
 	}
@@ -140,7 +140,7 @@ func TestContextOfUnknownSection(t *testing.T) {
 		if r.Section == "" {
 			continue
 		}
-		got := advDoc.ContextOf(Answer{Sentence: r})
+		got := advDoc.ContextOf(Answer{Sentence: &r})
 		for _, c := range got {
 			if c.Section != r.Section {
 				t.Fatalf("context sentence from section %q, want %q", c.Section, r.Section)

@@ -57,7 +57,7 @@ func assertEquivalent(t *testing.T, inc, full *Advisor) {
 			t.Fatalf("query %q: %d vs %d answers", q.Text, len(ai), len(af))
 		}
 		for i := range af {
-			if ai[i].Sentence != af[i].Sentence ||
+			if *ai[i].Sentence != *af[i].Sentence ||
 				math.Float64bits(ai[i].Score) != math.Float64bits(af[i].Score) {
 				t.Fatalf("query %q answer %d: %+v vs %+v", q.Text, i, ai[i], af[i])
 			}

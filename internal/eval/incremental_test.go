@@ -95,7 +95,7 @@ func TestIncrementalEqualsFullBuild(t *testing.T) {
 				t.Fatalf("step %s %q: %d vs %d answers", step.name, q.Text, len(ia), len(fa))
 			}
 			for i := range fa {
-				if ia[i].Sentence != fa[i].Sentence ||
+				if *ia[i].Sentence != *fa[i].Sentence ||
 					math.Float64bits(ia[i].Score) != math.Float64bits(fa[i].Score) {
 					t.Fatalf("step %s %q answer %d: (%d, %x) vs (%d, %x)",
 						step.name, q.Text, i,
@@ -136,7 +136,7 @@ func TestIncrementalChainDrift(t *testing.T) {
 				t.Fatalf("step %d %q: %d vs %d answers", step, q.Text, len(ia), len(fa))
 			}
 			for i := range fa {
-				if ia[i].Sentence != fa[i].Sentence ||
+				if *ia[i].Sentence != *fa[i].Sentence ||
 					math.Float64bits(ia[i].Score) != math.Float64bits(fa[i].Score) {
 					t.Fatalf("step %d %q answer %d differs", step, q.Text, i)
 				}

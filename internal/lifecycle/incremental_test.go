@@ -119,7 +119,7 @@ func assertSameAnswers(t *testing.T, got, want *core.Advisor) {
 			t.Fatalf("query %q: %d vs %d answers", q.Text, len(ag), len(aw))
 		}
 		for i := range aw {
-			if ag[i].Sentence != aw[i].Sentence ||
+			if *ag[i].Sentence != *aw[i].Sentence ||
 				math.Float64bits(ag[i].Score) != math.Float64bits(aw[i].Score) {
 				t.Fatalf("query %q answer %d: %+v vs %+v", q.Text, i, ag[i], aw[i])
 			}

@@ -142,7 +142,7 @@ type sourceState struct {
 	pending   string        // changed fingerprint awaiting debounce confirmation
 	origin    string        // "snapshot" or "build"
 	builtAt   time.Time
-	lastSwap  time.Time
+	lastSwap  *time.Time // nil until the first swap; never written through
 	reloads   int64
 	lastDiff  string
 	lastErr   string
@@ -566,7 +566,7 @@ func (m *Manager) rebuild(ctx context.Context, name string) error {
 		st.liveHash = fp
 		st.origin = "build"
 		st.builtAt = adv.BuiltAt()
-		st.lastSwap = time.Now()
+		st.lastSwap = &start
 		st.reloads++
 		st.lastDiff = diff.Short()
 		st.lastErr = ""
@@ -581,15 +581,15 @@ func (m *Manager) rebuild(ctx context.Context, name string) error {
 
 // AdvisorState is one advisor's lifecycle view, as served on /statsz.
 type AdvisorState struct {
-	Advisor    string    `json:"advisor"`
-	Origin     string    `json:"origin"` // "snapshot" or "build"
-	SourcePath string    `json:"source_path,omitempty"`
-	BuiltAt    time.Time `json:"built_at"`
-	LastSwap   time.Time `json:"last_swap,omitempty"`
-	Reloads    int64     `json:"reloads"`
-	LastDiff   string    `json:"last_diff,omitempty"`
-	LastError  string    `json:"last_error,omitempty"`
-	Rebuilding bool      `json:"rebuilding,omitempty"`
+	Advisor    string     `json:"advisor"`
+	Origin     string     `json:"origin"` // "snapshot" or "build"
+	SourcePath string     `json:"source_path,omitempty"`
+	BuiltAt    time.Time  `json:"built_at"`
+	LastSwap   *time.Time `json:"last_swap,omitempty"` // absent until the first swap
+	Reloads    int64      `json:"reloads"`
+	LastDiff   string     `json:"last_diff,omitempty"`
+	LastError  string     `json:"last_error,omitempty"`
+	Rebuilding bool       `json:"rebuilding,omitempty"`
 	// LastReuseRatio is the fraction of the document's sentences the last
 	// rebuild carried over from the advisor it replaced (0 before the first
 	// rebuild, and after one that built from nothing).

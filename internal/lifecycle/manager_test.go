@@ -369,7 +369,7 @@ func TestWatcherDebounceAndSwap(t *testing.T) {
 		t.Errorf("swaps %d, want 1", reg.swapCount())
 	}
 	state := m.State()
-	if state.Reloads != 1 || state.Advisors[0].Reloads != 1 || state.Advisors[0].LastSwap.IsZero() {
+	if state.Reloads != 1 || state.Advisors[0].Reloads != 1 || state.Advisors[0].LastSwap == nil {
 		t.Errorf("reload state: %+v", state.Advisors[0])
 	}
 	if !state.Watching {

@@ -108,7 +108,7 @@ func toRule(s core.AdvisingSentence) Rule {
 func toAnswers(answers []core.Answer) []Answer {
 	out := make([]Answer, len(answers))
 	for i, a := range answers {
-		out[i] = Answer{Rule: toRule(a.Sentence), Score: a.Score}
+		out[i] = Answer{Rule: toRule(*a.Sentence), Score: a.Score}
 	}
 	return out
 }

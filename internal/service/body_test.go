@@ -177,7 +177,7 @@ func TestAnswerJSONMatchesEncodingJSON(t *testing.T) {
 		bare := core.AdvisingSentence{Index: rule.Index, Text: rule.Text, Section: rule.Section, Selector: rule.Selector}
 		for _, score := range edgeScores() {
 			for _, s := range []core.AdvisingSentence{rule, bare} {
-				a := core.Answer{Sentence: s, Score: score}
+				a := core.Answer{Sentence: &s, Score: score}
 				want := bytes.TrimSuffix(encodeRef(toAnswers([]core.Answer{a})[0]), []byte("\n"))
 				if got := a.AppendJSON(nil); !bytes.Equal(got, want) {
 					t.Fatalf("score %v:\n got %s\nwant %s", score, got, want)

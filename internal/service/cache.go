@@ -17,7 +17,8 @@ import (
 // never used again and leave the LRU first.
 //
 // Values are []core.Answer slices; they are stored once and returned to
-// every caller, so they must be treated as immutable.
+// every caller, so they must be treated as immutable, and so must the rules
+// their answers point at, which belong to the advisor that scored them.
 //
 // Concurrent misses on the same key are deduplicated single-flight style:
 // one goroutine runs retrieval, the rest wait for its result.

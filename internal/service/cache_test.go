@@ -15,7 +15,7 @@ import (
 func answersOf(texts ...string) []core.Answer {
 	out := make([]core.Answer, len(texts))
 	for i, t := range texts {
-		out[i] = core.Answer{Sentence: core.AdvisingSentence{Index: i, Text: t}, Score: 0.5}
+		out[i] = core.Answer{Sentence: &core.AdvisingSentence{Index: i, Text: t}, Score: 0.5}
 	}
 	return out
 }

@@ -117,7 +117,7 @@ func (s *Service) ask(ctx context.Context, deadline time.Time, q string, k int) 
 				}
 				out[j] = FederatedAnswer{
 					Advisor: name,
-					Rule:    toRule(a.Sentence),
+					Rule:    toRule(*a.Sentence),
 					Score:   a.Score,
 					Norm:    norm,
 				}

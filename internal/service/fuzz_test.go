@@ -234,7 +234,7 @@ func checkAsk(svc *Service, rec *httptest.ResponseRecorder, raw string) error {
 			if best := answers[0].Score; best > 0 {
 				norm = a.Score / best
 			}
-			merged = append(merged, FederatedAnswer{Advisor: name, Rule: toRule(a.Sentence), Score: a.Score, Norm: norm})
+			merged = append(merged, FederatedAnswer{Advisor: name, Rule: toRule(*a.Sentence), Score: a.Score, Norm: norm})
 		}
 	}
 	sort.Slice(merged, func(a, b int) bool {

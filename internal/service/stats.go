@@ -67,9 +67,10 @@ type StatsSnapshot struct {
 	BatchItems  int64 `json:"batch_items"`
 	Asks        int64 `json:"asks"`
 
-	// Lifecycle is present when a corpus lifecycle manager is attached
-	// (serve -snapshot-dir / -watch): warm-start origin, reload counters,
-	// and last-error per advisor.
+	// Lifecycle is the attached corpus lifecycle manager's state: warm-start
+	// origin, reload counters, and last-error per advisor. Every egeria
+	// serve attaches a manager, with or without -snapshot-dir and -watch;
+	// the field is absent only for a Service that never had SetLifecycle.
 	Lifecycle *lifecycle.State `json:"lifecycle,omitempty"`
 
 	QueryP50Micros  int64 `json:"query_p50_micros"`
